@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench baseline bench-diff
+.PHONY: build test race vet bench
 
 build:
 	$(GO) build ./...
@@ -15,20 +15,7 @@ vet:
 	$(GO) vet ./...
 
 # bench runs every Go micro-benchmark once (a smoke pass: regressions in
-# benchmark code itself surface here, numbers do not).
+# benchmark code itself surface here, numbers do not). The measured
+# benchmark is `bash bench/run.sh` (see BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-
-# baseline refreshes the committed performance snapshot. Run it on the
-# reference machine and commit the result; the newest BENCH_*.json is
-# the document reviews compare against.
-baseline:
-	$(GO) run ./cmd/vmbench -out BENCH_8.json
-
-# bench-diff reruns vmbench against the newest committed BENCH_*.json
-# and fails on a >25% regression in scan ns/VM or admissions/sec. A
-# baseline captured on different hardware (goos/goarch/numCPU/
-# gomaxprocs fingerprint) is incomparable: the diff prints a notice and
-# passes.
-bench-diff:
-	$(GO) run ./cmd/vmbench -out - -compare "$$(ls BENCH_*.json | sort -V | tail -1)"

@@ -18,9 +18,7 @@
 // topology.json: epoch, shards with name, url and optional weight) and
 // can be changed at runtime with POST /v1/topology — the gate drains
 // remapped VMs to their new owners live, with clients none the wiser
-// (GET /v1/topology shows the epoch, weights and drain progress). The
-// repeatable -shard flag remains as a deprecated alias that builds an
-// unversioned, weight-1 topology.
+// (GET /v1/topology shows the epoch, weights and drain progress).
 //
 // The gate holds no placement state: restart it, run several behind a
 // TCP balancer — as long as the topology (the names and weights,
@@ -29,7 +27,6 @@
 // Usage:
 //
 //	vmgate -addr :8081 -topology topology.json
-//	vmgate -shard a=http://10.0.0.1:8080 -shard b=http://10.0.0.2:8080   # deprecated alias
 package main
 
 import (
@@ -59,23 +56,11 @@ func main() {
 	}
 }
 
-// stringList is a repeatable string flag (-shard a=u1 -shard b=u2).
-type stringList []string
-
-func (l *stringList) String() string { return fmt.Sprint([]string(*l)) }
-
-func (l *stringList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vmgate", flag.ContinueOnError)
-	var targets stringList
-	fs.Var(&targets, "shard", "deprecated: vmserve shard as name=url or a bare URL (repeatable, weight 1, unversioned); prefer -topology")
 	var (
 		addr       = fs.String("addr", ":8081", "listen address")
-		topoPath   = fs.String("topology", "", "versioned topology file (JSON: epoch, shards with name/url/weight); mutually exclusive with -shard")
+		topoPath   = fs.String("topology", "", "versioned topology file (JSON: epoch, shards with name/url/weight)")
 		probe      = fs.Duration("probe-interval", shard.DefaultProbeInterval, "shard health-probe interval")
 		timeout    = fs.Duration("timeout", shard.DefaultProxyTimeout, "per-shard proxy request timeout")
 		logFormat  = fs.String("log-format", "text", "log output format: text or json")
@@ -94,23 +79,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var m *shard.Map
-	switch {
-	case *topoPath != "" && len(targets) > 0:
-		return errors.New("-topology and -shard are mutually exclusive")
-	case *topoPath != "":
-		m, err = shard.LoadTopology(*topoPath)
-		if err != nil {
-			return err
-		}
-	case len(targets) > 0:
-		logger.Warn("-shard is deprecated: it builds an unversioned, weight-1 topology that POST /v1/topology must replace wholesale; prefer -topology topology.json")
-		m, err = shard.ParseTargets(targets)
-		if err != nil {
-			return err
-		}
-	default:
-		return errors.New("no shards configured (need -topology topology.json or at least one -shard name=url)")
+	if *topoPath == "" {
+		return errors.New("no shards configured (need -topology topology.json)")
+	}
+	m, err := shard.LoadTopology(*topoPath)
+	if err != nil {
+		return err
 	}
 	var spans *obs.SpanStore
 	if *traceSpans > 0 {

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -61,6 +63,26 @@ func (s *syncBuffer) String() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.b.String()
+}
+
+// writeTopology writes a topology.json over the given name=url pairs
+// and returns its path.
+func writeTopology(t *testing.T, shards ...string) string {
+	t.Helper()
+	topo := api.Topology{Epoch: 1}
+	for _, s := range shards {
+		name, url, _ := strings.Cut(s, "=")
+		topo.Shards = append(topo.Shards, api.TopologyShard{Name: name, URL: url})
+	}
+	b, err := json.Marshal(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "topology.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 var routingAddr = regexp.MustCompile(`msg=routing .*addr=(\S+)`)
@@ -122,8 +144,7 @@ func TestRunStartupShutdown(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
-			"-shard", "a=" + shards["a"],
-			"-shard", "b=" + shards["b"],
+			"-topology", writeTopology(t, "a="+shards["a"], "b="+shards["b"]),
 		}, out)
 	}()
 	base := waitRouting(t, out)
@@ -222,10 +243,13 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run(context.Background(), nil, io.Discard); err == nil {
 		t.Error("no shards should error")
 	}
-	if err := run(context.Background(), []string{"-shard", "a=http://x", "-shard", "a=http://y"}, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-topology", writeTopology(t, "a=http://x", "a=http://y")}, io.Discard); err == nil {
 		t.Error("duplicate shard names should error")
 	}
-	if err := run(context.Background(), []string{"-shard", "http://x", "-log-level", "nope"}, io.Discard); err == nil {
+	if err := run(context.Background(), []string{"-topology", writeTopology(t, "a=http://x"), "-log-level", "nope"}, io.Discard); err == nil {
 		t.Error("bad log level should error")
+	}
+	if err := run(context.Background(), []string{"-shard", "a=http://x"}, io.Discard); err == nil {
+		t.Error("the retired -shard flag should be rejected")
 	}
 }

@@ -97,7 +97,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		window     = fs.Duration("batch-window", time.Millisecond, "admission micro-batch collection window (0 = opportunistic)")
 		parallel   = fs.Int("parallel", 0, "candidate-scan workers (0 = automatic, 1 = sequential)")
 		journalDir = fs.String("journal", "", "journal + snapshot directory (empty = volatile state)")
-		journalFmt = fs.String("journal-format", "json", "journal codec: json (line-delimited, inspectable) or binary (length-prefixed + CRC, faster); either replays the other, the log adopts the configured format at the next snapshot compaction")
 		snapEvery  = fs.Int("snapshot-every", 0, "journaled mutations between snapshots (0 = default, <0 = only on shutdown)")
 		noFsync    = fs.Bool("unsafe-no-fsync", false, "UNSAFE: skip journal fsyncs; acknowledged state survives a crash but NOT power loss (soak/load tests only)")
 		consEvery  = fs.Duration("consolidate-interval", 0, "run a background consolidation pass this often (0 = only on POST /v1/consolidate)")
@@ -180,7 +179,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		BatchWindow:        *window,
 		Parallelism:        *parallel,
 		Dir:                *journalDir,
-		JournalFormat:      *journalFmt,
 		SnapshotEvery:      *snapEvery,
 		DisableFsync:       *noFsync,
 		MigrationCostPerGB: *migCost,

@@ -178,7 +178,7 @@ type ShardHealth struct {
 // ShardsResponse is the body of a vmgate's GET /v1/shards.
 type ShardsResponse struct {
 	// Epoch is the topology epoch the health table was taken under (0
-	// for unversioned -shard deployments).
+	// for an unversioned map).
 	Epoch  int64         `json:"epoch,omitempty"`
 	Count  int           `json:"count"`
 	Shards []ShardHealth `json:"shards"`

@@ -15,64 +15,60 @@ func adoptVM(id, start, end int) model.VM {
 
 // TestAdoptPlacesAndJournals: an adoption lands on a server, preserves
 // the (start, end) identity the original owner granted, survives a
-// crash via journal replay (in both codecs), and bumps nextID past the
+// crash via journal replay, and bumps nextID past the
 // adopted ID so later auto-assigned admissions cannot collide with it.
 func TestAdoptPlacesAndJournals(t *testing.T) {
-	for _, format := range []string{JournalFormatJSON, JournalFormatBinary} {
-		t.Run(format, func(t *testing.T) {
-			dir := t.TempDir()
-			c := mustOpen(t, Config{Servers: testServers(2), IdleTimeout: 5, Dir: dir, JournalFormat: format, DisableFsync: true})
-			if err := c.AdvanceTo(4); err != nil {
-				t.Fatal(err)
-			}
-			// Requested start 1, actually started at 2 on the old owner.
-			p, handoff, err := c.Adopt(context.Background(), adoptVM(42, 1, 20), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Start != 2 || p.End() != 21 {
-				t.Fatalf("adopted interval = (%d, %d), want (2, 21)", p.Start, p.End())
-			}
-			if handoff != 5 {
-				t.Fatalf("handoff = %d, want 5 (next minute at clock 4)", handoff)
-			}
+	dir := t.TempDir()
+	c := mustOpen(t, Config{Servers: testServers(2), IdleTimeout: 5, Dir: dir, DisableFsync: true})
+	if err := c.AdvanceTo(4); err != nil {
+		t.Fatal(err)
+	}
+	// Requested start 1, actually started at 2 on the old owner.
+	p, handoff, err := c.Adopt(context.Background(), adoptVM(42, 1, 20), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Start != 2 || p.End() != 21 {
+		t.Fatalf("adopted interval = (%d, %d), want (2, 21)", p.Start, p.End())
+	}
+	if handoff != 5 {
+		t.Fatalf("handoff = %d, want 5 (next minute at clock 4)", handoff)
+	}
 
-			// Idempotent retry: same VM, same actual start → same placement,
-			// no second adoption.
-			p2, _, err := c.Adopt(context.Background(), adoptVM(42, 1, 20), 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p2 != p {
-				t.Fatalf("retried adopt = %+v, first = %+v", p2, p)
-			}
-			// A conflicting adoption under the same ID is refused.
-			var aie *AdoptInfeasibleError
-			if _, _, err := c.Adopt(context.Background(), adoptVM(42, 1, 30), 2); !errors.As(err, &aie) {
-				t.Fatalf("conflicting adopt: %v, want *AdoptInfeasibleError", err)
-			}
+	// Idempotent retry: same VM, same actual start → same placement,
+	// no second adoption.
+	p2, _, err := c.Adopt(context.Background(), adoptVM(42, 1, 20), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p2 != p {
+		t.Fatalf("retried adopt = %+v, first = %+v", p2, p)
+	}
+	// A conflicting adoption under the same ID is refused.
+	var aie *AdoptInfeasibleError
+	if _, _, err := c.Adopt(context.Background(), adoptVM(42, 1, 30), 2); !errors.As(err, &aie) {
+		t.Fatalf("conflicting adopt: %v, want *AdoptInfeasibleError", err)
+	}
 
-			if got := c.Adopted(); got != 1 {
-				t.Fatalf("adopted count = %d, want 1", got)
-			}
+	if got := c.Adopted(); got != 1 {
+		t.Fatalf("adopted count = %d, want 1", got)
+	}
 
-			c.crash()
-			r := mustOpen(t, Config{Servers: testServers(2), IdleTimeout: 5, Dir: dir, JournalFormat: format, DisableFsync: true})
-			defer r.Close()
-			rp, ok := findVM(r, 42)
-			if !ok || rp.Start != 2 || rp.End() != 21 || rp.Server != p.Server {
-				t.Fatalf("replayed placement = %+v (ok=%v), want %+v", rp, ok, p)
-			}
-			if got := r.Adopted(); got != 1 {
-				t.Fatalf("replayed adopted count = %d, want 1", got)
-			}
-			// nextID replays past the adopted ID: an auto-ID admission must
-			// not collide with 42.
-			adms := mustAdmit(t, r, VMRequest{Demand: model.Resources{CPU: 1, Mem: 1}, Start: 4, DurationMinutes: 5})
-			if adms[0].ID <= 42 {
-				t.Fatalf("auto-assigned id %d ≤ adopted id 42", adms[0].ID)
-			}
-		})
+	c.crash()
+	r := mustOpen(t, Config{Servers: testServers(2), IdleTimeout: 5, Dir: dir, DisableFsync: true})
+	defer r.Close()
+	rp, ok := findVM(r, 42)
+	if !ok || rp.Start != 2 || rp.End() != 21 || rp.Server != p.Server {
+		t.Fatalf("replayed placement = %+v (ok=%v), want %+v", rp, ok, p)
+	}
+	if got := r.Adopted(); got != 1 {
+		t.Fatalf("replayed adopted count = %d, want 1", got)
+	}
+	// nextID replays past the adopted ID: an auto-ID admission must
+	// not collide with 42.
+	adms := mustAdmit(t, r, VMRequest{Demand: model.Resources{CPU: 1, Mem: 1}, Start: 4, DurationMinutes: 5})
+	if adms[0].ID <= 42 {
+		t.Fatalf("auto-assigned id %d ≤ adopted id 42", adms[0].ID)
 	}
 }
 

@@ -12,15 +12,14 @@ import (
 // Binary journal format, version 1.
 //
 // The file opens with the 6-byte magic "\x00vmjl1" (the leading NUL can
-// never begin a JSON journal, so the two formats are self-describing and
-// a directory written by either codec replays under either
-// configuration). After the magic the file is a sequence of frames:
+// never begin a legacy JSON-lines journal, so the reader tells the two
+// apart from the first byte). After the magic the file is a sequence of
+// frames:
 //
 //	u32le payload length | u32le CRC-32 (IEEE) of payload | payload
 //
 // Payloads are varint-packed records (see encodeBinaryRecord). Framing
-// gives the reader the same recovery taxonomy as the JSON codec's
-// newline framing:
+// gives the reader its recovery taxonomy:
 //
 //   - a frame that runs past EOF, or whose final-frame CRC mismatches,
 //     is a torn tail — an interrupted write — and is truncated away;
@@ -38,7 +37,7 @@ var binMagic = []byte{0x00, 'v', 'm', 'j', 'l', binJournalVersion}
 // prefix, not data.
 const maxBinRecordLen = 1 << 20
 
-// Binary op codes (the JSON codec uses the op strings).
+// Binary op codes (record.Op, and the legacy JSON codec, use the op strings).
 const (
 	binOpAdmit   = 1
 	binOpRelease = 2

@@ -136,153 +136,222 @@ func appendRawFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// TestJournalFormatUpgradeAtCompaction pins the upgrade path: a
-// directory written by the JSON codec, opened with the binary format
-// configured, keeps appending JSON until a snapshot empties the log —
-// then the rewritten log is binary, and every digest along the way is
-// stable.
-func TestJournalFormatUpgradeAtCompaction(t *testing.T) {
-	src := t.TempDir()
-	jsonCfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: src, SnapshotEvery: -1, DisableFsync: true}
-	c := mustOpenTB(t, jsonCfg)
-	if _, err := c.Admit(context.Background(), []VMRequest{
-		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 30},
-		{ID: 2, Demand: model.Resources{CPU: 1, Mem: 2}, Start: 2, DurationMinutes: 30},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := c.StateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Capture the JSON log before Close compacts it away, and replay it
-	// into a fresh directory under the binary configuration.
-	jb, err := os.ReadFile(filepath.Join(src, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(jb) == 0 || jb[0] == binMagic[0] {
-		t.Fatalf("setup produced a non-JSON journal (%d bytes)", len(jb))
-	}
+// legacyFixture is a journal directory image as the retired JSON writer
+// would have left it after a crash: an optional snapshot, the JSON-lines
+// log, and the state digest the history restores to.
+type legacyFixture struct {
+	snapshot []byte // nil: no snapshot.json
+	log      []byte
+	digest   string
+}
+
+func (f legacyFixture) materialize(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, journalName), jb, 0o644); err != nil {
-		t.Fatal(err)
+	writeJournal(t, dir, f.log)
+	if f.snapshot != nil {
+		if err := os.WriteFile(filepath.Join(dir, snapshotName), f.snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return dir
+}
 
-	binCfg := jsonCfg
-	binCfg.Dir = dir
-	binCfg.JournalFormat = JournalFormatBinary
-	c2 := mustOpenTB(t, binCfg)
-	got, err := c2.StateDigest()
+// legacyFixtures runs the durability script on a journaled cluster and
+// re-encodes what it wrote as legacy directories: the whole history as
+// one JSON log; the same behind a mid-run snapshot with the records that
+// snapshot already covers still in the log (a crash between snapshot
+// rename and truncation — replay must skip them by seq); and each of
+// those with a torn final line.
+func legacyFixtures(t *testing.T, cfg Config) map[string]legacyFixture {
+	t.Helper()
+	cfg.Dir = t.TempDir()
+	cfg.SnapshotEvery = -1
+	path := filepath.Join(cfg.Dir, journalName)
+	ops := durabilityOps()
+	c := mustOpen(t, cfg)
+	applyOps(t, c, ops[:len(ops)/2])
+	covered, _, err := readRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatalf("binary-configured open of JSON log: digest %s, want %s", got, want)
-	}
-	// New appends still extend the JSON log: the format flips only when
-	// compaction rewrites it from empty.
-	if _, err := c2.Admit(context.Background(), []VMRequest{
-		{ID: 3, Demand: model.Resources{CPU: 1, Mem: 1}, Start: 3, DurationMinutes: 10},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	jb, err = os.ReadFile(filepath.Join(dir, journalName))
+	midDigest, err := c.StateDigest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.HasPrefix(jb, binMagic) {
-		t.Fatal("journal flipped to binary before compaction")
-	}
-	if err := c2.Snapshot(); err != nil {
+	if err := c.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	jb, err = os.ReadFile(filepath.Join(dir, journalName))
+	snapshot, err := os.ReadFile(filepath.Join(cfg.Dir, snapshotName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jb, binMagic) {
-		t.Fatalf("post-compaction journal = %q, want bare binary magic", jb)
-	}
-	if _, err := c2.Admit(context.Background(), []VMRequest{
-		{ID: 4, Demand: model.Resources{CPU: 1, Mem: 1}, Start: 4, DurationMinutes: 10},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want, err = c2.StateDigest()
+	applyOps(t, c, ops[len(ops)/2:])
+	rest, _, err := readRecords(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c3 := mustOpenTB(t, binCfg)
-	got, err = c3.StateDigest()
+	digest, err := c.StateDigest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c3.Close(); err != nil {
-		t.Fatal(err)
+	c.crash()
+	if len(covered) == 0 || len(rest) == 0 {
+		t.Fatalf("script journaled %d + %d records around the snapshot, want both non-empty", len(covered), len(rest))
 	}
-	if got != want {
-		t.Fatalf("binary replay digest %s, want %s", got, want)
+	log := jsonLines(t, append(covered, rest...))
+	torn := append(append([]byte{}, log...), `{"seq":99,"op":"admit","t":30,"vm":{"id":9,"dem`...)
+	return map[string]legacyFixture{
+		"log only":                   {log: log, digest: digest},
+		"log only, torn tail":        {log: torn, digest: digest},
+		"stale records":              {snapshot: snapshot, log: log, digest: digest},
+		"stale records, torn tail":   {snapshot: snapshot, log: torn, digest: digest},
+		"snapshot covers everything": {snapshot: snapshot, log: jsonLines(t, covered), digest: midDigest},
 	}
 }
 
-// TestBinaryJournalDowngrade checks the reverse trip: a binary log
-// opened under the default JSON configuration replays and, after
-// compaction, returns to JSON.
-func TestBinaryJournalDowngrade(t *testing.T) {
-	dir := t.TempDir()
-	binCfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
-		DisableFsync: true, JournalFormat: JournalFormatBinary}
-	c := mustOpenTB(t, binCfg)
-	if _, err := c.Admit(context.Background(), []VMRequest{
-		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 30},
-	}); err != nil {
+// TestLegacyJSONJournalUpgradesAtOpen pins the one-way upgrade: a
+// directory holding a JSON-lines journal restores to the digest its
+// history describes, is binary on disk by the time Open returns (the
+// upgrade snapshot emptied the log, and nothing ever appends JSON), and
+// reopens to the same digest.
+func TestLegacyJSONJournalUpgradesAtOpen(t *testing.T) {
+	cfg := Config{Servers: testServers(6), IdleTimeout: 2, DisableFsync: true, SnapshotEvery: -1}
+	for name, fx := range legacyFixtures(t, cfg) {
+		t.Run(name, func(t *testing.T) {
+			cfg := cfg
+			cfg.Dir = fx.materialize(t)
+			path := filepath.Join(cfg.Dir, journalName)
+			c := mustOpen(t, cfg)
+			got, err := c.StateDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != fx.digest {
+				t.Fatalf("upgraded digest %s, want the writer's %s", got, fx.digest)
+			}
+			if jb, _ := os.ReadFile(path); len(jb) != 0 {
+				t.Fatalf("journal holds %d bytes after the upgrade, want an empty log: %q", len(jb), jb)
+			}
+			if _, err := os.Stat(filepath.Join(cfg.Dir, snapshotName)); err != nil {
+				t.Fatalf("upgrade left no snapshot: %v", err)
+			}
+			// The next mutation starts a binary log.
+			mustAdmit(t, c, VMRequest{ID: 50, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5})
+			jb, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if recs, clean, err := readBinaryRecords(jb); !bytes.HasPrefix(jb, binMagic) || err != nil ||
+				clean != int64(len(jb)) || len(recs) != 1 || bytes.Contains(jb, []byte(`"seq"`)) {
+				t.Fatalf("post-upgrade journal is not one clean binary frame: %q (err %v)", jb, err)
+			}
+			want, err := c.StateDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.crash()
+			for round := 0; round < 2; round++ {
+				r := mustOpen(t, cfg)
+				got, err := r.StateDigest()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("reopen %d: digest %s, want %s", round, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestLegacyUpgradeFailureLeavesDirectoryUntouched: when the upgrade
+// snapshot cannot be written, Open fails and the JSON log — torn tail
+// included — is byte-identical, so a later Open can still upgrade it.
+func TestLegacyUpgradeFailureLeavesDirectoryUntouched(t *testing.T) {
+	cfg := Config{Servers: testServers(6), IdleTimeout: 2, DisableFsync: true, SnapshotEvery: -1}
+	fx := legacyFixtures(t, cfg)["stale records, torn tail"]
+	cfg.Dir = fx.materialize(t)
+	// A directory squatting on the snapshot's temp name fails os.Create.
+	blocker := filepath.Join(cfg.Dir, snapshotName+".tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	if c, err := Open(cfg); err == nil {
+		c.Close()
+		t.Fatal("Open succeeded although the upgrade snapshot could not be written")
+	}
+	if jb, _ := os.ReadFile(filepath.Join(cfg.Dir, journalName)); !bytes.Equal(jb, fx.log) {
+		t.Fatalf("failed upgrade rewrote the JSON log:\n got %q\nwant %q", jb, fx.log)
+	}
+	if sb, _ := os.ReadFile(filepath.Join(cfg.Dir, snapshotName)); !bytes.Equal(sb, fx.snapshot) {
+		t.Fatal("failed upgrade rewrote snapshot.json")
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	c := mustOpen(t, cfg)
+	defer c.Close()
+	if got, _ := c.StateDigest(); got != fx.digest {
+		t.Fatalf("digest after the retried upgrade %s, want %s", got, fx.digest)
+	}
+}
+
+// TestLegacyJournalMidLogCorruptionRefused: damage before the tail of a
+// JSON log is lost history, exactly as in a binary one.
+func TestLegacyJournalMidLogCorruptionRefused(t *testing.T) {
+	cfg := Config{Servers: testServers(6), IdleTimeout: 2, DisableFsync: true, SnapshotEvery: -1}
+	fx := legacyFixtures(t, cfg)["log only"]
+	i := bytes.IndexByte(fx.log, '\n') + 1
+	fx.log = append(append(append([]byte{}, fx.log[:i]...), "{\"seq\":GARBAGE\n"...), fx.log[i:]...)
+	cfg.Dir = fx.materialize(t)
+	if _, err := Open(cfg); !errors.Is(err, ErrCorruptJournal) {
+		t.Fatalf("mid-log corruption: err = %v, want ErrCorruptJournal", err)
+	}
+	if jb, _ := os.ReadFile(filepath.Join(cfg.Dir, journalName)); !bytes.Equal(jb, fx.log) {
+		t.Fatal("a refused directory was modified")
+	}
+}
+
+// TestZeroByteJournalIsAnEmptyLog is the regression test for
+// compaction's second write: compaction is a single truncate, so a valid
+// snapshot beside a zero-byte journal is the normal post-compaction
+// state — and the state a crash right after the truncate leaves. The
+// next admit must land behind a magic so the following Open accepts it.
+func TestZeroByteJournalIsAnEmptyLog(t *testing.T) {
+	cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: t.TempDir(), SnapshotEvery: -1, DisableFsync: true}
+	path := filepath.Join(cfg.Dir, journalName)
+	c := mustOpen(t, cfg)
+	mustAdmit(t, c, VMRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 30})
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if jb, err := os.ReadFile(path); err != nil || len(jb) != 0 {
+		t.Fatalf("compaction left %d journal bytes (err %v), want a bare truncate", len(jb), err)
+	}
+	c.crash()
+
+	c = mustOpen(t, cfg)
+	mustAdmit(t, c, VMRequest{ID: 2, Demand: model.Resources{CPU: 1, Mem: 2}, Start: 2, DurationMinutes: 30})
 	want, err := c.StateDigest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	jb, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(jb, binMagic) {
-		t.Fatal("setup produced a non-binary journal")
+	c.crash()
+	if jb, _ := os.ReadFile(path); !bytes.HasPrefix(jb, binMagic) {
+		t.Fatalf("first frame after compaction went out without the magic: %q", jb)
 	}
 
-	jsonCfg := binCfg
-	jsonCfg.JournalFormat = JournalFormatJSON
-	c2 := mustOpenTB(t, jsonCfg)
-	got, err := c2.StateDigest()
-	if err != nil {
-		t.Fatal(err)
+	c = mustOpen(t, cfg)
+	defer c.Close()
+	if got, _ := c.StateDigest(); got != want {
+		t.Fatalf("reopened digest %s, want %s", got, want)
 	}
-	if got != want {
-		t.Fatalf("JSON-configured open of binary log: digest %s, want %s", got, want)
-	}
-	if err := c2.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	jb, err = os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jb) != 0 {
-		t.Fatalf("post-compaction JSON journal holds %d bytes, want empty", len(jb))
-	}
-	if err := c2.Close(); err != nil {
-		t.Fatal(err)
+	if n := len(c.State().VMs); n != 2 {
+		t.Fatalf("reopened fleet holds %d VMs, want 2", n)
 	}
 }
 
@@ -292,11 +361,11 @@ func TestBinaryJournalDowngrade(t *testing.T) {
 // the commit count. (Concurrent admits micro-batch into fewer commits,
 // so the sequential stream is the deterministic way to count; actual
 // fsync sharing under concurrency is pinned by
-// TestGroupCommitCrashImage and the vmbench group benchmark.)
+// TestGroupCommitCrashImage and the benchmark's
+// cluster.group_commit_vms_per_s_c32 probe.)
 func TestGroupCommitCounters(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpenTB(t, Config{Servers: testServers(8), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
-		JournalFormat: JournalFormatBinary})
+	c := mustOpenTB(t, Config{Servers: testServers(8), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1})
 	const n = 24
 	for i := 0; i < n; i++ {
 		if _, err := c.Admit(context.Background(), []VMRequest{

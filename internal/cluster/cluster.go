@@ -12,10 +12,9 @@
 // batch's placements are byte-identical to admitting its requests
 // sequentially in that order.
 //
-// Durability is an append-only journal plus periodic snapshots (see
-// journal.go; the log is JSON lines or a framed binary codec, selected
-// by Config.JournalFormat and switched at compaction). Appended records
-// are made durable by group commit: a batch's fsync wait happens off the
+// Durability is an append-only journal of CRC-framed binary records plus
+// periodic snapshots (see journal.go). Appended records are made
+// durable by group commit: a batch's fsync wait happens off the
 // dispatcher goroutine, so the next batch's candidate scan overlaps it
 // and concurrent batches share one disk flush; an admission is
 // acknowledged only after the flush covering it completes. Reopening a
@@ -167,19 +166,6 @@ type Config struct {
 	// are under test and the physical durability of a throwaway directory
 	// is not.
 	DisableFsync bool
-	// JournalFormat selects the on-disk journal codec: JournalFormatJSON
-	// (the default when empty — one readable JSON record per line) or
-	// JournalFormatBinary (framed varint records with CRC-32 checksums;
-	// smaller and faster to append). Either codec replays regardless of
-	// this setting — the log is self-describing — and an existing log
-	// switches to the configured codec at its next snapshot compaction.
-	JournalFormat string
-	// DisableFeasibilityIndex turns off the spare-capacity index that
-	// skips provably-infeasible servers during candidate scans, forcing
-	// full fleet scans. Placements are byte-identical either way (the
-	// determinism suite proves it); the switch exists for that proof and
-	// for debugging, not for production use.
-	DisableFeasibilityIndex bool
 	// MigrationCostPerGB is the Eq. 17 migration overhead in watt-minutes
 	// per GB of a VM's memory demand. The pay-for-itself rule charges it
 	// against every planned move, so a higher cost makes consolidation
@@ -310,6 +296,10 @@ type Cluster struct {
 	// index fills for each scan; only the dispatcher (processBatch)
 	// touches it, under mu.
 	candBuf []int
+	// fullScan is an in-package test hook: scan every server instead of
+	// the feasibility index's candidates. The determinism suite sets it to
+	// prove placements are byte-identical either way; nothing else does.
+	fullScan bool
 
 	admitCh chan *admitCall
 	stopCh  chan struct{}
@@ -341,14 +331,6 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
-	switch cfg.JournalFormat {
-	case "":
-		cfg.JournalFormat = JournalFormatJSON
-	case JournalFormatJSON, JournalFormatBinary:
-	default:
-		return nil, fmt.Errorf("cluster: unknown journal format %q (want %q or %q)",
-			cfg.JournalFormat, JournalFormatJSON, JournalFormatBinary)
-	}
 	c := &Cluster{
 		cfg:     cfg,
 		policy:  cfg.Policy,
@@ -378,7 +360,7 @@ func Open(cfg Config) (*Cluster, error) {
 // restore loads snapshot + journal from cfg.Dir and replays. Durable
 // state that does not restore cleanly is reported as ErrCorruptJournal.
 func (c *Cluster) restore() error {
-	jr, snap, recs, err := openJournal(c.cfg.Dir, c.cfg.DisableFsync, c.cfg.JournalFormat == JournalFormatBinary)
+	jr, snap, recs, err := openJournal(c.cfg.Dir, c.cfg.DisableFsync)
 	if err != nil {
 		return err
 	}
@@ -408,6 +390,15 @@ func (c *Cluster) restore() error {
 	}
 	jr.seq = lastSeq
 	c.jr = jr
+	if jr.legacy {
+		// One-way upgrade: compact the JSON log into a snapshot so the
+		// journal restarts empty, hence binary, before anything appends.
+		if err := c.snapshotLocked(); err != nil {
+			c.jr = nil
+			jr.close()
+			return fmt.Errorf("cluster: upgrading legacy JSON journal: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -896,8 +887,8 @@ func (c *Cluster) normalize(req VMRequest, now int) (model.VM, Admission, bool) 
 
 // place runs the candidate scan for one VM: scored policies go through
 // the parallel scan engine (same argmin, same lowest-index tie-break),
-// everything else through the policy's own Place. Unless disabled, the
-// fleet's feasibility index first prunes the servers whose interval
+// everything else through the policy's own Place. The fleet's
+// feasibility index first prunes the servers whose interval
 // summaries prove they cannot host v; the pruned servers are exactly
 // ones the policy's Score would reject, so the scan's result — and
 // therefore every placement — is byte-identical with the index on or
@@ -915,7 +906,7 @@ func (c *Cluster) place(v model.VM, stats *core.AllocStats) (int, error) {
 		i   int
 		err error
 	)
-	if c.cfg.DisableFeasibilityIndex {
+	if c.fullScan {
 		i, err = c.scan.ArgMin(context.Background(), stats, fv.NumServers(), eval)
 	} else {
 		cands, pruned := fv.Candidates(v, c.candBuf[:0])

@@ -26,11 +26,13 @@ type scriptOutcome struct {
 
 // runScript drives cfg through a deterministic op stream derived from
 // seed: mostly admits, with releases, clock advances and consolidation
-// passes mixed in. The caller owns cfg.Dir (empty for volatile runs).
+// passes mixed in. The caller owns cfg.Dir (empty for volatile runs);
+// fullScan sets the cluster's test hook that bypasses the feasibility
+// index.
 // Any preClose hooks run after the script but before Close — the moment
 // a journaled directory still holds its record log, since Close
 // compacts it into a snapshot.
-func runScript(t *testing.T, cfg Config, seed int64, preClose ...func()) scriptOutcome {
+func runScript(t *testing.T, cfg Config, fullScan bool, seed int64, preClose ...func()) scriptOutcome {
 	t.Helper()
 	cfg.Servers = testServers(8)
 	cfg.IdleTimeout = 3
@@ -41,6 +43,9 @@ func runScript(t *testing.T, cfg Config, seed int64, preClose ...func()) scriptO
 			t.Fatalf("seed %d: close: %v", seed, err)
 		}
 	}()
+	c.mu.Lock()
+	c.fullScan = fullScan
+	c.mu.Unlock()
 
 	rng := rand.New(rand.NewSource(seed))
 	var sb strings.Builder
@@ -162,12 +167,12 @@ func TestDeterminismIndexAndParallelism(t *testing.T) {
 		{"noindex+par4", true, 4},
 	}
 	for seed := int64(1); seed <= 20; seed++ {
-		base := runScript(t, Config{Parallelism: 1, DisableFeasibilityIndex: true}, seed)
+		base := runScript(t, Config{Parallelism: 1}, true, seed)
 		if !strings.Contains(base.transcript, "executed=") {
 			t.Fatalf("seed %d: script ran no consolidation pass", seed)
 		}
 		for _, v := range variants {
-			got := runScript(t, Config{Parallelism: v.parallelism, DisableFeasibilityIndex: v.noIndex}, seed)
+			got := runScript(t, Config{Parallelism: v.parallelism}, v.noIndex, seed)
 			if got.transcript != base.transcript {
 				t.Fatalf("seed %d: %s transcript diverged from baseline:\n%s",
 					seed, v.name, firstDiff(base.transcript, got.transcript))
@@ -179,49 +184,52 @@ func TestDeterminismIndexAndParallelism(t *testing.T) {
 	}
 }
 
-// TestDeterminismJournalFormats extends the suite across the
-// persistence axis: the same script against a JSON journal and a binary
-// journal must match the volatile run's transcript and digest, and each
-// journaled directory must replay to the same digest after close.
-func TestDeterminismJournalFormats(t *testing.T) {
+// TestDeterminismJournalReplay extends the suite across the
+// persistence axis: the same script against a journaled cluster must
+// match the volatile run's transcript and digest, and three directories
+// must replay to that digest — the snapshot-compacted one (clean close),
+// the pre-close copy whose full binary record log rebuilds the state,
+// and that copy with its log re-encoded as the legacy JSON lines the
+// retired writer produced, which Open upgrades on the way in.
+func TestDeterminismJournalReplay(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		base := runScript(t, Config{Parallelism: 1}, seed)
-		for _, format := range []string{JournalFormatJSON, JournalFormatBinary} {
-			dir := t.TempDir()
-			replayDir := t.TempDir()
-			cfg := Config{Parallelism: 1, Dir: dir, SnapshotEvery: -1, DisableFsync: true, JournalFormat: format}
-			got := runScript(t, cfg, seed, func() { copyJournalDir(t, dir, replayDir) })
-			if got.transcript != base.transcript {
-				t.Fatalf("seed %d format %s: transcript diverged from volatile run:\n%s",
-					seed, format, firstDiff(base.transcript, got.transcript))
+		base := runScript(t, Config{Parallelism: 1}, false, seed)
+		dir, replayDir, legacyDir := t.TempDir(), t.TempDir(), t.TempDir()
+		cfg := Config{Parallelism: 1, Dir: dir, SnapshotEvery: -1, DisableFsync: true}
+		got := runScript(t, cfg, false, seed, func() { copyJournalDir(t, dir, replayDir) })
+		if got.transcript != base.transcript {
+			t.Fatalf("seed %d: journaled transcript diverged from volatile run:\n%s",
+				seed, firstDiff(base.transcript, got.transcript))
+		}
+		if got.digest != base.digest {
+			t.Fatalf("seed %d: journaled digest = %s, volatile = %s", seed, got.digest, base.digest)
+		}
+		copyJournalDir(t, replayDir, legacyDir)
+		bin, err := os.ReadFile(filepath.Join(replayDir, journalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeJournal(t, legacyDir, legacyJSON(t, bin))
+
+		cfg.Servers = testServers(8)
+		cfg.IdleTimeout = 3
+		cfg.MigrationCostPerGB = 0.5
+		for name, rd := range map[string]string{"compacted": dir, "binary log": replayDir, "legacy JSON log": legacyDir} {
+			rcfg := cfg
+			rcfg.Dir = rd
+			c, err := Open(rcfg)
+			if err != nil {
+				t.Fatalf("seed %d: reopen %s: %v", seed, name, err)
 			}
-			if got.digest != base.digest {
-				t.Fatalf("seed %d format %s: digest = %s, volatile = %s", seed, format, got.digest, base.digest)
+			replayed, err := c.StateDigest()
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Replay both directories: the snapshot-compacted one (clean
-			// close) and the pre-close copy whose full record log must
-			// rebuild the same state.
-			cfg.Servers = testServers(8)
-			cfg.IdleTimeout = 3
-			cfg.MigrationCostPerGB = 0.5
-			for _, rd := range []string{dir, replayDir} {
-				rcfg := cfg
-				rcfg.Dir = rd
-				c, err := Open(rcfg)
-				if err != nil {
-					t.Fatalf("seed %d format %s: reopen %s: %v", seed, format, rd, err)
-				}
-				replayed, err := c.StateDigest()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := c.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if replayed != base.digest {
-					t.Fatalf("seed %d format %s: replayed digest = %s, volatile = %s",
-						seed, format, replayed, base.digest)
-				}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if replayed != base.digest {
+				t.Fatalf("seed %d: %s replayed digest = %s, volatile = %s", seed, name, replayed, base.digest)
 			}
 		}
 	}

@@ -11,14 +11,13 @@ import (
 	"vmalloc/internal/model"
 )
 
-// realBinaryJournal materializes a genuine binary-format journal by
-// driving a binary-configured cluster through an admit/release/tick
-// history, reading the bytes back before Close compacts them.
+// realBinaryJournal materializes a genuine journal by driving a
+// journaled cluster through an admit/release/tick history, reading the
+// bytes back before Close compacts them.
 func realBinaryJournal(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
-	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
-		JournalFormat: JournalFormatBinary})
+	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1})
 	reqs := []VMRequest{
 		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 10},
 		{ID: 2, Demand: model.Resources{CPU: 8, Mem: 8}, Start: 2, DurationMinutes: 4},
@@ -52,7 +51,7 @@ func realBinaryMigrationJournal(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
 	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
-		MigrationCostPerGB: 0.5, JournalFormat: JournalFormatBinary})
+		MigrationCostPerGB: 0.5})
 	reqs := []VMRequest{
 		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 20},
 		{ID: 2, Demand: model.Resources{CPU: 2, Mem: 4}, Start: 1, DurationMinutes: 30},
@@ -77,10 +76,9 @@ func realBinaryMigrationJournal(tb testing.TB) []byte {
 	return data
 }
 
-// FuzzBinaryJournal feeds arbitrary bytes to the reopen path of a
-// binary-configured cluster. Whatever the file holds — binary frames,
-// JSON lines (the codecs are self-describing, so a mixed deployment
-// hands either to either), torn tails, flipped length prefixes or
+// FuzzBinaryJournal feeds arbitrary bytes to the reopen path. Whatever
+// the file holds — binary frames, legacy JSON lines (the reader sniffs,
+// and upgrades them at open), torn tails, flipped length prefixes or
 // garbage — Open must restore a state that survives a digest-stable
 // close/reopen round trip, or refuse with ErrCorruptJournal. Never a
 // panic, never a partial fleet.
@@ -117,9 +115,9 @@ func FuzzBinaryJournal(f *testing.F) {
 	garbage = append(garbage, []byte("XXXX")...)
 	garbage = append(garbage, base[len(binMagic):]...)
 	f.Add(garbage)
-	// Mixed formats: a genuine JSON journal under a binary-configured
-	// open (must replay: the reader sniffs), and binary magic with JSON
-	// text behind it (must refuse or truncate, never misparse).
+	// Mixed formats: a legacy JSON journal (must replay: the reader
+	// sniffs), and binary magic with JSON text behind it (must refuse or
+	// truncate, never misparse).
 	jsonBase := realJournal(f)
 	f.Add(jsonBase)
 	f.Add(append(append([]byte{}, binMagic...), jsonBase...))
@@ -136,7 +134,7 @@ func FuzzBinaryJournal(f *testing.F) {
 			t.Fatal(err)
 		}
 		cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
-			MigrationCostPerGB: 0.5, JournalFormat: JournalFormatBinary}
+			MigrationCostPerGB: 0.5}
 		c, err := Open(cfg)
 		if err != nil {
 			if !errors.Is(err, ErrCorruptJournal) {

@@ -2,79 +2,21 @@ package cluster
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"vmalloc/internal/model"
 )
 
-// realJournal materializes a genuine journal by driving a journaled
-// cluster through a small admit/release/tick history and reading the
-// bytes back before Close can compact them into a snapshot.
-func realJournal(tb testing.TB) []byte {
-	tb.Helper()
-	dir := tb.TempDir()
-	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1})
-	reqs := []VMRequest{
-		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 10},
-		{ID: 2, Demand: model.Resources{CPU: 8, Mem: 8}, Start: 2, DurationMinutes: 4},
-		{ID: 3, Demand: model.Resources{CPU: 4, Mem: 4}, Start: 3, DurationMinutes: 20},
-	}
-	if _, err := c.Admit(context.Background(), reqs); err != nil {
-		tb.Fatal(err)
-	}
-	if err := c.AdvanceTo(5); err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := c.Release(context.Background(), 1); err != nil {
-		tb.Fatal(err)
-	}
-	if err := c.AdvanceTo(9); err != nil {
-		tb.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return data
-}
+// realJournal and realMigrationJournal are the legacy JSON-lines
+// encodings of the genuine histories in fuzz_binary_test.go: what the
+// retired JSON writer would have logged for them.
+func realJournal(tb testing.TB) []byte { return legacyJSON(tb, realBinaryJournal(tb)) }
 
-// realMigrationJournal materializes a journal holding a genuine migrate
-// record: two co-located VMs, one migrated onto a woken server.
 func realMigrationJournal(tb testing.TB) []byte {
-	tb.Helper()
-	dir := tb.TempDir()
-	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1, MigrationCostPerGB: 0.5})
-	reqs := []VMRequest{
-		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 20},
-		{ID: 2, Demand: model.Resources{CPU: 2, Mem: 4}, Start: 1, DurationMinutes: 30},
-	}
-	if _, err := c.Admit(context.Background(), reqs); err != nil {
-		tb.Fatal(err)
-	}
-	if err := c.AdvanceTo(5); err != nil {
-		tb.Fatal(err)
-	}
-	onto := c.State().VMs[0].Server
-	if _, err := c.Migrate(context.Background(), 2, testServers(4)[(onto+1)%4].ID); err != nil {
-		tb.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := c.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return data
+	return legacyJSON(tb, realBinaryMigrationJournal(tb))
 }
 
 func mustOpenTB(tb testing.TB, cfg Config) *Cluster {
@@ -86,9 +28,11 @@ func mustOpenTB(tb testing.TB, cfg Config) *Cluster {
 	return c
 }
 
-// FuzzJournalReplay feeds arbitrary bytes to the journal reopen path:
-// whatever the file holds, Open must either restore a consistent state
-// (proved by a digest-stable close/reopen round trip) or refuse with
+// FuzzJournalReplay feeds arbitrary bytes to the journal reopen path,
+// seeded with legacy JSON-lines logs so the fuzzer keeps exploring the
+// read-only JSON decoder and the upgrade at open: whatever the file
+// holds, Open must either restore a consistent state (proved by a
+// digest-stable close/reopen round trip) or refuse with
 // ErrCorruptJournal — never panic, never silently half-restore.
 func FuzzJournalReplay(f *testing.F) {
 	base := realJournal(f)

@@ -23,8 +23,7 @@ import (
 func TestGroupCommitCrashImage(t *testing.T) {
 	dir := t.TempDir()
 	crashDir := t.TempDir()
-	c := mustOpenTB(t, Config{Servers: testServers(8), IdleTimeout: 5, Dir: dir, SnapshotEvery: -1,
-		JournalFormat: JournalFormatBinary})
+	c := mustOpenTB(t, Config{Servers: testServers(8), IdleTimeout: 5, Dir: dir, SnapshotEvery: -1})
 
 	const (
 		workers   = 8
@@ -81,8 +80,7 @@ func TestGroupCommitCrashImage(t *testing.T) {
 		t.Fatalf("group commit never engaged: %d groups, %d grouped commits", groups, grouped)
 	}
 
-	cfg := Config{Servers: testServers(8), IdleTimeout: 5, Dir: crashDir, SnapshotEvery: -1,
-		JournalFormat: JournalFormatBinary}
+	cfg := Config{Servers: testServers(8), IdleTimeout: 5, Dir: crashDir, SnapshotEvery: -1}
 	r, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("replaying crash image: %v", err)

@@ -20,38 +20,34 @@ import (
 //
 //	snapshot.json  — the last full FleetSnapshot plus the journal sequence
 //	                 number it covers (LastSeq)
-//	journal.jsonl  — every mutation since, in one of two self-describing
-//	                 codecs: JSON (one record per line) or the framed
-//	                 binary format (see binjournal.go; the file then opens
-//	                 with the "\x00vmjl1" magic). Records with seq ≤
-//	                 LastSeq are stale survivors of a crash between
+//	journal.jsonl  — every mutation since, as CRC-framed binary records
+//	                 behind the "\x00vmjl1" magic (see binjournal.go). A
+//	                 zero-byte file is a valid empty log: the magic is
+//	                 written together with the first frame. Records with
+//	                 seq ≤ LastSeq are stale survivors of a crash between
 //	                 snapshot rename and journal truncation and are
 //	                 skipped on replay.
 //
-// The codec an *existing* log was written in always replays — the reader
-// sniffs the magic, so a JSON log opened under Config JournalFormat
-// "binary" (or vice versa) restores normally and keeps appending in its
-// current format. The configured format takes over at the next snapshot
-// compaction, when the log is rewritten from empty anyway; that is the
-// whole upgrade path, and downgrading works the same way.
+// The file keeps the name journal.jsonl although nothing writes JSON
+// lines any more: bench/restart.go and existing deployments read that
+// path, and those deployments may still hold the format the name
+// describes. A log that does not open with the magic is such a legacy
+// JSON-lines journal. It is only ever read: Open replays it and
+// immediately compacts it into a snapshot, after which the log restarts
+// empty and therefore binary. The upgrade is one-way, and if its
+// snapshot fails Open fails with the directory untouched.
 //
-// A record survives a process crash once its framing reaches the file
-// (the JSON record's newline, the binary frame's full length);
-// durability against power loss or a kernel crash additionally requires
-// the fsync the cluster issues (via commit) for every acknowledged
-// mutation. A torn tail — a truncated final record or frame — is dropped
-// on open and the file is truncated back to the last clean record.
-// Corruption anywhere before the tail is an error — it means lost
-// history, not an interrupted write — and open refuses the directory.
+// A record survives a process crash once its full frame reaches the
+// file; durability against power loss or a kernel crash additionally
+// requires the fsync the cluster issues (via commit) for every
+// acknowledged mutation. A torn tail — a truncated final frame — is
+// dropped on open and the file is truncated back to the last clean
+// record. Corruption anywhere before the tail is an error — it means
+// lost history, not an interrupted write — and open refuses the
+// directory.
 const (
 	journalName  = "journal.jsonl"
 	snapshotName = "snapshot.json"
-)
-
-// Journal formats (Config.JournalFormat).
-const (
-	JournalFormatJSON   = "json"
-	JournalFormatBinary = "binary"
 )
 
 // Journal operations.
@@ -110,9 +106,12 @@ type journal struct {
 	seq    int64
 	nosync bool // Config.DisableFsync: skip fsyncs (UNSAFE, test-only)
 
-	binary     bool   // the log's current on-disk codec
-	wantBinary bool   // the configured codec, adopted at compaction
-	enc        []byte // reusable append encode buffer
+	// empty: the log holds no bytes, so the next append leads with
+	// binMagic. legacy: the log on disk is JSON lines; the cluster compacts
+	// it away (snapshot) before anything is appended.
+	empty  bool
+	legacy bool
+	enc    []byte // reusable append encode buffer
 
 	// Group commit. commit registers a waiter and wakes the committer
 	// goroutine; the committer snapshots the waiter list, issues one
@@ -129,10 +128,10 @@ type journal struct {
 
 // openJournal loads the durable state under dir: the snapshot (if any),
 // every clean journal record, and an append handle positioned after the
-// last clean record (a torn tail is truncated away first). wantBinary is
-// the configured codec; an empty (or fully-torn) log adopts it
-// immediately, a non-empty log keeps its own codec until compaction.
-func openJournal(dir string, nosync, wantBinary bool) (*journal, *snapshotFile, []record, error) {
+// last clean record (a torn tail is truncated away first — except on a
+// legacy JSON log, which is left byte-identical until the upgrade
+// snapshot truncates all of it).
+func openJournal(dir string, nosync bool) (*journal, *snapshotFile, []record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("cluster: journal dir: %w", err)
 	}
@@ -159,7 +158,8 @@ func openJournal(dir string, nosync, wantBinary bool) (*journal, *snapshotFile, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if int64(len(jb)) > clean {
+	legacy := len(jb) > 0 && jb[0] != binMagic[0]
+	if int64(len(jb)) > clean && !legacy {
 		if err := os.Truncate(path, clean); err != nil {
 			return nil, nil, nil, fmt.Errorf("cluster: dropping torn journal tail: %w", err)
 		}
@@ -169,46 +169,17 @@ func openJournal(dir string, nosync, wantBinary bool) (*journal, *snapshotFile, 
 		return nil, nil, nil, err
 	}
 	j := &journal{
-		dir:        dir,
-		f:          f,
-		nosync:     nosync,
-		wantBinary: wantBinary,
-		kick:       make(chan struct{}, 1),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	switch {
-	case clean >= int64(len(binMagic)) && len(jb) > 0 && jb[0] == binMagic[0]:
-		j.binary = true
-	case clean > 0:
-		j.binary = false // clean JSON records survive
-	default:
-		// Empty log (or one truncated back to nothing): nothing is
-		// written in either codec yet, so adopt the configured one.
-		j.binary = wantBinary
-		if j.binary {
-			if _, err := f.Write(binMagic); err != nil {
-				f.Close()
-				return nil, nil, nil, fmt.Errorf("cluster: journal format header: %w", err)
-			}
-		}
+		dir:    dir,
+		f:      f,
+		nosync: nosync,
+		empty:  clean == 0 && !legacy,
+		legacy: legacy,
+		kick:   make(chan struct{}, 1),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	go j.committer()
 	return j, snap, recs, nil
-}
-
-// readRecords parses the journal file at path in whichever codec it was
-// written, returning every clean record and the byte offset up to which
-// the file is clean.
-func readRecords(path string) ([]record, int64, error) {
-	b, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, nil
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	return parseJournal(b)
 }
 
 // parseJournal sniffs the codec (binary logs open with binMagic, whose
@@ -235,7 +206,10 @@ func parseJournal(b []byte) ([]record, int64, error) {
 	return readJSONRecords(b)
 }
 
-// readJSONRecords parses the newline-framed JSON codec.
+// readJSONRecords parses the legacy newline-framed JSON codec. It is the
+// read half of a codec whose write half is gone (see the layout comment
+// above): such logs come from deployments written before the binary
+// format became the only one, and from test fixtures.
 func readJSONRecords(b []byte) ([]record, int64, error) {
 	var recs []record
 	var clean int64
@@ -263,25 +237,23 @@ func readJSONRecords(b []byte) ([]record, int64, error) {
 	return recs, clean, nil
 }
 
-// append journals one mutation, assigning it the next sequence number,
-// in the log's current codec.
+// append journals one mutation, assigning it the next sequence number.
+// The first frame of an empty log goes out behind binMagic in the same
+// write, so the file is never a headerless run of frames.
 func (j *journal) append(r record) error {
 	r.Seq = j.seq + 1
-	var err error
-	if j.binary {
-		j.enc, err = appendBinaryFrame(j.enc[:0], r)
-	} else {
-		var b []byte
-		if b, err = json.Marshal(r); err == nil {
-			j.enc = append(append(j.enc[:0], b...), '\n')
-		}
+	j.enc = j.enc[:0]
+	if j.empty {
+		j.enc = append(j.enc, binMagic...)
 	}
-	if err != nil {
+	var err error
+	if j.enc, err = appendBinaryFrame(j.enc, r); err != nil {
 		return err
 	}
 	if _, err := j.f.Write(j.enc); err != nil {
 		return fmt.Errorf("cluster: journal append: %w", err)
 	}
+	j.empty = false
 	j.seq = r.Seq
 	return nil
 }
@@ -343,8 +315,6 @@ func (j *journal) flushGroup() {
 // rename) and then truncates the journal: every record it held is covered
 // by the snapshot's LastSeq. A crash between the rename and the truncation
 // leaves stale records behind, which replay skips by sequence number.
-// Compaction is also where the configured journal format takes over: the
-// log restarts from empty, in the configured codec.
 func (j *journal) snapshot(s *snapshotFile) error {
 	s.LastSeq = j.seq
 	b, err := json.MarshalIndent(s, "", "  ")
@@ -377,15 +347,7 @@ func (j *journal) snapshot(s *snapshotFile) error {
 	if err := j.f.Truncate(0); err != nil {
 		return fmt.Errorf("cluster: journal compaction: %w", err)
 	}
-	j.binary = j.wantBinary
-	if j.binary {
-		if _, err := j.f.Write(binMagic); err != nil {
-			// The log is empty, which is a valid JSON journal; stay on
-			// JSON until the next compaction retries the switch.
-			j.binary = false
-			return fmt.Errorf("cluster: journal format header: %w", err)
-		}
-	}
+	j.empty, j.legacy = true, false
 	return nil
 }
 

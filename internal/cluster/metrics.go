@@ -101,22 +101,12 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	counter("scan_infeasible_total", "Candidate pairs rejected as infeasible.", uint64(c.met.infeasible))
 	counter("scan_index_pruned_total", "Candidate servers the feasibility index skipped without scoring.", c.met.indexPruned)
 	var groups, grouped uint64
-	format := ""
 	if c.jr != nil {
 		groups = c.jr.groups.Load()
 		grouped = c.jr.grouped.Load()
-		format = JournalFormatJSON
-		if c.jr.binary {
-			format = JournalFormatBinary
-		}
 	}
 	counter("fsync_groups_total", "Journal group-commit fsyncs executed.", groups)
 	counter("fsync_group_commits_total", "Journal commits acknowledged by group-commit fsyncs.", grouped)
-	if format != "" {
-		full := metricsPrefix + "_journal_format"
-		fmt.Fprintf(&buf, "# HELP %s The journal's current on-disk codec.\n# TYPE %s gauge\n%s{format=%q} 1\n",
-			full, full, full, format)
-	}
 
 	c.met.batchSize.Write(&buf, metricsPrefix+"_batch_size", "VM requests per admission batch.")
 	c.met.scanSeconds.Write(&buf, metricsPrefix+"_scan_seconds", "Candidate-scan wall time per batch, in seconds.")

@@ -8,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"vmalloc/internal/api"
-	"vmalloc/internal/obs"
 	"vmalloc/internal/shard"
 )
 
@@ -246,46 +245,23 @@ func (mc *MultiClient) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]ap
 
 func (mc *MultiClient) admitOnce(ctx context.Context, reqs []api.AdmitRequest) ([]api.AdmitResponse, error) {
 	v := mc.view()
-	groups := make(map[string][]int)
-	for i, req := range reqs {
-		if req.ID <= 0 {
-			return nil, fmt.Errorf("loadgen: admission %d has no vm id (multi-target routing needs one)", i)
-		}
-		name := v.m.Assign(req.ID).Name
-		groups[name] = append(groups[name], i)
+	groups, err := shard.SplitAdmits(v.m, reqs)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: %w", err)
 	}
-	out := make([]api.AdmitResponse, len(reqs))
-	var wg sync.WaitGroup
-	errs := make(map[string]error, len(groups))
-	var mu sync.Mutex
-	for name, idxs := range groups {
-		sub := make([]api.AdmitRequest, len(idxs))
-		for j, i := range idxs {
-			sub[j] = reqs[i]
+	resps := make([][]api.AdmitResponse, len(groups))
+	errs := shard.Scatter(groups, func(k int, g shard.AdmitGroup) (err error) {
+		resps[k], err = v.clients[g.Shard.Name].Admit(ctx, g.Requests)
+		return err
+	})
+	for k, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: admit on shard %s: %w", groups[k].Shard.Name, err)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			adms, err := v.clients[name].Admit(ctx, sub)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[name] = err
-				return
-			}
-			for j, i := range idxs {
-				out[i] = adms[j]
-			}
-		}()
 	}
-	wg.Wait()
-	if len(errs) > 0 {
-		names := make([]string, 0, len(errs))
-		for n := range errs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("loadgen: admit on shard %s: %w", names[0], errs[names[0]])
+	out, err := shard.JoinAdmits(groups, resps)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: admit: %w", err)
 	}
 	return out, nil
 }
@@ -317,25 +293,13 @@ func (mc *MultiClient) AdvanceClock(ctx context.Context, now int) (int, error) {
 }
 
 func (mc *MultiClient) advanceClockOnce(ctx context.Context, now int) (int, error) {
-	type result struct {
-		now int
-		err error
-	}
-	v := mc.view()
-	results := scatter(v, func(c *Client) result {
-		n, err := c.AdvanceClock(ctx, now)
-		return result{now: n, err: err}
+	clocks, err := gather(mc.view(), "clock", func(c *Client) (int, error) {
+		return c.AdvanceClock(ctx, now)
 	})
-	minNow := 0
-	for i, res := range results {
-		if res.err != nil {
-			return 0, fmt.Errorf("loadgen: clock on shard %s: %w", v.m.Shards()[i].Name, res.err)
-		}
-		if i == 0 || res.now < minNow {
-			minNow = res.now
-		}
+	if err != nil {
+		return 0, err
 	}
-	return minNow, nil
+	return slices.Min(clocks), nil
 }
 
 // MigrateVM routes the manual migration to the shard owning the VM ID
@@ -363,129 +327,49 @@ func (mc *MultiClient) migrateOnce(ctx context.Context, vm, server int) (api.Mig
 }
 
 // Consolidate fans one pass out to every shard and merges the outcomes
-// the way a vmgate does: summed donors/moves/savings, the slowest
-// shard's clock, the concatenated shard-stamped move list in
-// (time, shard, seq) order.
+// exactly as a vmgate does (shard.MergeConsolidate).
 func (mc *MultiClient) Consolidate(ctx context.Context, req api.ConsolidateRequest) (*api.ConsolidateResponse, error) {
-	type result struct {
-		cr  *api.ConsolidateResponse
-		err error
-	}
 	v := mc.view()
-	results := scatter(v, func(c *Client) result {
-		cr, err := c.Consolidate(ctx, req)
-		return result{cr: cr, err: err}
+	parts, err := gather(v, "consolidate", func(c *Client) (api.ConsolidateResponse, error) {
+		return deref(c.Consolidate(ctx, req))
 	})
-	out := &api.ConsolidateResponse{Moves: []api.MigrationRecord{}}
-	for i, res := range results {
-		name := v.m.Shards()[i].Name
-		if res.err != nil {
-			return nil, fmt.Errorf("loadgen: consolidate on shard %s: %w", name, res.err)
-		}
-		if i == 0 {
-			out.Clock = res.cr.Clock
-			out.Policy = res.cr.Policy
-		}
-		if res.cr.Clock < out.Clock {
-			out.Clock = res.cr.Clock
-		}
-		out.Donors += res.cr.Donors
-		out.Executed += res.cr.Executed
-		out.EnergySavedWattMinutes += res.cr.EnergySavedWattMinutes
-		for _, m := range res.cr.Moves {
-			m.Shard = name
-			out.Moves = append(out.Moves, m)
-		}
+	if err != nil {
+		return nil, err
 	}
-	sortMigrations(out.Moves)
-	return out, nil
+	out := shard.MergeConsolidate(v.m.Shards(), parts)
+	return &out, nil
 }
 
-// Migrations merges every shard's history, shard-stamped and ordered by
-// (time, shard, seq); a limit= in the query trims the merged list to
-// its newest entries, as a vmgate would.
+// Migrations merges every shard's history exactly as a vmgate does
+// (shard.MergeMigrations), honouring a limit= in the query.
 func (mc *MultiClient) Migrations(ctx context.Context, query string) (*api.MigrationsResponse, error) {
-	type result struct {
-		mr  *api.MigrationsResponse
-		err error
-	}
 	v := mc.view()
-	results := scatter(v, func(c *Client) result {
-		mr, err := c.Migrations(ctx, query)
-		return result{mr: mr, err: err}
+	parts, err := gather(v, "migrations", func(c *Client) (api.MigrationsResponse, error) {
+		return deref(c.Migrations(ctx, query))
 	})
-	out := &api.MigrationsResponse{Migrations: []api.MigrationRecord{}}
-	for i, res := range results {
-		name := v.m.Shards()[i].Name
-		if res.err != nil {
-			return nil, fmt.Errorf("loadgen: migrations on shard %s: %w", name, res.err)
-		}
-		out.Count += res.mr.Count
-		for _, m := range res.mr.Migrations {
-			m.Shard = name
-			out.Migrations = append(out.Migrations, m)
-		}
+	if err != nil {
+		return nil, err
 	}
-	sortMigrations(out.Migrations)
+	limit := 0
 	if vals, err := url.ParseQuery(query); err == nil {
-		if n, err := strconv.Atoi(vals.Get("limit")); err == nil && n > 0 && len(out.Migrations) > n {
-			out.Migrations = out.Migrations[len(out.Migrations)-n:]
-		}
+		limit, _ = strconv.Atoi(vals.Get("limit"))
 	}
-	return out, nil
+	out := shard.MergeMigrations(v.m.Shards(), parts, limit)
+	return &out, nil
 }
 
-// Policies merges every shard's arena readout the way a vmgate does:
-// challenger reports shard-stamped and ordered by (name, shard),
-// champion energy and arena counters summed, the slowest shard's clock,
-// distinct champion names joined with ", ".
+// Policies merges every shard's arena readout exactly as a vmgate does
+// (shard.MergePolicies).
 func (mc *MultiClient) Policies(ctx context.Context) (*api.PoliciesResponse, error) {
-	type result struct {
-		pr  *api.PoliciesResponse
-		err error
-	}
 	v := mc.view()
-	results := scatter(v, func(c *Client) result {
-		pr, err := c.Policies(ctx)
-		return result{pr: pr, err: err}
+	parts, err := gather(v, "policies", func(c *Client) (api.PoliciesResponse, error) {
+		return deref(c.Policies(ctx))
 	})
-	out := &api.PoliciesResponse{Policies: []api.PolicyReport{}}
-	var champions []string
-	for i, res := range results {
-		name := v.m.Shards()[i].Name
-		if res.err != nil {
-			return nil, fmt.Errorf("loadgen: policies on shard %s: %w", name, res.err)
-		}
-		seen := false
-		for _, ch := range champions {
-			if ch == res.pr.Champion {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			champions = append(champions, res.pr.Champion)
-		}
-		if i == 0 || res.pr.Now < out.Now {
-			out.Now = res.pr.Now
-		}
-		out.ChampionEnergyWattMinutes += res.pr.ChampionEnergyWattMinutes
-		out.EvaluatedBatches += res.pr.EvaluatedBatches
-		out.DroppedEvents += res.pr.DroppedEvents
-		for _, p := range res.pr.Policies {
-			p.Shard = name
-			out.Policies = append(out.Policies, p)
-		}
+	if err != nil {
+		return nil, err
 	}
-	out.Champion = strings.Join(champions, ", ")
-	sort.Slice(out.Policies, func(a, b int) bool {
-		if out.Policies[a].Name != out.Policies[b].Name {
-			return out.Policies[a].Name < out.Policies[b].Name
-		}
-		return out.Policies[a].Shard < out.Policies[b].Shard
-	})
-	out.Count = len(out.Policies)
-	return out, nil
+	out := shard.MergePolicies(v.m.Shards(), parts)
+	return &out, nil
 }
 
 // DebugTraces merges every shard's span buffer and regroups the spans
@@ -494,75 +378,36 @@ func (mc *MultiClient) Policies(ctx context.Context) (*api.PoliciesResponse, err
 // shard that fails the fetch fails the call; the runner treats the
 // whole readout as best-effort.
 func (mc *MultiClient) DebugTraces(ctx context.Context, query string) (*api.TracesResponse, error) {
-	type result struct {
-		tr  *api.TracesResponse
-		err error
-	}
-	v := mc.view()
-	results := scatter(v, func(c *Client) result {
-		tr, err := c.DebugTraces(ctx, query)
-		return result{tr: tr, err: err}
+	parts, err := gather(mc.view(), "traces", func(c *Client) (api.TracesResponse, error) {
+		return deref(c.DebugTraces(ctx, query))
 	})
-	var all []obs.Span
-	for i, res := range results {
-		if res.err != nil {
-			return nil, fmt.Errorf("loadgen: traces on shard %s: %w", v.m.Shards()[i].Name, res.err)
-		}
-		for _, t := range res.tr.Traces {
-			all = append(all, t.Spans...)
-		}
+	if err != nil {
+		return nil, err
 	}
-	traces := api.GroupSpans(all)
-	if traces == nil {
-		traces = []api.Trace{}
-	}
-	spans := 0
-	for i := range traces {
-		spans += len(traces[i].Spans)
-	}
-	return &api.TracesResponse{Count: len(traces), Spans: spans, Traces: traces}, nil
-}
-
-// sortMigrations orders a merged record list deterministically: by
-// fleet minute, then owning shard, then journal sequence.
-func sortMigrations(ms []api.MigrationRecord) {
-	sort.SliceStable(ms, func(a, b int) bool {
-		if ms[a].Time != ms[b].Time {
-			return ms[a].Time < ms[b].Time
-		}
-		if ms[a].Shard != ms[b].Shard {
-			return ms[a].Shard < ms[b].Shard
-		}
-		return ms[a].Seq < ms[b].Seq
-	})
+	out := shard.MergeTraces(nil, parts)
+	return &out, nil
 }
 
 // StateSummary aggregates every shard's summary; the digest is the
 // combined per-shard digest, equal to what a vmgate over the same
 // shards would serve.
 func (mc *MultiClient) StateSummary(ctx context.Context) (StateSummary, error) {
-	type result struct {
-		sum StateSummary
-		err error
-	}
 	v := mc.view()
-	results := scatter(v, func(c *Client) result {
-		sum, err := c.StateSummary(ctx)
-		return result{sum: sum, err: err}
+	sums, err := gather(v, "state", func(c *Client) (StateSummary, error) {
+		return c.StateSummary(ctx)
 	})
+	if err != nil {
+		return StateSummary{}, err
+	}
 	var out StateSummary
-	digests := make(map[string]string, len(results))
-	for i, res := range results {
-		name := v.m.Shards()[i].Name
-		if res.err != nil {
-			return StateSummary{}, fmt.Errorf("loadgen: state on shard %s: %w", name, res.err)
+	digests := make(map[string]string, len(sums))
+	for i, sum := range sums {
+		if i == 0 || sum.Now < out.Now {
+			out.Now = sum.Now
 		}
-		if i == 0 || res.sum.Now < out.Now {
-			out.Now = res.sum.Now
-		}
-		out.Residents += res.sum.Residents
-		out.TotalEnergy += res.sum.TotalEnergy
-		digests[name] = res.sum.Digest
+		out.Residents += sum.Residents
+		out.TotalEnergy += sum.TotalEnergy
+		digests[v.m.Shards()[i].Name] = sum.Digest
 	}
 	out.Digest = shard.CombineDigests(digests)
 	return out, nil
@@ -572,21 +417,15 @@ func (mc *MultiClient) StateSummary(ctx context.Context) (StateSummary, error) {
 // for the counter deltas the report prints (admissions, rejections,
 // releases across the deployment).
 func (mc *MultiClient) Metrics(ctx context.Context) (Metrics, error) {
-	type result struct {
-		m   Metrics
-		err error
-	}
-	v := mc.view()
-	results := scatter(v, func(c *Client) result {
-		m, err := c.Metrics(ctx)
-		return result{m: m, err: err}
+	scrapes, err := gather(mc.view(), "metrics", func(c *Client) (Metrics, error) {
+		return c.Metrics(ctx)
 	})
+	if err != nil {
+		return nil, err
+	}
 	sum := make(Metrics)
-	for i, res := range results {
-		if res.err != nil {
-			return nil, fmt.Errorf("loadgen: metrics on shard %s: %w", v.m.Shards()[i].Name, res.err)
-		}
-		for k, v := range res.m {
+	for _, m := range scrapes {
+		for k, v := range m {
 			sum[k] += v
 		}
 	}
@@ -605,34 +444,38 @@ func (mc *MultiClient) Retried() int {
 
 // WaitReady waits until every shard answers /healthz.
 func (mc *MultiClient) WaitReady(ctx context.Context, d time.Duration) error {
-	type result struct{ err error }
-	v := mc.view()
-	results := scatter(v, func(c *Client) result {
-		return result{err: c.WaitReady(ctx, d)}
+	_, err := gather(mc.view(), "readiness", func(c *Client) (struct{}, error) {
+		return struct{}{}, c.WaitReady(ctx, d)
 	})
-	for i, res := range results {
-		if res.err != nil {
-			return fmt.Errorf("loadgen: shard %s: %w", v.m.Shards()[i].Name, res.err)
-		}
-	}
-	return nil
+	return err
 }
 
-// scatter runs fn against every shard's client concurrently, results in
-// configuration order. It operates on one view so a concurrent
-// topology swap cannot misalign results with shard names. (A free
+// gather runs fn against every shard's client concurrently and returns
+// the answers in configuration order, or the first failing shard's
+// error (in that order), named. It operates on one view so a concurrent
+// topology swap cannot misalign answers with shard names. (A free
 // function because methods cannot be generic.)
-func scatter[T any](v view, fn func(*Client) T) []T {
+func gather[T any](v view, what string, fn func(*Client) (T, error)) ([]T, error) {
 	shards := v.m.Shards()
-	results := make([]T, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = fn(v.clients[s.Name])
-		}()
+	vals := make([]T, len(shards))
+	errs := shard.Scatter(shards, func(i int, s shard.Shard) (err error) {
+		vals[i], err = fn(v.clients[s.Name])
+		return err
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("loadgen: %s on shard %s: %w", what, shards[i].Name, err)
+		}
 	}
-	wg.Wait()
-	return results
+	return vals, nil
+}
+
+// deref adapts the typed client's pointer-returning readers to the
+// value slices the merge core folds.
+func deref[T any](p *T, err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return *p, nil
 }

@@ -66,10 +66,9 @@ const DefaultEnergyWindow = 1024
 // monotone in Clock — the shape /v1/debug/energy promises. A nil
 // *EnergyRecorder is valid and records nothing.
 type EnergyRecorder struct {
-	mu   sync.Mutex
-	buf  []EnergySample
-	next int
-	seq  int64
+	mu  sync.Mutex
+	buf ring[EnergySample]
+	seq int64
 	// prevClock/prevTotal remember the last *distinct-clock* sample so a
 	// same-clock replacement recomputes its rate against the same
 	// baseline the replaced sample used.
@@ -84,7 +83,7 @@ func NewEnergyRecorder(n int) *EnergyRecorder {
 	if n <= 0 {
 		n = DefaultEnergyWindow
 	}
-	return &EnergyRecorder{buf: make([]EnergySample, 0, n)}
+	return &EnergyRecorder{buf: newRing[EnergySample](n)}
 }
 
 // Record stores s, computing its RateWatts from the previous
@@ -97,48 +96,36 @@ func (r *EnergyRecorder) Record(s EnergySample) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	newest := -1
-	if len(r.buf) > 0 {
-		newest = (r.next + len(r.buf) - 1) % len(r.buf)
-		if len(r.buf) < cap(r.buf) {
-			newest = len(r.buf) - 1
-		}
-		if s.Clock < r.buf[newest].Clock {
-			return
-		}
+	newest := r.buf.newest()
+	if newest != nil && s.Clock < newest.Clock {
+		return
 	}
 	r.seq++
 	s.Seq = r.seq
 	if s.Wall.IsZero() {
 		s.Wall = time.Now()
 	}
-	if newest >= 0 && r.buf[newest].Clock == s.Clock {
+	if newest != nil && newest.Clock == s.Clock {
 		// Replacing the newest sample: its rate baseline is the sample
 		// before it, remembered in prevClock/prevTotal.
 		if r.havePrev {
 			s.RateWatts = (s.TotalWattMinutes - r.prevTotal) * 60 /
 				float64(s.Clock-r.prevClock)
 		}
-		r.buf[newest] = s
+		*newest = s
 		return
 	}
 	// Appending a new clock point: its rate is against the sample it
 	// displaces as "newest", which also becomes the baseline for future
 	// same-clock replacements.
-	if newest >= 0 {
-		prev := r.buf[newest]
-		s.RateWatts = (s.TotalWattMinutes - prev.TotalWattMinutes) * 60 /
-			float64(s.Clock-prev.Clock)
-		r.prevClock = prev.Clock
-		r.prevTotal = prev.TotalWattMinutes
+	if newest != nil {
+		s.RateWatts = (s.TotalWattMinutes - newest.TotalWattMinutes) * 60 /
+			float64(s.Clock-newest.Clock)
+		r.prevClock = newest.Clock
+		r.prevTotal = newest.TotalWattMinutes
 		r.havePrev = true
 	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, s)
-		return
-	}
-	r.buf[r.next] = s
-	r.next = (r.next + 1) % len(r.buf)
+	r.buf.push(&s)
 }
 
 // Len returns the number of buffered samples.
@@ -148,7 +135,7 @@ func (r *EnergyRecorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.buf.len()
 }
 
 // Last returns the newest sample, if any.
@@ -158,13 +145,10 @@ func (r *EnergyRecorder) Last() (EnergySample, bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return EnergySample{}, false
+	if newest := r.buf.newest(); newest != nil {
+		return *newest, true
 	}
-	if len(r.buf) < cap(r.buf) {
-		return r.buf[len(r.buf)-1], true
-	}
-	return r.buf[(r.next+len(r.buf)-1)%len(r.buf)], true
+	return EnergySample{}, false
 }
 
 // Samples returns buffered samples with Clock > sinceClock, oldest
@@ -176,21 +160,7 @@ func (r *EnergyRecorder) Samples(sinceClock, limit int) []EnergySample {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]EnergySample, 0, len(r.buf))
-	start := 0
-	if len(r.buf) == cap(r.buf) {
-		start = r.next
-	}
-	for i := 0; i < len(r.buf); i++ {
-		s := r.buf[(start+i)%len(r.buf)]
-		if s.Clock > sinceClock {
-			out = append(out, s)
-		}
-	}
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
-	}
-	return out
+	return r.buf.filter(limit, func(s *EnergySample) bool { return s.Clock > sinceClock })
 }
 
 // Dump logs the newest n samples (n<=0 dumps everything buffered) and

@@ -110,10 +110,9 @@ const DefaultRecorderSize = 512
 // and the data source behind GET /v1/debug/decisions and the SIGQUIT
 // dump. When the buffer is full the oldest decision is evicted.
 type FlightRecorder struct {
-	mu   sync.Mutex
-	buf  []Decision
-	next int // next overwrite slot once len(buf) == cap(buf)
-	seq  int64
+	mu  sync.Mutex
+	buf ring[Decision]
+	seq int64
 }
 
 // NewFlightRecorder returns a recorder keeping the last n decisions;
@@ -122,7 +121,7 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = DefaultRecorderSize
 	}
-	return &FlightRecorder{buf: make([]Decision, 0, n)}
+	return &FlightRecorder{buf: newRing[Decision](n)}
 }
 
 // Record stamps d with the next sequence number (and the current wall
@@ -135,12 +134,7 @@ func (r *FlightRecorder) Record(d Decision) {
 	if d.Wall.IsZero() {
 		d.Wall = time.Now()
 	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, d)
-	} else {
-		r.buf[r.next] = d
-		r.next = (r.next + 1) % len(r.buf)
-	}
+	r.buf.push(&d)
 	r.mu.Unlock()
 }
 
@@ -148,7 +142,7 @@ func (r *FlightRecorder) Record(d Decision) {
 func (r *FlightRecorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.buf)
+	return r.buf.len()
 }
 
 // Seq returns the total number of decisions ever recorded.
@@ -189,23 +183,7 @@ func (f Filter) match(d *Decision) bool {
 func (r *FlightRecorder) Decisions(f Filter) []Decision {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Decision, 0, len(r.buf))
-	// Oldest-first walk: the slot after next is the oldest once the
-	// buffer has wrapped.
-	start := 0
-	if len(r.buf) == cap(r.buf) {
-		start = r.next
-	}
-	for i := 0; i < len(r.buf); i++ {
-		d := &r.buf[(start+i)%len(r.buf)]
-		if f.match(d) {
-			out = append(out, *d)
-		}
-	}
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
-	}
-	return out
+	return r.buf.filter(f.Limit, f.match)
 }
 
 // Dump logs every buffered decision (oldest first) through log at INFO

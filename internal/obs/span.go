@@ -83,10 +83,9 @@ const DefaultSpanStoreSize = 4096
 // sites stay unconditional (mirroring arena.Arena and FlightRecorder
 // idioms). Recording is passive: it never influences placements.
 type SpanStore struct {
-	mu   sync.Mutex
-	buf  []Span
-	next int
-	seq  int64
+	mu  sync.Mutex
+	buf ring[Span]
+	seq int64
 }
 
 // NewSpanStore returns a store keeping the newest n spans (n<=0 uses
@@ -95,7 +94,7 @@ func NewSpanStore(n int) *SpanStore {
 	if n <= 0 {
 		n = DefaultSpanStoreSize
 	}
-	return &SpanStore{buf: make([]Span, 0, n)}
+	return &SpanStore{buf: newRing[Span](n)}
 }
 
 // Record stores sp, stamping its sequence number and — when unset — its
@@ -111,12 +110,7 @@ func (s *SpanStore) Record(sp Span) {
 	if sp.Start.IsZero() {
 		sp.Start = time.Now()
 	}
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, sp)
-		return
-	}
-	s.buf[s.next] = sp
-	s.next = (s.next + 1) % len(s.buf)
+	s.buf.push(&sp)
 }
 
 // Len returns the number of buffered spans.
@@ -126,7 +120,7 @@ func (s *SpanStore) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.buf)
+	return s.buf.len()
 }
 
 // Seq returns the total number of spans ever recorded.
@@ -150,7 +144,7 @@ type SpanFilter struct {
 	Limit int
 }
 
-func (f SpanFilter) match(sp Span) bool {
+func (f SpanFilter) match(sp *Span) bool {
 	if f.TraceID != "" && sp.TraceID != f.TraceID {
 		return false
 	}
@@ -199,21 +193,7 @@ func (s *SpanStore) Spans(f SpanFilter) []Span {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Span, 0, len(s.buf))
-	start := 0
-	if len(s.buf) == cap(s.buf) {
-		start = s.next
-	}
-	for i := 0; i < len(s.buf); i++ {
-		sp := s.buf[(start+i)%len(s.buf)]
-		if f.match(sp) {
-			out = append(out, sp)
-		}
-	}
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
-	}
-	return out
+	return s.buf.filter(f.Limit, f.match)
 }
 
 // Dump logs the newest n spans (n<=0 dumps everything buffered) and
@@ -252,7 +232,7 @@ func (s *SpanStore) WriteMetrics(w io.Writer, prefix string) {
 		return
 	}
 	s.mu.Lock()
-	seq, buffered, capacity := s.seq, len(s.buf), cap(s.buf)
+	seq, buffered, capacity := s.seq, s.buf.len(), cap(s.buf.buf)
 	s.mu.Unlock()
 	full := prefix + "_spans_total"
 	fmt.Fprintf(w, "# HELP %s Trace spans recorded over the process lifetime.\n# TYPE %s counter\n%s %d\n", full, full, full, seq)

@@ -9,7 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"slices"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -218,7 +218,7 @@ func (g *Gate) callOnce(ctx context.Context, s Shard, method, path string, body 
 	// Stamp the newest topology epoch on every downstream call. The
 	// shards' passive fence ratchets on it, so the first request a newer
 	// topology sends a shard immunises that shard against stale writers
-	// (epoch 0 = unversioned -shard maps, which never stamp).
+	// (epoch 0 = unversioned maps, which never stamp).
 	sent := g.topo.Load().cur.Epoch()
 	if sent > 0 {
 		req.Header.Set(api.EpochHeader, strconv.FormatInt(sent, 10))
@@ -279,6 +279,43 @@ func (g *Gate) shardDown(s Shard, cause error) *api.Error {
 		Code: api.CodeShardDown, Message: msg}}
 }
 
+// fetch proxies one request to a shard and decodes its JSON answer.
+func fetch[T any](g *Gate, ctx context.Context, s Shard, method, path string, body []byte) (T, *api.Error) {
+	_, data, perr := g.call(ctx, s, method, path, body)
+	if perr != nil {
+		var zero T
+		return zero, perr
+	}
+	return decode[T](s, method+" "+path, data)
+}
+
+// decode parses a shard's answer; one that does not parse is a typed 502
+// naming the shard (it is up and answering, just not in our dialect).
+func decode[T any](s Shard, what string, data []byte) (T, *api.Error) {
+	var v T
+	if err := json.Unmarshal(data, &v); err != nil {
+		return v, &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
+			Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse %s response: %v", s.Name, what, err)}}
+	}
+	return v, nil
+}
+
+// gather fetches one path from every listed shard concurrently and
+// returns the decoded answers in shard order. All-or-nothing: a partial
+// view would silently undercount, so any failing shard fails the whole
+// read with its name in the envelope.
+func gather[T any](g *Gate, ctx context.Context, shards []Shard, method, path string, body []byte) ([]T, *api.Error) {
+	vals := make([]T, len(shards))
+	errs := Scatter(shards, func(i int, s Shard) (perr *api.Error) {
+		vals[i], perr = fetch[T](g, ctx, s, method, path, body)
+		return perr
+	})
+	if perr := foldErrors(errs); perr != nil {
+		return nil, perr
+	}
+	return vals, nil
+}
+
 // handleAdmit splits the batch by owning shard, fans the sub-batches
 // out concurrently, and reassembles the responses in request order.
 // All-or-nothing per request: if any touched shard fails, the whole
@@ -288,84 +325,36 @@ func (g *Gate) shardDown(s Shard, cause error) *api.Error {
 func (g *Gate) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	reqs, err := api.DecodeAdmitRequests(r.Body, g.cfg.MaxBodyBytes)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, api.ErrBodyTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, r, status, api.CodeBadRequest, err)
+		writeDecodeError(w, r, err)
 		return
 	}
 	// Admissions always route by the newest map: during a transition
 	// window a brand-new VM belongs on its new owner from minute one, so
 	// the drain never has to move it.
-	m := g.topo.Load().cur
-	groups := make(map[string][]int) // shard name → indices into reqs
-	for i, req := range reqs {
-		if req.ID <= 0 {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-				fmt.Errorf("request %d has no vm id: the gate routes by id, so every admission must carry an explicit one", i))
-			return
-		}
-		name := m.Assign(req.ID).Name
-		groups[name] = append(groups[name], i)
+	groups, err := SplitAdmits(g.topo.Load().cur, reqs)
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+		return
 	}
-
-	type result struct {
-		shard Shard
-		resps []api.AdmitResponse
-		err   *api.Error
-	}
-	results := make([]result, 0, len(groups))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, s := range m.Shards() {
-		idxs := groups[s.Name]
-		if len(idxs) == 0 {
-			continue
+	resps := make([][]api.AdmitResponse, len(groups))
+	errs := Scatter(groups, func(k int, grp AdmitGroup) (perr *api.Error) {
+		body, merr := json.Marshal(grp.Requests)
+		if merr != nil {
+			return &api.Error{Status: http.StatusInternalServerError, Envelope: api.ErrorEnvelope{
+				Code: api.CodeInternal, Message: merr.Error()}}
 		}
-		sub := make([]api.AdmitRequest, len(idxs))
-		for j, i := range idxs {
-			sub[j] = reqs[i]
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res := result{shard: s}
-			body, merr := json.Marshal(sub)
-			if merr != nil {
-				res.err = &api.Error{Status: http.StatusInternalServerError, Envelope: api.ErrorEnvelope{
-					Code: api.CodeInternal, Message: merr.Error()}}
-			} else {
-				var data []byte
-				_, data, res.err = g.call(r.Context(), s, http.MethodPost, "/v1/vms", body)
-				if res.err == nil {
-					if derr := json.Unmarshal(data, &res.resps); derr != nil {
-						res.err = &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-							Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse response: %v", s.Name, derr)}}
-					} else if len(res.resps) != len(idxs) {
-						res.err = &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-							Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: %d responses for %d requests", s.Name, len(res.resps), len(idxs))}}
-					}
-				}
-			}
-			mu.Lock()
-			results = append(results, res)
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	sort.Slice(results, func(a, b int) bool { return results[a].shard.Name < results[b].shard.Name })
-
-	if perr := foldErrors(results, func(res result) *api.Error { return res.err }); perr != nil {
+		resps[k], perr = fetch[[]api.AdmitResponse](g, r.Context(), grp.Shard, http.MethodPost, "/v1/vms", body)
+		return perr
+	})
+	if perr := foldErrors(errs); perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
 	mergeT0 := time.Now()
-	out := make([]api.AdmitResponse, len(reqs))
-	for _, res := range results {
-		for j, i := range groups[res.shard.Name] {
-			out[i] = res.resps[j]
-		}
+	out, err := JoinAdmits(groups, resps)
+	if err != nil {
+		writeError(w, r, http.StatusBadGateway, api.CodeInternal, err)
+		return
 	}
 	g.recordMerge(r.Context(), mergeT0)
 	writeJSON(w, r, http.StatusOK, out)
@@ -385,14 +374,14 @@ func (g *Gate) recordMerge(ctx context.Context, t0 time.Time) {
 }
 
 // foldErrors combines per-shard failures into one envelope: the first
-// failing shard (by name) sets the status and code, and the message
-// names every failed shard so a partially degraded fan-out is fully
-// visible from one error.
-func foldErrors[T any](results []T, get func(T) *api.Error) *api.Error {
+// failing shard (in shard order) sets the status and code, and the
+// message names every failed shard so a partially degraded fan-out is
+// fully visible from one error.
+func foldErrors(errs []*api.Error) *api.Error {
 	var first *api.Error
 	var msgs []string
-	for _, res := range results {
-		if e := get(res); e != nil {
+	for _, e := range errs {
+		if e != nil {
 			if first == nil {
 				first = e
 			}
@@ -407,14 +396,35 @@ func foldErrors[T any](results []T, get func(T) *api.Error) *api.Error {
 	return &folded
 }
 
-// handleRelease proxies the release to the shard owning the VM ID and
-// relays the shard's response verbatim. During a topology transition
-// window a remapped VM may still be resident on its old owner (the
-// drain has not reached it yet), so a not_resident answer from the new
-// owner falls back to the old one — a release is only a 404 when both
-// owners deny residency. The fall-back composes with the drain's own
+// callOwner proxies a VM-addressed request to the shard owning the ID.
+// During a topology transition window a remapped VM may still be
+// resident on its old owner (the drain has not reached it yet), so a
+// not_resident answer from the new owner falls back to the old one —
+// and, because the drain may move the VM between those two probes
+// (adopt-before-release keeps it on at least one of them throughout),
+// once more to the new owner. The request is only a 404 when every
+// probe denies residency. The fall-back composes with the drain's own
 // compensation: whichever side releases first wins, and the other call
-// folds into not_resident.
+// folds into not_resident. Returns the shard that answered.
+func (g *Gate) callOwner(ctx context.Context, id int, method, path string, body []byte) (Shard, []byte, *api.Error) {
+	ts := g.topo.Load()
+	s := ts.cur.Assign(id)
+	_, data, perr := g.call(ctx, s, method, path, body)
+	if perr == nil || ts.prev == nil || perr.Envelope.Code != api.CodeNotResident {
+		return s, data, perr
+	}
+	if old := ts.prev.Assign(id); old.Name != s.Name {
+		for _, owner := range []Shard{old, s} {
+			if _, data, retryErr := g.call(ctx, owner, method, path, body); retryErr == nil {
+				return owner, data, nil
+			}
+		}
+	}
+	return s, nil, perr
+}
+
+// handleRelease proxies the release to the shard owning the VM ID and
+// relays the shard's response verbatim.
 func (g *Gate) handleRelease(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
@@ -422,16 +432,7 @@ func (g *Gate) handleRelease(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("bad vm id %q", r.PathValue("id")))
 		return
 	}
-	ts := g.topo.Load()
-	s := ts.cur.Assign(id)
-	_, data, perr := g.call(r.Context(), s, http.MethodDelete, "/v1/vms/"+strconv.Itoa(id), nil)
-	if perr != nil && ts.prev != nil && perr.Envelope.Code == api.CodeNotResident {
-		if old := ts.prev.Assign(id); old.Name != s.Name {
-			if _, data2, perr2 := g.call(r.Context(), old, http.MethodDelete, "/v1/vms/"+strconv.Itoa(id), nil); perr2 == nil {
-				data, perr = data2, nil
-			}
-		}
-	}
+	_, data, perr := g.callOwner(r.Context(), id, http.MethodDelete, "/v1/vms/"+strconv.Itoa(id), nil)
 	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
@@ -441,44 +442,29 @@ func (g *Gate) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMigrate routes a manual migration to the shard owning the VM ID
-// and relays the shard's api.MigrationRecord with the owning shard
-// stamped, so a gate client sees the same record shape a direct shard
-// client does, plus provenance.
+// (migrations address servers within a shard) and relays the shard's
+// api.MigrationRecord with the owning shard stamped, so a gate client
+// sees the same record shape a direct shard client does, plus
+// provenance.
 func (g *Gate) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	req, err := api.DecodeMigrateRequest(r.Body, g.cfg.MaxBodyBytes)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, api.ErrBodyTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, r, status, api.CodeBadRequest, err)
+		writeDecodeError(w, r, err)
 		return
 	}
-	ts := g.topo.Load()
-	s := ts.cur.Assign(req.VM)
 	body, merr := json.Marshal(req)
 	if merr != nil {
 		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, merr)
 		return
 	}
-	_, data, perr := g.call(r.Context(), s, http.MethodPost, "/v1/migrations", body)
-	if perr != nil && ts.prev != nil && perr.Envelope.Code == api.CodeNotResident {
-		// Transition window: the VM may not have been drained off its
-		// old owner yet, and migrations address servers within a shard.
-		if old := ts.prev.Assign(req.VM); old.Name != s.Name {
-			if _, data2, perr2 := g.call(r.Context(), old, http.MethodPost, "/v1/migrations", body); perr2 == nil {
-				data, perr, s = data2, nil, old
-			}
-		}
-	}
+	s, data, perr := g.callOwner(r.Context(), req.VM, http.MethodPost, "/v1/migrations", body)
 	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
-	var rec api.MigrationRecord
-	if derr := json.Unmarshal(data, &rec); derr != nil {
-		writeError(w, r, http.StatusBadGateway, api.CodeInternal,
-			fmt.Errorf("shard %s: parse migration record: %v", s.Name, derr))
+	rec, perr := decode[api.MigrationRecord](s, "POST /v1/migrations", data)
+	if perr != nil {
+		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
 	rec.Shard = s.Name
@@ -491,56 +477,18 @@ func (g *Gate) handleMigrate(w http.ResponseWriter, r *http.Request) {
 // All-or-nothing like the state read: a partial history would silently
 // undercount.
 func (g *Gate) handleMigrations(w http.ResponseWriter, r *http.Request) {
-	for _, p := range []string{"vm", "limit"} {
-		v := r.URL.Query().Get(p)
-		if v == "" {
-			continue
-		}
-		if n, err := strconv.Atoi(v); err != nil || n < 0 {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, fmt.Errorf("bad %s %q", p, v))
-			return
-		}
-	}
-	query := ""
-	if r.URL.RawQuery != "" {
-		query = "?" + r.URL.RawQuery
-	}
-	type result struct {
-		mr  api.MigrationsResponse
-		err *api.Error
+	if err := checkCounts(r.URL.Query(), "vm", "limit"); err != nil {
+		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+		return
 	}
 	shards := g.topo.Load().active()
-	results := scatter(g, r.Context(), shards, func(ctx context.Context, s Shard) result {
-		_, data, perr := g.call(ctx, s, http.MethodGet, "/v1/migrations"+query, nil)
-		if perr != nil {
-			return result{err: perr}
-		}
-		var mr api.MigrationsResponse
-		if derr := json.Unmarshal(data, &mr); derr != nil {
-			return result{err: &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-				Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse migrations: %v", s.Name, derr)}}}
-		}
-		return result{mr: mr}
-	})
-	if perr := foldErrors(results, func(res result) *api.Error { return res.err }); perr != nil {
+	parts, perr := gather[api.MigrationsResponse](g, r.Context(), shards, http.MethodGet, withQuery("/v1/migrations", r), nil)
+	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
-	out := api.MigrationsResponse{Migrations: []api.MigrationRecord{}}
-	for i, res := range results {
-		out.Count += res.mr.Count
-		for _, m := range res.mr.Migrations {
-			m.Shard = shards[i].Name
-			out.Migrations = append(out.Migrations, m)
-		}
-	}
-	sortMigrations(out.Migrations)
-	if v := r.URL.Query().Get("limit"); v != "" {
-		if n, _ := strconv.Atoi(v); n > 0 && len(out.Migrations) > n {
-			out.Migrations = out.Migrations[len(out.Migrations)-n:]
-		}
-	}
-	writeJSON(w, r, http.StatusOK, out)
+	limit, _ := strconv.Atoi(r.URL.Query().Get("limit")) // validated above; absent ⇒ 0 ⇒ keep all
+	writeJSON(w, r, http.StatusOK, MergeMigrations(shards, parts, limit))
 }
 
 // handlePolicies scatter-gathers every shard's GET /v1/policies into one
@@ -551,51 +499,13 @@ func (g *Gate) handleMigrations(w http.ResponseWriter, r *http.Request) {
 // other aggregate reads: a partial arena readout would silently
 // misstate the counterfactuals.
 func (g *Gate) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	type result struct {
-		pr  api.PoliciesResponse
-		err *api.Error
-	}
 	shards := g.topo.Load().active()
-	results := scatter(g, r.Context(), shards, func(ctx context.Context, s Shard) result {
-		_, data, perr := g.call(ctx, s, http.MethodGet, "/v1/policies", nil)
-		if perr != nil {
-			return result{err: perr}
-		}
-		var pr api.PoliciesResponse
-		if derr := json.Unmarshal(data, &pr); derr != nil {
-			return result{err: &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-				Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse policies: %v", s.Name, derr)}}}
-		}
-		return result{pr: pr}
-	})
-	if perr := foldErrors(results, func(res result) *api.Error { return res.err }); perr != nil {
+	parts, perr := gather[api.PoliciesResponse](g, r.Context(), shards, http.MethodGet, "/v1/policies", nil)
+	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
-	out := api.PoliciesResponse{Now: results[0].pr.Now, Policies: []api.PolicyReport{}}
-	var champions []string
-	for i, res := range results {
-		if !slices.Contains(champions, res.pr.Champion) {
-			champions = append(champions, res.pr.Champion)
-		}
-		out.Now = min(out.Now, res.pr.Now)
-		out.ChampionEnergyWattMinutes += res.pr.ChampionEnergyWattMinutes
-		out.EvaluatedBatches += res.pr.EvaluatedBatches
-		out.DroppedEvents += res.pr.DroppedEvents
-		for _, p := range res.pr.Policies {
-			p.Shard = shards[i].Name
-			out.Policies = append(out.Policies, p)
-		}
-	}
-	out.Champion = strings.Join(champions, ", ")
-	sort.Slice(out.Policies, func(a, b int) bool {
-		if out.Policies[a].Name != out.Policies[b].Name {
-			return out.Policies[a].Name < out.Policies[b].Name
-		}
-		return out.Policies[a].Shard < out.Policies[b].Shard
-	})
-	out.Count = len(out.Policies)
-	writeJSON(w, r, http.StatusOK, out)
+	writeJSON(w, r, http.StatusOK, MergePolicies(shards, parts))
 }
 
 // handleConsolidate fans one consolidation pass out to every shard and
@@ -619,58 +529,13 @@ func (g *Gate) handleConsolidate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, derr)
 		return
 	}
-	type result struct {
-		cr  api.ConsolidateResponse
-		err *api.Error
-	}
 	shards := g.topo.Load().active()
-	results := scatter(g, r.Context(), shards, func(ctx context.Context, s Shard) result {
-		_, data, perr := g.call(ctx, s, http.MethodPost, "/v1/consolidate", body)
-		if perr != nil {
-			return result{err: perr}
-		}
-		var cr api.ConsolidateResponse
-		if derr := json.Unmarshal(data, &cr); derr != nil {
-			return result{err: &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-				Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse consolidation: %v", s.Name, derr)}}}
-		}
-		return result{cr: cr}
-	})
-	if perr := foldErrors(results, func(res result) *api.Error { return res.err }); perr != nil {
+	parts, perr := gather[api.ConsolidateResponse](g, r.Context(), shards, http.MethodPost, "/v1/consolidate", body)
+	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
-	out := api.ConsolidateResponse{
-		Clock:  results[0].cr.Clock,
-		Policy: results[0].cr.Policy,
-		Moves:  []api.MigrationRecord{},
-	}
-	for i, res := range results {
-		out.Clock = min(out.Clock, res.cr.Clock)
-		out.Donors += res.cr.Donors
-		out.Executed += res.cr.Executed
-		out.EnergySavedWattMinutes += res.cr.EnergySavedWattMinutes
-		for _, m := range res.cr.Moves {
-			m.Shard = shards[i].Name
-			out.Moves = append(out.Moves, m)
-		}
-	}
-	sortMigrations(out.Moves)
-	writeJSON(w, r, http.StatusOK, out)
-}
-
-// sortMigrations orders a merged record list deterministically: by fleet
-// minute, then owning shard, then journal sequence.
-func sortMigrations(ms []api.MigrationRecord) {
-	sort.SliceStable(ms, func(a, b int) bool {
-		if ms[a].Time != ms[b].Time {
-			return ms[a].Time < ms[b].Time
-		}
-		if ms[a].Shard != ms[b].Shard {
-			return ms[a].Shard < ms[b].Shard
-		}
-		return ms[a].Seq < ms[b].Seq
-	})
+	writeJSON(w, r, http.StatusOK, MergeConsolidate(shards, parts))
 }
 
 // handleClock fans the advance out to every shard and reports the
@@ -683,29 +548,14 @@ func (g *Gate) handleClock(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
 		return
 	}
-	type result struct {
-		now int
-		err *api.Error
-	}
-	results := scatter(g, r.Context(), g.topo.Load().active(), func(ctx context.Context, s Shard) result {
-		_, data, perr := g.call(ctx, s, http.MethodPost, "/v1/clock", body)
-		if perr != nil {
-			return result{err: perr}
-		}
-		var cr api.ClockResponse
-		if derr := json.Unmarshal(data, &cr); derr != nil {
-			return result{err: &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-				Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse clock response: %v", s.Name, derr)}}}
-		}
-		return result{now: cr.Now}
-	})
-	if perr := foldErrors(results, func(res result) *api.Error { return res.err }); perr != nil {
+	parts, perr := gather[api.ClockResponse](g, r.Context(), g.topo.Load().active(), http.MethodPost, "/v1/clock", body)
+	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
-	minNow := results[0].now
-	for _, res := range results[1:] {
-		minNow = min(minNow, res.now)
+	minNow := parts[0].Now
+	for _, p := range parts[1:] {
+		minNow = min(minNow, p.Now)
 	}
 	writeJSON(w, r, http.StatusOK, api.ClockResponse{Now: minNow})
 }
@@ -718,26 +568,26 @@ func (g *Gate) handleState(w http.ResponseWriter, r *http.Request) {
 	type result struct {
 		st     *api.StateResponse
 		digest string
-		err    *api.Error
 	}
 	shards := g.topo.Load().active()
-	results := scatter(g, r.Context(), shards, func(ctx context.Context, s Shard) result {
-		hdr, data, perr := g.call(ctx, s, http.MethodGet, "/v1/state", nil)
+	results := make([]result, len(shards))
+	errs := Scatter(shards, func(i int, s Shard) *api.Error {
+		hdr, data, perr := g.call(r.Context(), s, http.MethodGet, "/v1/state", nil)
 		if perr != nil {
-			return result{err: perr}
+			return perr
 		}
-		var st api.StateResponse
-		if derr := json.Unmarshal(data, &st); derr != nil {
-			return result{err: &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-				Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse state: %v", s.Name, derr)}}}
+		st, perr := decode[api.StateResponse](s, "GET /v1/state", data)
+		if perr != nil {
+			return perr
 		}
 		digest := hdr.Get(api.StateDigestHeader)
 		if digest == "" {
 			digest = api.DigestBytes(data)
 		}
-		return result{st: &st, digest: digest}
+		results[i] = result{st: &st, digest: digest}
+		return nil
 	})
-	if perr := foldErrors(results, func(res result) *api.Error { return res.err }); perr != nil {
+	if perr := foldErrors(errs); perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
@@ -798,45 +648,15 @@ func (g *Gate) handleTraces(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
 		return
 	}
-	path := "/v1/debug/traces"
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
+	path := withQuery("/v1/debug/traces", r)
 	// Gate spans are read before the fan-out so this request's own
 	// fan-out spans do not pollute the answer.
 	all := g.cfg.Spans.Spans(f)
-	type result struct {
-		tr api.TracesResponse
-		ok bool
-	}
-	results := scatter(g, r.Context(), g.topo.Load().active(), func(ctx context.Context, s Shard) result {
-		_, data, perr := g.call(ctx, s, http.MethodGet, path, nil)
-		if perr != nil {
-			return result{}
-		}
-		var tr api.TracesResponse
-		if derr := json.Unmarshal(data, &tr); derr != nil {
-			return result{}
-		}
-		return result{tr: tr, ok: true}
+	parts := Scatter(g.topo.Load().active(), func(_ int, s Shard) api.TracesResponse {
+		tr, _ := fetch[api.TracesResponse](g, r.Context(), s, http.MethodGet, path, nil)
+		return tr // a failed shard contributes no spans
 	})
-	for _, res := range results {
-		if !res.ok {
-			continue
-		}
-		for _, t := range res.tr.Traces {
-			all = append(all, t.Spans...)
-		}
-	}
-	traces := api.GroupSpans(all)
-	if traces == nil {
-		traces = []api.Trace{}
-	}
-	spans := 0
-	for i := range traces {
-		spans += len(traces[i].Spans)
-	}
-	writeJSON(w, r, http.StatusOK, api.TracesResponse{Count: len(traces), Spans: spans, Traces: traces})
+	writeJSON(w, r, http.StatusOK, MergeTraces(all, parts))
 }
 
 // handleEnergy aggregates every shard's /v1/debug/energy. Unlike traces
@@ -844,68 +664,44 @@ func (g *Gate) handleTraces(w http.ResponseWriter, r *http.Request) {
 // every shard answered, so a failing shard fails the request the same
 // way /v1/state does.
 func (g *Gate) handleEnergy(w http.ResponseWriter, r *http.Request) {
-	for _, p := range []string{"since", "limit"} {
-		v := r.URL.Query().Get(p)
-		if v == "" {
-			continue
-		}
-		if n, aerr := strconv.Atoi(v); aerr != nil || n < 0 {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-				fmt.Errorf("bad %s %q: want a non-negative integer", p, v))
-			return
-		}
-	}
-	path := "/v1/debug/energy"
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	type result struct {
-		er  api.EnergyResponse
-		err *api.Error
+	if err := checkCounts(r.URL.Query(), "since", "limit"); err != nil {
+		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+		return
 	}
 	shards := g.topo.Load().active()
-	results := scatter(g, r.Context(), shards, func(ctx context.Context, s Shard) result {
-		_, data, perr := g.call(ctx, s, http.MethodGet, path, nil)
-		if perr != nil {
-			return result{err: perr}
-		}
-		var er api.EnergyResponse
-		if derr := json.Unmarshal(data, &er); derr != nil {
-			return result{err: &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-				Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse energy: %v", s.Name, derr)}}}
-		}
-		return result{er: er}
-	})
-	if perr := foldErrors(results, func(res result) *api.Error { return res.err }); perr != nil {
+	parts, perr := gather[api.EnergyResponse](g, r.Context(), shards, http.MethodGet, withQuery("/v1/debug/energy", r), nil)
+	if perr != nil {
 		writeJSON(w, r, perr.Status, perr.Envelope)
 		return
 	}
-	out := api.GateEnergyResponse{Now: results[0].er.Now}
-	for i, res := range results {
-		out.Now = min(out.Now, res.er.Now)
-		out.TotalWattMinutes += res.er.TotalWattMinutes
-		out.Shards = append(out.Shards, api.ShardEnergy{Shard: shards[i].Name, Energy: res.er})
+	out := api.GateEnergyResponse{Now: parts[0].Now}
+	for i, er := range parts {
+		out.Now = min(out.Now, er.Now)
+		out.TotalWattMinutes += er.TotalWattMinutes
+		out.Shards = append(out.Shards, api.ShardEnergy{Shard: shards[i].Name, Energy: er})
 	}
 	writeJSON(w, r, http.StatusOK, out)
 }
 
-// scatter runs fn against every listed shard concurrently and returns
-// the results in list order. Callers capture the shard list from one
-// topoState load and reuse it to label results, so a topology swap
-// mid-request can never misalign results with names. (A free function
-// because methods cannot be generic.)
-func scatter[T any](g *Gate, ctx context.Context, shards []Shard, fn func(context.Context, Shard) T) []T {
-	results := make([]T, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i] = fn(ctx, s)
-		}()
+// withQuery forwards the request's query string to a shard path.
+func withQuery(path string, r *http.Request) string {
+	if r.URL.RawQuery != "" {
+		path += "?" + r.URL.RawQuery
 	}
-	wg.Wait()
-	return results
+	return path
+}
+
+// checkCounts validates the named query parameters the gate itself
+// relies on: each, when present, must be a non-negative integer.
+func checkCounts(q url.Values, names ...string) error {
+	for _, p := range names {
+		if v := q.Get(p); v != "" {
+			if n, err := strconv.Atoi(v); err != nil || n < 0 {
+				return fmt.Errorf("bad %s %q: want a non-negative integer", p, v)
+			}
+		}
+	}
+	return nil
 }
 
 func (g *Gate) handleShards(w http.ResponseWriter, r *http.Request) {
@@ -940,19 +736,10 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // visible as vmalloc_gate_shard_up 0.
 func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	shards := g.topo.Load().active()
-	payloads := make([][]byte, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, data, perr := g.call(r.Context(), s, http.MethodGet, "/metrics", nil)
-			if perr == nil {
-				payloads[i] = data
-			}
-		}()
-	}
-	wg.Wait()
+	payloads := Scatter(shards, func(_ int, s Shard) []byte {
+		_, data, _ := g.call(r.Context(), s, http.MethodGet, "/metrics", nil)
+		return data // nil when the shard failed
+	})
 
 	byName := make(map[string][]byte, len(shards))
 	order := make([]string, 0, len(shards))
@@ -1024,6 +811,16 @@ func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client gone
+}
+
+// writeDecodeError refuses a request body that did not decode: 413 when
+// it blew the size cap, 400 otherwise.
+func writeDecodeError(w http.ResponseWriter, r *http.Request, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, api.ErrBodyTooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, r, status, api.CodeBadRequest, err)
 }
 
 // writeError writes an api.ErrorEnvelope with the gate's request id, so

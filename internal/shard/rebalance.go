@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -94,11 +93,7 @@ func (g *Gate) handleTopology(w http.ResponseWriter, r *http.Request) {
 func (g *Gate) handleTopologyPost(w http.ResponseWriter, r *http.Request) {
 	t, err := api.DecodeTopology(r.Body, g.cfg.MaxBodyBytes)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, api.ErrBodyTooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, r, status, api.CodeBadRequest, err)
+		writeDecodeError(w, r, err)
 		return
 	}
 	next, err := FromTopology(t)
@@ -286,30 +281,15 @@ func (g *Gate) rebalance(old, next *Map) {
 // owners and returns every resident VM with the shard it answered from,
 // plus the highest fleet clock seen.
 func (g *Gate) readResidents(ctx context.Context, shards []Shard) ([]placementRecord, int, error) {
-	type result struct {
-		st  *api.StateResponse
-		err *api.Error
+	states, perr := gather[api.StateResponse](g, ctx, shards, http.MethodGet, "/v1/state", nil)
+	if perr != nil {
+		return nil, 0, fmt.Errorf("read residents: %s", perr.Envelope.Message)
 	}
-	results := scatter(g, ctx, shards, func(ctx context.Context, s Shard) result {
-		_, data, perr := g.call(ctx, s, http.MethodGet, "/v1/state", nil)
-		if perr != nil {
-			return result{err: perr}
-		}
-		var st api.StateResponse
-		if derr := json.Unmarshal(data, &st); derr != nil {
-			return result{err: &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-				Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse state: %v", s.Name, derr)}}}
-		}
-		return result{st: &st}
-	})
 	var records []placementRecord
 	maxNow := 0
-	for i, res := range results {
-		if res.err != nil {
-			return nil, 0, fmt.Errorf("read residents: %s", res.err.Envelope.Message)
-		}
-		maxNow = max(maxNow, res.st.Now)
-		for _, pv := range res.st.VMs {
+	for i, st := range states {
+		maxNow = max(maxNow, st.Now)
+		for _, pv := range st.VMs {
 			records = append(records, placementRecord{pv: pv, shard: shards[i].Name})
 		}
 	}
@@ -404,7 +384,7 @@ func (g *Gate) writeRebalanceMetrics(w io.Writer) {
 	epoch := g.topo.Load().cur.Epoch()
 
 	name := "vmalloc_gate_topology_epoch"
-	fmt.Fprintf(w, "# HELP %s Current shard-topology epoch (0 = unversioned -shard map).\n# TYPE %s gauge\n%s %d\n", name, name, name, epoch)
+	fmt.Fprintf(w, "# HELP %s Current shard-topology epoch (0 = unversioned map).\n# TYPE %s gauge\n%s %d\n", name, name, name, epoch)
 	name = "vmalloc_gate_rebalance_active"
 	fmt.Fprintf(w, "# HELP %s 1 while a topology drain is in flight.\n# TYPE %s gauge\n%s %d\n", name, name, name, active)
 	name = "vmalloc_gate_rebalance_moves_total"

@@ -103,12 +103,12 @@ func (m *Map) WithEpoch(epoch int64) *Map {
 	return &out
 }
 
-// Epoch returns the map's topology epoch (0 for unversioned maps built
-// from bare -shard flags).
+// Epoch returns the map's topology epoch (0 for unversioned maps: a
+// bare NewMap or ParseTargets, as vmload -addr name=url builds).
 func (m *Map) Epoch() int64 { return m.epoch }
 
 // ParseTargets builds a Map from "name=url" strings (the repeatable
-// -shard flag of cmd/vmgate). A bare URL with no '=' gets a generated
+// -addr flag of cmd/vmload). A bare URL with no '=' gets a generated
 // name ("shard0", "shard1", …) — convenient for throwaway setups, but
 // note the generated name depends on flag order.
 func ParseTargets(targets []string) (*Map, error) {

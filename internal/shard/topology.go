@@ -20,7 +20,7 @@ import (
 // FromTopology builds a Map from the versioned wire type, validating
 // shard-set rules (unique non-empty names, non-empty URLs, finite
 // non-negative weights) and stamping the topology's epoch (must be
-// ≥ 1 — epoch 0 is reserved for unversioned -shard maps). Trailing
+// ≥ 1 — epoch 0 is reserved for unversioned maps). Trailing
 // slashes on URLs are trimmed, mirroring ParseTargets.
 func FromTopology(t api.Topology) (*Map, error) {
 	if t.Epoch < 1 {
