@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench
+.PHONY: build test race vet bench loc
 
 build:
 	$(GO) build ./...
@@ -19,3 +19,8 @@ vet:
 # benchmark is `bash bench/run.sh` (see BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# loc prints the subtraction pass's size measure (ROADMAP item 3): lines of
+# non-test Go outside the benchmark module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

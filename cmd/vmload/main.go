@@ -8,20 +8,13 @@
 // that make runs comparable (same -seed against a fresh server ⇒ same
 // outcome digest).
 //
-// Targets: point a single -addr at a vmserve (or a vmgate — the wire
-// contract is the same), or repeat -addr to drive a sharded deployment
-// directly: with several targets, vmload routes each VM to the shard
-// its ID rendezvous-hashes to (internal/shard), exactly as a vmgate
-// would, and the report's state digest is the combined per-shard
-// digest a gate over the same shards serves.
-//
-// With -topology-source, the shard set is not listed by hand:
-// vmload bootstraps the routing map from the gate's GET /v1/topology
-// and drives the shards directly, stamping every request with the
-// topology epoch. If the gate resizes mid-run, the first shard that
-// has adopted the newer topology answers 409 stale_epoch; vmload then
-// re-fetches the topology, swaps its map, and retries the op against
-// the new owner — re-routed, not counted as a failed operation.
+// Targets, two modes. One -addr: a vmserve, or a vmgate — the wire
+// contract is the same. Repeated -addr: vmload builds the gate itself
+// (shard.Gate, the code a vmgate daemon runs) over those shards and
+// calls it in process, so routing, fan-out, merges and the combined
+// state digest are a vmgate's, minus the network hop. The in-process
+// gate's topology is the -addr list for the whole run; to follow a live
+// resize, point one -addr at the vmgate that performs it.
 //
 // Instead of a synthetic profile, -trace replays a real request log: a
 // CSV trace (id,type,cpu,mem,start,end — the internal/trace format) is
@@ -34,7 +27,6 @@
 //	vmload -addr http://127.0.0.1:8080 -minute 20ms -period 1440   # a day in ~29s
 //	vmload -addr a=http://10.0.0.1:8080 -addr b=http://10.0.0.2:8080 -vms 2000
 //	vmload -addr http://127.0.0.1:8080 -trace requests.csv -minute 0
-//	vmload -topology-source http://gate:8080 -vms 2000   # shard set from the gate
 package main
 
 import (
@@ -81,8 +73,7 @@ func (l *stringList) Set(v string) error {
 func run(ctx context.Context, args []string, w, errW io.Writer) error {
 	fs := flag.NewFlagSet("vmload", flag.ContinueOnError)
 	var addrs stringList
-	fs.Var(&addrs, "addr", "target base URL, as url or name=url (default http://127.0.0.1:8080; repeat to shard-route across several vmserves)")
-	topoSource := fs.String("topology-source", "", "vmgate base URL to bootstrap the shard set from GET /v1/topology; vmload drives the shards directly and re-routes on stale_epoch (mutually exclusive with -addr)")
+	fs.Var(&addrs, "addr", "target base URL, as url or name=url (default http://127.0.0.1:8080; repeat to front several vmserves with an in-process gate)")
 	var (
 		profile   = fs.String("profile", "diurnal", "arrival profile: poisson or diurnal")
 		traceFile = fs.String("trace", "", "replay this CSV trace (id,type,cpu,mem,start,end) instead of generating a synthetic schedule")
@@ -164,48 +155,38 @@ func run(ctx context.Context, args []string, w, errW io.Writer) error {
 		}
 	}
 
-	if *topoSource != "" && len(addrs) > 0 {
-		return fmt.Errorf("-topology-source and -addr are mutually exclusive: the gate's topology decides the targets")
-	}
-	if len(addrs) == 0 && *topoSource == "" {
+	if len(addrs) == 0 {
 		addrs = stringList{"http://127.0.0.1:8080"}
 	}
-	configure := func(c *loadgen.Client) {
-		c.Timeout = *timeout
-		c.Retries = *retries
-		c.Backoff = *backoff
-	}
-	var client loadgen.API
-	var ready func(context.Context, time.Duration) error
-	var m *shard.Map
-	if *topoSource != "" {
-		// Bootstrap the shard set from the gate and keep it live: a
-		// MultiClient with a topology source stamps epochs and swaps
-		// its map when a shard reports the routing stale.
-		m, err = loadgen.FetchTopology(ctx, *topoSource)
-		if err != nil {
-			return err
-		}
-		mc := loadgen.NewMultiClient(m, configure)
-		mc.SetTopologySource(*topoSource)
-		client, ready = mc, mc.WaitReady
-	} else if m, err = shard.ParseTargets(addrs); err != nil {
+	m, err := shard.ParseTargets(addrs)
+	if err != nil {
 		return err
-	} else if m.Len() == 1 {
-		// A single target needs no routing map — drive it directly,
-		// whether it is a vmserve or a vmgate.
-		c := loadgen.NewClient(m.Shards()[0].Addr)
-		configure(c)
-		client, ready = c, c.WaitReady
-	} else {
-		mc := loadgen.NewMultiClient(m, configure)
-		client, ready = mc, mc.WaitReady
 	}
 	if *wait > 0 {
-		if err := ready(ctx, *wait); err != nil {
-			return err
+		for _, s := range m.Shards() {
+			if err := loadgen.NewClient(s.Addr).WaitReady(ctx, *wait); err != nil {
+				return err
+			}
 		}
 	}
+	var client *loadgen.Client
+	if m.Len() == 1 {
+		// A single target needs no routing — drive it directly, whether
+		// it is a vmserve or a vmgate.
+		client = loadgen.NewClient(m.Shards()[0].Addr)
+	} else {
+		// Several targets: front them with the gate itself, called in
+		// process — a vmgate's routing and merges without its network
+		// hop. The prober runs for the life of the run.
+		gate := shard.NewGate(m, shard.Config{Timeout: *timeout})
+		gctx, stopGate := context.WithCancel(ctx)
+		defer stopGate()
+		go gate.Run(gctx)
+		client = loadgen.NewHandlerClient(gate.Handler())
+	}
+	client.Timeout = *timeout
+	client.Retries = *retries
+	client.Backoff = *backoff
 
 	runner := &loadgen.Runner{
 		Client:   client,
@@ -225,9 +206,7 @@ func run(ctx context.Context, args []string, w, errW io.Writer) error {
 		"steps", len(sched.Steps),
 		"horizonMinutes", sched.Horizon,
 		"targets", m.Len(),
-		"epoch", m.Epoch(),
 		"addr", addrs.String(),
-		"topologySource", *topoSource,
 	)
 	rep, err := runner.Run(ctx)
 	if err != nil {

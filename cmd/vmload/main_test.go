@@ -51,11 +51,20 @@ func TestRunVersion(t *testing.T) {
 }
 
 func TestRunBadFlags(t *testing.T) {
-	if err := run(context.Background(), []string{"-profile", "bursty"}, io.Discard, io.Discard); err == nil {
-		t.Fatal("unknown profile should error")
-	}
-	if err := run(context.Background(), []string{"-vms", "0"}, io.Discard, io.Discard); err == nil {
-		t.Fatal("zero VMs should error")
+	for _, c := range []struct {
+		args []string
+		want string // substring of the error
+	}{
+		{[]string{"-profile", "bursty"}, "unknown profile"},
+		{[]string{"-vms", "0"}, ""},
+		// Removed with the client-side router (one -addr at the gate
+		// follows its resizes): a usage error, not a silent no-op.
+		{[]string{"-topology-source", "http://127.0.0.1:1"}, "flag provided but not defined"},
+	} {
+		err := run(context.Background(), c.args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: error %v, want one containing %q", c.args, err, c.want)
+		}
 	}
 }
 

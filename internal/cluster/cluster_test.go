@@ -569,6 +569,9 @@ func TestStageHistogramsOnMetrics(t *testing.T) {
 	if _, err := c.Release(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.AdvanceTo(5); err != nil {
+		t.Fatal(err)
+	}
 
 	var buf bytes.Buffer
 	if err := c.WriteMetrics(&buf); err != nil {
@@ -576,10 +579,10 @@ func TestStageHistogramsOnMetrics(t *testing.T) {
 	}
 	out := buf.String()
 	// Two Admit calls waited in the queue; two batch fsyncs plus the
-	// release's own fsync ran.
+	// release's and the tick's own fsyncs ran.
 	for _, want := range []string{
 		"vmalloc_cluster_queue_wait_seconds_count 2",
-		"vmalloc_cluster_fsync_seconds_count 3",
+		"vmalloc_cluster_fsync_seconds_count 4",
 		"# TYPE vmalloc_cluster_queue_wait_seconds histogram",
 		"# TYPE vmalloc_cluster_fsync_seconds histogram",
 	} {

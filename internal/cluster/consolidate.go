@@ -105,11 +105,8 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClosed
-	}
-	if c.jfail != nil {
-		return nil, c.jfail
+	if err := c.guardLocked(); err != nil {
+		return nil, err
 	}
 
 	t0 := time.Now()
@@ -167,17 +164,8 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 	// The whole pass is one SpanConsolidate span; each executed move's
 	// SpanMigrate umbrella (and its stage spans) nests under it.
 	tc := obs.TraceContextFrom(ctx)
-	passTC := tc
-	if c.cfg.Spans != nil && tc.Valid() {
-		passTC = obs.TraceContext{TraceID: tc.TraceID, SpanID: obs.NewSpanID()}
-		defer func() {
-			c.cfg.Spans.Record(obs.Span{
-				TraceID: tc.TraceID, SpanID: passTC.SpanID, Parent: tc.SpanID,
-				Name: obs.SpanConsolidate, Detail: policy,
-				Start: t0, Duration: time.Since(t0),
-			})
-		}()
-	}
+	passTC, passDone := c.openSpan(tc, obs.Span{Name: obs.SpanConsolidate, Detail: policy, Start: t0})
+	defer passDone()
 	for _, donor := range donors {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -186,7 +174,7 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 			continue // it absorbed an earlier drain; draining it back would churn
 		}
 		planT0 := time.Now()
-		moves, net, ok := c.planDrainLocked(policy, donor, byServer[donor], now)
+		moves, net, ok := c.planDrainLocked(policy, donor, byServer, now)
 		planDur := time.Since(planT0)
 		res.Donors++
 		if !ok || net <= minNetSaving {
@@ -205,23 +193,20 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 				Clock:     now,
 				Stages:    obs.StageTimings{Scan: planDur}, // the donor's planning time
 			}
-			commitT0 := time.Now()
+			// The move's umbrella span starts with its donor's planning.
+			clk := stageClock{entered: planT0, commit: time.Now()}
 			from, handoff, err := c.fleet.Migrate(m.vm.VM.ID, m.to)
-			d.Stages.Commit = time.Since(commitT0)
+			d.Stages.Commit = time.Since(clk.commit)
 			if err != nil {
 				// The plan was checked conservatively against the live
 				// ledgers, so this is a planner bug, not an operational
 				// state; stop the pass rather than guess.
-				if c.rec != nil {
-					d.Reason = err.Error()
-					c.rec.Record(d)
-				}
-				return res, fmt.Errorf("cluster: consolidation executed an infeasible plan: %w", err)
+				return res, fmt.Errorf("cluster: consolidation executed an infeasible plan: %w", c.refuseLocked(&d, err))
 			}
 			if handoff != m.handoff {
 				return res, fmt.Errorf("cluster: consolidation handoff drifted: planned %d, executed %d", m.handoff, handoff)
 			}
-			rec, jerr := c.journalMigrationLocked(&d, from, m.to, handoff, policy, perMove, m.cost, passTC, planT0, commitT0)
+			rec, jerr := c.journalMigrationLocked(&d, from, m.to, handoff, policy, perMove, m.cost, passTC, clk)
 			res.Moves = append(res.Moves, rec)
 			res.Executed++
 			res.Saved += perMove
@@ -249,8 +234,7 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 		"savedWattMinutes", res.Saved,
 		"duration", time.Since(t0),
 	)
-	c.maybeSnapshotLocked()
-	c.sampleEnergyLocked()
+	c.finishLocked()
 	return res, nil
 }
 
@@ -271,8 +255,10 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 // remaining interval against its live ledger plus everything this plan
 // already assigned to it (window maxima summed, an upper bound), so an
 // accepted plan can never fail execution. ok is false when some victim
-// has no feasible target or no remaining minutes to move.
-func (c *Cluster) planDrainLocked(policy string, donor int, victims []online.PlacedVM, now int) ([]plannedMove, float64, bool) {
+// has no feasible target or no remaining minutes to move. byServer is the
+// caller's grouping of the fleet's residents by hosting server index.
+func (c *Cluster) planDrainLocked(policy string, donor int, byServer [][]online.PlacedVM, now int) ([]plannedMove, float64, bool) {
+	victims := byServer[donor]
 	fv := c.fleet.View()
 	dsrv := fv.Server(donor)
 	idleTimeout := c.cfg.IdleTimeout
@@ -306,8 +292,8 @@ func (c *Cluster) planDrainLocked(policy string, donor int, victims []online.Pla
 		}
 		h := now - 1
 		found := false
-		for _, p := range c.fleet.Residents() {
-			if p.Server == i && p.End() > h {
+		for _, p := range byServer[i] {
+			if p.End() > h {
 				h = p.End()
 				found = true
 			}

@@ -65,13 +65,19 @@ func (c *Cluster) sampleEnergyLocked() {
 	c.cfg.Energy.Record(s)
 }
 
+// stageClock carries the start instant of each timed pipeline stage of
+// one decision, zero when the stage did not run. entered is when the call
+// entered the cluster: decode ended there and, for an admission, the
+// micro-batch queue wait started.
+type stageClock struct {
+	entered, scan, commit, journal, sync time.Time
+}
+
 // emitStageSpans records one decision's non-zero stage timings as typed
 // trace spans parented on tc (the span that carried the operation into
-// the cluster). enqueued is when the call entered the micro-batch queue
-// (decode ended there, queue wait started); the remaining instants are
-// each stage's measured start, zero when the stage did not run. Nil span
+// the cluster), each starting at the instant clk holds for it. Nil span
 // store or an untraced call are no-ops.
-func (c *Cluster) emitStageSpans(tc obs.TraceContext, d *obs.Decision, enqueued, scanT0, commitT0, journalT0, syncT0 time.Time) {
+func (c *Cluster) emitStageSpans(tc obs.TraceContext, d *obs.Decision, clk stageClock) {
 	if c.cfg.Spans == nil || !tc.Valid() {
 		return
 	}
@@ -94,14 +100,30 @@ func (c *Cluster) emitStageSpans(tc obs.TraceContext, d *obs.Decision, enqueued,
 		c.cfg.Spans.Record(sp)
 	}
 	st := &d.Stages
-	if !enqueued.IsZero() {
-		emit(obs.SpanDecode, enqueued.Add(-st.Decode), st.Decode)
-		emit(obs.SpanQueue, enqueued, st.QueueWait)
+	if !clk.entered.IsZero() {
+		emit(obs.SpanDecode, clk.entered.Add(-st.Decode), st.Decode)
+		emit(obs.SpanQueue, clk.entered, st.QueueWait)
 	}
-	emit(obs.SpanScan, scanT0, st.Scan)
-	emit(obs.SpanCommit, commitT0, st.Commit)
-	emit(obs.SpanJournal, journalT0, st.Journal)
-	emit(obs.SpanSync, syncT0, st.Sync)
+	emit(obs.SpanScan, clk.scan, st.Scan)
+	emit(obs.SpanCommit, clk.commit, st.Commit)
+	emit(obs.SpanJournal, clk.journal, st.Journal)
+	emit(obs.SpanSync, clk.sync, st.Sync)
+}
+
+// openSpan opens an umbrella span (a migration, an adoption, a
+// consolidation pass) under tc: sp carries its name, labels and start.
+// It returns the context the work's own spans nest under and the func
+// that records the umbrella once that work is done. With no span store
+// or an untraced call it returns tc and a no-op.
+func (c *Cluster) openSpan(tc obs.TraceContext, sp obs.Span) (obs.TraceContext, func()) {
+	if c.cfg.Spans == nil || !tc.Valid() {
+		return tc, func() {}
+	}
+	sp.TraceID, sp.SpanID, sp.Parent = tc.TraceID, obs.NewSpanID(), tc.SpanID
+	return obs.TraceContext{TraceID: tc.TraceID, SpanID: sp.SpanID}, func() {
+		sp.Duration = time.Since(sp.Start)
+		c.cfg.Spans.Record(sp)
+	}
 }
 
 // firstTrace returns the first valid trace context among a batch's calls

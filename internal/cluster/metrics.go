@@ -42,9 +42,10 @@ type metrics struct {
 	consolidateSeconds *obs.Histogram
 	// queueWaitSeconds observes, per Admit call, how long the call sat in
 	// the micro-batch queue before its batch started; fsyncSeconds
-	// observes each batch's journal fsync. Both are the cumulative
-	// /metrics view of the per-decision stage timings the flight recorder
-	// keeps.
+	// observes every journal fsync wait — each batch's group commit and
+	// each synchronous mutation's own (commitLocked). Both are the
+	// cumulative /metrics view of the per-decision stage timings the
+	// flight recorder keeps.
 	queueWaitSeconds *obs.Histogram
 	fsyncSeconds     *obs.Histogram
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,13 +56,6 @@ type Client struct {
 	// the runner's worker pool shares one client.
 	retried atomic.Int64
 
-	// epoch, when > 0, is stamped on every request as the topology epoch
-	// header; shards refuse stamps below their high-water mark with 409
-	// stale_epoch, which is how a client routing on a superseded map
-	// finds out. Atomic: a MultiClient refresh updates it while the
-	// worker pool keeps sending.
-	epoch atomic.Int64
-
 	idMu   sync.Mutex
 	issued []string
 }
@@ -107,20 +99,6 @@ func (c *Client) backoff() time.Duration {
 
 // Retried returns how many retry attempts the client has issued.
 func (c *Client) Retried() int { return int(c.retried.Load()) }
-
-// SetEpoch sets the topology epoch stamped on subsequent requests
-// (0 disables stamping — the unversioned, single-target mode).
-func (c *Client) SetEpoch(epoch int64) { c.epoch.Store(epoch) }
-
-// Epoch returns the topology epoch currently stamped on requests.
-func (c *Client) Epoch() int64 { return c.epoch.Load() }
-
-// stampEpoch adds the topology epoch header when one is set.
-func (c *Client) stampEpoch(req *http.Request) {
-	if e := c.epoch.Load(); e > 0 {
-		req.Header.Set(api.EpochHeader, strconv.FormatInt(e, 10))
-	}
-}
 
 // newRequestID mints the id for one logical call (shared by its
 // retries) and remembers it when RecordRequestIDs is set.
@@ -186,6 +164,18 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 }
 
 func (c *Client) attempt(ctx context.Context, method, path, reqID string, root obs.TraceContext, body []byte, out any) error {
+	_, data, err := c.roundTrip(ctx, method, path, reqID, root, body)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// roundTrip issues one request under the per-attempt timeout and returns
+// a 2xx answer's headers and body; any other status comes back as the
+// *api.Error decoded from its envelope. reqID, root and body are
+// optional.
+func (c *Client) roundTrip(ctx context.Context, method, path, reqID string, root obs.TraceContext, body []byte) (http.Header, []byte, error) {
 	actx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
 	var rd io.Reader
@@ -194,7 +184,7 @@ func (c *Client) attempt(ctx context.Context, method, path, reqID string, root o
 	}
 	req, err := http.NewRequestWithContext(actx, method, c.Base+path, rd)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if reqID != "" {
 		req.Header.Set(obs.RequestIDHeader, reqID)
@@ -205,23 +195,19 @@ func (c *Client) attempt(ctx context.Context, method, path, reqID string, root o
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	c.stampEpoch(req)
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		return api.DecodeError(resp.StatusCode, data)
+		return nil, nil, api.DecodeError(resp.StatusCode, data)
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return resp.Header, data, nil
 }
 
 // Admit submits a batch of admission requests and returns the per-request
@@ -280,24 +266,6 @@ func (c *Client) AdvanceClock(ctx context.Context, now int) (int, error) {
 		return 0, err
 	}
 	return resp.Now, nil
-}
-
-// MigrateVM moves a resident VM onto the named server
-// (POST /v1/migrations) and returns the journaled migration record.
-// Retry-safe in the Admit sense: a retried call whose first attempt
-// landed comes back 409 migration_infeasible ("already on the target"),
-// which distinguishes it from a genuinely infeasible move only by the
-// retry — so that fold is left to the caller, who knows the intent.
-func (c *Client) MigrateVM(ctx context.Context, vm, server int) (api.MigrationRecord, error) {
-	body, err := json.Marshal(api.MigrateRequest{VM: vm, Server: &server})
-	if err != nil {
-		return api.MigrationRecord{}, err
-	}
-	var rec api.MigrationRecord
-	if _, err := c.do(ctx, http.MethodPost, "/v1/migrations", body, &rec); err != nil {
-		return api.MigrationRecord{}, err
-	}
-	return rec, nil
 }
 
 // Consolidate runs one consolidation pass (POST /v1/consolidate).
@@ -377,26 +345,11 @@ func (c *Client) GateState(ctx context.Context) (*api.GateStateResponse, string,
 }
 
 func (c *Client) rawState(ctx context.Context) ([]byte, string, error) {
-	actx, cancel := context.WithTimeout(ctx, c.timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.Base+"/v1/state", nil)
+	hdr, data, err := c.roundTrip(ctx, http.MethodGet, "/v1/state", "", obs.TraceContext{}, nil)
 	if err != nil {
 		return nil, "", err
 	}
-	c.stampEpoch(req)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", api.DecodeError(resp.StatusCode, data)
-	}
-	digest := resp.Header.Get(api.StateDigestHeader)
+	digest := hdr.Get(api.StateDigestHeader)
 	if digest == "" {
 		digest = api.DigestBytes(data)
 	}
@@ -479,23 +432,20 @@ func (c *Client) DebugEnergy(ctx context.Context, query string) (*api.EnergyResp
 	return &resp, nil
 }
 
-// Metrics scrapes and parses /metrics.
+// Metrics scrapes and parses /metrics. A gate's merged exposition is
+// folded (Metrics.foldShards), so deployment-wide counters read under
+// the same unlabelled names a single vmserve exports.
 func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
-	actx, cancel := context.WithTimeout(ctx, c.timeout())
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.Base+"/metrics", nil)
+	_, data, err := c.roundTrip(ctx, http.MethodGet, "/metrics", "", obs.TraceContext{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
+	m, err := ParseMetrics(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, api.DecodeError(resp.StatusCode, nil)
-	}
-	return ParseMetrics(resp.Body)
+	m.foldShards()
+	return m, nil
 }
 
 // WaitReady polls /healthz until the server answers 200, the context

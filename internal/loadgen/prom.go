@@ -40,6 +40,34 @@ func ParseMetrics(r io.Reader) (Metrics, error) {
 	return m, nil
 }
 
+// foldShards adds every series a gate stamped with a shard="…" label
+// (always the first label, see shard.MergeExpositions) into the same
+// series without that label, keeping the labelled ones. A gate's merged
+// scrape then answers the unlabelled names a single vmserve exports with
+// the sum across shards; a scrape without shard labels is unchanged.
+func (m Metrics) foldShards() {
+	const lead = `{shard="`
+	sums := make(Metrics)
+	for k, v := range m {
+		open := strings.Index(k, lead)
+		if open < 0 || open != strings.IndexByte(k, '{') {
+			continue
+		}
+		end := strings.IndexByte(k[open+len(lead):], '"')
+		if end < 0 {
+			continue
+		}
+		name, rest := k[:open], k[open+len(lead)+end+1:]
+		if rest != "}" {
+			name += "{" + strings.TrimPrefix(rest, ",")
+		}
+		sums[name] += v
+	}
+	for k, v := range sums {
+		m[k] += v
+	}
+}
+
 // Delta returns m − before for every series present in m (a series
 // absent from before counts from zero). Gauges subtract like counters;
 // callers pick the series they care about.

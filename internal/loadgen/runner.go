@@ -49,22 +49,6 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// API is the client surface the runner drives. A single *Client
-// satisfies it (pointed at one vmserve or at a vmgate, which speaks the
-// same contract), and *MultiClient satisfies it by routing over a shard
-// map — so the same schedule replays unchanged against any topology.
-type API interface {
-	Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.AdmitResponse, error)
-	Release(ctx context.Context, id int) (released bool, err error)
-	AdvanceClock(ctx context.Context, now int) (int, error)
-	Consolidate(ctx context.Context, req api.ConsolidateRequest) (*api.ConsolidateResponse, error)
-	Policies(ctx context.Context) (*api.PoliciesResponse, error)
-	DebugTraces(ctx context.Context, query string) (*api.TracesResponse, error)
-	StateSummary(ctx context.Context) (StateSummary, error)
-	Metrics(ctx context.Context) (Metrics, error)
-	Retried() int
-}
-
 // StateSummary is the slice of server state the runner's report needs,
 // common to a single shard's state and a vmgate's aggregated state.
 type StateSummary struct {
@@ -81,7 +65,11 @@ type StateSummary struct {
 // the operation order the server observes is reproducible at minute
 // granularity.
 type Runner struct {
-	Client   API
+	// Client is pointed at one vmserve or at a gate (a vmgate over the
+	// network, or an in-process shard.Gate behind NewHandlerClient): the
+	// wire contract is the same, so a schedule replays unchanged against
+	// any topology.
+	Client   *Client
 	Schedule *Schedule
 	Opts     Options
 }

@@ -516,13 +516,8 @@ func (g *Gate) handlePolicies(w http.ResponseWriter, r *http.Request) {
 // to 409 consolidation_busy; a retry is safe (the pay-for-itself rule
 // makes passes idempotent once nothing profitable remains).
 func (g *Gate) handleConsolidate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
-		return
-	}
-	if int64(len(body)) > g.cfg.MaxBodyBytes {
-		writeError(w, r, http.StatusRequestEntityTooLarge, api.CodeBadRequest, api.ErrBodyTooLarge)
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
 	if _, derr := api.DecodeConsolidateRequest(bytes.NewReader(body), g.cfg.MaxBodyBytes); derr != nil {
@@ -538,14 +533,30 @@ func (g *Gate) handleConsolidate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, r, http.StatusOK, MergeConsolidate(shards, parts))
 }
 
+// readBody reads a request body the gate forwards verbatim. One over
+// MaxBodyBytes is refused with 413 here — forwarding a truncated prefix
+// would come back as some shard's parse error. ok is false when the
+// refusal has been written.
+func (g *Gate) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
+	if err != nil {
+		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+		return nil, false
+	}
+	if int64(len(body)) > g.cfg.MaxBodyBytes {
+		writeError(w, r, http.StatusRequestEntityTooLarge, api.CodeBadRequest, api.ErrBodyTooLarge)
+		return nil, false
+	}
+	return body, true
+}
+
 // handleClock fans the advance out to every shard and reports the
 // slowest resulting clock. The shard clock is monotonic, so replaying
 // an advance onto a shard that already took it is a no-op — which makes
 // retrying a partially failed fan-out safe.
 func (g *Gate) handleClock(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+	body, ok := g.readBody(w, r)
+	if !ok {
 		return
 	}
 	parts, perr := gather[api.ClockResponse](g, r.Context(), g.topo.Load().active(), http.MethodPost, "/v1/clock", body)

@@ -2,11 +2,10 @@ package shard
 
 // This file is the scatter-gather core: pure functions over typed api
 // values that split a request by owning shard and fold per-shard answers
-// back into the one answer a single vmserve would have given. Both
-// routing fronts call it — Gate (proxy envelopes, health marking) and
-// loadgen.MultiClient (typed retrying clients) — so a load run through
-// either sees byte-identical merged bodies. Transport stays with the
-// callers; nothing here does I/O beyond running the caller's function.
+// back into the one answer a single vmserve would have given. The Gate's
+// handlers are its one caller; transport (proxy envelopes, health
+// marking) stays with them, and nothing here does I/O beyond running the
+// caller's function.
 
 import (
 	"fmt"

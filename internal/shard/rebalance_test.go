@@ -245,20 +245,35 @@ func TestLiveResizeZeroFailures(t *testing.T) {
 	}
 
 	// The epoch fence is live on the shards: a request stamped with the
-	// superseded epoch gets the typed stale_epoch refusal.
-	req, err := http.NewRequest(http.MethodGet, shardSrvs["a"].URL+"/v1/state", nil)
-	if err != nil {
-		t.Fatal(err)
+	// superseded epoch gets the typed stale_epoch refusal — a read, and
+	// (what a foreign writer still routing on the old map would send) an
+	// admission aimed straight at a shard, which must not execute.
+	const strayID = 9001
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/state", ""},
+		{http.MethodPost, "/v1/vms", admitBatch([]int{strayID}, 12, 10)},
+	} {
+		req, err := http.NewRequest(c.method, shardSrvs["a"].URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(api.EpochHeader, "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status := resp.StatusCode
+		if env := decodeEnvelope(t, resp); status != http.StatusConflict || env.Code != api.CodeStaleEpoch {
+			t.Fatalf("stale-stamped %s %s: status %d code %q, want 409 %s", c.method, c.path, status, env.Code, api.CodeStaleEpoch)
+		}
 	}
-	req.Header.Set(api.EpochHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var env api.ErrorEnvelope
-	if resp.StatusCode != http.StatusConflict || json.NewDecoder(resp.Body).Decode(&env) != nil || env.Code != api.CodeStaleEpoch {
-		t.Fatalf("stale-stamped shard read: status %d code %q, want 409 %s", resp.StatusCode, env.Code, api.CodeStaleEpoch)
+	for name, srv := range shardSrvs {
+		st, _ := shardState(t, srv)
+		for _, p := range st.VMs {
+			if p.VM.ID == strayID {
+				t.Fatalf("stale-stamped admission executed: vm %d resident on shard %s", strayID, name)
+			}
+		}
 	}
 
 	// And /v1/shards reports the new epoch with the joined shard.
