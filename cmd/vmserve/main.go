@@ -23,7 +23,7 @@
 // Usage:
 //
 //	vmserve -servers 50 -transition 2 -journal /var/lib/vmserve
-//	vmserve -fleet fleet.json -policy delay-aware -batch-window 2ms
+//	vmserve -fleet fleet.json -policy delay-aware
 //	vmserve -log-format json -debug-addr 127.0.0.1:6060
 package main
 
@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		policy     = fs.String("policy", "mincost", "placement policy: mincost, delay-aware, prefer-active, ffps")
 		penalty    = fs.Float64("delay-penalty", 50, "delay-aware policy: watt-minutes per minute of start delay")
 		idle       = fs.Int("idle-timeout", 2, "minutes an empty server stays active before sleeping (-1 = never)")
-		window     = fs.Duration("batch-window", time.Millisecond, "admission micro-batch collection window (0 = opportunistic)")
 		parallel   = fs.Int("parallel", 0, "candidate-scan workers (0 = automatic, 1 = sequential)")
 		journalDir = fs.String("journal", "", "journal + snapshot directory (empty = volatile state)")
 		snapEvery  = fs.Int("snapshot-every", 0, "journaled mutations between snapshots (0 = default, <0 = only on shutdown)")
@@ -176,7 +175,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		Servers:            fleet,
 		Policy:             pol,
 		IdleTimeout:        *idle,
-		BatchWindow:        *window,
 		Parallelism:        *parallel,
 		Dir:                *journalDir,
 		SnapshotEvery:      *snapEvery,

@@ -324,7 +324,6 @@ func TestRunStartupShutdown(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-servers", "4",
 			"-journal", dir,
-			"-batch-window", "0s",
 		}, out)
 	}()
 	base := waitServing(t, out)
@@ -363,5 +362,15 @@ func TestRunVersion(t *testing.T) {
 	}
 	if !strings.HasPrefix(out.String(), "vmalloc ") {
 		t.Errorf("-version printed %q", out.String())
+	}
+}
+
+// TestRunRemovedFlag: the dispatcher is self-clocked, so the flag
+// that set its timer is a usage error, not a silent no-op.
+func TestRunRemovedFlag(t *testing.T) {
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-batch-window", "1ms"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Errorf("-batch-window: error %v, want flag provided but not defined", err)
 	}
 }

@@ -48,8 +48,8 @@ func OnlineArrivalOrder(vms []VM) []VM { return online.ArrivalOrder(vms) }
 type (
 	// Cluster is the long-running allocation service.
 	Cluster = cluster.Cluster
-	// ClusterConfig configures OpenCluster (fleet, policy, batching
-	// window, journal directory).
+	// ClusterConfig configures OpenCluster (fleet, policy, journal
+	// directory).
 	ClusterConfig = cluster.Config
 	// VMRequest is one admission request (ID 0 = assign, Start 0 = now).
 	VMRequest = cluster.VMRequest

@@ -100,9 +100,11 @@ func (c *Cluster) Admit(ctx context.Context, reqs []VMRequest) ([]Admission, err
 	}
 }
 
-// dispatch is the micro-batching loop: the first queued Admit call opens
-// a batch, the window (or an opportunistic drain) fills it, and the batch
-// is placed as one unit.
+// dispatch is the self-clocked batching loop: the first queued Admit call
+// opens a batch, a non-blocking drain takes the calls that parked on
+// admitCh while the previous batch was being placed, and the batch is
+// placed at once. Batches grow from backpressure (a busy lock, a long
+// scan), never from a clock; fsync sharing is the journal committer's job.
 func (c *Cluster) dispatch() {
 	defer close(c.doneCh)
 	for {
@@ -114,29 +116,13 @@ func (c *Cluster) dispatch() {
 			return
 		}
 		batch := []*admitCall{first}
-		if c.cfg.BatchWindow > 0 {
-			timer := time.NewTimer(c.cfg.BatchWindow)
-		collect:
-			for {
-				select {
-				case call := <-c.admitCh:
-					batch = append(batch, call)
-				case <-timer.C:
-					break collect
-				case <-c.stopCh:
-					timer.Stop()
-					break collect
-				}
-			}
-		} else {
-		drain:
-			for {
-				select {
-				case call := <-c.admitCh:
-					batch = append(batch, call)
-				default:
-					break drain
-				}
+	drain:
+		for {
+			select {
+			case call := <-c.admitCh:
+				batch = append(batch, call)
+			default:
+				break drain
 			}
 		}
 		c.processBatch(batch)
@@ -224,7 +210,7 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 	}
 	// Deterministic batch order: by start minute, then VM ID. Placing the
 	// batch is then identical to sequential admission in this order,
-	// regardless of how the requests raced into the window.
+	// regardless of how the requests raced into the batch.
 	sort.SliceStable(items, func(a, b int) bool {
 		if items[a].vm.Start != items[b].vm.Start {
 			return items[a].vm.Start < items[b].vm.Start

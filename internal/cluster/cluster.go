@@ -4,13 +4,13 @@
 // requests (singly or in batches), release them early, advance the fleet
 // clock, and read a consistent state snapshot at any moment.
 //
-// Admissions are micro-batched: concurrent Admit calls landing within the
-// configured window are collected, ordered deterministically by
-// (start, ID), and placed one VM at a time through the same candidate
-// scan the engines use — scored policies fan the scan out over the
-// parallel scan engine, preserving the lowest-index tie-break, so a
-// batch's placements are byte-identical to admitting its requests
-// sequentially in that order.
+// Admissions are micro-batched: the Admit calls that queued while the
+// dispatcher was busy with the previous batch are taken together, ordered
+// deterministically by (start, ID), and placed one VM at a time through
+// the same candidate scan the engines use — scored policies fan the scan
+// out over the parallel scan engine, preserving the lowest-index
+// tie-break, so a batch's placements are byte-identical to admitting its
+// requests sequentially in that order.
 //
 // Durability is an append-only journal of CRC-framed binary records plus
 // periodic snapshots (see journal.go). Appended records are made
@@ -137,10 +137,10 @@ type Config struct {
 	// IdleTimeout follows online.Engine.IdleTimeout: minutes an empty
 	// active server waits before sleeping; negative never, 0 immediately.
 	IdleTimeout int
-	// BatchWindow is how long the dispatcher keeps collecting concurrent
-	// Admit calls after the first one before placing the batch. Zero
-	// batches opportunistically: whatever is already queued is taken, with
-	// no added latency.
+	// BatchWindow is inert: the dispatcher is self-clocked and never waits
+	// on a timer. The field survives only because bench/probe_cluster.go
+	// names it in a struct literal and a PR that claims a gain may not edit
+	// bench/; the next benchmark PR drops that line, then this field goes.
 	BatchWindow time.Duration
 	// Parallelism sizes the candidate-scan worker pool as in
 	// core.Config.Parallelism: 0 picks an automatic size, 1 forces

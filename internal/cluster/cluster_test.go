@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"vmalloc/internal/model"
 	"vmalloc/internal/online"
@@ -433,7 +432,6 @@ func TestClusterConcurrentAdmissions(t *testing.T) {
 	cfg := Config{
 		Servers:     testServers(32),
 		IdleTimeout: -1,
-		BatchWindow: 200 * time.Microsecond,
 		Dir:         dir,
 	}
 	c := mustOpen(t, cfg)

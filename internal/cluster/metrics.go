@@ -42,9 +42,10 @@ type metrics struct {
 	consolidateSeconds *obs.Histogram
 	// queueWaitSeconds observes, per Admit call, how long the call sat in
 	// the micro-batch queue before its batch started; fsyncSeconds
-	// observes every journal fsync wait — each batch's group commit and
-	// each synchronous mutation's own (commitLocked). Both are the
-	// cumulative /metrics view of the per-decision stage timings the
+	// observes every wait for a covering journal flush — each batch's
+	// group commit (the flush already in flight plus the one covering the
+	// batch) and each synchronous mutation's own (commitLocked). Both are
+	// the cumulative /metrics view of the per-decision stage timings the
 	// flight recorder keeps.
 	queueWaitSeconds *obs.Histogram
 	fsyncSeconds     *obs.Histogram
@@ -113,7 +114,7 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	c.met.scanSeconds.Write(&buf, metricsPrefix+"_scan_seconds", "Candidate-scan wall time per batch, in seconds.")
 	c.met.consolidateSeconds.Write(&buf, metricsPrefix+"_consolidate_seconds", "Consolidation pass wall time (plan and execute), in seconds.")
 	c.met.queueWaitSeconds.Write(&buf, metricsPrefix+"_queue_wait_seconds", "Per-call wait in the micro-batch queue before batch processing started, in seconds.")
-	c.met.fsyncSeconds.Write(&buf, metricsPrefix+"_fsync_seconds", "Journal fsync wall time per batch, in seconds.")
+	c.met.fsyncSeconds.Write(&buf, metricsPrefix+"_fsync_seconds", "Wait for the group-commit flush covering a batch or a synchronous mutation, in seconds.")
 
 	now := c.fleet.Now()
 	gauge("clock_minutes", "The fleet clock, in minutes.", strconv.Itoa(now))

@@ -147,7 +147,6 @@ func runArenaLoad(t *testing.T, sched *Schedule, ar *arena.Arena) (*Report, floa
 	cl, err := cluster.Open(cluster.Config{
 		Servers:     testServers(16),
 		IdleTimeout: 5,
-		BatchWindow: 200 * time.Microsecond,
 		Arena:       ar,
 	})
 	if err != nil {

@@ -36,7 +36,6 @@ func newShardedDeployment(t *testing.T, serversPerShard int) *shardedDeployment 
 		cl, err := cluster.Open(cluster.Config{
 			Servers:     servers,
 			IdleTimeout: 5,
-			BatchWindow: 200 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -74,7 +74,6 @@ func TestSoakJournalReplay(t *testing.T) {
 	cfg := cluster.Config{
 		Servers:       testServers(24),
 		IdleTimeout:   5,
-		BatchWindow:   200 * time.Microsecond,
 		Dir:           dir,
 		SnapshotEvery: -1,   // snapshot only on Close: the copy below sees journal-only state
 		DisableFsync:  true, // soak speed; logical replay guarantees are what is under test

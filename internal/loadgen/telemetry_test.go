@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
@@ -105,7 +104,6 @@ func runTelemetryLoad(t *testing.T, sched *Schedule, telemetry bool) (*Report, *
 	ccfg := cluster.Config{
 		Servers:     testServers(16),
 		IdleTimeout: 5,
-		BatchWindow: 200 * time.Microsecond,
 	}
 	hcfg := clusterhttp.Config{}
 	if telemetry {

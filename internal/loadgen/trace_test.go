@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
@@ -83,7 +82,6 @@ func TestTraceReplayEndToEnd(t *testing.T) {
 	cl, err := cluster.Open(cluster.Config{
 		Servers:     testServers(4),
 		IdleTimeout: 5,
-		BatchWindow: 200 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
