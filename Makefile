@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench loc
+.PHONY: build test race vet bench loc fence
 
 build:
 	$(GO) build ./...
@@ -24,3 +24,21 @@ bench:
 # non-test Go outside the benchmark module.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+
+# LOC_MAX is the `make loc` figure the last subtraction PR landed (PR 15).
+# A change that grows past it fails `make fence`: delete something, or
+# raise the figure here and say why.
+LOC_MAX = 20889
+
+# fence keeps the doubles PRs 12–15 removed from growing back: one
+# exposition writer (internal/obs; internal/shard/metrics.go only parses),
+# one JSON answer writer and one body/query reader (internal/api), and a
+# size ceiling.
+fence:
+	@! grep -rn '"# HELP' --include='*.go' internal cmd | grep -v _test.go | grep -v -e '^internal/obs/' -e '^internal/shard/metrics.go' \
+		|| { echo 'fence: exposition grammar outside internal/obs (use obs.Counter/Gauge/Declare/Sample)'; exit 1; }
+	@! grep -rn 'SetIndent(' --include='*.go' internal | grep -v _test.go | grep -v '^internal/api/' \
+		|| { echo 'fence: JSON answers are written by api.WriteJSON'; exit 1; }
+	@! grep -n -e 'ReadAll(.*r\.Body' -e 'strconv\.Atoi(.*\(Query\|q\.Get\)' internal/clusterhttp/*.go internal/shard/*.go | grep -v _test.go \
+		|| { echo 'fence: request bodies and query integers are read by api.ReadBody/api.QueryInt'; exit 1; }
+	@n=$$($(MAKE) -s loc); [ $$n -le $(LOC_MAX) ] || { echo "fence: make loc = $$n > LOC_MAX = $(LOC_MAX)"; exit 1; }

@@ -212,7 +212,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 					return
 				case <-tick.C:
 				}
-				res, err := c.Consolidate(ctx, cluster.ConsolidateOptions{})
+				res, err := c.Consolidate(ctx, api.ConsolidateRequest{})
 				switch {
 				case errors.Is(err, cluster.ErrConsolidationBusy):
 					clog.Debug("consolidation pass skipped: another is running")
@@ -222,7 +222,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 					clog.Warn("consolidation pass failed", "err", err)
 				case res.Executed > 0:
 					clog.Info("background consolidation",
-						"executed", res.Executed, "savedWattMinutes", res.Saved)
+						"executed", res.Executed, "savedWattMinutes", res.EnergySavedWattMinutes)
 				}
 			}
 		}()

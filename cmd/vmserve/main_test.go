@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/model"
@@ -80,7 +81,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("single admit = %d %s", code, body)
 	}
-	var adms []cluster.Admission
+	var adms []api.AdmitResponse
 	if err := json.Unmarshal(body, &adms); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestServeClock(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("admit = %d %s", code, body)
 	}
-	var adms []cluster.Admission
+	var adms []api.AdmitResponse
 	if err := json.Unmarshal(body, &adms); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestServeClock(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("/v1/state = %d", code)
 	}
-	var st cluster.State
+	var st api.StateResponse
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,12 @@ package vmalloc
 import (
 	"io"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/core"
 	"vmalloc/internal/energy"
 	"vmalloc/internal/migration"
+	"vmalloc/internal/model"
 	"vmalloc/internal/online"
 	"vmalloc/internal/search"
 	"vmalloc/internal/trace"
@@ -52,15 +54,15 @@ type (
 	// directory).
 	ClusterConfig = cluster.Config
 	// VMRequest is one admission request (ID 0 = assign, Start 0 = now).
-	VMRequest = cluster.VMRequest
+	VMRequest = api.AdmitRequest
 	// Admission is the per-request outcome, including structured
 	// rejections when no server can host the VM.
-	Admission = cluster.Admission
+	Admission = api.AdmitResponse
 	// ClusterState is a consistent, journal-durable snapshot of the
 	// cluster.
-	ClusterState = cluster.State
+	ClusterState = api.StateResponse
 	// PlacedVM is an admitted VM with its hosting server and actual start.
-	PlacedVM = online.PlacedVM
+	PlacedVM = model.PlacedVM
 )
 
 // OpenCluster builds (or, when the config names a journal directory that

@@ -1,32 +1,62 @@
-// Package api is the versioned wire contract of the vmserve HTTP API:
-// the typed request/response bodies exchanged on the /v1 endpoints, the
-// structured error envelope, and the shared body decoder. It is the
-// single source of truth for the JSON field names — the server
-// (internal/clusterhttp) encodes from these types, and every client (the
-// internal/loadgen load-generator client and the internal/shard vmgate
-// router) decodes into them, so a router can sit between the two and
-// speak the same contract on both sides.
+// Package api is the versioned wire contract of the /v1 HTTP API that
+// vmserve and vmgate serve: the typed request/response bodies, the
+// structured error envelope, and the HTTP edge both daemons read and
+// write through (edge.go). It is the single source of truth for the JSON
+// field names: the cluster itself speaks these types, the servers
+// (internal/clusterhttp, internal/shard) and every client
+// (internal/loadgen, bench/) marshal the same Go values, so a router can
+// sit between the two and speak the same contract on both sides.
+//
+// The endpoint table — the one copy; README.md and DESIGN.md link here.
+// S is a vmserve (one cluster), G a vmgate (the same surface over N
+// shards, and what it does with the call):
+//
+//	POST   /v1/vms             AdmitRequest or [AdmitRequest] → [AdmitResponse], in request
+//	                           order; G splits by owner(id), so ids are required there
+//	DELETE /v1/vms/{id}        → ReleaseResponse; G routes to the owner; not_resident
+//	POST   /v1/clock           ClockRequest → ClockResponse; G fans out, slowest clock
+//	POST   /v1/migrations      MigrateRequest → MigrationRecord; G routes to the owner;
+//	                           not_resident, migration_infeasible
+//	GET    /v1/migrations      ?vm= ?limit= → MigrationsResponse; G merges, stamps shard
+//	POST   /v1/adoptions       AdoptRequest → AdoptResponse; S only (G's rebalancer is
+//	                           the caller); migration_infeasible
+//	POST   /v1/consolidate     ConsolidateRequest (empty body valid) → ConsolidateResponse;
+//	                           G fans out and merges; consolidation_busy
+//	GET    /v1/policies        → PoliciesResponse; G merges, stamps shard
+//	GET    /v1/state           → StateResponse (G: GateStateResponse), StateDigestHeader set
+//	GET    /v1/debug/decisions ?vm= ?server= ?op= ?limit= → DecisionsResponse; S only
+//	GET    /v1/debug/traces    ?trace= ?name= ?op= ?min= ?limit= → TracesResponse; G stitches
+//	GET    /v1/debug/energy    ?since= ?limit= → EnergyResponse (G: GateEnergyResponse)
+//	GET    /v1/shards          → ShardsResponse; G only
+//	GET    /v1/topology        → TopologyResponse; G only
+//	POST   /v1/topology        Topology → TopologyResponse; G only; stale_epoch, rebalancing
+//	GET    /healthz            "ok" (G: 503 shard_down while any shard is down)
+//	GET    /metrics            Prometheus text, written by internal/obs alone
+//
+// Every non-2xx answer is an ErrorEnvelope carrying one of the Code*
+// constants (error.go gives each one's status and meaning) and the
+// request's X-Request-Id. Beyond the codes named per route, any route can
+// answer bad_request (400; 413 for a body over MaxBodyBytes) and internal,
+// any mutation journal_broken or overloaded, any request stamped with a
+// superseded EpochHeader stale_epoch, and any G route shard_down.
 //
 // The package is deliberately a leaf: it depends only on the pure data
 // packages (internal/model, internal/energy) and the observability
 // records (internal/obs), never on the cluster itself, so a routing
 // daemon can link the contract without linking an allocator.
 //
-// Compatibility: the JSON field names are frozen — they are byte-for-byte
-// the wire format the service has spoken since the anonymous per-handler
-// structs these types replaced (see the pin tests in wire_test.go).
-// Decoding is tolerant of unknown fields, so additive evolution within
-// /v1 is safe; renames or removals require a /v2.
+// Compatibility: the JSON field names are frozen (see the pin tests in
+// wire_test.go). Decoding is tolerant of unknown fields, so additive
+// evolution within /v1 is safe; renames or removals require a /v2.
 package api
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"strings"
 
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
@@ -120,11 +150,7 @@ type ServerState struct {
 // PlacedVM is one resident VM within a StateResponse: the admitted VM,
 // the index of its hosting server in the configured fleet list, and its
 // actual start minute.
-type PlacedVM struct {
-	VM     model.VM `json:"vm"`
-	Server int      `json:"server"`
-	Start  int      `json:"start"`
-}
+type PlacedVM = model.PlacedVM
 
 // StateResponse is the body of GET /v1/state: a consistent snapshot of
 // one cluster's durable state. Field order and names mirror the
@@ -224,26 +250,12 @@ type GateStateResponse struct {
 	Shards          []ShardState `json:"shards"`
 }
 
-// ErrBodyTooLarge is returned by DecodeAdmitRequests for bodies over the
-// limit; HTTP layers map it to 413 instead of 400 — the request was
-// refused for its size, not its syntax.
-var ErrBodyTooLarge = errors.New("request body exceeds the configured limit")
-
 // DecodeAdmitRequests parses a POST /v1/vms body — a single AdmitRequest
-// object or a non-empty array of them — refusing bodies larger than
-// limit bytes with ErrBodyTooLarge. Unknown fields are tolerated. Both
+// object or a non-empty array of them. Unknown fields are tolerated. Both
 // the server and the vmgate router decode admission bodies through this
 // one function, so they can never disagree on what parses.
-func DecodeAdmitRequests(r io.Reader, limit int64) ([]AdmitRequest, error) {
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > limit {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrBodyTooLarge, limit)
-	}
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, "[") {
+func DecodeAdmitRequests(data []byte) ([]AdmitRequest, error) {
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
 		var reqs []AdmitRequest
 		if err := json.Unmarshal(data, &reqs); err != nil {
 			return nil, fmt.Errorf("parse request array: %w", err)
@@ -258,6 +270,19 @@ func DecodeAdmitRequests(r io.Reader, limit int64) ([]AdmitRequest, error) {
 		return nil, fmt.Errorf("parse request: %w", err)
 	}
 	return []AdmitRequest{req}, nil
+}
+
+// DecodeClockRequest parses a POST /v1/clock body. The whole body must
+// be one JSON object carrying "now": trailing bytes are a parse error.
+func DecodeClockRequest(data []byte) (ClockRequest, error) {
+	var req ClockRequest
+	if err := json.Unmarshal(data, &req); err != nil {
+		return req, fmt.Errorf("parse clock request: %w", err)
+	}
+	if req.Now == nil {
+		return req, errors.New(`clock request wants {"now": <minute>}`)
+	}
+	return req, nil
 }
 
 // EncodeState marshals a state body exactly as the server serves it:
@@ -281,10 +306,9 @@ func encodeIndented(v any) ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// DigestBytes is the wire-level state fingerprint: hex SHA-256 of the
-// given bytes. It matches cluster.DigestBytes, re-exported here so
-// clients and routers can fingerprint state bodies without linking the
-// allocator.
+// DigestBytes is the state fingerprint: hex SHA-256 of the given bytes.
+// The cluster's StateDigest, the X-Vmalloc-State-Digest header and every
+// client that re-digests a state body go through it.
 func DigestBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])

@@ -30,6 +30,16 @@ type TracesResponse struct {
 	Traces []Trace `json:"traces"`
 }
 
+// NewTracesResponse groups flat spans into the GET /v1/debug/traces
+// body; no spans is an empty list, not null.
+func NewTracesResponse(spans []obs.Span) TracesResponse {
+	traces := GroupSpans(spans)
+	if traces == nil {
+		traces = []Trace{}
+	}
+	return TracesResponse{Count: len(traces), Spans: len(spans), Traces: traces}
+}
+
 // GroupSpans assembles flat spans (possibly from several stores — the
 // gate merges its own with shard-fetched ones) into traces. Traces are
 // ordered by their earliest span start (trace id breaking ties); spans

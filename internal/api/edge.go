@@ -1,0 +1,125 @@
+package api
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strconv"
+	"time"
+
+	"vmalloc/internal/obs"
+)
+
+// This file is the HTTP edge both daemons share: the one place a request
+// body is read, a query parameter parsed, and a JSON answer or an error
+// envelope written. vmserve (internal/clusterhttp) and vmgate
+// (internal/shard) call it and nothing else, so they cannot disagree on
+// what parses or how a refusal looks.
+
+// MaxBodyBytes caps every request body either daemon accepts (and every
+// shard answer a vmgate buffers). A larger body is refused with 413.
+const MaxBodyBytes = 8 << 20
+
+// ErrBodyTooLarge is returned by ReadBody for bodies over MaxBodyBytes;
+// WriteBadRequest maps it to 413 instead of 400 — the request was
+// refused for its size, not its syntax.
+var ErrBodyTooLarge = errors.New("request body exceeds the configured limit")
+
+// ReadBody reads a whole request body, refusing more than MaxBodyBytes
+// with ErrBodyTooLarge. The Decode* functions parse what it returns.
+func ReadBody(r io.Reader) ([]byte, error) {
+	return readLimited(r, MaxBodyBytes)
+}
+
+// DecodeBody reads a request's body under the limit and parses it with
+// one of the Decode* functions.
+func DecodeBody[T any](r *http.Request, parse func([]byte) (T, error)) (T, error) {
+	data, err := ReadBody(r.Body)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return parse(data)
+}
+
+func readLimited(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("%w (%d bytes)", ErrBodyTooLarge, limit)
+	}
+	return data, nil
+}
+
+// QueryInt returns the named query parameter as a non-negative integer,
+// or def when it is absent. Anything strconv.Atoi refuses — a sign, a
+// fraction, trailing garbage — is an error.
+func QueryInt(q url.Values, name string, def int) (int, error) {
+	v := q.Get(name)
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad %s %q: want a non-negative integer", name, v)
+	}
+	return n, nil
+}
+
+// SpanFilterFromQuery parses the GET /v1/debug/traces query parameters
+// (trace, name, op, min as a Go duration, limit).
+func SpanFilterFromQuery(q url.Values) (obs.SpanFilter, error) {
+	f := obs.SpanFilter{TraceID: q.Get("trace"), Name: q.Get("name"), Op: q.Get("op")}
+	if v := q.Get("min"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			return obs.SpanFilter{}, fmt.Errorf("bad min %q: want a non-negative duration", v)
+		}
+		f.MinDuration = d
+	}
+	var err error
+	f.Limit, err = QueryInt(q, "limit", 0)
+	return f, err
+}
+
+// WriteJSON writes v as the indented JSON every /v1 answer uses.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // client gone
+}
+
+// WriteError writes an ErrorEnvelope with the request's id echoed, so a
+// failure line in a client log joins the server's access log and flight
+// recorder on one id.
+func WriteError(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
+	RelayError(w, r, &Error{Status: status, Envelope: ErrorEnvelope{Code: code, Message: err.Error()}})
+}
+
+// RelayError writes an *Error — a vmgate passing on a shard's refusal —
+// filling in this request's id when the envelope carries none.
+func RelayError(w http.ResponseWriter, r *http.Request, e *Error) {
+	env := e.Envelope
+	if env.RequestID == "" {
+		env.RequestID = obs.RequestID(r.Context())
+	}
+	WriteJSON(w, e.Status, env)
+}
+
+// WriteBadRequest refuses a request whose body did not read or parse,
+// or whose path, query or header did not validate: 413 when it blew the
+// size cap, 400 otherwise, both bad_request.
+func WriteBadRequest(w http.ResponseWriter, r *http.Request, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, ErrBodyTooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	WriteError(w, r, status, CodeBadRequest, err)
+}

@@ -6,45 +6,52 @@ import (
 	"strings"
 )
 
-// Machine-readable error codes carried in ErrorEnvelope.Code. Clients
-// branch on the code, never on the message text.
+// Machine-readable error codes carried in ErrorEnvelope.Code, each with
+// the HTTP status it travels under. Clients branch on the code, never on
+// the message text. This is the one code table.
 const (
-	// CodeBadRequest: the request could not be parsed or validated
-	// (malformed JSON, bad VM id, oversized body, missing clock field).
+	// CodeBadRequest (400; 413 for a body over MaxBodyBytes): the request
+	// could not be parsed or validated (malformed JSON, bad VM id or query
+	// parameter, missing clock field).
 	CodeBadRequest = "bad_request"
-	// CodeNotResident: DELETE /v1/vms/{id} named a VM that is not
-	// currently admitted (never was, already departed, already released).
+	// CodeNotResident (404): DELETE /v1/vms/{id} or POST /v1/migrations
+	// named a VM that is not currently admitted (never was, already
+	// departed, already released).
 	CodeNotResident = "not_resident"
-	// CodeJournalBroken: the cluster's journal failed a write and refuses
-	// mutations until a snapshot heals it (cluster.ErrJournalBroken).
+	// CodeJournalBroken (503): the cluster's journal failed a write and
+	// refuses mutations until a snapshot heals it
+	// (cluster.ErrJournalBroken).
 	CodeJournalBroken = "journal_broken"
-	// CodeOverloaded: the service cannot take the request right now —
+	// CodeOverloaded (503): the service cannot take the request right now —
 	// shutting down (cluster.ErrClosed) or refusing load.
 	CodeOverloaded = "overloaded"
-	// CodeShardDown: a vmgate could not reach the shard that owns the
+	// CodeShardDown (503): a vmgate could not reach the shard that owns the
 	// request's key range; the envelope message names the shard. Only the
 	// down shard's key range is affected.
 	CodeShardDown = "shard_down"
-	// CodeMigrationInfeasible: POST /v1/migrations named a move the
-	// current fleet state cannot satisfy — the target lacks capacity over
-	// the VM's remaining interval, cannot wake by the handoff minute, or
-	// the VM has no remaining minutes to move. The fleet is untouched.
+	// CodeMigrationInfeasible (409): POST /v1/migrations or /v1/adoptions
+	// named a move the current fleet state cannot satisfy — the target
+	// lacks capacity over the VM's remaining interval, cannot wake by the
+	// handoff minute, or the VM has no remaining minutes to move. The
+	// fleet is untouched.
 	CodeMigrationInfeasible = "migration_infeasible"
-	// CodeConsolidationBusy: POST /v1/consolidate raced an in-flight
+	// CodeConsolidationBusy (409): POST /v1/consolidate raced an in-flight
 	// consolidation pass; at most one runs at a time. Retry after the
 	// current pass finishes.
 	CodeConsolidationBusy = "consolidation_busy"
-	// CodeStaleEpoch: the request carried an X-Vmalloc-Epoch older than
-	// the highest epoch the serving side has seen — the sender is routing
-	// on a superseded topology. Recover by re-fetching GET /v1/topology
-	// and re-routing; the request was not executed.
+	// CodeStaleEpoch (409): the request carried an X-Vmalloc-Epoch older
+	// than the highest epoch the serving side has seen (or POST
+	// /v1/topology proposed a non-newer epoch) — the sender is routing on
+	// a superseded topology. Recover by re-fetching GET /v1/topology and
+	// re-routing; the request was not executed.
 	CodeStaleEpoch = "stale_epoch"
-	// CodeRebalancing: POST /v1/topology arrived while the gate is still
-	// draining the previous topology change; one rebalance runs at a
-	// time. Poll GET /v1/topology until rebalance.active is false, then
+	// CodeRebalancing (409): POST /v1/topology arrived while the gate is
+	// still draining the previous topology change; one rebalance runs at
+	// a time. Poll GET /v1/topology until rebalance.active is false, then
 	// retry.
 	CodeRebalancing = "rebalancing"
-	// CodeInternal: an unclassified server-side failure.
+	// CodeInternal (500; 502 when a vmgate cannot parse a shard's answer):
+	// an unclassified server-side failure.
 	CodeInternal = "internal"
 )
 

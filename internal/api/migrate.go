@@ -1,10 +1,10 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Victim-selection policies accepted by ConsolidateRequest.Policy. They
@@ -107,15 +107,10 @@ type MigrationsResponse struct {
 	Migrations []MigrationRecord `json:"migrations"`
 }
 
-// DecodeMigrateRequest parses a POST /v1/migrations body, enforcing the
-// same size limit discipline as DecodeAdmitRequests. Both vmserve and
-// vmgate decode migration bodies through this one function.
-func DecodeMigrateRequest(r io.Reader, limit int64) (MigrateRequest, error) {
+// DecodeMigrateRequest parses a POST /v1/migrations body. Both vmserve
+// and vmgate decode migration bodies through this one function.
+func DecodeMigrateRequest(data []byte) (MigrateRequest, error) {
 	var req MigrateRequest
-	data, err := readLimited(r, limit)
-	if err != nil {
-		return req, err
-	}
 	if err := json.Unmarshal(data, &req); err != nil {
 		return req, fmt.Errorf("parse request: %w", err)
 	}
@@ -129,14 +124,11 @@ func DecodeMigrateRequest(r io.Reader, limit int64) (MigrateRequest, error) {
 }
 
 // DecodeConsolidateRequest parses a POST /v1/consolidate body. An empty
-// body decodes to the zero request (all server-side defaults).
-func DecodeConsolidateRequest(r io.Reader, limit int64) (ConsolidateRequest, error) {
+// (or whitespace-only) body decodes to the zero request: all server-side
+// defaults.
+func DecodeConsolidateRequest(data []byte) (ConsolidateRequest, error) {
 	var req ConsolidateRequest
-	data, err := readLimited(r, limit)
-	if err != nil {
-		return req, err
-	}
-	if len(data) == 0 {
+	if len(bytes.TrimSpace(data)) == 0 {
 		return req, nil
 	}
 	if err := json.Unmarshal(data, &req); err != nil {
@@ -149,28 +141,4 @@ func DecodeConsolidateRequest(r io.Reader, limit int64) (ConsolidateRequest, err
 		return req, fmt.Errorf("negative maxMoves %d", req.MaxMoves)
 	}
 	return req, nil
-}
-
-// readLimited reads a whole body, refusing more than limit bytes with
-// ErrBodyTooLarge, and treats whitespace-only bodies as empty.
-func readLimited(r io.Reader, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > limit {
-		return nil, fmt.Errorf("%w (%d bytes)", ErrBodyTooLarge, limit)
-	}
-	trimmed := 0
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-		default:
-			trimmed++
-		}
-	}
-	if trimmed == 0 {
-		return nil, nil
-	}
-	return data, nil
 }

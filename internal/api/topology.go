@@ -1,9 +1,9 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"vmalloc/internal/model"
 )
@@ -61,18 +61,10 @@ type TopologyResponse struct {
 }
 
 // DecodeTopology decodes a Topology from a topology file or a
-// POST /v1/topology body, reading at most limit bytes (limit <= 0 uses
-// a 1 MiB default — topologies are small). Structural validation only —
-// shard-set rules (unique names, weight ranges) live in shard.NewMap.
-func DecodeTopology(r io.Reader, limit int64) (Topology, error) {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	data, err := readLimited(r, limit)
-	if err != nil {
-		return Topology{}, err
-	}
-	if data == nil {
+// POST /v1/topology body. Structural validation only — shard-set rules
+// (unique names, weight ranges) live in shard.NewMap.
+func DecodeTopology(data []byte) (Topology, error) {
+	if len(bytes.TrimSpace(data)) == 0 {
 		return Topology{}, fmt.Errorf("empty topology")
 	}
 	var t Topology
@@ -113,17 +105,9 @@ type AdoptResponse struct {
 	Handoff int `json:"handoff"`
 }
 
-// DecodeAdoptRequest decodes an AdoptRequest, reading at most limit
-// bytes (limit <= 0 uses a 1 MiB default).
-func DecodeAdoptRequest(r io.Reader, limit int64) (AdoptRequest, error) {
-	if limit <= 0 {
-		limit = 1 << 20
-	}
-	data, err := readLimited(r, limit)
-	if err != nil {
-		return AdoptRequest{}, err
-	}
-	if data == nil {
+// DecodeAdoptRequest parses a POST /v1/adoptions body.
+func DecodeAdoptRequest(data []byte) (AdoptRequest, error) {
+	if len(bytes.TrimSpace(data)) == 0 {
 		return AdoptRequest{}, fmt.Errorf("empty adoption request")
 	}
 	var req AdoptRequest

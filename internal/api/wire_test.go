@@ -2,9 +2,12 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
@@ -156,63 +159,130 @@ func TestWireFieldNames(t *testing.T) {
 }
 
 // TestDecodeAdmitRequests covers the shared body decoder: object vs
-// array form, the size limit, and rejection of empty arrays.
+// array form and rejection of empty arrays.
 func TestDecodeAdmitRequests(t *testing.T) {
 	one := `{"id":3,"demand":{"cpu":1,"mem":1},"durationMinutes":30}`
-	reqs, err := DecodeAdmitRequests(strings.NewReader(one), 1<<20)
+	reqs, err := DecodeAdmitRequests([]byte(one))
 	if err != nil || len(reqs) != 1 || reqs[0].ID != 3 {
 		t.Fatalf("single object: %v %+v", err, reqs)
 	}
-	reqs, err = DecodeAdmitRequests(strings.NewReader("["+one+","+one+"]"), 1<<20)
+	reqs, err = DecodeAdmitRequests([]byte("[" + one + "," + one + "]"))
 	if err != nil || len(reqs) != 2 {
 		t.Fatalf("array: %v %+v", err, reqs)
 	}
-	if _, err := DecodeAdmitRequests(strings.NewReader("[]"), 1<<20); err == nil {
+	if _, err := DecodeAdmitRequests([]byte("[]")); err == nil {
 		t.Fatal("empty array accepted")
 	}
-	if _, err := DecodeAdmitRequests(strings.NewReader(one), 8); err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("oversized body: %v", err)
-	}
 	// Unknown fields inside an admission body are tolerated.
-	if _, err := DecodeAdmitRequests(strings.NewReader(`{"durationMinutes":1,"futureKnob":true}`), 1<<20); err != nil {
+	if _, err := DecodeAdmitRequests([]byte(`{"durationMinutes":1,"futureKnob":true}`)); err != nil {
 		t.Fatalf("unknown field refused: %v", err)
 	}
 }
 
 // TestDecodeMigrateRequest covers the POST /v1/migrations body decoder:
-// required fields, the size limit, and unknown-field tolerance.
+// required fields and unknown-field tolerance.
 func TestDecodeMigrateRequest(t *testing.T) {
-	req, err := DecodeMigrateRequest(strings.NewReader(`{"vm":7,"server":2,"future":1}`), 1<<20)
+	req, err := DecodeMigrateRequest([]byte(`{"vm":7,"server":2,"future":1}`))
 	if err != nil || req.VM != 7 || req.Server == nil || *req.Server != 2 {
 		t.Fatalf("valid body: %v %+v", err, req)
 	}
-	if _, err := DecodeMigrateRequest(strings.NewReader(`{"server":2}`), 1<<20); err == nil {
+	if _, err := DecodeMigrateRequest([]byte(`{"server":2}`)); err == nil {
 		t.Fatal("missing vm accepted")
 	}
-	if _, err := DecodeMigrateRequest(strings.NewReader(`{"vm":7}`), 1<<20); err == nil {
+	if _, err := DecodeMigrateRequest([]byte(`{"vm":7}`)); err == nil {
 		t.Fatal("missing server accepted")
-	}
-	if _, err := DecodeMigrateRequest(strings.NewReader(`{"vm":7,"server":2}`), 4); err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("oversized body: %v", err)
 	}
 }
 
 // TestDecodeConsolidateRequest: an empty (or whitespace) body is the zero
 // request; policies are validated at decode time.
 func TestDecodeConsolidateRequest(t *testing.T) {
-	req, err := DecodeConsolidateRequest(strings.NewReader("  \n"), 1<<20)
+	req, err := DecodeConsolidateRequest([]byte("  \n"))
 	if err != nil || req.Policy != "" || req.MaxMoves != 0 {
 		t.Fatalf("empty body: %v %+v", err, req)
 	}
-	req, err = DecodeConsolidateRequest(strings.NewReader(`{"policy":"min-utilization","maxMoves":3}`), 1<<20)
+	req, err = DecodeConsolidateRequest([]byte(`{"policy":"min-utilization","maxMoves":3}`))
 	if err != nil || req.Policy != PolicyMinUtilization || req.MaxMoves != 3 {
 		t.Fatalf("valid body: %v %+v", err, req)
 	}
-	if _, err := DecodeConsolidateRequest(strings.NewReader(`{"policy":"random"}`), 1<<20); err == nil {
+	if _, err := DecodeConsolidateRequest([]byte(`{"policy":"random"}`)); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := DecodeConsolidateRequest(strings.NewReader(`{"maxMoves":-1}`), 1<<20); err == nil {
+	if _, err := DecodeConsolidateRequest([]byte(`{"maxMoves":-1}`)); err == nil {
 		t.Fatal("negative maxMoves accepted")
+	}
+}
+
+// TestDecodeClockRequest: the whole body must be one object carrying
+// "now" — a stream decoder would accept the trailing garbage.
+func TestDecodeClockRequest(t *testing.T) {
+	req, err := DecodeClockRequest([]byte(` {"now": 5, "future": 1} `))
+	if err != nil || req.Now == nil || *req.Now != 5 {
+		t.Fatalf("valid body: %v %+v", err, req)
+	}
+	for _, bad := range []string{``, `{}`, `{"now":null}`, `{"now":5}garbage`, `{"now":5}{"now":6}`, `{"now":"5"}`} {
+		if _, err := DecodeClockRequest([]byte(bad)); err == nil {
+			t.Errorf("body %q accepted", bad)
+		}
+	}
+}
+
+// TestReadLimited: a body of exactly the limit passes, one byte more is
+// ErrBodyTooLarge whatever its syntax.
+func TestReadLimited(t *testing.T) {
+	data, err := readLimited(strings.NewReader("12345678"), 8)
+	if err != nil || string(data) != "12345678" {
+		t.Fatalf("body at the limit: %v %q", err, data)
+	}
+	if _, err := readLimited(strings.NewReader("123456789"), 8); !errors.Is(err, ErrBodyTooLarge) {
+		t.Fatalf("body over the limit: %v", err)
+	}
+}
+
+// TestQueryInt: absent is the default; anything but a non-negative
+// decimal integer is refused (fmt.Sscanf("%d") used to accept "5abc").
+func TestQueryInt(t *testing.T) {
+	q := url.Values{"limit": {"7"}, "zero": {"0"}}
+	if n, err := QueryInt(q, "limit", 0); err != nil || n != 7 {
+		t.Fatalf("limit=7: %d %v", n, err)
+	}
+	if n, err := QueryInt(q, "zero", 3); err != nil || n != 0 {
+		t.Fatalf("zero=0: %d %v", n, err)
+	}
+	if n, err := QueryInt(q, "since", -1); err != nil || n != -1 {
+		t.Fatalf("absent: %d %v", n, err)
+	}
+	for _, bad := range []string{"-1", "5abc", "1.5", "x", " 3", "+"} {
+		if _, err := QueryInt(url.Values{"limit": {bad}}, "limit", 0); err == nil {
+			t.Errorf("limit=%q accepted", bad)
+		}
+	}
+}
+
+// TestSpanFilterFromQuery: every /v1/debug/traces parameter lands in the
+// filter, and a bad min or limit is refused.
+func TestSpanFilterFromQuery(t *testing.T) {
+	f, err := SpanFilterFromQuery(url.Values{
+		"trace": {"abc"}, "name": {"fsync"}, "op": {"admit"},
+		"min": {"2ms"}, "limit": {"7"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := obs.SpanFilter{TraceID: "abc", Name: "fsync", Op: "admit", MinDuration: 2 * time.Millisecond, Limit: 7}
+	if f != want {
+		t.Fatalf("parsed %+v, want %+v", f, want)
+	}
+	for _, bad := range []url.Values{
+		{"min": {"nope"}},
+		{"min": {"-1s"}},
+		{"limit": {"x"}},
+		{"limit": {"-3"}},
+		{"limit": {"5abc"}},
+	} {
+		if _, err := SpanFilterFromQuery(bad); err == nil {
+			t.Fatalf("query %v accepted", bad)
+		}
 	}
 }
 

@@ -37,7 +37,6 @@ import (
 	"io"
 	"log/slog"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -442,38 +441,35 @@ func (a *Arena) WriteMetrics(w io.Writer) {
 		return
 	}
 	reports, stats := a.Reports()
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("vmalloc_arena_batches_total", "Admission batches applied to the challenger replicas.", stats.Batches)
-	counter("vmalloc_arena_events_total", "Events accepted into the arena queue.", stats.Events)
-	counter("vmalloc_arena_dropped_events_total", "Events dropped because the arena queue was full.", stats.Dropped)
-	gauge("vmalloc_arena_queue_depth", "Queued, unapplied arena events.", stats.QueueDepth)
-	counter("vmalloc_arena_champion_rejections_total", "Admissions the champion rejected among arena-scored decisions.", a.championRejectionsSnapshot())
+	obs.Counter(w, "vmalloc_arena_batches_total", "Admission batches applied to the challenger replicas.", stats.Batches)
+	obs.Counter(w, "vmalloc_arena_events_total", "Events accepted into the arena queue.", stats.Events)
+	obs.Counter(w, "vmalloc_arena_dropped_events_total", "Events dropped because the arena queue was full.", stats.Dropped)
+	obs.Gauge(w, "vmalloc_arena_queue_depth", "Queued, unapplied arena events.", stats.QueueDepth)
+	obs.Counter(w, "vmalloc_arena_champion_rejections_total", "Admissions the champion rejected among arena-scored decisions.", a.championRejectionsSnapshot())
 	if len(reports) == 0 {
 		return
 	}
-	labeled := func(name, help, typ string, value func(r *Report) string) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for i := range reports {
-			fmt.Fprintf(w, "%s{policy=%q} %s\n", name, reports[i].Name, value(&reports[i]))
-		}
+	perPolicy(w, reports, "vmalloc_arena_decisions_total", "Admissions scored by this challenger.", "counter",
+		func(r *Report) uint64 { return r.Decisions })
+	perPolicy(w, reports, "vmalloc_arena_divergences_total", "Challenger decisions that diverged from the champion's placement.", "counter",
+		func(r *Report) uint64 { return r.Divergences })
+	perPolicy(w, reports, "vmalloc_arena_rejections_total", "Admissions this challenger rejected.", "counter",
+		func(r *Report) uint64 { return r.Rejections })
+	perPolicy(w, reports, "vmalloc_arena_energy_watt_minutes", "Counterfactual energy integral of the challenger's replica fleet.", "gauge",
+		func(r *Report) float64 { return r.EnergyWattMinutes })
+	perPolicy(w, reports, "vmalloc_arena_residents", "Resident VMs on the challenger's replica fleet.", "gauge",
+		func(r *Report) int { return r.Residents })
+	perPolicy(w, reports, "vmalloc_arena_clock_minutes", "Replica fleet clock, in fleet minutes.", "gauge",
+		func(r *Report) int { return r.Clock })
+}
+
+// perPolicy writes one family with a sample per challenger, labelled by
+// its registration name.
+func perPolicy[N obs.Number](w io.Writer, reports []Report, name, help, typ string, value func(*Report) N) {
+	obs.Declare(w, name, help, typ)
+	for i := range reports {
+		obs.Sample(w, name, value(&reports[i]), "policy", reports[i].Name)
 	}
-	labeled("vmalloc_arena_decisions_total", "Admissions scored by this challenger.", "counter",
-		func(r *Report) string { return strconv.FormatUint(r.Decisions, 10) })
-	labeled("vmalloc_arena_divergences_total", "Challenger decisions that diverged from the champion's placement.", "counter",
-		func(r *Report) string { return strconv.FormatUint(r.Divergences, 10) })
-	labeled("vmalloc_arena_rejections_total", "Admissions this challenger rejected.", "counter",
-		func(r *Report) string { return strconv.FormatUint(r.Rejections, 10) })
-	labeled("vmalloc_arena_energy_watt_minutes", "Counterfactual energy integral of the challenger's replica fleet.", "gauge",
-		func(r *Report) string { return strconv.FormatFloat(r.EnergyWattMinutes, 'g', -1, 64) })
-	labeled("vmalloc_arena_residents", "Resident VMs on the challenger's replica fleet.", "gauge",
-		func(r *Report) string { return strconv.Itoa(r.Residents) })
-	labeled("vmalloc_arena_clock_minutes", "Replica fleet clock, in fleet minutes.", "gauge",
-		func(r *Report) string { return strconv.Itoa(r.Clock) })
 }
 
 func (a *Arena) championRejectionsSnapshot() uint64 {

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/arena"
 	"vmalloc/internal/core"
 	"vmalloc/internal/model"
@@ -13,45 +14,12 @@ import (
 	"vmalloc/internal/online"
 )
 
-// VMRequest is one admission request.
-type VMRequest struct {
-	// ID identifies the VM; 0 lets the cluster assign the next free ID.
-	ID int `json:"id,omitempty"`
-	// Type is an optional free-form label.
-	Type string `json:"type,omitempty"`
-	// Demand is the VM's stable resource demand.
-	Demand model.Resources `json:"demand"`
-	// Start is the requested start minute; 0 means "now", and a start in
-	// the past is clamped to the current clock.
-	Start int `json:"start,omitempty"`
-	// DurationMinutes is how long the VM runs; must be ≥ 1.
-	DurationMinutes int `json:"durationMinutes"`
-}
-
-// Admission is the per-request outcome of an Admit call.
-type Admission struct {
-	// ID is the VM's identity (assigned by the cluster when the request
-	// left it 0).
-	ID int `json:"id"`
-	// Accepted reports whether the VM was placed. A false value is the
-	// graceful-degradation path: the cluster stays up and Reason says why.
-	Accepted bool `json:"accepted"`
-	// Server is the hosting server's ID (not index) when accepted.
-	Server int `json:"server,omitempty"`
-	// Start and End bound the minutes the VM will occupy; Start includes
-	// any wake-up delay beyond the requested start.
-	Start int `json:"start,omitempty"`
-	End   int `json:"end,omitempty"`
-	// Reason explains a rejection.
-	Reason string `json:"reason,omitempty"`
-}
-
 // admitCall is one Admit call in flight to the dispatcher, carrying the
 // trace context captured at the API edge: the request id, the HTTP
 // decode span, and the enqueue instant (queue-wait starts here).
 type admitCall struct {
-	reqs     []VMRequest
-	adms     []Admission
+	reqs     []api.AdmitRequest
+	adms     []api.AdmitResponse
 	reqID    string
 	trace    obs.TraceContext
 	decode   time.Duration
@@ -60,7 +28,7 @@ type admitCall struct {
 }
 
 type admitReply struct {
-	adms []Admission
+	adms []api.AdmitResponse
 	err  error
 }
 
@@ -73,7 +41,7 @@ type admitReply struct {
 // remaining requests are rejected unplaced, and the cluster refuses
 // further mutations with ErrJournalBroken until a successful Snapshot
 // restores durability.
-func (c *Cluster) Admit(ctx context.Context, reqs []VMRequest) ([]Admission, error) {
+func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.AdmitResponse, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
@@ -178,7 +146,7 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 	total := 0
 	for _, call := range batch {
 		c.met.queueWaitSeconds.Observe(batchStart.Sub(call.enqueued).Seconds())
-		call.adms = make([]Admission, len(call.reqs))
+		call.adms = make([]api.AdmitResponse, len(call.reqs))
 		total += len(call.reqs)
 		for k, req := range call.reqs {
 			vm, adm, ok := c.normalize(req, now)
@@ -400,8 +368,8 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 
 // normalize turns a request into a model VM at the current clock, or a
 // structured rejection.
-func (c *Cluster) normalize(req VMRequest, now int) (model.VM, Admission, bool) {
-	adm := Admission{ID: req.ID}
+func (c *Cluster) normalize(req api.AdmitRequest, now int) (model.VM, api.AdmitResponse, bool) {
+	adm := api.AdmitResponse{ID: req.ID}
 	if req.ID < 0 {
 		adm.Reason = fmt.Sprintf("negative vm id %d", req.ID)
 		return model.VM{}, adm, false

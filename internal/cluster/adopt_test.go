@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 	"vmalloc/internal/online"
 )
@@ -66,7 +67,7 @@ func TestAdoptPlacesAndJournals(t *testing.T) {
 	}
 	// nextID replays past the adopted ID: an auto-ID admission must
 	// not collide with 42.
-	adms := mustAdmit(t, r, VMRequest{Demand: model.Resources{CPU: 1, Mem: 1}, Start: 4, DurationMinutes: 5})
+	adms := mustAdmit(t, r, api.AdmitRequest{Demand: model.Resources{CPU: 1, Mem: 1}, Start: 4, DurationMinutes: 5})
 	if adms[0].ID <= 42 {
 		t.Fatalf("auto-assigned id %d ≤ adopted id 42", adms[0].ID)
 	}
@@ -88,7 +89,7 @@ func TestAdoptPrefersAwakeServers(t *testing.T) {
 	c := mustOpen(t, Config{Servers: testServers(2), IdleTimeout: 100})
 	defer c.Close()
 	// Wake server index 1 (ID 2) with a regular admission.
-	adms := mustAdmit(t, c, VMRequest{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, Start: 1, DurationMinutes: 50})
+	adms := mustAdmit(t, c, api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, Start: 1, DurationMinutes: 50})
 	if err := c.AdvanceTo(5); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 )
 
@@ -237,7 +238,7 @@ func TestLegacyJSONJournalUpgradesAtOpen(t *testing.T) {
 				t.Fatalf("upgrade left no snapshot: %v", err)
 			}
 			// The next mutation starts a binary log.
-			mustAdmit(t, c, VMRequest{ID: 50, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5})
+			mustAdmit(t, c, api.AdmitRequest{ID: 50, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5})
 			jb, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -325,7 +326,7 @@ func TestZeroByteJournalIsAnEmptyLog(t *testing.T) {
 	cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: t.TempDir(), SnapshotEvery: -1, DisableFsync: true}
 	path := filepath.Join(cfg.Dir, journalName)
 	c := mustOpen(t, cfg)
-	mustAdmit(t, c, VMRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 30})
+	mustAdmit(t, c, api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 30})
 	if err := c.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +336,7 @@ func TestZeroByteJournalIsAnEmptyLog(t *testing.T) {
 	c.crash()
 
 	c = mustOpen(t, cfg)
-	mustAdmit(t, c, VMRequest{ID: 2, Demand: model.Resources{CPU: 1, Mem: 2}, Start: 2, DurationMinutes: 30})
+	mustAdmit(t, c, api.AdmitRequest{ID: 2, Demand: model.Resources{CPU: 1, Mem: 2}, Start: 2, DurationMinutes: 30})
 	want, err := c.StateDigest()
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +369,7 @@ func TestGroupCommitCounters(t *testing.T) {
 	c := mustOpenTB(t, Config{Servers: testServers(8), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1})
 	const n = 24
 	for i := 0; i < n; i++ {
-		if _, err := c.Admit(context.Background(), []VMRequest{
+		if _, err := c.Admit(context.Background(), []api.AdmitRequest{
 			{ID: i + 1, Demand: model.Resources{CPU: 0.5, Mem: 0.5}, Start: 1, DurationMinutes: 10},
 		}); err != nil {
 			t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 	"vmalloc/internal/online"
 	"vmalloc/internal/workload"
@@ -57,7 +58,7 @@ func mustOpen(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
-func mustAdmit(t *testing.T, c *Cluster, reqs ...VMRequest) []Admission {
+func mustAdmit(t *testing.T, c *Cluster, reqs ...api.AdmitRequest) []api.AdmitResponse {
 	t.Helper()
 	adms, err := c.Admit(context.Background(), reqs)
 	if err != nil {
@@ -92,7 +93,7 @@ func TestClusterMatchesReplayEngine(t *testing.T) {
 	c := mustOpen(t, Config{Servers: inst.Servers, IdleTimeout: 5})
 	defer c.Close()
 	for _, v := range online.ArrivalOrder(inst.VMs) {
-		adms := mustAdmit(t, c, VMRequest{
+		adms := mustAdmit(t, c, api.AdmitRequest{
 			ID:              v.ID,
 			Demand:          v.Demand,
 			Start:           v.Start,
@@ -142,9 +143,9 @@ func TestClusterBatchDeterminism(t *testing.T) {
 		}
 		return vms[a].ID < vms[b].ID
 	})
-	reqs := make([]VMRequest, len(vms))
+	reqs := make([]api.AdmitRequest, len(vms))
 	for i, v := range vms {
-		reqs[i] = VMRequest{ID: v.ID, Demand: v.Demand, Start: v.Start, DurationMinutes: v.Duration()}
+		reqs[i] = api.AdmitRequest{ID: v.ID, Demand: v.Demand, Start: v.Start, DurationMinutes: v.Duration()}
 	}
 
 	batched := mustOpen(t, Config{Servers: inst.Servers, IdleTimeout: 3, Parallelism: 8})
@@ -168,7 +169,7 @@ func TestClusterGracefulRejection(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	adms, err := c.Admit(ctx, []VMRequest{
+	adms, err := c.Admit(ctx, []api.AdmitRequest{
 		{Demand: model.Resources{CPU: 99, Mem: 1}, DurationMinutes: 10}, // larger than any server
 		{Demand: model.Resources{CPU: 8, Mem: 8}, DurationMinutes: 10},  // fits
 		{Demand: model.Resources{CPU: 8, Mem: 8}, DurationMinutes: 10},  // no room left
@@ -187,7 +188,7 @@ func TestClusterGracefulRejection(t *testing.T) {
 		}
 	}
 	// Still serving: a small VM fits next to the big one.
-	mustAdmit(t, c, VMRequest{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5})
+	mustAdmit(t, c, api.AdmitRequest{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5})
 
 	if _, err := c.Release(context.Background(), 999); !errors.As(err, new(*NotResidentError)) {
 		t.Errorf("Release(999) = %v, want NotResidentError", err)
@@ -196,7 +197,7 @@ func TestClusterGracefulRejection(t *testing.T) {
 
 // testOp is one deterministic mutation for the durability tests.
 type testOp struct {
-	admit   *VMRequest
+	admit   *api.AdmitRequest
 	release int
 	advance int
 }
@@ -220,8 +221,8 @@ func applyOps(t *testing.T, c *Cluster, ops []testOp) {
 }
 
 func durabilityOps() []testOp {
-	req := func(id, start, dur int, cpu float64) *VMRequest {
-		return &VMRequest{ID: id, Demand: model.Resources{CPU: cpu, Mem: cpu}, Start: start, DurationMinutes: dur}
+	req := func(id, start, dur int, cpu float64) *api.AdmitRequest {
+		return &api.AdmitRequest{ID: id, Demand: model.Resources{CPU: cpu, Mem: cpu}, Start: start, DurationMinutes: dur}
 	}
 	return []testOp{
 		{admit: req(1, 1, 60, 4)},
@@ -301,8 +302,8 @@ func TestClusterJournalFailureSticky(t *testing.T) {
 	dir := t.TempDir()
 	servers := testServers(4)
 	cfg := Config{Servers: servers, IdleTimeout: 2, Dir: dir, SnapshotEvery: -1}
-	req := func(id int) VMRequest {
-		return VMRequest{ID: id, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30}
+	req := func(id int) api.AdmitRequest {
+		return api.AdmitRequest{ID: id, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30}
 	}
 	c := mustOpen(t, cfg)
 	mustAdmit(t, c, req(1), req(2), req(3))
@@ -313,7 +314,7 @@ func TestClusterJournalFailureSticky(t *testing.T) {
 	c.mu.Unlock()
 
 	ctx := context.Background()
-	adms, err := c.Admit(ctx, []VMRequest{req(4)})
+	adms, err := c.Admit(ctx, []api.AdmitRequest{req(4)})
 	if !errors.Is(err, ErrJournalBroken) {
 		t.Fatalf("admit after break: err = %v, want ErrJournalBroken", err)
 	}
@@ -323,7 +324,7 @@ func TestClusterJournalFailureSticky(t *testing.T) {
 		t.Fatalf("breaking admission outcome %+v", adms)
 	}
 	// From here on nothing mutates: no admissions, releases or ticks.
-	if adms, err = c.Admit(ctx, []VMRequest{req(5)}); !errors.Is(err, ErrJournalBroken) {
+	if adms, err = c.Admit(ctx, []api.AdmitRequest{req(5)}); !errors.Is(err, ErrJournalBroken) {
 		t.Fatalf("second admit: err = %v (adms %+v), want ErrJournalBroken", err, adms)
 	}
 	if _, err := c.Release(context.Background(), 1); !errors.Is(err, ErrJournalBroken) {
@@ -365,12 +366,12 @@ func TestClusterJournalFailureSticky(t *testing.T) {
 func TestClusterJournalHeal(t *testing.T) {
 	c := mustOpen(t, Config{Servers: testServers(4), IdleTimeout: 2, Dir: t.TempDir(), SnapshotEvery: -1})
 	defer c.Close()
-	small := VMRequest{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30}
+	small := api.AdmitRequest{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30}
 	mustAdmit(t, c, small)
 	c.mu.Lock()
 	c.jfail = ErrJournalBroken // simulate a recorded write failure
 	c.mu.Unlock()
-	if _, err := c.Admit(context.Background(), []VMRequest{small}); !errors.Is(err, ErrJournalBroken) {
+	if _, err := c.Admit(context.Background(), []api.AdmitRequest{small}); !errors.Is(err, ErrJournalBroken) {
 		t.Fatalf("admit while broken: err = %v, want ErrJournalBroken", err)
 	}
 	if err := c.Snapshot(); err != nil {
@@ -418,7 +419,7 @@ func TestClusterSnapshotCompaction(t *testing.T) {
 		t.Errorf("state after graceful restart diverged:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 	// Auto-assigned IDs continue after the highest durable ID.
-	adm := mustAdmit(t, c2, VMRequest{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5})[0]
+	adm := mustAdmit(t, c2, api.AdmitRequest{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5})[0]
 	if adm.ID != 7 {
 		t.Errorf("next auto ID = %d, want 7", adm.ID)
 	}
@@ -444,7 +445,7 @@ func TestClusterConcurrentAdmissions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			adms, err := c.Admit(context.Background(), []VMRequest{
+			adms, err := c.Admit(context.Background(), []api.AdmitRequest{
 				{Demand: model.Resources{CPU: 0.1, Mem: 0.1}, DurationMinutes: 1000},
 			})
 			switch {
@@ -540,7 +541,7 @@ func TestClusterClosed(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Admit(context.Background(), []VMRequest{{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 1}}); !errors.Is(err, ErrClosed) {
+	if _, err := c.Admit(context.Background(), []api.AdmitRequest{{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 1}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Admit after Close = %v, want ErrClosed", err)
 	}
 	if _, err := c.Release(context.Background(), 1); !errors.Is(err, ErrClosed) {
@@ -562,8 +563,8 @@ func TestStageHistogramsOnMetrics(t *testing.T) {
 	c := mustOpen(t, Config{Servers: testServers(4), Dir: t.TempDir()})
 	defer c.Close()
 	ctx := context.Background()
-	mustAdmit(t, c, VMRequest{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 10})
-	mustAdmit(t, c, VMRequest{ID: 2, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 10})
+	mustAdmit(t, c, api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 10})
+	mustAdmit(t, c, api.AdmitRequest{ID: 2, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 10})
 	if _, err := c.Release(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -577,8 +578,10 @@ func TestStageHistogramsOnMetrics(t *testing.T) {
 	}
 	out := buf.String()
 	// Two Admit calls waited in the queue; two batch fsyncs plus the
-	// release's and the tick's own fsyncs ran.
+	// release's and the tick's own fsyncs ran; one of the two VMs is still
+	// resident.
 	for _, want := range []string{
+		"vmalloc_cluster_resident_vms 1",
 		"vmalloc_cluster_queue_wait_seconds_count 2",
 		"vmalloc_cluster_fsync_seconds_count 4",
 		"# TYPE vmalloc_cluster_queue_wait_seconds histogram",
@@ -592,7 +595,7 @@ func TestStageHistogramsOnMetrics(t *testing.T) {
 	// A volatile cluster never syncs: the family is present, empty.
 	v := mustOpen(t, Config{Servers: testServers(2)})
 	defer v.Close()
-	mustAdmit(t, v, VMRequest{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 10})
+	mustAdmit(t, v, api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 10})
 	buf.Reset()
 	if err := v.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)

@@ -19,37 +19,6 @@ import (
 // the fleet's own accrual.
 const minNetSaving = 1e-9
 
-// ConsolidateOptions override the configured consolidation defaults for
-// one pass. Zero values fall back to the Config fields.
-type ConsolidateOptions struct {
-	// Policy is the victim-selection policy (api.PolicyMinMigrationTime
-	// or api.PolicyMinUtilization).
-	Policy string
-	// MaxMoves caps the migrations this pass may execute.
-	MaxMoves int
-}
-
-// ConsolidationResult is one pass's outcome. A pass that moves nothing is
-// a success: the pay-for-itself rule found no drain worth its cost.
-type ConsolidationResult struct {
-	// Clock is the fleet minute the pass ran at.
-	Clock int
-	// Policy is the victim-selection policy used.
-	Policy string
-	// Donors counts the under-utilised servers whose full drain was
-	// evaluated; Executed counts migrations performed.
-	Donors   int
-	Executed int
-	// Saved is the summed net Eq. 17 saving of the executed drains, in
-	// watt-minutes. The migration overhead is charged here, in the
-	// planner's books, but is not consumed by the fleet's Eq. 8 energy —
-	// so the realised drop in TotalEnergy exceeds Saved by exactly the
-	// charged migration costs.
-	Saved float64
-	// Moves lists the executed migrations in execution order.
-	Moves []api.MigrationRecord
-}
-
 // plannedMove is one victim→target assignment within a donor drain plan.
 type plannedMove struct {
 	vm       online.PlacedVM
@@ -76,15 +45,21 @@ type plannedMove struct {
 // migrations never change a VM's (start, end); both guarantees are pinned
 // by the metamorphic tests.
 //
+// Zero request fields fall back to the Config defaults. The response's
+// EnergySavedWattMinutes charges the migration overhead in the planner's
+// books, but the fleet's Eq. 8 energy never consumes it — so the realised
+// drop in total energy exceeds the reported saving by exactly the charged
+// migration costs.
+//
 // At most one pass runs at a time: a call racing an in-flight pass fails
 // fast with ErrConsolidationBusy.
-func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*ConsolidationResult, error) {
+func (c *Cluster) Consolidate(ctx context.Context, req api.ConsolidateRequest) (*api.ConsolidateResponse, error) {
 	if !c.consolidating.CompareAndSwap(false, true) {
 		return nil, ErrConsolidationBusy
 	}
 	defer c.consolidating.Store(false)
 
-	policy := opts.Policy
+	policy := req.Policy
 	if policy == "" {
 		policy = c.cfg.ConsolidatePolicy
 	}
@@ -94,7 +69,7 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 	if policy != api.PolicyMinMigrationTime && policy != api.PolicyMinUtilization {
 		return nil, fmt.Errorf("cluster: unknown consolidation policy %q", policy)
 	}
-	maxMoves := opts.MaxMoves
+	maxMoves := req.MaxMoves
 	if maxMoves == 0 {
 		maxMoves = c.cfg.MaxMigrationsPerPass
 	}
@@ -112,7 +87,8 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 	t0 := time.Now()
 	fv := c.fleet.View()
 	now := c.fleet.Now()
-	res := &ConsolidationResult{Clock: now, Policy: policy}
+	// A move-less pass serves "moves": [], not null.
+	res := &api.ConsolidateResponse{Clock: now, Policy: policy, Moves: []api.MigrationRecord{}}
 
 	// Group residents by hosting server.
 	byServer := make([][]online.PlacedVM, fv.NumServers())
@@ -209,7 +185,7 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 			rec, jerr := c.journalMigrationLocked(&d, from, m.to, handoff, policy, perMove, m.cost, passTC, clk)
 			res.Moves = append(res.Moves, rec)
 			res.Executed++
-			res.Saved += perMove
+			res.EnergySavedWattMinutes += perMove
 			if jerr != nil {
 				// Sticky journal failure: the move took effect in memory but
 				// further mutations are refused; stop the pass here.
@@ -231,7 +207,7 @@ func (c *Cluster) Consolidate(ctx context.Context, opts ConsolidateOptions) (*Co
 		"policy", policy,
 		"donors", res.Donors,
 		"executed", res.Executed,
-		"savedWattMinutes", res.Saved,
+		"savedWattMinutes", res.EnergySavedWattMinutes,
 		"duration", time.Since(t0),
 	)
 	c.finishLocked()

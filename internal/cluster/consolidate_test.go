@@ -36,8 +36,8 @@ func TestClusterMigrateDirect(t *testing.T) {
 
 	// Two co-located VMs on the first server the policy picks.
 	mustAdmit(t, c,
-		VMRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 50},
-		VMRequest{ID: 2, Demand: model.Resources{CPU: 2, Mem: 4}, Start: 1, DurationMinutes: 60},
+		api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 50},
+		api.AdmitRequest{ID: 2, Demand: model.Resources{CPU: 2, Mem: 4}, Start: 1, DurationMinutes: 60},
 	)
 	if err := c.AdvanceTo(5); err != nil {
 		t.Fatal(err)
@@ -119,8 +119,8 @@ func TestConsolidatePinned(t *testing.T) {
 	// Both VMs land on one server; a manual migration splits them so two
 	// servers sit at 20% utilisation each.
 	mustAdmit(t, c,
-		VMRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 50}, // end 50
-		VMRequest{ID: 2, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 60}, // end 60
+		api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 50}, // end 50
+		api.AdmitRequest{ID: 2, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 60}, // end 60
 	)
 	src := c.State().VMs[0].Server
 	other := (src + 1) % 3
@@ -131,7 +131,7 @@ func TestConsolidatePinned(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := c.Consolidate(ctx, ConsolidateOptions{})
+	res, err := c.Consolidate(ctx, api.ConsolidateRequest{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,8 @@ func TestConsolidatePinned(t *testing.T) {
 	// (identical servers), zero idle extension (the target outlives the
 	// migrant), cost 0.5·2.
 	wantNet := 100.0*(51+1-10) - 0.5*2
-	if res.Saved != wantNet {
-		t.Errorf("net saving %g, want %g", res.Saved, wantNet)
+	if res.EnergySavedWattMinutes != wantNet {
+		t.Errorf("net saving %g, want %g", res.EnergySavedWattMinutes, wantNet)
 	}
 	m := res.Moves[0]
 	if m.VM != 1 || m.From != cfg.Servers[src].ID || m.To != cfg.Servers[other].ID {
@@ -177,7 +177,7 @@ func TestConsolidatePinned(t *testing.T) {
 	// A second pass finds nothing left worth moving: the remaining server
 	// is a receiver of this pass — but even fresh, draining it cannot pay
 	// for itself (there is no cheaper host).
-	res2, err := c.Consolidate(ctx, ConsolidateOptions{Policy: api.PolicyMinUtilization})
+	res2, err := c.Consolidate(ctx, api.ConsolidateRequest{Policy: api.PolicyMinUtilization})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +192,11 @@ func TestConsolidateBusy(t *testing.T) {
 	c := mustOpen(t, Config{Servers: testServers(2), IdleTimeout: 2})
 	defer c.Close()
 	c.consolidating.Store(true)
-	if _, err := c.Consolidate(context.Background(), ConsolidateOptions{}); !errors.Is(err, ErrConsolidationBusy) {
+	if _, err := c.Consolidate(context.Background(), api.ConsolidateRequest{}); !errors.Is(err, ErrConsolidationBusy) {
 		t.Fatalf("racing pass = %v, want ErrConsolidationBusy", err)
 	}
 	c.consolidating.Store(false)
-	if _, err := c.Consolidate(context.Background(), ConsolidateOptions{}); err != nil {
+	if _, err := c.Consolidate(context.Background(), api.ConsolidateRequest{}); err != nil {
 		t.Fatalf("pass after release: %v", err)
 	}
 }
@@ -226,9 +226,9 @@ func TestConsolidateNeverWorse(t *testing.T) {
 
 		lastEnd := 0
 		for _, v := range online.ArrivalOrder(inst.VMs) {
-			req := VMRequest{ID: v.ID, Demand: v.Demand, Start: v.Start, DurationMinutes: v.Duration()}
-			a1, err1 := base.Admit(ctx, []VMRequest{req})
-			a2, err2 := cons.Admit(ctx, []VMRequest{req})
+			req := api.AdmitRequest{ID: v.ID, Demand: v.Demand, Start: v.Start, DurationMinutes: v.Duration()}
+			a1, err1 := base.Admit(ctx, []api.AdmitRequest{req})
+			a2, err2 := cons.Admit(ctx, []api.AdmitRequest{req})
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -266,11 +266,11 @@ func TestConsolidateNeverWorse(t *testing.T) {
 		}
 		var saved, costs float64
 		for pass := 0; pass < 4; pass++ {
-			res, err := cons.Consolidate(ctx, ConsolidateOptions{Policy: policy})
+			res, err := cons.Consolidate(ctx, api.ConsolidateRequest{Policy: policy})
 			if err != nil {
 				t.Fatal(err)
 			}
-			saved += res.Saved
+			saved += res.EnergySavedWattMinutes
 			for _, m := range res.Moves {
 				costs += m.CostWattMinutes
 			}
@@ -346,7 +346,7 @@ func TestClusterReplayWithMigrations(t *testing.T) {
 		for op := 0; op < 150; op++ {
 			switch k := rng.Float64(); {
 			case k < 0.5: // admit (may be rejected; rejections are not journaled)
-				req := VMRequest{
+				req := api.AdmitRequest{
 					ID:              nextID,
 					Demand:          model.Resources{CPU: float64(1 + rng.Intn(4)), Mem: float64(1 + rng.Intn(4))},
 					Start:           clock + rng.Intn(3),
@@ -354,7 +354,7 @@ func TestClusterReplayWithMigrations(t *testing.T) {
 				}
 				nextID++
 				issued = append(issued, req.ID)
-				if _, err := c.Admit(ctx, []VMRequest{req}); err != nil {
+				if _, err := c.Admit(ctx, []api.AdmitRequest{req}); err != nil {
 					t.Fatal(err)
 				}
 			case k < 0.65 && len(issued) > 0: // release, possibly of a gone VM
@@ -372,7 +372,7 @@ func TestClusterReplayWithMigrations(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					policy = api.PolicyMinUtilization
 				}
-				if _, err := c.Consolidate(ctx, ConsolidateOptions{Policy: policy}); err != nil {
+				if _, err := c.Consolidate(ctx, api.ConsolidateRequest{Policy: policy}); err != nil {
 					t.Fatal(err)
 				}
 			}

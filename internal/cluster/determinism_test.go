@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 )
 
@@ -55,14 +56,14 @@ func runScript(t *testing.T, cfg Config, fullScan bool, seed int64, preClose ...
 	for op := 0; op < 120; op++ {
 		switch r := rng.Float64(); {
 		case r < 0.55: // admit
-			req := VMRequest{
+			req := api.AdmitRequest{
 				ID:              nextID,
 				Demand:          model.Resources{CPU: float64(1 + rng.Intn(6)), Mem: float64(1 + rng.Intn(8))},
 				Start:           c.State().Now + rng.Intn(4),
 				DurationMinutes: 1 + rng.Intn(30),
 			}
 			nextID++
-			adms, err := c.Admit(ctx, []VMRequest{req})
+			adms, err := c.Admit(ctx, []api.AdmitRequest{req})
 			if err != nil {
 				t.Fatalf("seed %d op %d: admit: %v", seed, op, err)
 			}
@@ -92,12 +93,12 @@ func runScript(t *testing.T, cfg Config, fullScan bool, seed int64, preClose ...
 			fmt.Fprintf(&sb, "advance to=%d\n", to)
 			live = residentIDs(c)
 		default: // consolidation pass
-			res, err := c.Consolidate(ctx, ConsolidateOptions{})
+			res, err := c.Consolidate(ctx, api.ConsolidateRequest{})
 			if err != nil {
 				t.Fatalf("seed %d op %d: consolidate: %v", seed, op, err)
 			}
 			fmt.Fprintf(&sb, "consolidate clock=%d donors=%d executed=%d saved=%g\n",
-				res.Clock, res.Donors, res.Executed, res.Saved)
+				res.Clock, res.Donors, res.Executed, res.EnergySavedWattMinutes)
 			// Seq is deliberately omitted: it numbers journal records, so a
 			// volatile run and a journaled run assign different values to
 			// behaviourally identical migrations.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
 )
@@ -65,9 +66,9 @@ func TestDispatchDrainsBacklog(t *testing.T) {
 	defer c.Close()
 
 	rng := rand.New(rand.NewSource(5))
-	reqs := make([]VMRequest, n)
+	reqs := make([]api.AdmitRequest, n)
 	for i, id := range rng.Perm(n) {
-		reqs[i] = VMRequest{
+		reqs[i] = api.AdmitRequest{
 			ID:              id + 1,
 			Demand:          model.Resources{CPU: float64(1 + rng.Intn(3)), Mem: float64(1 + rng.Intn(4))},
 			Start:           1 + rng.Intn(4),
@@ -80,7 +81,7 @@ func TestDispatchDrainsBacklog(t *testing.T) {
 	reqs[0].Start = 3
 
 	c.mu.Lock()
-	got := make([]Admission, n)
+	got := make([]api.AdmitResponse, n)
 	var wg sync.WaitGroup
 	admit := func(i int) {
 		defer wg.Done()
@@ -154,7 +155,7 @@ func TestDispatchIdleNeverLingers(t *testing.T) {
 	defer c.Close()
 	const n = 200
 	for i := 0; i < n; i++ {
-		mustAdmit(t, c, VMRequest{Demand: model.Resources{CPU: 0.1, Mem: 0.1}, DurationMinutes: 5})
+		mustAdmit(t, c, api.AdmitRequest{Demand: model.Resources{CPU: 0.1, Mem: 0.1}, DurationMinutes: 5})
 	}
 	c.mu.Lock()
 	batches := c.met.batches
@@ -194,7 +195,7 @@ func BenchmarkAdmitDurable(b *testing.B) {
 								return
 							}
 						}
-						adms, err := c.Admit(context.Background(), []VMRequest{
+						adms, err := c.Admit(context.Background(), []api.AdmitRequest{
 							{ID: int(k), Demand: model.Resources{CPU: 1, Mem: 1.7}, DurationMinutes: 1},
 						})
 						if err != nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 )
 
@@ -18,7 +19,7 @@ func realBinaryJournal(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
 	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1})
-	reqs := []VMRequest{
+	reqs := []api.AdmitRequest{
 		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 10},
 		{ID: 2, Demand: model.Resources{CPU: 8, Mem: 8}, Start: 2, DurationMinutes: 4},
 		{ID: 3, Demand: model.Resources{CPU: 4, Mem: 4}, Start: 3, DurationMinutes: 20},
@@ -52,7 +53,7 @@ func realBinaryMigrationJournal(tb testing.TB) []byte {
 	dir := tb.TempDir()
 	c := mustOpenTB(tb, Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
 		MigrationCostPerGB: 0.5})
-	reqs := []VMRequest{
+	reqs := []api.AdmitRequest{
 		{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 20},
 		{ID: 2, Demand: model.Resources{CPU: 2, Mem: 4}, Start: 1, DurationMinutes: 30},
 	}

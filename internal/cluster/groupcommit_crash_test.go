@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 )
 
@@ -44,7 +45,7 @@ func TestGroupCommitCrashImage(t *testing.T) {
 				mu.Lock()
 				submitted[id] = true
 				mu.Unlock()
-				adms, err := c.Admit(context.Background(), []VMRequest{
+				adms, err := c.Admit(context.Background(), []api.AdmitRequest{
 					{ID: id, Demand: model.Resources{CPU: 0.1, Mem: 0.1}, Start: 1, DurationMinutes: 1000},
 				})
 				if err != nil {

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 	"vmalloc/internal/online"
 )
@@ -30,8 +31,8 @@ func newFleetMirror(servers []model.Server, idleTimeout int) *fleetMirror {
 
 // admit mirrors normalize + place + commit for a single-request batch.
 // It returns the admission the cluster is expected to produce.
-func (m *fleetMirror) admit(req VMRequest) Admission {
-	adm := Admission{ID: req.ID}
+func (m *fleetMirror) admit(req api.AdmitRequest) api.AdmitResponse {
+	adm := api.AdmitResponse{ID: req.ID}
 	now := m.fleet.Now()
 	if now < 1 {
 		now = 1
@@ -99,7 +100,7 @@ func TestClusterMatchesFleetMetamorphic(t *testing.T) {
 			switch k := rng.Float64(); {
 			case k < 0.55: // admit
 				vt := types[rng.Intn(len(types))]
-				req := VMRequest{
+				req := api.AdmitRequest{
 					ID:              nextID,
 					Type:            vt.Name,
 					Demand:          vt.Resources(),
@@ -108,7 +109,7 @@ func TestClusterMatchesFleetMetamorphic(t *testing.T) {
 				}
 				nextID++
 				issued = append(issued, req.ID)
-				adms, err := c.Admit(context.Background(), []VMRequest{req})
+				adms, err := c.Admit(context.Background(), []api.AdmitRequest{req})
 				if err != nil {
 					t.Fatalf("seed %d op %d: admit: %v", seed, op, err)
 				}

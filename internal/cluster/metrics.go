@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"strconv"
 
@@ -61,10 +60,6 @@ func newMetrics() metrics {
 	}
 }
 
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteMetrics writes the cluster's metrics in Prometheus text exposition
 // format: admission/rejection/release/batch counters, batch-size and
 // scan-time histograms (fed from the scan engine's AllocStats), the
@@ -73,79 +68,71 @@ func formatFloat(v float64) string {
 func (c *Cluster) WriteMetrics(w io.Writer) error {
 	c.mu.Lock()
 	var buf bytes.Buffer
-	counter := func(name, help string, v uint64) {
-		full := metricsPrefix + "_" + name
-		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", full, help, full, full, v)
-	}
-	gauge := func(name, help, value string) {
-		full := metricsPrefix + "_" + name
-		fmt.Fprintf(&buf, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", full, help, full, full, value)
-	}
-	counter("admissions_total", "VMs admitted over the cluster's lifetime.", c.met.admissions)
-	counter("rejections_total", "Admission requests rejected (no capacity or invalid).", c.met.rejections)
-	counter("releases_total", "VMs released before their scheduled end.", c.met.releases)
-	counter("migrations_total", "Live migrations executed (consolidation passes and direct requests).", c.met.migrations)
-	counter("adoptions_total", "VMs adopted from another shard during a topology rebalance.", c.met.adoptions)
-	counter("consolidations_total", "Consolidation passes run.", c.met.consolidations)
-	full := metricsPrefix + "_migration_energy_saved_watt_minutes"
-	fmt.Fprintf(&buf, "# HELP %s Net energy saved by executed migrations (planner's Eq. 17 estimate), in watt-minutes.\n# TYPE %s counter\n%s %s\n",
-		full, full, full, formatFloat(c.met.migrationSaved))
-	counter("batches_total", "Admission batches processed.", c.met.batches)
-	counter("snapshots_total", "Snapshots written.", c.met.snapshots)
-	counter("snapshot_errors_total", "Snapshot attempts that failed.", c.met.snapshotErrors)
-	counter("journal_errors_total", "Journal writes that failed (each breaks the journal until a snapshot heals it).", c.met.journalErrors)
-	broken := "0"
+	const p = metricsPrefix + "_"
+	obs.Counter(&buf, p+"admissions_total", "VMs admitted over the cluster's lifetime.", c.met.admissions)
+	obs.Counter(&buf, p+"rejections_total", "Admission requests rejected (no capacity or invalid).", c.met.rejections)
+	obs.Counter(&buf, p+"releases_total", "VMs released before their scheduled end.", c.met.releases)
+	obs.Counter(&buf, p+"migrations_total", "Live migrations executed (consolidation passes and direct requests).", c.met.migrations)
+	obs.Counter(&buf, p+"adoptions_total", "VMs adopted from another shard during a topology rebalance.", c.met.adoptions)
+	obs.Counter(&buf, p+"consolidations_total", "Consolidation passes run.", c.met.consolidations)
+	obs.Counter(&buf, p+"migration_energy_saved_watt_minutes",
+		"Net energy saved by executed migrations (planner's Eq. 17 estimate), in watt-minutes.", c.met.migrationSaved)
+	obs.Counter(&buf, p+"batches_total", "Admission batches processed.", c.met.batches)
+	obs.Counter(&buf, p+"snapshots_total", "Snapshots written.", c.met.snapshots)
+	obs.Counter(&buf, p+"snapshot_errors_total", "Snapshot attempts that failed.", c.met.snapshotErrors)
+	obs.Counter(&buf, p+"journal_errors_total", "Journal writes that failed (each breaks the journal until a snapshot heals it).", c.met.journalErrors)
+	broken := 0
 	if c.jfail != nil {
-		broken = "1"
+		broken = 1
 	}
-	gauge("journal_broken", "1 while the journal is broken and mutations are refused.", broken)
-	counter("scan_candidates_total", "Candidate (VM, server) pairs evaluated.", uint64(c.met.candidates))
-	counter("scan_infeasible_total", "Candidate pairs rejected as infeasible.", uint64(c.met.infeasible))
-	counter("scan_index_pruned_total", "Candidate servers the feasibility index skipped without scoring.", c.met.indexPruned)
+	obs.Gauge(&buf, p+"journal_broken", "1 while the journal is broken and mutations are refused.", broken)
+	obs.Counter(&buf, p+"scan_candidates_total", "Candidate (VM, server) pairs evaluated.", uint64(c.met.candidates))
+	obs.Counter(&buf, p+"scan_infeasible_total", "Candidate pairs rejected as infeasible.", uint64(c.met.infeasible))
+	obs.Counter(&buf, p+"scan_index_pruned_total", "Candidate servers the feasibility index skipped without scoring.", c.met.indexPruned)
 	var groups, grouped uint64
 	if c.jr != nil {
 		groups = c.jr.groups.Load()
 		grouped = c.jr.grouped.Load()
 	}
-	counter("fsync_groups_total", "Journal group-commit fsyncs executed.", groups)
-	counter("fsync_group_commits_total", "Journal commits acknowledged by group-commit fsyncs.", grouped)
+	obs.Counter(&buf, p+"fsync_groups_total", "Journal group-commit fsyncs executed.", groups)
+	obs.Counter(&buf, p+"fsync_group_commits_total", "Journal commits acknowledged by group-commit fsyncs.", grouped)
 
-	c.met.batchSize.Write(&buf, metricsPrefix+"_batch_size", "VM requests per admission batch.")
-	c.met.scanSeconds.Write(&buf, metricsPrefix+"_scan_seconds", "Candidate-scan wall time per batch, in seconds.")
-	c.met.consolidateSeconds.Write(&buf, metricsPrefix+"_consolidate_seconds", "Consolidation pass wall time (plan and execute), in seconds.")
-	c.met.queueWaitSeconds.Write(&buf, metricsPrefix+"_queue_wait_seconds", "Per-call wait in the micro-batch queue before batch processing started, in seconds.")
-	c.met.fsyncSeconds.Write(&buf, metricsPrefix+"_fsync_seconds", "Wait for the group-commit flush covering a batch or a synchronous mutation, in seconds.")
+	c.met.batchSize.Write(&buf, p+"batch_size", "VM requests per admission batch.")
+	c.met.scanSeconds.Write(&buf, p+"scan_seconds", "Candidate-scan wall time per batch, in seconds.")
+	c.met.consolidateSeconds.Write(&buf, p+"consolidate_seconds", "Consolidation pass wall time (plan and execute), in seconds.")
+	c.met.queueWaitSeconds.Write(&buf, p+"queue_wait_seconds", "Per-call wait in the micro-batch queue before batch processing started, in seconds.")
+	c.met.fsyncSeconds.Write(&buf, p+"fsync_seconds", "Wait for the group-commit flush covering a batch or a synchronous mutation, in seconds.")
 
 	now := c.fleet.Now()
-	gauge("clock_minutes", "The fleet clock, in minutes.", strconv.Itoa(now))
-	gauge("resident_vms", "VMs currently admitted.", strconv.Itoa(len(c.fleet.Residents())))
-	gauge("servers_used", "Servers that hosted at least one VM.", strconv.Itoa(c.fleet.ServersUsed()))
-	gauge("transitions", "Power-saving to active wake-ups.", strconv.Itoa(c.fleet.Transitions()))
-	gauge("start_delay_minutes_total", "Summed VM start delay, in minutes.", strconv.Itoa(c.fleet.StartDelayTotal()))
-	gauge("start_delay_minutes_max", "Worst single VM start delay, in minutes.", strconv.Itoa(c.fleet.MaxStartDelay()))
-	gauge("scan_workers", "Candidate-scan worker pool size.", strconv.Itoa(c.scan.Workers()))
+	obs.Gauge(&buf, p+"clock_minutes", "The fleet clock, in minutes.", now)
+	obs.Gauge(&buf, p+"resident_vms", "VMs currently admitted.", c.fleet.NumResidents())
+	obs.Gauge(&buf, p+"servers_used", "Servers that hosted at least one VM.", c.fleet.ServersUsed())
+	obs.Gauge(&buf, p+"transitions", "Power-saving to active wake-ups.", c.fleet.Transitions())
+	obs.Counter(&buf, p+"start_delay_minutes_total", "Summed VM start delay, in minutes.", c.fleet.StartDelayTotal())
+	obs.Gauge(&buf, p+"start_delay_minutes_max", "Worst single VM start delay, in minutes.", c.fleet.MaxStartDelay())
+	obs.Gauge(&buf, p+"scan_workers", "Candidate-scan worker pool size.", c.scan.Workers())
 
 	b := c.fleet.EnergyAt(now)
-	full = metricsPrefix + "_energy_watt_minutes"
-	fmt.Fprintf(&buf, "# HELP %s Cumulative energy by component, in watt-minutes.\n# TYPE %s gauge\n", full, full)
-	fmt.Fprintf(&buf, "%s{component=\"run\"} %s\n", full, formatFloat(b.Run))
-	fmt.Fprintf(&buf, "%s{component=\"idle\"} %s\n", full, formatFloat(b.Idle))
-	fmt.Fprintf(&buf, "%s{component=\"transition\"} %s\n", full, formatFloat(b.Transition))
-	fmt.Fprintf(&buf, "%s{component=\"total\"} %s\n", full, formatFloat(b.Total()))
+	full := p + "energy_watt_minutes"
+	obs.Declare(&buf, full, "Cumulative energy by component, in watt-minutes.", "gauge")
+	obs.Sample(&buf, full, b.Run, "component", "run")
+	obs.Sample(&buf, full, b.Idle, "component", "idle")
+	obs.Sample(&buf, full, b.Transition, "component", "transition")
+	obs.Sample(&buf, full, b.Total(), "component", "total")
 
 	fv := c.fleet.View()
 	perState := map[online.State]int{}
-	full = metricsPrefix + "_server_state"
-	fmt.Fprintf(&buf, "# HELP %s Per-server power state (1 power-saving, 2 waking, 3 active).\n# TYPE %s gauge\n", full, full)
+	full = p + "server_state"
+	obs.Declare(&buf, full, "Per-server power state (1 power-saving, 2 waking, 3 active).", "gauge")
 	for i := 0; i < fv.NumServers(); i++ {
 		st := fv.StateOf(i)
 		perState[st]++
-		fmt.Fprintf(&buf, "%s{server=\"%d\"} %d\n", full, fv.Server(i).ID, int(st))
+		obs.Sample(&buf, full, int(st), "server", strconv.Itoa(fv.Server(i).ID))
 	}
-	full = metricsPrefix + "_servers"
-	fmt.Fprintf(&buf, "# HELP %s Servers by power state.\n# TYPE %s gauge\n", full, full)
+	full = p + "servers"
+	obs.Declare(&buf, full, "Servers by power state.", "gauge")
 	for _, st := range []online.State{online.PowerSaving, online.Waking, online.Active} {
-		fmt.Fprintf(&buf, "%s{state=%q} %d\n", full, st.String(), perState[st])
+		obs.Sample(&buf, full, perState[st], "state", st.String())
 	}
 	c.mu.Unlock()
 

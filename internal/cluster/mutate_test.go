@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 )
 
@@ -22,7 +23,7 @@ import (
 func TestJournaledMutationsShareOneTail(t *testing.T) {
 	ctx := context.Background()
 	servers := testServers(3)
-	resident := func(st *State, id int) bool {
+	resident := func(st *api.StateResponse, id int) bool {
 		for _, p := range st.VMs {
 			if p.VM.ID == id {
 				return true
@@ -32,11 +33,11 @@ func TestJournaledMutationsShareOneTail(t *testing.T) {
 	}
 	cases := map[string]struct {
 		do      func(c *Cluster) error
-		applied func(st *State) bool
+		applied func(st *api.StateResponse) bool
 	}{
 		"release": {
 			do:      func(c *Cluster) error { _, err := c.Release(ctx, 1); return err },
-			applied: func(st *State) bool { return !resident(st, 1) },
+			applied: func(st *api.StateResponse) bool { return !resident(st, 1) },
 		},
 		"migrate": {
 			do: func(c *Cluster) error {
@@ -44,15 +45,15 @@ func TestJournaledMutationsShareOneTail(t *testing.T) {
 				_, err := c.Migrate(ctx, 2, servers[(onto+1)%len(servers)].ID)
 				return err
 			},
-			applied: func(st *State) bool { return st.Migrations == 1 },
+			applied: func(st *api.StateResponse) bool { return st.Migrations == 1 },
 		},
 		"adopt": {
 			do:      func(c *Cluster) error { _, _, err := c.Adopt(ctx, adoptVM(42, 1, 40), 2); return err },
-			applied: func(st *State) bool { return resident(st, 42) },
+			applied: func(st *api.StateResponse) bool { return resident(st, 42) },
 		},
 		"tick": {
 			do:      func(c *Cluster) error { return c.AdvanceTo(9) },
-			applied: func(st *State) bool { return st.Now == 9 },
+			applied: func(st *api.StateResponse) bool { return st.Now == 9 },
 		},
 	}
 	for name, tc := range cases {
@@ -62,8 +63,8 @@ func TestJournaledMutationsShareOneTail(t *testing.T) {
 			c := mustOpen(t, cfg)
 			defer c.Close()
 			mustAdmit(t, c,
-				VMRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 50},
-				VMRequest{ID: 2, Demand: model.Resources{CPU: 2, Mem: 4}, Start: 1, DurationMinutes: 60},
+				api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 2}, Start: 1, DurationMinutes: 50},
+				api.AdmitRequest{ID: 2, Demand: model.Resources{CPU: 2, Mem: 4}, Start: 1, DurationMinutes: 60},
 			)
 			if err := c.AdvanceTo(5); err != nil {
 				t.Fatal(err)

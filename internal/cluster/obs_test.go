@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
 )
@@ -19,7 +20,7 @@ func TestFlightRecorderDecisions(t *testing.T) {
 
 	ctx := obs.WithRequestID(context.Background(), "cluster-test-id")
 	ctx = obs.WithDecodeSpan(ctx, 3*time.Millisecond)
-	adms, err := c.Admit(ctx, []VMRequest{
+	adms, err := c.Admit(ctx, []api.AdmitRequest{
 		{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30},
 		{ID: 2, Demand: model.Resources{CPU: 999, Mem: 999}, DurationMinutes: 30},
 		{ID: 3, DurationMinutes: 0}, // normalize reject: bad duration
@@ -107,7 +108,7 @@ func TestFlightRecorderDecisions(t *testing.T) {
 func TestRecorderOffByDefault(t *testing.T) {
 	c := mustOpen(t, Config{Servers: testServers(2), IdleTimeout: 2})
 	defer c.Close()
-	mustAdmit(t, c, VMRequest{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 10})
+	mustAdmit(t, c, api.AdmitRequest{Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 10})
 	if _, err := c.Release(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
 )
@@ -24,7 +25,7 @@ func TestStageSpanEmission(t *testing.T) {
 	ctx := obs.WithTraceContext(context.Background(), tc)
 	ctx = obs.WithRequestID(ctx, "trace-test-id")
 	ctx = obs.WithDecodeSpan(ctx, 3*time.Millisecond)
-	adms, err := c.Admit(ctx, []VMRequest{
+	adms, err := c.Admit(ctx, []api.AdmitRequest{
 		{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30},
 		{ID: 2, Demand: model.Resources{CPU: 999, Mem: 999}, DurationMinutes: 30},
 	})
@@ -75,7 +76,7 @@ func TestStageSpanEmission(t *testing.T) {
 
 	// An untraced admission must not grow the store.
 	before := spans.Seq()
-	if _, err := c.Admit(context.Background(), []VMRequest{
+	if _, err := c.Admit(context.Background(), []api.AdmitRequest{
 		{ID: 3, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30},
 	}); err != nil {
 		t.Fatal(err)
@@ -96,8 +97,8 @@ func TestEnergySampling(t *testing.T) {
 
 	ctx := context.Background()
 	mustAdmit(t, c,
-		VMRequest{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 120},
-		VMRequest{ID: 2, Demand: model.Resources{CPU: 2, Mem: 2}, DurationMinutes: 120},
+		api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 120},
+		api.AdmitRequest{ID: 2, Demand: model.Resources{CPU: 2, Mem: 2}, DurationMinutes: 120},
 	)
 	for _, minute := range []int{10, 20, 45} {
 		if err := c.AdvanceTo(minute); err != nil {

@@ -137,18 +137,11 @@ func TestDebugTraces(t *testing.T) {
 	if none.Count != 0 || none.Traces == nil {
 		t.Fatalf("min filter returned %+v (want empty, non-nil array)", none)
 	}
-
-	// Malformed filters are 400 envelopes.
-	for _, q := range []string{"?min=bogus", "?limit=-2"} {
-		if resp := getJSON(t, srv.URL+"/v1/debug/traces"+q, nil); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("query %s status %d, want 400", q, resp.StatusCode)
-		}
-	}
 }
 
 // TestDebugEnergy: clock advances and admissions feed the sampled
-// series; the endpoint serves it with since/limit paging and validates
-// its query.
+// series; the endpoint serves it with since/limit paging (bad queries:
+// shard.TestEdgeParity).
 func TestDebugEnergy(t *testing.T) {
 	srv, _, _ := tracedCluster(t)
 
@@ -196,11 +189,6 @@ func TestDebugEnergy(t *testing.T) {
 	getJSON(t, srv.URL+"/v1/debug/energy?since=15&limit=1", &page)
 	if page.Count != 1 || page.Samples[0].Clock != 70 {
 		t.Fatalf("paged response %+v", page)
-	}
-	for _, q := range []string{"?since=x", "?limit=-1"} {
-		if resp := getJSON(t, srv.URL+"/v1/debug/energy"+q, nil); resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("query %s status %d, want 400", q, resp.StatusCode)
-		}
 	}
 }
 

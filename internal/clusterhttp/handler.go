@@ -2,82 +2,18 @@
 // service: the handler cmd/vmserve mounts, shared with the in-process
 // test harnesses (the loadgen soak tests boot it on httptest servers) so
 // load generators and the production daemon exercise byte-identical
-// routing, decoding and error mapping. Request and response bodies are
-// the typed wire contract in internal/api; this package only converts
-// between those types and the cluster's own.
+// routing, decoding and error mapping. The endpoints, their bodies and
+// the error codes are the wire contract documented once, in the
+// internal/api package comment; the cluster speaks those types itself,
+// and every body read, query parse and envelope write goes through the
+// edge kit in internal/api, so this package is routing plus the mapping
+// from cluster errors to codes (classify).
 //
-// Endpoints:
-//
-//	POST   /v1/vms             admit one api.AdmitRequest object or an
-//	                           array of them; responds with the array of
-//	                           api.AdmitResponse outcomes
-//	DELETE /v1/vms/{id}        release a resident VM early
-//	                           (api.ReleaseResponse)
-//	POST   /v1/clock           api.ClockRequest {"now": t} advances the
-//	                           fleet clock to minute t; earlier times are
-//	                           a no-op (the clock is monotonic)
-//	POST   /v1/migrations      api.MigrateRequest {"vm", "server"} live-
-//	                           migrates one resident VM to a named server
-//	                           now; responds with the resulting
-//	                           api.MigrationRecord
-//	GET    /v1/migrations      migration history (api.MigrationsResponse,
-//	                           oldest first, bounded), filterable by ?vm=
-//	                           and trimmed to the newest ?limit=
-//	POST   /v1/adoptions       api.AdoptRequest {"vm", "start"}: place a
-//	                           VM already running on another shard here,
-//	                           preserving the identity its original owner
-//	                           granted (the gate's topology rebalancer is
-//	                           the caller); responds with api.AdoptResponse
-//	POST   /v1/consolidate     run one consolidation pass
-//	                           (api.ConsolidateRequest, empty body valid);
-//	                           responds with the pass's
-//	                           api.ConsolidateResponse; a concurrent pass
-//	                           is refused with 409 consolidation_busy
-//	GET    /v1/policies        shadow-policy arena readout
-//	                           (api.PoliciesResponse): per-challenger
-//	                           counterfactual divergence, rejection and
-//	                           energy figures next to the champion's; an
-//	                           arena-less server serves an empty list
-//	GET    /v1/state           consistent cluster state
-//	                           (api.StateResponse, deterministic JSON);
-//	                           the X-Vmalloc-State-Digest response header
-//	                           carries Cluster.StateDigest for cheap
-//	                           restart comparisons
-//	GET    /v1/debug/decisions flight-recorder readout
-//	                           (api.DecisionsResponse): the last N
-//	                           admission/rejection/release decisions with
-//	                           request ids and per-stage durations,
-//	                           filterable by ?vm=, ?server=, ?op= and
-//	                           ?limit=
-//	GET    /v1/debug/traces    span-store readout (api.TracesResponse):
-//	                           buffered trace spans grouped into traces,
-//	                           filterable by ?trace=, ?name=, ?op=,
-//	                           ?min= (Go duration) and ?limit=; empty
-//	                           without a configured span store
-//	GET    /v1/debug/energy    energy-recorder readout
-//	                           (api.EnergyResponse): the windowed
-//	                           energy-over-time series, ?since= (fleet
-//	                           minute, exclusive) and ?limit= trim it;
-//	                           empty without a configured recorder
-//	GET    /healthz            liveness probe
-//	GET    /metrics            Prometheus text exposition: cluster
-//	                           counters/histograms, per-route HTTP
-//	                           request counts and latency histograms, Go
-//	                           runtime gauges and vmalloc_build_info
-//
-// Every request gets (or propagates) an X-Request-Id header; the id is
-// carried through the cluster's admission pipeline, stamped on the
-// flight-recorder decisions the request caused, and echoed inside every
-// api.ErrorEnvelope the handler writes. Non-2xx responses always carry
-// an envelope with a machine-readable code: bad_request, not_resident,
-// migration_infeasible, consolidation_busy, journal_broken, overloaded,
-// stale_epoch or internal.
-//
-// The handler also fences topology epochs passively: a request carrying
-// an X-Vmalloc-Epoch header ratchets the shard's highest-seen epoch up,
-// and one carrying an epoch below that high-water mark is refused with
-// 409 stale_epoch before it reaches the cluster — a gate or client
-// still routing on a superseded shard set learns so from the first
+// What is vmserve-specific is the passive topology-epoch fence: a request
+// carrying an X-Vmalloc-Epoch header ratchets the shard's highest-seen
+// epoch up, and one carrying an epoch below that high-water mark is
+// refused with 409 stale_epoch before it reaches the cluster — a gate or
+// client still routing on a superseded shard set learns so from the first
 // shard the newer topology has touched, instead of silently splitting
 // residency across two views. Headerless requests pass unfenced. The
 // fence is in-memory only (not journaled): after a shard restart the
@@ -88,7 +24,7 @@
 package clusterhttp
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -103,17 +39,10 @@ import (
 	"vmalloc/internal/obs"
 )
 
-// StateDigestHeader aliases api.StateDigestHeader: the response header
-// on GET /v1/state carrying the hex SHA-256 of the state body.
-const StateDigestHeader = api.StateDigestHeader
-
-// DefaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is 0.
-const DefaultMaxBodyBytes = 8 << 20
-
 // Config wires the observability surface into the handler. The zero
 // value is a working configuration: no logging, a private metrics
 // collector, no flight recorder (the debug endpoint serves an empty
-// list), and the default body limit.
+// list).
 type Config struct {
 	// Logger receives the access log and handler errors; nil discards.
 	Logger *slog.Logger
@@ -131,9 +60,6 @@ type Config struct {
 	// families on /metrics. Samples flow when the same recorder is set on
 	// the cluster's Config.Energy.
 	Energy *obs.EnergyRecorder
-	// MaxBodyBytes caps admission request bodies; 0 means
-	// DefaultMaxBodyBytes. Oversized bodies are refused with 413.
-	MaxBodyBytes int64
 }
 
 // NewHandler builds the service's HTTP API around a cluster with the
@@ -149,104 +75,49 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewHTTPMetrics()
 	}
-	limit := cfg.MaxBodyBytes
-	if limit <= 0 {
-		limit = DefaultMaxBodyBytes
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/vms", func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		reqs, err := api.DecodeAdmitRequests(r.Body, limit)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, api.ErrBodyTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, r, status, api.CodeBadRequest, err)
-			return
-		}
 		// The decode span rides the context into the batch, so the
 		// decision the cluster records carries the full stage breakdown.
-		ctx := obs.WithDecodeSpan(r.Context(), time.Since(t0))
-		adms, err := c.Admit(ctx, toClusterRequests(reqs))
-		if err != nil {
-			status, code := classify(err)
-			writeError(w, r, status, code, err)
+		reqs, ctx, ok := decode(w, r, api.DecodeAdmitRequests)
+		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, toAPIAdmissions(adms))
+		adms, err := c.Admit(ctx, reqs)
+		reply(w, r, adms, err)
 	})
 	mux.HandleFunc("DELETE /v1/vms/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id, err := strconv.Atoi(r.PathValue("id"))
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-				fmt.Errorf("bad vm id %q", r.PathValue("id")))
+			api.WriteBadRequest(w, r, fmt.Errorf("bad vm id %q", r.PathValue("id")))
 			return
 		}
 		p, err := c.Release(r.Context(), id)
-		if err != nil {
-			status, code := classify(err)
-			writeError(w, r, status, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, api.ReleaseResponse{VM: p.VM, Server: p.Server, Start: p.Start})
+		reply(w, r, api.ReleaseResponse{VM: p.VM, Server: p.Server, Start: p.Start}, err)
 	})
 	mux.HandleFunc("POST /v1/clock", func(w http.ResponseWriter, r *http.Request) {
-		var body api.ClockRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&body); err != nil {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-				fmt.Errorf("parse clock request: %w", err))
+		req, _, ok := decode(w, r, api.DecodeClockRequest)
+		if !ok {
 			return
 		}
-		if body.Now == nil {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-				errors.New(`clock request wants {"now": <minute>}`))
-			return
-		}
-		if err := c.AdvanceTo(*body.Now); err != nil {
-			status, code := classify(err)
-			writeError(w, r, status, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, api.ClockResponse{Now: c.Now()})
+		err := c.AdvanceTo(*req.Now)
+		reply(w, r, api.ClockResponse{Now: c.Now()}, err)
 	})
 	mux.HandleFunc("POST /v1/migrations", func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		req, err := api.DecodeMigrateRequest(r.Body, limit)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, api.ErrBodyTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, r, status, api.CodeBadRequest, err)
+		req, ctx, ok := decode(w, r, api.DecodeMigrateRequest)
+		if !ok {
 			return
 		}
-		ctx := obs.WithDecodeSpan(r.Context(), time.Since(t0))
 		rec, err := c.Migrate(ctx, req.VM, *req.Server)
-		if err != nil {
-			status, code := classify(err)
-			writeError(w, r, status, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, rec)
+		reply(w, r, rec, err)
 	})
 	mux.HandleFunc("GET /v1/migrations", func(w http.ResponseWriter, r *http.Request) {
-		vm, limitN := 0, 0
-		for _, p := range []struct {
-			name string
-			dst  *int
-		}{{"vm", &vm}, {"limit", &limitN}} {
-			v := r.URL.Query().Get(p.name)
-			if v == "" {
-				continue
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-					fmt.Errorf("bad %s %q", p.name, v))
-				return
-			}
-			*p.dst = n
+		q := r.URL.Query()
+		vm, err1 := api.QueryInt(q, "vm", 0)
+		limit, err2 := api.QueryInt(q, "limit", 0)
+		if err := errors.Join(err1, err2); err != nil {
+			api.WriteBadRequest(w, r, err)
+			return
 		}
 		count, hist := c.Migrations()
 		if vm > 0 {
@@ -258,74 +129,50 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 			}
 			hist = kept
 		}
-		if limitN > 0 && len(hist) > limitN {
-			hist = hist[len(hist)-limitN:]
+		if limit > 0 && len(hist) > limit {
+			hist = hist[len(hist)-limit:]
 		}
-		writeJSON(w, http.StatusOK, api.MigrationsResponse{Count: count, Migrations: hist})
+		api.WriteJSON(w, http.StatusOK, api.MigrationsResponse{Count: count, Migrations: hist})
 	})
 	mux.HandleFunc("POST /v1/adoptions", func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		req, err := api.DecodeAdoptRequest(r.Body, limit)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, api.ErrBodyTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, r, status, api.CodeBadRequest, err)
+		req, ctx, ok := decode(w, r, api.DecodeAdoptRequest)
+		if !ok {
 			return
 		}
-		ctx := obs.WithDecodeSpan(r.Context(), time.Since(t0))
 		p, handoff, err := c.Adopt(ctx, req.VM, req.Start)
-		if err != nil {
-			status, code := classify(err)
-			writeError(w, r, status, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, api.AdoptResponse{
+		reply(w, r, api.AdoptResponse{
 			VM:      p.VM.ID,
 			Server:  p.Server,
 			Start:   p.Start,
 			End:     p.End(),
 			Handoff: handoff,
-		})
+		}, err)
 	})
 	mux.HandleFunc("POST /v1/consolidate", func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		req, err := api.DecodeConsolidateRequest(r.Body, limit)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, api.ErrBodyTooLarge) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			writeError(w, r, status, api.CodeBadRequest, err)
+		req, ctx, ok := decode(w, r, api.DecodeConsolidateRequest)
+		if !ok {
 			return
 		}
-		ctx := obs.WithDecodeSpan(r.Context(), time.Since(t0))
-		res, err := c.Consolidate(ctx, cluster.ConsolidateOptions{Policy: req.Policy, MaxMoves: req.MaxMoves})
-		if err != nil {
-			status, code := classify(err)
-			writeError(w, r, status, code, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, toAPIConsolidation(res))
+		res, err := c.Consolidate(ctx, req)
+		reply(w, r, res, err)
 	})
 	mux.HandleFunc("GET /v1/policies", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, toAPIPolicies(c))
+		api.WriteJSON(w, http.StatusOK, toAPIPolicies(c))
 	})
 	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
-		b, err := api.EncodeState(toAPIState(c.State()))
+		b, err := c.StateJSON()
 		if err != nil {
-			writeError(w, r, http.StatusInternalServerError, api.CodeInternal, err)
+			api.WriteError(w, r, http.StatusInternalServerError, api.CodeInternal, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set(StateDigestHeader, api.DigestBytes(b))
-		w.Write(b)
+		w.Header().Set(api.StateDigestHeader, api.DigestBytes(b))
+		w.Write(b) //nolint:errcheck // client gone
 	})
 	mux.HandleFunc("GET /v1/debug/decisions", func(w http.ResponseWriter, r *http.Request) {
 		f, err := parseDecisionFilter(r)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+			api.WriteBadRequest(w, r, err)
 			return
 		}
 		var ds []obs.Decision
@@ -335,43 +182,25 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 		if ds == nil {
 			ds = []obs.Decision{} // an empty recorder is [], not null
 		}
-		writeJSON(w, http.StatusOK, api.DecisionsResponse{Count: len(ds), Decisions: ds})
+		api.WriteJSON(w, http.StatusOK, api.DecisionsResponse{Count: len(ds), Decisions: ds})
 	})
 	mux.HandleFunc("GET /v1/debug/traces", func(w http.ResponseWriter, r *http.Request) {
-		f, err := obs.SpanFilterFromQuery(r.URL.Query())
+		f, err := api.SpanFilterFromQuery(r.URL.Query())
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+			api.WriteBadRequest(w, r, err)
 			return
 		}
-		traces := api.GroupSpans(cfg.Spans.Spans(f))
-		if traces == nil {
-			traces = []api.Trace{} // an empty store is [], not null
-		}
-		spans := 0
-		for i := range traces {
-			spans += len(traces[i].Spans)
-		}
-		writeJSON(w, http.StatusOK, api.TracesResponse{Count: len(traces), Spans: spans, Traces: traces})
+		api.WriteJSON(w, http.StatusOK, api.NewTracesResponse(cfg.Spans.Spans(f)))
 	})
 	mux.HandleFunc("GET /v1/debug/energy", func(w http.ResponseWriter, r *http.Request) {
-		since, limitN := -1, 0
-		for _, p := range []struct {
-			name string
-			dst  *int
-		}{{"since", &since}, {"limit", &limitN}} {
-			v := r.URL.Query().Get(p.name)
-			if v == "" {
-				continue
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-					fmt.Errorf("bad %s %q", p.name, v))
-				return
-			}
-			*p.dst = n
+		q := r.URL.Query()
+		since, err1 := api.QueryInt(q, "since", -1)
+		limit, err2 := api.QueryInt(q, "limit", 0)
+		if err := errors.Join(err1, err2); err != nil {
+			api.WriteBadRequest(w, r, err)
+			return
 		}
-		resp := api.EnergyResponse{Samples: cfg.Energy.Samples(since, limitN)}
+		resp := api.EnergyResponse{Samples: cfg.Energy.Samples(since, limit)}
 		if resp.Samples == nil {
 			resp.Samples = []obs.EnergySample{}
 		}
@@ -380,7 +209,7 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 			resp.Now = last.Clock
 			resp.TotalWattMinutes = last.TotalWattMinutes
 		}
-		writeJSON(w, http.StatusOK, resp)
+		api.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -397,9 +226,33 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 		cfg.Spans.WriteMetrics(w, "vmalloc_trace")
 		cfg.Energy.WriteMetrics(w)
 		obs.WriteRuntimeMetrics(w)
-		obs.WriteBuildInfo(w)
+		obs.WriteBuildInfo(w, "vmalloc_build_info", "Build identity of the running binary (constant 1).")
 	})
 	return obs.Middleware(epochFence(mux), cfg.Logger, cfg.Metrics, cfg.Spans)
+}
+
+// decode reads and parses a request body through the shared edge,
+// writing the 413/400 refusal itself (ok false). The returned context
+// carries the time the decode took, for the pipeline's stage breakdown.
+func decode[T any](w http.ResponseWriter, r *http.Request, parse func([]byte) (T, error)) (T, context.Context, bool) {
+	t0 := time.Now()
+	v, err := api.DecodeBody(r, parse)
+	if err != nil {
+		api.WriteBadRequest(w, r, err)
+		return v, nil, false
+	}
+	return v, obs.WithDecodeSpan(r.Context(), time.Since(t0)), true
+}
+
+// reply writes a cluster call's outcome: its value, or the envelope its
+// typed error classifies to.
+func reply(w http.ResponseWriter, r *http.Request, v any, err error) {
+	if err != nil {
+		status, code := classify(err)
+		api.WriteError(w, r, status, code, err)
+		return
+	}
+	api.WriteJSON(w, http.StatusOK, v)
 }
 
 // epochFence is the passive stale-topology guard: requests carrying an
@@ -413,14 +266,13 @@ func epochFence(next http.Handler) http.Handler {
 		if v := r.Header.Get(api.EpochHeader); v != "" {
 			e, err := strconv.ParseInt(v, 10, 64)
 			if err != nil || e < 0 {
-				writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-					fmt.Errorf("bad %s %q", api.EpochHeader, v))
+				api.WriteBadRequest(w, r, fmt.Errorf("bad %s %q", api.EpochHeader, v))
 				return
 			}
 			for {
 				cur := fence.Load()
 				if e < cur {
-					writeError(w, r, http.StatusConflict, api.CodeStaleEpoch,
+					api.WriteError(w, r, http.StatusConflict, api.CodeStaleEpoch,
 						fmt.Errorf("request epoch %d is stale: this shard has seen epoch %d", e, cur))
 					return
 				}
@@ -458,24 +310,58 @@ func classify(err error) (int, string) {
 	}
 }
 
+// toAPIPolicies assembles the GET /v1/policies body: the champion's
+// identity and energy from the live cluster, each challenger's
+// counterfactual figures straight from its arena replica. The two reads
+// are not atomic with each other — a batch can land between them — so
+// deltas are against the champion's figures as of this response, which
+// is the only consistency a shadow readout can promise.
+func toAPIPolicies(c *cluster.Cluster) *api.PoliciesResponse {
+	st := c.State()
+	out := &api.PoliciesResponse{
+		Champion:                  st.Policy,
+		ChampionEnergyWattMinutes: st.TotalEnergy,
+		Now:                       st.Now,
+		Policies:                  []api.PolicyReport{},
+	}
+	reports, stats := c.PolicyArena().Reports()
+	out.EvaluatedBatches = stats.Batches
+	out.DroppedEvents = stats.Dropped
+	for _, r := range reports {
+		pct := 0.0
+		if r.Decisions > 0 {
+			pct = 100 * float64(r.Divergences) / float64(r.Decisions)
+		}
+		out.Policies = append(out.Policies, api.PolicyReport{
+			Name:                   r.Name,
+			Policy:                 r.Policy,
+			Decisions:              r.Decisions,
+			Divergences:            r.Divergences,
+			DivergencePct:          pct,
+			Rejections:             r.Rejections,
+			ChampionRejections:     r.ChampionRejections,
+			RejectionDelta:         int64(r.Rejections) - int64(r.ChampionRejections),
+			EnergyWattMinutes:      r.EnergyWattMinutes,
+			EnergyDeltaWattMinutes: r.EnergyWattMinutes - st.TotalEnergy,
+			Residents:              r.Residents,
+			Clock:                  r.Clock,
+		})
+	}
+	out.Count = len(out.Policies)
+	return out
+}
+
 // parseDecisionFilter maps the debug endpoint's query parameters onto an
 // obs.Filter.
 func parseDecisionFilter(r *http.Request) (obs.Filter, error) {
 	var f obs.Filter
 	q := r.URL.Query()
-	for _, p := range []struct {
-		name string
-		dst  *int
-	}{{"vm", &f.VM}, {"server", &f.Server}, {"limit", &f.Limit}} {
-		v := q.Get(p.name)
-		if v == "" {
-			continue
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			return f, fmt.Errorf("bad %s %q", p.name, v)
-		}
-		*p.dst = n
+	var errs [3]error
+	f.VM, errs[0] = api.QueryInt(q, "vm", 0)
+	f.Server, errs[1] = api.QueryInt(q, "server", 0)
+	f.Limit, errs[2] = api.QueryInt(q, "limit", 0)
+	if err := errors.Join(errs[:]...); err != nil {
+		return f, err
 	}
 	switch op := q.Get("op"); op {
 	case "", obs.OpAdmit, obs.OpReject, obs.OpRelease, obs.OpMigrate, obs.OpShadow, obs.OpAdopt:
@@ -484,23 +370,4 @@ func parseDecisionFilter(r *http.Request) (obs.Filter, error) {
 		return f, fmt.Errorf("bad op %q (want admit, reject, release, migrate, adopt or shadow)", op)
 	}
 	return f, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone
-}
-
-// writeError writes an api.ErrorEnvelope with the request's id echoed,
-// so a failure line in a client log joins the server's flight recorder
-// and structured log on one id.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
-	writeJSON(w, status, api.ErrorEnvelope{
-		Code:      code,
-		Message:   err.Error(),
-		RequestID: obs.RequestID(r.Context()),
-	})
 }

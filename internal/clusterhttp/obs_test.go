@@ -174,32 +174,6 @@ func TestDebugDecisionsNoRecorder(t *testing.T) {
 	}
 }
 
-// TestBodyLimit: admission bodies over Config.MaxBodyBytes are refused
-// with 413, and the limit leaves normal bodies alone.
-func TestBodyLimit(t *testing.T) {
-	_, srv := obsCluster(t, Config{MaxBodyBytes: 256})
-
-	small := `{"demand":{"cpu":1,"mem":1},"durationMinutes":30}`
-	resp, err := http.Post(srv.URL+"/v1/vms", "application/json", strings.NewReader(small))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("small body status %d", resp.StatusCode)
-	}
-
-	big := `{"type":"` + strings.Repeat("x", 1024) + `","demand":{"cpu":1,"mem":1},"durationMinutes":30}`
-	resp, err = http.Post(srv.URL+"/v1/vms", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body status %d, want 413", resp.StatusCode)
-	}
-}
-
 // TestRequestIDEcho: the handler echoes a valid client id and mints one
 // otherwise, on every route.
 func TestRequestIDEcho(t *testing.T) {

@@ -74,6 +74,21 @@ func (v VM) Validate() error {
 	return nil
 }
 
+// PlacedVM is one admitted VM: the request, the index of its hosting
+// server in the configured fleet list, and the minute it actually starts
+// (its requested start plus any wake-up delay). It is declared here, in
+// the one package both the fleet (internal/online) and the wire contract
+// (internal/api) may import, so a state read hands the fleet's own slice
+// to the encoder.
+type PlacedVM struct {
+	VM     VM  `json:"vm"`
+	Server int `json:"server"`
+	Start  int `json:"start"`
+}
+
+// End returns the last minute the VM occupies given its actual start.
+func (p PlacedVM) End() int { return p.Start + p.VM.Duration() - 1 }
+
 // isPositiveFinite reports whether x is a finite number greater than zero
 // (NaN and ±Inf demands would otherwise slip through comparisons).
 func isPositiveFinite(x float64) bool {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
 	"sort"
@@ -199,28 +198,24 @@ func (r *EnergyRecorder) WriteMetrics(w io.Writer) {
 	last, ok := r.Last()
 
 	const prefix = "vmalloc_energy"
-	full := prefix + "_samples_total"
-	fmt.Fprintf(w, "# HELP %s Energy samples recorded over the process lifetime.\n# TYPE %s counter\n%s %d\n", full, full, full, seq)
+	Counter(w, prefix+"_samples_total", "Energy samples recorded over the process lifetime.", seq)
 	if !ok {
 		return
 	}
-	full = prefix + "_clock_minutes"
-	fmt.Fprintf(w, "# HELP %s Fleet clock at the newest energy sample, in minutes.\n# TYPE %s gauge\n%s %d\n", full, full, full, last.Clock)
-	full = prefix + "_cumulative_watt_minutes"
-	fmt.Fprintf(w, "# HELP %s Cumulative fleet energy by component at the newest sample, in watt-minutes.\n# TYPE %s gauge\n", full, full)
-	fmt.Fprintf(w, "%s{component=\"run\"} %s\n", full, FormatFloat(last.RunWattMinutes))
-	fmt.Fprintf(w, "%s{component=\"idle\"} %s\n", full, FormatFloat(last.IdleWattMinutes))
-	fmt.Fprintf(w, "%s{component=\"transition\"} %s\n", full, FormatFloat(last.TransitionWattMinutes))
-	fmt.Fprintf(w, "%s{component=\"total\"} %s\n", full, FormatFloat(last.TotalWattMinutes))
-	full = prefix + "_rate_watts"
-	fmt.Fprintf(w, "# HELP %s Mean fleet power draw between the two newest samples, in watts.\n# TYPE %s gauge\n%s %s\n", full, full, full, FormatFloat(last.RateWatts))
+	Gauge(w, prefix+"_clock_minutes", "Fleet clock at the newest energy sample, in minutes.", last.Clock)
+	full := prefix + "_cumulative_watt_minutes"
+	Declare(w, full, "Cumulative fleet energy by component at the newest sample, in watt-minutes.", "gauge")
+	Sample(w, full, last.RunWattMinutes, "component", "run")
+	Sample(w, full, last.IdleWattMinutes, "component", "idle")
+	Sample(w, full, last.TransitionWattMinutes, "component", "transition")
+	Sample(w, full, last.TotalWattMinutes, "component", "total")
+	Gauge(w, prefix+"_rate_watts", "Mean fleet power draw between the two newest samples, in watts.", last.RateWatts)
 	full = prefix + "_servers"
-	fmt.Fprintf(w, "# HELP %s Servers by power state at the newest energy sample.\n# TYPE %s gauge\n", full, full)
-	fmt.Fprintf(w, "%s{state=\"active\"} %d\n", full, last.Active)
-	fmt.Fprintf(w, "%s{state=\"waking\"} %d\n", full, last.Waking)
-	fmt.Fprintf(w, "%s{state=\"power-saving\"} %d\n", full, last.Sleeping)
-	full = prefix + "_resident_vms"
-	fmt.Fprintf(w, "# HELP %s VMs placed at the newest energy sample.\n# TYPE %s gauge\n%s %d\n", full, full, full, last.Residents)
+	Declare(w, full, "Servers by power state at the newest energy sample.", "gauge")
+	Sample(w, full, last.Active, "state", "active")
+	Sample(w, full, last.Waking, "state", "waking")
+	Sample(w, full, last.Sleeping, "state", "power-saving")
+	Gauge(w, prefix+"_resident_vms", "VMs placed at the newest energy sample.", last.Residents)
 
 	classes := make([]string, 0, len(last.Classes))
 	for k := range last.Classes {
@@ -229,14 +224,14 @@ func (r *EnergyRecorder) WriteMetrics(w io.Writer) {
 	sort.Strings(classes)
 	if len(classes) > 0 {
 		util := prefix + "_class_utilization"
-		fmt.Fprintf(w, "# HELP %s Committed CPU over active capacity per server class at the newest sample.\n# TYPE %s gauge\n", util, util)
+		Declare(w, util, "Committed CPU over active capacity per server class at the newest sample.", "gauge")
 		for _, k := range classes {
-			fmt.Fprintf(w, "%s{class=%q} %s\n", util, k, FormatFloat(last.Classes[k].Utilization))
+			Sample(w, util, last.Classes[k].Utilization, "class", k)
 		}
 		act := prefix + "_class_servers_active"
-		fmt.Fprintf(w, "# HELP %s Active servers per class at the newest sample.\n# TYPE %s gauge\n", act, act)
+		Declare(w, act, "Active servers per class at the newest sample.", "gauge")
 		for _, k := range classes {
-			fmt.Fprintf(w, "%s{class=%q} %d\n", act, k, last.Classes[k].Active)
+			Sample(w, act, last.Classes[k].Active, "class", k)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
 )
 
 // Histogram is a fixed-bucket Prometheus histogram. counts[i] holds
@@ -40,35 +38,25 @@ func (h *Histogram) Count() uint64 {
 // Write emits the full metric family — HELP, TYPE and an unlabelled
 // series — in Prometheus text exposition format.
 func (h *Histogram) Write(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	h.WriteSeries(w, name, "")
+	Declare(w, name, help, "histogram")
+	h.WriteSeries(w, name)
 }
 
-// WriteSeries emits one labelled series of an already-declared histogram
-// family: cumulative buckets, sum and count. labels is the rendered
-// label set without braces (e.g. `route="POST /v1/vms"`), empty for an
-// unlabelled series; the le label is appended to it.
-func (h *Histogram) WriteSeries(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
+// WriteSeries emits one series of an already-declared histogram family:
+// cumulative buckets, sum and count. labels are the series' key, value
+// pairs (none for an unlabelled series); the le label is appended.
+func (h *Histogram) WriteSeries(w io.Writer, name string, labels ...string) {
+	bucket := append(labels[:len(labels):len(labels)], "le", "")
+	le := &bucket[len(bucket)-1]
 	var cum uint64
 	for i, b := range h.bounds {
 		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, FormatFloat(b), cum)
+		*le = FormatFloat(b)
+		Sample(w, name+"_bucket", cum, bucket...)
 	}
 	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", name, FormatFloat(h.sum), name, cum)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %s\n%s_count{%s} %d\n", name, labels, FormatFloat(h.sum), name, labels, cum)
-	}
-}
-
-// FormatFloat renders a sample value or bucket bound the way the
-// exposition format expects ('g', shortest round-trip form).
-func FormatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	*le = "+Inf"
+	Sample(w, name+"_bucket", cum, bucket...)
+	Sample(w, name+"_sum", h.sum, labels...)
+	Sample(w, name+"_count", cum, labels...)
 }

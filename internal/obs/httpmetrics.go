@@ -1,14 +1,12 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
-
-	"vmalloc/internal/config"
 )
 
 // DefaultLatencyBuckets are the per-route latency histogram bounds, in
@@ -73,8 +71,7 @@ func (m *HTTPMetrics) WriteNamed(w io.Writer, requestsName, latencyName string) 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	name := requestsName
-	fmt.Fprintf(w, "# HELP %s HTTP requests served, by route pattern and status.\n# TYPE %s counter\n", name, name)
+	Declare(w, requestsName, "HTTP requests served, by route pattern and status.", "counter")
 	keys := make([]routeStatus, 0, len(m.requests))
 	for k := range m.requests {
 		keys = append(keys, k)
@@ -86,49 +83,34 @@ func (m *HTTPMetrics) WriteNamed(w io.Writer, requestsName, latencyName string) 
 		return keys[a].status < keys[b].status
 	})
 	for _, k := range keys {
-		fmt.Fprintf(w, "%s{route=%q,status=\"%d\"} %d\n", name, k.route, k.status, m.requests[k])
+		Sample(w, requestsName, m.requests[k], "route", k.route, "status", strconv.Itoa(k.status))
 	}
 
-	name = latencyName
-	fmt.Fprintf(w, "# HELP %s HTTP request latency by route pattern, in seconds.\n# TYPE %s histogram\n", name, name)
+	Declare(w, latencyName, "HTTP request latency by route pattern, in seconds.", "histogram")
 	routes := make([]string, 0, len(m.latency))
 	for r := range m.latency {
 		routes = append(routes, r)
 	}
 	sort.Strings(routes)
 	for _, r := range routes {
-		m.latency[r].WriteSeries(w, name, fmt.Sprintf("route=%q", r))
+		m.latency[r].WriteSeries(w, latencyName, "route", r)
 	}
 }
 
-// WriteRuntimeMetrics emits process-level gauges — goroutines, heap, GC
+// WriteRuntimeMetrics emits process-level series — goroutines, heap, GC
 // — so a scrape of the allocation daemon also says how the Go runtime
 // underneath it is doing.
 func WriteRuntimeMetrics(w io.Writer) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, FormatFloat(v))
-	}
-	gauge("vmalloc_go_goroutines", "Live goroutines.", float64(runtime.NumGoroutine()))
-	gauge("vmalloc_go_heap_alloc_bytes", "Heap bytes allocated and in use.", float64(ms.HeapAlloc))
-	gauge("vmalloc_go_heap_sys_bytes", "Heap bytes obtained from the OS.", float64(ms.HeapSys))
-	gauge("vmalloc_go_gc_runs_total", "Completed GC cycles.", float64(ms.NumGC))
-	gauge("vmalloc_go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time, in seconds.", float64(ms.PauseTotalNs)/1e9)
+	Gauge(w, "vmalloc_go_goroutines", "Live goroutines.", float64(runtime.NumGoroutine()))
+	Gauge(w, "vmalloc_go_heap_alloc_bytes", "Heap bytes allocated and in use.", float64(ms.HeapAlloc))
+	Gauge(w, "vmalloc_go_heap_sys_bytes", "Heap bytes obtained from the OS.", float64(ms.HeapSys))
+	Counter(w, "vmalloc_go_gc_runs_total", "Completed GC cycles.", float64(ms.NumGC))
+	Counter(w, "vmalloc_go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time, in seconds.", float64(ms.PauseTotalNs)/1e9)
 	var last float64
 	if ms.NumGC > 0 {
 		last = float64(ms.PauseNs[(ms.NumGC+255)%256]) / 1e9
 	}
-	gauge("vmalloc_go_gc_last_pause_seconds", "Most recent GC stop-the-world pause, in seconds.", last)
-}
-
-// WriteBuildInfo emits the constant vmalloc_build_info gauge carrying
-// the binary's identity as labels (the Prometheus build-info idiom:
-// value 1, joinable against any other series).
-func WriteBuildInfo(w io.Writer) {
-	b := config.Build()
-	name := "vmalloc_build_info"
-	fmt.Fprintf(w, "# HELP %s Build identity of the running binary (constant 1).\n# TYPE %s gauge\n", name, name)
-	fmt.Fprintf(w, "%s{version=%q,goversion=%q,revision=%q,modified=\"%t\"} 1\n",
-		name, b.Version, b.GoVersion, b.Revision, b.Modified)
+	Gauge(w, "vmalloc_go_gc_last_pause_seconds", "Most recent GC stop-the-world pause, in seconds.", last)
 }

@@ -164,7 +164,7 @@ x_seconds_count 6
 	}
 
 	buf.Reset()
-	h.WriteSeries(&buf, "x_seconds", `route="GET /v1/state"`)
+	h.WriteSeries(&buf, "x_seconds", "route", "GET /v1/state")
 	for _, line := range []string{
 		`x_seconds_bucket{route="GET /v1/state",le="1"} 2`,
 		`x_seconds_bucket{route="GET /v1/state",le="+Inf"} 6`,
@@ -325,7 +325,7 @@ func TestNopLogger(t *testing.T) {
 func TestWriteRuntimeAndBuildInfo(t *testing.T) {
 	var buf bytes.Buffer
 	WriteRuntimeMetrics(&buf)
-	WriteBuildInfo(&buf)
+	WriteBuildInfo(&buf, "vmalloc_build_info", "Build identity of the running binary (constant 1).")
 	out := buf.String()
 	for _, want := range []string{
 		"vmalloc_go_goroutines ",
@@ -336,5 +336,31 @@ func TestWriteRuntimeAndBuildInfo(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestExpositionWriter pins the one text-exposition grammar: integers
+// print in full (a %g float would turn 1234567 into 1.234567e+06), floats
+// in shortest form, label values quoted and escaped, labels in call order.
+func TestExpositionWriter(t *testing.T) {
+	var buf bytes.Buffer
+	Counter(&buf, "x_total", "Things.", uint64(1234567))
+	Gauge(&buf, "x_ratio", "A ratio.", 0.25)
+	Declare(&buf, "x_state", "Per-server state.", "gauge")
+	Sample(&buf, "x_state", 3, "server", "7", "note", `a "b"\c`)
+	Sample(&buf, "x_state", int64(-1))
+	want := `# HELP x_total Things.
+# TYPE x_total counter
+x_total 1234567
+# HELP x_ratio A ratio.
+# TYPE x_ratio gauge
+x_ratio 0.25
+# HELP x_state Per-server state.
+# TYPE x_state gauge
+x_state{server="7",note="a \"b\"\\c"} 3
+x_state -1
+`
+	if buf.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", buf.String(), want)
 	}
 }

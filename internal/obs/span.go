@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
-	"net/url"
 	"sync"
 	"time"
 )
@@ -160,32 +158,6 @@ func (f SpanFilter) match(sp *Span) bool {
 	return true
 }
 
-// SpanFilterFromQuery parses the shared /v1/debug/traces query
-// parameters (trace, name, op, min as a Go duration, limit) so the shard
-// handler and the gate's stitching handler validate identically.
-func SpanFilterFromQuery(q url.Values) (SpanFilter, error) {
-	f := SpanFilter{
-		TraceID: q.Get("trace"),
-		Name:    q.Get("name"),
-		Op:      q.Get("op"),
-	}
-	if v := q.Get("min"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			return SpanFilter{}, fmt.Errorf("invalid min duration %q", v)
-		}
-		f.MinDuration = d
-	}
-	if v := q.Get("limit"); v != "" {
-		var n int
-		if _, err := fmt.Sscanf(v, "%d", &n); err != nil || n < 0 {
-			return SpanFilter{}, fmt.Errorf("invalid limit %q", v)
-		}
-		f.Limit = n
-	}
-	return f, nil
-}
-
 // Spans returns buffered spans matching f, oldest first.
 func (s *SpanStore) Spans(f SpanFilter) []Span {
 	if s == nil {
@@ -234,10 +206,7 @@ func (s *SpanStore) WriteMetrics(w io.Writer, prefix string) {
 	s.mu.Lock()
 	seq, buffered, capacity := s.seq, s.buf.len(), cap(s.buf.buf)
 	s.mu.Unlock()
-	full := prefix + "_spans_total"
-	fmt.Fprintf(w, "# HELP %s Trace spans recorded over the process lifetime.\n# TYPE %s counter\n%s %d\n", full, full, full, seq)
-	full = prefix + "_spans_buffered"
-	fmt.Fprintf(w, "# HELP %s Trace spans currently buffered for /v1/debug/traces.\n# TYPE %s gauge\n%s %d\n", full, full, full, buffered)
-	full = prefix + "_span_capacity"
-	fmt.Fprintf(w, "# HELP %s Span-store ring capacity (-trace-spans).\n# TYPE %s gauge\n%s %d\n", full, full, full, capacity)
+	Counter(w, prefix+"_spans_total", "Trace spans recorded over the process lifetime.", seq)
+	Gauge(w, prefix+"_spans_buffered", "Trace spans currently buffered for /v1/debug/traces.", buffered)
+	Gauge(w, prefix+"_span_capacity", "Span-store ring capacity (-trace-spans).", capacity)
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"log/slog"
-	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -53,30 +52,6 @@ func TestSpanStoreNilSafe(t *testing.T) {
 	s.WriteMetrics(&buf, "vmalloc_trace")
 	if buf.Len() != 0 {
 		t.Fatalf("nil store wrote metrics: %s", buf.String())
-	}
-}
-
-func TestSpanFilterFromQuery(t *testing.T) {
-	f, err := SpanFilterFromQuery(url.Values{
-		"trace": {"abc"}, "name": {"fsync"}, "op": {"admit"},
-		"min": {"2ms"}, "limit": {"7"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := SpanFilter{TraceID: "abc", Name: "fsync", Op: "admit", MinDuration: 2 * time.Millisecond, Limit: 7}
-	if f != want {
-		t.Fatalf("parsed %+v, want %+v", f, want)
-	}
-	for _, bad := range []url.Values{
-		{"min": {"nope"}},
-		{"min": {"-1s"}},
-		{"limit": {"x"}},
-		{"limit": {"-3"}},
-	} {
-		if _, err := SpanFilterFromQuery(bad); err == nil {
-			t.Fatalf("query %v accepted", bad)
-		}
 	}
 }
 

@@ -11,17 +11,9 @@ import (
 	"vmalloc/internal/timeline"
 )
 
-// PlacedVM is one admitted VM: the request, the hosting server index and
-// the minute it actually starts (its requested start plus any wake-up
-// delay).
-type PlacedVM struct {
-	VM     model.VM `json:"vm"`
-	Server int      `json:"server"`
-	Start  int      `json:"start"`
-}
-
-// End returns the last minute the VM occupies given its actual start.
-func (p PlacedVM) End() int { return p.Start + p.VM.Duration() - 1 }
+// PlacedVM is one admitted VM with its hosting server index and actual
+// start minute.
+type PlacedVM = model.PlacedVM
 
 // Fleet is a live, externally clocked fleet state machine — the mutable
 // core of both the event-driven replay engine and the long-running
@@ -129,6 +121,10 @@ func (fl *Fleet) Resident(id int) (PlacedVM, bool) {
 	p, ok := fl.resident[id]
 	return p, ok
 }
+
+// NumResidents returns how many VMs are currently admitted, without the
+// copy and sort Residents pays.
+func (fl *Fleet) NumResidents() int { return len(fl.resident) }
 
 // Residents returns every currently admitted VM, sorted by VM ID.
 func (fl *Fleet) Residents() []PlacedVM {

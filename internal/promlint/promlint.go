@@ -2,9 +2,9 @@
 // tests. It is shared by the vmserve handler tests and the vmgate
 // merge tests, so the single-shard exposition and the gate's merged
 // multi-shard exposition are held to the same rules: well-formed sample
-// lines, HELP/TYPE declared once and before each family's samples, no
-// duplicate series, and cumulative histogram buckets whose +Inf bucket
-// equals _count.
+// lines, HELP/TYPE declared once and before each family's samples, a
+// family named _total typed counter, no duplicate series, and cumulative
+// histogram buckets whose +Inf bucket equals _count.
 package promlint
 
 import (
@@ -38,6 +38,9 @@ func Lint(t *testing.T, payload string) {
 			name := fields[2]
 			if sampled[name] {
 				t.Errorf("%s: %s declared after its samples", fields[1], name)
+			}
+			if fields[1] == "TYPE" && strings.HasSuffix(name, "_total") && fields[3] != "counter" {
+				t.Errorf("%s is named _total but typed %s: a monotone total is a counter", name, fields[3])
 			}
 			declared[name] = true
 			continue

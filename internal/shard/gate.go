@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"vmalloc/internal/api"
-	"vmalloc/internal/config"
 	"vmalloc/internal/obs"
 )
 
@@ -26,17 +25,10 @@ import (
 // 0.
 const DefaultProxyTimeout = 10 * time.Second
 
-// DefaultMaxBodyBytes caps request bodies when Config.MaxBodyBytes is 0
-// (same ceiling as the shards themselves).
-const DefaultMaxBodyBytes = 8 << 20
-
 // Config configures a Gate. The zero value works.
 type Config struct {
 	// Timeout bounds each proxied request; 0 means DefaultProxyTimeout.
 	Timeout time.Duration
-	// MaxBodyBytes caps inbound request bodies; 0 means
-	// DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 	// ProbeInterval is the health-check cadence; 0 means
 	// DefaultProbeInterval.
 	ProbeInterval time.Duration
@@ -93,9 +85,6 @@ func NewGate(m *Map, cfg Config) *Gate {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultProxyTimeout
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	hc := cfg.Client
 	if hc == nil {
 		hc = &http.Client{}
@@ -147,17 +136,21 @@ func (g *Gate) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/vms", g.handleAdmit)
 	mux.HandleFunc("DELETE /v1/vms/{id}", g.handleRelease)
-	mux.HandleFunc("POST /v1/clock", g.handleClock)
 	mux.HandleFunc("POST /v1/migrations", g.handleMigrate)
-	mux.HandleFunc("GET /v1/migrations", g.handleMigrations)
-	mux.HandleFunc("GET /v1/policies", g.handlePolicies)
-	mux.HandleFunc("POST /v1/consolidate", g.handleConsolidate)
+	mux.HandleFunc("POST /v1/clock", gatherRoute(g, checkBody(api.DecodeClockRequest), ignoreQuery(MergeClocks)))
+	mux.HandleFunc("POST /v1/consolidate", gatherRoute(g, checkBody(api.DecodeConsolidateRequest), ignoreQuery(MergeConsolidate)))
+	mux.HandleFunc("GET /v1/migrations", gatherRoute(g, checkInts("vm", "limit"),
+		func(shards []Shard, parts []api.MigrationsResponse, q url.Values) api.MigrationsResponse {
+			limit, _ := api.QueryInt(q, "limit", 0) // validated by the check; absent ⇒ 0 ⇒ keep all
+			return MergeMigrations(shards, parts, limit)
+		}))
+	mux.HandleFunc("GET /v1/policies", gatherRoute(g, checkInts(), ignoreQuery(MergePolicies)))
+	mux.HandleFunc("GET /v1/debug/energy", gatherRoute(g, checkInts("since", "limit"), ignoreQuery(MergeEnergy)))
 	mux.HandleFunc("GET /v1/state", g.handleState)
 	mux.HandleFunc("GET /v1/shards", g.handleShards)
 	mux.HandleFunc("GET /v1/topology", g.handleTopology)
 	mux.HandleFunc("POST /v1/topology", g.handleTopologyPost)
 	mux.HandleFunc("GET /v1/debug/traces", g.handleTraces)
-	mux.HandleFunc("GET /v1/debug/energy", g.handleEnergy)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	return obs.Middleware(mux, g.cfg.Logger, g.cfg.Metrics, g.cfg.Spans)
@@ -252,7 +245,7 @@ func (g *Gate) callOnce(ctx context.Context, s Shard, method, path string, body 
 		return nil, nil, g.shardDown(s, err), sent
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes+1))
 	if err != nil {
 		fanout(err.Error())
 		g.proxyErr(s.Name).Add(1)
@@ -323,9 +316,9 @@ func gather[T any](g *Gate, ctx context.Context, shards []Shard, method, path st
 // batch; admissions with explicit IDs are idempotent, so re-admitting
 // the half that succeeded folds into "already resident").
 func (g *Gate) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	reqs, err := api.DecodeAdmitRequests(r.Body, g.cfg.MaxBodyBytes)
+	reqs, err := api.DecodeBody(r, api.DecodeAdmitRequests)
 	if err != nil {
-		writeDecodeError(w, r, err)
+		api.WriteBadRequest(w, r, err)
 		return
 	}
 	// Admissions always route by the newest map: during a transition
@@ -333,7 +326,7 @@ func (g *Gate) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	// the drain never has to move it.
 	groups, err := SplitAdmits(g.topo.Load().cur, reqs)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+		api.WriteBadRequest(w, r, err)
 		return
 	}
 	resps := make([][]api.AdmitResponse, len(groups))
@@ -347,17 +340,17 @@ func (g *Gate) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return perr
 	})
 	if perr := foldErrors(errs); perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
+		api.RelayError(w, r, perr)
 		return
 	}
 	mergeT0 := time.Now()
 	out, err := JoinAdmits(groups, resps)
 	if err != nil {
-		writeError(w, r, http.StatusBadGateway, api.CodeInternal, err)
+		api.WriteError(w, r, http.StatusBadGateway, api.CodeInternal, err)
 		return
 	}
 	g.recordMerge(r.Context(), mergeT0)
-	writeJSON(w, r, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 // recordMerge records the gate-side span covering reassembly of a
@@ -428,13 +421,12 @@ func (g *Gate) callOwner(ctx context.Context, id int, method, path string, body 
 func (g *Gate) handleRelease(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest,
-			fmt.Errorf("bad vm id %q", r.PathValue("id")))
+		api.WriteBadRequest(w, r, fmt.Errorf("bad vm id %q", r.PathValue("id")))
 		return
 	}
 	_, data, perr := g.callOwner(r.Context(), id, http.MethodDelete, "/v1/vms/"+strconv.Itoa(id), nil)
 	if perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
+		api.RelayError(w, r, perr)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -447,128 +439,88 @@ func (g *Gate) handleRelease(w http.ResponseWriter, r *http.Request) {
 // sees the same record shape a direct shard client does, plus
 // provenance.
 func (g *Gate) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	req, err := api.DecodeMigrateRequest(r.Body, g.cfg.MaxBodyBytes)
-	if err != nil {
-		writeDecodeError(w, r, err)
-		return
+	body, err := api.ReadBody(r.Body)
+	var req api.MigrateRequest
+	if err == nil {
+		req, err = api.DecodeMigrateRequest(body)
 	}
-	body, merr := json.Marshal(req)
-	if merr != nil {
-		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, merr)
+	if err != nil {
+		api.WriteBadRequest(w, r, err)
 		return
 	}
 	s, data, perr := g.callOwner(r.Context(), req.VM, http.MethodPost, "/v1/migrations", body)
 	if perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
+		api.RelayError(w, r, perr)
 		return
 	}
 	rec, perr := decode[api.MigrationRecord](s, "POST /v1/migrations", data)
 	if perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
+		api.RelayError(w, r, perr)
 		return
 	}
 	rec.Shard = s.Name
-	writeJSON(w, r, http.StatusOK, rec)
+	api.WriteJSON(w, http.StatusOK, rec)
 }
 
-// handleMigrations scatter-gathers every shard's migration history into
-// one merged api.MigrationsResponse: records stamped with their owning
-// shard, ordered by (time, shard, seq), the newest ?limit= kept.
-// All-or-nothing like the state read: a partial history would silently
-// undercount.
-func (g *Gate) handleMigrations(w http.ResponseWriter, r *http.Request) {
-	if err := checkCounts(r.URL.Query(), "vm", "limit"); err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
-		return
+// gatherRoute is the one all-or-nothing aggregate route, behind clock,
+// consolidate, migrations, policies and energy: snapshot the topology,
+// validate what the gate itself relies on (check sees the body it will
+// forward verbatim — nil on a GET — and the query), gather a T from every
+// active shard with the request forwarded as it came, and answer with
+// merge's fold of the parts or relay the failing shards' envelope. A
+// partial view would silently undercount, so any failing shard fails the
+// whole request; every such fan-out is safe to retry (the shard clock is
+// monotonic, consolidation is idempotent at its fixpoint, the rest are
+// reads).
+func gatherRoute[T, R any](g *Gate, check func(body []byte, q url.Values) error, merge func(shards []Shard, parts []T, q url.Values) R) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var body []byte
+		var err error
+		if r.Method == http.MethodPost {
+			body, err = api.ReadBody(r.Body)
+		}
+		q := r.URL.Query()
+		if err == nil {
+			err = check(body, q)
+		}
+		if err != nil {
+			api.WriteBadRequest(w, r, err)
+			return
+		}
+		shards := g.topo.Load().active()
+		parts, perr := gather[T](g, r.Context(), shards, r.Method, r.URL.RequestURI(), body)
+		if perr != nil {
+			api.RelayError(w, r, perr)
+			return
+		}
+		api.WriteJSON(w, http.StatusOK, merge(shards, parts, q))
 	}
-	shards := g.topo.Load().active()
-	parts, perr := gather[api.MigrationsResponse](g, r.Context(), shards, http.MethodGet, withQuery("/v1/migrations", r), nil)
-	if perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
-		return
-	}
-	limit, _ := strconv.Atoi(r.URL.Query().Get("limit")) // validated above; absent ⇒ 0 ⇒ keep all
-	writeJSON(w, r, http.StatusOK, MergeMigrations(shards, parts, limit))
 }
 
-// handlePolicies scatter-gathers every shard's GET /v1/policies into one
-// merged api.PoliciesResponse: challenger reports stamped with their
-// owning shard and ordered by (name, shard), champion energy and arena
-// event counters summed, the clock the slowest shard's, and distinct
-// per-shard champion names joined with ", ". All-or-nothing like the
-// other aggregate reads: a partial arena readout would silently
-// misstate the counterfactuals.
-func (g *Gate) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	shards := g.topo.Load().active()
-	parts, perr := gather[api.PoliciesResponse](g, r.Context(), shards, http.MethodGet, "/v1/policies", nil)
-	if perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
-		return
-	}
-	writeJSON(w, r, http.StatusOK, MergePolicies(shards, parts))
+// ignoreQuery adapts a merge that needs nothing from the request.
+func ignoreQuery[T, R any](merge func([]Shard, []T) R) func([]Shard, []T, url.Values) R {
+	return func(shards []Shard, parts []T, _ url.Values) R { return merge(shards, parts) }
 }
 
-// handleConsolidate fans one consolidation pass out to every shard and
-// aggregates the outcomes: summed donors/moves/savings, the merged
-// shard-stamped move list, the slowest shard's clock. Shards consolidate
-// independently — a VM never crosses shards, so per-shard passes compose
-// into exactly the fleet-wide pass. A shard already running a pass folds
-// to 409 consolidation_busy; a retry is safe (the pay-for-itself rule
-// makes passes idempotent once nothing profitable remains).
-func (g *Gate) handleConsolidate(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
+// checkBody validates a forwarded body with its api decoder: a body some
+// shard would refuse is refused here, before the fan-out.
+func checkBody[T any](parse func([]byte) (T, error)) func([]byte, url.Values) error {
+	return func(body []byte, _ url.Values) error {
+		_, err := parse(body)
+		return err
 	}
-	if _, derr := api.DecodeConsolidateRequest(bytes.NewReader(body), g.cfg.MaxBodyBytes); derr != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, derr)
-		return
-	}
-	shards := g.topo.Load().active()
-	parts, perr := gather[api.ConsolidateResponse](g, r.Context(), shards, http.MethodPost, "/v1/consolidate", body)
-	if perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
-		return
-	}
-	writeJSON(w, r, http.StatusOK, MergeConsolidate(shards, parts))
 }
 
-// readBody reads a request body the gate forwards verbatim. One over
-// MaxBodyBytes is refused with 413 here — forwarding a truncated prefix
-// would come back as some shard's parse error. ok is false when the
-// refusal has been written.
-func (g *Gate) readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
-		return nil, false
+// checkInts validates the named query parameters the merge relies on:
+// each, when present, must be a non-negative integer.
+func checkInts(names ...string) func([]byte, url.Values) error {
+	return func(_ []byte, q url.Values) error {
+		errs := make([]error, len(names))
+		for i, name := range names {
+			_, errs[i] = api.QueryInt(q, name, 0)
+		}
+		return errors.Join(errs...)
 	}
-	if int64(len(body)) > g.cfg.MaxBodyBytes {
-		writeError(w, r, http.StatusRequestEntityTooLarge, api.CodeBadRequest, api.ErrBodyTooLarge)
-		return nil, false
-	}
-	return body, true
-}
-
-// handleClock fans the advance out to every shard and reports the
-// slowest resulting clock. The shard clock is monotonic, so replaying
-// an advance onto a shard that already took it is a no-op — which makes
-// retrying a partially failed fan-out safe.
-func (g *Gate) handleClock(w http.ResponseWriter, r *http.Request) {
-	body, ok := g.readBody(w, r)
-	if !ok {
-		return
-	}
-	parts, perr := gather[api.ClockResponse](g, r.Context(), g.topo.Load().active(), http.MethodPost, "/v1/clock", body)
-	if perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
-		return
-	}
-	minNow := parts[0].Now
-	for _, p := range parts[1:] {
-		minNow = min(minNow, p.Now)
-	}
-	writeJSON(w, r, http.StatusOK, api.ClockResponse{Now: minNow})
 }
 
 // handleState gathers every shard's state into one api.GateStateResponse
@@ -599,7 +551,7 @@ func (g *Gate) handleState(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if perr := foldErrors(errs); perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
+		api.RelayError(w, r, perr)
 		return
 	}
 
@@ -638,7 +590,7 @@ func (g *Gate) handleState(w http.ResponseWriter, r *http.Request) {
 
 	b, err := api.EncodeGateState(&out)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, api.CodeInternal, err)
+		api.WriteError(w, r, http.StatusInternalServerError, api.CodeInternal, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -654,70 +606,24 @@ func (g *Gate) handleState(w http.ResponseWriter, r *http.Request) {
 // of the shard's edge span, a single admission through the gate shows
 // up here as one stitched trace spanning both processes.
 func (g *Gate) handleTraces(w http.ResponseWriter, r *http.Request) {
-	f, err := obs.SpanFilterFromQuery(r.URL.Query())
+	f, err := api.SpanFilterFromQuery(r.URL.Query())
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+		api.WriteBadRequest(w, r, err)
 		return
 	}
-	path := withQuery("/v1/debug/traces", r)
 	// Gate spans are read before the fan-out so this request's own
 	// fan-out spans do not pollute the answer.
 	all := g.cfg.Spans.Spans(f)
 	parts := Scatter(g.topo.Load().active(), func(_ int, s Shard) api.TracesResponse {
-		tr, _ := fetch[api.TracesResponse](g, r.Context(), s, http.MethodGet, path, nil)
+		tr, _ := fetch[api.TracesResponse](g, r.Context(), s, http.MethodGet, r.URL.RequestURI(), nil)
 		return tr // a failed shard contributes no spans
 	})
-	writeJSON(w, r, http.StatusOK, MergeTraces(all, parts))
-}
-
-// handleEnergy aggregates every shard's /v1/debug/energy. Unlike traces
-// this is all-or-nothing: fleet energy totals are only meaningful when
-// every shard answered, so a failing shard fails the request the same
-// way /v1/state does.
-func (g *Gate) handleEnergy(w http.ResponseWriter, r *http.Request) {
-	if err := checkCounts(r.URL.Query(), "since", "limit"); err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
-		return
-	}
-	shards := g.topo.Load().active()
-	parts, perr := gather[api.EnergyResponse](g, r.Context(), shards, http.MethodGet, withQuery("/v1/debug/energy", r), nil)
-	if perr != nil {
-		writeJSON(w, r, perr.Status, perr.Envelope)
-		return
-	}
-	out := api.GateEnergyResponse{Now: parts[0].Now}
-	for i, er := range parts {
-		out.Now = min(out.Now, er.Now)
-		out.TotalWattMinutes += er.TotalWattMinutes
-		out.Shards = append(out.Shards, api.ShardEnergy{Shard: shards[i].Name, Energy: er})
-	}
-	writeJSON(w, r, http.StatusOK, out)
-}
-
-// withQuery forwards the request's query string to a shard path.
-func withQuery(path string, r *http.Request) string {
-	if r.URL.RawQuery != "" {
-		path += "?" + r.URL.RawQuery
-	}
-	return path
-}
-
-// checkCounts validates the named query parameters the gate itself
-// relies on: each, when present, must be a non-negative integer.
-func checkCounts(q url.Values, names ...string) error {
-	for _, p := range names {
-		if v := q.Get(p); v != "" {
-			if n, err := strconv.Atoi(v); err != nil || n < 0 {
-				return fmt.Errorf("bad %s %q: want a non-negative integer", p, v)
-			}
-		}
-	}
-	return nil
+	api.WriteJSON(w, http.StatusOK, MergeTraces(all, parts))
 }
 
 func (g *Gate) handleShards(w http.ResponseWriter, r *http.Request) {
 	hs := g.prober.Snapshot()
-	writeJSON(w, r, http.StatusOK, api.ShardsResponse{
+	api.WriteJSON(w, http.StatusOK, api.ShardsResponse{
 		Epoch: g.topo.Load().cur.Epoch(), Count: len(hs), Shards: hs,
 	})
 }
@@ -732,7 +638,7 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(down) > 0 {
-		writeError(w, r, http.StatusServiceUnavailable, api.CodeShardDown,
+		api.WriteError(w, r, http.StatusServiceUnavailable, api.CodeShardDown,
 			fmt.Errorf("shards down: %s", strings.Join(down, ", ")))
 		return
 	}
@@ -774,16 +680,16 @@ func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // from each shard).
 func (g *Gate) writeOwnMetrics(w io.Writer) {
 	name := "vmalloc_gate_shard_up"
-	fmt.Fprintf(w, "# HELP %s 1 while the prober considers the shard healthy.\n# TYPE %s gauge\n", name, name)
+	obs.Declare(w, name, "1 while the prober considers the shard healthy.", "gauge")
 	for _, h := range g.prober.Snapshot() {
 		up := 0
 		if h.Healthy {
 			up = 1
 		}
-		fmt.Fprintf(w, "%s{shard=%q} %d\n", name, h.Name, up)
+		obs.Sample(w, name, up, "shard", h.Name)
 	}
 	name = "vmalloc_gate_proxy_errors_total"
-	fmt.Fprintf(w, "# HELP %s Transport-level proxy failures per shard.\n# TYPE %s counter\n", name, name)
+	obs.Declare(w, name, "Transport-level proxy failures per shard.", "counter")
 	g.peMu.Lock()
 	names := make([]string, 0, len(g.proxyErrs))
 	for n := range g.proxyErrs {
@@ -796,7 +702,7 @@ func (g *Gate) writeOwnMetrics(w io.Writer) {
 	g.peMu.Unlock()
 	sort.Strings(names)
 	for _, n := range names {
-		fmt.Fprintf(w, "%s{shard=%q} %d\n", name, n, counts[n])
+		obs.Sample(w, name, counts[n], "shard", n)
 	}
 	g.writeRebalanceMetrics(w)
 	if g.cfg.Metrics != nil {
@@ -805,38 +711,5 @@ func (g *Gate) writeOwnMetrics(w io.Writer) {
 	// The gate_ prefix keeps these from colliding with the shards'
 	// vmalloc_trace_* families in the merged exposition above.
 	g.cfg.Spans.WriteMetrics(w, "vmalloc_gate_trace")
-	b := config.Build()
-	name = "vmalloc_gate_build_info"
-	fmt.Fprintf(w, "# HELP %s Build identity of the running vmgate binary (constant 1).\n# TYPE %s gauge\n", name, name)
-	fmt.Fprintf(w, "%s{version=%q,goversion=%q,revision=%q,modified=\"%t\"} 1\n",
-		name, b.Version, b.GoVersion, b.Revision, b.Modified)
-}
-
-func writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	if env, ok := v.(api.ErrorEnvelope); ok && env.RequestID == "" {
-		env.RequestID = obs.RequestID(r.Context())
-		v = env
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone
-}
-
-// writeDecodeError refuses a request body that did not decode: 413 when
-// it blew the size cap, 400 otherwise.
-func writeDecodeError(w http.ResponseWriter, r *http.Request, err error) {
-	status := http.StatusBadRequest
-	if errors.Is(err, api.ErrBodyTooLarge) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeError(w, r, status, api.CodeBadRequest, err)
-}
-
-// writeError writes an api.ErrorEnvelope with the gate's request id, so
-// a failure seen by a client joins the gate's access log (and, for
-// proxied failures, the shard's flight recorder) on one id.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code string, err error) {
-	writeJSON(w, r, status, api.ErrorEnvelope{Code: code, Message: err.Error()})
+	obs.WriteBuildInfo(w, "vmalloc_gate_build_info", "Build identity of the running vmgate binary (constant 1).")
 }

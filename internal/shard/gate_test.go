@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -734,40 +733,5 @@ func TestGatePoliciesMerged(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("merged metrics missing %q", want)
 		}
-	}
-}
-
-// TestGateOversizedBodyRefused: a body over MaxBodyBytes is a 413
-// bad_request at the gate on every body-carrying route, and no shard
-// sees any part of it (POST /v1/clock used to forward a truncated
-// prefix, which came back as a shard's 400 parse error).
-func TestGateOversizedBodyRefused(t *testing.T) {
-	var hits atomic.Int32
-	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { hits.Add(1) }))
-	defer stub.Close()
-	m, err := NewMap([]Shard{{Name: "s0", Addr: stub.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateSrv := httptest.NewServer(NewGate(m, Config{MaxBodyBytes: 64}).Handler())
-	defer gateSrv.Close()
-
-	pad := strings.Repeat(" ", 64)
-	for path, body := range map[string]string{
-		"/v1/clock":       `{"now": 5}` + pad,
-		"/v1/consolidate": `{}` + pad,
-		"/v1/vms":         admitBody([]int{1}) + pad,
-	} {
-		resp, err := http.Post(gateSrv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		status := resp.StatusCode
-		if env := decodeEnvelope(t, resp); status != http.StatusRequestEntityTooLarge || env.Code != api.CodeBadRequest {
-			t.Errorf("POST %s over the cap: status %d code %q, want 413 %s", path, status, env.Code, api.CodeBadRequest)
-		}
-	}
-	if n := hits.Load(); n != 0 {
-		t.Errorf("%d requests reached the shard, want none", n)
 	}
 }

@@ -130,6 +130,29 @@ func MergeConsolidate(shards []Shard, parts []api.ConsolidateResponse) api.Conso
 	return out
 }
 
+// MergeClocks folds per-shard clock advances into the fleet's answer: the
+// slowest shard's clock, which every shard has reached.
+func MergeClocks(_ []Shard, parts []api.ClockResponse) api.ClockResponse {
+	out := parts[0]
+	for _, p := range parts[1:] {
+		out.Now = min(out.Now, p.Now)
+	}
+	return out
+}
+
+// MergeEnergy folds per-shard energy series into the fleet view: each
+// shard's series under its name, totals summed, the slowest shard's
+// clock (up to which every series is complete).
+func MergeEnergy(shards []Shard, parts []api.EnergyResponse) api.GateEnergyResponse {
+	out := api.GateEnergyResponse{Now: parts[0].Now}
+	for i, er := range parts {
+		out.Now = min(out.Now, er.Now)
+		out.TotalWattMinutes += er.TotalWattMinutes
+		out.Shards = append(out.Shards, api.ShardEnergy{Shard: shards[i].Name, Energy: er})
+	}
+	return out
+}
+
 // MergePolicies folds per-shard arena readouts into one scoreboard:
 // challenger reports stamped with their shard and ordered by (name,
 // shard), champion energy and arena event counters summed, the slowest
@@ -173,15 +196,7 @@ func MergeTraces(own []obs.Span, parts []api.TracesResponse) api.TracesResponse 
 			all = append(all, t.Spans...)
 		}
 	}
-	traces := api.GroupSpans(all)
-	if traces == nil {
-		traces = []api.Trace{}
-	}
-	spans := 0
-	for i := range traces {
-		spans += len(traces[i].Spans)
-	}
-	return api.TracesResponse{Count: len(traces), Spans: spans, Traces: traces}
+	return api.NewTracesResponse(all)
 }
 
 func appendStamped(dst []api.MigrationRecord, shard string, recs []api.MigrationRecord) []api.MigrationRecord {

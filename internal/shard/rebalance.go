@@ -77,7 +77,7 @@ func (g *Gate) handleTopology(w http.ResponseWriter, r *http.Request) {
 	g.reb.mu.Lock()
 	st := g.reb.status
 	g.reb.mu.Unlock()
-	writeJSON(w, r, http.StatusOK, api.TopologyResponse{
+	api.WriteJSON(w, http.StatusOK, api.TopologyResponse{
 		Epoch: t.Epoch, Shards: t.Shards, Rebalance: st,
 	})
 }
@@ -91,14 +91,14 @@ func (g *Gate) handleTopology(w http.ResponseWriter, r *http.Request) {
 // topology with Rebalance.Active true; poll GET /v1/topology until
 // Active is false to observe drain completion.
 func (g *Gate) handleTopologyPost(w http.ResponseWriter, r *http.Request) {
-	t, err := api.DecodeTopology(r.Body, g.cfg.MaxBodyBytes)
+	t, err := api.DecodeBody(r, api.DecodeTopology)
 	if err != nil {
-		writeDecodeError(w, r, err)
+		api.WriteBadRequest(w, r, err)
 		return
 	}
 	next, err := FromTopology(t)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, api.CodeBadRequest, err)
+		api.WriteBadRequest(w, r, err)
 		return
 	}
 
@@ -108,14 +108,14 @@ func (g *Gate) handleTopologyPost(w http.ResponseWriter, r *http.Request) {
 	if g.reb.status.Active {
 		st := g.reb.status
 		g.reb.mu.Unlock()
-		writeError(w, r, http.StatusConflict, api.CodeRebalancing,
+		api.WriteError(w, r, http.StatusConflict, api.CodeRebalancing,
 			fmt.Errorf("rebalance %d→%d is still draining; poll GET /v1/topology until rebalance.active is false", st.FromEpoch, st.ToEpoch))
 		return
 	}
 	old := g.topo.Load().cur
 	if t.Epoch <= old.Epoch() {
 		g.reb.mu.Unlock()
-		writeError(w, r, http.StatusConflict, api.CodeStaleEpoch,
+		api.WriteError(w, r, http.StatusConflict, api.CodeStaleEpoch,
 			fmt.Errorf("proposed epoch %d is not newer than the current epoch %d", t.Epoch, old.Epoch()))
 		return
 	}
@@ -140,7 +140,7 @@ func (g *Gate) handleTopologyPost(w http.ResponseWriter, r *http.Request) {
 	}
 	go g.rebalance(old, next)
 
-	writeJSON(w, r, http.StatusOK, api.TopologyResponse{
+	api.WriteJSON(w, http.StatusOK, api.TopologyResponse{
 		Epoch: next.Epoch(), Shards: next.Topology().Shards, Rebalance: status,
 	})
 }
@@ -383,14 +383,9 @@ func (g *Gate) writeRebalanceMetrics(w io.Writer) {
 	g.reb.mu.Unlock()
 	epoch := g.topo.Load().cur.Epoch()
 
-	name := "vmalloc_gate_topology_epoch"
-	fmt.Fprintf(w, "# HELP %s Current shard-topology epoch (0 = unversioned map).\n# TYPE %s gauge\n%s %d\n", name, name, name, epoch)
-	name = "vmalloc_gate_rebalance_active"
-	fmt.Fprintf(w, "# HELP %s 1 while a topology drain is in flight.\n# TYPE %s gauge\n%s %d\n", name, name, name, active)
-	name = "vmalloc_gate_rebalance_moves_total"
-	fmt.Fprintf(w, "# HELP %s VMs drained to their new owner across all topology rebalances.\n# TYPE %s counter\n%s %d\n", name, name, name, moves)
-	name = "vmalloc_gate_rebalance_skipped_total"
-	fmt.Fprintf(w, "# HELP %s Planned drain moves skipped because the VM departed first.\n# TYPE %s counter\n%s %d\n", name, name, name, skipped)
-	name = "vmalloc_gate_rebalance_failed_total"
-	fmt.Fprintf(w, "# HELP %s Drain moves that failed and were retried or abandoned.\n# TYPE %s counter\n%s %d\n", name, name, name, failed)
+	obs.Gauge(w, "vmalloc_gate_topology_epoch", "Current shard-topology epoch (0 = unversioned map).", epoch)
+	obs.Gauge(w, "vmalloc_gate_rebalance_active", "1 while a topology drain is in flight.", active)
+	obs.Counter(w, "vmalloc_gate_rebalance_moves_total", "VMs drained to their new owner across all topology rebalances.", moves)
+	obs.Counter(w, "vmalloc_gate_rebalance_skipped_total", "Planned drain moves skipped because the VM departed first.", skipped)
+	obs.Counter(w, "vmalloc_gate_rebalance_failed_total", "Drain moves that failed and were retried or abandoned.", failed)
 }

@@ -7,7 +7,6 @@ package shard
 // residency independently of how it was reached.
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -48,7 +47,7 @@ func LoadTopology(path string) (*Map, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, err := api.DecodeTopology(bytes.NewReader(data), 0)
+	t, err := api.DecodeTopology(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

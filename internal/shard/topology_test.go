@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"strings"
 	"testing"
 
 	"vmalloc/internal/api"
@@ -178,7 +177,7 @@ func TestTopologyRoundTrip(t *testing.T) {
 // at least one shard) and surfaces JSON errors.
 func TestDecodeTopology(t *testing.T) {
 	good := `{"epoch": 2, "shards": [{"name": "a", "url": "http://a", "weight": 2}]}`
-	tp, err := api.DecodeTopology(strings.NewReader(good), 0)
+	tp, err := api.DecodeTopology([]byte(good))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +190,7 @@ func TestDecodeTopology(t *testing.T) {
 		`{"epoch": 0, "shards": [{"name": "a", "url": "http://a"}]}`,
 		`{"epoch": 3, "shards": []}`,
 	} {
-		if _, err := api.DecodeTopology(strings.NewReader(bad), 0); err == nil {
+		if _, err := api.DecodeTopology([]byte(bad)); err == nil {
 			t.Errorf("DecodeTopology accepted %q", bad)
 		}
 	}

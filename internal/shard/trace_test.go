@@ -263,15 +263,6 @@ func TestGateEnergyAggregation(t *testing.T) {
 	if ge.Now != 30 || ge.TotalWattMinutes != sum || sum <= 0 {
 		t.Fatalf("gate energy now=%d total=%g (shard sum %g)", ge.Now, ge.TotalWattMinutes, sum)
 	}
-
-	bad, err := http.Get(d.gateSrv.URL + "/v1/debug/energy?since=nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad query status %d, want 400", bad.StatusCode)
-	}
 }
 
 // TestGateMetricsWithTelemetry: the merged exposition (shard-labelled
