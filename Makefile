@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench loc fence
+.PHONY: build test race vet bench repro loc fence
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,23 @@ vet:
 # benchmark is `bash bench/run.sh` (see BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# repro regenerates the whole evaluation (≈25 s) and diffs it against the
+# committed results_full.txt and figures/: every number EXPERIMENTS.md
+# quotes comes from those two. Only wall times are masked: the
+# "(… completed in …)" lines and the Scaling table's three timing columns.
+REPRO_MASK = awk '/^── Scaling ──/ { scaling = 1 } /^$$/ { scaling = 0 } \
+	scaling && /^[0-9]/ { print $$1, $$2, $$3, "~", "~", "~", $$NF; next } \
+	scaling { gsub(/  +/, " ") } \
+	{ sub(/completed in [^)]*/, "completed in ~"); print }'
+
+repro:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/vmsim -exp all -svg "$$tmp/figures" > "$$tmp/out.txt" && \
+	$(REPRO_MASK) results_full.txt > "$$tmp/want.txt" && \
+	$(REPRO_MASK) "$$tmp/out.txt" > "$$tmp/got.txt" && \
+	diff "$$tmp/want.txt" "$$tmp/got.txt" && diff -r figures "$$tmp/figures" && \
+	echo "repro: results_full.txt and figures/ regenerate exactly"
 
 # loc prints the subtraction pass's size measure (ROADMAP item 3): lines of
 # non-test Go outside the benchmark module.

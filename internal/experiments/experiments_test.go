@@ -2,9 +2,30 @@ package experiments
 
 import (
 	"context"
+	"flag"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the current output")
+
+// maskWallTimes blanks the only cells of any experiment that are not a
+// function of the seeds: the three wall-time columns of the Scaling table.
+func maskWallTimes(res *Result) {
+	for _, tab := range res.Tables {
+		if tab.Name != "Scaling" {
+			continue
+		}
+		for _, col := range []string{"MinCost time", "MinCost VMs/s", "FFPS time"} {
+			k := slices.Index(tab.Header, col)
+			for _, row := range tab.Rows {
+				row[k] = "~"
+			}
+		}
+	}
+}
 
 func TestRegistry(t *testing.T) {
 	all := All()
@@ -68,13 +89,17 @@ func TestTablesRun(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsQuick smoke-runs every experiment in quick mode and
-// checks structural invariants of the outputs.
+// TestAllExperimentsQuick runs every experiment in quick mode, checks
+// structural invariants of the outputs, and pins the rendered text of all
+// of them to testdata/quick.golden: "the same numbers" means this file does
+// not move. Regenerate with `go test ./internal/experiments -run Quick -update`
+// only when a number is meant to change.
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment sweep still runs full simulations")
 	}
 	ctx := context.Background()
+	var rendered strings.Builder
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID(), func(t *testing.T) {
@@ -99,15 +124,38 @@ func TestAllExperimentsQuick(t *testing.T) {
 					}
 				}
 			}
-			var sb strings.Builder
-			if _, err := res.WriteTo(&sb); err != nil {
+			maskWallTimes(res)
+			if _, err := res.WriteTo(&rendered); err != nil {
 				t.Fatal(err)
-			}
-			if sb.Len() == 0 {
-				t.Error("empty rendering")
 			}
 		})
 	}
+	if t.Failed() {
+		return
+	}
+	const golden = "testdata/quick.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(rendered.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rendered.String()
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < min(len(gotLines), len(wantLines)); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("quick output differs from %s at line %d:\n got: %s\nwant: %s",
+				golden, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("quick output is %d lines, %s has %d", len(gotLines), golden, len(wantLines))
 }
 
 func TestOptionsDefaults(t *testing.T) {
