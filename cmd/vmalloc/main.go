@@ -7,7 +7,7 @@
 //
 //	vmalloc -in instance.json                 # MinCost (the paper's heuristic)
 //	vmalloc -in instance.json -algo ffps      # the FFPS baseline
-//	vmalloc -in instance.json -algo bestfit
+//	vmalloc -in instance.json -algo bestfit    # any name of the baseline registry
 //	vmalloc -in instance.json -json           # machine-readable output
 package main
 
@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -47,7 +48,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vmalloc", flag.ContinueOnError)
 	var (
 		in       = fs.String("in", "", "instance JSON file (default stdin)")
-		algo     = fs.String("algo", "mincost", "allocator: mincost, ffps, firstfit, bestfit, randomfit")
+		algo     = fs.String("algo", "mincost", "allocator: "+strings.Join(baseline.Names(), ", ")+" (or firstfit, the efficiency ordering); with -online: "+strings.Join(online.PolicyNames(), ", "))
 		seed     = fs.Int64("seed", 1, "seed for randomised allocators")
 		asJSON   = fs.Bool("json", false, "emit the result as JSON")
 		details  = fs.Bool("plan", true, "print the per-VM placement plan")
@@ -87,11 +88,11 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *onlineF {
 		return runOnline(ctx, w, inst, *algo, *seed, *timeout)
 	}
-	alloc, err := pickAllocator(*algo, *seed, *parallel)
+	mk, err := baseline.Lookup(*algo)
 	if err != nil {
 		return err
 	}
-	res, err := alloc.Allocate(ctx, inst)
+	res, err := mk(core.WithSeed(*seed), core.WithParallelism(*parallel)).Allocate(ctx, inst)
 	if err != nil {
 		return err
 	}
@@ -160,16 +161,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 
 // runOnline drives the event-driven engine and prints its report.
 func runOnline(ctx context.Context, w io.Writer, inst model.Instance, algo string, seed int64, timeout int) error {
-	var policy online.Policy
-	switch algo {
-	case "mincost":
-		policy = &online.MinCostPolicy{}
-	case "ffps":
-		policy = online.NewFirstFitPolicy(seed)
-	case "prefer-active":
-		policy = &online.PreferActivePolicy{}
-	default:
-		return fmt.Errorf("online mode supports mincost, ffps, prefer-active; got %q", algo)
+	policy, err := online.NewPolicy(algo, online.DefaultDelayPenalty, seed)
+	if err != nil {
+		return err
 	}
 	rep, err := (&online.Engine{Policy: policy, IdleTimeout: timeout}).Run(inst)
 	if err != nil {
@@ -188,22 +182,4 @@ func runOnline(ctx context.Context, w io.Writer, inst model.Instance, algo strin
 			offline.Energy.Total(), 100*(rep.Energy.Total()/offline.Energy.Total()-1))
 	}
 	return nil
-}
-
-func pickAllocator(name string, seed int64, parallel int) (core.Allocator, error) {
-	par := core.WithParallelism(parallel)
-	switch name {
-	case "mincost":
-		return core.NewMinCost(par), nil
-	case "ffps":
-		return baseline.NewFFPS(core.WithSeed(seed), par), nil
-	case "firstfit":
-		return baseline.NewFirstFitSorted(baseline.ByEfficiency, par), nil
-	case "bestfit":
-		return baseline.NewBestFitCPU(par), nil
-	case "randomfit":
-		return baseline.NewRandomFit(core.WithSeed(seed)), nil
-	default:
-		return nil, fmt.Errorf("unknown allocator %q", name)
-	}
 }

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"vmalloc/internal/baseline"
 	"vmalloc/internal/model"
+	"vmalloc/internal/online"
 	"vmalloc/internal/workload"
 )
 
@@ -35,7 +37,7 @@ func writeInstance(t *testing.T) string {
 
 func TestRunAllAlgorithms(t *testing.T) {
 	path := writeInstance(t)
-	for _, algo := range []string{"mincost", "ffps", "firstfit", "bestfit", "randomfit"} {
+	for _, algo := range append(baseline.Names(), "firstfit") {
 		t.Run(algo, func(t *testing.T) {
 			var sb strings.Builder
 			if err := run(context.Background(), []string{"-in", path, "-algo", algo}, &sb); err != nil {
@@ -117,7 +119,7 @@ func TestRunWithImprove(t *testing.T) {
 
 func TestRunOnlineMode(t *testing.T) {
 	path := writeInstance(t)
-	for _, algo := range []string{"mincost", "ffps", "prefer-active"} {
+	for _, algo := range online.PolicyNames() {
 		var sb strings.Builder
 		if err := run(context.Background(), []string{"-in", path, "-online", "-algo", algo}, &sb); err != nil {
 			t.Fatalf("%s: %v", algo, err)

@@ -91,8 +91,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		servers    = fs.Int("servers", 50, "generated fleet size (Table II catalog)")
 		transition = fs.Float64("transition", 2, "generated fleet transition time (minutes)")
 		seed       = fs.Int64("seed", 1, "seed for the generated fleet and the ffps policy")
-		policy     = fs.String("policy", "mincost", "placement policy: mincost, delay-aware, prefer-active, ffps")
-		penalty    = fs.Float64("delay-penalty", 50, "delay-aware policy: watt-minutes per minute of start delay")
+		policy     = fs.String("policy", "mincost", "placement policy: "+strings.Join(online.PolicyNames(), ", "))
+		penalty    = fs.Float64("delay-penalty", online.DefaultDelayPenalty, "delay-aware policy: watt-minutes per minute of start delay")
 		idle       = fs.Int("idle-timeout", 2, "minutes an empty server stays active before sleeping (-1 = never)")
 		parallel   = fs.Int("parallel", 0, "candidate-scan workers (0 = automatic, 1 = sequential)")
 		journalDir = fs.String("journal", "", "journal + snapshot directory (empty = volatile state)")
@@ -126,7 +126,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	pol, err := pickPolicy(*policy, *penalty, *seed)
+	pol, err := online.NewPolicy(*policy, *penalty, *seed)
 	if err != nil {
 		return err
 	}
@@ -161,7 +161,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			if i := strings.IndexByte(spec, '='); i >= 0 {
 				name, polName = spec[:i], spec[i+1:]
 			}
-			sp, err := pickPolicy(polName, *penalty, *seed)
+			sp, err := online.NewPolicy(polName, *penalty, *seed)
 			if err != nil {
 				return fmt.Errorf("-shadow-policy %q: %w", spec, err)
 			}
@@ -352,19 +352,4 @@ func loadFleet(path string, n int, transition float64, seed int64) ([]model.Serv
 		return nil, fmt.Errorf("fleet %s has no servers", path)
 	}
 	return inst.Servers, nil
-}
-
-func pickPolicy(name string, penalty float64, seed int64) (online.Policy, error) {
-	switch name {
-	case "mincost":
-		return &online.MinCostPolicy{}, nil
-	case "delay-aware":
-		return &online.DelayAwareMinCostPolicy{PenaltyPerMinute: penalty}, nil
-	case "prefer-active":
-		return &online.PreferActivePolicy{}, nil
-	case "ffps":
-		return online.NewFirstFitPolicy(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q (want mincost, delay-aware, prefer-active or ffps)", name)
-	}
 }

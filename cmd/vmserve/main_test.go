@@ -20,6 +20,7 @@ import (
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/model"
+	"vmalloc/internal/online"
 )
 
 func testConfig(dir string) cluster.Config {
@@ -311,23 +312,38 @@ func waitServing(t *testing.T, out *syncBuffer) string {
 	}
 }
 
-// TestRunStartupShutdown boots the real daemon on an ephemeral port,
-// waits for readiness by polling /healthz, serves one admission, and
-// shuts it down via context cancellation, the signal path's plumbing.
-func TestRunStartupShutdown(t *testing.T) {
+// bootDaemon runs the real daemon on an ephemeral port with the given
+// extra flags and returns its base URL once /healthz answers, plus a stop
+// function that cancels its context (the signal path's plumbing) and
+// fails the test unless run returns nil promptly.
+func bootDaemon(t *testing.T, args ...string) (base string, stop func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	dir := t.TempDir()
 	done := make(chan error, 1)
 	out := new(syncBuffer)
 	go func() {
-		done <- run(ctx, []string{
-			"-addr", "127.0.0.1:0",
-			"-servers", "4",
-			"-journal", dir,
-		}, out)
+		done <- run(ctx, append([]string{"-addr", "127.0.0.1:0", "-servers", "4"}, args...), out)
 	}()
-	base := waitServing(t, out)
+	t.Cleanup(cancel)
+	return waitServing(t, out), func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run: %v (output: %s)", err, out.String())
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("daemon did not shut down")
+		}
+	}
+}
+
+// TestRunStartupShutdown boots the real daemon, serves one admission, and
+// shuts it down via context cancellation.
+func TestRunStartupShutdown(t *testing.T) {
+	dir := t.TempDir()
+	base, stop := bootDaemon(t, "-journal", dir)
 
 	resp, err := http.Post(base+"/v1/vms", "application/json",
 		strings.NewReader(`{"demand":{"cpu":1,"mem":1},"durationMinutes":5}`))
@@ -340,18 +356,55 @@ func TestRunStartupShutdown(t *testing.T) {
 		t.Fatalf("admit via daemon = %d", resp.StatusCode)
 	}
 
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v (output: %s)", err, out.String())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("daemon did not shut down")
-	}
+	stop()
 	// Graceful shutdown snapshots the admitted state.
 	if fi, err := os.Stat(filepath.Join(dir, "snapshot.json")); err != nil || fi.Size() == 0 {
 		t.Errorf("no snapshot after graceful shutdown: %v", err)
+	}
+}
+
+// TestRunPolicies: every name of the online policy lookup boots as
+// -policy and is the champion GET /v1/policies reports; -shadow-policy
+// takes the same names, bare or as name=policy, and both forms read back.
+func TestRunPolicies(t *testing.T) {
+	policies := func(base string) api.PoliciesResponse {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/policies")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var pr api.PoliciesResponse
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	for _, name := range online.PolicyNames() {
+		base, stop := bootDaemon(t, "-policy", name)
+		if got := policies(base).Champion; got != "online/"+name {
+			t.Errorf("-policy %s: champion %q", name, got)
+		}
+		stop()
+	}
+	base, stop := bootDaemon(t, "-shadow-policy", "delay-aware", "-shadow-policy", "trial=ffps")
+	pr := policies(base)
+	stop()
+	if pr.Count != 2 || len(pr.Policies) != 2 {
+		t.Fatalf("policies = %+v, want two challengers", pr)
+	}
+	for i, want := range []api.PolicyReport{
+		{Name: "delay-aware", Policy: "online/delay-aware"},
+		{Name: "trial", Policy: "online/ffps"},
+	} {
+		if got := pr.Policies[i]; got.Name != want.Name || got.Policy != want.Policy {
+			t.Errorf("challenger %d = %s (%s), want %s (%s)", i, got.Name, got.Policy, want.Name, want.Policy)
+		}
+	}
+	for _, bad := range [][]string{{"-policy", "nope"}, {"-shadow-policy", "x=nope"}} {
+		if err := run(context.Background(), bad, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+			t.Errorf("%v: err = %v, want unknown policy", bad, err)
+		}
 	}
 }
 

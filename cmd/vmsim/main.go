@@ -53,12 +53,14 @@ func run(args []string) error {
 	}
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-10s %s\n", e.ID(), e.Title())
+			fmt.Printf("%-10s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
 	if *cfgIn != "" {
-		return runCampaign(*cfgIn)
+		return runCampaign(ctx, *cfgIn)
 	}
 	var selected []experiments.Experiment
 	if *exp == "all" {
@@ -72,20 +74,17 @@ func run(args []string) error {
 			selected = append(selected, e)
 		}
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	opts := experiments.Options{Quick: *quick, Seeds: *seeds}
 	for _, e := range selected {
 		start := time.Now()
 		res, err := e.Run(ctx, opts)
 		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID(), err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if _, err := res.WriteTo(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Printf("(%s completed in %v)\n\n", e.ID(), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if *ascii {
 			for i := range res.Charts {
 				fmt.Println(res.Charts[i].ASCII(72, 16))
@@ -105,7 +104,7 @@ func run(args []string) error {
 	return nil
 }
 
-func runCampaign(path string) error {
+func runCampaign(ctx context.Context, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -115,8 +114,6 @@ func runCampaign(path string) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	out, err := campaign.Run(ctx)
 	if err != nil {
 		return err

@@ -285,21 +285,13 @@ func DecodeClockRequest(data []byte) (ClockRequest, error) {
 	return req, nil
 }
 
-// EncodeState marshals a state body exactly as the server serves it:
+// EncodeState marshals a state body (a *StateResponse, or a vmgate's
+// aggregated *GateStateResponse) exactly as the server serves it:
 // deterministic two-space-indented JSON with a trailing newline. Digest
 // over these bytes (DigestBytes) equals the X-Vmalloc-State-Digest
 // header a server would send for the same state.
-func EncodeState(st *StateResponse) ([]byte, error) {
-	return encodeIndented(st)
-}
-
-// EncodeGateState marshals a vmgate's aggregated state the same way.
-func EncodeGateState(st *GateStateResponse) ([]byte, error) {
-	return encodeIndented(st)
-}
-
-func encodeIndented(v any) ([]byte, error) {
-	b, err := json.MarshalIndent(v, "", "  ")
+func EncodeState(st any) ([]byte, error) {
+	b, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return nil, err
 	}

@@ -240,15 +240,6 @@ func (r *RandomFit) Allocate(ctx context.Context, inst model.Instance) (*core.Re
 	return core.FinishResult(r.Name(), inst, placement, fleet.ServersUsed())
 }
 
-// MinPowerIncrease places each VM on the feasible server with the smallest
-// instantaneous power increase P¹·demand — i.e. the heuristic with segment
-// and transition terms removed. It differs from core's
-// WithoutTransitionAwareness only in name; kept here so ablation tables can
-// present it alongside the other baselines.
-func MinPowerIncrease() core.Allocator {
-	return core.NewMinCost(core.WithoutTransitionAwareness())
-}
-
 // firstFit runs the shared first-fit scan over servers in the given order
 // of fleet indices. When reorder is non-nil it is invoked before every
 // request (FFPS's per-request shuffle).

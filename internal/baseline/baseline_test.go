@@ -4,10 +4,13 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/energy"
+	"vmalloc/internal/ilp"
 	"vmalloc/internal/model"
 )
 
@@ -60,25 +63,28 @@ func catalogInstance(rng *rand.Rand, n, k int) model.Instance {
 	return model.NewInstance(vms, servers)
 }
 
-func TestAllBaselinesProduceValidPlacements(t *testing.T) {
+// TestRegistry is the one table over the allocator registry: every name
+// constructs, places a seeded 40-VM instance, and the placement passes the
+// ILP's constraint check and the exact evaluator.
+func TestRegistry(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	inst := catalogInstance(rng, 80, 20)
-	allocators := []core.Allocator{
-		NewFFPS(core.WithSeed(1)),
-		NewFirstFitSorted(ByEfficiency),
-		NewFirstFitSorted(ByCapacity),
-		NewBestFitCPU(),
-		NewRandomFit(core.WithSeed(1)),
-		MinPowerIncrease(),
+	inst := catalogInstance(rng, 40, 10)
+	names := Names()
+	if len(names) != 11 || !slices.IsSorted(names) {
+		t.Errorf("Names() = %v, want 11 sorted names", names)
 	}
-	for _, a := range allocators {
-		t.Run(a.Name(), func(t *testing.T) {
-			res, err := a.Allocate(context.Background(), inst)
+	for _, name := range append(names, "firstfit") {
+		t.Run(name, func(t *testing.T) {
+			mk, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := mk(core.WithSeed(1), core.WithParallelism(2)).Allocate(context.Background(), inst)
 			if err != nil {
 				t.Fatalf("Allocate: %v", err)
 			}
-			if len(res.Placement) != len(inst.VMs) {
-				t.Fatalf("placed %d of %d VMs", len(res.Placement), len(inst.VMs))
+			if err := ilp.CheckPlacement(inst, res.Placement); err != nil {
+				t.Fatal(err)
 			}
 			want, err := energy.EvaluateObjective(inst, res.Placement)
 			if err != nil {
@@ -91,6 +97,12 @@ func TestAllBaselinesProduceValidPlacements(t *testing.T) {
 				t.Errorf("ServersUsed = %d", res.ServersUsed)
 			}
 		})
+	}
+	if a, _ := Lookup("firstfit"); a().Name() != "FirstFit/efficiency" {
+		t.Errorf("firstfit resolves to %s", a().Name())
+	}
+	if _, err := Lookup("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Errorf("unknown name: err = %v, want the list of names", err)
 	}
 }
 

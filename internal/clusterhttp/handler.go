@@ -222,7 +222,7 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 			// connection error path.
 			return
 		}
-		cfg.Metrics.Write(w)
+		cfg.Metrics.Write(w, "vmalloc_http")
 		cfg.Spans.WriteMetrics(w, "vmalloc_trace")
 		cfg.Energy.WriteMetrics(w)
 		obs.WriteRuntimeMetrics(w)

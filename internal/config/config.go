@@ -16,55 +16,18 @@ package config
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"time"
 
 	"vmalloc/internal/baseline"
-	"vmalloc/internal/core"
-	"vmalloc/internal/metrics"
-	"vmalloc/internal/workload"
+	"vmalloc/internal/sim"
 )
 
-// Campaign is a user-defined comparison run.
+// Campaign is a user-defined comparison run: a named simulation campaign.
 type Campaign struct {
-	Name       string             `json:"name"`
-	Workload   workload.Spec      `json:"workload"`
-	Fleet      workload.FleetSpec `json:"fleet"`
-	Seeds      int                `json:"seeds"`
-	Allocators []string           `json:"allocators"`
-	// SkipInfeasible drops seeds no allocator can place instead of
-	// failing the campaign.
-	SkipInfeasible bool `json:"skipInfeasible,omitempty"`
-}
-
-// allocatorFactories maps config names to constructors. Seed-dependent
-// allocators receive the workload seed.
-var allocatorFactories = map[string]func(seed int64) core.Allocator{
-	"mincost":               func(int64) core.Allocator { return core.NewMinCost() },
-	"mincost-lookahead":     func(int64) core.Allocator { return core.NewLookahead() },
-	"mincost-no-transition": func(int64) core.Allocator { return core.NewMinCost(core.WithoutTransitionAwareness()) },
-	"ffps":                  func(s int64) core.Allocator { return baseline.NewFFPS(core.WithSeed(s)) },
-	"firstfit-efficiency":   func(int64) core.Allocator { return baseline.NewFirstFitSorted(baseline.ByEfficiency) },
-	"firstfit-capacity":     func(int64) core.Allocator { return baseline.NewFirstFitSorted(baseline.ByCapacity) },
-	"bestfit":               func(int64) core.Allocator { return baseline.NewBestFitCPU() },
-	"randomfit":             func(s int64) core.Allocator { return baseline.NewRandomFit(core.WithSeed(s)) },
-	"minbusytime":           func(int64) core.Allocator { return baseline.NewMinBusyTime() },
-	"vectorfit":             func(int64) core.Allocator { return baseline.NewVectorFit() },
-	"worstfit":              func(int64) core.Allocator { return baseline.NewWorstFit() },
-}
-
-// AllocatorNames returns the recognised allocator names, sorted.
-func AllocatorNames() []string {
-	names := make([]string, 0, len(allocatorFactories))
-	for n := range allocatorFactories {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	Name string `json:"name"`
+	sim.Config
 }
 
 // Load parses and validates a campaign.
@@ -74,6 +37,9 @@ func Load(r io.Reader) (*Campaign, error) {
 	var c Campaign
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("config: trailing data after the campaign object")
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -96,30 +62,22 @@ func (c *Campaign) Validate() error {
 		c.Seeds = 5
 	}
 	if len(c.Allocators) == 0 {
-		c.Allocators = []string{"mincost", "ffps"}
+		c.Allocators = sim.DefaultLineup
 	}
 	for _, name := range c.Allocators {
-		if _, ok := allocatorFactories[name]; !ok {
-			return fmt.Errorf("config: unknown allocator %q (have %s)",
-				name, strings.Join(AllocatorNames(), ", "))
+		if _, err := baseline.Lookup(name); err != nil {
+			return fmt.Errorf("config: %w", err)
 		}
 	}
 	return nil
 }
 
-// AllocatorRow is one allocator's averaged outcome.
+// AllocatorRow is one allocator's outcome averaged over the seeds.
 type AllocatorRow struct {
-	Name        string              `json:"name"`
-	Energy      float64             `json:"energyWattMinutes"`
-	ServersUsed float64             `json:"serversUsed"`
-	Utilization metrics.Utilization `json:"utilization"`
+	sim.AllocatorSummary
 	// VsFirst is this row's energy relative to the first allocator's
 	// (1.0 = equal).
 	VsFirst float64 `json:"vsFirst"`
-	// Stats accumulates the allocator's AllocStats over every seed
-	// (candidates evaluated, rejections, wall times), when the allocator
-	// reports them.
-	Stats core.AllocStats `json:"stats"`
 }
 
 // Outcome is a completed campaign.
@@ -129,87 +87,23 @@ type Outcome struct {
 	Skipped  int            `json:"skipped,omitempty"`
 }
 
-// Run executes the campaign: every allocator sees the identical seeded
-// instances; results are averaged over the seeds each allocator could
-// place (with SkipInfeasible, a seed is dropped for all allocators if any
-// fails on it, keeping the comparison paired).
+// Run executes the campaign on the simulation runner: every allocator sees
+// the identical seeded instances (each built with the instance's seed), and
+// with SkipInfeasible a seed is dropped for all allocators if any fails on
+// it, keeping the comparison paired.
 func (c *Campaign) Run(ctx context.Context) (*Outcome, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	type acc struct {
-		energy, used, cpu, mem float64
-		stats                  core.AllocStats
+	sum, err := sim.Run(ctx, c.Config)
+	if err != nil {
+		return nil, fmt.Errorf("config: %w", err)
 	}
-	accs := make([]acc, len(c.Allocators))
-	used := 0
-	skipped := 0
-	for seed := int64(1); seed <= int64(c.Seeds); seed++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		inst, err := workload.Generate(c.Workload, c.Fleet, seed)
-		if err != nil {
-			return nil, err
-		}
-		results := make([]*core.Result, len(c.Allocators))
-		utils := make([]metrics.Utilization, len(c.Allocators))
-		failed := false
-		for k, name := range c.Allocators {
-			res, err := allocatorFactories[name](seed).Allocate(ctx, inst)
-			if err != nil {
-				var ue *core.UnplaceableError
-				if c.SkipInfeasible && errors.As(err, &ue) {
-					failed = true
-					break
-				}
-				return nil, fmt.Errorf("config: %s on seed %d: %w", name, seed, err)
-			}
-			u, err := metrics.AverageUtilization(inst, res.Placement)
-			if err != nil {
-				return nil, err
-			}
-			results[k], utils[k] = res, u
-		}
-		if failed {
-			skipped++
-			continue
-		}
-		used++
-		for k := range c.Allocators {
-			accs[k].energy += results[k].Energy.Total()
-			accs[k].used += float64(results[k].ServersUsed)
-			accs[k].cpu += utils[k].CPU
-			accs[k].mem += utils[k].Mem
-			if st := results[k].Stats; st != nil {
-				a := &accs[k].stats
-				a.VMsPlaced += st.VMsPlaced
-				a.CandidatesEvaluated += st.CandidatesEvaluated
-				a.FeasibilityRejections += st.FeasibilityRejections
-				a.ScanWall += st.ScanWall
-				a.CommitWall += st.CommitWall
-				a.TotalWall += st.TotalWall
-				if st.Workers > a.Workers {
-					a.Workers = st.Workers
-				}
-			}
-		}
-	}
-	if used == 0 {
-		return nil, fmt.Errorf("config: all %d seeds were infeasible", skipped)
-	}
-	out := &Outcome{Campaign: c, Skipped: skipped}
-	n := float64(used)
-	for k, name := range c.Allocators {
-		row := AllocatorRow{
-			Name:        name,
-			Energy:      accs[k].energy / n,
-			ServersUsed: accs[k].used / n,
-			Utilization: metrics.Utilization{CPU: accs[k].cpu / n, Mem: accs[k].mem / n},
-			Stats:       accs[k].stats,
-		}
-		if accs[0].energy > 0 {
-			row.VsFirst = accs[k].energy / accs[0].energy
+	out := &Outcome{Campaign: c, Skipped: sum.Skipped}
+	for _, a := range sum.Allocators {
+		row := AllocatorRow{AllocatorSummary: a}
+		if first := sum.Allocators[0].Energy; first > 0 {
+			row.VsFirst = a.Energy / first
 		}
 		out.Rows = append(out.Rows, row)
 	}

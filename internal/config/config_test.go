@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"vmalloc/internal/baseline"
+	"vmalloc/internal/sim"
 	"vmalloc/internal/workload"
 )
 
@@ -33,6 +35,7 @@ func TestLoadErrors(t *testing.T) {
 	}{
 		{"not json", "{"},
 		{"unknown field", `{"bogus": 1}`},
+		{"trailing data", validJSON + "garbage"},
 		{"bad workload", `{"workload": {"numVMs": 0}, "fleet": {"numServers": 1}}`},
 		{"bad fleet", `{"workload": {"numVMs": 1, "meanInterArrivalMinutes": 1, "meanLengthMinutes": 1}, "fleet": {"numServers": 0}}`},
 		{"unknown allocator", `{
@@ -65,17 +68,21 @@ func TestValidateDefaults(t *testing.T) {
 	}
 }
 
+// Every name the registry lists is a valid campaign allocator, and the
+// unknown-allocator error names them all.
 func TestAllocatorNamesComplete(t *testing.T) {
-	names := AllocatorNames()
-	if len(names) != 11 {
-		t.Errorf("have %d allocator names: %v", len(names), names)
+	c, err := Load(strings.NewReader(validJSON))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every registered name must construct a working allocator.
-	for _, n := range names {
-		a := allocatorFactories[n](1)
-		if a == nil || a.Name() == "" {
-			t.Errorf("factory %q broken", n)
-		}
+	c.Allocators = baseline.Names()
+	if err := c.Validate(); err != nil {
+		t.Errorf("registry names rejected: %v", err)
+	}
+	c.Allocators = []string{"nope"}
+	err = c.Validate()
+	if err == nil || !strings.Contains(err.Error(), strings.Join(baseline.Names(), ", ")) {
+		t.Errorf("err = %v, want the registry's names", err)
 	}
 }
 
@@ -125,15 +132,13 @@ func TestRunContextCancelled(t *testing.T) {
 }
 
 func TestRunAllInfeasible(t *testing.T) {
-	c := &Campaign{
-		Workload: workloadSpecHuge(),
-		Fleet:    fleetTiny(),
-		Seeds:    2,
-		Allocators: []string{
-			"mincost",
-		},
+	c := &Campaign{Config: sim.Config{
+		Workload:       workloadSpecHuge(),
+		Fleet:          fleetTiny(),
+		Seeds:          2,
+		Allocators:     []string{"mincost"},
 		SkipInfeasible: true,
-	}
+	}}
 	if _, err := c.Run(context.Background()); err == nil {
 		t.Error("want error when every seed is infeasible")
 	}

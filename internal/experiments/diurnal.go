@@ -7,31 +7,30 @@ import (
 	"vmalloc/internal/baseline"
 	"vmalloc/internal/core"
 	"vmalloc/internal/metrics"
+	"vmalloc/internal/model"
 	"vmalloc/internal/report"
 	"vmalloc/internal/workload"
 )
 
-// Diurnal is an extension experiment (not in the paper): it replaces the
+// diurnalInstance is the paper campaign with its flat Poisson arrivals
+// bent into a 480-minute day/night cycle of the same average rate.
+func diurnalInstance(peakToTrough float64, seed int64) (model.Instance, error) {
+	w, f := paperCampaign(100).specs()
+	return workload.GenerateDiurnal(workload.DiurnalSpec{
+		NumVMs: w.NumVMs, MeanInterArrival: w.MeanInterArrival, MeanLength: w.MeanLength,
+		PeakToTrough: peakToTrough, Period: 480,
+	}, f, seed)
+}
+
+// diurnal is an extension experiment (not in the paper): it replaces the
 // flat Poisson arrivals with a day/night cycle of the same average rate —
 // the load shape the dynamic right-sizing literature (§V [4]) targets —
 // and asks whether the paper's conclusions survive time-varying load.
-type Diurnal struct{}
-
-// ID implements Experiment.
-func (*Diurnal) ID() string { return "diurnal" }
-
-// Title implements Experiment.
-func (*Diurnal) Title() string {
-	return "Extension — day/night arrival cycles vs flat Poisson arrivals"
-}
-
-// Run implements Experiment.
-func (e *Diurnal) Run(ctx context.Context, opts Options) (*Result, error) {
+func diurnal(ctx context.Context, opts Options) (*Result, error) {
 	ratios := []float64{1, 2, 4, 8}
 	if opts.Quick {
 		ratios = []float64{1, 4}
 	}
-	seeds := opts.seeds()
 	t := Table{
 		Name: "Diurnal",
 		Caption: "reduction ratio and peak concurrency under a 480-min arrival cycle " +
@@ -45,18 +44,11 @@ func (e *Diurnal) Run(ctx context.Context, opts Options) (*Result, error) {
 		var oursSum, ffpsSum float64
 		peak := 0
 		placedSeeds := 0
-		for seed := int64(1); seed <= int64(seeds); seed++ {
+		for seed := int64(1); seed <= int64(opts.seeds()); seed++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			inst, err := workload.GenerateDiurnal(
-				workload.DiurnalSpec{
-					NumVMs: 100, MeanInterArrival: 2, MeanLength: DefaultMeanLength,
-					PeakToTrough: ratio, Period: 480,
-				},
-				workload.FleetSpec{NumServers: 50, TransitionTime: DefaultTransition},
-				seed,
-			)
+			inst, err := diurnalInstance(ratio, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -67,9 +59,7 @@ func (e *Diurnal) Run(ctx context.Context, opts Options) (*Result, error) {
 			}
 			oursSum += ours.Energy.Total()
 			ffpsSum += ffps.Energy.Total()
-			if p := metrics.PeakConcurrency(inst); p > peak {
-				peak = p
-			}
+			peak = max(peak, metrics.PeakConcurrency(inst))
 			placedSeeds++
 		}
 		if placedSeeds == 0 {
@@ -87,28 +77,18 @@ func (e *Diurnal) Run(ctx context.Context, opts Options) (*Result, error) {
 		"peakier arrivals concentrate VMs in time: consolidation gets easier at the peak while the trough behaves like a sparse workload",
 		"ratio 1 is the paper's flat Poisson process")
 
-	chart, err := e.activityChart(ctx)
+	chart, err := activityChart(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{*chart}}, nil
+	return &Result{Tables: []Table{t}, Charts: []report.Chart{*chart}}, nil
 }
 
 // activityChart plots the fleet's active-server count over time for one
 // strongly diurnal instance under both allocators — the picture dynamic
 // right-sizing papers draw, derived here from a single offline placement.
-func (e *Diurnal) activityChart(ctx context.Context) (*report.Chart, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	inst, err := workload.GenerateDiurnal(
-		workload.DiurnalSpec{
-			NumVMs: 100, MeanInterArrival: 2, MeanLength: DefaultMeanLength,
-			PeakToTrough: 6, Period: 480,
-		},
-		workload.FleetSpec{NumServers: 50, TransitionTime: DefaultTransition},
-		1,
-	)
+func activityChart(ctx context.Context) (*report.Chart, error) {
+	inst, err := diurnalInstance(6, 1)
 	if err != nil {
 		return nil, err
 	}

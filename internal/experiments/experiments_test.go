@@ -39,15 +39,15 @@ func TestRegistry(t *testing.T) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(wantIDs))
 	}
 	for i, e := range all {
-		if e.ID() != wantIDs[i] {
-			t.Errorf("experiment %d has ID %q, want %q", i, e.ID(), wantIDs[i])
+		if e.ID != wantIDs[i] {
+			t.Errorf("experiment %d has ID %q, want %q", i, e.ID, wantIDs[i])
 		}
-		if e.Title() == "" {
-			t.Errorf("experiment %q has empty title", e.ID())
+		if e.Title == "" {
+			t.Errorf("experiment %q has empty title", e.ID)
 		}
-		got, err := ByID(e.ID())
-		if err != nil || got.ID() != e.ID() {
-			t.Errorf("ByID(%q) = %v, %v", e.ID(), got, err)
+		got, err := ByID(e.ID)
+		if err != nil || got.ID != e.ID {
+			t.Errorf("ByID(%q) = %v, %v", e.ID, got, err)
 		}
 	}
 	if _, err := ByID("nonexistent"); err == nil {
@@ -102,13 +102,13 @@ func TestAllExperimentsQuick(t *testing.T) {
 	var rendered strings.Builder
 	for _, e := range All() {
 		e := e
-		t.Run(e.ID(), func(t *testing.T) {
+		t.Run(e.ID, func(t *testing.T) {
 			res, err := e.Run(ctx, Options{Quick: true})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if res.ID != e.ID() {
-				t.Errorf("result ID %q != %q", res.ID, e.ID())
+			if res.ID != e.ID {
+				t.Errorf("result ID %q != %q", res.ID, e.ID)
 			}
 			if len(res.Tables) == 0 {
 				t.Fatal("no tables")
@@ -173,5 +173,36 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if got := len((Options{}).vmCounts()); got != 5 {
 		t.Errorf("full vm counts = %d", got)
+	}
+}
+
+// TestSensitivitySeeds: the study raises only the default seed count to
+// 10 (its confidence intervals need more than the paper's 5 runs); a seed
+// count the caller asked for is what runs.
+func TestSensitivitySeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full sensitivity study three times")
+	}
+	e, err := ByID("sensitivity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(opts Options) string {
+		res, err := e.Run(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if _, err := res.WriteTo(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	ten := render(Options{Seeds: 10})
+	if render(Options{}) != ten {
+		t.Error("default run differs from an explicit 10 seeds")
+	}
+	if render(Options{Seeds: 7}) == ten {
+		t.Error("-seeds 7 printed the 10-seed table: the explicit count was overridden")
 	}
 }

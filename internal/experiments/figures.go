@@ -4,484 +4,163 @@ import (
 	"context"
 	"fmt"
 
-	"vmalloc/internal/model"
 	"vmalloc/internal/report"
 	"vmalloc/internal/sim"
 	"vmalloc/internal/stats"
-	"vmalloc/internal/workload"
 )
 
-// campaign describes one simulation sweep point and runs it.
-type campaign struct {
-	vms         int
-	servers     int
-	interArr    float64
-	meanLength  float64
-	transition  float64
-	classes     []model.VMClass
-	serverTypes []string
+// column extracts one value per sweep point.
+func column(sums []*sim.Summary, pick func(*sim.Summary) float64) []float64 {
+	out := make([]float64, len(sums))
+	for i, s := range sums {
+		out[i] = pick(s)
+	}
+	return out
 }
 
-func (c campaign) run(ctx context.Context, opts Options) (*sim.Summary, error) {
-	cfg := sim.Config{
-		Workload: workload.Spec{
-			NumVMs:           c.vms,
-			MeanInterArrival: c.interArr,
-			MeanLength:       c.meanLength,
-			Classes:          c.classes,
-		},
-		Fleet: workload.FleetSpec{
-			NumServers:     c.servers,
-			TransitionTime: c.transition,
-			Types:          c.serverTypes,
-		},
-		Seeds:          sim.Seeds(opts.seeds()),
-		SkipInfeasible: true,
+func reduction(s *sim.Summary) float64 { return s.MeanReductionRatio }
+
+// §IV-C quantifies the load of the system by the FFPS utilisations.
+func cpuLoad(s *sim.Summary) float64 { return s.Allocators[1].Utilization.CPU }
+func memLoad(s *sim.Summary) float64 { return s.Allocators[1].Utilization.Mem }
+
+// noteSkipped records dropped seeds, if any, under the table.
+func (t *Table) noteSkipped(sums []*sim.Summary) {
+	skipped := 0
+	for _, s := range sums {
+		skipped += s.Skipped
 	}
-	return sim.NewRunner().Run(ctx, cfg)
+	if skipped > 0 {
+		t.Notes = append(t.Notes, fmt.Sprintf("%d infeasible seed(s) skipped", skipped))
+	}
 }
+
+// fitFunc is stats.LinearFit or stats.LogFit.
+type fitFunc func(xs, ys []float64) (stats.Fit, error)
 
 // fitNote formats a per-series fit annotation like the paper's legends.
-func fitNote(series string, xs, ys []float64, kind stats.FitKind) string {
-	var (
-		fit stats.Fit
-		err error
-	)
-	switch kind {
-	case stats.Logarithmic:
-		fit, err = stats.LogFit(xs, ys)
-	case stats.Exponential:
-		fit, err = stats.ExpFit(xs, ys)
-	default:
-		fit, err = stats.LinearFit(xs, ys)
-	}
+func fitNote(series string, xs, ys []float64, fit fitFunc) string {
+	f, err := fit(xs, ys)
 	if err != nil {
 		return fmt.Sprintf("%s: fit unavailable (%v)", series, err)
 	}
-	return fmt.Sprintf("%s fit of %s: %s", fit.Kind, series, fit)
+	return fmt.Sprintf("%s fit of %s: %s", f.Kind, series, f)
 }
 
-// Fig2 reproduces paper Fig. 2: energy reduction ratio vs mean
-// inter-arrival time for 100–500 VMs (all VM and server types, servers =
-// VMs/2), with linear fits.
-type Fig2 struct{}
-
-// ID implements Experiment.
-func (*Fig2) ID() string { return "fig2" }
-
-// Title implements Experiment.
-func (*Fig2) Title() string {
-	return "Fig. 2 — energy reduction ratio vs mean inter-arrival time (all VM/server types)"
+func pctChart(title, xLabel, yLabel string) report.Chart {
+	return report.Chart{Title: title, XLabel: xLabel, YLabel: yLabel, YPercent: true}
 }
 
-// Run implements Experiment.
-func (e *Fig2) Run(ctx context.Context, opts Options) (*Result, error) {
-	counts := opts.vmCounts()
+const interArrivalAxis = "mean inter-arrival time (min)"
+
+// curve is one line of a reduction-vs-inter-arrival figure: a campaign and
+// what it is called in the table header, the fit note and the chart legend.
+type curve struct {
+	column, note, series string
+	c                    campaign
+}
+
+// byCount draws one curve per VM count of the §IV-C sweep.
+func byCount(base campaign) func(Options) []curve {
+	return func(opts Options) []curve {
+		var cs []curve
+		for _, base.vms = range opts.vmCounts() {
+			label := fmt.Sprintf("%d VMs", base.vms)
+			cs = append(cs, curve{label, label, label, base})
+		}
+		return cs
+	}
+}
+
+// byParam draws one curve per value of a parameter of the 100-VM campaign;
+// the three formats take the value.
+func byParam(column, note, series string, set func(*campaign, float64), values ...float64) func(Options) []curve {
+	return func(Options) []curve {
+		var cs []curve
+		for _, v := range values {
+			c := paperCampaign(100)
+			set(&c, v)
+			cs = append(cs, curve{fmt.Sprintf(column, v), fmt.Sprintf(note, v), fmt.Sprintf(series, v), c})
+		}
+		return cs
+	}
+}
+
+// reductionFigure is the shape of Fig. 2, 5, 6 and 7: energy reduction
+// ratio against mean inter-arrival time, one fitted curve per campaign.
+type reductionFigure struct {
+	name, caption, chartTitle string
+	fit                       fitFunc
+	curves                    func(Options) []curve
+}
+
+func (f reductionFigure) run(ctx context.Context, opts Options) (*Result, error) {
 	ias := opts.interArrivals()
-	t := Table{
-		Name:    "Fig. 2",
-		Caption: "energy reduction ratio vs mean inter-arrival time (minutes)",
-		Header:  []string{"inter-arrival (min)"},
-	}
-	for _, m := range counts {
-		t.Header = append(t.Header, fmt.Sprintf("%d VMs", m))
-	}
-	cells := make(map[int]map[float64]float64, len(counts))
-	skipped := 0
-	for _, m := range counts {
-		cells[m] = make(map[float64]float64, len(ias))
-		for _, ia := range ias {
-			sum, err := campaign{
-				vms: m, servers: m / 2, interArr: ia,
-				meanLength: DefaultMeanLength, transition: DefaultTransition,
-			}.run(ctx, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig2 m=%d ia=%g: %w", m, ia, err)
-			}
-			cells[m][ia] = sum.MeanReductionRatio
-			skipped += sum.Skipped
-		}
-	}
+	t := Table{Name: f.name, Caption: f.caption, Header: []string{"inter-arrival (min)"}}
 	for _, ia := range ias {
-		row := []string{num(ia)}
-		for _, m := range counts {
-			row = append(row, pct(cells[m][ia]))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, []string{num(ia)})
 	}
-	for _, m := range counts {
-		ys := make([]float64, len(ias))
-		for i, ia := range ias {
-			ys[i] = cells[m][ia]
-		}
-		t.Notes = append(t.Notes, fitNote(fmt.Sprintf("%d VMs", m), ias, ys, stats.Linear))
-	}
-	if skipped > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("%d infeasible seed(s) skipped", skipped))
-	}
-	chart := report.Chart{
-		Title:    "Fig. 2 — energy reduction ratio vs mean inter-arrival time",
-		XLabel:   "mean inter-arrival time (min)",
-		YLabel:   "energy reduction ratio",
-		YPercent: true,
-	}
-	for _, m := range counts {
-		ys := make([]float64, len(ias))
-		for i, ia := range ias {
-			ys[i] = cells[m][ia]
-		}
-		chart.Series = append(chart.Series, report.Series{
-			Name: fmt.Sprintf("%d VMs", m), X: ias, Y: ys,
-		})
-	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
-}
-
-// Fig3 reproduces paper Fig. 3: average CPU and memory utilisation of
-// servers with 100 VMs, ours vs FFPS.
-type Fig3 struct{}
-
-// ID implements Experiment.
-func (*Fig3) ID() string { return "fig3" }
-
-// Title implements Experiment.
-func (*Fig3) Title() string {
-	return "Fig. 3 — average CPU/memory utilisation vs mean inter-arrival time (100 VMs)"
-}
-
-// Run implements Experiment.
-func (e *Fig3) Run(ctx context.Context, opts Options) (*Result, error) {
-	t := Table{
-		Name:    "Fig. 3",
-		Caption: "average utilisation of busy servers, MinCost vs FFPS (100 VMs, 50 servers)",
-		Header: []string{
-			"inter-arrival (min)",
-			"ours CPU", "ours mem", "FFPS CPU", "FFPS mem",
-		},
-	}
-	ias := opts.interArrivals()
-	series := map[string][]float64{}
-	for _, ia := range ias {
-		sum, err := campaign{
-			vms: 100, servers: 50, interArr: ia,
-			meanLength: DefaultMeanLength, transition: DefaultTransition,
-		}.run(ctx, opts)
+	chart := pctChart(f.chartTitle, interArrivalAxis, "energy reduction ratio")
+	var all []*sim.Summary
+	for _, cv := range f.curves(opts) {
+		sums, err := cv.c.sweep(ctx, opts)
 		if err != nil {
-			return nil, fmt.Errorf("fig3 ia=%g: %w", ia, err)
+			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			num(ia),
-			pct(sum.OursUtil.CPU), pct(sum.OursUtil.Mem),
-			pct(sum.FFPSUtil.CPU), pct(sum.FFPSUtil.Mem),
-		})
-		series["ours CPU"] = append(series["ours CPU"], sum.OursUtil.CPU)
-		series["ours mem"] = append(series["ours mem"], sum.OursUtil.Mem)
-		series["FFPS CPU"] = append(series["FFPS CPU"], sum.FFPSUtil.CPU)
-		series["FFPS mem"] = append(series["FFPS mem"], sum.FFPSUtil.Mem)
+		ys := column(sums, reduction)
+		t.Header = append(t.Header, cv.column)
+		for i, y := range ys {
+			t.Rows[i] = append(t.Rows[i], pct(y))
+		}
+		t.Notes = append(t.Notes, fitNote(cv.note, ias, ys, f.fit))
+		chart.Series = append(chart.Series, report.Series{Name: cv.series, X: ias, Y: ys})
+		all = append(all, sums...)
 	}
-	chart := report.Chart{
-		Title:    "Fig. 3 — average utilisation vs mean inter-arrival time (100 VMs)",
-		XLabel:   "mean inter-arrival time (min)",
-		YLabel:   "resource utilisation",
-		YPercent: true,
-	}
-	for _, name := range []string{"ours CPU", "ours mem", "FFPS CPU", "FFPS mem"} {
-		chart.Series = append(chart.Series, report.Series{Name: name, X: ias, Y: series[name]})
-	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
+	t.noteSkipped(all)
+	return &Result{Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
 }
 
-// Fig4 reproduces paper Fig. 4: energy reduction ratio vs the memory load
-// of the system (quantified by the FFPS memory utilisation), with
-// logarithmic fits per VM count.
-type Fig4 struct{}
+// utilPanel is one table-and-chart of a utilisation figure.
+type utilPanel struct {
+	name, caption, chartTitle string
+	c                         campaign
+}
 
-// ID implements Experiment.
-func (*Fig4) ID() string { return "fig4" }
+// utilisationFigure is the shape of Fig. 3 and Fig. 8: average CPU and
+// memory utilisation of busy servers against mean inter-arrival time,
+// ours vs FFPS, one panel per fleet.
+type utilisationFigure []utilPanel
 
-// Title implements Experiment.
-func (*Fig4) Title() string { return "Fig. 4 — energy reduction ratio vs memory load of the system" }
+var utilColumns = []struct {
+	name string
+	pick func(*sim.Summary) float64
+}{
+	{"ours CPU", func(s *sim.Summary) float64 { return s.Allocators[0].Utilization.CPU }},
+	{"ours mem", func(s *sim.Summary) float64 { return s.Allocators[0].Utilization.Mem }},
+	{"FFPS CPU", cpuLoad},
+	{"FFPS mem", memLoad},
+}
 
-// Run implements Experiment.
-func (e *Fig4) Run(ctx context.Context, opts Options) (*Result, error) {
-	counts := opts.vmCounts()
+func (f utilisationFigure) run(ctx context.Context, opts Options) (*Result, error) {
 	ias := opts.interArrivals()
-	t := Table{
-		Name:    "Fig. 4",
-		Caption: "reduction ratio keyed by memory load (load = FFPS memory utilisation)",
-		Header:  []string{"VMs", "inter-arrival (min)", "memory load", "reduction ratio"},
-	}
-	chart := report.Chart{
-		Title:    "Fig. 4 — energy reduction ratio vs memory load",
-		XLabel:   "memory load of the system",
-		YLabel:   "energy reduction ratio",
-		YPercent: true,
-	}
-	for _, m := range counts {
-		var loads, reds []float64
+	res := &Result{}
+	for _, p := range f {
+		sums, err := p.c.sweep(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		t := Table{Name: p.name, Caption: p.caption, Header: []string{"inter-arrival (min)"}}
 		for _, ia := range ias {
-			sum, err := campaign{
-				vms: m, servers: m / 2, interArr: ia,
-				meanLength: DefaultMeanLength, transition: DefaultTransition,
-			}.run(ctx, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig4 m=%d ia=%g: %w", m, ia, err)
+			t.Rows = append(t.Rows, []string{num(ia)})
+		}
+		chart := pctChart(p.chartTitle, interArrivalAxis, "resource utilisation")
+		for _, col := range utilColumns {
+			ys := column(sums, col.pick)
+			t.Header = append(t.Header, col.name)
+			for i, y := range ys {
+				t.Rows[i] = append(t.Rows[i], pct(y))
 			}
-			loads = append(loads, sum.MemLoad)
-			reds = append(reds, sum.MeanReductionRatio)
-			t.Rows = append(t.Rows, []string{
-				itoa(m), num(ia), pct(sum.MemLoad), pct(sum.MeanReductionRatio),
-			})
-		}
-		t.Notes = append(t.Notes,
-			fitNote(fmt.Sprintf("%d VMs (reduction vs load)", m), loads, reds, stats.Logarithmic))
-		chart.Series = append(chart.Series, report.Series{
-			Name: fmt.Sprintf("%d VMs", m), X: loads, Y: reds,
-		})
-	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
-}
-
-// Fig5 reproduces paper Fig. 5: the impact of the server transition time
-// (0.5, 1, 3 minutes) on the energy reduction ratio.
-type Fig5 struct{}
-
-// ID implements Experiment.
-func (*Fig5) ID() string { return "fig5" }
-
-// Title implements Experiment.
-func (*Fig5) Title() string {
-	return "Fig. 5 — impact of server transition time (100 VMs, 50 servers)"
-}
-
-// Run implements Experiment.
-func (e *Fig5) Run(ctx context.Context, opts Options) (*Result, error) {
-	transitions := []float64{0.5, 1, 3}
-	ias := opts.interArrivals()
-	t := Table{
-		Name:    "Fig. 5",
-		Caption: "energy reduction ratio for transition times of 0.5, 1 and 3 minutes",
-		Header:  []string{"inter-arrival (min)", "0.5 min", "1 min", "3 min"},
-	}
-	series := make(map[float64][]float64, len(transitions))
-	for _, ia := range ias {
-		row := []string{num(ia)}
-		for _, tr := range transitions {
-			sum, err := campaign{
-				vms: 100, servers: 50, interArr: ia,
-				meanLength: DefaultMeanLength, transition: tr,
-			}.run(ctx, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig5 ia=%g tr=%g: %w", ia, tr, err)
-			}
-			row = append(row, pct(sum.MeanReductionRatio))
-			series[tr] = append(series[tr], sum.MeanReductionRatio)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	chart := report.Chart{
-		Title:    "Fig. 5 — impact of transition time",
-		XLabel:   "mean inter-arrival time (min)",
-		YLabel:   "energy reduction ratio",
-		YPercent: true,
-	}
-	for _, tr := range transitions {
-		t.Notes = append(t.Notes,
-			fitNote(fmt.Sprintf("transition time = %g min", tr), ias, series[tr], stats.Linear))
-		chart.Series = append(chart.Series, report.Series{
-			Name: fmt.Sprintf("transition %g min", tr), X: ias, Y: series[tr],
-		})
-	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
-}
-
-// Fig6 reproduces paper Fig. 6: the impact of the mean VM length (20, 50,
-// 100 minutes) on the energy reduction ratio.
-type Fig6 struct{}
-
-// ID implements Experiment.
-func (*Fig6) ID() string { return "fig6" }
-
-// Title implements Experiment.
-func (*Fig6) Title() string { return "Fig. 6 — impact of mean VM length (100 VMs, 50 servers)" }
-
-// Run implements Experiment.
-func (e *Fig6) Run(ctx context.Context, opts Options) (*Result, error) {
-	lengths := []float64{20, 50, 100}
-	ias := opts.interArrivals()
-	t := Table{
-		Name:    "Fig. 6",
-		Caption: "energy reduction ratio for mean VM lengths of 20, 50 and 100 minutes",
-		Header:  []string{"inter-arrival (min)", "20 min", "50 min", "100 min"},
-	}
-	series := make(map[float64][]float64, len(lengths))
-	skipped := 0
-	for _, ia := range ias {
-		row := []string{num(ia)}
-		for _, ml := range lengths {
-			sum, err := campaign{
-				vms: 100, servers: 50, interArr: ia,
-				meanLength: ml, transition: DefaultTransition,
-			}.run(ctx, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig6 ia=%g len=%g: %w", ia, ml, err)
-			}
-			row = append(row, pct(sum.MeanReductionRatio))
-			series[ml] = append(series[ml], sum.MeanReductionRatio)
-			skipped += sum.Skipped
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	chart := report.Chart{
-		Title:    "Fig. 6 — impact of mean VM length",
-		XLabel:   "mean inter-arrival time (min)",
-		YLabel:   "energy reduction ratio",
-		YPercent: true,
-	}
-	for _, ml := range lengths {
-		t.Notes = append(t.Notes,
-			fitNote(fmt.Sprintf("mean length = %g min", ml), ias, series[ml], stats.Linear))
-		chart.Series = append(chart.Series, report.Series{
-			Name: fmt.Sprintf("mean length %g min", ml), X: ias, Y: series[ml],
-		})
-	}
-	if skipped > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("%d infeasible seed(s) skipped", skipped))
-	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
-}
-
-// standardClasses restricts workloads to the paper's standard VM types.
-var standardClasses = []model.VMClass{model.ClassStandard}
-
-// smallServerTypes is the paper's "types 1-3 of servers" fleet.
-var smallServerTypes = []string{"type-1", "type-2", "type-3"}
-
-// Fig7 reproduces paper Fig. 7: reduction ratio for standard VM types on
-// server types 1–3, with logarithmic fits per VM count.
-type Fig7 struct{}
-
-// ID implements Experiment.
-func (*Fig7) ID() string { return "fig7" }
-
-// Title implements Experiment.
-func (*Fig7) Title() string {
-	return "Fig. 7 — energy reduction ratio, standard VMs on server types 1-3"
-}
-
-// Run implements Experiment.
-func (e *Fig7) Run(ctx context.Context, opts Options) (*Result, error) {
-	counts := opts.vmCounts()
-	ias := opts.interArrivals()
-	t := Table{
-		Name:    "Fig. 7",
-		Caption: "reduction ratio vs mean inter-arrival time (standard VMs, server types 1-3)",
-		Header:  []string{"inter-arrival (min)"},
-	}
-	for _, m := range counts {
-		t.Header = append(t.Header, fmt.Sprintf("%d VMs", m))
-	}
-	cells := make(map[int]map[float64]float64, len(counts))
-	for _, m := range counts {
-		cells[m] = make(map[float64]float64, len(ias))
-		for _, ia := range ias {
-			sum, err := campaign{
-				vms: m, servers: m / 2, interArr: ia,
-				meanLength: DefaultMeanLength, transition: DefaultTransition,
-				classes: standardClasses, serverTypes: smallServerTypes,
-			}.run(ctx, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 m=%d ia=%g: %w", m, ia, err)
-			}
-			cells[m][ia] = sum.MeanReductionRatio
-		}
-	}
-	for _, ia := range ias {
-		row := []string{num(ia)}
-		for _, m := range counts {
-			row = append(row, pct(cells[m][ia]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	chart := report.Chart{
-		Title:    "Fig. 7 — reduction ratio, standard VMs on server types 1-3",
-		XLabel:   "mean inter-arrival time (min)",
-		YLabel:   "energy reduction ratio",
-		YPercent: true,
-	}
-	for _, m := range counts {
-		ys := make([]float64, len(ias))
-		for i, ia := range ias {
-			ys[i] = cells[m][ia]
-		}
-		t.Notes = append(t.Notes, fitNote(fmt.Sprintf("%d VMs", m), ias, ys, stats.Logarithmic))
-		chart.Series = append(chart.Series, report.Series{
-			Name: fmt.Sprintf("%d VMs", m), X: ias, Y: ys,
-		})
-	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
-}
-
-// Fig8 reproduces paper Fig. 8: utilisations for 100 standard VMs on
-// (a) all server types and (b) server types 1-3.
-type Fig8 struct{}
-
-// ID implements Experiment.
-func (*Fig8) ID() string { return "fig8" }
-
-// Title implements Experiment.
-func (*Fig8) Title() string {
-	return "Fig. 8 — average utilisation, 100 standard VMs (both fleets)"
-}
-
-// Run implements Experiment.
-func (e *Fig8) Run(ctx context.Context, opts Options) (*Result, error) {
-	sub := []struct {
-		name  string
-		types []string
-	}{
-		{"Fig. 8(a) all types of servers", nil},
-		{"Fig. 8(b) types 1-3 of servers", smallServerTypes},
-	}
-	res := &Result{ID: e.ID(), Title: e.Title()}
-	ias := opts.interArrivals()
-	for _, sc := range sub {
-		t := Table{
-			Name:    sc.name,
-			Caption: "average utilisation of busy servers (100 standard VMs, 50 servers)",
-			Header: []string{
-				"inter-arrival (min)",
-				"ours CPU", "ours mem", "FFPS CPU", "FFPS mem",
-			},
-		}
-		series := map[string][]float64{}
-		for _, ia := range ias {
-			sum, err := campaign{
-				vms: 100, servers: 50, interArr: ia,
-				meanLength: DefaultMeanLength, transition: DefaultTransition,
-				classes: standardClasses, serverTypes: sc.types,
-			}.run(ctx, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig8 %s ia=%g: %w", sc.name, ia, err)
-			}
-			t.Rows = append(t.Rows, []string{
-				num(ia),
-				pct(sum.OursUtil.CPU), pct(sum.OursUtil.Mem),
-				pct(sum.FFPSUtil.CPU), pct(sum.FFPSUtil.Mem),
-			})
-			series["ours CPU"] = append(series["ours CPU"], sum.OursUtil.CPU)
-			series["ours mem"] = append(series["ours mem"], sum.OursUtil.Mem)
-			series["FFPS CPU"] = append(series["FFPS CPU"], sum.FFPSUtil.CPU)
-			series["FFPS mem"] = append(series["FFPS mem"], sum.FFPSUtil.Mem)
-		}
-		chart := report.Chart{
-			Title:    sc.name,
-			XLabel:   "mean inter-arrival time (min)",
-			YLabel:   "resource utilisation",
-			YPercent: true,
-		}
-		for _, name := range []string{"ours CPU", "ours mem", "FFPS CPU", "FFPS mem"} {
-			chart.Series = append(chart.Series, report.Series{Name: name, X: ias, Y: series[name]})
+			chart.Series = append(chart.Series, report.Series{Name: col.name, X: ias, Y: ys})
 		}
 		res.Tables = append(res.Tables, t)
 		res.Charts = append(res.Charts, chart)
@@ -489,63 +168,122 @@ func (e *Fig8) Run(ctx context.Context, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// Fig9 reproduces paper Fig. 9: reduction ratio vs the CPU and memory load
-// of the system for standard VMs on both fleets, with linear fits.
-type Fig9 struct{}
+// Fig. 2–9 as parameter rows. Fig. 4 and Fig. 9 (reduction against load
+// rather than against inter-arrival time) follow below.
+var (
+	fig2 = reductionFigure{
+		name:       "Fig. 2",
+		caption:    "energy reduction ratio vs mean inter-arrival time (minutes)",
+		chartTitle: "Fig. 2 — energy reduction ratio vs mean inter-arrival time",
+		fit:        stats.LinearFit,
+		curves:     byCount(paperCampaign(0)),
+	}
+	fig3 = utilisationFigure{{
+		name:       "Fig. 3",
+		caption:    "average utilisation of busy servers, MinCost vs FFPS (100 VMs, 50 servers)",
+		chartTitle: "Fig. 3 — average utilisation vs mean inter-arrival time (100 VMs)",
+		c:          paperCampaign(100),
+	}}
+	fig5 = reductionFigure{
+		name:       "Fig. 5",
+		caption:    "energy reduction ratio for transition times of 0.5, 1 and 3 minutes",
+		chartTitle: "Fig. 5 — impact of transition time",
+		fit:        stats.LinearFit,
+		curves: byParam("%g min", "transition time = %g min", "transition %g min",
+			func(c *campaign, v float64) { c.transition = v }, 0.5, 1, 3),
+	}
+	fig6 = reductionFigure{
+		name:       "Fig. 6",
+		caption:    "energy reduction ratio for mean VM lengths of 20, 50 and 100 minutes",
+		chartTitle: "Fig. 6 — impact of mean VM length",
+		fit:        stats.LinearFit,
+		curves: byParam("%g min", "mean length = %g min", "mean length %g min",
+			func(c *campaign, v float64) { c.meanLength = v }, 20, 50, 100),
+	}
+	fig7 = reductionFigure{
+		name:       "Fig. 7",
+		caption:    "reduction ratio vs mean inter-arrival time (standard VMs, server types 1-3)",
+		chartTitle: "Fig. 7 — reduction ratio, standard VMs on server types 1-3",
+		fit:        stats.LogFit,
+		curves:     byCount(standardCampaign(smallServerTypes)),
+	}
+	fig8 = utilisationFigure{
+		{
+			name:       "Fig. 8(a) all types of servers",
+			caption:    "average utilisation of busy servers (100 standard VMs, 50 servers)",
+			chartTitle: "Fig. 8(a) all types of servers",
+			c:          standardCampaign(nil),
+		},
+		{
+			name:       "Fig. 8(b) types 1-3 of servers",
+			caption:    "average utilisation of busy servers (100 standard VMs, 50 servers)",
+			chartTitle: "Fig. 8(b) types 1-3 of servers",
+			c:          standardCampaign(smallServerTypes),
+		},
+	}
+)
 
-// ID implements Experiment.
-func (*Fig9) ID() string { return "fig9" }
-
-// Title implements Experiment.
-func (*Fig9) Title() string {
-	return "Fig. 9 — energy reduction ratio vs system load (standard VMs)"
+// fig4 reproduces paper Fig. 4: energy reduction ratio vs the memory load
+// of the system, with logarithmic fits per VM count.
+func fig4(ctx context.Context, opts Options) (*Result, error) {
+	t := Table{
+		Name:    "Fig. 4",
+		Caption: "reduction ratio keyed by memory load (load = FFPS memory utilisation)",
+		Header:  []string{"VMs", "inter-arrival (min)", "memory load", "reduction ratio"},
+	}
+	chart := pctChart("Fig. 4 — energy reduction ratio vs memory load",
+		"memory load of the system", "energy reduction ratio")
+	for _, m := range opts.vmCounts() {
+		sums, err := paperCampaign(m).sweep(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		loads, reds := column(sums, memLoad), column(sums, reduction)
+		for i, ia := range opts.interArrivals() {
+			t.Rows = append(t.Rows, []string{itoa(m), num(ia), pct(loads[i]), pct(reds[i])})
+		}
+		t.Notes = append(t.Notes,
+			fitNote(fmt.Sprintf("%d VMs (reduction vs load)", m), loads, reds, stats.LogFit))
+		chart.Series = append(chart.Series, report.Series{Name: fmt.Sprintf("%d VMs", m), X: loads, Y: reds})
+	}
+	return &Result{Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
 }
 
-// Run implements Experiment.
-func (e *Fig9) Run(ctx context.Context, opts Options) (*Result, error) {
-	sub := []struct {
-		name  string
-		types []string
-	}{
-		{"all types of servers used", nil},
-		{"types 1-3 of servers used", smallServerTypes},
-	}
+// fig9 reproduces paper Fig. 9: reduction ratio vs the CPU and memory load
+// of the system for standard VMs on both fleets, with linear fits.
+func fig9(ctx context.Context, opts Options) (*Result, error) {
 	t := Table{
 		Name:    "Fig. 9",
 		Caption: "reduction ratio vs system load (load = FFPS utilisation; 100 standard VMs)",
 		Header:  []string{"fleet", "inter-arrival (min)", "CPU load", "memory load", "reduction ratio"},
 	}
-	chart := report.Chart{
-		Title:    "Fig. 9 — energy reduction ratio vs system load (standard VMs)",
-		XLabel:   "load of the system",
-		YLabel:   "energy reduction ratio",
-		YPercent: true,
-	}
-	for _, sc := range sub {
-		var cpuLoads, memLoads, reds []float64
-		for _, ia := range opts.interArrivals() {
-			sum, err := campaign{
-				vms: 100, servers: 50, interArr: ia,
-				meanLength: DefaultMeanLength, transition: DefaultTransition,
-				classes: standardClasses, serverTypes: sc.types,
-			}.run(ctx, opts)
-			if err != nil {
-				return nil, fmt.Errorf("fig9 %s ia=%g: %w", sc.name, ia, err)
-			}
-			cpuLoads = append(cpuLoads, sum.CPULoad)
-			memLoads = append(memLoads, sum.MemLoad)
-			reds = append(reds, sum.MeanReductionRatio)
-			t.Rows = append(t.Rows, []string{
-				sc.name, num(ia), pct(sum.CPULoad), pct(sum.MemLoad), pct(sum.MeanReductionRatio),
-			})
+	chart := pctChart("Fig. 9 — energy reduction ratio vs system load (standard VMs)",
+		"load of the system", "energy reduction ratio")
+	for _, fleet := range []struct {
+		name  string
+		types []string
+	}{
+		{"all types of servers used", nil},
+		{"types 1-3 of servers used", smallServerTypes},
+	} {
+		sums, err := standardCampaign(fleet.types).sweep(ctx, opts)
+		if err != nil {
+			return nil, err
 		}
-		t.Notes = append(t.Notes,
-			fitNote("vs CPU load ("+sc.name+")", cpuLoads, reds, stats.Linear),
-			fitNote("vs memory load ("+sc.name+")", memLoads, reds, stats.Linear))
-		chart.Series = append(chart.Series,
-			report.Series{Name: "vs CPU load (" + sc.name + ")", X: cpuLoads, Y: reds},
-			report.Series{Name: "vs memory load (" + sc.name + ")", X: memLoads, Y: reds},
-		)
+		cpu, mem, reds := column(sums, cpuLoad), column(sums, memLoad), column(sums, reduction)
+		for i, ia := range opts.interArrivals() {
+			t.Rows = append(t.Rows, []string{fleet.name, num(ia), pct(cpu[i]), pct(mem[i]), pct(reds[i])})
+		}
+		for _, load := range []struct {
+			name string
+			xs   []float64
+		}{
+			{"vs CPU load (" + fleet.name + ")", cpu},
+			{"vs memory load (" + fleet.name + ")", mem},
+		} {
+			t.Notes = append(t.Notes, fitNote(load.name, load.xs, reds, stats.LinearFit))
+			chart.Series = append(chart.Series, report.Series{Name: load.name, X: load.xs, Y: reds})
+		}
 	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
+	return &Result{Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
 }

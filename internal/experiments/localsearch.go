@@ -4,30 +4,20 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
-	"vmalloc/internal/baseline"
 	"vmalloc/internal/core"
 	"vmalloc/internal/ilp"
+	"vmalloc/internal/model"
 	"vmalloc/internal/search"
-	"vmalloc/internal/workload"
+	"vmalloc/internal/stats"
 )
 
-// LocalSearch is an extension experiment (not in the paper): it measures
+// localSearch is an extension experiment (not in the paper): it measures
 // how much a relocation+swap local search adds on top of each allocator,
 // and — on exhaustively solvable instances — how close MinCost+search gets
 // to the ILP optimum.
-type LocalSearch struct{}
-
-// ID implements Experiment.
-func (*LocalSearch) ID() string { return "localsearch" }
-
-// Title implements Experiment.
-func (*LocalSearch) Title() string {
-	return "Extension — local search on top of each allocator"
-}
-
-// Run implements Experiment.
-func (e *LocalSearch) Run(ctx context.Context, opts Options) (*Result, error) {
+func localSearch(ctx context.Context, opts Options) (*Result, error) {
 	seeds := opts.seeds()
 	t := Table{
 		Name:    "Local search at paper scale",
@@ -37,47 +27,28 @@ func (e *LocalSearch) Run(ctx context.Context, opts Options) (*Result, error) {
 			"improvement", "relocations", "swaps",
 		},
 	}
-	bases := []struct {
-		name string
-		mk   func(seed int64) core.Allocator
-	}{
-		{"FFPS", func(seed int64) core.Allocator { return baseline.NewFFPS(core.WithSeed(seed)) }},
-		{"BestFit/cpu", func(int64) core.Allocator { return baseline.NewBestFitCPU() }},
-		{"MinCost", func(int64) core.Allocator { return core.NewMinCost() }},
-	}
-	for _, base := range bases {
+	for _, base := range []string{"ffps", "bestfit", "mincost"} {
 		var baseSum, finalSum float64
 		var relocs, swaps int
-		for seed := int64(1); seed <= int64(seeds); seed++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			inst, err := workload.Generate(
-				workload.Spec{NumVMs: 100, MeanInterArrival: 2, MeanLength: DefaultMeanLength},
-				workload.FleetSpec{NumServers: 50, TransitionTime: DefaultTransition},
-				seed,
-			)
-			if err != nil {
-				return nil, err
-			}
-			placed, err := base.mk(seed).Allocate(ctx, inst)
-			if err != nil {
-				return nil, err
-			}
+		name, err := basePlacements(ctx, opts, base, func(seed int64, inst model.Instance, placed *core.Result) error {
 			improved, final, st, err := (&search.Improver{Seed: seed}).Improve(inst, placed.Placement)
 			if err != nil {
-				return nil, fmt.Errorf("localsearch %s seed=%d: %w", base.name, seed, err)
+				return err
 			}
 			if err := ilp.CheckPlacement(inst, improved); err != nil {
-				return nil, fmt.Errorf("localsearch %s seed=%d: %w", base.name, seed, err)
+				return err
 			}
 			baseSum += placed.Energy.Total()
 			finalSum += final
 			relocs += st.Relocations
 			swaps += st.Swaps
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("localsearch %s: %w", base, err)
 		}
 		t.Rows = append(t.Rows, []string{
-			base.name,
+			name,
 			kwm(baseSum / float64(seeds)), kwm(finalSum / float64(seeds)),
 			pct(1 - finalSum/baseSum),
 			itoa(relocs / seeds), itoa(swaps / seeds),
@@ -119,19 +90,8 @@ func (e *LocalSearch) Run(ctx context.Context, opts Options) (*Result, error) {
 		searchGaps = append(searchGaps, improved/opt-1)
 	}
 	t2.Rows = append(t2.Rows,
-		[]string{"MinCost", pct(mean(heurGaps)), pct(maxOf(heurGaps))},
-		[]string{"MinCost + local search", pct(mean(searchGaps)), pct(maxOf(searchGaps))},
+		[]string{"MinCost", pct(stats.Mean(heurGaps)), pct(slices.Max(heurGaps))},
+		[]string{"MinCost + local search", pct(stats.Mean(searchGaps)), pct(slices.Max(searchGaps))},
 	)
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t, t2}}, nil
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
+	return &Result{Tables: []Table{t, t2}}, nil
 }

@@ -7,11 +7,11 @@ import (
 	"vmalloc/internal/baseline"
 	"vmalloc/internal/core"
 	"vmalloc/internal/energy"
+	"vmalloc/internal/model"
 	"vmalloc/internal/report"
-	"vmalloc/internal/workload"
 )
 
-// Proportionality is an extension experiment (not in the paper): it
+// proportionality is an extension experiment (not in the paper): it
 // stress-tests the paper's premise against the energy-proportionality
 // argument of its own reference [14] (Barroso & Hölzle). Both allocators
 // decide under the paper's affine model, but the resulting placements are
@@ -20,18 +20,7 @@ import (
 // proportionality the consolidation savings must collapse toward the
 // transition-cost difference — quantifying how much of the paper's result
 // is a statement about 2013-era hardware.
-type Proportionality struct{}
-
-// ID implements Experiment.
-func (*Proportionality) ID() string { return "proportionality" }
-
-// Title implements Experiment.
-func (*Proportionality) Title() string {
-	return "Extension — savings vs server energy-proportionality"
-}
-
-// Run implements Experiment.
-func (e *Proportionality) Run(ctx context.Context, opts Options) (*Result, error) {
+func proportionality(ctx context.Context, opts Options) (*Result, error) {
 	betas := []float64{0, 0.25, 0.5, 0.75, 1}
 	if opts.Quick {
 		betas = []float64{0, 0.5, 1}
@@ -41,40 +30,33 @@ func (e *Proportionality) Run(ctx context.Context, opts Options) (*Result, error
 
 	type key struct{ beta, gamma float64 }
 	red := make(map[key]float64, len(betas)*len(gammas))
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		inst, err := workload.Generate(
-			workload.Spec{NumVMs: 100, MeanInterArrival: 2, MeanLength: DefaultMeanLength},
-			workload.FleetSpec{NumServers: 50, TransitionTime: DefaultTransition},
-			seed,
-		)
-		if err != nil {
-			return nil, err
-		}
+	err := paperInstances(ctx, opts, func(seed int64, inst model.Instance) error {
 		ours, err := core.NewMinCost().Allocate(ctx, inst)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ffps, err := baseline.NewFFPS(core.WithSeed(seed)).Allocate(ctx, inst)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, beta := range betas {
 			for _, gamma := range gammas {
 				c := energy.Curve{IdleScale: beta, Exponent: gamma}
 				a, err := energy.CurveEvaluate(inst, ours.Placement, c)
 				if err != nil {
-					return nil, fmt.Errorf("proportionality β=%g γ=%g: %w", beta, gamma, err)
+					return fmt.Errorf("β=%g γ=%g: %w", beta, gamma, err)
 				}
 				b, err := energy.CurveEvaluate(inst, ffps.Placement, c)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				red[key{beta, gamma}] += (1 - a.Total()/b.Total()) / float64(seeds)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("proportionality: %w", err)
 	}
 	t := Table{
 		Name: "Proportionality",
@@ -82,12 +64,8 @@ func (e *Proportionality) Run(ctx context.Context, opts Options) (*Result, error
 			"P(u) = P_idle(1−β) + (P_peak−P_idle(1−β))·u^γ (100 VMs, 50 servers, inter-arrival 2 min)",
 		Header: []string{"idle scale β", "γ=0.7 (concave)", "γ=1 (paper)", "γ=1.4 (convex)"},
 	}
-	chart := report.Chart{
-		Title:    "Savings vs energy-proportionality (γ=1)",
-		XLabel:   "idle power scaled away (β)",
-		YLabel:   "energy reduction ratio",
-		YPercent: true,
-	}
+	chart := pctChart("Savings vs energy-proportionality (γ=1)",
+		"idle power scaled away (β)", "energy reduction ratio")
 	var ys []float64
 	for _, beta := range betas {
 		row := []string{num(beta)}
@@ -101,5 +79,5 @@ func (e *Proportionality) Run(ctx context.Context, opts Options) (*Result, error
 	t.Notes = append(t.Notes,
 		"β=0, γ=1 is the paper's model; β=1 is a perfectly energy-proportional fleet where only transition costs separate the allocators",
 		"the placements themselves are held fixed (decided under the affine model), isolating the hardware assumption")
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
+	return &Result{Tables: []Table{t}, Charts: []report.Chart{chart}}, nil
 }

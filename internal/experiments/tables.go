@@ -7,17 +7,8 @@ import (
 	"vmalloc/internal/model"
 )
 
-// Table1 reproduces paper Table I: the VM type catalog.
-type Table1 struct{}
-
-// ID implements Experiment.
-func (*Table1) ID() string { return "table1" }
-
-// Title implements Experiment.
-func (*Table1) Title() string { return "Table I — the types of resource demands of VMs" }
-
-// Run implements Experiment.
-func (e *Table1) Run(_ context.Context, _ Options) (*Result, error) {
+// table1 reproduces paper Table I: the VM type catalog.
+func table1(context.Context, Options) (*Result, error) {
 	t := Table{
 		Name:    "Table I",
 		Caption: "VM types (Amazon EC2 first-generation instances; see DESIGN.md)",
@@ -26,22 +17,11 @@ func (e *Table1) Run(_ context.Context, _ Options) (*Result, error) {
 	for _, vt := range model.VMTypeCatalog() {
 		t.Rows = append(t.Rows, []string{vt.Name, string(vt.Class), num(vt.CPU), num(vt.Mem)})
 	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}}, nil
+	return &Result{Tables: []Table{t}}, nil
 }
 
-// Table2 reproduces paper Table II: the server type catalog.
-type Table2 struct{}
-
-// ID implements Experiment.
-func (*Table2) ID() string { return "table2" }
-
-// Title implements Experiment.
-func (*Table2) Title() string {
-	return "Table II — the types of resource capacities and power consumption parameters of servers"
-}
-
-// Run implements Experiment.
-func (e *Table2) Run(_ context.Context, _ Options) (*Result, error) {
+// table2 reproduces paper Table II: the server type catalog.
+func table2(context.Context, Options) (*Result, error) {
 	t := Table{
 		Name:    "Table II",
 		Caption: "Server types (reconstructed per the paper's three rules; see DESIGN.md)",
@@ -57,5 +37,5 @@ func (e *Table2) Run(_ context.Context, _ Options) (*Result, error) {
 			fmt.Sprintf("%.0f%%", 100*st.IdlePeakRatio()),
 		})
 	}
-	return &Result{ID: e.ID(), Title: e.Title(), Tables: []Table{t}}, nil
+	return &Result{Tables: []Table{t}}, nil
 }

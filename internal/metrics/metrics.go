@@ -18,16 +18,6 @@ type Utilization struct {
 	Mem float64 `json:"mem"`
 }
 
-// Imbalance returns |CPU − Mem|, the unevenness between the two resource
-// utilisations that Fig. 3 discusses.
-func (u Utilization) Imbalance() float64 {
-	d := u.CPU - u.Mem
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
 // AverageUtilization computes the average CPU and memory utilisation of a
 // placement exactly as §IV-C defines it: the utilisation of a server at
 // time t is the fraction of its capacity used by VMs running at t, and the

@@ -84,17 +84,6 @@ func TestAverageUtilizationErrors(t *testing.T) {
 	}
 }
 
-func TestUtilizationImbalance(t *testing.T) {
-	u := Utilization{CPU: 0.7, Mem: 0.3}
-	if got := u.Imbalance(); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("Imbalance = %g, want 0.4", got)
-	}
-	u = Utilization{CPU: 0.3, Mem: 0.7}
-	if got := u.Imbalance(); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("Imbalance = %g, want 0.4 (symmetric)", got)
-	}
-}
-
 func TestPeakConcurrency(t *testing.T) {
 	inst := model.NewInstance(
 		[]model.VM{

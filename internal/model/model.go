@@ -227,22 +227,3 @@ func (in Instance) ServerByID(id int) (Server, bool) {
 	}
 	return Server{}, false
 }
-
-// TotalCPUDemand returns Σ_j R_CPU_j · duration_j, the total CPU
-// demand-minutes of the instance.
-func (in Instance) TotalCPUDemand() float64 {
-	var total float64
-	for _, v := range in.VMs {
-		total += v.Demand.CPU * float64(v.Duration())
-	}
-	return total
-}
-
-// TotalMemDemand returns the total memory demand-minutes of the instance.
-func (in Instance) TotalMemDemand() float64 {
-	var total float64
-	for _, v := range in.VMs {
-		total += v.Demand.Mem * float64(v.Duration())
-	}
-	return total
-}

@@ -231,22 +231,6 @@ func TestInstanceLookups(t *testing.T) {
 	}
 }
 
-func TestInstanceTotalDemands(t *testing.T) {
-	inst := NewInstance(
-		[]VM{
-			{ID: 1, Demand: Resources{CPU: 2, Mem: 4}, Start: 1, End: 5},  // 5 units
-			{ID: 2, Demand: Resources{CPU: 1, Mem: 2}, Start: 2, End: 11}, // 10 units
-		},
-		[]Server{{ID: 1, Capacity: Resources{4, 8}, PIdle: 80, PPeak: 160}},
-	)
-	if got, want := inst.TotalCPUDemand(), 2.0*5+1*10; got != want {
-		t.Errorf("TotalCPUDemand = %g, want %g", got, want)
-	}
-	if got, want := inst.TotalMemDemand(), 4.0*5+2*10; got != want {
-		t.Errorf("TotalMemDemand = %g, want %g", got, want)
-	}
-}
-
 func TestInstanceJSONRoundTrip(t *testing.T) {
 	inst := NewInstance(
 		[]VM{{ID: 1, Type: "standard-1", Demand: Resources{CPU: 1, Mem: 1.7}, Start: 1, End: 9}},

@@ -58,16 +58,13 @@ func (m *HTTPMetrics) Requests(route string, status int) uint64 {
 }
 
 // Write emits the collected series in Prometheus text exposition
-// format, deterministically ordered, under the vmserve family names.
-func (m *HTTPMetrics) Write(w io.Writer) {
-	m.WriteNamed(w, "vmalloc_http_requests_total", "vmalloc_http_request_seconds")
-}
-
-// WriteNamed is Write with caller-chosen family names. The vmgate router
-// uses it to export its own edge metrics under vmalloc_gate_http_* so
-// they never collide with the vmalloc_http_* families it merges in from
-// the shards.
-func (m *HTTPMetrics) WriteNamed(w io.Writer, requestsName, latencyName string) {
+// format, deterministically ordered, as the families
+// <prefix>_requests_total and <prefix>_request_seconds. vmserve's prefix
+// is vmalloc_http; the vmgate router exports its own edge metrics under
+// vmalloc_gate_http so they never collide with the vmalloc_http_*
+// families it merges in from the shards.
+func (m *HTTPMetrics) Write(w io.Writer, prefix string) {
+	requestsName, latencyName := prefix+"_requests_total", prefix+"_request_seconds"
 	m.mu.Lock()
 	defer m.mu.Unlock()
 

@@ -187,7 +187,7 @@ func TestHTTPMetricsWrite(t *testing.T) {
 		t.Fatalf("Requests = %d", got)
 	}
 	var buf bytes.Buffer
-	m.Write(&buf)
+	m.Write(&buf, "vmalloc_http")
 	out := buf.String()
 	for _, want := range []string{
 		`vmalloc_http_requests_total{route="GET /v1/state",status="200"} 1`,
@@ -202,7 +202,7 @@ func TestHTTPMetricsWrite(t *testing.T) {
 	}
 	// Deterministic output.
 	var buf2 bytes.Buffer
-	m.Write(&buf2)
+	m.Write(&buf2, "vmalloc_http")
 	if buf.String() != buf2.String() {
 		t.Error("two writes of the same metrics differ")
 	}

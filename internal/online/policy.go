@@ -1,9 +1,11 @@
 package online
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
@@ -204,4 +206,31 @@ type NoCapacityError struct {
 
 func (e *NoCapacityError) Error() string {
 	return "online: no server can host vm " + strconv.Itoa(e.VM.ID)
+}
+
+// DefaultDelayPenalty is the delay-aware policy's price of one minute of
+// start delay, in watt-minutes, where the caller offers no way to set it.
+const DefaultDelayPenalty = 50
+
+// PolicyNames lists the names NewPolicy resolves: the accepted values of
+// `vmserve -policy`/`-shadow-policy` and of `vmalloc -online -algo`.
+func PolicyNames() []string {
+	return []string{"mincost", "delay-aware", "prefer-active", "ffps"}
+}
+
+// NewPolicy returns the policy registered under name. Only delay-aware
+// reads delayPenalty and only ffps reads seed.
+func NewPolicy(name string, delayPenalty float64, seed int64) (Policy, error) {
+	switch name {
+	case "mincost":
+		return &MinCostPolicy{}, nil
+	case "delay-aware":
+		return &DelayAwareMinCostPolicy{PenaltyPerMinute: delayPenalty}, nil
+	case "prefer-active":
+		return &PreferActivePolicy{}, nil
+	case "ffps":
+		return NewFirstFitPolicy(seed), nil
+	default:
+		return nil, fmt.Errorf("unknown policy %q (want %s)", name, strings.Join(PolicyNames(), ", "))
+	}
 }

@@ -588,7 +588,7 @@ func (g *Gate) handleState(w http.ResponseWriter, r *http.Request) {
 	out.PlacementDigest = PlacementDigest(placements)
 	g.recordMerge(r.Context(), mergeT0)
 
-	b, err := api.EncodeGateState(&out)
+	b, err := api.EncodeState(&out)
 	if err != nil {
 		api.WriteError(w, r, http.StatusInternalServerError, api.CodeInternal, err)
 		return
@@ -706,7 +706,7 @@ func (g *Gate) writeOwnMetrics(w io.Writer) {
 	}
 	g.writeRebalanceMetrics(w)
 	if g.cfg.Metrics != nil {
-		g.cfg.Metrics.WriteNamed(w, "vmalloc_gate_http_requests_total", "vmalloc_gate_http_request_seconds")
+		g.cfg.Metrics.Write(w, "vmalloc_gate_http")
 	}
 	// The gate_ prefix keeps these from colliding with the shards'
 	// vmalloc_trace_* families in the merged exposition above.

@@ -1,8 +1,8 @@
-// Package sim drives complete simulation campaigns: it generates seeded
-// workloads, runs the heuristic and the FFPS baseline (plus any extra
-// allocators) on each, verifies the placements, computes the paper's
-// metrics, and averages across seeds. Seeds run concurrently on a bounded
-// worker pool.
+// Package sim runs a simulation campaign: it generates seeded workloads,
+// runs an ordered lineup of allocators from the baseline registry on each
+// (the paper's heuristic against FFPS unless told otherwise), computes the
+// paper's metrics, and averages across seeds. Seeds run concurrently on a
+// bounded worker pool.
 package sim
 
 import (
@@ -19,103 +19,93 @@ import (
 	"vmalloc/internal/workload"
 )
 
+// DefaultLineup is the paper's comparison: MinCost against FFPS.
+var DefaultLineup = []string{"mincost", "ffps"}
+
 // Config describes one simulation campaign: a workload/fleet pair run over
-// several seeds.
+// several seeds by a lineup of allocators.
 type Config struct {
 	Workload workload.Spec      `json:"workload"`
 	Fleet    workload.FleetSpec `json:"fleet"`
-	// Seeds are the workload seeds to run; the paper averages 5 random
-	// runs per data point.
-	Seeds []int64 `json:"seeds"`
-	// Parallelism bounds concurrent seed runs; 0 means GOMAXPROCS.
-	Parallelism int `json:"parallelism,omitempty"`
+	// Seeds is the number of random runs, on workload seeds 1..Seeds; the
+	// paper averages 5 per data point.
+	Seeds int `json:"seeds"`
+	// Allocators is the lineup: the allocators to run, by registry name
+	// (baseline.Names), in the order Summary.Allocators reports them; empty
+	// means DefaultLineup. Each is built with the workload seed. The
+	// reduction ratio compares the first entry against the second.
+	Allocators []string `json:"allocators,omitempty"`
 	// SkipInfeasible drops seeds on which any allocator cannot place every
 	// VM (possible at the densest settings) instead of failing the whole
 	// campaign. Skipped seeds are counted in Summary.Skipped.
 	SkipInfeasible bool `json:"skipInfeasible,omitempty"`
 }
 
-// Seeds returns the canonical seed list 1..n.
-func Seeds(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(i + 1)
-	}
-	return out
-}
-
 // RunResult is one allocator's outcome on one seeded instance.
 type RunResult struct {
 	Allocator   string              `json:"allocator"`
-	Seed        int64               `json:"seed"`
 	Energy      float64             `json:"energyWattMinutes"`
 	Utilization metrics.Utilization `json:"utilization"`
 	ServersUsed int                 `json:"serversUsed"`
+	// Stats are the allocator's scan counters, nil when it reports none.
+	Stats *core.AllocStats `json:"stats,omitempty"`
 }
 
 // SeedOutcome collects every allocator's result on one seeded instance.
 type SeedOutcome struct {
-	Seed    int64       `json:"seed"`
-	Horizon int         `json:"horizon"`
-	Ours    RunResult   `json:"ours"`
-	FFPS    RunResult   `json:"ffps"`
-	Extra   []RunResult `json:"extra,omitempty"`
-	// ReductionRatio is (E_FFPS − E_ours)/E_FFPS for this seed.
+	Seed int64 `json:"seed"`
+	// Results are in lineup order.
+	Results []RunResult `json:"results"`
+	// ReductionRatio is (E₁ − E₀)/E₁ for lineup entries 0 and 1 on this
+	// seed: with the default lineup, (E_FFPS − E_ours)/E_FFPS.
 	ReductionRatio float64 `json:"reductionRatio"`
+}
+
+// AllocatorSummary is one lineup entry averaged over the kept seeds.
+type AllocatorSummary struct {
+	// Name is the lineup name, Allocator the name the allocator reports.
+	Name        string              `json:"name"`
+	Allocator   string              `json:"allocator"`
+	Energy      float64             `json:"energyWattMinutes"`
+	ServersUsed float64             `json:"serversUsed"`
+	Utilization metrics.Utilization `json:"utilization"`
+	// Stats sums the allocator's AllocStats over the seeds (Workers is
+	// the largest pool seen); zero when the allocator reports none.
+	Stats core.AllocStats `json:"stats"`
 }
 
 // Summary aggregates a campaign over its seeds.
 type Summary struct {
-	Config Config        `json:"config"`
-	Runs   []SeedOutcome `json:"runs"`
+	Runs []SeedOutcome `json:"runs"`
 	// Skipped counts seeds dropped because a placement was infeasible
 	// (only when Config.SkipInfeasible is set).
 	Skipped int `json:"skipped,omitempty"`
-
+	// Allocators holds the per-allocator means, in lineup order. §IV-C
+	// quantifies the load of the system by the baseline's utilisation,
+	// Allocators[1].Utilization.
+	Allocators []AllocatorSummary `json:"allocators"`
 	// MeanReductionRatio is the average of the per-seed reduction ratios.
 	MeanReductionRatio float64 `json:"meanReductionRatio"`
-	// OursUtil and FFPSUtil are utilisations averaged across seeds.
-	OursUtil metrics.Utilization `json:"oursUtilization"`
-	FFPSUtil metrics.Utilization `json:"ffpsUtilization"`
-	// CPULoad and MemLoad quantify the system load the way §IV-C does: by
-	// the FFPS utilisations.
-	CPULoad float64 `json:"cpuLoad"`
-	MemLoad float64 `json:"memLoad"`
 }
 
-// Runner executes simulation campaigns with a fixed allocator lineup.
-type Runner struct {
-	// Ours builds the allocator under evaluation for a given seed. By
-	// default it is the paper's MinCost heuristic (seed-independent).
-	Ours func(seed int64) core.Allocator
-	// Baseline builds the baseline for a given seed. By default FFPS,
-	// shuffled by the seed.
-	Baseline func(seed int64) core.Allocator
-	// Extra allocators (optional) are run alongside for ablation tables.
-	Extra []func(seed int64) core.Allocator
-}
-
-// NewRunner returns a Runner with the paper's lineup: MinCost vs FFPS.
-func NewRunner() *Runner {
-	return &Runner{
-		Ours:     func(int64) core.Allocator { return core.NewMinCost() },
-		Baseline: func(seed int64) core.Allocator { return baseline.NewFFPS(core.WithSeed(seed)) },
-	}
-}
-
-// Run executes the campaign, parallelising across seeds. It fails fast on
-// the first error (including infeasible placements) and respects ctx
-// cancellation.
-func (r *Runner) Run(ctx context.Context, cfg Config) (*Summary, error) {
-	if len(cfg.Seeds) == 0 {
+// Run executes the campaign, parallelising across seeds on
+// min(GOMAXPROCS, seeds) workers. It fails fast on the first error
+// (including infeasible placements, unless cfg.SkipInfeasible) and respects
+// ctx cancellation.
+func Run(ctx context.Context, cfg Config) (*Summary, error) {
+	if cfg.Seeds < 1 {
 		return nil, fmt.Errorf("sim: no seeds configured")
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if len(cfg.Allocators) == 0 {
+		cfg.Allocators = DefaultLineup
 	}
-	if workers > len(cfg.Seeds) {
-		workers = len(cfg.Seeds)
+	lineup := make([]baseline.Constructor, len(cfg.Allocators))
+	for k, name := range cfg.Allocators {
+		mk, err := baseline.Lookup(name)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+		lineup[k] = mk
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -124,7 +114,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Summary, error) {
 	var (
 		mu       sync.Mutex
 		firstErr error
-		outcomes = make([]*SeedOutcome, len(cfg.Seeds))
+		outcomes = make([]*SeedOutcome, cfg.Seeds)
 		wg       sync.WaitGroup
 		jobs     = make(chan int)
 	)
@@ -136,18 +126,19 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Summary, error) {
 		}
 		mu.Unlock()
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), cfg.Seeds); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for idx := range jobs {
-				out, err := r.runSeed(ctx, cfg, cfg.Seeds[idx])
+				seed := int64(idx + 1)
+				out, err := runSeed(ctx, cfg, lineup, seed)
 				var ue *core.UnplaceableError
 				if cfg.SkipInfeasible && errors.As(err, &ue) {
 					continue // leave outcomes[idx] nil
 				}
 				if err != nil {
-					fail(fmt.Errorf("seed %d: %w", cfg.Seeds[idx], err))
+					fail(fmt.Errorf("seed %d: %w", seed, err))
 					continue
 				}
 				outcomes[idx] = out
@@ -155,7 +146,7 @@ func (r *Runner) Run(ctx context.Context, cfg Config) (*Summary, error) {
 		}()
 	}
 feed:
-	for idx := range cfg.Seeds {
+	for idx := range outcomes {
 		select {
 		case jobs <- idx:
 		case <-ctx.Done():
@@ -170,57 +161,42 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	kept := make([]SeedOutcome, 0, len(outcomes))
-	skipped := 0
+	sum := &Summary{}
 	for _, o := range outcomes {
 		if o == nil {
-			skipped++
+			sum.Skipped++
 			continue
 		}
-		kept = append(kept, *o)
+		sum.Runs = append(sum.Runs, *o)
 	}
-	if len(kept) == 0 {
-		return nil, fmt.Errorf("sim: all %d seeds were infeasible", skipped)
+	if len(sum.Runs) == 0 {
+		return nil, fmt.Errorf("sim: all %d seeds were infeasible", sum.Skipped)
 	}
-	sum := summarize(cfg, kept)
-	sum.Skipped = skipped
+	sum.summarize(cfg.Allocators)
 	return sum, nil
 }
 
 // runSeed generates the seeded instance and runs every allocator on it.
-func (r *Runner) runSeed(ctx context.Context, cfg Config, seed int64) (*SeedOutcome, error) {
+func runSeed(ctx context.Context, cfg Config, lineup []baseline.Constructor, seed int64) (*SeedOutcome, error) {
 	inst, err := workload.Generate(cfg.Workload, cfg.Fleet, seed)
 	if err != nil {
 		return nil, err
 	}
-	ours, err := r.evaluate(ctx, r.Ours(seed), inst, seed)
-	if err != nil {
-		return nil, err
-	}
-	ffps, err := r.evaluate(ctx, r.Baseline(seed), inst, seed)
-	if err != nil {
-		return nil, err
-	}
-	out := &SeedOutcome{
-		Seed:    seed,
-		Horizon: inst.Horizon,
-		Ours:    *ours,
-		FFPS:    *ffps,
-	}
-	if ffps.Energy > 0 {
-		out.ReductionRatio = (ffps.Energy - ours.Energy) / ffps.Energy
-	}
-	for _, mk := range r.Extra {
-		res, err := r.evaluate(ctx, mk(seed), inst, seed)
+	out := &SeedOutcome{Seed: seed}
+	for _, mk := range lineup {
+		res, err := evaluate(ctx, mk(core.WithSeed(seed)), inst)
 		if err != nil {
 			return nil, err
 		}
-		out.Extra = append(out.Extra, *res)
+		out.Results = append(out.Results, *res)
+	}
+	if len(out.Results) > 1 && out.Results[1].Energy > 0 {
+		out.ReductionRatio = (out.Results[1].Energy - out.Results[0].Energy) / out.Results[1].Energy
 	}
 	return out, nil
 }
 
-func (r *Runner) evaluate(ctx context.Context, a core.Allocator, inst model.Instance, seed int64) (*RunResult, error) {
+func evaluate(ctx context.Context, a core.Allocator, inst model.Instance) (*RunResult, error) {
 	res, err := a.Allocate(ctx, inst)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name(), err)
@@ -231,26 +207,41 @@ func (r *Runner) evaluate(ctx context.Context, a core.Allocator, inst model.Inst
 	}
 	return &RunResult{
 		Allocator:   res.Allocator,
-		Seed:        seed,
 		Energy:      res.Energy.Total(),
 		Utilization: util,
 		ServersUsed: res.ServersUsed,
+		Stats:       res.Stats,
 	}, nil
 }
 
-func summarize(cfg Config, outcomes []SeedOutcome) *Summary {
-	s := &Summary{Config: cfg, Runs: outcomes}
-	n := float64(len(outcomes))
-	for _, o := range outcomes {
-		s.MeanReductionRatio += o.ReductionRatio / n
-		s.OursUtil.CPU += o.Ours.Utilization.CPU / n
-		s.OursUtil.Mem += o.Ours.Utilization.Mem / n
-		s.FFPSUtil.CPU += o.FFPS.Utilization.CPU / n
-		s.FFPSUtil.Mem += o.FFPS.Utilization.Mem / n
+// summarize fills the per-allocator means and the mean reduction ratio
+// from s.Runs.
+func (s *Summary) summarize(lineup []string) {
+	n := float64(len(s.Runs))
+	s.Allocators = make([]AllocatorSummary, len(lineup))
+	for k, name := range lineup {
+		a := &s.Allocators[k]
+		a.Name, a.Allocator = name, s.Runs[0].Results[k].Allocator
+		for _, o := range s.Runs {
+			r := o.Results[k]
+			a.Energy += r.Energy / n
+			a.ServersUsed += float64(r.ServersUsed) / n
+			a.Utilization.CPU += r.Utilization.CPU / n
+			a.Utilization.Mem += r.Utilization.Mem / n
+			if st := r.Stats; st != nil {
+				a.Stats.VMsPlaced += st.VMsPlaced
+				a.Stats.CandidatesEvaluated += st.CandidatesEvaluated
+				a.Stats.FeasibilityRejections += st.FeasibilityRejections
+				a.Stats.ScanWall += st.ScanWall
+				a.Stats.CommitWall += st.CommitWall
+				a.Stats.TotalWall += st.TotalWall
+				a.Stats.Workers = max(a.Stats.Workers, st.Workers)
+			}
+		}
 	}
-	s.CPULoad = s.FFPSUtil.CPU
-	s.MemLoad = s.FFPSUtil.Mem
-	return s
+	for _, o := range s.Runs {
+		s.MeanReductionRatio += o.ReductionRatio / n
+	}
 }
 
 // ReductionRatios returns the per-seed reduction ratios (for confidence

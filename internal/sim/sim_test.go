@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
-	"vmalloc/internal/baseline"
-	"vmalloc/internal/core"
 	"vmalloc/internal/workload"
 )
 
@@ -15,19 +14,12 @@ func paperConfig(seeds int) Config {
 	return Config{
 		Workload: workload.Spec{NumVMs: 100, MeanInterArrival: 2, MeanLength: 5},
 		Fleet:    workload.FleetSpec{NumServers: 50, TransitionTime: 1},
-		Seeds:    Seeds(seeds),
-	}
-}
-
-func TestSeeds(t *testing.T) {
-	got := Seeds(3)
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Seeds(3) = %v", got)
+		Seeds:    seeds,
 	}
 }
 
 func TestRunnerEndToEnd(t *testing.T) {
-	sum, err := NewRunner().Run(context.Background(), paperConfig(5))
+	sum, err := Run(context.Background(), paperConfig(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,45 +27,52 @@ func TestRunnerEndToEnd(t *testing.T) {
 		t.Fatalf("got %d runs, want 5", len(sum.Runs))
 	}
 	for _, o := range sum.Runs {
-		if o.Ours.Energy <= 0 || o.FFPS.Energy <= 0 {
+		ours, ffps := o.Results[0], o.Results[1]
+		if ours.Energy <= 0 || ffps.Energy <= 0 {
 			t.Fatalf("seed %d: non-positive energies %+v", o.Seed, o)
 		}
-		if o.Ours.Allocator != "MinCost" || o.FFPS.Allocator != "FFPS" {
-			t.Fatalf("unexpected allocators %q, %q", o.Ours.Allocator, o.FFPS.Allocator)
+		if ours.Allocator != "MinCost" || ffps.Allocator != "FFPS" {
+			t.Fatalf("unexpected allocators %q, %q", ours.Allocator, ffps.Allocator)
 		}
+	}
+	ours, ffps := sum.Allocators[0], sum.Allocators[1]
+	if ours.Name != "mincost" || ffps.Name != "ffps" || ffps.Allocator != "FFPS" {
+		t.Fatalf("default lineup summarised as %q, %q", ours.Name, ffps.Name)
 	}
 	// The paper's headline: positive mean reduction at moderate load.
 	if sum.MeanReductionRatio <= 0 {
 		t.Errorf("mean reduction ratio %.3f, want > 0", sum.MeanReductionRatio)
 	}
 	// Our utilisation should not be below FFPS's.
-	if sum.OursUtil.CPU < sum.FFPSUtil.CPU {
-		t.Errorf("ours CPU util %.3f below FFPS %.3f", sum.OursUtil.CPU, sum.FFPSUtil.CPU)
+	if ours.Utilization.CPU < ffps.Utilization.CPU {
+		t.Errorf("ours CPU util %.3f below FFPS %.3f", ours.Utilization.CPU, ffps.Utilization.CPU)
 	}
-	if sum.CPULoad != sum.FFPSUtil.CPU || sum.MemLoad != sum.FFPSUtil.Mem {
-		t.Error("load must equal FFPS utilisation by definition")
+	if ours.ServersUsed < 1 || ours.Stats.CandidatesEvaluated == 0 || ours.Stats.VMsPlaced != 5*100 {
+		t.Errorf("ours summary %+v: want mean servers used and AllocStats summed over the seeds", ours)
 	}
 	if got := sum.ReductionRatios(); len(got) != 5 {
 		t.Errorf("ReductionRatios length %d", len(got))
 	}
 }
 
+// The seed pool is min(GOMAXPROCS, seeds) workers: drive it through
+// GOMAXPROCS and require the same numbers from one worker and from four.
 func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
 	cfg := paperConfig(4)
-	cfg.Parallelism = 1
-	serial, err := NewRunner().Run(context.Background(), cfg)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 4
-	parallel, err := NewRunner().Run(context.Background(), cfg)
+	runtime.GOMAXPROCS(4)
+	parallel, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial.Runs {
 		a, b := serial.Runs[i], parallel.Runs[i]
-		if a.Seed != b.Seed || math.Abs(a.Ours.Energy-b.Ours.Energy) > 1e-9 ||
-			math.Abs(a.FFPS.Energy-b.FFPS.Energy) > 1e-9 {
+		if a.Seed != b.Seed || math.Abs(a.Results[0].Energy-b.Results[0].Energy) > 1e-9 ||
+			math.Abs(a.Results[1].Energy-b.Results[1].Energy) > 1e-9 {
 			t.Fatalf("parallelism changed results: %+v vs %+v", a, b)
 		}
 	}
@@ -82,30 +81,39 @@ func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-func TestRunnerExtraAllocators(t *testing.T) {
-	r := NewRunner()
-	r.Extra = []func(int64) core.Allocator{
-		func(int64) core.Allocator { return baseline.NewBestFitCPU() },
-		func(seed int64) core.Allocator { return baseline.NewRandomFit(core.WithSeed(seed)) },
-	}
-	sum, err := r.Run(context.Background(), paperConfig(2))
+func TestRunnerLineup(t *testing.T) {
+	cfg := paperConfig(2)
+	cfg.Allocators = []string{"bestfit", "randomfit", "mincost"}
+	sum, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, o := range sum.Runs {
-		if len(o.Extra) != 2 {
-			t.Fatalf("seed %d: %d extra results, want 2", o.Seed, len(o.Extra))
+		if len(o.Results) != 3 {
+			t.Fatalf("seed %d: %d results, want 3", o.Seed, len(o.Results))
 		}
-		if o.Extra[0].Allocator != "BestFit/cpu" || o.Extra[1].Allocator != "RandomFit" {
-			t.Fatalf("extra allocators = %q, %q", o.Extra[0].Allocator, o.Extra[1].Allocator)
+		best, random := o.Results[0], o.Results[1]
+		if best.Allocator != "BestFit/cpu" || random.Allocator != "RandomFit" {
+			t.Fatalf("allocators = %q, %q", best.Allocator, random.Allocator)
 		}
+		// The ratio is lineup[0] against lineup[1].
+		if want := (random.Energy - best.Energy) / random.Energy; o.ReductionRatio != want {
+			t.Errorf("seed %d: ratio %g, want %g", o.Seed, o.ReductionRatio, want)
+		}
+	}
+	if got := sum.Allocators[2]; got.Name != "mincost" || got.Allocator != "MinCost" {
+		t.Errorf("Allocators[2] = %+v", got)
+	}
+	cfg.Allocators = []string{"mincost", "nope"}
+	if _, err := Run(context.Background(), cfg); err == nil {
+		t.Error("want error for a name the registry does not have")
 	}
 }
 
 func TestRunnerNoSeeds(t *testing.T) {
 	cfg := paperConfig(1)
-	cfg.Seeds = nil
-	if _, err := NewRunner().Run(context.Background(), cfg); err == nil {
+	cfg.Seeds = 0
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("want error for empty seed list")
 	}
 }
@@ -113,7 +121,7 @@ func TestRunnerNoSeeds(t *testing.T) {
 func TestRunnerPropagatesGenerationError(t *testing.T) {
 	cfg := paperConfig(2)
 	cfg.Workload.MeanLength = 0
-	if _, err := NewRunner().Run(context.Background(), cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("want error for invalid workload spec")
 	}
 }
@@ -122,7 +130,7 @@ func TestRunnerContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := paperConfig(8)
-	if _, err := NewRunner().Run(ctx, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -132,19 +140,19 @@ func TestRunnerSkipInfeasible(t *testing.T) {
 	cfg := Config{
 		Workload:       workload.Spec{NumVMs: 200, MeanInterArrival: 0.1, MeanLength: 500},
 		Fleet:          workload.FleetSpec{NumServers: 2, TransitionTime: 1},
-		Seeds:          Seeds(3),
+		Seeds:          3,
 		SkipInfeasible: true,
 	}
-	if _, err := NewRunner().Run(context.Background(), cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("want error when all seeds are infeasible")
 	}
 	// Without the flag, an infeasible seed fails the campaign.
 	cfg.SkipInfeasible = false
-	if _, err := NewRunner().Run(context.Background(), cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("want error without SkipInfeasible")
 	}
 	// A feasible campaign reports zero skips.
-	sum, err := NewRunner().Run(context.Background(), paperConfig(2))
+	sum, err := Run(context.Background(), paperConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // CI is a two-sided confidence interval around a sample mean.
 type CI struct {
@@ -12,10 +8,6 @@ type CI struct {
 	Low   float64 `json:"low"`
 	High  float64 `json:"high"`
 	Level float64 `json:"level"`
-}
-
-func (ci CI) String() string {
-	return fmt.Sprintf("%.4g [%.4g, %.4g] @%.0f%%", ci.Mean, ci.Low, ci.High, 100*ci.Level)
 }
 
 // Contains reports whether v lies inside the interval.
@@ -48,35 +40,3 @@ func MeanCI95(xs []float64) CI {
 	ci.Low, ci.High = ci.Mean-half, ci.Mean+half
 	return ci
 }
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of the sample using
-// linear interpolation between order statistics. It returns 0 for an
-// empty sample.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Percentile(xs, 0.5) }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanCI95Basics(t *testing.T) {
@@ -24,9 +23,6 @@ func TestMeanCI95Basics(t *testing.T) {
 	}
 	if !ci.Contains(1) || ci.Contains(100) {
 		t.Error("Contains wrong")
-	}
-	if ci.String() == "" {
-		t.Error("empty String")
 	}
 }
 
@@ -48,58 +44,5 @@ func TestMeanCI95Coverage(t *testing.T) {
 	rate := float64(hits) / float64(trials)
 	if rate < 0.91 || rate > 0.99 {
 		t.Errorf("coverage = %.3f, want ≈0.95", rate)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4}, {0.125, 1.5},
-		{-1, 1}, {2, 5},
-	}
-	for _, tt := range tests {
-		if got := Percentile(xs, tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Percentile(%g) = %g, want %g", tt.p, got, tt.want)
-		}
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("empty Percentile = %g", got)
-	}
-	if got := Percentile([]float64{7}, 0.9); got != 7 {
-		t.Errorf("singleton Percentile = %g", got)
-	}
-	if got := Median(xs); got != 3 {
-		t.Errorf("Median = %g", got)
-	}
-	// Percentile must not mutate its input.
-	if xs[0] != 4 {
-		t.Error("Percentile sorted the caller's slice")
-	}
-}
-
-// Property: percentiles are monotone in p and bounded by min/max.
-func TestPercentileMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(30)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 100
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 1.0; p += 0.1 {
-			v := Percentile(xs, p)
-			if v < prev-1e-9 {
-				return false
-			}
-			prev = v
-		}
-		return Percentile(xs, 0) <= Percentile(xs, 1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }

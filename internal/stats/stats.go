@@ -1,7 +1,6 @@
 // Package stats provides the descriptive statistics and least-squares
-// curve fits the paper reports: linear, logarithmic and exponential fits
-// with the adjusted R² goodness-of-fit measure shown in every figure
-// legend.
+// curve fits the paper reports: linear and logarithmic fits with the
+// adjusted R² goodness-of-fit measure shown in every figure legend.
 package stats
 
 import (
@@ -48,7 +47,6 @@ type FitKind int
 const (
 	Linear      FitKind = iota + 1 // y = a + b·x
 	Logarithmic                    // y = a + b·ln(x)
-	Exponential                    // y = a·exp(b·x)
 )
 
 func (k FitKind) String() string {
@@ -57,8 +55,6 @@ func (k FitKind) String() string {
 		return "linear"
 	case Logarithmic:
 		return "logarithm"
-	case Exponential:
-		return "exponential"
 	default:
 		return fmt.Sprintf("FitKind(%d)", int(k))
 	}
@@ -77,8 +73,6 @@ func (f Fit) Predict(x float64) float64 {
 	switch f.Kind {
 	case Logarithmic:
 		return f.A + f.B*math.Log(x)
-	case Exponential:
-		return f.A * math.Exp(f.B*x)
 	default:
 		return f.A + f.B*x
 	}
@@ -88,8 +82,6 @@ func (f Fit) String() string {
 	switch f.Kind {
 	case Logarithmic:
 		return fmt.Sprintf("y = %.4g + %.4g·ln(x) (Adj.R² = %.2f)", f.A, f.B, f.AdjR2)
-	case Exponential:
-		return fmt.Sprintf("y = %.4g·exp(%.4g·x) (Adj.R² = %.2f)", f.A, f.B, f.AdjR2)
 	default:
 		return fmt.Sprintf("y = %.4g + %.4g·x (Adj.R² = %.2f)", f.A, f.B, f.AdjR2)
 	}
@@ -122,47 +114,6 @@ func LogFit(xs, ys []float64) (Fit, error) {
 	f := Fit{Kind: Logarithmic, A: a, B: b}
 	f.AdjR2 = adjustedR2(xs, ys, f.Predict, 2)
 	return f, nil
-}
-
-// ExpFit fits y = a·exp(b·x) by least squares on ln(y); all y must be
-// positive.
-func ExpFit(xs, ys []float64) (Fit, error) {
-	ly := make([]float64, len(ys))
-	for i, y := range ys {
-		if y <= 0 {
-			return Fit{}, fmt.Errorf("stats: exp fit requires y > 0, got %g", y)
-		}
-		ly[i] = math.Log(y)
-	}
-	la, b, err := leastSquares(xs, ly)
-	if err != nil {
-		return Fit{}, err
-	}
-	f := Fit{Kind: Exponential, A: math.Exp(la), B: b}
-	f.AdjR2 = adjustedR2(xs, ys, f.Predict, 2)
-	return f, nil
-}
-
-// BestFit fits all three families (skipping ones whose domain constraints
-// fail) and returns the fit with the highest adjusted R².
-func BestFit(xs, ys []float64) (Fit, error) {
-	var (
-		best  Fit
-		found bool
-	)
-	for _, fit := range []func([]float64, []float64) (Fit, error){LinearFit, LogFit, ExpFit} {
-		f, err := fit(xs, ys)
-		if err != nil {
-			continue
-		}
-		if !found || f.AdjR2 > best.AdjR2 {
-			best, found = f, true
-		}
-	}
-	if !found {
-		return Fit{}, ErrInsufficientData
-	}
-	return best, nil
 }
 
 // leastSquares returns (intercept, slope) of the OLS line through

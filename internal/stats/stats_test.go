@@ -82,57 +82,6 @@ func TestLogFit(t *testing.T) {
 	}
 }
 
-func TestExpFit(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 5 * math.Exp(-0.4*x)
-	}
-	f, err := ExpFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.A-5) > 1e-9 || math.Abs(f.B+0.4) > 1e-9 {
-		t.Errorf("fit = (%g, %g), want (5, -0.4)", f.A, f.B)
-	}
-	if _, err := ExpFit([]float64{1, 2}, []float64{1, -2}); err == nil {
-		t.Error("want error for y <= 0")
-	}
-}
-
-func TestBestFitSelectsRightFamily(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	xs := []float64{0.5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-
-	mk := func(f func(float64) float64, noise float64) []float64 {
-		ys := make([]float64, len(xs))
-		for i, x := range xs {
-			ys[i] = f(x) + rng.NormFloat64()*noise
-		}
-		return ys
-	}
-	tests := []struct {
-		name string
-		ys   []float64
-		want FitKind
-	}{
-		{"linear", mk(func(x float64) float64 { return 1 + 2*x }, 0.01), Linear},
-		{"log", mk(func(x float64) float64 { return 3 + 2*math.Log(x) }, 0.01), Logarithmic},
-		{"exp", mk(func(x float64) float64 { return 2 * math.Exp(0.5*x) }, 0.01), Exponential},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			f, err := BestFit(xs, tt.ys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if f.Kind != tt.want {
-				t.Errorf("BestFit chose %v (AdjR2 %.3f), want %v", f.Kind, f.AdjR2, tt.want)
-			}
-		})
-	}
-}
-
 func TestFitErrors(t *testing.T) {
 	if _, err := LinearFit([]float64{1}, []float64{1}); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("single point: %v", err)
@@ -143,13 +92,10 @@ func TestFitErrors(t *testing.T) {
 	if _, err := LinearFit([]float64{3, 3, 3}, []float64{1, 2, 3}); !errors.Is(err, ErrInsufficientData) {
 		t.Error("want ErrInsufficientData for constant x")
 	}
-	if _, err := BestFit([]float64{1}, []float64{1}); !errors.Is(err, ErrInsufficientData) {
-		t.Error("want ErrInsufficientData from BestFit")
-	}
 }
 
 func TestFitStrings(t *testing.T) {
-	for _, k := range []FitKind{Linear, Logarithmic, Exponential} {
+	for _, k := range []FitKind{Linear, Logarithmic} {
 		f := Fit{Kind: k, A: 1, B: 2, AdjR2: 0.9}
 		if f.String() == "" || k.String() == "" {
 			t.Errorf("empty String for kind %d", k)
