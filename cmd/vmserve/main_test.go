@@ -387,12 +387,45 @@ func TestRunPolicies(t *testing.T) {
 		}
 		stop()
 	}
+	// The daemon wires the arena to its recorder and /metrics: after one
+	// admission both challengers have judged it (asynchronously, so poll).
 	base, stop := bootDaemon(t, "-shadow-policy", "delay-aware", "-shadow-policy", "trial=ffps")
-	pr := policies(base)
-	stop()
-	if pr.Count != 2 || len(pr.Policies) != 2 {
-		t.Fatalf("policies = %+v, want two challengers", pr)
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return string(body)
 	}
+	resp, err := http.Post(base+"/v1/vms", "application/json",
+		strings.NewReader(`{"demand":{"cpu":1,"mem":1},"durationMinutes":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	pr := policies(base)
+	for deadline := time.Now().Add(5 * time.Second); ; pr = policies(base) {
+		if pr.Count == 2 && pr.Policies[0].Decisions == 1 && pr.Policies[1].Decisions == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("challengers never judged the admission: %+v", pr)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := strings.Count(get("/v1/debug/decisions?op=shadow"), `"op": "shadow"`); got != 2 {
+		t.Errorf("%d shadow decisions in the flight recorder, want 2", got)
+	}
+	if metrics := get("/metrics"); !strings.Contains(metrics, `vmalloc_arena_decisions_total{policy="trial"} 1`) {
+		t.Error("/metrics carries no arena decisions for the renamed challenger")
+	}
+	stop()
 	for i, want := range []api.PolicyReport{
 		{Name: "delay-aware", Policy: "online/delay-aware"},
 		{Name: "trial", Policy: "online/ffps"},
