@@ -45,7 +45,7 @@ loc:
 # LOC_MAX is the `make loc` figure the last subtraction PR landed (PR 16).
 # A change that grows past it fails `make fence`: delete something, or
 # raise the figure here and say why.
-LOC_MAX = 20297
+LOC_MAX = 20298
 
 # fence keeps the doubles PRs 12–16 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),

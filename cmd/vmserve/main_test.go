@@ -367,15 +367,22 @@ func TestRunStartupShutdown(t *testing.T) {
 // -policy and is the champion GET /v1/policies reports; -shadow-policy
 // takes the same names, bare or as name=policy, and both forms read back.
 func TestRunPolicies(t *testing.T) {
-	policies := func(base string) api.PoliciesResponse {
+	get := func(base, path string) []byte {
 		t.Helper()
-		resp, err := http.Get(base + "/v1/policies")
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var pr api.PoliciesResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
+		}
+		return body
+	}
+	policies := func(base string) (pr api.PoliciesResponse) {
+		t.Helper()
+		if err := json.Unmarshal(get(base, "/v1/policies"), &pr); err != nil {
 			t.Fatal(err)
 		}
 		return pr
@@ -390,19 +397,6 @@ func TestRunPolicies(t *testing.T) {
 	// The daemon wires the arena to its recorder and /metrics: after one
 	// admission both challengers have judged it (asynchronously, so poll).
 	base, stop := bootDaemon(t, "-shadow-policy", "delay-aware", "-shadow-policy", "trial=ffps")
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
-		}
-		return string(body)
-	}
 	resp, err := http.Post(base+"/v1/vms", "application/json",
 		strings.NewReader(`{"demand":{"cpu":1,"mem":1},"durationMinutes":5}`))
 	if err != nil {
@@ -419,10 +413,10 @@ func TestRunPolicies(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := strings.Count(get("/v1/debug/decisions?op=shadow"), `"op": "shadow"`); got != 2 {
+	if got := bytes.Count(get(base, "/v1/debug/decisions?op=shadow"), []byte(`"op": "shadow"`)); got != 2 {
 		t.Errorf("%d shadow decisions in the flight recorder, want 2", got)
 	}
-	if metrics := get("/metrics"); !strings.Contains(metrics, `vmalloc_arena_decisions_total{policy="trial"} 1`) {
+	if !bytes.Contains(get(base, "/metrics"), []byte(`vmalloc_arena_decisions_total{policy="trial"} 1`)) {
 		t.Error("/metrics carries no arena decisions for the renamed challenger")
 	}
 	stop()

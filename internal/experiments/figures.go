@@ -60,7 +60,8 @@ type curve struct {
 	c                    campaign
 }
 
-// byCount draws one curve per VM count of the §IV-C sweep.
+// byCount draws one curve per VM count of the §IV-C sweep, overwriting
+// base.vms.
 func byCount(base campaign) func(Options) []curve {
 	return func(opts Options) []curve {
 		var cs []curve
