@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -13,7 +15,10 @@ import (
 
 	"vmalloc/internal/api"
 	"vmalloc/internal/model"
+	"vmalloc/internal/online"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/determinism.golden from this build's outcomes")
 
 // scriptOutcome is the observable trace of one scripted run: every
 // admission decision (server, start, end), every release, every
@@ -149,12 +154,35 @@ func residentIDs(c *Cluster) []int {
 	return ids
 }
 
+// goldenPath holds, per policy and seed, the SHA-256 of the script's
+// transcript and the final state digest, generated at the commit before
+// the per-server row table replaced the candidate index and the worker
+// pool ("the same numbers", pinned before the scan was touched).
+const goldenPath = "testdata/determinism.golden"
+
+// goldenLine renders one (policy, seed) outcome as its golden line.
+func goldenLine(policy string, seed int64, o scriptOutcome) string {
+	return fmt.Sprintf("%s %d %x %s\n", policy, seed, sha256.Sum256([]byte(o.transcript)), o.digest)
+}
+
+// scriptPolicy builds the named online policy for one script run; ffps
+// draws its probe orders from the script's seed.
+func scriptPolicy(t *testing.T, name string, seed int64) online.Policy {
+	t.Helper()
+	p, err := online.NewPolicy(name, online.DefaultDelayPenalty, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 // TestDeterminismIndexAndParallelism is the metamorphic determinism
 // suite: the feasibility index and the parallel scan are pure
 // optimisations, so index-on vs index-off and parallelism 1 vs N must
 // produce byte-identical placement transcripts and state digests on
-// every seed — including runs whose logs hold migrations from
-// consolidation passes.
+// every seed and under every policy — including runs whose logs hold
+// migrations from consolidation passes — and all of them must equal the
+// committed golden (-update rewrites it from the first variant).
 func TestDeterminismIndexAndParallelism(t *testing.T) {
 	type variant struct {
 		name        string
@@ -162,26 +190,48 @@ func TestDeterminismIndexAndParallelism(t *testing.T) {
 		parallelism int
 	}
 	variants := []variant{
+		{"noindex+seq", true, 1},
 		{"index+seq", false, 1},
 		{"index+par4", false, 4},
-		{"noindex+seq", true, 1},
 		{"noindex+par4", true, 4},
 	}
-	for seed := int64(1); seed <= 20; seed++ {
-		base := runScript(t, Config{Parallelism: 1}, true, seed)
-		if !strings.Contains(base.transcript, "executed=") {
-			t.Fatalf("seed %d: script ran no consolidation pass", seed)
-		}
-		for _, v := range variants {
-			got := runScript(t, Config{Parallelism: v.parallelism}, v.noIndex, seed)
-			if got.transcript != base.transcript {
-				t.Fatalf("seed %d: %s transcript diverged from baseline:\n%s",
-					seed, v.name, firstDiff(base.transcript, got.transcript))
+	var got strings.Builder
+	for _, policy := range online.PolicyNames() {
+		for seed := int64(1); seed <= 20; seed++ {
+			var base scriptOutcome
+			for k, v := range variants {
+				o := runScript(t, Config{Parallelism: v.parallelism, Policy: scriptPolicy(t, policy, seed)}, v.noIndex, seed)
+				if k == 0 {
+					base = o
+					if !strings.Contains(base.transcript, "executed=") {
+						t.Fatalf("%s seed %d: script ran no consolidation pass", policy, seed)
+					}
+					got.WriteString(goldenLine(policy, seed, base))
+					continue
+				}
+				if o.transcript != base.transcript {
+					t.Fatalf("%s seed %d: %s transcript diverged from %s:\n%s",
+						policy, seed, v.name, variants[0].name, firstDiff(base.transcript, o.transcript))
+				}
+				if o.digest != base.digest {
+					t.Fatalf("%s seed %d: %s digest = %s, %s = %s", policy, seed, v.name, o.digest, variants[0].name, base.digest)
+				}
 			}
-			if got.digest != base.digest {
-				t.Fatalf("seed %d: %s digest = %s, baseline = %s", seed, v.name, got.digest, base.digest)
-			}
 		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(goldenPath, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("outcomes differ from %s (-update rewrites it, only when a placement is meant to change):\n%s",
+			goldenPath, firstDiff(string(want), got.String()))
 	}
 }
 
