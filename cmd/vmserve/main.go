@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		policy     = fs.String("policy", "mincost", "placement policy: "+strings.Join(online.PolicyNames(), ", "))
 		penalty    = fs.Float64("delay-penalty", online.DefaultDelayPenalty, "delay-aware policy: watt-minutes per minute of start delay")
 		idle       = fs.Int("idle-timeout", 2, "minutes an empty server stays active before sleeping (-1 = never)")
-		parallel   = fs.Int("parallel", 0, "candidate-scan workers (0 = automatic, 1 = sequential)")
 		journalDir = fs.String("journal", "", "journal + snapshot directory (empty = volatile state)")
 		snapEvery  = fs.Int("snapshot-every", 0, "journaled mutations between snapshots (0 = default, <0 = only on shutdown)")
 		noFsync    = fs.Bool("unsafe-no-fsync", false, "UNSAFE: skip journal fsyncs; acknowledged state survives a crash but NOT power loss (soak/load tests only)")
@@ -175,7 +174,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		Servers:            fleet,
 		Policy:             pol,
 		IdleTimeout:        *idle,
-		Parallelism:        *parallel,
 		Dir:                *journalDir,
 		SnapshotEvery:      *snapEvery,
 		DisableFsync:       *noFsync,

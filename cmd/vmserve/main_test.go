@@ -446,12 +446,15 @@ func TestRunVersion(t *testing.T) {
 	}
 }
 
-// TestRunRemovedFlag: the dispatcher is self-clocked, so the flag
-// that set its timer is a usage error, not a silent no-op.
+// TestRunRemovedFlag: the dispatcher is self-clocked and the admission
+// scan is one sequential pass, so the flags that set the batch timer and
+// the scan's worker pool are usage errors, not silent no-ops.
 func TestRunRemovedFlag(t *testing.T) {
-	var out bytes.Buffer
-	err := run(context.Background(), []string{"-batch-window", "1ms"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Errorf("-batch-window: error %v, want flag provided but not defined", err)
+	for _, args := range [][]string{{"-batch-window", "1ms"}, {"-parallel", "2"}} {
+		var out bytes.Buffer
+		err := run(context.Background(), args, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: error %v, want flag provided but not defined", args[0], err)
+		}
 	}
 }

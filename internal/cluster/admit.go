@@ -8,10 +8,8 @@ import (
 
 	"vmalloc/internal/api"
 	"vmalloc/internal/arena"
-	"vmalloc/internal/core"
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
-	"vmalloc/internal/online"
 )
 
 // admitCall is one Admit call in flight to the dispatcher, carrying the
@@ -185,7 +183,9 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 		}
 		return items[a].vm.ID < items[b].vm.ID
 	})
-	stats := c.scan.NewStats()
+	fv := c.fleet.View()
+	scanBefore := fv.ScanCounts()
+	var scanWall time.Duration
 	// pend holds this batch's not-yet-recorded decisions: the batch
 	// fsync duration is only known after the loop, so journaled admits
 	// (journaled == true) are stamped with it and recorded at the end.
@@ -236,12 +236,14 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 			continue
 		}
 		c.fleet.AdvanceTo(it.vm.Start)
-		candBefore, infBefore := stats.CandidatesEvaluated, stats.FeasibilityRejections
+		probed := fv.ScanCounts()
 		clk.scan = time.Now()
-		i, err := c.place(it.vm, stats)
+		i, err := c.policy.Place(fv, it.vm)
 		d.Stages.Scan = time.Since(clk.scan)
-		d.Candidates = stats.CandidatesEvaluated - candBefore
-		d.Infeasible = stats.FeasibilityRejections - infBefore
+		scanWall += d.Stages.Scan
+		counts := fv.ScanCounts()
+		d.Candidates = int64(counts.Evaluated - probed.Evaluated)
+		d.Infeasible = int64(counts.Infeasible - probed.Infeasible)
 		d.Clock = c.fleet.Now()
 		var start int
 		if err == nil {
@@ -272,7 +274,7 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 			}
 		}
 		adm.Accepted = true
-		adm.Server = c.fleet.View().Server(i).ID
+		adm.Server = fv.Server(i).ID
 		adm.Start = start
 		adm.End = start + it.vm.Duration() - 1
 		c.met.admissions++
@@ -306,9 +308,8 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 	}
 	c.met.batches++
 	c.met.batchSize.Observe(float64(total))
-	c.met.scanSeconds.Observe(stats.ScanWall.Seconds())
-	c.met.candidates += stats.CandidatesEvaluated
-	c.met.infeasible += stats.FeasibilityRejections
+	c.met.scanSeconds.Observe(scanWall.Seconds())
+	candidates := fv.ScanCounts().Evaluated - scanBefore.Evaluated
 	c.finishLocked()
 	finish := func(jerr error, syncT0 time.Time, syncDur time.Duration) {
 		for i := range pend {
@@ -329,8 +330,8 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 			"requests", total,
 			"placed", placed,
 			"rejected", total-placed,
-			"candidates", stats.CandidatesEvaluated,
-			"scan", stats.ScanWall,
+			"candidates", candidates,
+			"scan", scanWall,
 			"sync", syncDur,
 			"duration", time.Since(batchStart),
 		)
@@ -406,44 +407,4 @@ func (c *Cluster) normalize(req api.AdmitRequest, now int) (model.VM, api.AdmitR
 		return model.VM{}, adm, false
 	}
 	return vm, adm, true
-}
-
-// place runs the candidate scan for one VM: scored policies go through
-// the parallel scan engine (same argmin, same lowest-index tie-break),
-// everything else through the policy's own Place. The fleet's
-// feasibility index first prunes the servers whose interval
-// summaries prove they cannot host v; the pruned servers are exactly
-// ones the policy's Score would reject, so the scan's result — and
-// therefore every placement — is byte-identical with the index on or
-// off. Pruned servers still count into the scan stats as evaluated
-// infeasible pairs, keeping the observability surface comparable.
-func (c *Cluster) place(v model.VM, stats *core.AllocStats) (int, error) {
-	fv := c.fleet.View()
-	if c.scored == nil {
-		return c.policy.Place(fv, v)
-	}
-	eval := func(i int) (float64, bool) {
-		return c.scored.Score(fv, v, i)
-	}
-	var (
-		i   int
-		err error
-	)
-	if c.fullScan {
-		i, err = c.scan.ArgMin(context.Background(), stats, fv.NumServers(), eval)
-	} else {
-		cands, pruned := fv.Candidates(v, c.candBuf[:0])
-		c.candBuf = cands
-		stats.CandidatesEvaluated += int64(pruned)
-		stats.FeasibilityRejections += int64(pruned)
-		c.met.indexPruned += uint64(pruned)
-		i, err = c.scan.ArgMinOver(context.Background(), stats, cands, eval)
-	}
-	if err != nil {
-		return 0, err
-	}
-	if i < 0 {
-		return 0, &online.NoCapacityError{VM: v}
-	}
-	return i, nil
 }

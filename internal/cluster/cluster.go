@@ -6,11 +6,10 @@
 //
 // Admissions are micro-batched: the Admit calls that queued while the
 // dispatcher was busy with the previous batch are taken together, ordered
-// deterministically by (start, ID), and placed one VM at a time through
-// the same candidate scan the engines use — scored policies fan the scan
-// out over the parallel scan engine, preserving the lowest-index
-// tie-break, so a batch's placements are byte-identical to admitting its
-// requests sequentially in that order.
+// deterministically by (start, ID), and placed one VM at a time by the
+// policy's own sequential pass over the fleet's row table, so a batch's
+// placements are byte-identical to admitting its requests sequentially in
+// that order.
 //
 // Durability is an append-only journal of CRC-framed binary records plus
 // periodic snapshots (see journal.go). Appended records are made
@@ -38,7 +37,6 @@ import (
 
 	"vmalloc/internal/api"
 	"vmalloc/internal/arena"
-	"vmalloc/internal/core"
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
 	"vmalloc/internal/online"
@@ -130,9 +128,7 @@ type Config struct {
 	// directory must always be reopened with the server list it was
 	// created with.
 	Servers []model.Server
-	// Policy places VMs; nil means online.MinCostPolicy. Policies
-	// implementing online.ScoredPolicy are scanned through the parallel
-	// scan engine.
+	// Policy places VMs; nil means online.MinCostPolicy.
 	Policy online.Policy
 	// IdleTimeout follows online.Engine.IdleTimeout: minutes an empty
 	// active server waits before sleeping; negative never, 0 immediately.
@@ -142,10 +138,6 @@ type Config struct {
 	// names it in a struct literal and a PR that claims a gain may not edit
 	// bench/; the next benchmark PR drops that line, then this field goes.
 	BatchWindow time.Duration
-	// Parallelism sizes the candidate-scan worker pool as in
-	// core.Config.Parallelism: 0 picks an automatic size, 1 forces
-	// sequential scans.
-	Parallelism int
 	// Dir is the journal directory. Empty means volatile: no journal, no
 	// snapshots, state dies with the process.
 	Dir string
@@ -209,8 +201,6 @@ type Config struct {
 type Cluster struct {
 	cfg    Config
 	policy online.Policy
-	scored online.ScoredPolicy // non-nil when policy implements it
-	scan   *core.ScanEngine
 	rec    *obs.FlightRecorder // nil when no recorder is configured
 	log    *slog.Logger        // never nil (NopLogger by default)
 
@@ -235,14 +225,12 @@ type Cluster struct {
 	// queueing behind it.
 	consolidating atomic.Bool
 
-	// candBuf is the reusable candidate-index buffer the feasibility
-	// index fills for each scan; only the dispatcher (processBatch)
-	// touches it, under mu.
-	candBuf []int
-	// fullScan is an in-package test hook: scan every server instead of
-	// the feasibility index's candidates. The determinism suite sets it to
-	// prove placements are byte-identical either way; nothing else does.
-	fullScan bool
+	// The energy sample's per-class breakdown (set by indexClasses when a
+	// recorder is wired): server index → class slot, the slots' names, and
+	// the accumulator every sample reuses under mu.
+	classOf    []int
+	classNames []string
+	classUse   []obs.ClassUsage
 
 	admitCh chan *admitCall
 	stopCh  chan struct{}
@@ -277,7 +265,6 @@ func Open(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:     cfg,
 		policy:  cfg.Policy,
-		scan:    core.NewScanEngine(cfg.Parallelism, len(cfg.Servers)),
 		rec:     cfg.Recorder,
 		log:     cfg.Logger,
 		nextID:  1,
@@ -289,11 +276,12 @@ func Open(cfg Config) (*Cluster, error) {
 	if c.log == nil {
 		c.log = obs.NopLogger()
 	}
-	c.scored, _ = cfg.Policy.(online.ScoredPolicy)
+	if cfg.Energy != nil {
+		c.indexClasses()
+	}
 	if cfg.Dir == "" {
 		c.fleet = online.NewFleet(cfg.Servers, cfg.IdleTimeout)
 	} else if err := c.restore(); err != nil {
-		c.scan.Close()
 		return nil, err
 	}
 	go c.dispatch()
@@ -481,7 +469,6 @@ func (c *Cluster) Close() error {
 				errs = append(errs, err)
 			}
 		}
-		c.scan.Close()
 		c.closeErr = errors.Join(errs...)
 	})
 	return c.closeErr

@@ -31,7 +31,6 @@ func (c *Cluster) crash() {
 		if c.jr != nil {
 			c.jr.f.Close()
 		}
-		c.scan.Close()
 	})
 }
 
@@ -125,8 +124,7 @@ func TestClusterMatchesReplayEngine(t *testing.T) {
 }
 
 // TestClusterBatchDeterminism: a whole batch admitted in one call places
-// identically to sequential admission in (start, ID) order, and the
-// parallel scan agrees with the sequential one.
+// identically to sequential admission in (start, ID) order.
 func TestClusterBatchDeterminism(t *testing.T) {
 	inst, err := workload.Generate(
 		workload.Spec{NumVMs: 40, MeanInterArrival: 2, MeanLength: 60},
@@ -148,11 +146,11 @@ func TestClusterBatchDeterminism(t *testing.T) {
 		reqs[i] = api.AdmitRequest{ID: v.ID, Demand: v.Demand, Start: v.Start, DurationMinutes: v.Duration()}
 	}
 
-	batched := mustOpen(t, Config{Servers: inst.Servers, IdleTimeout: 3, Parallelism: 8})
+	batched := mustOpen(t, Config{Servers: inst.Servers, IdleTimeout: 3})
 	defer batched.Close()
 	batchAdms := mustAdmit(t, batched, reqs...)
 
-	seq := mustOpen(t, Config{Servers: inst.Servers, IdleTimeout: 3, Parallelism: 1})
+	seq := mustOpen(t, Config{Servers: inst.Servers, IdleTimeout: 3})
 	defer seq.Close()
 	for i, req := range reqs {
 		adm := mustAdmit(t, seq, req)[0]

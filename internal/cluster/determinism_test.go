@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"vmalloc/internal/api"
+	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
 	"vmalloc/internal/online"
 )
@@ -32,13 +33,11 @@ type scriptOutcome struct {
 
 // runScript drives cfg through a deterministic op stream derived from
 // seed: mostly admits, with releases, clock advances and consolidation
-// passes mixed in. The caller owns cfg.Dir (empty for volatile runs);
-// fullScan sets the cluster's test hook that bypasses the feasibility
-// index.
+// passes mixed in. The caller owns cfg.Dir (empty for volatile runs).
 // Any preClose hooks run after the script but before Close — the moment
 // a journaled directory still holds its record log, since Close
 // compacts it into a snapshot.
-func runScript(t *testing.T, cfg Config, fullScan bool, seed int64, preClose ...func()) scriptOutcome {
+func runScript(t *testing.T, cfg Config, seed int64, preClose ...func()) scriptOutcome {
 	t.Helper()
 	cfg.Servers = testServers(8)
 	cfg.IdleTimeout = 3
@@ -49,10 +48,6 @@ func runScript(t *testing.T, cfg Config, fullScan bool, seed int64, preClose ...
 			t.Fatalf("seed %d: close: %v", seed, err)
 		}
 	}()
-	c.mu.Lock()
-	c.fullScan = fullScan
-	c.mu.Unlock()
-
 	rng := rand.New(rand.NewSource(seed))
 	var sb strings.Builder
 	live := []int{}
@@ -176,46 +171,109 @@ func scriptPolicy(t *testing.T, name string, seed int64) online.Policy {
 	return p
 }
 
+// exactPolicy is the suite's reference placement: the named policy's
+// rule restated over model.Server and the energy package, with
+// feasibility asked only of Ledger.MaxUsage (through FleetView.MaxUsage)
+// on every server — no row summary, no shortcut. It borrows the real
+// policy's Name, which the state digest covers.
+type exactPolicy struct {
+	online.Policy
+	kind string
+	rng  *rand.Rand // ffps: the same source NewFirstFitPolicy seeds
+}
+
+func (p *exactPolicy) Place(f *online.FleetView, v model.VM) (int, error) {
+	fits := func(i int) bool {
+		s := f.Server(i)
+		if !v.Demand.Fits(s.Capacity) {
+			return false
+		}
+		start := f.StartTime(i, v)
+		cpu, mem := f.MaxUsage(i, start, start+v.Duration()-1)
+		return cpu+v.Demand.CPU <= s.Capacity.CPU && mem+v.Demand.Mem <= s.Capacity.Mem
+	}
+	best := -1
+	switch p.kind {
+	case "ffps":
+		for _, i := range p.rng.Perm(f.NumServers()) {
+			if fits(i) {
+				return i, nil
+			}
+		}
+	case "prefer-active":
+		bestSleeping := -1
+		var bestSpare, bestWake float64
+		for i := 0; i < f.NumServers(); i++ {
+			if !fits(i) {
+				continue
+			}
+			s := f.Server(i)
+			if f.StateOf(i) != online.PowerSaving {
+				if spare := s.Capacity.CPU - v.Demand.CPU; best < 0 || spare < bestSpare {
+					best, bestSpare = i, spare
+				}
+			} else if wake := s.TransitionCost() + s.PIdle*float64(v.Duration()); bestSleeping < 0 || wake < bestWake {
+				bestSleeping, bestWake = i, wake
+			}
+		}
+		if best < 0 {
+			best = bestSleeping
+		}
+	default: // mincost, delay-aware
+		var bestCost float64
+		for i := 0; i < f.NumServers(); i++ {
+			if !fits(i) {
+				continue
+			}
+			s := f.Server(i)
+			cost := energy.RunCost(s, v)
+			if f.StateOf(i) == online.PowerSaving {
+				cost += s.TransitionCost()
+			}
+			if f.Running(i) == 0 {
+				cost += s.PIdle * float64(v.Duration())
+			}
+			if p.kind == "delay-aware" {
+				cost += online.DefaultDelayPenalty * float64(f.StartTime(i, v)-v.Start)
+			}
+			if best < 0 || cost < bestCost {
+				best, bestCost = i, cost
+			}
+		}
+	}
+	if best < 0 {
+		return 0, &online.NoCapacityError{VM: v}
+	}
+	return best, nil
+}
+
 // TestDeterminismIndexAndParallelism is the metamorphic determinism
-// suite: the feasibility index and the parallel scan are pure
-// optimisations, so index-on vs index-off and parallelism 1 vs N must
-// produce byte-identical placement transcripts and state digests on
-// every seed and under every policy — including runs whose logs hold
-// migrations from consolidation passes — and all of them must equal the
-// committed golden (-update rewrites it from the first variant).
+// suite, rows vs exact: the row table's shortcuts are pure optimisations,
+// so the policies' passes over it and a reference placement that asks
+// only Ledger.MaxUsage on every server must produce byte-identical
+// placement transcripts and state digests on every seed and under every
+// policy — including runs whose logs hold migrations from consolidation
+// passes — and both must equal the committed golden, generated before the
+// rows existed (-update rewrites it from the policies' own runs, only when
+// a placement is meant to change).
 func TestDeterminismIndexAndParallelism(t *testing.T) {
-	type variant struct {
-		name        string
-		noIndex     bool
-		parallelism int
-	}
-	variants := []variant{
-		{"noindex+seq", true, 1},
-		{"index+seq", false, 1},
-		{"index+par4", false, 4},
-		{"noindex+par4", true, 4},
-	}
 	var got strings.Builder
 	for _, policy := range online.PolicyNames() {
 		for seed := int64(1); seed <= 20; seed++ {
-			var base scriptOutcome
-			for k, v := range variants {
-				o := runScript(t, Config{Parallelism: v.parallelism, Policy: scriptPolicy(t, policy, seed)}, v.noIndex, seed)
-				if k == 0 {
-					base = o
-					if !strings.Contains(base.transcript, "executed=") {
-						t.Fatalf("%s seed %d: script ran no consolidation pass", policy, seed)
-					}
-					got.WriteString(goldenLine(policy, seed, base))
-					continue
-				}
-				if o.transcript != base.transcript {
-					t.Fatalf("%s seed %d: %s transcript diverged from %s:\n%s",
-						policy, seed, v.name, variants[0].name, firstDiff(base.transcript, o.transcript))
-				}
-				if o.digest != base.digest {
-					t.Fatalf("%s seed %d: %s digest = %s, %s = %s", policy, seed, v.name, o.digest, variants[0].name, base.digest)
-				}
+			rows := runScript(t, Config{Policy: scriptPolicy(t, policy, seed)}, seed)
+			if !strings.Contains(rows.transcript, "executed=") {
+				t.Fatalf("%s seed %d: script ran no consolidation pass", policy, seed)
+			}
+			got.WriteString(goldenLine(policy, seed, rows))
+			exact := runScript(t, Config{Policy: &exactPolicy{
+				Policy: scriptPolicy(t, policy, seed), kind: policy, rng: rand.New(rand.NewSource(seed)),
+			}}, seed)
+			if exact.transcript != rows.transcript {
+				t.Fatalf("%s seed %d: the row pass diverged from the exact reference:\n%s",
+					policy, seed, firstDiff(exact.transcript, rows.transcript))
+			}
+			if exact.digest != rows.digest {
+				t.Fatalf("%s seed %d: rows digest = %s, exact reference = %s", policy, seed, rows.digest, exact.digest)
 			}
 		}
 	}
@@ -230,8 +288,7 @@ func TestDeterminismIndexAndParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.String() != string(want) {
-		t.Fatalf("outcomes differ from %s (-update rewrites it, only when a placement is meant to change):\n%s",
-			goldenPath, firstDiff(string(want), got.String()))
+		t.Fatalf("outcomes differ from %s:\n%s", goldenPath, firstDiff(string(want), got.String()))
 	}
 }
 
@@ -244,10 +301,10 @@ func TestDeterminismIndexAndParallelism(t *testing.T) {
 // retired writer produced, which Open upgrades on the way in.
 func TestDeterminismJournalReplay(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		base := runScript(t, Config{Parallelism: 1}, false, seed)
+		base := runScript(t, Config{}, seed)
 		dir, replayDir, legacyDir := t.TempDir(), t.TempDir(), t.TempDir()
-		cfg := Config{Parallelism: 1, Dir: dir, SnapshotEvery: -1, DisableFsync: true}
-		got := runScript(t, cfg, false, seed, func() { copyJournalDir(t, dir, replayDir) })
+		cfg := Config{Dir: dir, SnapshotEvery: -1, DisableFsync: true}
+		got := runScript(t, cfg, seed, func() { copyJournalDir(t, dir, replayDir) })
 		if got.transcript != base.transcript {
 			t.Fatalf("seed %d: journaled transcript diverged from volatile run:\n%s",
 				seed, firstDiff(base.transcript, got.transcript))

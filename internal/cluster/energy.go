@@ -28,25 +28,16 @@ func (c *Cluster) sampleEnergyLocked() {
 		TotalWattMinutes:      b.Total(),
 	}
 	fv := c.fleet.View()
-	classes := map[string]*obs.ClassUsage{}
-	for i := 0; i < fv.NumServers(); i++ {
-		srv := fv.Server(i)
-		key := srv.Type
-		if key == "" {
-			key = "default"
-		}
-		cu := classes[key]
-		if cu == nil {
-			cu = &obs.ClassUsage{}
-			classes[key] = cu
-		}
+	clear(c.classUse)
+	for i, k := range c.classOf {
+		cu := &c.classUse[k]
 		cu.Servers++
 		s.Residents += fv.Running(i)
 		switch fv.StateOf(i) {
 		case online.Active:
 			s.Active++
 			cu.Active++
-			cu.CPUCapacity += srv.Capacity.CPU
+			cu.CPUCapacity += c.cfg.Servers[i].Capacity.CPU
 			cpu, _ := fv.MaxUsage(i, now, now)
 			cu.CPUUsed += cpu
 		case online.Waking:
@@ -55,14 +46,36 @@ func (c *Cluster) sampleEnergyLocked() {
 			s.Sleeping++
 		}
 	}
-	s.Classes = make(map[string]obs.ClassUsage, len(classes))
-	for key, cu := range classes {
+	s.Classes = make(map[string]obs.ClassUsage, len(c.classUse))
+	for k, cu := range c.classUse {
 		if cu.CPUCapacity > 0 {
 			cu.Utilization = cu.CPUUsed / cu.CPUCapacity
 		}
-		s.Classes[key] = *cu
+		s.Classes[c.classNames[k]] = cu
 	}
 	c.cfg.Energy.Record(s)
+}
+
+// indexClasses resolves every server's class — its Type, "default" when
+// empty — to a slot once, so a sample accumulates into a slice instead of
+// looking a string up per server.
+func (c *Cluster) indexClasses() {
+	slot := map[string]int{}
+	c.classOf = make([]int, len(c.cfg.Servers))
+	for i, s := range c.cfg.Servers {
+		key := s.Type
+		if key == "" {
+			key = "default"
+		}
+		k, ok := slot[key]
+		if !ok {
+			k = len(c.classNames)
+			slot[key] = k
+			c.classNames = append(c.classNames, key)
+		}
+		c.classOf[i] = k
+	}
+	c.classUse = make([]obs.ClassUsage, len(c.classNames))
 }
 
 // stageClock carries the start instant of each timed pipeline stage of

@@ -27,15 +27,8 @@ type metrics struct {
 	snapshots      uint64
 	snapshotErrors uint64
 	journalErrors  uint64
-	candidates     int64
-	infeasible     int64
-	// indexPruned counts candidate servers the feasibility index skipped
-	// without scoring (a subset of infeasible: pruned pairs are also
-	// counted there, so candidate totals stay comparable with the index
-	// off).
-	indexPruned uint64
-	batchSize   *obs.Histogram
-	scanSeconds *obs.Histogram
+	batchSize      *obs.Histogram
+	scanSeconds    *obs.Histogram
 	// consolidateSeconds observes each consolidation pass's wall time
 	// (planning and execution, under the cluster lock).
 	consolidateSeconds *obs.Histogram
@@ -62,9 +55,10 @@ func newMetrics() metrics {
 
 // WriteMetrics writes the cluster's metrics in Prometheus text exposition
 // format: admission/rejection/release/batch counters, batch-size and
-// scan-time histograms (fed from the scan engine's AllocStats), the
-// cumulative energy components in watt-minutes, and each server's power
-// state.
+// scan-time histograms, the scan counters the policies' passes keep in
+// the fleet view (runtime-only, like the rest: a restart builds a new
+// view), the cumulative energy components in watt-minutes, and each
+// server's power state.
 func (c *Cluster) WriteMetrics(w io.Writer) error {
 	c.mu.Lock()
 	var buf bytes.Buffer
@@ -86,9 +80,11 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 		broken = 1
 	}
 	obs.Gauge(&buf, p+"journal_broken", "1 while the journal is broken and mutations are refused.", broken)
-	obs.Counter(&buf, p+"scan_candidates_total", "Candidate (VM, server) pairs evaluated.", uint64(c.met.candidates))
-	obs.Counter(&buf, p+"scan_infeasible_total", "Candidate pairs rejected as infeasible.", uint64(c.met.infeasible))
-	obs.Counter(&buf, p+"scan_index_pruned_total", "Candidate servers the feasibility index skipped without scoring.", c.met.indexPruned)
+	fv := c.fleet.View()
+	scan := fv.ScanCounts()
+	obs.Counter(&buf, p+"scan_candidates_total", "Candidate (VM, server) pairs evaluated.", scan.Evaluated)
+	obs.Counter(&buf, p+"scan_infeasible_total", "Candidate pairs rejected as infeasible.", scan.Infeasible)
+	obs.Counter(&buf, p+"scan_index_pruned_total", "Infeasible candidate servers rejected from their row alone, without the exact window check.", scan.RowRejected)
 	var groups, grouped uint64
 	if c.jr != nil {
 		groups = c.jr.groups.Load()
@@ -110,7 +106,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	obs.Gauge(&buf, p+"transitions", "Power-saving to active wake-ups.", c.fleet.Transitions())
 	obs.Counter(&buf, p+"start_delay_minutes_total", "Summed VM start delay, in minutes.", c.fleet.StartDelayTotal())
 	obs.Gauge(&buf, p+"start_delay_minutes_max", "Worst single VM start delay, in minutes.", c.fleet.MaxStartDelay())
-	obs.Gauge(&buf, p+"scan_workers", "Candidate-scan worker pool size.", c.scan.Workers())
 
 	b := c.fleet.EnergyAt(now)
 	full := p + "energy_watt_minutes"
@@ -120,7 +115,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	obs.Sample(&buf, full, b.Transition, "component", "transition")
 	obs.Sample(&buf, full, b.Total(), "component", "total")
 
-	fv := c.fleet.View()
 	perState := map[online.State]int{}
 	full = p + "server_state"
 	obs.Declare(&buf, full, "Per-server power state (1 power-saving, 2 waking, 3 active).", "gauge")

@@ -81,7 +81,6 @@ type ScanEngine struct {
 	results   []chunkMin
 	chunkJob  func()
 	curEval   func(int) (float64, bool)
-	curCands  []int // nil: scan positions are server indexes themselves
 	curCtx    context.Context
 	curCount  int
 	curChunks int
@@ -210,27 +209,13 @@ func (e *ScanEngine) numChunks(n int) int {
 // cancelled mid-scan. Steady-state scans allocate nothing: the chunk
 // buffers and worker jobs are owned by the engine and reused.
 func (e *ScanEngine) ArgMin(ctx context.Context, stats *AllocStats, n int, eval func(int) (float64, bool)) (int, error) {
-	return e.argmin(ctx, stats, n, nil, eval)
-}
-
-// ArgMinOver is ArgMin restricted to an explicit candidate list — the
-// feasibility-index fast path. cands must be in ascending order (the
-// index emits it that way); the reduce then keeps the exact lowest-index
-// tie-break, so scanning the pruned list selects the same server a full
-// [0,n) scan would whenever the pruned-away indexes are all infeasible.
-// eval is called with server indexes taken from cands.
-func (e *ScanEngine) ArgMinOver(ctx context.Context, stats *AllocStats, cands []int, eval func(int) (float64, bool)) (int, error) {
-	return e.argmin(ctx, stats, len(cands), cands, eval)
-}
-
-func (e *ScanEngine) argmin(ctx context.Context, stats *AllocStats, count int, cands []int, eval func(int) (float64, bool)) (int, error) {
 	scanStart := time.Now()
 	defer func() { stats.ScanWall += time.Since(scanStart) }()
-	if e.jobs == nil || count < 2*minShard {
-		return e.argminSeq(ctx, stats, count, cands, eval)
+	if e.jobs == nil || n < 2*minShard {
+		return e.argminSeq(ctx, stats, n, eval)
 	}
-	chunks := e.numChunks(count)
-	e.curEval, e.curCands, e.curCtx, e.curCount, e.curChunks = eval, cands, ctx, count, chunks
+	chunks := e.numChunks(n)
+	e.curEval, e.curCtx, e.curCount, e.curChunks = eval, ctx, n, chunks
 	e.nextChunk.Store(0)
 	e.resultsFor(chunks)
 	workers := e.workers
@@ -242,7 +227,7 @@ func (e *ScanEngine) argmin(ctx context.Context, stats *AllocStats, count int, c
 		e.jobs <- e.chunkJob
 	}
 	e.scanWG.Wait()
-	e.curEval, e.curCands, e.curCtx = nil, nil, nil
+	e.curEval, e.curCtx = nil, nil
 	if err := ctx.Err(); err != nil {
 		return -1, err
 	}
@@ -263,20 +248,15 @@ func (e *ScanEngine) argmin(ctx context.Context, stats *AllocStats, count int, c
 	return best, nil
 }
 
-// runChunk computes chunk c's local argmin into e.results[c]. The chunk
-// covers scan positions [lo, hi); a position is a server index directly,
-// or an index into curCands when the scan runs over a candidate list.
+// runChunk computes chunk c's local argmin over server indexes [lo, hi)
+// into e.results[c].
 func (e *ScanEngine) runChunk(c int) {
 	lo, hi := chunkBounds(c, e.curChunks, e.curCount)
 	r := &e.results[c]
 	r.best, r.cost, r.evaluated, r.rejected = -1, 0, 0, 0
-	for p := lo; p < hi; p++ {
-		if (p-lo)%cancelCheckEvery == 0 && e.curCtx.Err() != nil {
+	for i := lo; i < hi; i++ {
+		if (i-lo)%cancelCheckEvery == 0 && e.curCtx.Err() != nil {
 			return
-		}
-		i := p
-		if e.curCands != nil {
-			i = e.curCands[p]
 		}
 		cost, ok := e.curEval(i)
 		r.evaluated++
@@ -304,18 +284,14 @@ func (e *ScanEngine) resultsFor(chunks int) {
 
 // argminSeq is the sequential scan used for small fleets and
 // WithParallelism(1).
-func (e *ScanEngine) argminSeq(ctx context.Context, stats *AllocStats, count int, cands []int, eval func(int) (float64, bool)) (int, error) {
+func (e *ScanEngine) argminSeq(ctx context.Context, stats *AllocStats, n int, eval func(int) (float64, bool)) (int, error) {
 	best := -1
 	var bestCost float64
-	for p := 0; p < count; p++ {
-		if p%cancelCheckEvery == 0 {
+	for i := 0; i < n; i++ {
+		if i%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
 				return -1, err
 			}
-		}
-		i := p
-		if cands != nil {
-			i = cands[p]
 		}
 		cost, ok := eval(i)
 		stats.CandidatesEvaluated++

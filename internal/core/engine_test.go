@@ -235,3 +235,31 @@ func TestStatsPopulated(t *testing.T) {
 		t.Errorf("WorkerUtilization = %v, want (0,1]", st.WorkerUtilization)
 	}
 }
+
+// TestArgMinAllocFree pins the zero-allocation contract of the steady
+// state: once the engine's buffers are warm, parallel and sequential
+// scans allocate nothing per call.
+func TestArgMinAllocFree(t *testing.T) {
+	const n = 256
+	costs := make([]float64, n)
+	for i := range costs {
+		costs[i] = float64(i % 17)
+	}
+	eval := func(i int) (float64, bool) { return costs[i], true }
+	ctx := context.Background()
+	for _, par := range []int{1, 4} {
+		e := NewScanEngine(par, n)
+		stats := e.NewStats()
+		// Warm the buffers, then measure.
+		if _, err := e.ArgMin(ctx, stats, n, eval); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			e.ArgMin(ctx, stats, n, eval) //nolint:errcheck
+		})
+		e.Close()
+		if allocs != 0 {
+			t.Fatalf("parallelism %d: %.1f allocations per scan, want 0", par, allocs)
+		}
+	}
+}

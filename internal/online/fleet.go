@@ -28,10 +28,8 @@ type PlacedVM = model.PlacedVM
 // remove them early with Release, which truncates the reservation and
 // refunds the run cost of the unused minutes.
 //
-// A Fleet is not safe for concurrent mutation; the cluster layer
-// serialises access. The read path (View's query methods, EnergyAt,
-// Residents) is safe for concurrent use between mutations, which is what
-// lets the parallel candidate-scan engine evaluate servers concurrently.
+// A Fleet is not safe for concurrent use — a policy's Place counts its
+// probes into the view — so the cluster layer serialises access.
 type Fleet struct {
 	view        FleetView
 	idleTimeout int
@@ -54,15 +52,11 @@ type Fleet struct {
 // follows Engine.IdleTimeout: minutes an empty active server waits before
 // sleeping; negative means never sleep, 0 means sleep immediately.
 func NewFleet(servers []model.Server, idleTimeout int) *Fleet {
-	fl := &Fleet{
-		view:        FleetView{units: make([]*unit, len(servers))},
+	return &Fleet{
+		view:        newFleetView(servers),
 		idleTimeout: idleTimeout,
 		resident:    make(map[int]PlacedVM),
 	}
-	for i, s := range servers {
-		fl.view.units[i] = &unit{srv: s, state: PowerSaving, res: timeline.NewLedger()}
-	}
-	return fl
 }
 
 // View returns the policy-visible state of the fleet.
@@ -98,8 +92,8 @@ func (fl *Fleet) MaxStartDelay() int { return fl.maxDelay }
 // wake-ups.
 func (fl *Fleet) Transitions() int {
 	var n int
-	for _, u := range fl.view.units {
-		n += u.transitions
+	for i := range fl.view.units {
+		n += fl.view.units[i].transitions
 	}
 	return n
 }
@@ -107,8 +101,8 @@ func (fl *Fleet) Transitions() int {
 // ServersUsed returns the number of servers that hosted at least one VM.
 func (fl *Fleet) ServersUsed() int {
 	var n int
-	for _, u := range fl.view.units {
-		if u.used {
+	for i := range fl.view.units {
+		if fl.view.units[i].used {
 			n++
 		}
 	}
@@ -141,10 +135,11 @@ func (fl *Fleet) Residents() []PlacedVM {
 // stretches and of stretches still open at t. It is a pure read.
 func (fl *Fleet) EnergyAt(t int) energy.Breakdown {
 	b := fl.energy
-	for _, u := range fl.view.units {
+	for i := range fl.view.units {
+		u, r := &fl.view.units[i], &fl.view.rows[i]
 		b.Idle += u.idleEnergy
-		if u.state == Active && t > u.activeSince {
-			b.Idle += u.srv.PIdle * float64(t-u.activeSince)
+		if r.state == Active && t > u.activeSince {
+			b.Idle += r.pIdle * float64(t-u.activeSince)
 		}
 	}
 	return b
@@ -185,7 +180,7 @@ func (fl *Fleet) Commit(i int, v model.VM) (int, error) {
 	if i < 0 || i >= len(fl.view.units) {
 		return 0, fmt.Errorf("online: server index %d out of range", i)
 	}
-	u := fl.view.units[i]
+	u := &fl.view.units[i]
 	if v.Start < fl.view.now {
 		return 0, fmt.Errorf("online: vm %d starts at %d, before the fleet clock %d", v.ID, v.Start, fl.view.now)
 	}
@@ -208,24 +203,14 @@ func (fl *Fleet) Commit(i int, v model.VM) (int, error) {
 		fl.maxDelay = delay
 	}
 	end := start + v.Duration() - 1
-	u.res.Add(v.ID, timeline.Reservation{
-		Interval: timeline.Interval{Start: start, End: end},
-		CPU:      v.Demand.CPU,
-		Mem:      v.Demand.Mem,
-	})
-	u.vms++
-	u.used = true
 	fl.admitted++
 	fl.resident[v.ID] = PlacedVM{VM: v, Server: i, Start: start}
 	fl.energy.Run += energy.RunCost(u.srv, v)
-	if u.state == PowerSaving {
-		u.state = Waking
-		u.wakeDone = fl.view.now + int(math.Ceil(u.srv.TransitionTime))
-		u.transitions++
-		fl.energy.Transition += u.srv.TransitionCost()
-		fl.push(event{time: u.wakeDone, kind: evWakeDone, srv: i})
+	if fl.view.rows[i].state == PowerSaving {
+		fl.wake(i)
 	}
-	fl.push(event{time: end + 1, kind: evDeparture, srv: i, vmID: v.ID})
+	fl.host(i, v.ID, start, end, v.Demand)
+	u.used = true
 	return start, nil
 }
 
@@ -241,7 +226,6 @@ func (fl *Fleet) Release(id int) (PlacedVM, error) {
 		return PlacedVM{}, fmt.Errorf("online: vm %d is not resident", id)
 	}
 	now := fl.view.now
-	u := fl.view.units[p.Server]
 	dur := p.VM.Duration()
 	used := 0
 	if now >= p.Start {
@@ -250,17 +234,8 @@ func (fl *Fleet) Release(id int) (PlacedVM, error) {
 			used = dur
 		}
 	}
-	fl.energy.Run -= u.srv.UnitCPUPower() * p.VM.Demand.CPU * float64(dur-used)
-	u.res.Truncate(id, now)
-	if _, kept := u.res.Get(id); kept {
-		// The VM had started, so Truncate kept a shrunk entry covering the
-		// consumed minutes [Start, now]. Its natural departure event will
-		// be stale (identity-checked away), so schedule an explicit
-		// cleanup for the minute the entry becomes entirely past —
-		// otherwise every started-then-released VM would grow the ledger
-		// forever.
-		fl.push(event{time: now + 1, kind: evCleanup, srv: p.Server, vmID: id})
-	}
+	fl.energy.Run -= fl.view.rows[p.Server].p1 * p.VM.Demand.CPU * float64(dur-used)
+	fl.cutShort(p.Server, id, now)
 	delete(fl.resident, id)
 	fl.released++
 	fl.vacate(p.Server, now)
@@ -308,7 +283,7 @@ func (fl *Fleet) Migrate(id, to int) (PlacedVM, int, error) {
 	if to < 0 || to >= len(fl.view.units) {
 		return PlacedVM{}, 0, fmt.Errorf("online: server index %d out of range", to)
 	}
-	dst := fl.view.units[to]
+	dst, dstRow := &fl.view.units[to], &fl.view.rows[to]
 	if to == p.Server {
 		return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID, Reason: "vm already hosted there"}
 	}
@@ -319,14 +294,14 @@ func (fl *Fleet) Migrate(id, to int) (PlacedVM, int, error) {
 		return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID, Reason: "no remaining minutes to move"}
 	}
 	wake := false
-	switch dst.state {
+	switch dstRow.state {
 	case Waking:
-		if dst.wakeDone > handoff {
+		if dstRow.wakeDone > handoff {
 			return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID,
-				Reason: fmt.Sprintf("target wakes at %d, after the handoff minute %d", dst.wakeDone, handoff)}
+				Reason: fmt.Sprintf("target wakes at %d, after the handoff minute %d", dstRow.wakeDone, handoff)}
 		}
 	case PowerSaving:
-		if done := now + int(math.Ceil(dst.srv.TransitionTime)); done > handoff {
+		if done := now + dstRow.wake; done > handoff {
 			return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID,
 				Reason: fmt.Sprintf("target cannot wake before the handoff minute %d", handoff)}
 		}
@@ -340,37 +315,20 @@ func (fl *Fleet) Migrate(id, to int) (PlacedVM, int, error) {
 		return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID, Reason: "target lacks capacity over the remaining interval"}
 	}
 
-	src := fl.view.units[p.Server]
 	remaining := float64(end - handoff + 1)
-	fl.energy.Run -= src.srv.UnitCPUPower() * p.VM.Demand.CPU * remaining
-	fl.energy.Run += dst.srv.UnitCPUPower() * p.VM.Demand.CPU * remaining
-	src.res.Truncate(id, now)
-	if _, kept := src.res.Get(id); kept {
-		// Same as Release: the consumed stub [Start, now] must be reclaimed
-		// once it is entirely past, since the VM's natural departure event
-		// now fails the identity check on the source.
-		fl.push(event{time: now + 1, kind: evCleanup, srv: p.Server, vmID: id})
-	}
+	fl.energy.Run -= fl.view.rows[p.Server].p1 * p.VM.Demand.CPU * remaining
+	fl.energy.Run += dstRow.p1 * p.VM.Demand.CPU * remaining
+	fl.cutShort(p.Server, id, now)
 	fl.vacate(p.Server, now)
 	if wake {
-		dst.state = Waking
-		dst.wakeDone = now + int(math.Ceil(dst.srv.TransitionTime))
-		dst.transitions++
-		fl.energy.Transition += dst.srv.TransitionCost()
-		fl.push(event{time: dst.wakeDone, kind: evWakeDone, srv: to})
+		fl.wake(to)
 	}
-	dst.res.Add(id, timeline.Reservation{
-		Interval: timeline.Interval{Start: handoff, End: end},
-		CPU:      p.VM.Demand.CPU,
-		Mem:      p.VM.Demand.Mem,
-	})
-	dst.vms++
+	fl.host(to, id, handoff, end, p.VM.Demand)
 	dst.used = true
 	moved := p
 	moved.Server = to
 	fl.resident[id] = moved
 	fl.migrated++
-	fl.push(event{time: end + 1, kind: evDeparture, srv: to, vmID: id})
 	return p, handoff, nil
 }
 
@@ -412,7 +370,7 @@ func (fl *Fleet) Adopt(to int, v model.VM, actualStart int) (int, error) {
 	if to < 0 || to >= len(fl.view.units) {
 		return 0, fmt.Errorf("online: server index %d out of range", to)
 	}
-	dst := fl.view.units[to]
+	dst, dstRow := &fl.view.units[to], &fl.view.rows[to]
 	if _, dup := fl.resident[v.ID]; dup {
 		return 0, &AdoptError{VM: v.ID, Server: dst.srv.ID, Reason: "vm already resident"}
 	}
@@ -428,11 +386,11 @@ func (fl *Fleet) Adopt(to int, v model.VM, actualStart int) (int, error) {
 	}
 	handoff := maxInt(actualStart, now+1)
 	wake := false
-	switch dst.state {
+	switch dstRow.state {
 	case Waking:
-		handoff = maxInt(handoff, dst.wakeDone)
+		handoff = maxInt(handoff, dstRow.wakeDone)
 	case PowerSaving:
-		handoff = maxInt(handoff, now+int(math.Ceil(dst.srv.TransitionTime)))
+		handoff = maxInt(handoff, now+dstRow.wake)
 		wake = true
 	}
 	if handoff > end {
@@ -447,33 +405,58 @@ func (fl *Fleet) Adopt(to int, v model.VM, actualStart int) (int, error) {
 	}
 
 	if wake {
-		dst.state = Waking
-		dst.wakeDone = now + int(math.Ceil(dst.srv.TransitionTime))
-		dst.transitions++
-		fl.energy.Transition += dst.srv.TransitionCost()
-		fl.push(event{time: dst.wakeDone, kind: evWakeDone, srv: to})
+		fl.wake(to)
 	}
-	fl.energy.Run += dst.srv.UnitCPUPower() * v.Demand.CPU * float64(end-handoff+1)
-	dst.res.Add(v.ID, timeline.Reservation{
-		Interval: timeline.Interval{Start: handoff, End: end},
-		CPU:      v.Demand.CPU,
-		Mem:      v.Demand.Mem,
-	})
-	dst.vms++
+	fl.energy.Run += dstRow.p1 * v.Demand.CPU * float64(end-handoff+1)
+	fl.host(to, v.ID, handoff, end, v.Demand)
 	dst.used = true
 	fl.resident[v.ID] = p
 	fl.adopted++
-	fl.push(event{time: end + 1, kind: evDeparture, srv: to, vmID: v.ID})
 	return handoff, nil
 }
 
-// vacate decrements a unit's VM count and, when it empties while active,
-// starts the idle countdown.
+// host reserves demand on server i over [start, end] under the VM's ID
+// and schedules the departure.
+func (fl *Fleet) host(i, id, start, end int, demand model.Resources) {
+	fl.view.add(i, id, timeline.Reservation{
+		Interval: timeline.Interval{Start: start, End: end},
+		CPU:      demand.CPU,
+		Mem:      demand.Mem,
+	})
+	fl.view.rows[i].vms++
+	fl.push(event{time: end + 1, kind: evDeparture, srv: i, vmID: id})
+}
+
+// wake starts sleeping server i's power-saving → active transition at the
+// current minute and charges its cost.
+func (fl *Fleet) wake(i int) {
+	r := &fl.view.rows[i]
+	r.state = Waking
+	r.wakeDone = fl.view.now + r.wake
+	fl.view.units[i].transitions++
+	fl.energy.Transition += r.alpha
+	fl.push(event{time: r.wakeDone, kind: evWakeDone, srv: i})
+}
+
+// cutShort ends the VM's reservation on server i at minute now (Release,
+// and the source half of Migrate). If the VM had started, the ledger keeps
+// a shrunk entry covering the consumed minutes [Start, now]; its natural
+// departure event will be stale (identity-checked away), so an explicit
+// cleanup is scheduled for the minute the entry becomes entirely past —
+// otherwise every started-then-released VM would grow the ledger forever.
+func (fl *Fleet) cutShort(i, id, now int) {
+	if fl.view.truncate(i, id, now) {
+		fl.push(event{time: now + 1, kind: evCleanup, srv: i, vmID: id})
+	}
+}
+
+// vacate decrements a server's VM count and, when it empties while
+// active, starts the idle countdown.
 func (fl *Fleet) vacate(i, now int) {
-	u := fl.view.units[i]
-	u.vms--
-	if u.vms == 0 && u.state == Active {
-		u.idleSince = now
+	r := &fl.view.rows[i]
+	r.vms--
+	if r.vms == 0 && r.state == Active {
+		fl.view.units[i].idleSince = now
 		if fl.idleTimeout >= 0 {
 			fl.push(event{time: now + fl.idleTimeout, kind: evIdleCheck, srv: i})
 		}
@@ -487,14 +470,14 @@ func (fl *Fleet) push(ev event) {
 }
 
 func (fl *Fleet) handle(ev event) {
-	u := fl.view.units[ev.srv]
+	u, r := &fl.view.units[ev.srv], &fl.view.rows[ev.srv]
 	switch ev.kind {
 	case evWakeDone:
-		if u.state == Waking && u.wakeDone == ev.time {
-			u.state = Active
+		if r.state == Waking && r.wakeDone == ev.time {
+			r.state = Active
 			u.activeSince = ev.time
 			u.idleSince = ev.time // re-evaluated by departures
-			if u.vms == 0 && fl.idleTimeout >= 0 {
+			if r.vms == 0 && fl.idleTimeout >= 0 {
 				// Every VM that triggered this wake was released before it
 				// completed: start the idle countdown immediately.
 				fl.push(event{time: ev.time + fl.idleTimeout, kind: evIdleCheck, srv: ev.srv})
@@ -511,13 +494,13 @@ func (fl *Fleet) handle(ev event) {
 			return
 		}
 		delete(fl.resident, ev.vmID)
-		u.res.Remove(ev.vmID)
+		fl.view.remove(ev.srv, ev.vmID)
 		fl.vacate(ev.srv, ev.time)
 	case evIdleCheck:
-		if u.state == Active && u.vms == 0 && u.idleSince+fl.idleTimeout <= ev.time {
+		if r.state == Active && r.vms == 0 && u.idleSince+fl.idleTimeout <= ev.time {
 			// Sleep: account the active stretch.
-			u.idleEnergy += u.srv.PIdle * float64(ev.time-u.activeSince)
-			u.state = PowerSaving
+			u.idleEnergy += r.pIdle * float64(ev.time-u.activeSince)
+			r.state = PowerSaving
 		}
 	case evCleanup:
 		// Reclaim the truncated reservation a Release left behind — unless
@@ -529,7 +512,7 @@ func (fl *Fleet) handle(ev event) {
 		if p, ok := fl.resident[ev.vmID]; ok && p.Server == ev.srv {
 			return
 		}
-		u.res.Remove(ev.vmID)
+		fl.view.remove(ev.srv, ev.vmID)
 	}
 }
 
@@ -576,10 +559,11 @@ func (fl *Fleet) Snapshot() *FleetSnapshot {
 		Units:      make([]UnitSnapshot, len(fl.view.units)),
 		Residents:  fl.Residents(),
 	}
-	for i, u := range fl.view.units {
+	for i := range fl.view.units {
+		u, r := &fl.view.units[i], &fl.view.rows[i]
 		snap.Units[i] = UnitSnapshot{
-			State:       u.state,
-			WakeDone:    u.wakeDone,
+			State:       r.state,
+			WakeDone:    r.wakeDone,
 			ActiveSince: u.activeSince,
 			IdleSince:   u.idleSince,
 			IdleEnergy:  u.idleEnergy,
@@ -606,40 +590,33 @@ func RestoreFleet(servers []model.Server, idleTimeout int, snap *FleetSnapshot) 
 	fl.migrated = snap.Migrated
 	fl.adopted = snap.Adopted
 	for i, us := range snap.Units {
-		u := fl.view.units[i]
-		u.state = us.State
-		u.wakeDone = us.WakeDone
+		u, r := &fl.view.units[i], &fl.view.rows[i]
+		r.state = us.State
+		r.wakeDone = us.WakeDone
 		u.activeSince = us.ActiveSince
 		u.idleSince = us.IdleSince
 		u.idleEnergy = us.IdleEnergy
 		u.transitions = us.Transitions
 		u.used = us.Used
-		if u.state == Waking {
-			fl.push(event{time: u.wakeDone, kind: evWakeDone, srv: i})
+		if r.state == Waking {
+			fl.push(event{time: r.wakeDone, kind: evWakeDone, srv: i})
 		}
 	}
 	for _, p := range snap.Residents {
 		if p.Server < 0 || p.Server >= len(fl.view.units) {
 			return nil, fmt.Errorf("online: resident vm %d on unknown server index %d", p.VM.ID, p.Server)
 		}
-		u := fl.view.units[p.Server]
 		end := p.End()
 		if end < p.Start || end == math.MaxInt {
 			return nil, fmt.Errorf("online: resident vm %d end overflows the time horizon", p.VM.ID)
 		}
-		u.res.Add(p.VM.ID, timeline.Reservation{
-			Interval: timeline.Interval{Start: p.Start, End: end},
-			CPU:      p.VM.Demand.CPU,
-			Mem:      p.VM.Demand.Mem,
-		})
-		u.vms++
+		fl.host(p.Server, p.VM.ID, p.Start, end, p.VM.Demand)
 		fl.resident[p.VM.ID] = p
-		fl.push(event{time: end + 1, kind: evDeparture, srv: p.Server, vmID: p.VM.ID})
 	}
 	// Re-arm idle countdowns on empty active servers.
-	for i, u := range fl.view.units {
-		if u.state == Active && u.vms == 0 && fl.idleTimeout >= 0 {
-			fl.push(event{time: u.idleSince + fl.idleTimeout, kind: evIdleCheck, srv: i})
+	for i := range fl.view.rows {
+		if r := &fl.view.rows[i]; r.state == Active && r.vms == 0 && fl.idleTimeout >= 0 {
+			fl.push(event{time: fl.view.units[i].idleSince + fl.idleTimeout, kind: evIdleCheck, srv: i})
 		}
 	}
 	return fl, nil

@@ -65,91 +65,169 @@ type Policy interface {
 	Place(f *FleetView, v model.VM) (int, error)
 }
 
-// FleetView is the policy-visible state of the fleet.
+// FleetView is the policy-visible state of the fleet: one contiguous row
+// per server holding exactly what a placement decision reads, so a
+// policy's scan is a sequential walk of the table that follows a
+// server's *Ledger pointer only when its row cannot decide.
+//
+// The query methods are pure reads. Place is not: a policy counts its
+// probes into the view (ScanCounts), so one view serves one placement at
+// a time.
 type FleetView struct {
-	units []*unit
+	rows  []row
+	units []unit
 	now   int
+	scan  ScanCounts
 }
 
+// row is the hot part of one server's state (152 bytes). The static
+// fields are written once by NewFleet; sum is refreshed by the three
+// ledger mutators below; wakeDone, state and vms are written where the
+// fleet changes them, and live nowhere else.
+type row struct {
+	capCPU, capMem   float64
+	sum              timeline.Summary // the ledger's summary, as of its last mutation
+	p1, alpha, pIdle float64          // UnitCPUPower (Eq. 2), TransitionCost, PIdle
+	wake             int              // ceil(TransitionTime): minutes a wake-up takes
+	wakeDone         int              // valid when state == Waking
+	state            State
+	vms              int // committed VMs (running or waiting on wake)
+}
+
+// unit is the cold part: what mutations and reports read, scans never.
+type unit struct {
+	srv model.Server
+	res *timeline.Ledger
+
+	activeSince int // valid when the row's state is Active or Waking (wake start)
+	idleSince   int // last time vms dropped to 0 while Active
+	idleEnergy  float64
+	transitions int
+	used        bool
+}
+
+func newFleetView(servers []model.Server) FleetView {
+	f := FleetView{rows: make([]row, len(servers)), units: make([]unit, len(servers))}
+	for i, s := range servers {
+		l := timeline.NewLedger()
+		f.units[i] = unit{srv: s, res: l}
+		f.rows[i] = row{
+			capCPU: s.Capacity.CPU, capMem: s.Capacity.Mem,
+			sum: l.Summary(),
+			p1:  s.UnitCPUPower(), alpha: s.TransitionCost(), pIdle: s.PIdle,
+			wake:  int(math.Ceil(s.TransitionTime)),
+			state: PowerSaving,
+		}
+	}
+	return f
+}
+
+// add, truncate and remove are the fleet's only ledger mutations: each
+// leaves the row's summary equal to the ledger's.
+func (f *FleetView) add(i, id int, r timeline.Reservation) {
+	l := f.units[i].res
+	l.Add(id, r)
+	f.rows[i].sum = l.Summary()
+}
+
+// truncate also reports whether a shrunk entry was kept (the VM had
+// started), which the caller must schedule for cleanup.
+func (f *FleetView) truncate(i, id, newEnd int) (kept bool) {
+	l := f.units[i].res
+	l.Truncate(id, newEnd)
+	f.rows[i].sum = l.Summary()
+	_, kept = l.Get(id)
+	return kept
+}
+
+func (f *FleetView) remove(i, id int) {
+	l := f.units[i].res
+	l.Remove(id)
+	f.rows[i].sum = l.Summary()
+}
+
+// ScanCounts totals the probes the policies' passes made over a view:
+// servers evaluated, those found infeasible, and the infeasible ones the
+// row alone rejected (see probe) without the ledger's exact window check.
+type ScanCounts struct {
+	Evaluated, Infeasible, RowRejected uint64
+}
+
+// ScanCounts returns the running totals since the fleet was built.
+func (f *FleetView) ScanCounts() ScanCounts { return f.scan }
+
 // NumServers returns the fleet size.
-func (f *FleetView) NumServers() int { return len(f.units) }
+func (f *FleetView) NumServers() int { return len(f.rows) }
 
 // Server returns server index i's static description.
 func (f *FleetView) Server(i int) model.Server { return f.units[i].srv }
 
 // StateOf returns server index i's current power state.
-func (f *FleetView) StateOf(i int) State { return f.units[i].state }
+func (f *FleetView) StateOf(i int) State { return f.rows[i].state }
 
 // Running returns the number of VMs currently committed to server i
 // (running or queued behind its wake-up).
-func (f *FleetView) Running(i int) int { return f.units[i].vms }
+func (f *FleetView) Running(i int) int { return f.rows[i].vms }
 
 // Now returns the simulation clock.
 func (f *FleetView) Now() int { return f.now }
 
 // Fits reports whether v fits on server i throughout [start, start+dur),
 // accounting for every already-committed VM (their end times are known).
-//
-// The fast path reads the ledger's O(1) interval summary: when even the
-// server's all-time peak usage leaves room for v, no window query can
-// disagree (the window maximum never exceeds the peak, and float
-// addition is monotone), so the exact per-window scan is skipped. Both
-// paths return the same boolean for every input — the fast path is a
-// shortcut, never a different answer.
 func (f *FleetView) Fits(i int, v model.VM, start int) bool {
-	u := f.units[i]
-	cap := u.srv.Capacity
-	if !v.Demand.Fits(cap) {
-		return false
-	}
-	s := u.res.Summary()
-	if s.PeakCPU+v.Demand.CPU <= cap.CPU && s.PeakMem+v.Demand.Mem <= cap.Mem {
-		return true
-	}
-	end := start + v.Duration() - 1
-	cpu, mem := u.res.MaxUsage(start, end)
-	return cpu+v.Demand.CPU <= cap.CPU && mem+v.Demand.Mem <= cap.Mem
+	ok, _ := f.probe(i, v.Demand.CPU, v.Demand.Mem, start, start+v.Duration()-1)
+	return ok
 }
 
-// Candidates appends to buf the ascending indexes of every server the
-// feasibility index cannot rule out for v, and returns the extended
-// slice plus the number of servers pruned. It is the index-side half of
-// the candidate scan: a pruned server is *provably* infeasible — its
-// capacity cannot hold v's demand at all, or v's interval lies entirely
-// inside the server's busy span and even the span's minimum usage plus
-// v's demand overflows — so scanning only the returned candidates
-// selects exactly the server a full scan would (policies reject
-// infeasible servers themselves; pruning them just skips the work).
-// Servers the index cannot prove infeasible are kept, so the reduce's
-// lowest-index argmin tie-break is unchanged.
-func (f *FleetView) Candidates(v model.VM, buf []int) (cands []int, pruned int) {
-	for i := range f.units {
-		u := f.units[i]
-		cap := u.srv.Capacity
-		if !v.Demand.Fits(cap) {
-			pruned++
-			continue
-		}
-		s := u.res.Summary()
-		if s.PeakCPU+v.Demand.CPU <= cap.CPU && s.PeakMem+v.Demand.Mem <= cap.Mem {
-			buf = append(buf, i) // even the peak leaves room: feasible for sure
-			continue
-		}
-		start := f.StartTime(i, v)
-		end := start + v.Duration() - 1
-		if start >= s.Start && end <= s.End &&
-			(s.MinCPU+v.Demand.CPU > cap.CPU || s.MinMem+v.Demand.Mem > cap.Mem) {
-			// The window sits wholly inside the busy span, so every one of
-			// its minutes carries at least the span's minimum usage; if
-			// min+demand already overflows, the exact window check cannot
-			// pass. (Outside the span usage drops to zero, so the bound
-			// only holds for fully-covered windows.)
-			pruned++
-			continue
-		}
-		buf = append(buf, i)
+// probe is the one feasibility check: does a cpu/mem demand fit server i
+// over [start, end]. The row answers when it can — byRow — and every
+// shortcut returns what the exact check would (IEEE addition is monotone,
+// and a window's maximum is one of the step function's segment values):
+//   - the demand exceeds the capacity outright: no;
+//   - even the all-time peak leaves room: yes, a window maximum never
+//     exceeds it;
+//   - the window touches the busy span, so one of its minutes carries at
+//     least the span's minimum usage, and min+demand already overflows:
+//     no;
+//   - the window touches the minutes at which the resource that failed
+//     the peak test peaks, so its maximum is that peak: no. On a fleet
+//     whose VMs start about now this is nearly every full server — usage
+//     only falls from here on, so the peak sits at the window's start.
+//
+// Otherwise the ledger's window maximum decides.
+func (f *FleetView) probe(i int, cpu, mem float64, start, end int) (ok, byRow bool) {
+	r := &f.rows[i]
+	if !(cpu <= r.capCPU && mem <= r.capMem) {
+		return false, true
 	}
-	return buf, pruned
+	s := &r.sum
+	cpuOver, memOver := s.PeakCPU+cpu > r.capCPU, s.PeakMem+mem > r.capMem
+	if !cpuOver && !memOver {
+		return true, true
+	}
+	if start <= s.End && end >= s.Start && (s.MinCPU+cpu > r.capCPU || s.MinMem+mem > r.capMem) {
+		return false, true
+	}
+	if cpuOver && start <= s.CPUPeakTo && end >= s.CPUPeakFrom || memOver && start <= s.MemPeakTo && end >= s.MemPeakFrom {
+		return false, true
+	}
+	c, m := f.units[i].res.MaxUsage(start, end)
+	return c+cpu <= r.capCPU && m+mem <= r.capMem, false
+}
+
+// candidate is a policy's probe of server i for v at the earliest start it
+// could have there, counted.
+func (f *FleetView) candidate(i int, v *model.VM) bool {
+	start := f.rows[i].startTime(v.Start)
+	ok, byRow := f.probe(i, v.Demand.CPU, v.Demand.Mem, start, start+v.Duration()-1)
+	f.scan.Evaluated++
+	if !ok {
+		f.scan.Infeasible++
+		if byRow {
+			f.scan.RowRejected++
+		}
+	}
+	return ok
 }
 
 // MaxUsage returns the peak committed CPU and memory on server i over
@@ -167,33 +245,23 @@ func (f *FleetView) MaxUsage(i, start, end int) (cpu, mem float64) {
 func (f *FleetView) IdleSince(i int) int { return f.units[i].idleSince }
 
 // StartTime returns the earliest time v could start on server i if chosen
-// now: immediately if the server is active or can be woken by v.Start,
-// otherwise when the wake-up completes.
+// now: v.Start on an active server, the later of v.Start and the wake-up's
+// completion on a waking one, and v.Start plus a full wake-up on a
+// sleeping one — wherever the clock stands, so a future-start VM is
+// charged a wake-up the server could have finished before v.Start.
 func (f *FleetView) StartTime(i int, v model.VM) int {
-	u := f.units[i]
-	switch u.state {
-	case Active:
-		return v.Start
-	case Waking:
-		return maxInt(v.Start, u.wakeDone)
-	default:
-		return v.Start + int(math.Ceil(u.srv.TransitionTime))
-	}
+	return f.rows[i].startTime(v.Start)
 }
 
-// unit is one server's live state.
-type unit struct {
-	srv      model.Server
-	state    State
-	wakeDone int // valid when state == Waking
-	vms      int // committed VMs (running or waiting on wake)
-	res      *timeline.Ledger
-
-	activeSince int // valid when state == Active or Waking (wake start)
-	idleSince   int // last time vms dropped to 0 while Active
-	idleEnergy  float64
-	transitions int
-	used        bool
+func (r *row) startTime(reqStart int) int {
+	switch r.state {
+	case Active:
+		return reqStart
+	case Waking:
+		return maxInt(reqStart, r.wakeDone)
+	default:
+		return reqStart + r.wake
+	}
 }
 
 // Internal event kinds, processed in (time, kind, seq) order so departures

@@ -1,6 +1,10 @@
 package timeline
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Reservation is one live resource claim in a Ledger: a CPU/memory amount
 // held over a closed time interval.
@@ -10,23 +14,30 @@ type Reservation struct {
 	Mem      float64
 }
 
-// Summary is a ledger's O(1) interval summary — the per-server building
-// block of the fleet's feasibility index. All fields describe the
-// compiled step function of total usage over time.
+// Summary is a ledger's O(1) interval summary — what the fleet copies into
+// a server's row so that most feasibility questions never reach the
+// ledger. All fields describe the compiled step function of total usage
+// over time.
 type Summary struct {
 	// PeakCPU and PeakMem are the maximum total usage at any minute
 	// (computed independently; they may peak at different minutes).
 	PeakCPU float64
+	PeakMem float64
 	// MinCPU and MinMem are the minimum total usage at any minute of the
 	// busy span [Start, End]. Gaps between reservations count as zero
 	// usage, so a ledger with a hole in its schedule reports a min of 0.
-	PeakMem float64
-	MinCPU  float64
-	MinMem  float64
+	MinCPU float64
+	MinMem float64
 	// Start and End bound the busy span: the first and last minute any
 	// reservation covers. An empty ledger has End < Start.
 	Start int
 	End   int
+	// CPUPeakFrom..CPUPeakTo and MemPeakFrom..MemPeakTo are the first
+	// segment of the step function at which PeakCPU, respectively PeakMem,
+	// is attained: a window that touches those minutes has exactly that
+	// peak as its maximum.
+	CPUPeakFrom, CPUPeakTo int
+	MemPeakFrom, MemPeakTo int
 }
 
 // mark is one compiled step-function boundary: the usage delta taking
@@ -50,9 +61,9 @@ type mark struct {
 // which is what a long-running allocation service needs. Mutations cost
 // O(k log k) in the number of live reservations (they recompile the step
 // function); MaxUsage is a zero-allocation binary search plus a walk of
-// the overlapped segments, and Summary is O(1) — the fleet's feasibility
-// index reads it to skip provably-infeasible servers without touching
-// the segments at all.
+// the overlapped segments, and Summary is O(1) — the fleet copies it into
+// the server's row after each mutation and answers most feasibility
+// questions from there, without touching the segments at all.
 //
 // Concurrency: MaxUsage, Summary, Get and Len are pure reads and safe
 // for concurrent use; Add, Remove and Truncate must not run concurrently
@@ -185,14 +196,19 @@ func (l *Ledger) rebuild() {
 			mark{t: r.Interval.End + 1, id: id, end: true, cpu: -r.CPU, mem: -r.Mem},
 		)
 	}
-	sort.Slice(marks, func(a, b int) bool {
-		if marks[a].t != marks[b].t {
-			return marks[a].t < marks[b].t
+	// (t, end, id) is a strict total order (an ID contributes one start
+	// and one end mark), so an unstable sort yields one sequence.
+	slices.SortFunc(marks, func(a, b mark) int {
+		if a.t != b.t {
+			return cmp.Compare(a.t, b.t)
 		}
-		if marks[a].end != marks[b].end {
-			return !marks[a].end // starts before ends at the same minute
+		if a.end != b.end {
+			if a.end {
+				return 1 // starts before ends at the same minute
+			}
+			return -1
 		}
-		return marks[a].id < marks[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	l.marks = marks
 	var curCPU, curMem float64
@@ -213,9 +229,11 @@ func (l *Ledger) rebuild() {
 	for s := range l.cpu {
 		if first || l.cpu[s] > l.sum.PeakCPU {
 			l.sum.PeakCPU = l.cpu[s]
+			l.sum.CPUPeakFrom, l.sum.CPUPeakTo = l.times[s], l.times[s+1]-1
 		}
 		if first || l.mem[s] > l.sum.PeakMem {
 			l.sum.PeakMem = l.mem[s]
+			l.sum.MemPeakFrom, l.sum.MemPeakTo = l.times[s], l.times[s+1]-1
 		}
 		if first || l.cpu[s] < l.sum.MinCPU {
 			l.sum.MinCPU = l.cpu[s]

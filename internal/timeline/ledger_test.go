@@ -135,3 +135,22 @@ func TestLedgerVsProfileOracle(t *testing.T) {
 		}
 	}
 }
+
+var ledgerSink Summary
+
+// BenchmarkLedgerAddRemove is the fleet's per-admission ledger work: one
+// Add and one Remove (each a rebuild) on a server holding eight VMs.
+func BenchmarkLedgerAddRemove(b *testing.B) {
+	l := NewLedger()
+	for id := 1; id <= 8; id++ {
+		l.Add(id, Reservation{Interval: Interval{Start: id, End: 20 + 3*id}, CPU: 1, Mem: 2})
+	}
+	r := Reservation{Interval: Interval{Start: 5, End: 30}, CPU: 2, Mem: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		l.Add(100, r)
+		l.Remove(100)
+	}
+	ledgerSink = l.Summary()
+}

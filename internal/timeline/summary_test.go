@@ -141,6 +141,21 @@ func TestLedgerSummaryMatchesNaive(t *testing.T) {
 			if sum.MinCPU != minCPU || sum.MinMem != minMem {
 				t.Fatalf("seed %d: min (%v,%v), naive (%v,%v)", seed, sum.MinCPU, sum.MinMem, minCPU, minMem)
 			}
+			// Peak runs: every minute of the run carries the peak, and no
+			// earlier minute does (it is the first such segment).
+			for tt := lo; tt <= hi; tt++ {
+				c, m := naiveWindowMax(mirror, tt, tt)
+				if inRun := sum.CPUPeakFrom <= tt && tt <= sum.CPUPeakTo; inRun && c != peakCPU || tt < sum.CPUPeakFrom && c == peakCPU {
+					t.Fatalf("seed %d: cpu %v at minute %d, peak %v run [%d,%d]", seed, c, tt, peakCPU, sum.CPUPeakFrom, sum.CPUPeakTo)
+				}
+				if inRun := sum.MemPeakFrom <= tt && tt <= sum.MemPeakTo; inRun && m != peakMem || tt < sum.MemPeakFrom && m == peakMem {
+					t.Fatalf("seed %d: mem %v at minute %d, peak %v run [%d,%d]", seed, m, tt, peakMem, sum.MemPeakFrom, sum.MemPeakTo)
+				}
+			}
+			if sum.CPUPeakFrom > sum.CPUPeakTo || sum.CPUPeakFrom < lo || sum.CPUPeakTo > hi ||
+				sum.MemPeakFrom > sum.MemPeakTo || sum.MemPeakFrom < lo || sum.MemPeakTo > hi {
+				t.Fatalf("seed %d: peak runs outside the span: %+v", seed, sum)
+			}
 			// The summary bounds must bracket every window answer.
 			for q := 0; q < 10; q++ {
 				qs := lo + rng.Intn(hi-lo+1)
