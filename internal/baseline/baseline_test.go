@@ -2,8 +2,13 @@ package baseline
 
 import (
 	"context"
+	"crypto/sha256"
+	"errors"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -12,7 +17,10 @@ import (
 	"vmalloc/internal/energy"
 	"vmalloc/internal/ilp"
 	"vmalloc/internal/model"
+	"vmalloc/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/placements.golden from this build's placements")
 
 func srv(id int, cpu, mem, pIdle, pPeak, trans float64) model.Server {
 	return model.Server{
@@ -103,6 +111,76 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := Lookup("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
 		t.Errorf("unknown name: err = %v, want the list of names", err)
+	}
+	t.Run("placements.golden", testPlacementsGolden)
+}
+
+// testPlacementsGolden pins "the same placements": every registry name on
+// the ablation's shapes (100 VMs on 50 servers at inter-arrival 1, 4 and
+// 10, seeds 1–20) and on 1,000 VMs on 250 servers (seeds 1–3) must place
+// every VM where testdata/placements.golden says — one SHA-256 of the
+// sorted (VM → server) list per allocator, shape and seed, so a placement
+// that moves names all three. The file was generated while the fleet
+// still answered from segment trees; -update rewrites it, only when a
+// placement is meant to change.
+func testPlacementsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every allocator on 63 instances")
+	}
+	var got strings.Builder
+	for _, shape := range []struct {
+		vms, servers int
+		interArr     float64
+		seeds        int64
+	}{{100, 50, 1, 20}, {100, 50, 4, 20}, {100, 50, 10, 20}, {1000, 250, 0.5, 3}} {
+		for seed := int64(1); seed <= shape.seeds; seed++ {
+			inst, err := workload.Generate(
+				workload.Spec{NumVMs: shape.vms, MeanInterArrival: shape.interArr, MeanLength: 50},
+				workload.FleetSpec{NumServers: shape.servers, TransitionTime: 1}, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range Names() {
+				mk, _ := Lookup(name)
+				outcome := ""
+				res, err := mk(core.WithSeed(seed)).Allocate(context.Background(), inst)
+				var unplaceable *core.UnplaceableError
+				switch {
+				case errors.As(err, &unplaceable):
+					outcome = fmt.Sprintf("unplaceable vm %d", unplaceable.VM.ID)
+				case err != nil:
+					t.Fatalf("%s: %v", name, err)
+				default:
+					h := sha256.New()
+					for _, v := range inst.VMs { // generated in ID order
+						fmt.Fprintf(h, "%d %d\n", v.ID, res.Placement[v.ID])
+					}
+					outcome = fmt.Sprintf("%x", h.Sum(nil))
+				}
+				fmt.Fprintf(&got, "%s %d/%d inter-arrival %g seed %d: %s\n",
+					name, shape.vms, shape.servers, shape.interArr, seed, outcome)
+			}
+		}
+	}
+	const golden = "testdata/placements.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("%d placements, %s has %d", len(gotLines), golden, len(wantLines))
+	}
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("placement moved:\n got: %s\nwant: %s", gotLines[i], wantLines[i])
+		}
 	}
 }
 

@@ -281,6 +281,32 @@ func TestFleetFitsAndSpare(t *testing.T) {
 	}
 }
 
+// TestFleetExactFill is a probe the ablation really makes (inter-arrival
+// 4, MinBusyTime): six resident VMs hold 61.8 GB of a 96 GB server and the
+// candidate asks for the remaining 34.2 GB, so in real arithmetic the fill
+// is exact and in float64 the order of the sum decides (oldest first gives
+// 96.00000000000001). The fleet has always said it fits; one that says
+// otherwise moves a cell of results_full.txt (463.0 → 461.8).
+func TestFleetExactFill(t *testing.T) {
+	resident := []model.VM{
+		vm(22, 96, 194, 13, 34.2),
+		vm(30, 144, 220, 5, 1.7),
+		vm(31, 145, 299, 1, 1.7),
+		vm(33, 155, 169, 4, 7.5),
+		vm(34, 159, 233, 1, 1.7),
+		vm(35, 159, 211, 8, 15),
+	}
+	inst := model.NewInstance(resident, []model.Server{srv(1, 60, 96, 210, 420, 1)})
+	inst.Horizon = 496
+	f := NewFleet(inst)
+	for _, v := range resident {
+		f.Commit(0, v)
+	}
+	if !f.Fits(0, vm(38, 167, 216, 13, 34.2)) {
+		t.Error("the 34.2 GB VM no longer fits the 34.2 GB the six residents leave")
+	}
+}
+
 func TestAllocatorNames(t *testing.T) {
 	tests := []struct {
 		alloc Allocator
