@@ -176,10 +176,12 @@ func runOnline(ctx context.Context, w io.Writer, inst model.Instance, algo strin
 		rep.Energy.Total(), rep.Energy.Run, rep.Energy.Idle, rep.Energy.Transition)
 	fmt.Fprintf(w, "wake-ups:      %d\n", rep.Transitions)
 	fmt.Fprintf(w, "start delays:  mean %.2f min, max %d min\n", rep.MeanStartDelay, rep.MaxStartDelay)
+	// An instance the offline heuristic cannot place just omits the line; a
+	// cancelled run must not pass for a complete report.
 	offline, err := core.NewMinCost().Allocate(ctx, inst)
 	if err == nil {
 		fmt.Fprintf(w, "vs offline:    clairvoyant MinCost would bill %.1f watt-minutes (%+.1f%%)\n",
 			offline.Energy.Total(), 100*(rep.Energy.Total()/offline.Energy.Total()-1))
 	}
-	return nil
+	return ctx.Err()
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,5 +133,13 @@ func TestRunOnlineMode(t *testing.T) {
 	var sb strings.Builder
 	if err := run(context.Background(), []string{"-in", path, "-online", "-algo", "bestfit"}, &sb); err == nil {
 		t.Error("unsupported online algo accepted")
+	}
+	// A run cancelled before its closing offline comparison reports it.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	sb.Reset()
+	err := run(cancelled, []string{"-in", path, "-online"}, &sb)
+	if !errors.Is(err, context.Canceled) || strings.Contains(sb.String(), "vs offline:") {
+		t.Errorf("cancelled online run: err = %v, want context.Canceled and no offline line:\n%s", err, sb.String())
 	}
 }

@@ -2,19 +2,20 @@
 // Fit Power Saving (FFPS) baseline (§IV-A), and additional bin-packing
 // baselines used for the ablation studies.
 //
-// All of them process VMs in increasing start-time order and, like the
-// heuristic, have their final energy computed by the exact Eq. 7 evaluator,
-// with servers switching off during idle segments whenever the transition
-// cost is below the idle cost. Their constructors accept the same
-// functional options as package core (core.WithSeed, core.WithParallelism);
-// feasibility scans run on the shared scan engine and their placements are
-// identical at every parallelism setting.
+// Each is a placement rule run by core.Run, so all of them process VMs in
+// increasing start-time order and, like the heuristic, have their final
+// energy computed by the exact Eq. 7 evaluator, with servers switching off
+// during idle segments whenever the transition cost is below the idle cost.
+// Their constructors accept the same functional options as package core
+// (core.WithSeed, core.WithParallelism); their scans run on the run's scan
+// engine and their placements are identical at every parallelism setting.
 package baseline
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
-	"time"
+	"slices"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/energy"
@@ -45,23 +46,14 @@ func (f *FFPS) Name() string { return "FFPS" }
 
 // Allocate implements core.Allocator.
 func (f *FFPS) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(f.cfg.Seed))
-	order := make([]int, len(inst.Servers))
-	for i := range order {
-		order[i] = i
-	}
-	shuffle := func() {
+	order := serverIndices(inst)
+	return core.Run(ctx, f.Name(), f.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		rng.Shuffle(len(order), func(a, b int) {
 			order[a], order[b] = order[b], order[a]
 		})
-	}
-	return firstFit(ctx, f.Name(), f.cfg, inst, order, shuffle)
+		return firstFit(s, order, rest[0])
+	})
 }
 
 // FirstFitSorted is first fit over servers sorted by a fixed key instead of
@@ -104,34 +96,18 @@ func (f *FirstFitSorted) Name() string {
 
 // Allocate implements core.Allocator.
 func (f *FirstFitSorted) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	order := make([]int, len(inst.Servers))
-	for i := range order {
-		order[i] = i
-	}
-	servers := inst.Servers
-	less := func(a, b int) bool {
-		sa, sb := servers[a], servers[b]
-		switch f.key {
-		case ByCapacity:
-			if sa.Capacity.CPU != sb.Capacity.CPU {
-				return sa.Capacity.CPU > sb.Capacity.CPU
-			}
-		default:
-			ea, eb := sa.PIdle/sa.Capacity.CPU, sb.PIdle/sb.Capacity.CPU
-			if ea != eb {
-				return ea < eb
-			}
+	order := serverIndices(inst)
+	// Both keys end in the server ID, a strict total order.
+	slices.SortFunc(order, func(a, b int) int {
+		sa, sb := inst.Servers[a], inst.Servers[b]
+		if f.key == ByCapacity {
+			return cmp.Or(cmp.Compare(sb.Capacity.CPU, sa.Capacity.CPU), cmp.Compare(sa.ID, sb.ID))
 		}
-		return sa.ID < sb.ID
-	}
-	insertionSort(order, less)
-	return firstFit(ctx, f.Name(), f.cfg, inst, order, nil)
+		return cmp.Or(cmp.Compare(sa.PIdle/sa.Capacity.CPU, sb.PIdle/sb.Capacity.CPU), cmp.Compare(sa.ID, sb.ID))
+	})
+	return core.Run(ctx, f.Name(), f.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+		return firstFit(s, order, rest[0])
+	})
 }
 
 // BestFitCPU places each VM on the feasible server whose spare CPU over the
@@ -154,41 +130,15 @@ func (b *BestFitCPU) Name() string { return "BestFit/cpu" }
 
 // Allocate implements core.Allocator.
 func (b *BestFitCPU) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	fleet := core.NewFleet(inst)
-	scan := core.NewScanEngine(b.cfg.Parallelism, len(fleet.Servers))
-	defer scan.Close()
-	stats := scan.NewStats()
-	placement := make(map[int]int, len(inst.VMs))
-	for _, v := range core.SortVMsByStart(inst) {
-		v := v
-		best, err := scan.ArgMin(ctx, stats, len(fleet.Servers), func(i int) (float64, bool) {
+	return core.Run(ctx, b.Name(), b.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+		fleet, v := s.Fleet, rest[0]
+		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {
 				return 0, false
 			}
-			return fleet.SpareCPU(i, v.Start, v.End) - v.Demand.CPU, true
+			return fleet.SpareCPU(i, v.Start) - v.Demand.CPU, true
 		})
-		if err != nil {
-			return nil, err
-		}
-		if best < 0 {
-			return nil, &core.UnplaceableError{VM: v}
-		}
-		scan.Commit(stats, func() { fleet.Commit(best, v) })
-		placement[v.ID] = fleet.Servers[best].ID
-	}
-	res, err := core.FinishResult(b.Name(), inst, placement, fleet.ServersUsed())
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = scan.FinishStats(stats, start)
-	return res, nil
+	})
 }
 
 // RandomFit places each VM on a uniformly random feasible server — the
@@ -208,82 +158,43 @@ func NewRandomFit(opts ...core.Option) *RandomFit {
 // Name implements core.Allocator.
 func (r *RandomFit) Name() string { return "RandomFit" }
 
-// Allocate implements core.Allocator.
+// Allocate implements core.Allocator. The draw is over the whole feasible
+// list, so the rule builds it itself instead of scanning for one winner.
 func (r *RandomFit) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
 	rng := rand.New(rand.NewSource(r.cfg.Seed))
-	fleet := core.NewFleet(inst)
-	placement := make(map[int]int, len(inst.VMs))
 	feasible := make([]int, 0, len(inst.Servers))
-	for _, v := range core.SortVMsByStart(inst) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	return core.Run(ctx, r.Name(), r.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		feasible = feasible[:0]
-		for i := range fleet.Servers {
-			if fleet.Fits(i, v) {
+		for i := range s.Fleet.Servers {
+			if s.Fleet.Fits(i, rest[0]) {
 				feasible = append(feasible, i)
 			}
 		}
 		if len(feasible) == 0 {
-			return nil, &core.UnplaceableError{VM: v}
+			return -1, nil
 		}
-		pick := feasible[rng.Intn(len(feasible))]
-		fleet.Commit(pick, v)
-		placement[v.ID] = fleet.Servers[pick].ID
-	}
-	return core.FinishResult(r.Name(), inst, placement, fleet.ServersUsed())
+		return feasible[rng.Intn(len(feasible))], nil
+	})
 }
 
-// firstFit runs the shared first-fit scan over servers in the given order
-// of fleet indices. When reorder is non-nil it is invoked before every
-// request (FFPS's per-request shuffle).
-func firstFit(ctx context.Context, name string, cfg core.Config, inst model.Instance, order []int, reorder func()) (*core.Result, error) {
-	start := time.Now()
-	fleet := core.NewFleet(inst)
-	scan := core.NewScanEngine(cfg.Parallelism, len(order))
-	defer scan.Close()
-	stats := scan.NewStats()
-	placement := make(map[int]int, len(inst.VMs))
-	for _, v := range core.SortVMsByStart(inst) {
-		v := v
-		if reorder != nil {
-			reorder()
-		}
-		k, err := scan.First(ctx, stats, len(order), func(k int) bool {
-			return fleet.Fits(order[k], v)
-		})
-		if err != nil {
-			return nil, err
-		}
-		if k < 0 {
-			return nil, &core.UnplaceableError{VM: v}
-		}
-		i := order[k]
-		scan.Commit(stats, func() { fleet.Commit(i, v) })
-		placement[v.ID] = fleet.Servers[i].ID
+// serverIndices returns the fleet indices 0..n-1, the search order the
+// first-fit allocators permute.
+func serverIndices(inst model.Instance) []int {
+	order := make([]int, len(inst.Servers))
+	for i := range order {
+		order[i] = i
 	}
-	res, err := core.FinishResult(name, inst, placement, fleet.ServersUsed())
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = scan.FinishStats(stats, start)
-	return res, nil
+	return order
 }
 
-// insertionSort sorts idx with the given less function. The server count is
-// small; avoiding sort.Slice keeps the ordering logic trivially stable.
-func insertionSort(idx []int, less func(a, b int) bool) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && less(idx[j], idx[j-1]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
+// firstFit is the first-fit rule: the first server, in the given order of
+// fleet indices, that v fits.
+func firstFit(s *core.Scan, order []int, v model.VM) (int, error) {
+	k, err := s.First(func(k int) bool { return s.Fleet.Fits(order[k], v) })
+	if k < 0 {
+		return -1, err
 	}
+	return order[k], nil
 }
 
 // ReductionRatio returns the paper's headline metric: the energy saved by

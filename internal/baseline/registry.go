@@ -28,9 +28,9 @@ var registry = map[string]Constructor{
 	"firstfit-capacity":   func(o ...core.Option) core.Allocator { return NewFirstFitSorted(ByCapacity, o...) },
 	"bestfit":             func(o ...core.Option) core.Allocator { return NewBestFitCPU(o...) },
 	"randomfit":           func(o ...core.Option) core.Allocator { return NewRandomFit(o...) },
-	"minbusytime":         func(...core.Option) core.Allocator { return NewMinBusyTime() },
-	"vectorfit":           func(...core.Option) core.Allocator { return NewVectorFit() },
-	"worstfit":            func(...core.Option) core.Allocator { return NewWorstFit() },
+	"minbusytime":         func(o ...core.Option) core.Allocator { return NewMinBusyTime(o...) },
+	"vectorfit":           func(o ...core.Option) core.Allocator { return NewVectorFit(o...) },
+	"worstfit":            func(o ...core.Option) core.Allocator { return NewWorstFit(o...) },
 }
 
 // aliases are spellings Lookup resolves but Names does not list.

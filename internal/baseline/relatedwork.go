@@ -2,11 +2,9 @@ package baseline
 
 import (
 	"context"
-	"math"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/model"
-	"vmalloc/internal/timeline"
 )
 
 // MinBusyTime implements the objective of the fixed-interval scheduling
@@ -14,54 +12,32 @@ import (
 // server whose total busy time grows the least, ignoring power parameters
 // entirely. It isolates how much of the paper's savings comes from
 // modelling energy rather than just consolidating time.
-type MinBusyTime struct{}
+type MinBusyTime struct {
+	cfg core.Config
+}
 
 var _ core.Allocator = (*MinBusyTime)(nil)
 
-// NewMinBusyTime returns the busy-time-minimising comparator.
-func NewMinBusyTime() *MinBusyTime { return &MinBusyTime{} }
+// NewMinBusyTime returns the busy-time-minimising comparator. Like the
+// other two in this file it honours core.WithParallelism and nothing else.
+func NewMinBusyTime(opts ...core.Option) *MinBusyTime {
+	return &MinBusyTime{cfg: core.NewConfig(opts...)}
+}
 
 // Name implements core.Allocator.
 func (*MinBusyTime) Name() string { return "MinBusyTime" }
 
 // Allocate implements core.Allocator.
 func (a *MinBusyTime) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	fleet := core.NewFleet(inst)
-	busy := make([]*timeline.SegmentSet, len(inst.Servers))
-	for i := range busy {
-		busy[i] = &timeline.SegmentSet{}
-	}
-	placement := make(map[int]int, len(inst.VMs))
-	for _, v := range core.SortVMsByStart(inst) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		best, bestGrowth := -1, 0
-		for i := range fleet.Servers {
+	return core.Run(ctx, a.Name(), a.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+		fleet, v := s.Fleet, rest[0]
+		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {
-				continue
+				return 0, false
 			}
-			preview := busy[i].Clone()
-			preview.Insert(timeline.Interval{Start: v.Start, End: v.End})
-			growth := preview.Total() - busy[i].Total()
-			if best < 0 || growth < bestGrowth {
-				best, bestGrowth = i, growth
-			}
-		}
-		if best < 0 {
-			return nil, &core.UnplaceableError{VM: v}
-		}
-		busy[best].Insert(timeline.Interval{Start: v.Start, End: v.End})
-		fleet.Commit(best, v)
-		placement[v.ID] = fleet.Servers[best].ID
-	}
-	return core.FinishResult(a.Name(), inst, placement, fleet.ServersUsed())
+			return float64(fleet.State(i).BusyGrowth(v)), true
+		})
+	})
 }
 
 // VectorFit is the dot-product heuristic from the vector bin-packing
@@ -69,100 +45,68 @@ func (a *MinBusyTime) Allocate(ctx context.Context, inst model.Instance) (*core.
 // [8]): place each VM on the feasible server whose remaining (CPU, memory)
 // vector over the VM's interval aligns best with the demand vector,
 // balancing the two resources instead of minimising energy.
-type VectorFit struct{}
+type VectorFit struct {
+	cfg core.Config
+}
 
 var _ core.Allocator = (*VectorFit)(nil)
 
 // NewVectorFit returns the dot-product comparator.
-func NewVectorFit() *VectorFit { return &VectorFit{} }
+func NewVectorFit(opts ...core.Option) *VectorFit {
+	return &VectorFit{cfg: core.NewConfig(opts...)}
+}
 
 // Name implements core.Allocator.
 func (*VectorFit) Name() string { return "VectorFit" }
 
 // Allocate implements core.Allocator.
 func (a *VectorFit) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	fleet := core.NewFleet(inst)
-	placement := make(map[int]int, len(inst.VMs))
-	for _, v := range core.SortVMsByStart(inst) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		best := -1
-		bestScore := math.Inf(-1)
-		for i := range fleet.Servers {
+	return core.Run(ctx, a.Name(), a.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+		fleet, v := s.Fleet, rest[0]
+		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {
-				continue
+				return 0, false
 			}
-			s := fleet.Servers[i]
+			c := fleet.Servers[i].Capacity
 			// Normalised demand · normalised spare, higher = better
-			// aligned (fills the scarce dimension proportionally).
-			dCPU := v.Demand.CPU / s.Capacity.CPU
-			dMem := v.Demand.Mem / s.Capacity.Mem
-			spareCPU := fleet.SpareCPU(i, v.Start, v.End) / s.Capacity.CPU
-			spareMem := fleet.SpareMem(i, v.Start, v.End) / s.Capacity.Mem
-			score := dCPU*spareCPU + dMem*spareMem
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		if best < 0 {
-			return nil, &core.UnplaceableError{VM: v}
-		}
-		fleet.Commit(best, v)
-		placement[v.ID] = fleet.Servers[best].ID
-	}
-	return core.FinishResult(a.Name(), inst, placement, fleet.ServersUsed())
+			// aligned (fills the scarce dimension proportionally); negated,
+			// because the scan minimises.
+			dCPU := v.Demand.CPU / c.CPU
+			dMem := v.Demand.Mem / c.Mem
+			spareCPU := fleet.SpareCPU(i, v.Start) / c.CPU
+			spareMem := fleet.SpareMem(i, v.Start) / c.Mem
+			return -(dCPU*spareCPU + dMem*spareMem), true
+		})
+	})
 }
 
 // WorstFit spreads load: each VM goes to the feasible server with the MOST
 // spare CPU over its interval. It is the anti-consolidation baseline —
 // roughly what a load balancer oblivious to energy would do — and bounds
 // the cost of spreading.
-type WorstFit struct{}
+type WorstFit struct {
+	cfg core.Config
+}
 
 var _ core.Allocator = (*WorstFit)(nil)
 
 // NewWorstFit returns the spreading comparator.
-func NewWorstFit() *WorstFit { return &WorstFit{} }
+func NewWorstFit(opts ...core.Option) *WorstFit {
+	return &WorstFit{cfg: core.NewConfig(opts...)}
+}
 
 // Name implements core.Allocator.
 func (*WorstFit) Name() string { return "WorstFit" }
 
 // Allocate implements core.Allocator.
 func (a *WorstFit) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	fleet := core.NewFleet(inst)
-	placement := make(map[int]int, len(inst.VMs))
-	for _, v := range core.SortVMsByStart(inst) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		best := -1
-		bestSpare := math.Inf(-1)
-		for i := range fleet.Servers {
+	return core.Run(ctx, a.Name(), a.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+		fleet, v := s.Fleet, rest[0]
+		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {
-				continue
+				return 0, false
 			}
-			if spare := fleet.SpareCPU(i, v.Start, v.End); spare > bestSpare {
-				best, bestSpare = i, spare
-			}
-		}
-		if best < 0 {
-			return nil, &core.UnplaceableError{VM: v}
-		}
-		fleet.Commit(best, v)
-		placement[v.ID] = fleet.Servers[best].ID
-	}
-	return core.FinishResult(a.Name(), inst, placement, fleet.ServersUsed())
+			return -fleet.SpareCPU(i, v.Start), true
+		})
+	})
 }

@@ -156,14 +156,6 @@ func (e *ScanEngine) NewStats() *AllocStats {
 	return &AllocStats{Workers: e.workers}
 }
 
-// Commit times fn as commit-phase work and counts one placed VM.
-func (e *ScanEngine) Commit(stats *AllocStats, fn func()) {
-	start := time.Now()
-	fn()
-	stats.CommitWall += time.Since(start)
-	stats.VMsPlaced++
-}
-
 // FinishStats seals the record at the end of a run that began at start.
 func (e *ScanEngine) FinishStats(stats *AllocStats, start time.Time) *AllocStats {
 	stats.TotalWall = time.Since(start)

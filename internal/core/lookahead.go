@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"vmalloc/internal/model"
 )
@@ -34,50 +33,19 @@ func (*Lookahead) Name() string { return "MinCost/lookahead" }
 
 // Allocate implements Allocator.
 func (l *Lookahead) Allocate(ctx context.Context, inst model.Instance) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	fleet := NewFleet(inst)
-	scan := NewScanEngine(l.cfg.Parallelism, len(fleet.Servers))
-	defer scan.Close()
-	stats := scan.NewStats()
-	vms := SortVMsByStart(inst)
-	placement := make(map[int]int, len(vms))
-	for idx, v := range vms {
-		var next *model.VM
-		if idx+1 < len(vms) {
-			next = &vms[idx+1]
-		}
-		v := v
-		best, err := scan.ArgMin(ctx, stats, len(fleet.Servers), func(i int) (float64, bool) {
+	return Run(ctx, l.Name(), l.cfg, inst, func(s *Scan, rest []model.VM) (int, error) {
+		fleet, v := s.Fleet, rest[0]
+		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {
 				return 0, false
 			}
 			score := fleet.State(i).IncrementalCost(v)
-			if next != nil {
-				score += bestNextCost(fleet, i, v, *next)
+			if len(rest) > 1 {
+				score += bestNextCost(fleet, i, v, rest[1])
 			}
 			return score, true
 		})
-		if err != nil {
-			return nil, err
-		}
-		if best < 0 {
-			return nil, &UnplaceableError{VM: v}
-		}
-		scan.Commit(stats, func() { fleet.Commit(best, v) })
-		placement[v.ID] = fleet.Servers[best].ID
-	}
-	res, err := FinishResult(l.Name(), inst, placement, fleet.ServersUsed())
-	if err != nil {
-		return nil, err
-	}
-	res.Stats = scan.FinishStats(stats, start)
-	return res, nil
+	})
 }
 
 // bestNextCost returns the cheapest incremental cost of `next` assuming
@@ -129,8 +97,7 @@ func previewPairCost(fleet *Fleet, i int, v, next model.VM) (float64, bool) {
 		needCPU += v.Demand.CPU
 		needMem += v.Demand.Mem
 	}
-	if fleet.SpareCPU(i, next.Start, next.End) < needCPU ||
-		fleet.SpareMem(i, next.Start, next.End) < needMem {
+	if fleet.SpareCPU(i, next.Start) < needCPU || fleet.SpareMem(i, next.Start) < needMem {
 		return 0, false
 	}
 	st := fleet.State(i)

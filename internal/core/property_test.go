@@ -8,6 +8,7 @@ import (
 
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
+	"vmalloc/internal/timeline"
 )
 
 // quickInstance draws a modest feasible-ish instance from a seed.
@@ -162,5 +163,69 @@ func TestEnergyHomogeneity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the fleet's claim lists answer exactly as per-minute usage
+// arrays do. Commits arrive in start order, as Run makes them; demands are
+// multiples of 0.25, so every sum is exact whatever its order and the
+// comparison can be ==. After each commit, windows starting at or after
+// the frontier are probed on every server; a commit or a probe before the
+// frontier must panic.
+func TestFleetMatchesSliceOracle(t *testing.T) {
+	const horizon = 160
+	dyadic := func(rng *rand.Rand) float64 { return 0.25 * float64(1+rng.Intn(24)) }
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		servers := []model.Server{srv(1, 16, 32, 80, 160, 1), srv(2, 24, 24, 90, 200, 1), srv(3, 8, 64, 60, 120, 1)}
+		f := NewFleet(model.Instance{Servers: servers, Horizon: horizon})
+		cpu, mem := make([]*timeline.SliceProfile, len(servers)), make([]*timeline.SliceProfile, len(servers))
+		for i := range servers {
+			cpu[i], mem[i] = timeline.NewSliceProfile(horizon), timeline.NewSliceProfile(horizon)
+		}
+		frontier := 1
+		for id := 1; id <= 80 && frontier < horizon-40; id++ {
+			frontier += rng.Intn(4)
+			v := vm(id, frontier, frontier+rng.Intn(40), dyadic(rng), dyadic(rng))
+			if i := rng.Intn(len(servers)); f.Fits(i, v) {
+				f.Commit(i, v)
+				cpu[i].Add(v.Start, v.End, v.Demand.CPU)
+				mem[i].Add(v.Start, v.End, v.Demand.Mem)
+			}
+			for probe := 0; probe < 6; probe++ {
+				start := frontier + rng.Intn(horizon-frontier)
+				p := vm(0, start, start+rng.Intn(horizon-start+1), dyadic(rng), dyadic(rng))
+				for i, s := range servers {
+					maxCPU, maxMem := cpu[i].Max(p.Start, p.End), mem[i].Max(p.Start, p.End)
+					cpuOK := maxCPU+p.Demand.CPU <= s.Capacity.CPU
+					if got, want := f.Fits(i, p), cpuOK && maxMem+p.Demand.Mem <= s.Capacity.Mem; got != want {
+						t.Fatalf("seed %d: Fits(%d, %+v) = %v, oracle %v", seed, i, p, got, want)
+					}
+					if got := f.FitsCPUOnly(i, p); got != cpuOK {
+						t.Fatalf("seed %d: FitsCPUOnly(%d, %+v) = %v, oracle %v", seed, i, p, got, cpuOK)
+					}
+					if got, want := f.SpareCPU(i, p.Start), s.Capacity.CPU-maxCPU; got != want {
+						t.Fatalf("seed %d: SpareCPU(%d, %d) = %g, oracle %g over [%d,%d]", seed, i, p.Start, got, want, p.Start, p.End)
+					}
+					if got, want := f.SpareMem(i, p.Start), s.Capacity.Mem-maxMem; got != want {
+						t.Fatalf("seed %d: SpareMem(%d, %d) = %g, oracle %g over [%d,%d]", seed, i, p.Start, got, want, p.Start, p.End)
+					}
+				}
+			}
+		}
+		if frontier = f.frontier; frontier > 1 {
+			mustPanic("a commit before the frontier", func() { f.Commit(0, vm(99, frontier-1, frontier, 1, 1)) })
+			mustPanic("a probe before the frontier", func() { f.Fits(0, vm(99, frontier-1, frontier, 1, 1)) })
+			mustPanic("SpareCPU before the frontier", func() { f.SpareCPU(0, frontier-1) })
+		}
 	}
 }

@@ -88,11 +88,38 @@ func (st *ServerState) Cost() float64 {
 }
 
 // CostWith returns the server's total cost if v were added (the server
-// state is not modified).
+// state is not modified, and nothing is allocated). It is SegmentCost of
+// the busy set with v's interval merged in, computed over the merged walk
+// in SegmentCost's own order — the total first, then the gap terms left to
+// right — so the float64 it returns is the one a Clone, Insert and
+// SegmentCost would.
 func (st *ServerState) CostWith(v model.VM) float64 {
-	preview := st.busy.Clone()
-	preview.Insert(timeline.Interval{Start: v.Start, End: v.End})
-	return st.runCost + RunCost(st.server, v) + SegmentCost(st.server, preview)
+	s := &st.server
+	alpha := s.TransitionCost()
+	cost := alpha + s.PIdle*float64(st.busyWith(v))
+	first, prevEnd := true, 0
+	st.busy.VisitWith(timeline.Interval{Start: v.Start, End: v.End}, func(seg timeline.Interval) {
+		if !first {
+			cost += min(alpha, s.PIdle*float64(seg.Start-prevEnd-1))
+		}
+		first, prevEnd = false, seg.End
+	})
+	return st.runCost + RunCost(st.server, v) + cost
+}
+
+// busyWith returns the server's busy minutes if v were added.
+func (st *ServerState) busyWith(v model.VM) int {
+	total := 0
+	st.busy.VisitWith(timeline.Interval{Start: v.Start, End: v.End}, func(seg timeline.Interval) {
+		total += seg.Len()
+	})
+	return total
+}
+
+// BusyGrowth returns the minutes v would add to the server's busy time:
+// the part of [v.Start, v.End] no VM already placed here covers.
+func (st *ServerState) BusyGrowth(v model.VM) int {
+	return st.busyWith(v) - st.busy.Total()
 }
 
 // IncrementalCost returns CostWith(v) − Cost(): the heuristic's selection

@@ -126,6 +126,53 @@ func TestServerStateIncrementalMatchesRecompute(t *testing.T) {
 	}
 }
 
+// TestCostWithMatchesCloneSpelling holds the allocation-free CostWith (and
+// BusyGrowth) to the spelling it replaced, kept here as the reference:
+// clone the busy set, insert the candidate, price the copy. The floats must
+// be the same bits, not merely close — MinCost breaks ties on them. The
+// random sets put the candidate inside a segment, adjacent to one, before
+// and after all of them, and across several at once.
+func TestCostWithMatchesCloneSpelling(t *testing.T) {
+	s := testServer()
+	s.PIdle, s.TransitionTime = 97.3, 1.7 // α = PPeak·TransitionTime sits among the gap costs
+	rng := rand.New(rand.NewSource(5))
+	merges := map[int]int{} // segments the candidate merged → times seen
+	for trial := 0; trial < 300; trial++ {
+		st := NewServerState(s)
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			start := 1 + rng.Intn(120)
+			st.Add(vm(i, start, start+rng.Intn(6), 0.1+rng.Float64()))
+		}
+		for probe := 0; probe < 20; probe++ {
+			start := 1 + rng.Intn(130)
+			v := vm(100+probe, start, start+rng.Intn(40), 0.1+rng.Float64())
+			preview := st.busy.Clone()
+			preview.Insert(timeline.Interval{Start: v.Start, End: v.End})
+			want := st.runCost + RunCost(s, v) + SegmentCost(s, preview)
+			if got := st.CostWith(v); got != want {
+				t.Fatalf("trial %d: CostWith(%+v) on %v = %v, clone spelling %v", trial, v, st.Busy(), got, want)
+			}
+			if got, want := st.BusyGrowth(v), preview.Total()-st.busy.Total(); got != want {
+				t.Fatalf("trial %d: BusyGrowth(%+v) on %v = %d, clone spelling %d", trial, v, st.Busy(), got, want)
+			}
+			merges[st.busy.Len()+1-preview.Len()]++
+		}
+	}
+	for _, merged := range []int{0, 1, 2, 3} {
+		if merges[merged] == 0 {
+			t.Errorf("no candidate merged %d segments: the cases are not covered (saw %v)", merged, merges)
+		}
+	}
+	st := NewServerState(s)
+	for i, start := range []int{3, 20, 40, 60, 80} {
+		st.Add(vm(i, start, start+5, 1))
+	}
+	v := vm(9, 24, 62, 2)
+	if allocs := testing.AllocsPerRun(100, func() { _ = st.IncrementalCost(v) }); allocs != 0 {
+		t.Errorf("IncrementalCost allocates %v times a call, want 0", allocs)
+	}
+}
+
 func TestIncrementalCostNeverBelowRunCost(t *testing.T) {
 	// Monotonicity: adding a VM can never cheapen the activity schedule, so
 	// the incremental cost is at least W_ij. Exercised with random VMs.

@@ -67,6 +67,24 @@ func (s *SegmentSet) Insert(iv Interval) {
 	s.segs = append(s.segs[:lo+1], s.segs[hi:]...)
 }
 
+// VisitWith calls visit, in increasing order, with each segment the set
+// would hold after Insert(iv). The set is not modified and nothing is
+// allocated: it is how a candidate interval is priced without a Clone.
+func (s *SegmentSet) VisitWith(iv Interval, visit func(Interval)) {
+	k := 0
+	for ; k < len(s.segs) && s.segs[k].End < iv.Start-1; k++ {
+		visit(s.segs[k])
+	}
+	for ; k < len(s.segs) && s.segs[k].Start <= iv.End+1; k++ {
+		iv.Start = min(iv.Start, s.segs[k].Start)
+		iv.End = max(iv.End, s.segs[k].End)
+	}
+	visit(iv)
+	for ; k < len(s.segs); k++ {
+		visit(s.segs[k])
+	}
+}
+
 // Len returns the number of disjoint segments.
 func (s *SegmentSet) Len() int { return len(s.segs) }
 

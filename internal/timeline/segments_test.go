@@ -203,6 +203,8 @@ func TestSegmentSetMatchesNaiveRandom(t *testing.T) {
 				b = 511
 			}
 			iv := Interval{a, b}
+			var preview []Interval
+			s.VisitWith(iv, func(seg Interval) { preview = append(preview, seg) })
 			s.Insert(iv)
 			n.insert(iv)
 
@@ -213,6 +215,9 @@ func TestSegmentSetMatchesNaiveRandom(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d op %d: segments = %v, want %v", trial, op, got, want)
+			}
+			if !reflect.DeepEqual(preview, want) {
+				t.Fatalf("trial %d op %d: VisitWith(%v) walked %v, Insert made %v", trial, op, iv, preview, want)
 			}
 		}
 		// Cross-check Total and Covers on the final state.
