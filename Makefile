@@ -44,10 +44,10 @@ loc:
 
 # LOC_MAX is the `make loc` figure the last PR that shrank it landed
 # (PR 19: the segment-tree profiles and eight hand-copied placement loops
-# left, core.Run and the claim-list Fleet came, net −194). A change that
+# left, core.Run and the claim-list Fleet came, net −199). A change that
 # grows past it fails `make fence`: delete something, or raise the figure
 # here and say why.
-LOC_MAX = 20064
+LOC_MAX = 20059
 
 # fence keeps the doubles PRs 12–17 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),

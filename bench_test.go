@@ -75,10 +75,10 @@ func BenchmarkMinCostAllocate(b *testing.B) {
 }
 
 // BenchmarkMinCostParallel compares the sequential scan against the
-// parallel engine at a scale (5000 VMs on 500 servers) where the fan-out
-// pays for itself. Run with -cpu to sweep GOMAXPROCS; placements are
-// byte-identical at every setting, so the benchmark measures pure
-// engine overhead/speedup.
+// parallel engine at 5000 VMs on 500 servers. Run with -cpu to sweep
+// GOMAXPROCS; placements are byte-identical at every setting, so the
+// benchmark measures pure engine overhead/speedup (on two vCPUs sharing a
+// core it is overhead: ROADMAP item 1).
 func BenchmarkMinCostParallel(b *testing.B) {
 	inst := largeBenchInstance(b, 5000, 500)
 	for _, bc := range []struct {

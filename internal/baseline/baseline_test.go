@@ -123,7 +123,7 @@ func TestRegistry(t *testing.T) {
 // that moves names all three. The file was generated while the fleet
 // still answered from segment trees, and 684 of its 693 lines are those;
 // the nine that moved when the trees left (firstfit-capacity ×4,
-// minbusytime ×5, none on a seed a committed table averages) each pass
+// minbusytime ×5, none on a run a committed table averages) each pass
 // through an exact fill the trees answered by their own rounding — see
 // core.TestFleetExactFillOutsideTheTables. -update rewrites the file, only
 // when a placement is meant to change.
@@ -146,7 +146,7 @@ func testPlacementsGolden(t *testing.T) {
 			}
 			for _, name := range Names() {
 				mk, _ := Lookup(name)
-				outcome := ""
+				var outcome string
 				res, err := mk(core.WithSeed(seed)).Allocate(context.Background(), inst)
 				var unplaceable *core.UnplaceableError
 				switch {

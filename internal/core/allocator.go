@@ -190,9 +190,9 @@ func (f *Fleet) usage(i, t int) (cpu, mem float64) {
 	// Newest claim first, on purpose. Catalog demands are not dyadic, and
 	// some probes of the evaluation are exact fills where the order of the
 	// additions decides: 34.2+1.7+1.7+7.5+1.7+15 GB resident, summed oldest
-	// first, leaves 34.2 GB on a 96 GB server one ulp short. This order
-	// answers every probe of `vmsim -exp all` as the per-minute profiles
-	// this replaced did; TestFleetExactFill holds that case.
+	// first, leaves 34.2 GB on a 96 GB server one ulp short. This is the
+	// order under which `vmsim -exp all` regenerates results_full.txt;
+	// TestFleetExactFill holds that case.
 	for k := len(claims) - 1; k >= 0; k-- {
 		if c := &claims[k]; c.end >= t {
 			cpu += c.cpu
@@ -239,12 +239,7 @@ func (f *Fleet) Commit(i int, v model.VM) {
 		panic(fmt.Sprintf("core: commit of vm %d at minute %d, before the commit frontier %d", v.ID, v.Start, f.frontier))
 	}
 	f.frontier = v.Start
-	alive := f.claims[i][:0]
-	for _, c := range f.claims[i] {
-		if c.end >= v.Start {
-			alive = append(alive, c)
-		}
-	}
+	alive := slices.DeleteFunc(f.claims[i], func(c claim) bool { return c.end < v.Start })
 	f.claims[i] = append(alive, claim{end: v.End, cpu: v.Demand.CPU, mem: v.Demand.Mem})
 	f.state[i].Add(v)
 }
