@@ -43,11 +43,10 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # LOC_MAX is the `make loc` figure the last PR that shrank it landed
-# (PR 19: the segment-tree profiles and eight hand-copied placement loops
-# left, core.Run and the claim-list Fleet came, net −199). A change that
-# grows past it fails `make fence`: delete something, or raise the figure
-# here and say why.
-LOC_MAX = 20059
+# (PR 19: eight hand-copied placement loops and the clone in CostWith
+# left, core.Run came, net −108). A change that grows past it fails
+# `make fence`: delete something, or raise the figure here and say why.
+LOC_MAX = 20150
 
 # fence keeps the doubles PRs 12–17 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),
@@ -56,9 +55,8 @@ LOC_MAX = 20059
 # policies in internal/online: a name spelled in a second non-test file is
 # a second table), no scan worker pool in the service (PR 17: a pass over
 # the row table costs less than the hand-off), one offline placement loop
-# over one fleet state (PR 19: core.Run sorts by start and commits, which is
-# what lets core.Fleet keep claim lists instead of usage profiles), and a
-# size ceiling.
+# (PR 19: core.Run sorts by start and commits; an allocator is a rule), and
+# a size ceiling.
 fence:
 	@! grep -rn '"# HELP' --include='*.go' internal cmd | grep -v _test.go | grep -v -e '^internal/obs/' -e '^internal/shard/metrics.go' \
 		|| { echo 'fence: exposition grammar outside internal/obs (use obs.Counter/Gauge/Declare/Sample)'; exit 1; }
@@ -71,8 +69,6 @@ fence:
 		[ $$n -eq 1 ] || { echo "fence: $$name is spelled in $$n non-test Go files; names resolve through baseline.Lookup / online.NewPolicy"; exit 1; }; done
 	@! grep -rn 'NewScanEngine' --include='*.go' internal cmd *.go | grep -v _test.go | grep -v -e '^internal/core/' -e '^internal/baseline/' \
 		|| { echo 'fence: the worker pool is for the offline allocators (internal/core, internal/baseline); the service scans its row table on one goroutine'; exit 1; }
-	@! grep -rn 'TreeProfile\|timeline\.Profile' --include='*.go' . | grep -v _test.go \
-		|| { echo 'fence: the offline fleet state is core.Fleet'"'"'s claim lists; timeline.SliceProfile is the test oracle, not a second implementation'; exit 1; }
 	@! grep -rn 'SortVMsByStart(' --include='*.go' . | grep -v _test.go | grep -v '^./internal/core/' \
 		|| { echo 'fence: the placement loop is spelled once (core.Run); an allocator is a rule it calls'; exit 1; }
 	@n=$$($(MAKE) -s loc); [ $$n -le $(LOC_MAX) ] || { echo "fence: make loc = $$n > LOC_MAX = $(LOC_MAX)"; exit 1; }

@@ -255,10 +255,10 @@ func TestFleetFitsAndSpare(t *testing.T) {
 		t.Fatal("empty server rejects fitting VM")
 	}
 	f.Commit(0, inst.VMs[0])
-	if got := f.SpareCPU(0, 1); got != 6 {
+	if got := f.SpareCPU(0, 1, 10); got != 6 {
 		t.Errorf("SpareCPU = %g, want 6", got)
 	}
-	if got := f.SpareMem(0, 1); got != 12 {
+	if got := f.SpareMem(0, 1, 10); got != 12 {
 		t.Errorf("SpareMem = %g, want 12", got)
 	}
 	if f.Fits(0, vm(2, 5, 6, 7, 1)) {
@@ -307,16 +307,16 @@ func TestFleetExactFill(t *testing.T) {
 	}
 }
 
-// TestFleetExactFillOutsideTheTables is an exact fill no committed table
-// reaches (MinBusyTime, 100 VMs at inter-arrival 1, seed 12; the ablation,
-// the one table that runs it, averages seeds 1–5): 81 GB resident and
-// 15 GB asked of 96. The segment trees this fleet replaced read the
-// residents as 81.000000000000014 — rounding left by their node layout,
-// which no order over the claims reproduces — and refused; oldest first
-// refuses too; newest first, the order the tables need
-// (TestFleetExactFill), sums 81 and admits. Nine lines of baseline's
-// placements.golden moved with probes like this one when the trees left.
-func TestFleetExactFillOutsideTheTables(t *testing.T) {
+// TestFleetExactFillRefused is the exact fill that stopped issue 19 from
+// replacing the segment trees with per-server claim lists (MinBusyTime,
+// 100 VMs at inter-arrival 1, seed 12, horizon 387): 81 GB resident and
+// 15 GB asked of 96. The trees read the residents as 81.000000000000014,
+// rounding left by their node layout, and refuse, while the same claims
+// summed newest first (the order TestFleetExactFill needs) give 81 and
+// admit, and no order over the claims agrees with the trees on all of
+// baseline's placements.golden. A fleet that answers this probe
+// differently moves placements.
+func TestFleetExactFillRefused(t *testing.T) {
 	resident := []model.VM{
 		vm(2, 2, 100, 26, 68.4),
 		vm(3, 3, 104, 1, 1.7),
@@ -325,12 +325,14 @@ func TestFleetExactFillOutsideTheTables(t *testing.T) {
 		vm(25, 21, 66, 1, 1.7),
 		vm(28, 25, 79, 5, 1.7),
 	}
-	f := NewFleet(model.NewInstance(resident, []model.Server{srv(1, 60, 96, 210, 420, 1)}))
+	inst := model.NewInstance(resident, []model.Server{srv(1, 60, 96, 210, 420, 1)})
+	inst.Horizon = 387
+	f := NewFleet(inst)
 	for _, v := range resident {
 		f.Commit(0, v)
 	}
-	if !f.Fits(0, vm(36, 37, 83, 8, 15)) {
-		t.Error("15 GB no longer fits beside 81 GB on a 96 GB server")
+	if f.Fits(0, vm(36, 37, 83, 8, 15)) {
+		t.Error("15 GB now fits beside 81.000000000000014 GB on a 96 GB server")
 	}
 }
 
