@@ -78,7 +78,7 @@ func BenchmarkMinCostAllocate(b *testing.B) {
 // parallel engine at 5000 VMs on 500 servers. Run with -cpu to sweep
 // GOMAXPROCS; placements are byte-identical at every setting, so the
 // benchmark measures pure engine overhead/speedup (on two vCPUs sharing a
-// core it is overhead: ROADMAP item 1).
+// core it is a wash: ROADMAP item 1 (f)).
 func BenchmarkMinCostParallel(b *testing.B) {
 	inst := largeBenchInstance(b, 5000, 500)
 	for _, bc := range []struct {

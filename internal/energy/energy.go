@@ -31,18 +31,30 @@ func RunCost(s model.Server, v model.VM) float64 {
 // switch-on mandated by y_{i,0}=0 (Eq. 6); switching off after the last
 // busy segment is free.
 func SegmentCost(s model.Server, busy *timeline.SegmentSet) float64 {
-	if busy.Len() == 0 {
+	first, _, ok := busy.Bounds()
+	if !ok {
 		return 0
 	}
+	// Merging in a minute the set already covers walks the set as it is.
+	return segmentCostWith(&s, busy, timeline.Interval{Start: first, End: first})
+}
+
+// segmentCostWith is SegmentCost of busy with iv merged in; busy is not
+// modified and nothing is allocated. The float64 is built in one fixed
+// order, the total first and then the gap terms left to right: MinCost
+// breaks ties on it.
+func segmentCostWith(s *model.Server, busy *timeline.SegmentSet, iv timeline.Interval) float64 {
+	total := 0
+	busy.VisitWith(iv, func(seg timeline.Interval) { total += seg.Len() })
 	alpha := s.TransitionCost()
-	cost := alpha + s.PIdle*float64(busy.Total())
-	for _, gap := range busy.Gaps() {
-		gapCost := s.PIdle * float64(gap.Len())
-		if alpha < gapCost {
-			gapCost = alpha
+	cost := alpha + s.PIdle*float64(total)
+	first, prevEnd := true, 0
+	busy.VisitWith(iv, func(seg timeline.Interval) {
+		if !first {
+			cost += min(alpha, s.PIdle*float64(seg.Start-prevEnd-1))
 		}
-		cost += gapCost
-	}
+		first, prevEnd = false, seg.End
+	})
 	return cost
 }
 
@@ -88,38 +100,21 @@ func (st *ServerState) Cost() float64 {
 }
 
 // CostWith returns the server's total cost if v were added (the server
-// state is not modified, and nothing is allocated). It is SegmentCost of
-// the busy set with v's interval merged in, computed over the merged walk
-// in SegmentCost's own order — the total first, then the gap terms left to
-// right — so the float64 it returns is the one a Clone, Insert and
-// SegmentCost would.
+// state is not modified, and nothing is allocated): the float64 a Clone,
+// Add and Cost would return.
 func (st *ServerState) CostWith(v model.VM) float64 {
-	s := &st.server
-	alpha := s.TransitionCost()
-	cost := alpha + s.PIdle*float64(st.busyWith(v))
-	first, prevEnd := true, 0
-	st.busy.VisitWith(timeline.Interval{Start: v.Start, End: v.End}, func(seg timeline.Interval) {
-		if !first {
-			cost += min(alpha, s.PIdle*float64(seg.Start-prevEnd-1))
-		}
-		first, prevEnd = false, seg.End
-	})
-	return st.runCost + RunCost(st.server, v) + cost
-}
-
-// busyWith returns the server's busy minutes if v were added.
-func (st *ServerState) busyWith(v model.VM) int {
-	total := 0
-	st.busy.VisitWith(timeline.Interval{Start: v.Start, End: v.End}, func(seg timeline.Interval) {
-		total += seg.Len()
-	})
-	return total
+	return st.runCost + RunCost(st.server, v) +
+		segmentCostWith(&st.server, &st.busy, timeline.Interval{Start: v.Start, End: v.End})
 }
 
 // BusyGrowth returns the minutes v would add to the server's busy time:
 // the part of [v.Start, v.End] no VM already placed here covers.
 func (st *ServerState) BusyGrowth(v model.VM) int {
-	return st.busyWith(v) - st.busy.Total()
+	total := 0
+	st.busy.VisitWith(timeline.Interval{Start: v.Start, End: v.End}, func(seg timeline.Interval) {
+		total += seg.Len()
+	})
+	return total - st.busy.Total()
 }
 
 // IncrementalCost returns CostWith(v) − Cost(): the heuristic's selection

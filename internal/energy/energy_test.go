@@ -148,9 +148,12 @@ func TestCostWithMatchesCloneSpelling(t *testing.T) {
 			v := vm(100+probe, start, start+rng.Intn(40), 0.1+rng.Float64())
 			preview := st.busy.Clone()
 			preview.Insert(timeline.Interval{Start: v.Start, End: v.End})
-			want := st.runCost + RunCost(s, v) + SegmentCost(s, preview)
+			want := st.runCost + RunCost(s, v) + cloneSpellingCost(s, preview)
 			if got := st.CostWith(v); got != want {
 				t.Fatalf("trial %d: CostWith(%+v) on %v = %v, clone spelling %v", trial, v, st.Busy(), got, want)
+			}
+			if got, want := st.segCost, cloneSpellingCost(s, &st.busy); got != want {
+				t.Fatalf("trial %d: cached segment cost of %v = %v, clone spelling %v", trial, st.Busy(), got, want)
 			}
 			if got, want := st.BusyGrowth(v), preview.Total()-st.busy.Total(); got != want {
 				t.Fatalf("trial %d: BusyGrowth(%+v) on %v = %d, clone spelling %d", trial, v, st.Busy(), got, want)
@@ -171,6 +174,25 @@ func TestCostWithMatchesCloneSpelling(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { _ = st.IncrementalCost(v) }); allocs != 0 {
 		t.Errorf("IncrementalCost allocates %v times a call, want 0", allocs)
 	}
+}
+
+// cloneSpellingCost is the reference for SegmentCost and CostWith, which
+// share one merged walk: the same formula over a materialised set and its
+// Gaps.
+func cloneSpellingCost(s model.Server, busy *timeline.SegmentSet) float64 {
+	if busy.Len() == 0 {
+		return 0
+	}
+	alpha := s.TransitionCost()
+	cost := alpha + s.PIdle*float64(busy.Total())
+	for _, gap := range busy.Gaps() {
+		gapCost := s.PIdle * float64(gap.Len())
+		if alpha < gapCost {
+			gapCost = alpha
+		}
+		cost += gapCost
+	}
+	return cost
 }
 
 func TestIncrementalCostNeverBelowRunCost(t *testing.T) {
