@@ -17,11 +17,12 @@ import (
 
 func writeInstance(t *testing.T) string {
 	t.Helper()
-	inst, err := workload.Generate(
-		workload.Spec{NumVMs: 20, MeanInterArrival: 2, MeanLength: 30},
-		workload.FleetSpec{NumServers: 10, TransitionTime: 1},
-		1,
-	)
+	return writeGenerated(t, workload.Spec{NumVMs: 20, MeanInterArrival: 2, MeanLength: 30}, 10)
+}
+
+func writeGenerated(t *testing.T, spec workload.Spec, servers int) string {
+	t.Helper()
+	inst, err := workload.Generate(spec, workload.FleetSpec{NumServers: servers, TransitionTime: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +116,29 @@ func TestRunWithImprove(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "+search") {
 		t.Errorf("output missing search marker:\n%s", sb.String())
+	}
+
+	// The search empties servers (vmworkload's defaults at inter-arrival 4:
+	// FFPS opens 42, the search leaves 21), and the count printed must be
+	// of the placement printed beside it.
+	path = writeGenerated(t, workload.Spec{NumVMs: 100, MeanInterArrival: 4, MeanLength: 50}, 50)
+	sb.Reset()
+	if err := run(context.Background(), []string{"-in", path, "-algo", "ffps", "-improve", "-json"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		ServersUsed int         `json:"serversUsed"`
+		Placement   map[int]int `json:"placement"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	distinct := make(map[int]bool)
+	for _, srv := range out.Placement {
+		distinct[srv] = true
+	}
+	if out.ServersUsed != len(distinct) {
+		t.Errorf("serversUsed = %d over a placement on %d distinct servers", out.ServersUsed, len(distinct))
 	}
 }
 

@@ -136,7 +136,7 @@ func (b *BestFitCPU) Allocate(ctx context.Context, inst model.Instance) (*core.R
 			if !fleet.Fits(i, v) {
 				return 0, false
 			}
-			return fleet.SpareCPU(i, v.Start, v.End) - v.Demand.CPU, true
+			return fleet.SpareCPU(i, v.Start) - v.Demand.CPU, true
 		})
 	})
 }

@@ -121,12 +121,16 @@ func TestRegistry(t *testing.T) {
 // every VM where testdata/placements.golden says — one SHA-256 of the
 // sorted (VM → server) list per allocator, shape and seed, so a placement
 // that moves names all three. The file was generated while the fleet
-// still answered from segment trees, and 684 of its 693 lines are those;
-// the nine that moved when the trees left (firstfit-capacity ×4,
-// minbusytime ×5, none on a run a committed table averages) each pass
-// through an exact fill the trees answered by their own rounding — see
-// core.TestFleetExactFillOutsideTheTables. -update rewrites the file, only
-// when a placement is meant to change.
+// still answered from segment trees, and 684 of its 693 lines are those.
+// Nine moved, once, when the trees left (issue 20): firstfit-capacity
+// 100/50 inter-arrival 1 seed 16 and inter-arrival 4 seeds 12, 14, 20;
+// minbusytime 100/50 inter-arrival 1 seeds 12, 18, 19 and 1000/250
+// inter-arrival 0.5 seeds 1, 3 — none on a seed a committed table
+// averages. Each passes through an exact fill (resident + asked = capacity
+// in real arithmetic) that the trees answered by the rounding their node
+// layout left and core.Fleet answers by summing the claims newest first —
+// see core.TestFleetExactFill. -update rewrites the file, only when a
+// placement is meant to change.
 func testPlacementsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every allocator on 63 instances")

@@ -73,8 +73,8 @@ func (a *VectorFit) Allocate(ctx context.Context, inst model.Instance) (*core.Re
 			// because the scan minimises.
 			dCPU := v.Demand.CPU / c.CPU
 			dMem := v.Demand.Mem / c.Mem
-			spareCPU := fleet.SpareCPU(i, v.Start, v.End) / c.CPU
-			spareMem := fleet.SpareMem(i, v.Start, v.End) / c.Mem
+			spareCPU := fleet.SpareCPU(i, v.Start) / c.CPU
+			spareMem := fleet.SpareMem(i, v.Start) / c.Mem
 			return -(dCPU*spareCPU + dMem*spareMem), true
 		})
 	})
@@ -106,7 +106,7 @@ func (a *WorstFit) Allocate(ctx context.Context, inst model.Instance) (*core.Res
 			if !fleet.Fits(i, v) {
 				return 0, false
 			}
-			return -fleet.SpareCPU(i, v.Start, v.End), true
+			return -fleet.SpareCPU(i, v.Start), true
 		})
 	})
 }

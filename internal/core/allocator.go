@@ -9,7 +9,7 @@
 //
 // That order is spelled once, in Run: every offline allocator of this
 // module and of package baseline is a rule Run asks for a server, VM by
-// VM, against Fleet, the state the rules read.
+// VM, and Fleet — the state the rules read — relies on it (see Fleet).
 // The candidate scan runs on a per-allocation worker pool (see engine.go)
 // and is byte-identical to the sequential scan; WithParallelism tunes or
 // disables it. All Allocate methods take a context.Context and return
@@ -25,7 +25,6 @@ import (
 
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
-	"vmalloc/internal/timeline"
 )
 
 // Allocator places every VM of an instance on a server.
@@ -139,31 +138,40 @@ func WithoutMemoryCheck() Option {
 	return optionFunc(func(c *Config) { c.MemoryCheck = false })
 }
 
-// Fleet is the per-server allocation state the placement rules read:
-// resource profiles for feasibility and energy states for cost.
+// Fleet is the per-server allocation state the placement rules read: who
+// is resident, for feasibility, and the energy states, for cost.
+//
+// It relies on the order Run commits in. Every commit starts at or after
+// the one before it (the frontier), so from minute t ≥ frontier on a
+// server's usage can only fall as residents end: the maximum over a window
+// [t, end] is the usage at t, and the usage at t is the sum over the
+// residents still running then. A server therefore keeps only its claims
+// (end, cpu, mem) alive at its last commit, a handful, instead of a usage
+// profile over the horizon. The order is checked, not assumed: a commit or
+// a probe before the frontier panics.
 //
 // Concurrency: the read path (Fits, FitsCPUOnly, SpareCPU, SpareMem,
 // State's cost queries) is safe for concurrent use from scan workers;
 // Commit must only run with no concurrent readers. Run upholds this by
 // scanning and committing in strictly alternating phases.
 type Fleet struct {
-	Servers []model.Server
-	horizon int
-	cpu     []timeline.Profile
-	mem     []timeline.Profile
-	state   []*energy.ServerState
+	Servers  []model.Server
+	frontier int       // start minute of the latest commit
+	claims   [][]claim // per server, in commit order
+	state    []*energy.ServerState
 }
 
-// NewFleet builds the empty allocation state for the instance's servers
-// over its horizon. Per-server resource profiles are allocated lazily on
-// the first commit: at paper scales most servers never host a VM, and the
-// segment trees are the dominant memory cost (O(T) per server).
+// claim is a committed VM's hold on its server up to minute end.
+type claim struct {
+	end      int
+	cpu, mem float64
+}
+
+// NewFleet builds the empty allocation state for the instance's servers.
 func NewFleet(inst model.Instance) *Fleet {
 	f := &Fleet{
 		Servers: inst.Servers,
-		horizon: inst.Horizon,
-		cpu:     make([]timeline.Profile, len(inst.Servers)),
-		mem:     make([]timeline.Profile, len(inst.Servers)),
+		claims:  make([][]claim, len(inst.Servers)),
 		state:   make([]*energy.ServerState, len(inst.Servers)),
 	}
 	for i, s := range inst.Servers {
@@ -172,69 +180,67 @@ func NewFleet(inst model.Instance) *Fleet {
 	return f
 }
 
-// ensureProfiles allocates server i's profiles on first use.
-func (f *Fleet) ensureProfiles(i int) {
-	if f.cpu[i] == nil {
-		f.cpu[i] = timeline.NewTreeProfile(f.horizon)
-		f.mem[i] = timeline.NewTreeProfile(f.horizon)
+// usage returns server index i's CPU and memory in use at minute t, which
+// is also its maximum over any window starting at t (see Fleet).
+func (f *Fleet) usage(i, t int) (cpu, mem float64) {
+	if t < f.frontier {
+		panic(fmt.Sprintf("core: probe at minute %d, before the commit frontier %d", t, f.frontier))
 	}
+	claims := f.claims[i]
+	// Newest claim first, on purpose. Catalog demands are not dyadic, and
+	// some probes of the evaluation are exact fills where the order of the
+	// additions decides: 34.2+1.7+1.7+7.5+1.7+15 GB resident, summed oldest
+	// first, leaves 34.2 GB on a 96 GB server one ulp short. This is the
+	// order under which `vmsim -exp all` regenerates results_full.txt;
+	// TestFleetExactFill holds that case.
+	for k := len(claims) - 1; k >= 0; k-- {
+		if c := &claims[k]; c.end >= t {
+			cpu += c.cpu
+			mem += c.mem
+		}
+	}
+	return cpu, mem
 }
 
 // Fits reports whether server index i has sufficient spare CPU and memory
-// for v throughout [v.Start, v.End].
+// for v throughout [v.Start, v.End]. The comparisons are strict: a
+// tolerance admits fills the exact arithmetic refuses.
 func (f *Fleet) Fits(i int, v model.VM) bool {
-	s := f.Servers[i]
-	if !v.Demand.Fits(s.Capacity) {
-		return false
-	}
-	if f.cpu[i] == nil {
-		return true // empty server: the static capacity check suffices
-	}
-	if f.cpu[i].Max(v.Start, v.End)+v.Demand.CPU > s.Capacity.CPU {
-		return false
-	}
-	return f.mem[i].Max(v.Start, v.End)+v.Demand.Mem <= s.Capacity.Mem
+	cpu, mem := f.usage(i, v.Start)
+	return cpu+v.Demand.CPU <= f.Servers[i].Capacity.CPU && mem+v.Demand.Mem <= f.Servers[i].Capacity.Mem
 }
 
 // FitsCPUOnly is Fits with the memory constraint ignored (used by the
 // ablation variant).
 func (f *Fleet) FitsCPUOnly(i int, v model.VM) bool {
-	s := f.Servers[i]
-	if v.Demand.CPU > s.Capacity.CPU {
-		return false
-	}
-	if f.cpu[i] == nil {
-		return true
-	}
-	return f.cpu[i].Max(v.Start, v.End)+v.Demand.CPU <= s.Capacity.CPU
+	cpu, _ := f.usage(i, v.Start)
+	return cpu+v.Demand.CPU <= f.Servers[i].Capacity.CPU
 }
 
 // State returns server index i's energy state.
 func (f *Fleet) State(i int) *energy.ServerState { return f.state[i] }
 
-// SpareCPU returns server index i's minimum spare CPU over the closed
-// interval [start, end].
-func (f *Fleet) SpareCPU(i, start, end int) float64 {
-	if f.cpu[i] == nil {
-		return f.Servers[i].Capacity.CPU
-	}
-	return f.Servers[i].Capacity.CPU - f.cpu[i].Max(start, end)
+// SpareCPU returns server index i's minimum spare CPU from minute t on.
+func (f *Fleet) SpareCPU(i, t int) float64 {
+	cpu, _ := f.usage(i, t)
+	return f.Servers[i].Capacity.CPU - cpu
 }
 
-// SpareMem returns server index i's minimum spare memory over the closed
-// interval [start, end].
-func (f *Fleet) SpareMem(i, start, end int) float64 {
-	if f.mem[i] == nil {
-		return f.Servers[i].Capacity.Mem
-	}
-	return f.Servers[i].Capacity.Mem - f.mem[i].Max(start, end)
+// SpareMem returns server index i's minimum spare memory from minute t on.
+func (f *Fleet) SpareMem(i, t int) float64 {
+	_, mem := f.usage(i, t)
+	return f.Servers[i].Capacity.Mem - mem
 }
 
-// Commit places v on server index i.
+// Commit places v on server index i. v must not start before the previous
+// commit did.
 func (f *Fleet) Commit(i int, v model.VM) {
-	f.ensureProfiles(i)
-	f.cpu[i].Add(v.Start, v.End, v.Demand.CPU)
-	f.mem[i].Add(v.Start, v.End, v.Demand.Mem)
+	if v.Start < f.frontier {
+		panic(fmt.Sprintf("core: commit of vm %d at minute %d, before the commit frontier %d", v.ID, v.Start, f.frontier))
+	}
+	f.frontier = v.Start
+	alive := slices.DeleteFunc(f.claims[i], func(c claim) bool { return c.end < v.Start })
+	f.claims[i] = append(alive, claim{end: v.End, cpu: v.Demand.CPU, mem: v.Demand.Mem})
 	f.state[i].Add(v)
 }
 
@@ -301,7 +307,7 @@ func (s *Scan) First(feasible func(k int) bool) (int, error) {
 // evaluator. rest[0] is the VM to place and rest[1:] those still to come,
 // in order; rule returns a fleet server index, or -1 when the VM fits
 // nowhere. A rule reads s.Fleet and never commits: that the commits arrive
-// in start order is decided here and nowhere else.
+// in start order is decided here and nowhere else, and Fleet relies on it.
 func Run(ctx context.Context, name string, cfg Config, inst model.Instance, rule func(s *Scan, rest []model.VM) (int, error)) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err

@@ -255,10 +255,10 @@ func TestFleetFitsAndSpare(t *testing.T) {
 		t.Fatal("empty server rejects fitting VM")
 	}
 	f.Commit(0, inst.VMs[0])
-	if got := f.SpareCPU(0, 1, 10); got != 6 {
+	if got := f.SpareCPU(0, 1); got != 6 {
 		t.Errorf("SpareCPU = %g, want 6", got)
 	}
-	if got := f.SpareMem(0, 1, 10); got != 12 {
+	if got := f.SpareMem(0, 1); got != 12 {
 		t.Errorf("SpareMem = %g, want 12", got)
 	}
 	if f.Fits(0, vm(2, 5, 6, 7, 1)) {
@@ -281,58 +281,84 @@ func TestFleetFitsAndSpare(t *testing.T) {
 	}
 }
 
-// TestFleetExactFill is a probe the ablation really makes (inter-arrival
-// 4, MinBusyTime): six resident VMs hold 61.8 GB of a 96 GB server and the
-// candidate asks for the remaining 34.2 GB, so in real arithmetic the fill
-// is exact and in float64 the order of the sum decides (oldest first gives
-// 96.00000000000001). The fleet has always said it fits; one that says
-// otherwise moves a cell of results_full.txt (463.0 → 461.8).
+// TestFleetExactFill holds two probes where resident + asked = capacity in
+// real arithmetic (memory, of a 96 GB server), so in float64 the order of
+// the sum decides. Eq. 10 admits both, and the fleet, summing the claims
+// newest first, does.
+//
+// "ablation" is a probe the ablation really makes (inter-arrival 4,
+// MinBusyTime): six residents hold 61.8 GB and the candidate asks for the
+// remaining 34.2 GB. Oldest first gives 96.00000000000001 and refuses,
+// which moves a cell of results_full.txt (463.0 → 461.8).
+//
+// "seed-12" is one no committed table reaches (MinBusyTime, 100 VMs at
+// inter-arrival 1, seed 12; the ablation averages seeds 1–5): 81 GB
+// resident and 15 GB asked. The segment trees this fleet replaced read the
+// residents as 81.000000000000014 — rounding left by their node layout
+// over the horizon, which no order over the claims reproduces — and
+// refused. Nine lines of baseline's placements.golden moved with probes
+// like this one when the trees left.
 func TestFleetExactFill(t *testing.T) {
-	resident := []model.VM{
-		vm(22, 96, 194, 13, 34.2),
-		vm(30, 144, 220, 5, 1.7),
-		vm(31, 145, 299, 1, 1.7),
-		vm(33, 155, 169, 4, 7.5),
-		vm(34, 159, 233, 1, 1.7),
-		vm(35, 159, 211, 8, 15),
-	}
-	inst := model.NewInstance(resident, []model.Server{srv(1, 60, 96, 210, 420, 1)})
-	inst.Horizon = 496
-	f := NewFleet(inst)
-	for _, v := range resident {
-		f.Commit(0, v)
-	}
-	if !f.Fits(0, vm(38, 167, 216, 13, 34.2)) {
-		t.Error("the 34.2 GB VM no longer fits the 34.2 GB the six residents leave")
+	for _, tt := range []struct {
+		name     string
+		resident []model.VM
+		asked    model.VM
+	}{
+		{"ablation", []model.VM{
+			vm(22, 96, 194, 13, 34.2),
+			vm(30, 144, 220, 5, 1.7),
+			vm(31, 145, 299, 1, 1.7),
+			vm(33, 155, 169, 4, 7.5),
+			vm(34, 159, 233, 1, 1.7),
+			vm(35, 159, 211, 8, 15),
+		}, vm(38, 167, 216, 13, 34.2)},
+		{"seed-12", []model.VM{
+			vm(2, 2, 100, 26, 68.4),
+			vm(3, 3, 104, 1, 1.7),
+			vm(7, 8, 45, 2, 3.75),
+			vm(16, 15, 37, 2, 3.75),
+			vm(25, 21, 66, 1, 1.7),
+			vm(28, 25, 79, 5, 1.7),
+		}, vm(36, 37, 83, 8, 15)},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			f := NewFleet(model.NewInstance(tt.resident, []model.Server{srv(1, 60, 96, 210, 420, 1)}))
+			for _, v := range tt.resident {
+				f.Commit(0, v)
+			}
+			if !f.Fits(0, tt.asked) {
+				t.Errorf("%g GB no longer fits exactly what the six residents leave of 96 GB", tt.asked.Demand.Mem)
+			}
+		})
 	}
 }
 
-// TestFleetExactFillRefused is the exact fill that stopped issue 19 from
-// replacing the segment trees with per-server claim lists (MinBusyTime,
-// 100 VMs at inter-arrival 1, seed 12, horizon 387): 81 GB resident and
-// 15 GB asked of 96. The trees read the residents as 81.000000000000014,
-// rounding left by their node layout, and refuse, while the same claims
-// summed newest first (the order TestFleetExactFill needs) give 81 and
-// admit, and no order over the claims agrees with the trees on all of
-// baseline's placements.golden. A fleet that answers this probe
-// differently moves placements.
-func TestFleetExactFillRefused(t *testing.T) {
-	resident := []model.VM{
-		vm(2, 2, 100, 26, 68.4),
-		vm(3, 3, 104, 1, 1.7),
-		vm(7, 8, 45, 2, 3.75),
-		vm(16, 15, 37, 2, 3.75),
-		vm(25, 21, 66, 1, 1.7),
-		vm(28, 25, 79, 5, 1.7),
+// The fleet's answers hold only from the commit frontier on, so it checks
+// the order instead of assuming it: a commit or a probe before the latest
+// commit's start panics.
+func TestFleetPanicsBeforeFrontier(t *testing.T) {
+	f := NewFleet(model.NewInstance(nil, []model.Server{srv(1, 10, 16, 80, 160, 1)}))
+	f.Commit(0, vm(1, 5, 9, 1, 1))
+	f.Commit(0, vm(2, 5, 6, 1, 1)) // an equal start is in order
+	early := vm(3, 4, 9, 1, 1)
+	for what, fn := range map[string]func(){
+		"Commit":      func() { f.Commit(0, early) },
+		"Fits":        func() { f.Fits(0, early) },
+		"FitsCPUOnly": func() { f.FitsCPUOnly(0, early) },
+		"SpareCPU":    func() { f.SpareCPU(0, 4) },
+		"SpareMem":    func() { f.SpareMem(0, 4) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at minute 4, before the frontier 5, did not panic", what)
+				}
+			}()
+			fn()
+		}()
 	}
-	inst := model.NewInstance(resident, []model.Server{srv(1, 60, 96, 210, 420, 1)})
-	inst.Horizon = 387
-	f := NewFleet(inst)
-	for _, v := range resident {
-		f.Commit(0, v)
-	}
-	if f.Fits(0, vm(36, 37, 83, 8, 15)) {
-		t.Error("15 GB now fits beside 81.000000000000014 GB on a 96 GB server")
+	if !f.Fits(0, vm(4, 5, 9, 8, 14)) {
+		t.Error("a probe at the frontier is refused")
 	}
 }
 

@@ -97,8 +97,7 @@ func previewPairCost(fleet *Fleet, i int, v, next model.VM) (float64, bool) {
 		needCPU += v.Demand.CPU
 		needMem += v.Demand.Mem
 	}
-	if fleet.SpareCPU(i, next.Start, next.End) < needCPU ||
-		fleet.SpareMem(i, next.Start, next.End) < needMem {
+	if fleet.SpareCPU(i, next.Start) < needCPU || fleet.SpareMem(i, next.Start) < needMem {
 		return 0, false
 	}
 	st := fleet.State(i)

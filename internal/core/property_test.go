@@ -166,51 +166,103 @@ func TestEnergyHomogeneity(t *testing.T) {
 	}
 }
 
-// Property: the fleet answers exactly as per-minute usage arrays do.
-// Commits arrive in start order, as Run makes them; demands are multiples
-// of 0.25, so every sum is exact whatever its order and the comparison can
-// be ==. After each commit, windows starting at or after the latest start
-// are probed on every server.
+// fleetOracle holds a Fleet next to per-minute usage arrays, the
+// straightforward answer to Eq. 9–10. Demands are dyadic (multiples of
+// 0.25), so every sum is exact whatever its order and the comparison can
+// be ==.
+type fleetOracle struct {
+	fleet    *Fleet
+	cpu, mem []*timeline.SliceProfile
+}
+
+var oracleServers = []model.Server{srv(1, 16, 32, 80, 160, 1), srv(2, 24, 24, 90, 200, 1), srv(3, 8, 64, 60, 120, 1)}
+
+func newFleetOracle(horizon int) *fleetOracle {
+	o := &fleetOracle{fleet: NewFleet(model.Instance{Servers: oracleServers, Horizon: horizon})}
+	for range oracleServers {
+		o.cpu = append(o.cpu, timeline.NewSliceProfile(horizon))
+		o.mem = append(o.mem, timeline.NewSliceProfile(horizon))
+	}
+	return o
+}
+
+// commit places v on server index i if the fleet says it fits.
+func (o *fleetOracle) commit(i int, v model.VM) {
+	if o.fleet.Fits(i, v) {
+		o.fleet.Commit(i, v)
+		o.cpu[i].Add(v.Start, v.End, v.Demand.CPU)
+		o.mem[i].Add(v.Start, v.End, v.Demand.Mem)
+	}
+}
+
+// probe checks the fleet's four answers for p's window, on every server,
+// against the arrays' window maxima.
+func (o *fleetOracle) probe(t *testing.T, p model.VM) {
+	t.Helper()
+	for i, s := range oracleServers {
+		maxCPU, maxMem := o.cpu[i].Max(p.Start, p.End), o.mem[i].Max(p.Start, p.End)
+		cpuOK := maxCPU+p.Demand.CPU <= s.Capacity.CPU
+		if got, want := o.fleet.Fits(i, p), cpuOK && maxMem+p.Demand.Mem <= s.Capacity.Mem; got != want {
+			t.Fatalf("Fits(%d, %+v) = %v, oracle %v", i, p, got, want)
+		}
+		if got := o.fleet.FitsCPUOnly(i, p); got != cpuOK {
+			t.Fatalf("FitsCPUOnly(%d, %+v) = %v, oracle %v", i, p, got, cpuOK)
+		}
+		if got, want := o.fleet.SpareCPU(i, p.Start), s.Capacity.CPU-maxCPU; got != want {
+			t.Fatalf("SpareCPU(%d, %d) = %g, oracle %g over [%d,%d]", i, p.Start, got, want, p.Start, p.End)
+		}
+		if got, want := o.fleet.SpareMem(i, p.Start), s.Capacity.Mem-maxMem; got != want {
+			t.Fatalf("SpareMem(%d, %d) = %g, oracle %g over [%d,%d]", i, p.Start, got, want, p.Start, p.End)
+		}
+	}
+}
+
+// Property: the fleet's claim lists answer exactly as per-minute usage
+// arrays do. Commits arrive in start order, as Run makes them; after each,
+// random windows starting at or after the frontier are probed on every
+// server.
 func TestFleetMatchesSliceOracle(t *testing.T) {
 	const horizon = 160
 	dyadic := func(rng *rand.Rand) float64 { return 0.25 * float64(1+rng.Intn(24)) }
 	for seed := int64(1); seed <= 25; seed++ {
+		t.Logf("seed %d", seed)
 		rng := rand.New(rand.NewSource(seed))
-		servers := []model.Server{srv(1, 16, 32, 80, 160, 1), srv(2, 24, 24, 90, 200, 1), srv(3, 8, 64, 60, 120, 1)}
-		f := NewFleet(model.Instance{Servers: servers, Horizon: horizon})
-		cpu, mem := make([]*timeline.SliceProfile, len(servers)), make([]*timeline.SliceProfile, len(servers))
-		for i := range servers {
-			cpu[i], mem[i] = timeline.NewSliceProfile(horizon), timeline.NewSliceProfile(horizon)
-		}
+		o := newFleetOracle(horizon)
 		frontier := 1
 		for id := 1; id <= 80 && frontier < horizon-40; id++ {
 			frontier += rng.Intn(4)
-			v := vm(id, frontier, frontier+rng.Intn(40), dyadic(rng), dyadic(rng))
-			if i := rng.Intn(len(servers)); f.Fits(i, v) {
-				f.Commit(i, v)
-				cpu[i].Add(v.Start, v.End, v.Demand.CPU)
-				mem[i].Add(v.Start, v.End, v.Demand.Mem)
-			}
+			o.commit(rng.Intn(len(oracleServers)), vm(id, frontier, frontier+rng.Intn(40), dyadic(rng), dyadic(rng)))
 			for probe := 0; probe < 6; probe++ {
 				start := frontier + rng.Intn(horizon-frontier)
-				p := vm(0, start, start+rng.Intn(horizon-start+1), dyadic(rng), dyadic(rng))
-				for i, s := range servers {
-					maxCPU, maxMem := cpu[i].Max(p.Start, p.End), mem[i].Max(p.Start, p.End)
-					cpuOK := maxCPU+p.Demand.CPU <= s.Capacity.CPU
-					if got, want := f.Fits(i, p), cpuOK && maxMem+p.Demand.Mem <= s.Capacity.Mem; got != want {
-						t.Fatalf("seed %d: Fits(%d, %+v) = %v, oracle %v", seed, i, p, got, want)
-					}
-					if got := f.FitsCPUOnly(i, p); got != cpuOK {
-						t.Fatalf("seed %d: FitsCPUOnly(%d, %+v) = %v, oracle %v", seed, i, p, got, cpuOK)
-					}
-					if got, want := f.SpareCPU(i, p.Start, p.End), s.Capacity.CPU-maxCPU; got != want {
-						t.Fatalf("seed %d: SpareCPU(%d, %d, %d) = %g, oracle %g", seed, i, p.Start, p.End, got, want)
-					}
-					if got, want := f.SpareMem(i, p.Start, p.End), s.Capacity.Mem-maxMem; got != want {
-						t.Fatalf("seed %d: SpareMem(%d, %d, %d) = %g, oracle %g", seed, i, p.Start, p.End, got, want)
-					}
-				}
+				o.probe(t, vm(0, start, start+rng.Intn(horizon-start+1), dyadic(rng), dyadic(rng)))
 			}
 		}
 	}
+}
+
+// FuzzFleetOracle drives the same comparison from arbitrary bytes: five a
+// step — start advance, length, server, CPU and memory in quarters — each
+// step a commit, if it fits, and a probe of a window at or after it.
+func FuzzFleetOracle(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 8, 8, 1, 5, 0, 56, 120, 0, 0, 0, 1, 1, 2, 30, 1, 95, 95})
+	f.Add([]byte{3, 200, 2, 31, 255, 0, 0, 2, 1, 1, 7, 40, 5, 12, 64, 0, 1, 2, 32, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const horizon = 256
+		o := newFleetOracle(horizon)
+		start := 1
+		for ; len(data) >= 5; data = data[5:] {
+			start += int(data[0] % 8)
+			if start > horizon {
+				return
+			}
+			end := min(start+int(data[1]), horizon)
+			v := vm(0, start, end, 0.25*float64(1+data[3]%96), 0.25*float64(1+data[4]))
+			o.commit(int(data[2])%len(oracleServers), v)
+			// The probe reuses the step's demands on a window that starts
+			// later or ends sooner, and is asked of all three servers.
+			v.Start = min(start+int(data[2]>>4), end)
+			v.End = max(v.Start, end-int(data[1]>>5))
+			o.probe(t, v)
+		}
+	})
 }

@@ -67,36 +67,3 @@ func FuzzSegmentSetInsert(f *testing.F) {
 		}
 	})
 }
-
-// FuzzTreeProfile cross-checks the segment tree against the slice
-// implementation on arbitrary operation streams.
-func FuzzTreeProfile(f *testing.F) {
-	f.Add([]byte{10, 1, 5, 3, 2, 8, 100})
-	f.Add([]byte{255, 0, 255, 255, 1, 1, 1, 9})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 1 {
-			return
-		}
-		horizon := int(data[0])%200 + 1
-		tree := NewTreeProfile(horizon)
-		slice := NewSliceProfile(horizon)
-		for i := 1; i+2 < len(data); i += 3 {
-			a := int(data[i])%horizon + 1
-			b := int(data[i+1])%horizon + 1
-			if a > b {
-				a, b = b, a
-			}
-			amt := float64(int(data[i+2]) - 128)
-			tree.Add(a, b, amt)
-			slice.Add(a, b, amt)
-			if got, want := tree.Max(a, b), slice.Max(a, b); got != want {
-				t.Fatalf("Max(%d,%d) = %g, want %g", a, b, got, want)
-			}
-		}
-		for x := 1; x <= horizon; x++ {
-			if got, want := tree.At(x), slice.At(x); got != want {
-				t.Fatalf("At(%d) = %g, want %g", x, got, want)
-			}
-		}
-	})
-}

@@ -56,7 +56,7 @@ type mark struct {
 // answers window-maximum queries from a compiled step function of total
 // usage that is rebuilt eagerly on every mutation.
 //
-// Unlike the horizon-bound Profile implementations, a Ledger has no
+// Unlike the horizon-bound SliceProfile, a Ledger has no
 // planning horizon: intervals may start and end at any positive minute,
 // which is what a long-running allocation service needs. Mutations cost
 // O(k log k) in the number of live reservations (they recompile the step
@@ -148,7 +148,7 @@ func (l *Ledger) Summary() Summary { return l.sum }
 // MaxUsage returns the maximum total CPU and memory reserved at any single
 // minute of the closed window [start, end]. The two maxima are computed
 // independently (they may occur at different minutes), matching the
-// feasibility semantics of the per-resource Profile queries. It allocates
+// per-resource feasibility constraints (Eq. 9–10). It allocates
 // nothing: the answer is read off the compiled step function.
 func (l *Ledger) MaxUsage(start, end int) (cpu, mem float64) {
 	m := len(l.cpu)
