@@ -1,0 +1,195 @@
+package api
+
+import (
+	"bytes"
+	"strconv"
+)
+
+// The plain-form codec for the one hot body pair, the POST /v1/vms request
+// and its answer. Not a second wire format: it reads and writes a subset
+// of what encoding/json does for these two types, byte for byte, and calls
+// the rest "not plain", whereupon the caller runs encoding/json, the
+// reference (DESIGN.md, edge rule 2, says what holds the two together).
+// If they ever disagree the plain form is narrowed, never the reference.
+
+// plainText reports whether encoding/json reads c inside a string as
+// itself and writes it back as itself: printable ASCII but the quote, the
+// backslash and the three bytes its HTML escaping rewrites.
+func plainText(c byte) bool {
+	return c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+}
+
+// plain is a forward cursor over a request body. Its methods skip JSON's
+// four whitespace bytes, then consume exactly the form they name or
+// report false (nil), and that is final: nothing is diagnosed here.
+type plain struct {
+	b []byte
+	i int
+}
+
+// peek skips whitespace and returns the next byte, 0 at the end.
+func (p *plain) peek() byte {
+	for ; p.i < len(p.b); p.i++ {
+		if c := p.b[p.i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
+			return c
+		}
+	}
+	return 0
+}
+
+func (p *plain) eat(c byte) bool {
+	if p.peek() != c {
+		return false
+	}
+	p.i++
+	return true
+}
+
+// str consumes a quoted run of plainText bytes: no escape to undo.
+func (p *plain) str() []byte {
+	if !p.eat('"') {
+		return nil
+	}
+	start := p.i
+	for p.i < len(p.b) && plainText(p.b[p.i]) {
+		p.i++
+	}
+	if p.i == len(p.b) || p.b[p.i] != '"' {
+		return nil
+	}
+	p.i++
+	return p.b[start : p.i-1]
+}
+
+// num consumes the run of bytes a JSON number without an exponent is made
+// of, and returns it if it keeps the three rules JSON has and strconv has
+// not: a digit first (after the minus), no zero before a digit, a digit
+// last. The rest is strconv's to judge, by the call encoding/json makes
+// for a field of that kind: a second point or minus, a point in an int
+// or an overflow is an error there and false here.
+func (p *plain) num() []byte {
+	p.peek()
+	start := p.i
+	for p.i < len(p.b) && (p.b[p.i]-'0' <= 9 || p.b[p.i] == '-' || p.b[p.i] == '.') {
+		p.i++
+	}
+	d := bytes.TrimPrefix(p.b[start:p.i], []byte("-"))
+	if n := len(d); n == 0 || d[0]-'0' > 9 || d[n-1] == '.' || n > 1 && d[0] == '0' && d[1] != '.' {
+		return nil
+	}
+	return p.b[start:p.i]
+}
+
+func (p *plain) int(v *int) bool {
+	n, err := strconv.Atoi(string(p.num()))
+	*v = n
+	return err == nil
+}
+
+func (p *plain) float(v *float64) bool {
+	f, err := strconv.ParseFloat(string(p.num()), 64)
+	*v = f
+	return err == nil
+}
+
+// object consumes {"key":value,...}. field consumes the value of a key
+// it knows and names the key by a bit of its own; an unknown key, a key
+// met twice in this object or a value that is not plain ends the pass.
+func (p *plain) object(field func(key []byte) (bit uint, ok bool)) bool {
+	if !p.eat('{') {
+		return false
+	}
+	for seen := uint(0); !p.eat('}'); {
+		if seen != 0 && !p.eat(',') {
+			return false
+		}
+		key := p.str()
+		if key == nil || !p.eat(':') {
+			return false
+		}
+		bit, ok := field(key)
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+	}
+	return true
+}
+
+// request consumes one AdmitRequest object: the five pinned keys spelled
+// exactly (encoding/json also takes "ID"), each at most once, no null.
+func (p *plain) request(r *AdmitRequest) bool {
+	return p.object(func(key []byte) (uint, bool) {
+		switch string(key) {
+		case "id":
+			return 1, p.int(&r.ID)
+		case "type":
+			s := p.str()
+			r.Type = string(s)
+			return 2, s != nil
+		case "demand":
+			return 4, p.object(func(key []byte) (uint, bool) {
+				switch string(key) {
+				case "cpu":
+					return 1, p.float(&r.Demand.CPU)
+				case "mem":
+					return 2, p.float(&r.Demand.Mem)
+				}
+				return 0, false
+			})
+		case "start":
+			return 8, p.int(&r.Start)
+		case "durationMinutes":
+			return 16, p.int(&r.DurationMinutes)
+		}
+		return 0, false
+	})
+}
+
+// plainAdmitRequests is DecodeAdmitRequests' first try: one pass that
+// accepts the object or the non-empty array form and nothing after it.
+func plainAdmitRequests(data []byte) ([]AdmitRequest, bool) {
+	p := plain{b: data}
+	array := p.eat('[')
+	reqs := make([]AdmitRequest, 0, 1+len(data)/96) // a batched request is ≈98 bytes
+	for more := true; more; more = array && p.eat(',') {
+		reqs = append(reqs, AdmitRequest{})
+		if !p.request(&reqs[len(reqs)-1]) {
+			return nil, false
+		}
+	}
+	return reqs, (!array || p.eat(']')) && p.peek() == 0 && p.i == len(data)
+}
+
+// appendAdmitResponses appends the bytes json.Encoder with
+// SetIndent("", "  ") writes for a non-empty resps, or reports false
+// when a Reason holds a byte the encoder would escape.
+func appendAdmitResponses(dst []byte, resps []AdmitResponse) ([]byte, bool) {
+	open := "[\n  {\n    \"id\": "
+	for i := range resps {
+		r := &resps[i]
+		dst = strconv.AppendInt(append(dst, open...), int64(r.ID), 10)
+		dst = strconv.AppendBool(append(dst, ",\n    \"accepted\": "...), r.Accepted)
+		dst = appendOmitEmpty(dst, ",\n    \"server\": ", r.Server)
+		dst = appendOmitEmpty(dst, ",\n    \"start\": ", r.Start)
+		dst = appendOmitEmpty(dst, ",\n    \"end\": ", r.End)
+		if r.Reason != "" {
+			for j := 0; j < len(r.Reason); j++ {
+				if !plainText(r.Reason[j]) {
+					return nil, false
+				}
+			}
+			dst = append(append(append(dst, ",\n    \"reason\": \""...), r.Reason...), '"')
+		}
+		dst = append(dst, "\n  }"...)
+		open = ",\n  {\n    \"id\": "
+	}
+	return append(dst, "\n]\n"...), true
+}
+
+func appendOmitEmpty(dst []byte, key string, v int) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), int64(v), 10)
+}

@@ -1,11 +1,17 @@
 package api
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"testing"
+
+	"vmalloc/internal/model"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/admit_response.golden from this build's WriteJSON")
@@ -23,11 +29,16 @@ var goldenBatch = []AdmitResponse{
 
 // TestAdmitResponseGolden pins the bytes POST /v1/vms answers with. The
 // golden was written by encoding/json alone (the commit before the plain
-// codec), so it holds whatever WriteJSON does inside to that encoding.
+// codec), so it holds whatever WriteJSON does inside to that encoding:
+// the whole batch through the fallback (entry 3 needs escaping), and the
+// batch without entry 3 through the plain encoder.
 func TestAdmitResponseGolden(t *testing.T) {
-	rec := httptest.NewRecorder()
-	WriteJSON(rec, http.StatusOK, goldenBatch)
-	got := rec.Body.Bytes()
+	served := func(v any) []byte {
+		rec := httptest.NewRecorder()
+		WriteJSON(rec, http.StatusOK, v)
+		return rec.Body.Bytes()
+	}
+	got := served(goldenBatch)
 	const path = "testdata/admit_response.golden"
 	if *update {
 		if err := os.WriteFile(path, got, 0o644); err != nil {
@@ -40,5 +51,179 @@ func TestAdmitResponseGolden(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("served bytes moved:\n got: %q\nwant: %q", got, want)
+	}
+	entry3 := referenceJSON(t, goldenBatch[2:3])
+	entry3 = append([]byte("  "), entry3[len("[\n  "):len(entry3)-len("\n]\n")]...)
+	if !bytes.Contains(want, entry3) {
+		t.Fatalf("golden lacks entry 3 as %q", entry3)
+	}
+	plainBatch := append(append([]AdmitResponse(nil), goldenBatch[:2]...), goldenBatch[3])
+	if _, ok := appendAdmitResponses(nil, plainBatch); !ok {
+		t.Fatal("the batch without the escaped reason is not plain")
+	}
+	wantPlain := bytes.Replace(want, append(entry3, ",\n"...), nil, 1)
+	if got := served(plainBatch); string(got) != string(wantPlain) {
+		t.Fatalf("plain-encoded bytes moved:\n got: %q\nwant: %q", got, wantPlain)
+	}
+}
+
+// referenceJSON is what WriteJSON wrote for every value before the admit
+// answer had a plain encoder, and still writes for every other.
+func referenceJSON(t testing.TB, v any) []byte {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// fillFields sets every field under v, recursively, to a distinct
+// non-zero value, so no field can hide behind omitempty or a zero.
+func fillFields(t *testing.T, v reflect.Value, n *int) {
+	*n++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillFields(t, v.Field(i), n)
+		}
+	case reflect.Int:
+		v.SetInt(int64(*n))
+	case reflect.Float64:
+		v.SetFloat(float64(*n) + 0.5)
+	case reflect.String:
+		v.SetString(fmt.Sprint("field ", *n))
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("a %s field: teach fillFields and admit_codec.go its kind", v.Kind())
+	}
+}
+
+// TestAdmitCodecCoversEveryField: with every field of both hot types set,
+// the plain pass must read what json.Marshal wrote and the plain encoder
+// must write what json.Encoder writes. A field added to either struct
+// without the codec fails here instead of vanishing from the fast path
+// (the request) or from the wire (the answer).
+func TestAdmitCodecCoversEveryField(t *testing.T) {
+	var req AdmitRequest
+	var resp AdmitResponse
+	n := 0
+	fillFields(t, reflect.ValueOf(&req).Elem(), &n)
+	fillFields(t, reflect.ValueOf(&resp).Elem(), &n)
+
+	for _, reqs := range [][]AdmitRequest{{req}, {req, req}} {
+		var body []byte
+		if len(reqs) == 1 {
+			body, _ = json.Marshal(reqs[0])
+		} else {
+			body, _ = json.Marshal(reqs)
+		}
+		got, ok := plainAdmitRequests(body)
+		if !ok {
+			t.Fatalf("the plain pass refuses %s: does admit_codec.go know every key?", body)
+		}
+		if !reflect.DeepEqual(got, reqs) {
+			t.Fatalf("plain pass of %s:\n got: %+v\nwant: %+v", body, got, reqs)
+		}
+	}
+	for _, resps := range [][]AdmitResponse{{resp}, {resp, {}, resp}} {
+		got, ok := appendAdmitResponses(nil, resps)
+		if want := referenceJSON(t, resps); !ok || string(got) != string(want) {
+			t.Fatalf("plain encoder (ok %v):\n got: %q\nwant: %q", ok, got, want)
+		}
+	}
+}
+
+// TestPlainAdmitForm: which bodies take the one pass. What the clients in
+// the tree send must (or the codec buys nothing); each way out of the
+// plain form named in admit_codec.go must not. Whether the two paths
+// agree on a body is FuzzHTTPDecode's question (internal/clusterhttp).
+func TestPlainAdmitForm(t *testing.T) {
+	one := AdmitRequest{ID: 3, Type: "c4.large", Demand: model.Resources{CPU: 2, Mem: 7.5}, DurationMinutes: 30}
+	object, _ := json.Marshal(one)
+	array, _ := json.Marshal([]AdmitRequest{one, {Demand: model.Resources{CPU: 0.5, Mem: 1}, Start: 4, DurationMinutes: 1}})
+	indented, _ := json.MarshalIndent([]AdmitRequest{one}, "", "\t")
+	for _, body := range []string{string(object), string(array), string(indented) + "\r\n", `{}`, `[{}]`,
+		`{"demand":{},"start":-0,"durationMinutes":-12}`, `{"demand":{"mem":-0.25,"cpu":10}}`, `{"demand":{"cpu":-0.0,"mem":0.5}}`, `{"id":0,"start":-0}`} {
+		if _, ok := plainAdmitRequests([]byte(body)); !ok {
+			t.Errorf("not plain, but should be: %s", body)
+		}
+	}
+	for _, body := range []string{``, ` `, `null`, `[]`, `[] `, `[null]`, `{"ID":1}`, `{"id":1,"id":2}`, `{"demand":null}`,
+		`{"type":null}`, `{"id":1e2}`, `{"id":1.0}`, `{"id":01}`, `{"id":-}`, `{"id":+1}`, `{"id":9223372036854775808}`,
+		`{"demand":{"cpu":1e2}}`, `{"demand":{"cpu":9e999}}`, `{"demand":{"cpu":1.}}`, `{"demand":{"cpu":.5}}`,
+		`{"demand":{"cpu":-.5}}`, `{"demand":{"cpu":1.2.3}}`, `{"demand":{"cpu":1..2}}`, `{"demand":{"cpu":0.}}`, `{"demand":{"cpu":00.5}}`,
+		`{"demand":{"cpu":1-1}}`, `{"demand":{"cpu":--1}}`, `{"demand":{"cpu":1.-5}}`, `{"id":--1}`, `{"id":1-1}`, `{"id":0-}`, `{"id":-01}`, `{"id":00}`,
+		`{"demand":{"cpu":1,"cpu":2}}`, `{"demand":{"cpu":1,"disk":2}}`, `{"demand":[1,2]}`,
+		`{"type":"\u0041"}`, `{"type":"a\\b"}`, `{"type":"a<b"}`, "{\"type\":\"\xff\"}", "{\"type\":\"a\tb\"}", `{"type":"a`,
+		`{"id":1}x`, `{"id":1}{"id":2}`, `[{"id":1}]]`, `[{"id":1},]`, `[{"id":1}`, `{"id":1,}`, `{"id":1 "start":2}`,
+		`{"id" 1}`, `{id:1}`, `{"futureKnob":true}`, "\v{}", "{}\x00", `[1]`, `"x"`} {
+		if _, ok := plainAdmitRequests([]byte(body)); ok {
+			t.Errorf("plain, but should fall back: %q", body)
+		}
+	}
+	if _, ok := appendAdmitResponses(nil, []AdmitResponse{{Reason: "online: no server can host vm 7"}}); !ok {
+		t.Error("a printable reason is not plain")
+	}
+	for _, reason := range []string{`"`, `\`, `<`, `>`, `&`, "\n", "\x7f", "é", "\xff"} {
+		if _, ok := appendAdmitResponses(nil, []AdmitResponse{{Reason: reason}}); ok {
+			t.Errorf("reason %q took the plain encoder", reason)
+		}
+	}
+}
+
+// BenchmarkAdmitCodec: the admit body pair, decode and encode, through
+// the plain codec and through encoding/json (what the parent ran, and the
+// fallback), for a single admit and for a serve-batch minute of 49.
+func BenchmarkAdmitCodec(b *testing.B) {
+	for _, vms := range []int{1, 49} {
+		reqs := make([]AdmitRequest, vms)
+		resps := make([]AdmitResponse, vms)
+		for i := range reqs {
+			reqs[i] = AdmitRequest{ID: 100000 + i, Type: "m1.small", Demand: model.Resources{CPU: 1, Mem: 1.7}, Start: 1440, DurationMinutes: 37 + i}
+			resps[i] = AdmitResponse{ID: 100000 + i, Accepted: true, Server: 1 + i, Start: 1440, End: 1476 + i}
+		}
+		body, _ := json.Marshal(reqs)
+		if vms == 1 {
+			body, _ = json.Marshal(reqs[0])
+		}
+		// The same body with one unknown key: the plain pass gives up at
+		// its first byte and encoding/json does all the work.
+		fallback := append([]byte(`[{"x":0},`), body[1:]...)
+		if vms == 1 {
+			fallback = append([]byte(`{"x":0,`), body[1:]...)
+		}
+		escaped := append([]AdmitResponse(nil), resps...)
+		escaped[0].Reason = "<"
+		run := func(name string, n int, op func()) {
+			b.Run(fmt.Sprintf("%s/vms=%d", name, vms), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(n))
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+			})
+		}
+		run("decode/plain", len(body), func() {
+			if _, err := DecodeAdmitRequests(body); err != nil {
+				b.Fatal(err)
+			}
+		})
+		run("decode/reference", len(fallback), func() {
+			if _, err := DecodeAdmitRequests(fallback); err != nil {
+				b.Fatal(err)
+			}
+		})
+		rec := httptest.NewRecorder()
+		run("encode/plain", len(referenceJSON(b, resps)), func() {
+			rec.Body.Reset()
+			WriteJSON(rec, http.StatusOK, resps)
+		})
+		run("encode/reference", len(referenceJSON(b, escaped)), func() {
+			rec.Body.Reset()
+			WriteJSON(rec, http.StatusOK, escaped)
+		})
 	}
 }

@@ -47,7 +47,9 @@
 //
 // Compatibility: the JSON field names are frozen (see the pin tests in
 // wire_test.go). Decoding is tolerant of unknown fields, so additive
-// evolution within /v1 is safe; renames or removals require a /v2.
+// evolution within /v1 is safe; renames or removals require a /v2. (The
+// admit body's one-pass reader in admit_codec.go knows only today's keys;
+// a body with any other falls back to encoding/json, which tolerates it.)
 package api
 
 import (
@@ -253,8 +255,13 @@ type GateStateResponse struct {
 // DecodeAdmitRequests parses a POST /v1/vms body — a single AdmitRequest
 // object or a non-empty array of them. Unknown fields are tolerated. Both
 // the server and the vmgate router decode admission bodies through this
-// one function, so they can never disagree on what parses.
+// one function, so they can never disagree on what parses. A body in the
+// plain form (admit_codec.go) is read in one pass; any other gets
+// encoding/json's value or encoding/json's error.
 func DecodeAdmitRequests(data []byte) ([]AdmitRequest, error) {
+	if reqs, ok := plainAdmitRequests(data); ok {
+		return reqs, nil
+	}
 	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
 		var reqs []AdmitRequest
 		if err := json.Unmarshal(data, &reqs); err != nil {

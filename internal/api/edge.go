@@ -87,10 +87,19 @@ func SpanFilterFromQuery(q url.Values) (obs.SpanFilter, error) {
 	return f, err
 }
 
-// WriteJSON writes v as the indented JSON every /v1 answer uses.
+// WriteJSON writes v as the indented JSON every /v1 answer uses. An
+// admit answer whose reasons need no escaping is appended directly
+// (admit_codec.go), to the same bytes.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if resps, _ := v.([]AdmitResponse); len(resps) > 0 {
+		// An accepted VM's entry is ≈100 bytes; a refused one carries its reason.
+		if b, ok := appendAdmitResponses(make([]byte, 0, 128*len(resps)), resps); ok {
+			w.Write(b) //nolint:errcheck // client gone
+			return
+		}
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client gone
