@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"math"
+	mrand "math/rand/v2"
 )
 
 // TraceParentHeader is the W3C Trace Context header carrying the trace id
@@ -32,8 +34,20 @@ func (tc TraceContext) Header() string {
 // NewTraceID mints a 32-hex-digit random trace id.
 func NewTraceID() string { return randHex(16) }
 
-// NewSpanID mints a 16-hex-digit random span id.
-func NewSpanID() string { return randHex(8) }
+// NewSpanID mints a 16-hex-digit random span id, never all zero. A span
+// id only tells the spans of one trace apart and the admit pipeline mints
+// ≈4 per VM before it replies, so it is drawn from math/rand/v2 and
+// rendered on the stack; trace and request ids, one per request and the
+// keys logs and processes are joined on, keep crypto/rand.
+func NewSpanID() string {
+	v := 1 + mrand.Uint64N(math.MaxUint64)
+	var b [16]byte
+	for i := range b {
+		b[i] = "0123456789abcdef"[v>>60]
+		v <<= 4
+	}
+	return string(b[:])
+}
 
 // NewTraceContext mints a fresh root context: a new trace with a new root
 // span id.

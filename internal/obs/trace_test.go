@@ -69,6 +69,31 @@ func TestTraceContextRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewSpanID: a span id is 16 lower-hex digits, not all zero (the
+// traceparent grammar), and two in a row differ.
+func TestNewSpanID(t *testing.T) {
+	prev := ""
+	for i := 0; i < 1000; i++ {
+		id := NewSpanID()
+		tc, ok := ParseTraceParent(TraceContext{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: id}.Header())
+		if !ok || tc.SpanID != id || id == prev {
+			t.Fatalf("span id %q after %q: parsed %v as %q", id, prev, ok, tc.SpanID)
+		}
+		prev = id
+	}
+}
+
+// BenchmarkNewSpanID: the admit pipeline mints ≈4 per VM before it
+// replies (cluster.emitStageSpans).
+func BenchmarkNewSpanID(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if NewSpanID() == "" {
+			b.Fatal("empty span id")
+		}
+	}
+}
+
 // TestMiddlewareTraceHeaders pins the edge contract for both identity
 // headers at once: a malformed traceparent or X-Request-Id is never
 // echoed or propagated — the middleware mints a fresh value — while
