@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,13 +32,14 @@ var ErrBodyTooLarge = errors.New("request body exceeds the configured limit")
 // ReadBody reads a whole request body, refusing more than MaxBodyBytes
 // with ErrBodyTooLarge. The Decode* functions parse what it returns.
 func ReadBody(r io.Reader) ([]byte, error) {
-	return readLimited(r, MaxBodyBytes)
+	return readLimited(r, -1, MaxBodyBytes)
 }
 
 // DecodeBody reads a request's body under the limit and parses it with
-// one of the Decode* functions.
+// one of the Decode* functions. A Content-Length over the limit is
+// refused before a byte is read; one under it sizes the buffer.
 func DecodeBody[T any](r *http.Request, parse func([]byte) (T, error)) (T, error) {
-	data, err := ReadBody(r.Body)
+	data, err := readLimited(r.Body, r.ContentLength, MaxBodyBytes)
 	if err != nil {
 		var zero T
 		return zero, err
@@ -45,15 +47,23 @@ func DecodeBody[T any](r *http.Request, parse func([]byte) (T, error)) (T, error
 	return parse(data)
 }
 
-func readLimited(r io.Reader, limit int64) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > limit {
+// readLimited reads r to its end, refusing more than limit bytes.
+// declared is the length the sender announced, -1 for none (a chunked
+// body). It sizes the buffer, so that ReadFrom, which wants MinRead free
+// bytes before each read, never regrows it; only up to 64 KiB, so that
+// announcing a length costs the sender's peer nothing until it is sent.
+func readLimited(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared > limit {
 		return nil, fmt.Errorf("%w (%d bytes)", ErrBodyTooLarge, limit)
 	}
-	return data, nil
+	buf := bytes.NewBuffer(make([]byte, 0, min(max(declared, 0), 64<<10)+bytes.MinRead))
+	if _, err := buf.ReadFrom(io.LimitReader(r, limit+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > limit {
+		return nil, fmt.Errorf("%w (%d bytes)", ErrBodyTooLarge, limit)
+	}
+	return buf.Bytes(), nil
 }
 
 // QueryInt returns the named query parameter as a non-negative integer,

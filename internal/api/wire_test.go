@@ -228,14 +228,36 @@ func TestDecodeClockRequest(t *testing.T) {
 }
 
 // TestReadLimited: a body of exactly the limit passes, one byte more is
-// ErrBodyTooLarge whatever its syntax.
+// ErrBodyTooLarge whatever its syntax. A declared length over the limit
+// is refused before a byte is read; one under it is a size hint the body
+// is still held to the limit against, and presizes the buffer.
 func TestReadLimited(t *testing.T) {
-	data, err := readLimited(strings.NewReader("12345678"), 8)
-	if err != nil || string(data) != "12345678" {
-		t.Fatalf("body at the limit: %v %q", err, data)
+	for _, row := range []struct {
+		body     string
+		declared int64
+		tooLarge bool
+		reads    int // bytes taken from the reader
+	}{
+		{"12345678", -1, false, 8},
+		{"123456789", -1, true, 9},
+		{"12345678", 8, false, 8},
+		{"123456789", 9, true, 0},
+		{"123456789", 4, true, 9}, // a sender that announced less than it sent
+		{"", 0, false, 0},
+		{"", 1 << 40, true, 0},
+	} {
+		r := strings.NewReader(row.body)
+		data, err := readLimited(r, row.declared, 8)
+		if row.tooLarge != errors.Is(err, ErrBodyTooLarge) || !row.tooLarge && (err != nil || string(data) != row.body) {
+			t.Errorf("body %q declared %d: %v %q", row.body, row.declared, err, data)
+		}
+		if got := len(row.body) - r.Len(); got != row.reads {
+			t.Errorf("body %q declared %d: read %d bytes, want %d", row.body, row.declared, got, row.reads)
+		}
 	}
-	if _, err := readLimited(strings.NewReader("123456789"), 8); !errors.Is(err, ErrBodyTooLarge) {
-		t.Fatalf("body over the limit: %v", err)
+	body := strings.Repeat("x", 4800) // a 49-VM batch
+	if n := testing.AllocsPerRun(20, func() { readLimited(strings.NewReader(body), 4800, MaxBodyBytes) }); n > 3 {
+		t.Errorf("a body of the declared length: %v allocations, want this reader, its limiter and one buffer", n)
 	}
 }
 

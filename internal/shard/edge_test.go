@@ -1,11 +1,15 @@
 package shard
 
 import (
+	"bufio"
+	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vmalloc/internal/api"
 	"vmalloc/internal/cluster"
@@ -99,6 +103,33 @@ func TestEdgeParity(t *testing.T) {
 			if d.daemon == "vmgate" && row.atGate && shardHits.Load() != before {
 				t.Errorf("%s: the gate fanned out a request it should have refused itself", row.name)
 			}
+		}
+	}
+
+	// Over the cap by its header alone: an admit that announces one byte
+	// too many and sends none of them is refused on the announcement, by
+	// both daemons alike. Nothing would answer a daemon that waited for
+	// the body, so the deadline is the failure.
+	for _, d := range []struct{ daemon, url string }{{"vmserve", shardSrv.URL}, {"vmgate", gateSrv.URL}} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(d.url, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a TCP conn takes deadlines
+		before := shardHits.Load()
+		fmt.Fprintf(conn, "POST /v1/vms HTTP/1.1\r\nHost: parity\r\n%s: parity\r\nContent-Length: %d\r\n\r\n",
+			obs.RequestIDHeader, api.MaxBodyBytes+1)
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("admit over the cap by header via %s: %v", d.daemon, err)
+		}
+		status := resp.StatusCode
+		if env := decodeEnvelope(t, resp); status != 413 || env.Code != api.CodeBadRequest || env.RequestID != "parity" {
+			t.Errorf("admit over the cap by header via %s: %d %+v, want 413 %s", d.daemon, status, env, api.CodeBadRequest)
+		}
+		if d.daemon == "vmgate" && shardHits.Load() != before {
+			t.Error("admit over the cap by header: the gate fanned out a request it should have refused itself")
 		}
 	}
 }
