@@ -42,12 +42,16 @@ repro:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
-# LOC_MAX is the `make loc` figure the last PR that shrank it landed
-# (PR 20: the segment-tree profiles and the timeline.Profile interface
-# left, core.Fleet keeps the claims alive at the commit frontier, net −91).
+# LOC_MAX is the `make loc` figure of the last PR that moved it. PR 20
+# landed 20,059 (the segment-tree profiles left). PR 21 raised it by its
+# measured growth, +235: internal/api/admit_codec.go (+195, the plain-form
+# codec for the admit body pair; serve-batch op_p50_ms ≈0.95 → ≈0.78 ms),
+# its two call sites and the declared-length body read in api (+26), the
+# span-id mint in obs (+14). ISSUE 21 refuses more than +240 for these: a
+# codec that needs more has too wide a plain form.
 # A change that grows past it fails `make fence`: delete something, or
 # raise the figure here and say why.
-LOC_MAX = 20059
+LOC_MAX = 20294
 
 # fence keeps the doubles PRs 12–17 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),
