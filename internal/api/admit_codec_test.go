@@ -113,19 +113,15 @@ func TestAdmitCodecCoversEveryField(t *testing.T) {
 	fillFields(t, reflect.ValueOf(&req).Elem(), &n)
 	fillFields(t, reflect.ValueOf(&resp).Elem(), &n)
 
-	for _, reqs := range [][]AdmitRequest{{req}, {req, req}} {
-		var body []byte
-		if len(reqs) == 1 {
-			body, _ = json.Marshal(reqs[0])
-		} else {
-			body, _ = json.Marshal(reqs)
-		}
-		got, ok := plainAdmitRequests(body)
+	object, _ := json.Marshal(req)
+	array, _ := json.Marshal([]AdmitRequest{req, req})
+	for body, want := range map[string][]AdmitRequest{string(object): {req}, string(array): {req, req}} {
+		got, ok := plainAdmitRequests([]byte(body))
 		if !ok {
 			t.Fatalf("the plain pass refuses %s: does admit_codec.go know every key?", body)
 		}
-		if !reflect.DeepEqual(got, reqs) {
-			t.Fatalf("plain pass of %s:\n got: %+v\nwant: %+v", body, got, reqs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("plain pass of %s:\n got: %+v\nwant: %+v", body, got, want)
 		}
 	}
 	for _, resps := range [][]AdmitResponse{{resp}, {resp, {}, resp}} {
@@ -185,14 +181,12 @@ func BenchmarkAdmitCodec(b *testing.B) {
 			reqs[i] = AdmitRequest{ID: 100000 + i, Type: "m1.small", Demand: model.Resources{CPU: 1, Mem: 1.7}, Start: 1440, DurationMinutes: 37 + i}
 			resps[i] = AdmitResponse{ID: 100000 + i, Accepted: true, Server: 1 + i, Start: 1440, End: 1476 + i}
 		}
+		// fallback is the same body with one unknown key: the plain pass
+		// gives up at it and encoding/json does all the work.
 		body, _ := json.Marshal(reqs)
-		if vms == 1 {
-			body, _ = json.Marshal(reqs[0])
-		}
-		// The same body with one unknown key: the plain pass gives up at
-		// its first byte and encoding/json does all the work.
 		fallback := append([]byte(`[{"x":0},`), body[1:]...)
 		if vms == 1 {
+			body, _ = json.Marshal(reqs[0])
 			fallback = append([]byte(`{"x":0,`), body[1:]...)
 		}
 		escaped := append([]AdmitResponse(nil), resps...)
