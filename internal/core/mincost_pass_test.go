@@ -1,0 +1,137 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"vmalloc/internal/energy"
+	"vmalloc/internal/model"
+)
+
+// refMinCostRule is MinCost's rule as it stood before the hoisted pass:
+// Fits (or FitsCPUOnly) and IncrementalCost (or RunCost) per candidate,
+// reduced by Scan.ArgMin. It is the reference the pass is held to, and
+// also returns the winner's cost, the float64 ties break on.
+func refMinCostRule(s *Scan, v model.VM, cfg Config) (int, float64, error) {
+	fleet := s.Fleet
+	eval := func(i int) (float64, bool) {
+		if cfg.MemoryCheck {
+			if !fleet.Fits(i, v) {
+				return 0, false
+			}
+		} else if !fleet.FitsCPUOnly(i, v) {
+			return 0, false
+		}
+		if cfg.TransitionAware {
+			return fleet.State(i).IncrementalCost(v), true
+		}
+		return energy.RunCost(fleet.Servers[i], v), true
+	}
+	i, err := s.ArgMin(eval)
+	if err != nil || i < 0 {
+		return i, 0, err
+	}
+	cost, _ := eval(i)
+	return i, cost, nil
+}
+
+// newTestScan is what Run builds for a rule: a fresh fleet and a sequential
+// engine's statistics.
+func newTestScan(inst model.Instance) *Scan {
+	engine := NewScanEngine(1, len(inst.Servers))
+	return &Scan{Fleet: NewFleet(inst), ctx: context.Background(), engine: engine, stats: engine.NewStats()}
+}
+
+// fractionalInstance is a workload whose prices are not round: idle powers
+// off the integers and wake-ups of a fraction of a minute, so α and every
+// P_idle·gap product carry rounding, with gaps on both sides of α/P_idle.
+func fractionalInstance(rng *rand.Rand, n, k int) model.Instance {
+	inst := sparseInstance(rng, n, k)
+	for i := range inst.Servers {
+		s := &inst.Servers[i]
+		s.PIdle *= 1 + 0.037*float64(1+i%5)
+		s.PPeak *= 1 + 0.011*float64(1+i%7)
+		s.TransitionTime = []float64{0.3, 0.75, 1.3, 2.7, 4.1}[i%5]
+	}
+	return inst
+}
+
+// passInstances is the table TestMinCostPassMatchesRule walks: dense and
+// sparse catalog workloads (Table I demands are not dyadic: 1.7, 3.75,
+// 17.1, 34.2 GB) and fractional prices, several seeds each.
+func passInstances() map[string]model.Instance {
+	out := map[string]model.Instance{}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		out[fmt.Sprintf("dense/%d", seed)] = randomInstance(rng, 150, 24+int(seed)*3)
+		out[fmt.Sprintf("sparse/%d", seed)] = sparseInstance(rng, 120, 12+int(seed)*2)
+		out[fmt.Sprintf("fractional/%d", seed)] = fractionalInstance(rng, 120, 10+int(seed)*2)
+	}
+	return out
+}
+
+// TestMinCostPassMatchesRule holds MinCost, all three variants, to the
+// closure rule it replaced: VM by VM the same server index, and over the
+// run the same candidate and rejection counts, on 24 seeded instances.
+func TestMinCostPassMatchesRule(t *testing.T) {
+	variants := map[string][]Option{
+		"full":          nil,
+		"no-transition": {WithoutTransitionAwareness()},
+		"no-memory":     {WithoutMemoryCheck()},
+	}
+	for instName, inst := range passInstances() {
+		for varName, opts := range variants {
+			t.Run(instName+"/"+varName, func(t *testing.T) {
+				cfg := NewConfig(opts...)
+				ref := newTestScan(inst)
+				wantPlacement := map[int]int{}
+				var wantUnplaceable *model.VM
+				for _, v := range SortVMsByStart(inst) {
+					i, cost, err := refMinCostRule(ref, v, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i < 0 {
+						wantUnplaceable = &v
+						break
+					}
+					if math.IsNaN(cost) || cost < 0 {
+						t.Fatalf("vm %d: reference cost %g", v.ID, cost)
+					}
+					ref.Fleet.Commit(i, v)
+					wantPlacement[v.ID] = inst.Servers[i].ID
+				}
+
+				res, err := NewMinCost(opts...).Allocate(context.Background(), inst)
+				var unplaceable *UnplaceableError
+				if errors.As(err, &unplaceable) {
+					if wantUnplaceable == nil || wantUnplaceable.ID != unplaceable.VM.ID {
+						t.Fatalf("Allocate: %v; the rule stops at %v", err, wantUnplaceable)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wantUnplaceable != nil {
+					t.Fatalf("Allocate placed every VM; the rule fits vm %d nowhere", wantUnplaceable.ID)
+				}
+				for _, v := range inst.VMs {
+					if got, want := res.Placement[v.ID], wantPlacement[v.ID]; got != want {
+						t.Errorf("vm %d on server %d, the rule says %d", v.ID, got, want)
+					}
+				}
+				if got, want := res.Stats.CandidatesEvaluated, ref.stats.CandidatesEvaluated; got != want {
+					t.Errorf("CandidatesEvaluated = %d, the rule examined %d", got, want)
+				}
+				if got, want := res.Stats.FeasibilityRejections, ref.stats.FeasibilityRejections; got != want {
+					t.Errorf("FeasibilityRejections = %d, the rule refused %d", got, want)
+				}
+			})
+		}
+	}
+}
