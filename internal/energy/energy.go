@@ -36,25 +36,42 @@ func SegmentCost(s model.Server, busy *timeline.SegmentSet) float64 {
 		return 0
 	}
 	// Merging in a minute the set already covers walks the set as it is.
-	return segmentCostWith(&s, busy, timeline.Interval{Start: first, End: first})
+	return segmentCostWith(s.TransitionCost(), s.PIdle, busy.View(), timeline.Interval{Start: first, End: first})
 }
 
-// segmentCostWith is SegmentCost of busy with iv merged in; busy is not
-// modified and nothing is allocated. The float64 is built in one fixed
+// segmentCostWith is SegmentCost, at transition cost alpha and idle power
+// pIdle, of the segments busy (increasing, disjoint, not adjacent) with iv
+// merged in; nothing is modified or allocated. MinCost's inner loop: a plain
+// walk, no SegmentSet.VisitWith callbacks. The float64 is built in one fixed
 // order, the total first and then the gap terms left to right: MinCost
 // breaks ties on it.
-func segmentCostWith(s *model.Server, busy *timeline.SegmentSet, iv timeline.Interval) float64 {
-	total := 0
-	busy.VisitWith(iv, func(seg timeline.Interval) { total += seg.Len() })
-	alpha := s.TransitionCost()
-	cost := alpha + s.PIdle*float64(total)
-	first, prevEnd := true, 0
-	busy.VisitWith(iv, func(seg timeline.Interval) {
-		if !first {
-			cost += min(alpha, s.PIdle*float64(seg.Start-prevEnd-1))
-		}
-		first, prevEnd = false, seg.End
-	})
+func segmentCostWith(alpha, pIdle float64, busy []timeline.Interval, iv timeline.Interval) float64 {
+	// busy[:lo] end before iv, busy[lo:hi] merge into it, busy[hi:] follow.
+	total, lo := 0, 0
+	for ; lo < len(busy) && busy[lo].End < iv.Start-1; lo++ {
+		total += busy[lo].Len()
+	}
+	hi := lo
+	for ; hi < len(busy) && busy[hi].Start <= iv.End+1; hi++ {
+		iv.Start = min(iv.Start, busy[hi].Start)
+		iv.End = max(iv.End, busy[hi].End)
+	}
+	total += iv.Len()
+	for _, seg := range busy[hi:] {
+		total += seg.Len()
+	}
+	cost := alpha + pIdle*float64(total)
+	for k := 1; k < lo; k++ {
+		cost += min(alpha, pIdle*float64(busy[k].Start-busy[k-1].End-1))
+	}
+	if lo > 0 {
+		cost += min(alpha, pIdle*float64(iv.Start-busy[lo-1].End-1))
+	}
+	prevEnd := iv.End
+	for _, seg := range busy[hi:] {
+		cost += min(alpha, pIdle*float64(seg.Start-prevEnd-1))
+		prevEnd = seg.End
+	}
 	return cost
 }
 
@@ -99,12 +116,20 @@ func (st *ServerState) Cost() float64 {
 	return st.runCost + st.segCost
 }
 
+// RunCost returns Cost's first term: the W_ij of the VMs placed here.
+func (st *ServerState) RunCost() float64 { return st.runCost }
+
+// SegmentCostWith returns SegmentCost of the busy set with iv merged in
+// (the state is not modified, and nothing is allocated).
+func (st *ServerState) SegmentCostWith(iv timeline.Interval) float64 {
+	return segmentCostWith(st.server.TransitionCost(), st.server.PIdle, st.busy.View(), iv)
+}
+
 // CostWith returns the server's total cost if v were added (the server
 // state is not modified, and nothing is allocated): the float64 a Clone,
 // Add and Cost would return.
 func (st *ServerState) CostWith(v model.VM) float64 {
-	return st.runCost + RunCost(st.server, v) +
-		segmentCostWith(&st.server, &st.busy, timeline.Interval{Start: v.Start, End: v.End})
+	return st.runCost + RunCost(st.server, v) + st.SegmentCostWith(timeline.Interval{Start: v.Start, End: v.End})
 }
 
 // BusyGrowth returns the minutes v would add to the server's busy time:

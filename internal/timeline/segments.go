@@ -111,6 +111,11 @@ func (s *SegmentSet) Segments() []Interval {
 	return out
 }
 
+// View returns the segments in increasing order without copying them: the
+// set's own slice, valid until the next Insert and not to be written. It is
+// what lets a candidate interval be priced with a plain loop.
+func (s *SegmentSet) View() []Interval { return s.segs }
+
 // Gaps returns the interior idle gaps: the maximal uncovered intervals
 // strictly between the first and last segment. Time before the first
 // segment and after the last is not a gap (the paper's servers sleep for
