@@ -237,23 +237,34 @@ func EvaluateServer(s model.Server, vms []model.VM) Breakdown {
 // EvaluateObjective computes the exact Eq. 7/8 objective of a placement
 // (a map from VM ID to server ID). Every VM must be placed on an existing
 // server; otherwise an error is returned. It does not check capacity
-// constraints — that is the ILP checker's job (package ilp).
+// constraints — that is the ILP checker's job (package ilp). Servers are
+// summed in inst.Servers order: equal inputs give equal bits.
 func EvaluateObjective(inst model.Instance, placement map[int]int) (Breakdown, error) {
-	byServer := make(map[int][]model.VM, len(inst.Servers))
+	index := make(map[int]int, len(inst.Servers))
+	for i := len(inst.Servers) - 1; i >= 0; i-- {
+		index[inst.Servers[i].ID] = i // of two equal IDs the first, as ServerByID has it
+	}
+	byServer := make([][]model.VM, len(inst.Servers))
+	unknown, anyUnknown := 0, false
 	for _, v := range inst.VMs {
 		sid, ok := placement[v.ID]
 		if !ok {
 			return Breakdown{}, fmt.Errorf("energy: vm %d is unplaced", v.ID)
 		}
-		byServer[sid] = append(byServer[sid], v)
+		if i, ok := index[sid]; ok {
+			byServer[i] = append(byServer[i], v)
+		} else if !anyUnknown {
+			unknown, anyUnknown = sid, true
+		}
+	}
+	if anyUnknown {
+		return Breakdown{}, fmt.Errorf("energy: placement references unknown server %d", unknown)
 	}
 	var total Breakdown
-	for sid, vms := range byServer {
-		srv, ok := inst.ServerByID(sid)
-		if !ok {
-			return Breakdown{}, fmt.Errorf("energy: placement references unknown server %d", sid)
+	for i, vms := range byServer {
+		if len(vms) > 0 {
+			total = total.Add(EvaluateServer(inst.Servers[i], vms))
 		}
-		total = total.Add(EvaluateServer(srv, vms))
 	}
 	return total, nil
 }

@@ -335,3 +335,41 @@ func TestEvaluateObjective(t *testing.T) {
 		}
 	})
 }
+
+// TestEvaluateObjectiveReproducible: one placement priced fifty times gives
+// the same bits. The evaluator used to sum the servers' breakdowns in map
+// order, which moved the total's last digits from call to call.
+func TestEvaluateObjectiveReproducible(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	servers := make([]model.Server, 40)
+	for i := range servers {
+		s := testServer()
+		s.ID = i + 1
+		s.PIdle, s.PPeak = 60+37*rng.Float64(), 180+91*rng.Float64()
+		s.TransitionTime = 0.5 + 2*rng.Float64()
+		servers[i] = s
+	}
+	vms := make([]model.VM, 250)
+	placement := make(map[int]int, len(vms))
+	for j := range vms {
+		start := 1 + rng.Intn(400)
+		vms[j] = vm(j+1, start, start+rng.Intn(50), 0.1+rng.Float64())
+		placement[j+1] = servers[rng.Intn(len(servers))].ID
+	}
+	inst := model.NewInstance(vms, servers)
+	want, err := EvaluateObjective(inst, placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for call := 1; call < 50; call++ {
+		got, err := EvaluateObjective(inst, placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range [][2]float64{{got.Run, want.Run}, {got.Idle, want.Idle}, {got.Transition, want.Transition}} {
+			if math.Float64bits(c[0]) != math.Float64bits(c[1]) {
+				t.Fatalf("call %d: %+v, the first call gave %+v", call, got, want)
+			}
+		}
+	}
+}
