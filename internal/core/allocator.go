@@ -10,21 +10,24 @@
 // That order is spelled once, in Run: every offline allocator of this
 // module and of package baseline is a rule Run asks for a server, VM by
 // VM, and Fleet — the state the rules read — relies on it (see Fleet).
-// The candidate scan runs on a per-allocation worker pool (see engine.go)
-// and is byte-identical to the sequential scan; WithParallelism tunes or
-// disables it. All Allocate methods take a context.Context and return
-// ctx.Err() promptly when it is cancelled.
+// A rule scans the candidates on the calling goroutine: MinCost as one pass
+// over the fleet's rows, the others through Scan, where WithParallelism
+// can ask for a worker pool (engine.go) with byte-identical results. All
+// Allocate methods take a context.Context and return ctx.Err() promptly
+// when it is cancelled.
 package core
 
 import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
+	"vmalloc/internal/timeline"
 )
 
 // Allocator places every VM of an instance on a server.
@@ -76,9 +79,8 @@ type Config struct {
 	// MemoryCheck enables the memory feasibility constraint (Eq. 10).
 	// Default true.
 	MemoryCheck bool
-	// Parallelism is the candidate-scan worker pool size: 0 (default)
-	// selects min(GOMAXPROCS, ceil(servers/16)); 1 forces the sequential
-	// scan; n>1 forces an n-worker pool.
+	// Parallelism is the candidate-scan worker pool size: 0 (default) and
+	// 1 are the sequential scan; n>1 forces an n-worker pool.
 	Parallelism int
 	// Seed drives the randomised allocators (FFPS, RandomFit).
 	// Default 1.
@@ -115,10 +117,10 @@ func WithSeed(seed int64) Option {
 	return optionFunc(func(c *Config) { c.Seed = seed })
 }
 
-// WithParallelism sets the candidate-scan worker pool size: 1 forces the
-// sequential scan, n>1 forces an n-worker pool, and 0 restores the
-// default min(GOMAXPROCS, ceil(servers/16)). Placements are identical at
-// every setting; only throughput changes.
+// WithParallelism sets the candidate-scan worker pool size: n>1 forces an
+// n-worker pool; 1 and 0, the default, are the sequential scan, which is the
+// faster wherever it has been measured (ROADMAP item 1 (f)). Placements are
+// identical at every setting.
 func WithParallelism(n int) Option {
 	return optionFunc(func(c *Config) { c.Parallelism = n })
 }
@@ -150,15 +152,36 @@ func WithoutMemoryCheck() Option {
 // profile over the horizon. The order is checked, not assumed: a commit or
 // a probe before the frontier panics.
 //
+// That sum is kept in a row per server, right until the first claim it
+// counted ends, so a probe at the frontier is a read; Run refreshes the
+// stale rows as it advances the frontier to each VM's start.
+//
 // Concurrency: the read path (Fits, FitsCPUOnly, SpareCPU, SpareMem,
-// State's cost queries) is safe for concurrent use from scan workers;
-// Commit must only run with no concurrent readers. Run upholds this by
-// scanning and committing in strictly alternating phases.
+// State's cost queries) writes nothing — a probe past what a row covers
+// (Lookahead's next VM) sums the claims and keeps nothing — and is safe for
+// concurrent use from scan workers; advance and Commit must only run with
+// no concurrent readers. Run upholds this by scanning and committing in
+// strictly alternating phases.
 type Fleet struct {
 	Servers  []model.Server
-	frontier int       // start minute of the latest commit
+	frontier int // start minute of the VM being placed, or of the latest commit
+	rows     []row
 	claims   [][]claim // per server, in commit order
-	state    []*energy.ServerState
+	state    []energy.ServerState
+}
+
+// row is what a scan reads of one server: constants NewFleet writes, the
+// cost terms Commit copies from the energy state, and the usage advance and
+// Commit refresh.
+type row struct {
+	capCPU, capMem   float64
+	p1, pIdle, alpha float64 // UnitCPUPower (Eq. 2), PIdle, TransitionCost
+	runCost, cost    float64 // the state's RunCost() and Cost()
+	empty            bool    // no VM placed yet
+	// cpu and mem are the usage at every minute from the frontier to
+	// validTo, the earliest end among the claims counted (none: forever).
+	cpu, mem float64
+	validTo  int
 }
 
 // claim is a committed VM's hold on its server up to minute end.
@@ -171,22 +194,26 @@ type claim struct {
 func NewFleet(inst model.Instance) *Fleet {
 	f := &Fleet{
 		Servers: inst.Servers,
+		rows:    make([]row, len(inst.Servers)),
 		claims:  make([][]claim, len(inst.Servers)),
-		state:   make([]*energy.ServerState, len(inst.Servers)),
+		state:   make([]energy.ServerState, len(inst.Servers)),
 	}
 	for i, s := range inst.Servers {
-		f.state[i] = energy.NewServerState(s)
+		f.state[i] = *energy.NewServerState(s)
+		f.rows[i] = row{
+			capCPU: s.Capacity.CPU, capMem: s.Capacity.Mem,
+			p1: s.UnitCPUPower(), pIdle: s.PIdle, alpha: s.TransitionCost(),
+			validTo: math.MaxInt, empty: true,
+		}
 	}
 	return f
 }
 
-// usage returns server index i's CPU and memory in use at minute t, which
-// is also its maximum over any window starting at t (see Fleet).
-func (f *Fleet) usage(i, t int) (cpu, mem float64) {
-	if t < f.frontier {
-		panic(fmt.Sprintf("core: probe at minute %d, before the commit frontier %d", t, f.frontier))
-	}
+// sum adds up server index i's claims still running at minute t, and
+// returns with the usage the end of the first of them to go.
+func (f *Fleet) sum(i, t int) (cpu, mem float64, validTo int) {
 	claims := f.claims[i]
+	validTo = math.MaxInt
 	// Newest claim first, on purpose. Catalog demands are not dyadic, and
 	// some probes of the evaluation are exact fills where the order of the
 	// additions decides: 34.2+1.7+1.7+7.5+1.7+15 GB resident, summed oldest
@@ -197,9 +224,39 @@ func (f *Fleet) usage(i, t int) (cpu, mem float64) {
 		if c := &claims[k]; c.end >= t {
 			cpu += c.cpu
 			mem += c.mem
+			validTo = min(validTo, c.end)
 		}
 	}
+	return cpu, mem, validTo
+}
+
+// usage returns server index i's CPU and memory in use at minute t, which
+// is also its maximum over any window starting at t (see Fleet): the row's
+// sum while it covers t, a fresh one, not kept, past it.
+func (f *Fleet) usage(i, t int) (cpu, mem float64) {
+	if t < f.frontier {
+		panic(fmt.Sprintf("core: probe at minute %d, before the commit frontier %d", t, f.frontier))
+	}
+	if r := &f.rows[i]; t <= r.validTo {
+		return r.cpu, r.mem
+	}
+	cpu, mem, _ = f.sum(i, t)
 	return cpu, mem
+}
+
+// advance moves the frontier to minute t and sums afresh the rows a claim
+// has ended on, so probes at t are reads. A claim's end stales its row
+// once: over a run this costs what the commits do.
+func (f *Fleet) advance(t int) {
+	if t < f.frontier {
+		panic(fmt.Sprintf("core: advance to minute %d, before the commit frontier %d", t, f.frontier))
+	}
+	f.frontier = t
+	for i := range f.rows {
+		if r := &f.rows[i]; r.validTo < t {
+			r.cpu, r.mem, r.validTo = f.sum(i, t)
+		}
+	}
 }
 
 // Fits reports whether server index i has sufficient spare CPU and memory
@@ -207,29 +264,29 @@ func (f *Fleet) usage(i, t int) (cpu, mem float64) {
 // tolerance admits fills the exact arithmetic refuses.
 func (f *Fleet) Fits(i int, v model.VM) bool {
 	cpu, mem := f.usage(i, v.Start)
-	return cpu+v.Demand.CPU <= f.Servers[i].Capacity.CPU && mem+v.Demand.Mem <= f.Servers[i].Capacity.Mem
+	return cpu+v.Demand.CPU <= f.rows[i].capCPU && mem+v.Demand.Mem <= f.rows[i].capMem
 }
 
 // FitsCPUOnly is Fits with the memory constraint ignored (used by the
 // ablation variant).
 func (f *Fleet) FitsCPUOnly(i int, v model.VM) bool {
 	cpu, _ := f.usage(i, v.Start)
-	return cpu+v.Demand.CPU <= f.Servers[i].Capacity.CPU
+	return cpu+v.Demand.CPU <= f.rows[i].capCPU
 }
 
 // State returns server index i's energy state.
-func (f *Fleet) State(i int) *energy.ServerState { return f.state[i] }
+func (f *Fleet) State(i int) *energy.ServerState { return &f.state[i] }
 
 // SpareCPU returns server index i's minimum spare CPU from minute t on.
 func (f *Fleet) SpareCPU(i, t int) float64 {
 	cpu, _ := f.usage(i, t)
-	return f.Servers[i].Capacity.CPU - cpu
+	return f.rows[i].capCPU - cpu
 }
 
 // SpareMem returns server index i's minimum spare memory from minute t on.
 func (f *Fleet) SpareMem(i, t int) float64 {
 	_, mem := f.usage(i, t)
-	return f.Servers[i].Capacity.Mem - mem
+	return f.rows[i].capMem - mem
 }
 
 // Commit places v on server index i. v must not start before the previous
@@ -241,14 +298,17 @@ func (f *Fleet) Commit(i int, v model.VM) {
 	f.frontier = v.Start
 	alive := slices.DeleteFunc(f.claims[i], func(c claim) bool { return c.end < v.Start })
 	f.claims[i] = append(alive, claim{end: v.End, cpu: v.Demand.CPU, mem: v.Demand.Mem})
-	f.state[i].Add(v)
+	st, r := &f.state[i], &f.rows[i]
+	st.Add(v)
+	r.runCost, r.cost, r.empty = st.RunCost(), st.Cost(), false
+	r.cpu, r.mem, r.validTo = f.sum(i, v.Start)
 }
 
 // ServersUsed returns the number of servers with at least one VM.
 func (f *Fleet) ServersUsed() int {
 	var used int
-	for _, st := range f.state {
-		if st.VMs() > 0 {
+	for i := range f.state {
+		if f.state[i].VMs() > 0 {
 			used++
 		}
 	}
@@ -263,22 +323,6 @@ func SortVMsByStart(inst model.Instance) []model.VM {
 		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
 	})
 	return vms
-}
-
-// FinishResult assembles a Result: it re-derives the exact objective with
-// the independent evaluator so a bookkeeping bug in an allocator cannot go
-// unnoticed.
-func FinishResult(name string, inst model.Instance, placement map[int]int, used int) (*Result, error) {
-	breakdown, err := energy.EvaluateObjective(inst, placement)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Allocator:   name,
-		Placement:   placement,
-		Energy:      breakdown,
-		ServersUsed: used,
-	}, nil
 }
 
 // Scan is what a placement rule is handed: the fleet as committed so far
@@ -323,6 +367,7 @@ func Run(ctx context.Context, name string, cfg Config, inst model.Instance, rule
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		fleet.advance(v.Start)
 		i, err := rule(s, vms[k:])
 		if err != nil {
 			return nil, err
@@ -336,12 +381,14 @@ func Run(ctx context.Context, name string, cfg Config, inst model.Instance, rule
 		s.stats.VMsPlaced++
 		placement[v.ID] = fleet.Servers[i].ID
 	}
-	res, err := FinishResult(name, inst, placement, fleet.ServersUsed())
+	// The independent evaluator re-derives the exact objective, so a
+	// bookkeeping bug in a rule or in the fleet cannot go unnoticed.
+	breakdown, err := energy.EvaluateObjective(inst, placement)
 	if err != nil {
 		return nil, err
 	}
-	res.Stats = engine.FinishStats(s.stats, start)
-	return res, nil
+	return &Result{Allocator: name, Placement: placement, Energy: breakdown,
+		ServersUsed: fleet.ServersUsed(), Stats: engine.FinishStats(s.stats, start)}, nil
 }
 
 // MinCost is the paper's heuristic allocator.
@@ -352,11 +399,13 @@ type MinCost struct {
 var _ Allocator = (*MinCost)(nil)
 
 // NewMinCost returns the paper's heuristic allocator. It honours
-// WithParallelism, WithoutTransitionAwareness and WithoutMemoryCheck; by
-// default the candidate scan is parallel (see Config.Parallelism), fully
-// transition-aware and memory-checked.
+// WithoutTransitionAwareness and WithoutMemoryCheck; by default it is fully
+// transition-aware and memory-checked. WithParallelism does not apply: the
+// scan is minCostPass, sequential at every setting.
 func NewMinCost(opts ...Option) *MinCost {
-	return &MinCost{cfg: NewConfig(opts...)}
+	cfg := NewConfig(opts...)
+	cfg.Parallelism = 1
+	return &MinCost{cfg: cfg}
 }
 
 // Name implements Allocator.
@@ -372,23 +421,64 @@ func (m *MinCost) Name() string {
 }
 
 // Allocate implements Allocator. Ties on incremental cost break toward the
-// lower server index, making the algorithm fully deterministic at every
-// parallelism setting.
+// lower server index, making the algorithm fully deterministic.
 func (m *MinCost) Allocate(ctx context.Context, inst model.Instance) (*Result, error) {
 	return Run(ctx, m.Name(), m.cfg, inst, func(s *Scan, rest []model.VM) (int, error) {
-		fleet, v := s.Fleet, rest[0]
-		return s.ArgMin(func(i int) (float64, bool) {
-			if m.cfg.MemoryCheck {
-				if !fleet.Fits(i, v) {
-					return 0, false
-				}
-			} else if !fleet.FitsCPUOnly(i, v) {
-				return 0, false
-			}
-			if m.cfg.TransitionAware {
-				return fleet.State(i).IncrementalCost(v), true
-			}
-			return energy.RunCost(fleet.Servers[i], v), true
-		})
+		i, _, err := s.minCostPass(rest[0], m.cfg.MemoryCheck, m.cfg.TransitionAware)
+		return i, err
 	})
+}
+
+// minCostPass is the paper's rule and its two ablations as one sequential
+// pass over the fleet's rows, v's fields hoisted out of the loop: every
+// server v fits (Eq. 9, and Eq. 10 when memoryCheck) is priced at its
+// Eq. 17 increment — at W_ij alone when not transitionAware — and the
+// strictly smallest price wins, so ties go to the lowest index. It returns
+// that index, -1 when v fits nowhere, and the price; it counts what
+// Scan.ArgMin would and checks the context as often. The increment is
+// CostWith(v) − Cost() with every float built in ServerState's order:
+// (runCost + W_ij) + segment cost with v, minus (runCost + segment cost).
+func (s *Scan) minCostPass(v model.VM, memoryCheck, transitionAware bool) (int, float64, error) {
+	scanStart := time.Now()
+	f := s.Fleet
+	if v.Start < f.frontier {
+		panic(fmt.Sprintf("core: probe at minute %d, before the commit frontier %d", v.Start, f.frontier))
+	}
+	cpu, mem := v.Demand.CPU, v.Demand.Mem
+	minutes := float64(v.Duration())
+	iv := timeline.Interval{Start: v.Start, End: v.End}
+	best := -1
+	var bestCost float64
+	var rejected int64
+	for i := range f.rows {
+		if i%cancelCheckEvery == 0 {
+			if err := s.ctx.Err(); err != nil {
+				return -1, 0, err
+			}
+		}
+		r := &f.rows[i]
+		usedCPU, usedMem := r.cpu, r.mem
+		if v.Start > r.validTo { // never, when Run has advanced to v.Start
+			usedCPU, usedMem, _ = f.sum(i, v.Start)
+		}
+		if usedCPU+cpu > r.capCPU || memoryCheck && usedMem+mem > r.capMem {
+			rejected++
+			continue
+		}
+		cost := r.p1 * cpu * minutes // energy.RunCost, Eq. 3
+		if transitionAware {
+			segWith := r.alpha + r.pIdle*minutes // v's own segment, alone
+			if !r.empty {
+				segWith = f.state[i].SegmentCostWith(iv)
+			}
+			cost = r.runCost + cost + segWith - r.cost
+		}
+		if best < 0 || cost < bestCost {
+			best, bestCost = i, cost
+		}
+	}
+	s.stats.CandidatesEvaluated += int64(len(f.rows))
+	s.stats.FeasibilityRejections += rejected
+	s.stats.ScanWall += time.Since(scanStart)
+	return best, bestCost, nil
 }

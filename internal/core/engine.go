@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,30 +87,15 @@ type ScanEngine struct {
 	scanWG    sync.WaitGroup
 }
 
-// scanWorkers resolves the pool size for a fleet of n servers:
-// min(GOMAXPROCS, shards) where shards = ceil(n/minShard), so small
-// fleets do not pay fan-out overhead. parallelism > 0 forces that exact
-// pool size (1 = sequential); parallelism <= 0 selects the automatic
-// size.
-func scanWorkers(parallelism, n int) int {
-	if parallelism > 0 {
-		return parallelism
-	}
-	shards := (n + minShard - 1) / minShard
-	w := runtime.GOMAXPROCS(0)
-	if w > shards {
-		w = shards
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+// scanWorkers resolves the pool size: parallelism > 1 is that many workers,
+// anything else, the default 0 included, the sequential scan — since the
+// fleet keeps a row per server a candidate costs less than the hand-off.
+func scanWorkers(parallelism int) int { return max(parallelism, 1) }
 
-// NewScanEngine builds an engine for a fleet of n servers. See
-// Config.Parallelism for the meaning of parallelism.
+// NewScanEngine builds an engine for a fleet of n servers (which no longer
+// sizes anything). See Config.Parallelism for the meaning of parallelism.
 func NewScanEngine(parallelism, n int) *ScanEngine {
-	e := &ScanEngine{workers: scanWorkers(parallelism, n)}
+	e := &ScanEngine{workers: scanWorkers(parallelism)}
 	e.chunkJob = func() {
 		start := time.Now()
 		for {
@@ -138,9 +122,6 @@ func NewScanEngine(parallelism, n int) *ScanEngine {
 	}
 	return e
 }
-
-// Workers returns the pool size (1 = sequential).
-func (e *ScanEngine) Workers() int { return e.workers }
 
 // Close shuts the pool down and waits for every worker to exit.
 func (e *ScanEngine) Close() {
@@ -274,8 +255,8 @@ func (e *ScanEngine) resultsFor(chunks int) {
 	}
 }
 
-// argminSeq is the sequential scan used for small fleets and
-// WithParallelism(1).
+// argminSeq is the sequential scan: the default, and what a pool falls back
+// to on a small fleet.
 func (e *ScanEngine) argminSeq(ctx context.Context, stats *AllocStats, n int, eval func(int) (float64, bool)) (int, error) {
 	best := -1
 	var bestCost float64

@@ -11,19 +11,21 @@ import (
 )
 
 func TestScanWorkers(t *testing.T) {
-	maxp := runtime.GOMAXPROCS(0)
 	cases := []struct {
-		parallelism, n, want int
+		parallelism, want int
 	}{
-		{1, 1000, 1},              // forced sequential
-		{3, 10, 3},                // forced pool size wins over fleet size
-		{0, 1, 1},                 // one shard -> sequential
-		{0, minShard * 100, maxp}, // plenty of shards -> GOMAXPROCS
+		{1, 1},  // forced sequential
+		{3, 3},  // forced pool size
+		{0, 1},  // the default is sequential, whatever the fleet size
+		{-2, 1}, // as is anything below it
 	}
 	for _, c := range cases {
-		if got := scanWorkers(c.parallelism, c.n); got != c.want {
-			t.Errorf("scanWorkers(%d, %d) = %d, want %d", c.parallelism, c.n, got, c.want)
+		if got := scanWorkers(c.parallelism); got != c.want {
+			t.Errorf("scanWorkers(%d) = %d, want %d", c.parallelism, got, c.want)
 		}
+	}
+	if e := NewScanEngine(0, minShard*100); e.workers != 1 {
+		t.Errorf("NewScanEngine(0, %d) has %d workers, want 1", minShard*100, e.workers)
 	}
 }
 
@@ -204,35 +206,44 @@ func TestAllocateMidRunCancellation(t *testing.T) {
 }
 
 // TestStatsPopulated sanity-checks the observability record on a normal
-// run.
+// run: MinCost's, whose pass is sequential at every setting, and that of a
+// rule that scans through the engine, asked for a pool of two.
 func TestStatsPopulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	inst := randomInstance(rng, 100, 2*minShard)
-	res, err := NewMinCost(WithParallelism(2)).Allocate(context.Background(), inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := res.Stats
-	if st == nil {
-		t.Fatal("Stats is nil")
-	}
-	if st.VMsPlaced != len(inst.VMs) {
-		t.Errorf("VMsPlaced = %d, want %d", st.VMsPlaced, len(inst.VMs))
-	}
-	if st.Workers != 2 {
-		t.Errorf("Workers = %d, want 2", st.Workers)
-	}
-	// Every VM scans the whole fleet (minus early rejections, which still
-	// count as evaluated).
-	want := int64(len(inst.VMs) * len(inst.Servers))
-	if st.CandidatesEvaluated != want {
-		t.Errorf("CandidatesEvaluated = %d, want %d", st.CandidatesEvaluated, want)
-	}
-	if st.TotalWall <= 0 || st.ScanWall <= 0 {
-		t.Errorf("wall times not recorded: total %v scan %v", st.TotalWall, st.ScanWall)
-	}
-	if st.WorkerUtilization <= 0 || st.WorkerUtilization > 1 {
-		t.Errorf("WorkerUtilization = %v, want (0,1]", st.WorkerUtilization)
+	for _, tt := range []struct {
+		alloc   Allocator
+		workers int
+	}{
+		{NewMinCost(WithParallelism(2)), 1},
+		{NewLookahead(WithParallelism(2)), 2},
+	} {
+		res, err := tt.alloc.Allocate(context.Background(), inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := res.Stats
+		if st == nil {
+			t.Fatalf("%s: Stats is nil", tt.alloc.Name())
+		}
+		if st.VMsPlaced != len(inst.VMs) {
+			t.Errorf("%s: VMsPlaced = %d, want %d", tt.alloc.Name(), st.VMsPlaced, len(inst.VMs))
+		}
+		if st.Workers != tt.workers {
+			t.Errorf("%s: Workers = %d, want %d", tt.alloc.Name(), st.Workers, tt.workers)
+		}
+		// Every VM scans the whole fleet (minus early rejections, which still
+		// count as evaluated).
+		want := int64(len(inst.VMs) * len(inst.Servers))
+		if st.CandidatesEvaluated != want {
+			t.Errorf("%s: CandidatesEvaluated = %d, want %d", tt.alloc.Name(), st.CandidatesEvaluated, want)
+		}
+		if st.TotalWall <= 0 || st.ScanWall <= 0 {
+			t.Errorf("%s: wall times not recorded: total %v scan %v", tt.alloc.Name(), st.TotalWall, st.ScanWall)
+		}
+		if st.WorkerUtilization <= 0 || st.WorkerUtilization > 1 {
+			t.Errorf("%s: WorkerUtilization = %v, want (0,1]", tt.alloc.Name(), st.WorkerUtilization)
+		}
 	}
 }
 

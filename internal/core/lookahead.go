@@ -13,9 +13,9 @@ import (
 // minimiser. It costs O(n²) evaluations per VM instead of O(n) and
 // quantifies how myopic the greedy rule is.
 //
-// The outer candidate loop fans out over the scan worker pool — each
-// worker evaluates the full inner loop for its candidate servers — which
-// is where parallelism pays off most in this module.
+// Under WithParallelism(n > 1) the outer candidate loop fans out over the
+// scan worker pool, each worker evaluating the full inner loop for its
+// candidate servers.
 type Lookahead struct {
 	cfg Config
 }

@@ -74,9 +74,13 @@ func passInstances() map[string]model.Instance {
 	return out
 }
 
-// TestMinCostPassMatchesRule holds MinCost, all three variants, to the
-// closure rule it replaced: VM by VM the same server index, and over the
-// run the same candidate and rejection counts, on 24 seeded instances.
+// TestMinCostPassMatchesRule holds minCostPass, all three variants, to the
+// closure rule it replaced, on 24 seeded instances: VM by VM the same server
+// index, the same bits in the winner's cost, the same candidate and
+// rejection counts; and MinCost.Allocate, which reaches the pass through
+// Run, to the same placement. The rule reads a fleet of its own that is
+// never advanced, so most of its probes are the claims summed afresh, as
+// every probe was before the rows.
 func TestMinCostPassMatchesRule(t *testing.T) {
 	variants := map[string][]Option{
 		"full":          nil,
@@ -87,23 +91,37 @@ func TestMinCostPassMatchesRule(t *testing.T) {
 		for varName, opts := range variants {
 			t.Run(instName+"/"+varName, func(t *testing.T) {
 				cfg := NewConfig(opts...)
-				ref := newTestScan(inst)
+				ref, pass := newTestScan(inst), newTestScan(inst)
 				wantPlacement := map[int]int{}
 				var wantUnplaceable *model.VM
 				for _, v := range SortVMsByStart(inst) {
-					i, cost, err := refMinCostRule(ref, v, cfg)
+					want, wantCost, err := refMinCostRule(ref, v, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if i < 0 {
+					pass.Fleet.advance(v.Start)
+					got, gotCost, err := pass.minCostPass(v, cfg.MemoryCheck, cfg.TransitionAware)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want || math.Float64bits(gotCost) != math.Float64bits(wantCost) {
+						t.Fatalf("vm %d: the pass picks server index %d at %v (%#x), the rule %d at %v (%#x)",
+							v.ID, got, gotCost, math.Float64bits(gotCost), want, wantCost, math.Float64bits(wantCost))
+					}
+					if pass.stats.CandidatesEvaluated != ref.stats.CandidatesEvaluated ||
+						pass.stats.FeasibilityRejections != ref.stats.FeasibilityRejections {
+						t.Fatalf("vm %d: the pass has counted %+v, the rule %+v", v.ID, *pass.stats, *ref.stats)
+					}
+					if want < 0 {
 						wantUnplaceable = &v
 						break
 					}
-					if math.IsNaN(cost) || cost < 0 {
-						t.Fatalf("vm %d: reference cost %g", v.ID, cost)
+					if math.IsNaN(wantCost) || wantCost < 0 {
+						t.Fatalf("vm %d: reference cost %g", v.ID, wantCost)
 					}
-					ref.Fleet.Commit(i, v)
-					wantPlacement[v.ID] = inst.Servers[i].ID
+					ref.Fleet.Commit(want, v)
+					pass.Fleet.Commit(got, v)
+					wantPlacement[v.ID] = inst.Servers[want].ID
 				}
 
 				res, err := NewMinCost(opts...).Allocate(context.Background(), inst)
@@ -133,5 +151,26 @@ func TestMinCostPassMatchesRule(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMinCostPassAllocFree: a pass over a fleet mid-run, multi-segment
+// servers included, allocates nothing.
+func TestMinCostPassAllocFree(t *testing.T) {
+	inst := sparseInstance(rand.New(rand.NewSource(3)), 120, 16)
+	s := newTestScan(inst)
+	vms := SortVMsByStart(inst)
+	for _, v := range vms[:80] {
+		s.Fleet.advance(v.Start)
+		i, _, err := s.minCostPass(v, true, true)
+		if err != nil || i < 0 {
+			t.Fatalf("vm %d: server index %d, err %v", v.ID, i, err)
+		}
+		s.Fleet.Commit(i, v)
+	}
+	next := vms[80]
+	s.Fleet.advance(next.Start)
+	if allocs := testing.AllocsPerRun(100, func() { s.minCostPass(next, true, true) }); allocs != 0 { //nolint:errcheck // the context is never cancelled
+		t.Errorf("%.1f allocations a pass, want 0", allocs)
 	}
 }

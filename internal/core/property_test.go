@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -186,8 +187,13 @@ func newFleetOracle(horizon int) *fleetOracle {
 	return o
 }
 
-// commit places v on server index i if the fleet says it fits.
-func (o *fleetOracle) commit(i int, v model.VM) {
+// commit places v on server index i if the fleet says it fits. With advance
+// the fleet is first moved to v's start, as Run moves it, so the rows are
+// fresh; without, the probes that follow find some of them stale.
+func (o *fleetOracle) commit(i int, v model.VM, advance bool) {
+	if advance {
+		o.fleet.advance(v.Start)
+	}
 	if o.fleet.Fits(i, v) {
 		o.fleet.Commit(i, v)
 		o.cpu[i].Add(v.Start, v.End, v.Demand.CPU)
@@ -217,10 +223,27 @@ func (o *fleetOracle) probe(t *testing.T, p model.VM) {
 	}
 }
 
+// probeBoundaries probes, with p's demands, where each row's kept sum stops
+// being the answer: the last minute it covers (the earliest end among the
+// claims it counted) and the minute after.
+func (o *fleetOracle) probeBoundaries(t *testing.T, p model.VM, horizon int) {
+	t.Helper()
+	for i := range o.fleet.rows {
+		for _, start := range []int{o.fleet.rows[i].validTo, o.fleet.rows[i].validTo + 1} {
+			if o.fleet.frontier <= start && start <= horizon {
+				p.Start, p.End = start, min(start+3, horizon)
+				o.probe(t, p)
+			}
+		}
+	}
+}
+
 // Property: the fleet's claim lists answer exactly as per-minute usage
 // arrays do. Commits arrive in start order, as Run makes them; after each,
 // random windows starting at or after the frontier are probed on every
-// server.
+// server — minutes later than the frontier with no commit in between, and
+// minutes a commit has since evicted claims before — and so is each row's
+// validity boundary. Every other commit is preceded by Run's advance.
 func TestFleetMatchesSliceOracle(t *testing.T) {
 	const horizon = 160
 	dyadic := func(rng *rand.Rand) float64 { return 0.25 * float64(1+rng.Intn(24)) }
@@ -231,7 +254,8 @@ func TestFleetMatchesSliceOracle(t *testing.T) {
 		frontier := 1
 		for id := 1; id <= 80 && frontier < horizon-40; id++ {
 			frontier += rng.Intn(4)
-			o.commit(rng.Intn(len(oracleServers)), vm(id, frontier, frontier+rng.Intn(40), dyadic(rng), dyadic(rng)))
+			o.commit(rng.Intn(len(oracleServers)), vm(id, frontier, frontier+rng.Intn(40), dyadic(rng), dyadic(rng)), id%2 == 0)
+			o.probeBoundaries(t, vm(0, 0, 0, dyadic(rng), dyadic(rng)), horizon)
 			for probe := 0; probe < 6; probe++ {
 				start := frontier + rng.Intn(horizon-frontier)
 				o.probe(t, vm(0, start, start+rng.Intn(horizon-start+1), dyadic(rng), dyadic(rng)))
@@ -242,7 +266,8 @@ func TestFleetMatchesSliceOracle(t *testing.T) {
 
 // FuzzFleetOracle drives the same comparison from arbitrary bytes: five a
 // step — start advance, length, server, CPU and memory in quarters — each
-// step a commit, if it fits, and a probe of a window at or after it.
+// step a commit, if it fits (after an advance when the first byte is odd),
+// and probes of a window at or after it and of the rows' boundaries.
 func FuzzFleetOracle(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 8, 8, 1, 5, 0, 56, 120, 0, 0, 0, 1, 1, 2, 30, 1, 95, 95})
 	f.Add([]byte{3, 200, 2, 31, 255, 0, 0, 2, 1, 1, 7, 40, 5, 12, 64, 0, 1, 2, 32, 3})
@@ -257,7 +282,8 @@ func FuzzFleetOracle(f *testing.F) {
 			}
 			end := min(start+int(data[1]), horizon)
 			v := vm(0, start, end, 0.25*float64(1+data[3]%96), 0.25*float64(1+data[4]))
-			o.commit(int(data[2])%len(oracleServers), v)
+			o.commit(int(data[2])%len(oracleServers), v, data[0]%2 == 1)
+			o.probeBoundaries(t, v, horizon)
 			// The probe reuses the step's demands on a window that starts
 			// later or ends sooner, and is asked of all three servers.
 			v.Start = min(start+int(data[2]>>4), end)
@@ -265,4 +291,45 @@ func FuzzFleetOracle(f *testing.F) {
 			o.probe(t, v)
 		}
 	})
+}
+
+// TestFleetRowsMatchClaimSums is the oracle's twin for catalog demands
+// (1.7, 3.75, 17.1 GB: sums whose bits depend on their order, so no array
+// can referee): wherever a row answers, it answers with the very float64s
+// the claims give summed afresh, newest first, at that minute — at the
+// frontier, at later minutes, at the row's boundary and past it, with and
+// without Run's advance, and after commits have evicted claims.
+func TestFleetRowsMatchClaimSums(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		inst := randomInstance(rand.New(rand.NewSource(seed)), 200, 9)
+		rng := rand.New(rand.NewSource(seed))
+		f := NewFleet(inst)
+		for k, v := range SortVMsByStart(inst) {
+			if k%3 != 0 {
+				f.advance(v.Start)
+			}
+			minutes := []int{v.Start, v.Start + 1 + rng.Intn(20)}
+			for i := range f.rows {
+				if to := f.rows[i].validTo; to != math.MaxInt && to >= v.Start {
+					minutes = append(minutes, to, to+1)
+				}
+			}
+			for i := range f.rows {
+				for _, at := range minutes {
+					cpu, mem := f.usage(i, at)
+					wantCPU, wantMem, _ := f.sum(i, at)
+					if cpu != wantCPU || mem != wantMem {
+						t.Fatalf("seed %d, before vm %d: usage(%d, %d) = %v CU %v GB, the claims sum to %v CU %v GB",
+							seed, v.ID, i, at, cpu, mem, wantCPU, wantMem)
+					}
+				}
+			}
+			for n, i := 0, rng.Intn(len(f.rows)); n < len(f.rows); n, i = n+1, (i+1)%len(f.rows) {
+				if f.Fits(i, v) {
+					f.Commit(i, v)
+					break
+				}
+			}
+		}
+	}
 }
