@@ -49,9 +49,16 @@ loc:
 # its two call sites and the declared-length body read in api (+26), the
 # span-id mint in obs (+14). ISSUE 21 refuses more than +240 for these: a
 # codec that needs more has too wide a plain form.
+# PR 22 raised it by +113: core +71 (a row per server in Fleet, the advance
+# that keeps the rows fresh, minCostPass — MinCost's rule as one loop over
+# them — less the engine's automatic pool size, FinishResult folded into Run
+# and the unused ScanEngine.Workers), energy +36 (the closure-free pricing
+# walk, two accessors, EvaluateObjective summing in server order),
+# SegmentSet.View +5, the facade's comments +1. It bought offline-mincost
+# op_p50_ms ≈140 → ≈30 ms. ISSUE 22 refuses more than +120.
 # A change that grows past it fails `make fence`: delete something, or
 # raise the figure here and say why.
-LOC_MAX = 20294
+LOC_MAX = 20407
 
 # fence keeps the doubles PRs 12–17 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),

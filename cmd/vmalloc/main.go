@@ -54,7 +54,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		details  = fs.Bool("plan", true, "print the per-VM placement plan")
 		improve  = fs.Bool("improve", false, "refine the placement with local search")
 		stats    = fs.Bool("stats", false, "print the allocator's observability counters")
-		parallel = fs.Int("parallel", 0, "candidate-scan workers (0 = min(GOMAXPROCS, ceil(servers/16)), 1 = sequential)")
+		parallel = fs.Int("parallel", 0, "candidate-scan workers (0 or 1 = sequential, n = a pool of n; mincost scans sequentially at every setting)")
 		onlineF  = fs.Bool("online", false, "run the event-driven simulator instead of offline allocation")
 		timeout  = fs.Int("idle-timeout", 2, "online mode: minutes an empty server stays active before sleeping (-1 = never)")
 		version  = fs.Bool("version", false, "print the build version and exit")
