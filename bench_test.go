@@ -103,8 +103,8 @@ func BenchmarkOfflineMinCost(b *testing.B) {
 // BenchmarkMinCostParallel asks MinCost for the sequential scan and for a
 // pool of GOMAXPROCS workers at 5000 VMs on 500 servers. Its rule is one
 // sequential pass over the fleet's rows at every setting, so the two rows
-// now read the same: the benchmark stays until the pool goes (ROADMAP item
-// 5) as the proof that asking costs nothing.
+// read the same: the benchmark stays until the pool goes (ROADMAP item 5)
+// as the proof that asking costs nothing.
 func BenchmarkMinCostParallel(b *testing.B) {
 	inst := largeBenchInstance(b, 5000, 500)
 	for _, bc := range []struct {

@@ -92,8 +92,8 @@ type ScanEngine struct {
 // fleet keeps a row per server a candidate costs less than the hand-off.
 func scanWorkers(parallelism int) int { return max(parallelism, 1) }
 
-// NewScanEngine builds an engine for a fleet of n servers (which no longer
-// sizes anything). See Config.Parallelism for the meaning of parallelism.
+// NewScanEngine builds an engine for a fleet of n servers (each scan is told
+// its own n). See Config.Parallelism for the meaning of parallelism.
 func NewScanEngine(parallelism, n int) *ScanEngine {
 	e := &ScanEngine{workers: scanWorkers(parallelism)}
 	e.chunkJob = func() {
