@@ -158,6 +158,29 @@ func BenchmarkBestFitParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkLookahead is one Lookahead Allocate of 1000 VMs on 500 servers,
+// sequential and with a pool of two.
+func BenchmarkLookahead(b *testing.B) {
+	inst := largeBenchInstance(b, 1000, 500)
+	for _, bc := range []struct {
+		name        string
+		parallelism int
+	}{
+		{"sequential", 1},
+		{"parallel2", 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			alloc := vmalloc.NewLookahead(vmalloc.WithParallelism(bc.parallelism))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := alloc.Allocate(context.Background(), inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // largeBenchInstance builds a dense instance big enough for a worker pool
 // to have shards to hand out.
 func largeBenchInstance(b *testing.B, vms, servers int) vmalloc.Instance {

@@ -34,18 +34,25 @@ func (*Lookahead) Name() string { return "MinCost/lookahead" }
 // Allocate implements Allocator.
 func (l *Lookahead) Allocate(ctx context.Context, inst model.Instance) (*Result, error) {
 	return Run(ctx, l.Name(), l.cfg, inst, func(s *Scan, rest []model.VM) (int, error) {
-		fleet, v := s.Fleet, rest[0]
-		return s.ArgMin(func(i int) (float64, bool) {
-			if !fleet.Fits(i, v) {
-				return 0, false
-			}
-			score := fleet.State(i).IncrementalCost(v)
-			if len(rest) > 1 {
-				score += bestNextCost(fleet, i, v, rest[1])
-			}
-			return score, true
-		})
+		return s.ArgMin(lookaheadScore(s.Fleet, rest))
 	})
+}
+
+// lookaheadScore returns the rule's price of placing rest[0] on server
+// index i: its incremental cost there plus, when a VM follows, the cheapest
+// incremental cost that VM can then have anywhere.
+func lookaheadScore(fleet *Fleet, rest []model.VM) func(i int) (float64, bool) {
+	v := rest[0]
+	return func(i int) (float64, bool) {
+		if !fleet.Fits(i, v) {
+			return 0, false
+		}
+		score := fleet.State(i).IncrementalCost(v)
+		if len(rest) > 1 {
+			score += bestNextCost(fleet, i, v, rest[1])
+		}
+		return score, true
+	}
 }
 
 // bestNextCost returns the cheapest incremental cost of `next` assuming
