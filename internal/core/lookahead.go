@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 
 	"vmalloc/internal/model"
 )
@@ -10,12 +11,12 @@ import (
 // (in the spirit of its future-work discussion): when placing VM j it
 // tentatively tries every feasible server and adds the best achievable
 // incremental cost of the *next* VM under that choice, picking the pair
-// minimiser. It costs O(n²) evaluations per VM instead of O(n) and
-// quantifies how myopic the greedy rule is.
+// minimiser. It prices the next VM on every server once per VM, so it
+// costs about twice what the greedy rule does, and quantifies how myopic
+// that rule is.
 //
-// Under WithParallelism(n > 1) the outer candidate loop fans out over the
-// scan worker pool, each worker evaluating the full inner loop for its
-// candidate servers.
+// Under WithParallelism(n > 1) the candidate loop fans out over the scan
+// worker pool.
 type Lookahead struct {
 	cfg Config
 }
@@ -40,50 +41,53 @@ func (l *Lookahead) Allocate(ctx context.Context, inst model.Instance) (*Result,
 
 // lookaheadScore returns the rule's price of placing rest[0] on server
 // index i: its incremental cost there plus, when a VM follows, the cheapest
-// incremental cost that VM can then have anywhere.
+// incremental cost that VM can then have anywhere. Placing rest[0] on i
+// changes what the next VM costs on i and nowhere else, so the minimum over
+// the other servers is the fleet's cheapest server for the next VM, or its
+// second cheapest when the cheapest is i: both are found once, here, and a
+// candidate adds only its own pair cost.
 func lookaheadScore(fleet *Fleet, rest []model.VM) func(i int) (float64, bool) {
-	v := rest[0]
+	v, last := rest[0], len(rest) == 1
+	var next model.VM
+	// +Inf stands for "no such server".
+	cheapest, second, cheapestAt := math.Inf(1), math.Inf(1), -1
+	if !last {
+		next = rest[1]
+		for j := range fleet.Servers {
+			if !fleet.Fits(j, next) {
+				continue
+			}
+			switch inc := fleet.State(j).IncrementalCost(next); {
+			case inc < cheapest:
+				cheapest, second, cheapestAt = inc, cheapest, j
+			case inc < second:
+				second = inc
+			}
+		}
+	}
 	return func(i int) (float64, bool) {
 		if !fleet.Fits(i, v) {
 			return 0, false
 		}
 		score := fleet.State(i).IncrementalCost(v)
-		if len(rest) > 1 {
-			score += bestNextCost(fleet, i, v, rest[1])
+		if last {
+			return score, true
 		}
-		return score, true
-	}
-}
-
-// bestNextCost returns the cheapest incremental cost of `next` assuming
-// `v` has been placed on server index chosen. The tentative placement is
-// simulated without mutating the fleet: for the chosen server the
-// incremental cost of `next` is evaluated on a preview state holding both
-// VMs; other servers are unaffected. It only reads shared fleet state, so
-// scan workers may call it concurrently for distinct candidates.
-func bestNextCost(fleet *Fleet, chosen int, v, next model.VM) float64 {
-	best := -1.0
-	for i := range fleet.Servers {
-		var (
-			inc float64
-			ok  bool
-		)
-		if i == chosen {
-			inc, ok = previewPairCost(fleet, i, v, next)
-		} else if fleet.Fits(i, next) {
-			inc, ok = fleet.State(i).IncrementalCost(next), true
+		best := cheapest
+		if i == cheapestAt {
+			best = second
 		}
-		if ok && (best < 0 || inc < best) {
-			best = inc
+		if pair, ok := previewPairCost(fleet, i, v, next); ok && pair < best {
+			best = pair
 		}
+		if math.IsInf(best, 1) {
+			// The next VM would be unplaceable under this choice: penalise
+			// the branch heavily rather than failing (the next iteration
+			// will report the real error if every branch is like this).
+			best = 1e18
+		}
+		return score + best, true
 	}
-	if best < 0 {
-		// The next VM would be unplaceable under this choice: penalise the
-		// branch heavily rather than failing (the next iteration will
-		// report the real error if every branch is like this).
-		return 1e18
-	}
-	return best
 }
 
 // previewPairCost evaluates the incremental cost of `next` on server i
