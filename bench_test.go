@@ -9,7 +9,6 @@ package vmalloc_test
 
 import (
 	"context"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -100,89 +99,22 @@ func BenchmarkOfflineMinCost(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(candidates), "ns/candidate")
 }
 
-// BenchmarkMinCostParallel asks MinCost for the sequential scan and for a
-// pool of GOMAXPROCS workers at 5000 VMs on 500 servers. Its rule is one
-// sequential pass over the fleet's rows at every setting, so the two rows
-// read the same: the benchmark stays until the pool goes (ROADMAP item 5)
-// as the proof that asking costs nothing.
-func BenchmarkMinCostParallel(b *testing.B) {
-	inst := largeBenchInstance(b, 5000, 500)
-	for _, bc := range []struct {
-		name        string
-		parallelism int
-	}{
-		{"sequential", 1},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			alloc := vmalloc.NewMinCost(vmalloc.WithParallelism(bc.parallelism))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := alloc.Allocate(context.Background(), inst)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(res.Stats.Workers), "workers")
-				}
-			}
-			b.ReportMetric(float64(len(inst.VMs))*float64(b.N)/b.Elapsed().Seconds(), "vms/s")
-		})
-	}
-}
-
-// BenchmarkBestFitParallel compares the sequential scan against a pool of
-// GOMAXPROCS workers for the argmin-based best-fit baseline, a rule that
-// still scans through the engine. Run with -cpu to sweep GOMAXPROCS;
-// placements are byte-identical at every setting, so the benchmark measures
-// pure engine overhead/speedup (on two vCPUs sharing a core the pool loses:
-// ROADMAP item 1 (f)).
-func BenchmarkBestFitParallel(b *testing.B) {
-	inst := largeBenchInstance(b, 5000, 500)
-	for _, bc := range []struct {
-		name        string
-		parallelism int
-	}{
-		{"sequential", 1},
-		{"parallel", runtime.GOMAXPROCS(0)},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			alloc := vmalloc.NewBestFit(vmalloc.WithParallelism(bc.parallelism))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := alloc.Allocate(context.Background(), inst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLookahead is one Lookahead Allocate of 1000 VMs on 500 servers,
-// sequential and with a pool of two.
+// BenchmarkLookahead is one Lookahead Allocate of 1000 VMs on 500 servers:
+// the rule prices the next VM on every server once per VM, so it should read
+// about twice MinCost's time per candidate, not 500 times.
 func BenchmarkLookahead(b *testing.B) {
 	inst := largeBenchInstance(b, 1000, 500)
-	for _, bc := range []struct {
-		name        string
-		parallelism int
-	}{
-		{"sequential", 1},
-		{"parallel2", 2},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			alloc := vmalloc.NewLookahead(vmalloc.WithParallelism(bc.parallelism))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := alloc.Allocate(context.Background(), inst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	alloc := vmalloc.NewLookahead()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := alloc.Allocate(context.Background(), inst); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// largeBenchInstance builds a dense instance big enough for a worker pool
-// to have shards to hand out.
+// largeBenchInstance builds a dense instance (inter-arrival 0.5, mean
+// length 120).
 func largeBenchInstance(b *testing.B, vms, servers int) vmalloc.Instance {
 	b.Helper()
 	inst, err := vmalloc.Generate(

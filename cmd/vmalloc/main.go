@@ -47,17 +47,16 @@ func main() {
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vmalloc", flag.ContinueOnError)
 	var (
-		in       = fs.String("in", "", "instance JSON file (default stdin)")
-		algo     = fs.String("algo", "mincost", "allocator: "+strings.Join(baseline.Names(), ", ")+" (or firstfit, the efficiency ordering); with -online: "+strings.Join(online.PolicyNames(), ", "))
-		seed     = fs.Int64("seed", 1, "seed for randomised allocators")
-		asJSON   = fs.Bool("json", false, "emit the result as JSON")
-		details  = fs.Bool("plan", true, "print the per-VM placement plan")
-		improve  = fs.Bool("improve", false, "refine the placement with local search")
-		stats    = fs.Bool("stats", false, "print the allocator's observability counters")
-		parallel = fs.Int("parallel", 0, "candidate-scan workers (0 or 1 = sequential, n = a pool of n; mincost scans sequentially at every setting)")
-		onlineF  = fs.Bool("online", false, "run the event-driven simulator instead of offline allocation")
-		timeout  = fs.Int("idle-timeout", 2, "online mode: minutes an empty server stays active before sleeping (-1 = never)")
-		version  = fs.Bool("version", false, "print the build version and exit")
+		in      = fs.String("in", "", "instance JSON file (default stdin)")
+		algo    = fs.String("algo", "mincost", "allocator: "+strings.Join(baseline.Names(), ", ")+" (or firstfit, the efficiency ordering); with -online: "+strings.Join(online.PolicyNames(), ", "))
+		seed    = fs.Int64("seed", 1, "seed for randomised allocators")
+		asJSON  = fs.Bool("json", false, "emit the result as JSON")
+		details = fs.Bool("plan", true, "print the per-VM placement plan")
+		improve = fs.Bool("improve", false, "refine the placement with local search")
+		stats   = fs.Bool("stats", false, "print the allocator's observability counters")
+		onlineF = fs.Bool("online", false, "run the event-driven simulator instead of offline allocation")
+		timeout = fs.Int("idle-timeout", 2, "online mode: minutes an empty server stays active before sleeping (-1 = never)")
+		version = fs.Bool("version", false, "print the build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -92,7 +91,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := mk(core.WithSeed(*seed), core.WithParallelism(*parallel)).Allocate(ctx, inst)
+	res, err := mk(core.WithSeed(*seed)).Allocate(ctx, inst)
 	if err != nil {
 		return err
 	}
@@ -139,8 +138,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		100*util.CPU, 100*util.Mem)
 	if *stats && res.Stats != nil {
 		st := res.Stats
-		fmt.Fprintf(w, "scan:         %d candidates, %d rejected, %d workers (%.0f%% busy)\n",
-			st.CandidatesEvaluated, st.FeasibilityRejections, st.Workers, 100*st.WorkerUtilization)
+		fmt.Fprintf(w, "scan:         %d candidates, %d rejected\n", st.CandidatesEvaluated, st.FeasibilityRejections)
 		fmt.Fprintf(w, "time:         total %v (scan %v + commit %v)\n",
 			st.TotalWall.Round(time.Microsecond), st.ScanWall.Round(time.Microsecond),
 			st.CommitWall.Round(time.Microsecond))

@@ -79,6 +79,15 @@ func TestRunErrors(t *testing.T) {
 			t.Error("want error")
 		}
 	})
+	// The offline scan has no worker pool, so the flag that sized one is a
+	// usage error, not a silent no-op.
+	t.Run("removed flag", func(t *testing.T) {
+		var sb strings.Builder
+		err := run(context.Background(), []string{"-in", path, "-parallel", "2"}, &sb)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("-parallel: error %v, want flag provided but not defined", err)
+		}
+	})
 	t.Run("missing file", func(t *testing.T) {
 		var sb strings.Builder
 		if err := run(context.Background(), []string{"-in", "/nonexistent.json"}, &sb); err == nil {

@@ -6,9 +6,8 @@
 // increasing start-time order and, like the heuristic, have their final
 // energy computed by the exact Eq. 7 evaluator, with servers switching off
 // during idle segments whenever the transition cost is below the idle cost.
-// Their constructors accept the same functional options as package core
-// (core.WithSeed, core.WithParallelism); their scans run on the run's scan
-// engine and their placements are identical at every parallelism setting.
+// Their constructors accept the same functional options as package core;
+// the randomised ones read core.WithSeed, the others none.
 package baseline
 
 import (
@@ -35,8 +34,7 @@ type FFPS struct {
 var _ core.Allocator = (*FFPS)(nil)
 
 // NewFFPS returns an FFPS allocator whose server search order is driven by
-// core.WithSeed (default seed 1), making runs reproducible. It also
-// honours core.WithParallelism for the per-request feasibility scan.
+// core.WithSeed (default seed 1), making runs reproducible.
 func NewFFPS(opts ...core.Option) *FFPS {
 	return &FFPS{cfg: core.NewConfig(opts...)}
 }
@@ -48,7 +46,7 @@ func (f *FFPS) Name() string { return "FFPS" }
 func (f *FFPS) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
 	rng := rand.New(rand.NewSource(f.cfg.Seed))
 	order := serverIndices(inst)
-	return core.Run(ctx, f.Name(), f.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+	return core.Run(ctx, f.Name(), inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		rng.Shuffle(len(order), func(a, b int) {
 			order[a], order[b] = order[b], order[a]
 		})
@@ -60,7 +58,6 @@ func (f *FFPS) Allocate(ctx context.Context, inst model.Instance) (*core.Result,
 // a random shuffle. Keys are chosen so "better" servers come first.
 type FirstFitSorted struct {
 	key SortKey
-	cfg core.Config
 }
 
 var _ core.Allocator = (*FirstFitSorted)(nil)
@@ -79,9 +76,9 @@ const (
 )
 
 // NewFirstFitSorted returns a first-fit allocator over a fixed server
-// ordering. It honours core.WithParallelism.
-func NewFirstFitSorted(key SortKey, opts ...core.Option) *FirstFitSorted {
-	return &FirstFitSorted{key: key, cfg: core.NewConfig(opts...)}
+// ordering. It reads no option.
+func NewFirstFitSorted(key SortKey, _ ...core.Option) *FirstFitSorted {
+	return &FirstFitSorted{key: key}
 }
 
 // Name implements core.Allocator.
@@ -105,7 +102,7 @@ func (f *FirstFitSorted) Allocate(ctx context.Context, inst model.Instance) (*co
 		}
 		return cmp.Or(cmp.Compare(sa.PIdle/sa.Capacity.CPU, sb.PIdle/sb.Capacity.CPU), cmp.Compare(sa.ID, sb.ID))
 	})
-	return core.Run(ctx, f.Name(), f.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+	return core.Run(ctx, f.Name(), inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		return firstFit(s, order, rest[0])
 	})
 }
@@ -113,24 +110,19 @@ func (f *FirstFitSorted) Allocate(ctx context.Context, inst model.Instance) (*co
 // BestFitCPU places each VM on the feasible server whose spare CPU over the
 // VM's interval is smallest after placement — the classic best-fit
 // bin-packing rule, energy-oblivious.
-type BestFitCPU struct {
-	cfg core.Config
-}
+type BestFitCPU struct{}
 
 var _ core.Allocator = (*BestFitCPU)(nil)
 
-// NewBestFitCPU returns the best-fit baseline. It honours
-// core.WithParallelism.
-func NewBestFitCPU(opts ...core.Option) *BestFitCPU {
-	return &BestFitCPU{cfg: core.NewConfig(opts...)}
-}
+// NewBestFitCPU returns the best-fit baseline. It reads no option.
+func NewBestFitCPU(...core.Option) *BestFitCPU { return &BestFitCPU{} }
 
 // Name implements core.Allocator.
 func (b *BestFitCPU) Name() string { return "BestFit/cpu" }
 
 // Allocate implements core.Allocator.
 func (b *BestFitCPU) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	return core.Run(ctx, b.Name(), b.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+	return core.Run(ctx, b.Name(), inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		fleet, v := s.Fleet, rest[0]
 		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {
@@ -163,7 +155,7 @@ func (r *RandomFit) Name() string { return "RandomFit" }
 func (r *RandomFit) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
 	rng := rand.New(rand.NewSource(r.cfg.Seed))
 	feasible := make([]int, 0, len(inst.Servers))
-	return core.Run(ctx, r.Name(), r.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+	return core.Run(ctx, r.Name(), inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		feasible = feasible[:0]
 		for i := range s.Fleet.Servers {
 			if s.Fleet.Fits(i, rest[0]) {

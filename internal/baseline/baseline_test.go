@@ -6,7 +6,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -88,7 +87,7 @@ func TestRegistry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := mk(core.WithSeed(1), core.WithParallelism(2)).Allocate(context.Background(), inst)
+			res, err := mk(core.WithSeed(1)).Allocate(context.Background(), inst)
 			if err != nil {
 				t.Fatalf("Allocate: %v", err)
 			}
@@ -189,29 +188,6 @@ func testPlacementsGolden(t *testing.T) {
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("placement moved:\n got: %s\nwant: %s", gotLines[i], wantLines[i])
-		}
-	}
-}
-
-// TestPoolMatchesSequential runs every registry allocator with a pool of
-// four scan workers on a fleet wide enough to engage it and wants the
-// sequential run's placement. Under -race it is also the proof that the
-// fleet's read path (Fits, SpareCPU, SpareMem, the cost queries) writes
-// nothing while workers scan.
-func TestPoolMatchesSequential(t *testing.T) {
-	inst := catalogInstance(rand.New(rand.NewSource(4)), 150, 48)
-	for _, name := range Names() {
-		mk, _ := Lookup(name)
-		seq, err := mk(core.WithSeed(3), core.WithParallelism(1)).Allocate(context.Background(), inst)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		pool, err := mk(core.WithSeed(3), core.WithParallelism(4)).Allocate(context.Background(), inst)
-		if err != nil {
-			t.Fatalf("%s, 4 workers: %v", name, err)
-		}
-		if !maps.Equal(pool.Placement, seq.Placement) || pool.Energy != seq.Energy {
-			t.Errorf("%s: the pool of four places differently from the sequential scan", name)
 		}
 	}
 }

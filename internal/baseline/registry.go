@@ -9,9 +9,8 @@ import (
 )
 
 // Constructor builds an allocator from the shared functional options. An
-// allocator ignores the options it has no use for (a seed on MinCost,
-// parallelism on RandomFit), so callers pass the same options to every
-// name.
+// allocator ignores the options it has no use for (a seed on MinCost, an
+// ablation switch on FFPS), so callers pass the same options to every name.
 type Constructor func(opts ...core.Option) core.Allocator
 
 // registry is the one table of offline allocator names: `vmsim -config`,

@@ -12,24 +12,20 @@ import (
 // server whose total busy time grows the least, ignoring power parameters
 // entirely. It isolates how much of the paper's savings comes from
 // modelling energy rather than just consolidating time.
-type MinBusyTime struct {
-	cfg core.Config
-}
+type MinBusyTime struct{}
 
 var _ core.Allocator = (*MinBusyTime)(nil)
 
 // NewMinBusyTime returns the busy-time-minimising comparator. Like the
-// other two in this file it honours core.WithParallelism and nothing else.
-func NewMinBusyTime(opts ...core.Option) *MinBusyTime {
-	return &MinBusyTime{cfg: core.NewConfig(opts...)}
-}
+// other two in this file it reads no option.
+func NewMinBusyTime(...core.Option) *MinBusyTime { return &MinBusyTime{} }
 
 // Name implements core.Allocator.
 func (*MinBusyTime) Name() string { return "MinBusyTime" }
 
 // Allocate implements core.Allocator.
 func (a *MinBusyTime) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	return core.Run(ctx, a.Name(), a.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+	return core.Run(ctx, a.Name(), inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		fleet, v := s.Fleet, rest[0]
 		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {
@@ -45,23 +41,19 @@ func (a *MinBusyTime) Allocate(ctx context.Context, inst model.Instance) (*core.
 // [8]): place each VM on the feasible server whose remaining (CPU, memory)
 // vector over the VM's interval aligns best with the demand vector,
 // balancing the two resources instead of minimising energy.
-type VectorFit struct {
-	cfg core.Config
-}
+type VectorFit struct{}
 
 var _ core.Allocator = (*VectorFit)(nil)
 
 // NewVectorFit returns the dot-product comparator.
-func NewVectorFit(opts ...core.Option) *VectorFit {
-	return &VectorFit{cfg: core.NewConfig(opts...)}
-}
+func NewVectorFit(...core.Option) *VectorFit { return &VectorFit{} }
 
 // Name implements core.Allocator.
 func (*VectorFit) Name() string { return "VectorFit" }
 
 // Allocate implements core.Allocator.
 func (a *VectorFit) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	return core.Run(ctx, a.Name(), a.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+	return core.Run(ctx, a.Name(), inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		fleet, v := s.Fleet, rest[0]
 		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {
@@ -84,23 +76,19 @@ func (a *VectorFit) Allocate(ctx context.Context, inst model.Instance) (*core.Re
 // spare CPU over its interval. It is the anti-consolidation baseline —
 // roughly what a load balancer oblivious to energy would do — and bounds
 // the cost of spreading.
-type WorstFit struct {
-	cfg core.Config
-}
+type WorstFit struct{}
 
 var _ core.Allocator = (*WorstFit)(nil)
 
 // NewWorstFit returns the spreading comparator.
-func NewWorstFit(opts ...core.Option) *WorstFit {
-	return &WorstFit{cfg: core.NewConfig(opts...)}
-}
+func NewWorstFit(...core.Option) *WorstFit { return &WorstFit{} }
 
 // Name implements core.Allocator.
 func (*WorstFit) Name() string { return "WorstFit" }
 
 // Allocate implements core.Allocator.
 func (a *WorstFit) Allocate(ctx context.Context, inst model.Instance) (*core.Result, error) {
-	return core.Run(ctx, a.Name(), a.cfg, inst, func(s *core.Scan, rest []model.VM) (int, error) {
+	return core.Run(ctx, a.Name(), inst, func(s *core.Scan, rest []model.VM) (int, error) {
 		fleet, v := s.Fleet, rest[0]
 		return s.ArgMin(func(i int) (float64, bool) {
 			if !fleet.Fits(i, v) {

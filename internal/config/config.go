@@ -132,10 +132,9 @@ func (o *Outcome) WriteText(w io.Writer) error {
 			return err
 		}
 		if st := row.Stats; st.CandidatesEvaluated > 0 {
-			if _, err := fmt.Fprintf(w, "  %22s %d candidates (%d rejected), scan %v + commit %v across %d workers\n",
+			if _, err := fmt.Fprintf(w, "  %22s %d candidates (%d rejected), scan %v + commit %v\n",
 				"", st.CandidatesEvaluated, st.FeasibilityRejections,
-				st.ScanWall.Round(time.Millisecond), st.CommitWall.Round(time.Millisecond),
-				st.Workers); err != nil {
+				st.ScanWall.Round(time.Millisecond), st.CommitWall.Round(time.Millisecond)); err != nil {
 				return err
 			}
 		}

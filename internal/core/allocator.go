@@ -11,9 +11,8 @@
 // module and of package baseline is a rule Run asks for a server, VM by
 // VM, and Fleet — the state the rules read — relies on it (see Fleet).
 // A rule scans the candidates on the calling goroutine: MinCost as one pass
-// over the fleet's rows, the others through Scan, where WithParallelism
-// can ask for a worker pool (engine.go) with byte-identical results. All
-// Allocate methods take a context.Context and return ctx.Err() promptly
+// over the fleet's rows, the others through Scan's two loops (engine.go).
+// All Allocate methods take a context.Context and return ctx.Err() promptly
 // when it is cancelled.
 package core
 
@@ -79,9 +78,6 @@ type Config struct {
 	// MemoryCheck enables the memory feasibility constraint (Eq. 10).
 	// Default true.
 	MemoryCheck bool
-	// Parallelism is the candidate-scan worker pool size: 0 (default) and
-	// 1 are the sequential scan; n>1 forces an n-worker pool.
-	Parallelism int
 	// Seed drives the randomised allocators (FFPS, RandomFit).
 	// Default 1.
 	Seed int64
@@ -89,7 +85,7 @@ type Config struct {
 
 // DefaultConfig returns the constructor defaults documented on Config.
 func DefaultConfig() Config {
-	return Config{TransitionAware: true, MemoryCheck: true, Parallelism: 0, Seed: 1}
+	return Config{TransitionAware: true, MemoryCheck: true, Seed: 1}
 }
 
 // NewConfig applies opts on top of DefaultConfig.
@@ -115,14 +111,6 @@ func (f optionFunc) apply(c *Config) { f(c) }
 // server search order, RandomFit's server draw). The default seed is 1.
 func WithSeed(seed int64) Option {
 	return optionFunc(func(c *Config) { c.Seed = seed })
-}
-
-// WithParallelism sets the candidate-scan worker pool size: n>1 forces an
-// n-worker pool; 1 and 0, the default, are the sequential scan, which is the
-// faster wherever it has been measured (ROADMAP item 1 (f)). Placements are
-// identical at every setting.
-func WithParallelism(n int) Option {
-	return optionFunc(func(c *Config) { c.Parallelism = n })
 }
 
 // WithoutTransitionAwareness makes the allocator ignore transition and idle
@@ -156,12 +144,9 @@ func WithoutMemoryCheck() Option {
 // counted ends, so a probe at the frontier is a read; Run refreshes the
 // stale rows as it advances the frontier to each VM's start.
 //
-// Concurrency: the read path (Fits, FitsCPUOnly, SpareCPU, SpareMem,
-// State's cost queries) writes nothing — a probe past what a row covers
-// (Lookahead's next VM) sums the claims and keeps nothing — and is safe for
-// concurrent use from scan workers; advance and Commit must only run with
-// no concurrent readers. Run upholds this by scanning and committing in
-// strictly alternating phases.
+// A probe past what a row covers (Lookahead's next VM) sums the claims and
+// keeps nothing. A Fleet is for one goroutine: Run scans and commits on the
+// caller's.
 type Fleet struct {
 	Servers  []model.Server
 	frontier int // start minute of the VM being placed, or of the latest commit
@@ -326,23 +311,22 @@ func SortVMsByStart(inst model.Instance) []model.VM {
 }
 
 // Scan is what a placement rule is handed: the fleet as committed so far
-// and the run's scan engine, bound to the run's context and statistics.
+// and the two scan loops, bound to the run's context and statistics.
 type Scan struct {
-	Fleet  *Fleet
-	ctx    context.Context
-	engine *ScanEngine
-	stats  *AllocStats
+	Fleet *Fleet
+	ctx   context.Context
+	stats *AllocStats
 }
 
-// ArgMin is ScanEngine.ArgMin over the fleet's servers.
+// ArgMin is argmin over the fleet's servers.
 func (s *Scan) ArgMin(eval func(i int) (float64, bool)) (int, error) {
-	return s.engine.ArgMin(s.ctx, s.stats, len(s.Fleet.Servers), eval)
+	return argmin(s.ctx, s.stats, len(s.Fleet.Servers), eval)
 }
 
-// First is ScanEngine.First over the fleet's servers, visited in whatever
-// order the rule maps positions 0..n-1 to.
+// First is first over the fleet's servers, visited in whatever order the
+// rule maps positions 0..n-1 to.
 func (s *Scan) First(feasible func(k int) bool) (int, error) {
-	return s.engine.First(s.ctx, s.stats, len(s.Fleet.Servers), feasible)
+	return first(s.ctx, s.stats, len(s.Fleet.Servers), feasible)
 }
 
 // Run is the placement loop of every offline allocator: validate the
@@ -352,15 +336,13 @@ func (s *Scan) First(feasible func(k int) bool) (int, error) {
 // in order; rule returns a fleet server index, or -1 when the VM fits
 // nowhere. A rule reads s.Fleet and never commits: that the commits arrive
 // in start order is decided here and nowhere else, and Fleet relies on it.
-func Run(ctx context.Context, name string, cfg Config, inst model.Instance, rule func(s *Scan, rest []model.VM) (int, error)) (*Result, error) {
+func Run(ctx context.Context, name string, inst model.Instance, rule func(s *Scan, rest []model.VM) (int, error)) (*Result, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	fleet := NewFleet(inst)
-	engine := NewScanEngine(cfg.Parallelism, len(fleet.Servers))
-	defer engine.Close()
-	s := &Scan{Fleet: fleet, ctx: ctx, engine: engine, stats: engine.NewStats()}
+	s := &Scan{Fleet: fleet, ctx: ctx, stats: &AllocStats{WorkerUtilization: 1}}
 	placement := make(map[int]int, len(inst.VMs))
 	vms := SortVMsByStart(inst)
 	for k, v := range vms {
@@ -387,8 +369,9 @@ func Run(ctx context.Context, name string, cfg Config, inst model.Instance, rule
 	if err != nil {
 		return nil, err
 	}
+	s.stats.TotalWall = time.Since(start)
 	return &Result{Allocator: name, Placement: placement, Energy: breakdown,
-		ServersUsed: fleet.ServersUsed(), Stats: engine.FinishStats(s.stats, start)}, nil
+		ServersUsed: fleet.ServersUsed(), Stats: s.stats}, nil
 }
 
 // MinCost is the paper's heuristic allocator.
@@ -400,12 +383,9 @@ var _ Allocator = (*MinCost)(nil)
 
 // NewMinCost returns the paper's heuristic allocator. It honours
 // WithoutTransitionAwareness and WithoutMemoryCheck; by default it is fully
-// transition-aware and memory-checked. WithParallelism does not apply: the
-// scan is minCostPass, sequential at every setting.
+// transition-aware and memory-checked.
 func NewMinCost(opts ...Option) *MinCost {
-	cfg := NewConfig(opts...)
-	cfg.Parallelism = 1
-	return &MinCost{cfg: cfg}
+	return &MinCost{cfg: NewConfig(opts...)}
 }
 
 // Name implements Allocator.
@@ -423,7 +403,7 @@ func (m *MinCost) Name() string {
 // Allocate implements Allocator. Ties on incremental cost break toward the
 // lower server index, making the algorithm fully deterministic.
 func (m *MinCost) Allocate(ctx context.Context, inst model.Instance) (*Result, error) {
-	return Run(ctx, m.Name(), m.cfg, inst, func(s *Scan, rest []model.VM) (int, error) {
+	return Run(ctx, m.Name(), inst, func(s *Scan, rest []model.VM) (int, error) {
 		i, _, err := s.minCostPass(rest[0], m.cfg.MemoryCheck, m.cfg.TransitionAware)
 		return i, err
 	})

@@ -14,27 +14,20 @@ import (
 // minimiser. It prices the next VM on every server once per VM, so it
 // costs about twice what the greedy rule does, and quantifies how myopic
 // that rule is.
-//
-// Under WithParallelism(n > 1) the candidate loop fans out over the scan
-// worker pool.
-type Lookahead struct {
-	cfg Config
-}
+type Lookahead struct{}
 
 var _ Allocator = (*Lookahead)(nil)
 
-// NewLookahead returns the one-step lookahead allocator. It honours
-// WithParallelism; other options are ignored.
-func NewLookahead(opts ...Option) *Lookahead {
-	return &Lookahead{cfg: NewConfig(opts...)}
-}
+// NewLookahead returns the one-step lookahead allocator. It reads no
+// option.
+func NewLookahead(...Option) *Lookahead { return &Lookahead{} }
 
 // Name implements Allocator.
 func (*Lookahead) Name() string { return "MinCost/lookahead" }
 
 // Allocate implements Allocator.
 func (l *Lookahead) Allocate(ctx context.Context, inst model.Instance) (*Result, error) {
-	return Run(ctx, l.Name(), l.cfg, inst, func(s *Scan, rest []model.VM) (int, error) {
+	return Run(ctx, l.Name(), inst, func(s *Scan, rest []model.VM) (int, error) {
 		return s.ArgMin(lookaheadScore(s.Fleet, rest))
 	})
 }

@@ -39,11 +39,10 @@ func refMinCostRule(s *Scan, v model.VM, cfg Config) (int, float64, error) {
 	return i, cost, nil
 }
 
-// newTestScan is what Run builds for a rule: a fresh fleet and a sequential
-// engine's statistics.
+// newTestScan is what Run builds for a rule: a fresh fleet and an empty
+// statistics record.
 func newTestScan(inst model.Instance) *Scan {
-	engine := NewScanEngine(1, len(inst.Servers))
-	return &Scan{Fleet: NewFleet(inst), ctx: context.Background(), engine: engine, stats: engine.NewStats()}
+	return &Scan{Fleet: NewFleet(inst), ctx: context.Background(), stats: &AllocStats{}}
 }
 
 // fractionalInstance is a workload whose prices are not round: idle powers

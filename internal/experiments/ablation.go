@@ -34,7 +34,7 @@ func ablation(ctx context.Context, opts Options) (*Result, error) {
 	}
 	t.Notes = append(t.Notes,
 		"MinCost/no-transition selects by run cost W_ij only; the gap to MinCost is the value of idle/transition awareness",
-		"MinCost/lookahead adds one-step lookahead (O(n²)); its gap to MinCost measures the greedy rule's myopia",
+		"MinCost/lookahead adds one-step lookahead (the next VM priced on every server once per VM: O(n), as the greedy rule); its gap to MinCost measures the greedy rule's myopia",
 		"MinBusyTime/VectorFit/WorstFit are related-work objectives: busy-time minimisation, vector packing, load spreading")
 	return &Result{Tables: []Table{t}}, nil
 }

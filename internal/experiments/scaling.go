@@ -56,6 +56,6 @@ func scaling(ctx context.Context, opts Options) (*Result, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"MinCost is O(m·n·k), k the VMs alive on a server at a start minute; the reduction ratio stays roughly flat with size (the paper's scalability claim)")
+		"MinCost is O(m·n) row reads for feasibility plus, per feasible server, a price that walks its busy segments; the reduction ratio stays roughly flat with size (the paper's scalability claim)")
 	return &Result{Tables: []Table{t}}, nil
 }

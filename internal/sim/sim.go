@@ -69,8 +69,8 @@ type AllocatorSummary struct {
 	Energy      float64             `json:"energyWattMinutes"`
 	ServersUsed float64             `json:"serversUsed"`
 	Utilization metrics.Utilization `json:"utilization"`
-	// Stats sums the allocator's AllocStats over the seeds (Workers is
-	// the largest pool seen); zero when the allocator reports none.
+	// Stats sums the allocator's AllocStats over the seeds; zero when the
+	// allocator reports none.
 	Stats core.AllocStats `json:"stats"`
 }
 
@@ -235,7 +235,6 @@ func (s *Summary) summarize(lineup []string) {
 				a.Stats.ScanWall += st.ScanWall
 				a.Stats.CommitWall += st.CommitWall
 				a.Stats.TotalWall += st.TotalWall
-				a.Stats.Workers = max(a.Stats.Workers, st.Workers)
 			}
 		}
 	}
