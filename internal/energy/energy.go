@@ -84,8 +84,7 @@ func segmentCostWith(alpha, pIdle float64, busy []timeline.Interval, iv timeline
 // VMs, Clone — never mutates the state (the segment cost of the current
 // busy set is cached eagerly by Add, not computed lazily on read), so any
 // number of goroutines may evaluate candidates concurrently as long as no
-// Add runs at the same time. The parallel scan engine in internal/core
-// relies on this contract.
+// Add runs at the same time.
 type ServerState struct {
 	server  model.Server
 	busy    timeline.SegmentSet

@@ -67,8 +67,7 @@ type mark struct {
 //
 // Concurrency: MaxUsage, Summary, Get and Len are pure reads and safe
 // for concurrent use; Add, Remove and Truncate must not run concurrently
-// with them. This is the same alternating scan/commit contract the
-// parallel candidate-scan engine relies on elsewhere in the module.
+// with them.
 //
 // The zero value is not ready for use; call NewLedger.
 type Ledger struct {
