@@ -100,8 +100,8 @@ func BenchmarkOfflineMinCost(b *testing.B) {
 }
 
 // BenchmarkLookahead is one Lookahead Allocate of 1000 VMs on 500 servers:
-// the rule prices the next VM on every server once per VM, so it should read
-// about twice MinCost's time per candidate, not 500 times.
+// the rule prices the next VM on every server once per VM, so the time per
+// candidate must not grow with the fleet.
 func BenchmarkLookahead(b *testing.B) {
 	inst := largeBenchInstance(b, 1000, 500)
 	alloc := vmalloc.NewLookahead()

@@ -11,9 +11,9 @@ import (
 // (in the spirit of its future-work discussion): when placing VM j it
 // tentatively tries every feasible server and adds the best achievable
 // incremental cost of the *next* VM under that choice, picking the pair
-// minimiser. It prices the next VM on every server once per VM, so it
-// costs about twice what the greedy rule does, and quantifies how myopic
-// that rule is.
+// minimiser. It prices the next VM on every server once per VM, not once
+// per candidate, so it is O(n) per VM as the greedy rule is, and quantifies
+// how myopic that rule is.
 type Lookahead struct{}
 
 var _ Allocator = (*Lookahead)(nil)
