@@ -74,7 +74,7 @@ type ConsolidateRequest struct {
 	// pass (PolicyMinMigrationTime or PolicyMinUtilization).
 	Policy string `json:"policy,omitempty"`
 	// MaxMoves caps the number of migrations this pass may execute; 0
-	// means the configured default (unlimited when that is also 0).
+	// means unlimited.
 	MaxMoves int `json:"maxMoves,omitempty"`
 }
 

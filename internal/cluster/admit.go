@@ -265,9 +265,8 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 			continue
 		}
 		if c.jr != nil {
-			vm := it.vm
 			clk.journal = time.Now()
-			jerr = c.jr.append(record{Op: opAdmit, T: c.fleet.Now(), VM: &vm, Server: i, Start: start})
+			jerr = c.jr.append(record{Op: opAdmit, T: c.fleet.Now(), VM: it.vm, Server: i, Start: start})
 			d.Stages.Journal = time.Since(clk.journal)
 			if jerr == nil {
 				appended = true

@@ -5,16 +5,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-
-	"vmalloc/internal/model"
 )
 
 // Binary journal format, version 1.
 //
-// The file opens with the 6-byte magic "\x00vmjl1" (the leading NUL can
-// never begin a legacy JSON-lines journal, so the reader tells the two
-// apart from the first byte). After the magic the file is a sequence of
-// frames:
+// The file opens with the 6-byte magic "\x00vmjl1"; a log with any other
+// header is refused. After the magic the file is a sequence of frames:
 //
 //	u32le payload length | u32le CRC-32 (IEEE) of payload | payload
 //
@@ -37,88 +33,42 @@ var binMagic = []byte{0x00, 'v', 'm', 'j', 'l', binJournalVersion}
 // prefix, not data.
 const maxBinRecordLen = 1 << 20
 
-// Binary op codes (record.Op, and the legacy JSON codec, use the op strings).
-const (
-	binOpAdmit   = 1
-	binOpRelease = 2
-	binOpTick    = 3
-	binOpMigrate = 4
-	binOpAdopt   = 5
-)
-
-func binOpCode(op string) (byte, error) {
-	switch op {
-	case opAdmit:
-		return binOpAdmit, nil
-	case opRelease:
-		return binOpRelease, nil
-	case opTick:
-		return binOpTick, nil
-	case opMigrate:
-		return binOpMigrate, nil
-	case opAdopt:
-		return binOpAdopt, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown journal op %q", op)
-}
-
-func binOpName(code byte) (string, error) {
-	switch code {
-	case binOpAdmit:
-		return opAdmit, nil
-	case binOpRelease:
-		return opRelease, nil
-	case binOpTick:
-		return opTick, nil
-	case binOpMigrate:
-		return opMigrate, nil
-	case binOpAdopt:
-		return opAdopt, nil
-	}
-	return "", fmt.Errorf("cluster: unknown binary op code %d", code)
-}
-
 // appendBinaryFrame appends r's framed binary encoding to buf and
 // returns the extended slice.
-func appendBinaryFrame(buf []byte, r record) ([]byte, error) {
+func appendBinaryFrame(buf []byte, r record) []byte {
 	frameStart := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // length + CRC placeholders
 	payloadStart := len(buf)
-	var err error
-	if buf, err = encodeBinaryRecord(buf, r); err != nil {
-		return buf[:frameStart], err
-	}
+	buf = encodeBinaryRecord(buf, r)
 	payload := buf[payloadStart:]
 	binary.LittleEndian.PutUint32(buf[frameStart:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[frameStart+4:], crc32.ChecksumIEEE(payload))
-	return buf, nil
+	return buf
 }
 
-func encodeBinaryRecord(buf []byte, r record) ([]byte, error) {
+// encodeBinaryRecord appends r's payload: seq, op code, clock, then the
+// op's fields. Admit and adopt share their VM's six fields, written last.
+func encodeBinaryRecord(buf []byte, r record) []byte {
 	buf = binary.AppendUvarint(buf, uint64(r.Seq))
-	code, err := binOpCode(r.Op)
-	if err != nil {
-		return buf, err
-	}
-	buf = append(buf, code)
+	buf = append(buf, byte(r.Op))
 	buf = binary.AppendVarint(buf, int64(r.T))
-	switch code {
-	case binOpAdmit:
-		if r.VM == nil {
-			return buf, fmt.Errorf("cluster: admit record without vm")
-		}
+	switch r.Op {
+	case opAdmit, opAdopt:
 		buf = binary.AppendVarint(buf, int64(r.Server))
 		buf = binary.AppendVarint(buf, int64(r.Start))
+		if r.Op == opAdopt {
+			buf = binary.AppendVarint(buf, int64(r.Handoff))
+		}
 		buf = binary.AppendVarint(buf, int64(r.VM.ID))
 		buf = appendBinString(buf, r.VM.Type)
 		buf = appendBinFloat(buf, r.VM.Demand.CPU)
 		buf = appendBinFloat(buf, r.VM.Demand.Mem)
 		buf = binary.AppendVarint(buf, int64(r.VM.Start))
 		buf = binary.AppendVarint(buf, int64(r.VM.End))
-	case binOpRelease:
+	case opRelease:
 		buf = binary.AppendVarint(buf, int64(r.ID))
-	case binOpTick:
-	case binOpMigrate:
+	case opTick:
+	case opMigrate:
 		buf = binary.AppendVarint(buf, int64(r.ID))
 		buf = binary.AppendVarint(buf, int64(r.Server))
 		buf = binary.AppendVarint(buf, int64(r.From))
@@ -126,21 +76,10 @@ func encodeBinaryRecord(buf []byte, r record) ([]byte, error) {
 		buf = appendBinString(buf, r.Policy)
 		buf = appendBinFloat(buf, r.Saved)
 		buf = appendBinFloat(buf, r.Cost)
-	case binOpAdopt:
-		if r.VM == nil {
-			return buf, fmt.Errorf("cluster: adopt record without vm")
-		}
-		buf = binary.AppendVarint(buf, int64(r.Server))
-		buf = binary.AppendVarint(buf, int64(r.Start))
-		buf = binary.AppendVarint(buf, int64(r.Handoff))
-		buf = binary.AppendVarint(buf, int64(r.VM.ID))
-		buf = appendBinString(buf, r.VM.Type)
-		buf = appendBinFloat(buf, r.VM.Demand.CPU)
-		buf = appendBinFloat(buf, r.VM.Demand.Mem)
-		buf = binary.AppendVarint(buf, int64(r.VM.Start))
-		buf = binary.AppendVarint(buf, int64(r.VM.End))
+	default:
+		panic(fmt.Sprintf("cluster: journaling unknown op %d", r.Op))
 	}
-	return buf, nil
+	return buf
 }
 
 // decodeBinaryRecord parses one CRC-verified payload. Trailing bytes
@@ -151,28 +90,25 @@ func decodeBinaryRecord(payload []byte) (record, error) {
 	d := binDecoder{b: payload}
 	var r record
 	r.Seq = int64(d.uvarint())
-	code := d.byte()
+	r.Op = op(d.byte())
 	r.T = int(d.varint())
-	name, err := binOpName(code)
-	if d.err == nil && err != nil {
-		return record{}, err
-	}
-	r.Op = name
-	switch code {
-	case binOpAdmit:
+	switch r.Op {
+	case opAdmit, opAdopt:
 		r.Server = int(d.varint())
 		r.Start = int(d.varint())
-		vm := &model.VM{}
-		vm.ID = int(d.varint())
-		vm.Type = d.string()
-		vm.Demand.CPU = d.float()
-		vm.Demand.Mem = d.float()
-		vm.Start = int(d.varint())
-		vm.End = int(d.varint())
-		r.VM = vm
-	case binOpRelease:
+		if r.Op == opAdopt {
+			r.Handoff = int(d.varint())
+		}
+		r.VM.ID = int(d.varint())
+		r.VM.Type = d.string()
+		r.VM.Demand.CPU = d.float()
+		r.VM.Demand.Mem = d.float()
+		r.VM.Start = int(d.varint())
+		r.VM.End = int(d.varint())
+	case opRelease:
 		r.ID = int(d.varint())
-	case binOpMigrate:
+	case opTick:
+	case opMigrate:
 		r.ID = int(d.varint())
 		r.Server = int(d.varint())
 		r.From = int(d.varint())
@@ -180,18 +116,10 @@ func decodeBinaryRecord(payload []byte) (record, error) {
 		r.Policy = d.string()
 		r.Saved = d.float()
 		r.Cost = d.float()
-	case binOpAdopt:
-		r.Server = int(d.varint())
-		r.Start = int(d.varint())
-		r.Handoff = int(d.varint())
-		vm := &model.VM{}
-		vm.ID = int(d.varint())
-		vm.Type = d.string()
-		vm.Demand.CPU = d.float()
-		vm.Demand.Mem = d.float()
-		vm.Start = int(d.varint())
-		vm.End = int(d.varint())
-		r.VM = vm
+	default:
+		if d.err == nil {
+			return record{}, fmt.Errorf("cluster: unknown binary op code %d", r.Op)
+		}
 	}
 	if d.err != nil {
 		return record{}, d.err
@@ -204,7 +132,7 @@ func decodeBinaryRecord(payload []byte) (record, error) {
 
 // readBinaryRecords parses a binary journal body (b starts with the
 // magic), returning the clean records and the byte offset up to which
-// the file is clean, exactly like the JSON reader.
+// the file is clean.
 func readBinaryRecords(b []byte) ([]record, int64, error) {
 	var recs []record
 	off := len(binMagic)

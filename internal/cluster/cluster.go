@@ -161,9 +161,6 @@ type Config struct {
 	// consolidation passes: api.PolicyMinMigrationTime (the default when
 	// empty) or api.PolicyMinUtilization.
 	ConsolidatePolicy string
-	// MaxMigrationsPerPass caps the moves one consolidation pass may
-	// execute; 0 means unlimited.
-	MaxMigrationsPerPass int
 	// DonorUtilization is the CPU-utilisation fraction below which an
 	// active server is considered a drain candidate; 0 means
 	// DefaultDonorUtilization. The pay-for-itself rule still decides
@@ -321,15 +318,6 @@ func (c *Cluster) restore() error {
 	}
 	jr.seq = lastSeq
 	c.jr = jr
-	if jr.legacy {
-		// One-way upgrade: compact the JSON log into a snapshot so the
-		// journal restarts empty, hence binary, before anything appends.
-		if err := c.snapshotLocked(); err != nil {
-			c.jr = nil
-			jr.close()
-			return fmt.Errorf("cluster: upgrading legacy JSON journal: %w", err)
-		}
-	}
 	return nil
 }
 
@@ -337,22 +325,19 @@ func (c *Cluster) restore() error {
 func (c *Cluster) apply(r record) error {
 	switch r.Op {
 	case opAdmit, opAdopt:
-		if r.VM == nil {
-			return fmt.Errorf("cluster: journal seq %d: %s without vm", r.Seq, r.Op)
-		}
 		// A journaled VM passed normalize (or the adopt checks) before it
 		// was written, so a record failing the same validation is
 		// corruption, and replaying it (e.g. a negative duration) could
 		// corrupt the fleet's ledgers.
 		if r.VM.ID < 1 {
-			return fmt.Errorf("cluster: journal seq %d: %s with vm id %d", r.Seq, r.Op, r.VM.ID)
+			return fmt.Errorf("cluster: journal seq %d: vm id %d", r.Seq, r.VM.ID)
 		}
 		if err := r.VM.Validate(); err != nil {
 			return fmt.Errorf("cluster: journal seq %d: %w", r.Seq, err)
 		}
 		c.fleet.AdvanceTo(r.T)
 		if r.Op == opAdmit {
-			start, err := c.fleet.Commit(r.Server, *r.VM)
+			start, err := c.fleet.Commit(r.Server, r.VM)
 			if err != nil {
 				return fmt.Errorf("cluster: journal seq %d: %w", r.Seq, err)
 			}
@@ -360,7 +345,7 @@ func (c *Cluster) apply(r record) error {
 				return fmt.Errorf("cluster: journal seq %d: replayed start %d, recorded %d", r.Seq, start, r.Start)
 			}
 		} else {
-			handoff, err := c.fleet.Adopt(r.Server, *r.VM, r.Start)
+			handoff, err := c.fleet.Adopt(r.Server, r.VM, r.Start)
 			if err != nil {
 				return fmt.Errorf("cluster: journal seq %d: %w", r.Seq, err)
 			}
@@ -395,7 +380,7 @@ func (c *Cluster) apply(r record) error {
 	case opTick:
 		c.fleet.AdvanceTo(r.T)
 	default:
-		return fmt.Errorf("cluster: journal seq %d: unknown op %q", r.Seq, r.Op)
+		return fmt.Errorf("cluster: journal seq %d: unknown op %d", r.Seq, r.Op)
 	}
 	return nil
 }

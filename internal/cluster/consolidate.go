@@ -69,10 +69,6 @@ func (c *Cluster) Consolidate(ctx context.Context, req api.ConsolidateRequest) (
 	if policy != api.PolicyMinMigrationTime && policy != api.PolicyMinUtilization {
 		return nil, fmt.Errorf("cluster: unknown consolidation policy %q", policy)
 	}
-	maxMoves := req.MaxMoves
-	if maxMoves == 0 {
-		maxMoves = c.cfg.MaxMigrationsPerPass
-	}
 	utilLimit := c.cfg.DonorUtilization
 	if utilLimit == 0 {
 		utilLimit = DefaultDonorUtilization
@@ -156,7 +152,7 @@ func (c *Cluster) Consolidate(ctx context.Context, req api.ConsolidateRequest) (
 		if !ok || net <= minNetSaving {
 			continue
 		}
-		if maxMoves > 0 && res.Executed+len(moves) > maxMoves {
+		if req.MaxMoves > 0 && res.Executed+len(moves) > req.MaxMoves {
 			continue // only full drains realise the donor's idle saving
 		}
 		perMove := net / float64(len(moves))

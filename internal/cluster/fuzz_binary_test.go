@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -77,12 +76,9 @@ func realBinaryMigrationJournal(tb testing.TB) []byte {
 	return data
 }
 
-// FuzzBinaryJournal feeds arbitrary bytes to the reopen path. Whatever
-// the file holds — binary frames, legacy JSON lines (the reader sniffs,
-// and upgrades them at open), torn tails, flipped length prefixes or
-// garbage — Open must restore a state that survives a digest-stable
-// close/reopen round trip, or refuse with ErrCorruptJournal. Never a
-// panic, never a partial fleet.
+// FuzzBinaryJournal feeds arbitrary bytes to the reopen path (see
+// fuzzReopen): binary frames, torn tails, flipped length prefixes, a
+// foreign header or garbage.
 func FuzzBinaryJournal(f *testing.F) {
 	base := realBinaryJournal(f)
 	f.Add(base)
@@ -116,12 +112,11 @@ func FuzzBinaryJournal(f *testing.F) {
 	garbage = append(garbage, []byte("XXXX")...)
 	garbage = append(garbage, base[len(binMagic):]...)
 	f.Add(garbage)
-	// Mixed formats: a legacy JSON journal (must replay: the reader
-	// sniffs), and binary magic with JSON text behind it (must refuse or
-	// truncate, never misparse).
-	jsonBase := realJournal(f)
-	f.Add(jsonBase)
-	f.Add(append(append([]byte{}, binMagic...), jsonBase...))
+	// Foreign formats: a JSON-lines log (must refuse:
+	// TestForeignJournalRefused), and binary magic with JSON text behind
+	// it (must refuse or truncate, never misparse).
+	f.Add([]byte(foreignJSONLog))
+	f.Add(append(append([]byte{}, binMagic...), foreignJSONLog...))
 	// A genuine history ending in a live migration must replay cleanly.
 	migBase := realBinaryMigrationJournal(f)
 	f.Add(migBase)
@@ -129,40 +124,5 @@ func FuzzBinaryJournal(f *testing.F) {
 		f.Add(migBase[:len(migBase)-11])
 	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, journalName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1,
-			MigrationCostPerGB: 0.5}
-		c, err := Open(cfg)
-		if err != nil {
-			if !errors.Is(err, ErrCorruptJournal) {
-				t.Fatalf("refusal must wrap ErrCorruptJournal, got: %v", err)
-			}
-			return
-		}
-		want, err := c.StateDigest()
-		if err != nil {
-			t.Fatalf("restored cluster cannot serve state: %v", err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatalf("closing restored cluster: %v", err)
-		}
-		c2, err := Open(cfg)
-		if err != nil {
-			t.Fatalf("reopening after clean close: %v", err)
-		}
-		got, err := c2.StateDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("state digest changed across close/reopen: %s != %s", got, want)
-		}
-	})
+	f.Fuzz(fuzzReopen)
 }

@@ -1,23 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"vmalloc/internal/model"
 )
-
-// realJournal and realMigrationJournal are the legacy JSON-lines
-// encodings of the genuine histories in fuzz_binary_test.go: what the
-// retired JSON writer would have logged for them.
-func realJournal(tb testing.TB) []byte { return legacyJSON(tb, realBinaryJournal(tb)) }
-
-func realMigrationJournal(tb testing.TB) []byte {
-	return legacyJSON(tb, realBinaryMigrationJournal(tb))
-}
 
 func mustOpenTB(tb testing.TB, cfg Config) *Cluster {
 	tb.Helper()
@@ -28,88 +17,120 @@ func mustOpenTB(tb testing.TB, cfg Config) *Cluster {
 	return c
 }
 
-// FuzzJournalReplay feeds arbitrary bytes to the journal reopen path,
-// seeded with legacy JSON-lines logs so the fuzzer keeps exploring the
-// read-only JSON decoder and the upgrade at open: whatever the file
-// holds, Open must either restore a consistent state (proved by a
+// fuzzReopen is both journal fuzzers' body: whatever log the journal
+// file holds, Open must either restore a consistent state (proved by a
 // digest-stable close/reopen round trip) or refuse with
 // ErrCorruptJournal — never panic, never silently half-restore.
-func FuzzJournalReplay(f *testing.F) {
-	base := realJournal(f)
-	f.Add(base)
-	f.Add([]byte{})
-	f.Add([]byte("\n\n\n"))
-	// Torn tail: the final record loses its last bytes (and its newline) —
-	// an interrupted write, which reopen must truncate away, not refuse.
-	if len(base) > 7 {
-		f.Add(base[:len(base)-7])
+func fuzzReopen(t *testing.T, log []byte) {
+	dir := t.TempDir()
+	writeJournal(t, dir, log)
+	cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1, MigrationCostPerGB: 0.5}
+	c, err := Open(cfg)
+	if err != nil {
+		if !errors.Is(err, ErrCorruptJournal) {
+			t.Fatalf("refusal must wrap ErrCorruptJournal, got: %v", err)
+		}
+		return
 	}
-	// Mid-log corruption: garbage with history after it — lost records,
-	// which reopen must refuse.
-	if i := bytes.IndexByte(base, '\n'); i >= 0 {
-		mut := append([]byte{}, base[:i+1]...)
-		mut = append(mut, []byte("{\"seq\":GARBAGE\n")...)
-		mut = append(mut, base[i+1:]...)
-		f.Add(mut)
+	want, err := c.StateDigest()
+	if err != nil {
+		t.Fatalf("restored cluster cannot serve state: %v", err)
 	}
-	// Duplicate departure: a second release of a VM the log already
-	// released — replay must refuse rather than corrupt the ledgers.
-	f.Add(append(append([]byte{}, base...),
-		[]byte(`{"seq":99,"op":"release","t":9,"id":1}`+"\n")...))
-	// Admit with an interval that fails validation (end before start).
-	f.Add([]byte(`{"seq":1,"op":"admit","t":2,"vm":{"id":9,"demand":{"cpu":1,"mem":1},"start":5,"end":3},"server":0,"start":5}` + "\n"))
-	// Admit whose departure event time (end+1) would overflow MaxInt.
-	f.Add([]byte(fmt.Sprintf(`{"seq":1,"op":"admit","t":1,"vm":{"id":9,"demand":{"cpu":1,"mem":1},"start":%d,"end":%d},"server":0,"start":%d}`+"\n",
-		math.MaxInt-1, math.MaxInt, math.MaxInt-1)))
-	// A migrate of a VM that was never admitted: opMigrate is a known op
-	// now, so replay must refuse the inconsistent history, not panic.
-	f.Add([]byte(`{"seq":1,"op":"migrate","t":3}` + "\n" + `{"seq":2,"op":"tick","t":4}` + "\n"))
-	// A genuine history ending in a live migration must replay cleanly.
-	migBase := realMigrationJournal(f)
-	f.Add(migBase)
-	// The same history with a second migrate whose recorded handoff cannot
-	// reproduce: replay must refuse the cross-check, never half-apply.
-	f.Add(append(append([]byte{}, migBase...),
-		[]byte(`{"seq":99,"op":"migrate","t":6,"id":1,"server":2,"from":0,"handoff":3}`+"\n")...))
-	// A migrate onto an out-of-range server index.
-	f.Add(append(append([]byte{}, migBase...),
-		[]byte(`{"seq":99,"op":"migrate","t":6,"id":1,"server":40,"from":0,"handoff":7}`+"\n")...))
+	if err := c.Close(); err != nil {
+		t.Fatalf("closing restored cluster: %v", err)
+	}
+	c2, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopening after clean close: %v", err)
+	}
+	got, err := c2.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("state digest changed across close/reopen: %s != %s", got, want)
+	}
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, journalName), data, 0o644); err != nil {
-			t.Fatal(err)
+// payloadRun is FuzzJournalReplay's input format: record payloads, each
+// behind a one-byte length.
+func payloadRun(tb testing.TB, recs ...record) []byte {
+	tb.Helper()
+	var run []byte
+	for _, r := range recs {
+		p := encodeBinaryRecord(nil, r)
+		if len(p) > math.MaxUint8 {
+			tb.Fatalf("record %+v encodes to %d bytes, more than a length byte holds", r, len(p))
 		}
-		cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: dir, SnapshotEvery: -1}
-		c, err := Open(cfg)
-		if err != nil {
-			if !errors.Is(err, ErrCorruptJournal) {
-				t.Fatalf("refusal must wrap ErrCorruptJournal, got: %v", err)
-			}
-			return
-		}
-		// The journal was accepted: the restored state must be coherent
-		// enough to survive a full snapshot/reopen round trip unchanged.
-		want, err := c.StateDigest()
-		if err != nil {
-			t.Fatalf("restored cluster cannot serve state: %v", err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatalf("closing restored cluster: %v", err)
-		}
-		c2, err := Open(cfg)
-		if err != nil {
-			t.Fatalf("reopening after clean close: %v", err)
-		}
-		got, err := c2.StateDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("state digest changed across close/reopen: %s != %s", got, want)
-		}
+		run = append(append(run, byte(len(p))), p...)
+	}
+	return run
+}
+
+// framePayloads turns a payload run into a journal: the magic, then each
+// payload in a frame with its true CRC. A final payload shorter than its
+// length byte claims is framed as what is left.
+func framePayloads(run []byte) []byte {
+	log := append([]byte{}, binMagic...)
+	for len(run) > 0 {
+		n := min(int(run[0]), len(run)-1)
+		log = appendRawFrame(log, run[1:1+n])
+		run = run[1+n:]
+	}
+	return log
+}
+
+// historyRun re-encodes a genuine journal as a payload run.
+func historyRun(tb testing.TB, log []byte) []byte {
+	tb.Helper()
+	recs, clean, err := parseJournal(log)
+	if err != nil || clean != int64(len(log)) || len(recs) == 0 {
+		tb.Fatalf("history is not a clean non-empty journal: %d records, clean %d of %d, err %v", len(recs), clean, len(log), err)
+	}
+	return payloadRun(tb, recs...)
+}
+
+// FuzzJournalReplay fuzzes replay on the real format: its input is a run
+// of record payloads, each framed with a correct CRC, so mutations reach
+// decodeBinaryRecord and apply's cross-checks instead of failing at the
+// checksum.
+func FuzzJournalReplay(f *testing.F) {
+	history := historyRun(f, realBinaryJournal(f))
+	migHistory := historyRun(f, realBinaryMigrationJournal(f))
+	then := func(run []byte, recs ...record) []byte {
+		return append(append([]byte{}, run...), payloadRun(f, recs...)...)
+	}
+	vm := func(start, end int) model.VM {
+		return model.VM{ID: 9, Demand: model.Resources{CPU: 1, Mem: 1}, Start: start, End: end}
+	}
+	// Genuine histories, one ending in a live migration: must replay.
+	f.Add(history)
+	f.Add(migHistory)
+	f.Add([]byte{})
+	// A second release of a VM the log already released: replay must
+	// refuse rather than corrupt the ledgers.
+	f.Add(then(history, record{Seq: 99, Op: opRelease, T: 9, ID: 1}))
+	// An admit whose interval fails validation (end before start).
+	f.Add(payloadRun(f, record{Seq: 1, Op: opAdmit, T: 2, VM: vm(5, 3), Start: 5}))
+	// An admit whose departure event time (end+1) would overflow MaxInt.
+	f.Add(payloadRun(f, record{Seq: 1, Op: opAdmit, T: 1, VM: vm(math.MaxInt-1, math.MaxInt), Start: math.MaxInt - 1}))
+	// A migrate of a VM that was never admitted.
+	f.Add(payloadRun(f, record{Seq: 1, Op: opMigrate, T: 3}, record{Seq: 2, Op: opTick, T: 4}))
+	// A second migrate whose recorded handoff cannot reproduce: replay
+	// must refuse the cross-check, never half-apply.
+	f.Add(then(migHistory, record{Seq: 99, Op: opMigrate, T: 6, ID: 1, Server: 2, Handoff: 3}))
+	// A migrate onto an out-of-range server index.
+	f.Add(then(migHistory, record{Seq: 99, Op: opMigrate, T: 6, ID: 1, Server: 40, Handoff: 7}))
+	// An adoption after the history.
+	f.Add(then(history, record{Seq: 99, Op: opAdopt, T: 9, VM: vm(8, 20), Start: 8, Handoff: 10}))
+	// An unknown op code, and a tick with a byte after its last field.
+	f.Add(append(append([]byte{}, history...), 3, 99, 6, 18))
+	f.Add(append(append([]byte{}, history...), 4, 99, byte(opTick), 18, 0))
+
+	f.Fuzz(func(t *testing.T, run []byte) {
+		fuzzReopen(t, framePayloads(run))
 	})
 }

@@ -28,14 +28,8 @@ import (
 //	                 snapshot rename and journal truncation and are
 //	                 skipped on replay.
 //
-// The file keeps the name journal.jsonl although nothing writes JSON
-// lines any more: bench/restart.go and existing deployments read that
-// path, and those deployments may still hold the format the name
-// describes. A log that does not open with the magic is such a legacy
-// JSON-lines journal. It is only ever read: Open replays it and
-// immediately compacts it into a snapshot, after which the log restarts
-// empty and therefore binary. The upgrade is one-way, and if its
-// snapshot fails Open fails with the directory untouched.
+// The log keeps the name journal.jsonl, which no longer describes its
+// format, because bench/restart.go reads that path.
 //
 // A record survives a process crash once its full frame reaches the
 // file; durability against power loss or a kernel crash additionally
@@ -50,13 +44,15 @@ const (
 	snapshotName = "snapshot.json"
 )
 
-// Journal operations.
+// op is a journal operation; its value is the op code byte on disk.
+type op byte
+
 const (
-	opAdmit   = "admit"
-	opRelease = "release"
-	opTick    = "tick"
-	opMigrate = "migrate"
-	opAdopt   = "adopt"
+	opAdmit op = iota + 1
+	opRelease
+	opTick
+	opMigrate
+	opAdopt
 )
 
 // record is one journaled mutation. T is the fleet clock the mutation was
@@ -65,23 +61,23 @@ const (
 // the recorded Start cross-checks it; Migrate re-derives the handoff
 // minute, cross-checked against Handoff).
 type record struct {
-	Seq    int64     `json:"seq"`
-	Op     string    `json:"op"`
-	T      int       `json:"t"`
-	VM     *model.VM `json:"vm,omitempty"`
-	Server int       `json:"server,omitempty"` // admit/migrate/adopt: target server index
-	Start  int       `json:"start,omitempty"`  // admit/adopt: actual start minute
-	ID     int       `json:"id,omitempty"`     // release/migrate: the VM
+	Seq    int64
+	Op     op
+	T      int
+	VM     model.VM // admit/adopt
+	Server int      // admit/migrate/adopt: target server index
+	Start  int      // admit/adopt: actual start minute
+	ID     int      // release/migrate: the VM
 	// Migrate fields. From is the source server index and Handoff the
 	// first minute the target hosts the VM (both cross-checked on replay;
 	// adopt records carry Handoff too); Policy, Saved and Cost carry the
 	// planner's outcome so the migration history — not just the fleet
 	// state — replays byte-identically.
-	From    int     `json:"from,omitempty"`
-	Handoff int     `json:"handoff,omitempty"`
-	Policy  string  `json:"policy,omitempty"`
-	Saved   float64 `json:"saved,omitempty"`
-	Cost    float64 `json:"cost,omitempty"`
+	From    int
+	Handoff int
+	Policy  string
+	Saved   float64
+	Cost    float64
 }
 
 // snapshotFile is the serialised snapshot.json.
@@ -106,12 +102,8 @@ type journal struct {
 	seq    int64
 	nosync bool // Config.DisableFsync: skip fsyncs (UNSAFE, test-only)
 
-	// empty: the log holds no bytes, so the next append leads with
-	// binMagic. legacy: the log on disk is JSON lines; the cluster compacts
-	// it away (snapshot) before anything is appended.
-	empty  bool
-	legacy bool
-	enc    []byte // reusable append encode buffer
+	empty bool   // the log holds no bytes: the next append leads with binMagic
+	enc   []byte // reusable append encode buffer
 
 	// Group commit. commit registers a waiter and wakes the committer
 	// goroutine; the committer snapshots the waiter list, issues one
@@ -128,9 +120,7 @@ type journal struct {
 
 // openJournal loads the durable state under dir: the snapshot (if any),
 // every clean journal record, and an append handle positioned after the
-// last clean record (a torn tail is truncated away first — except on a
-// legacy JSON log, which is left byte-identical until the upgrade
-// snapshot truncates all of it).
+// last clean record (a torn tail is truncated away first).
 func openJournal(dir string, nosync bool) (*journal, *snapshotFile, []record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("cluster: journal dir: %w", err)
@@ -158,8 +148,7 @@ func openJournal(dir string, nosync bool) (*journal, *snapshotFile, []record, er
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	legacy := len(jb) > 0 && jb[0] != binMagic[0]
-	if int64(len(jb)) > clean && !legacy {
+	if int64(len(jb)) > clean {
 		if err := os.Truncate(path, clean); err != nil {
 			return nil, nil, nil, fmt.Errorf("cluster: dropping torn journal tail: %w", err)
 		}
@@ -172,8 +161,7 @@ func openJournal(dir string, nosync bool) (*journal, *snapshotFile, []record, er
 		dir:    dir,
 		f:      f,
 		nosync: nosync,
-		empty:  clean == 0 && !legacy,
-		legacy: legacy,
+		empty:  clean == 0,
 		kick:   make(chan struct{}, 1),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -182,59 +170,17 @@ func openJournal(dir string, nosync bool) (*journal, *snapshotFile, []record, er
 	return j, snap, recs, nil
 }
 
-// parseJournal sniffs the codec (binary logs open with binMagic, whose
-// leading NUL no JSON log can start with) and parses accordingly. A
-// final record that fails to parse or lacks its framing is an
-// interrupted write and is excluded; invalid records with history after
-// them are corruption and an error.
+// parseJournal checks the magic and reads the frames behind it. An empty
+// log, or a torn prefix of the magic (an interrupted first write), is an
+// empty log; any other header is not a journal this build wrote.
 func parseJournal(b []byte) ([]record, int64, error) {
-	if len(b) == 0 {
+	if len(b) < len(binMagic) && bytes.HasPrefix(binMagic, b) {
 		return nil, 0, nil
 	}
-	if b[0] == binMagic[0] {
-		if len(b) < len(binMagic) {
-			if bytes.HasPrefix(binMagic, b) {
-				return nil, 0, nil // torn magic: an interrupted first write
-			}
-			return nil, 0, fmt.Errorf("%w: unrecognised journal header", ErrCorruptJournal)
-		}
-		if !bytes.Equal(b[:len(binMagic)], binMagic) {
-			return nil, 0, fmt.Errorf("%w: unsupported binary journal version %q", ErrCorruptJournal, b[:len(binMagic)])
-		}
-		return readBinaryRecords(b)
+	if !bytes.HasPrefix(b, binMagic) {
+		return nil, 0, fmt.Errorf("%w: unrecognised journal header %q", ErrCorruptJournal, b[:min(len(b), len(binMagic))])
 	}
-	return readJSONRecords(b)
-}
-
-// readJSONRecords parses the legacy newline-framed JSON codec. It is the
-// read half of a codec whose write half is gone (see the layout comment
-// above): such logs come from deployments written before the binary
-// format became the only one, and from test fixtures.
-func readJSONRecords(b []byte) ([]record, int64, error) {
-	var recs []record
-	var clean int64
-	off := 0
-	for off < len(b) {
-		nl := bytes.IndexByte(b[off:], '\n')
-		if nl < 0 {
-			break // unterminated tail: the write was interrupted
-		}
-		line := b[off : off+nl]
-		next := off + nl + 1
-		if len(bytes.TrimSpace(line)) > 0 {
-			var r record
-			if err := json.Unmarshal(line, &r); err != nil {
-				if len(bytes.TrimSpace(b[next:])) == 0 {
-					break // torn final record
-				}
-				return nil, 0, fmt.Errorf("%w: malformed record at byte %d: %v", ErrCorruptJournal, off, err)
-			}
-			recs = append(recs, r)
-		}
-		off = next
-		clean = int64(off)
-	}
-	return recs, clean, nil
+	return readBinaryRecords(b)
 }
 
 // append journals one mutation, assigning it the next sequence number.
@@ -246,10 +192,7 @@ func (j *journal) append(r record) error {
 	if j.empty {
 		j.enc = append(j.enc, binMagic...)
 	}
-	var err error
-	if j.enc, err = appendBinaryFrame(j.enc, r); err != nil {
-		return err
-	}
+	j.enc = appendBinaryFrame(j.enc, r)
 	if _, err := j.f.Write(j.enc); err != nil {
 		return fmt.Errorf("cluster: journal append: %w", err)
 	}
@@ -347,7 +290,7 @@ func (j *journal) snapshot(s *snapshotFile) error {
 	if err := j.f.Truncate(0); err != nil {
 		return fmt.Errorf("cluster: journal compaction: %w", err)
 	}
-	j.empty, j.legacy = true, false
+	j.empty = true
 	return nil
 }
 

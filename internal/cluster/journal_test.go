@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io/fs"
 	"os"
@@ -19,9 +18,8 @@ func writeJournal(t *testing.T, dir string, content []byte) string {
 	return path
 }
 
-// readRecords parses the journal file at path in whichever codec it was
-// written, returning every clean record and the byte offset up to which
-// the file is clean.
+// readRecords parses the journal file at path, returning every clean
+// record and the byte offset up to which the file is clean.
 func readRecords(path string) ([]record, int64, error) {
 	b, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -31,34 +29,6 @@ func readRecords(path string) ([]record, int64, error) {
 		return nil, 0, err
 	}
 	return parseJournal(b)
-}
-
-// jsonLines encodes records the way the retired JSON writer did — one
-// json.Marshal(record) per line — to build the legacy fixtures the
-// read-only decoder and the upgrade-at-open path are tested against.
-func jsonLines(tb testing.TB, recs []record) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	for _, r := range recs {
-		b, err := json.Marshal(r)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
-}
-
-// legacyJSON re-encodes a binary journal image as the JSON-lines log the
-// parent format would have held for the same history.
-func legacyJSON(tb testing.TB, bin []byte) []byte {
-	tb.Helper()
-	recs, clean, err := parseJournal(bin)
-	if err != nil || clean != int64(len(bin)) || len(recs) == 0 {
-		tb.Fatalf("fixture source is not a clean non-empty journal: %d records, clean %d of %d, err %v", len(recs), clean, len(bin), err)
-	}
-	return jsonLines(tb, recs)
 }
 
 func tickRecords(ts ...int) []record {
@@ -71,8 +41,8 @@ func tickRecords(ts ...int) []record {
 
 func TestJournalTornTailDropped(t *testing.T) {
 	dir := t.TempDir()
-	clean := encodeBinLog(t, tickRecords(5, 9))
-	torn := encodeBinLog(t, tickRecords(5, 9, 12))
+	clean := encodeBinLog(tickRecords(5, 9))
+	torn := encodeBinLog(tickRecords(5, 9, 12))
 	path := writeJournal(t, dir, torn[:len(torn)-3]) // torn mid-frame
 	j, snap, recs, err := openJournal(dir, false)
 	if err != nil {
@@ -130,51 +100,9 @@ func TestJournalMagicRidesFirstFrame(t *testing.T) {
 				}
 			}
 			b, _ := os.ReadFile(path)
-			if want := encodeBinLog(t, tickRecords(5, 9)); !bytes.Equal(b, want) {
+			if want := encodeBinLog(tickRecords(5, 9)); !bytes.Equal(b, want) {
 				t.Fatalf("log = %q, want magic once then two frames %q", b, want)
 			}
 		})
-	}
-}
-
-// The JSON reader's torn-tail and corruption taxonomy, exercised on
-// fixture text: openJournal flags such a log legacy and leaves its bytes
-// alone (the cluster's upgrade snapshot is what empties it).
-
-func TestLegacyJournalTornTailsDropped(t *testing.T) {
-	for name, log := range map[string]string{
-		"unterminated": `{"seq":1,"op":"tick","t":5}` + "\n" + `{"seq":2,"op":"admit","t":9,"vm":{"id":7,"dem`,
-		// A torn record that happens to end in a newline is still dropped.
-		"terminated": `{"seq":1,"op":"tick","t":5}` + "\n" + `{"seq":2,"op":` + "\n",
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			path := writeJournal(t, dir, []byte(log))
-			j, _, recs, err := openJournal(dir, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.close()
-			if len(recs) != 1 || recs[0].T != 5 {
-				t.Fatalf("recs = %+v, want the one clean record", recs)
-			}
-			if !j.legacy || j.empty {
-				t.Fatalf("legacy %v empty %v, want a legacy non-empty log", j.legacy, j.empty)
-			}
-			if b, _ := os.ReadFile(path); string(b) != log {
-				t.Fatalf("open rewrote a legacy log: %q", b)
-			}
-		})
-	}
-}
-
-func TestLegacyJournalCorruptMiddleRefused(t *testing.T) {
-	dir := t.TempDir()
-	writeJournal(t, dir, []byte(
-		`{"seq":1,"op":"tick","t":5}`+"\n"+
-			`garbage`+"\n"+
-			`{"seq":3,"op":"tick","t":9}`+"\n"))
-	if _, _, _, err := openJournal(dir, false); !errors.Is(err, ErrCorruptJournal) {
-		t.Fatalf("mid-journal corruption: err = %v, want ErrCorruptJournal", err)
 	}
 }

@@ -198,7 +198,7 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 	jerr := c.commitLocked(record{
 		Op:      opAdopt,
 		T:       c.fleet.Now(),
-		VM:      &vm,
+		VM:      vm,
 		Server:  to,
 		Start:   actualStart,
 		Handoff: handoff,
