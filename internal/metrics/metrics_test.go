@@ -74,6 +74,29 @@ func TestAverageUtilizationOverlapAggregation(t *testing.T) {
 	}
 }
 
+// TestAverageUtilizationIgnoresFloatResidue: once both VMs have ended, the
+// server is idle. A running total over a difference array leaves
+// 0.1+0.2−0.1−0.2 ≈ 4e-17 behind, which counted the seven idle minutes
+// as busy samples (0.08 instead of 0.8/3).
+func TestAverageUtilizationIgnoresFloatResidue(t *testing.T) {
+	inst := model.NewInstance(
+		[]model.VM{
+			{ID: 1, Demand: model.Resources{CPU: 0.1, Mem: 0.1}, Start: 1, End: 2},
+			{ID: 2, Demand: model.Resources{CPU: 0.2, Mem: 0.2}, Start: 1, End: 3},
+		},
+		[]model.Server{{ID: 1, Capacity: model.Resources{CPU: 1, Mem: 1}, PIdle: 1, PPeak: 2}},
+	)
+	inst.Horizon = 10
+	u, err := AverageUtilization(inst, map[int]int{1: 1, 2: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := (0.3 + 0.3 + 0.2) / 3
+	if math.Abs(u.CPU-want) > 1e-12 || math.Abs(u.Mem-want) > 1e-12 {
+		t.Errorf("utilization = %+v, want %.4f over 3 busy minutes", u, want)
+	}
+}
+
 func TestAverageUtilizationErrors(t *testing.T) {
 	inst := inst2()
 	if _, err := AverageUtilization(inst, map[int]int{1: 1}); err == nil {
