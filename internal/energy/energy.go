@@ -239,25 +239,9 @@ func EvaluateServer(s model.Server, vms []model.VM) Breakdown {
 // constraints — that is the ILP checker's job (package ilp). Servers are
 // summed in inst.Servers order: equal inputs give equal bits.
 func EvaluateObjective(inst model.Instance, placement map[int]int) (Breakdown, error) {
-	index := make(map[int]int, len(inst.Servers))
-	for i := len(inst.Servers) - 1; i >= 0; i-- {
-		index[inst.Servers[i].ID] = i // of two equal IDs the first, as ServerByID has it
-	}
-	byServer := make([][]model.VM, len(inst.Servers))
-	unknown, anyUnknown := 0, false
-	for _, v := range inst.VMs {
-		sid, ok := placement[v.ID]
-		if !ok {
-			return Breakdown{}, fmt.Errorf("energy: vm %d is unplaced", v.ID)
-		}
-		if i, ok := index[sid]; ok {
-			byServer[i] = append(byServer[i], v)
-		} else if !anyUnknown {
-			unknown, anyUnknown = sid, true
-		}
-	}
-	if anyUnknown {
-		return Breakdown{}, fmt.Errorf("energy: placement references unknown server %d", unknown)
+	byServer, err := inst.ByServer(placement)
+	if err != nil {
+		return Breakdown{}, fmt.Errorf("energy: %w", err)
 	}
 	var total Breakdown
 	for i, vms := range byServer {

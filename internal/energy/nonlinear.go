@@ -68,37 +68,30 @@ func (c Curve) Power(s model.Server, u float64) float64 {
 // the optimal activity schedule (using the scaled idle power for the
 // bridge-or-sleep decision) and integrates P(u(t)) minute by minute,
 // plus the transition cost per activation. With AffineCurve it agrees
-// with EvaluateObjective exactly.
+// with EvaluateObjective exactly. Servers are summed in inst.Servers order.
 func CurveEvaluate(inst model.Instance, placement map[int]int, c Curve) (Breakdown, error) {
 	if err := c.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	byServer := make(map[int][]model.VM, len(inst.Servers))
-	for _, v := range inst.VMs {
-		sid, ok := placement[v.ID]
-		if !ok {
-			return Breakdown{}, fmt.Errorf("energy: vm %d is unplaced", v.ID)
-		}
-		byServer[sid] = append(byServer[sid], v)
+	if err := inst.Validate(); err != nil {
+		return Breakdown{}, err
+	}
+	byServer, err := inst.ByServer(placement)
+	if err != nil {
+		return Breakdown{}, fmt.Errorf("energy: %w", err)
 	}
 	var total Breakdown
-	for sid, vms := range byServer {
-		srv, ok := inst.ServerByID(sid)
-		if !ok {
-			return Breakdown{}, fmt.Errorf("energy: unknown server %d", sid)
+	for i, vms := range byServer {
+		if len(vms) > 0 {
+			total = total.Add(curveEvaluateServer(inst.Servers[i], vms, c))
 		}
-		total = total.Add(curveEvaluateServer(srv, vms, c, inst.Horizon))
 	}
 	return total, nil
 }
 
-func curveEvaluateServer(s model.Server, vms []model.VM, c Curve, horizon int) Breakdown {
-	// Utilisation per minute via a difference array.
-	use := make([]float64, horizon+2)
+func curveEvaluateServer(s model.Server, vms []model.VM, c Curve) Breakdown {
 	var busy timeline.SegmentSet
 	for _, v := range vms {
-		use[v.Start] += v.Demand.CPU
-		use[v.End+1] -= v.Demand.CPU
 		busy.Insert(timeline.Interval{Start: v.Start, End: v.End})
 	}
 	// The activity schedule uses the *scaled* server: bridging an idle gap
@@ -106,30 +99,16 @@ func curveEvaluateServer(s model.Server, vms []model.VM, c Curve, horizon int) B
 	scaled := s
 	scaled.PIdle = s.PIdle * (1 - c.IdleScale)
 	active := ActiveIntervals(scaled, &busy)
-
+	use := model.Usage(vms)
 	var b Breakdown
-	idle := scaled.PIdle
-	cur := 0.0
-	next := 0
 	for _, iv := range active {
-		for t := next; t <= iv.End; t++ {
-			if t >= 1 {
-				cur += use[t]
-			}
-			if t < iv.Start {
-				continue
-			}
-			u := cur / s.Capacity.CPU
-			p := c.Power(s, u)
+		for t := iv.Start; t <= iv.End; t++ {
 			// Attribute the idle floor to Idle and the load-dependent part
 			// to Run, mirroring the affine breakdown.
-			b.Idle += idle
-			b.Run += p - idle
+			b.Idle += scaled.PIdle
+			b.Run += c.Power(s, use[t].CPU/s.Capacity.CPU) - scaled.PIdle
 		}
-		next = iv.End + 1
 	}
-	// Replaying the prefix sums across gaps requires continuing the scan;
-	// the loop above advances `cur` through skipped minutes too (t < iv.Start).
 	b.Transition = scaled.TransitionCost() * float64(len(active))
 	return b
 }

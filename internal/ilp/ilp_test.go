@@ -94,6 +94,37 @@ func TestCheckPlacementRejects(t *testing.T) {
 	})
 }
 
+// TestFitsMatchesCheckServer: the allocation-free window check answers what
+// the per-minute checker answers for the set with v added, on Table I/II
+// demands and capacities (1.7, 3.75, 7.5 GB are not dyadic), for every
+// placed set the checker accepts.
+func TestFitsMatchesCheckServer(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	vmTypes, srvTypes := model.VMTypeCatalog(), model.ServerTypeCatalog()
+	accepted, rejected := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		s := srvTypes[rng.Intn(len(srvTypes))].NewServer(1, 1)
+		var placed []model.VM
+		for j := 1; j <= 40; j++ {
+			start := 1 + rng.Intn(30)
+			v := model.VM{ID: j, Demand: vmTypes[rng.Intn(len(vmTypes))].Resources(), Start: start, End: start + rng.Intn(15)}
+			want := CheckServer(s, append(placed, v)) == nil
+			if got := Fits(s, placed, v); got != want {
+				t.Fatalf("trial %d: Fits(%v, %d placed, %+v) = %v, CheckServer says %v", trial, s.Capacity, len(placed), v, got, want)
+			}
+			if want {
+				placed = append(placed, v)
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+	}
+	if accepted < 1000 || rejected < 1000 {
+		t.Errorf("lopsided draw: %d accepted, %d rejected", accepted, rejected)
+	}
+}
+
 func TestBranchAndBoundOptimalOnTiny(t *testing.T) {
 	inst := tinyInstance()
 	placement, cost, stats, err := (&BranchAndBound{}).Solve(context.Background(), inst)

@@ -3,6 +3,7 @@ package online
 import (
 	"testing"
 
+	"vmalloc/internal/ilp"
 	"vmalloc/internal/model"
 	"vmalloc/internal/workload"
 )
@@ -32,16 +33,13 @@ func TestEngineCapacityInvariantRandom(t *testing.T) {
 	}
 }
 
+// assertCapacity shifts each VM to its reported start and checks the
+// realised placement with ilp.CheckPlacement (Eq. 9–11); NewInstance
+// recomputes the horizon past any wake-up delay.
 func assertCapacity(t *testing.T, inst model.Instance, rep *Report) {
 	t.Helper()
-	type diff struct{ cpu, mem []float64 }
-	horizon := inst.Horizon + 64
-	use := map[int]*diff{}
-	for _, v := range inst.VMs {
-		sid, ok := rep.Placement[v.ID]
-		if !ok {
-			t.Fatalf("%s: vm %d unplaced", rep.Policy, v.ID)
-		}
+	shifted := make([]model.VM, len(inst.VMs))
+	for i, v := range inst.VMs {
 		start, ok := rep.Starts[v.ID]
 		if !ok {
 			t.Fatalf("%s: vm %d has no start time", rep.Policy, v.ID)
@@ -50,36 +48,10 @@ func assertCapacity(t *testing.T, inst model.Instance, rep *Report) {
 			t.Fatalf("%s: vm %d started at %d before its request time %d",
 				rep.Policy, v.ID, start, v.Start)
 		}
-		end := start + v.Duration() - 1
-		if end >= horizon {
-			t.Fatalf("%s: vm %d ends at %d beyond padded horizon", rep.Policy, v.ID, end)
-		}
-		u := use[sid]
-		if u == nil {
-			u = &diff{cpu: make([]float64, horizon+2), mem: make([]float64, horizon+2)}
-			use[sid] = u
-		}
-		u.cpu[start] += v.Demand.CPU
-		u.cpu[end+1] -= v.Demand.CPU
-		u.mem[start] += v.Demand.Mem
-		u.mem[end+1] -= v.Demand.Mem
+		v.Start, v.End = start, start+v.Duration()-1
+		shifted[i] = v
 	}
-	for sid, u := range use {
-		srv, ok := inst.ServerByID(sid)
-		if !ok {
-			t.Fatalf("%s: unknown server %d", rep.Policy, sid)
-		}
-		var curCPU, curMem float64
-		for tt := 1; tt <= horizon; tt++ {
-			curCPU += u.cpu[tt]
-			curMem += u.mem[tt]
-			if curCPU > srv.Capacity.CPU+1e-9 {
-				t.Fatalf("%s: server %d CPU over capacity at t=%d (%.2f > %.2f)",
-					rep.Policy, sid, tt, curCPU, srv.Capacity.CPU)
-			}
-			if curMem > srv.Capacity.Mem+1e-9 {
-				t.Fatalf("%s: server %d memory over capacity at t=%d", rep.Policy, sid, tt)
-			}
-		}
+	if err := ilp.CheckPlacement(model.NewInstance(shifted, inst.Servers), rep.Placement); err != nil {
+		t.Fatalf("%s: %v", rep.Policy, err)
 	}
 }

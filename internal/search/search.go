@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"vmalloc/internal/energy"
+	"vmalloc/internal/ilp"
 	"vmalloc/internal/model"
 )
 
@@ -99,32 +100,25 @@ func (im *Improver) Improve(inst model.Instance, placement map[int]int) (map[int
 }
 
 func newState(inst model.Instance, placement map[int]int) (*state, error) {
+	perSrv, err := inst.ByServer(placement)
+	if err != nil {
+		return nil, fmt.Errorf("search: %w", err)
+	}
 	st := &state{
 		inst:   inst,
 		srvIdx: make(map[int]int, len(inst.Servers)),
-		perSrv: make([][]model.VM, len(inst.Servers)),
+		perSrv: perSrv,
 		cost:   make([]float64, len(inst.Servers)),
 		place:  make(map[int]int, len(placement)),
 	}
 	for i, s := range inst.Servers {
-		st.srvIdx[s.ID] = i
-	}
-	for _, v := range inst.VMs {
-		sid, ok := placement[v.ID]
-		if !ok {
-			return nil, fmt.Errorf("search: vm %d is unplaced", v.ID)
-		}
-		i, ok := st.srvIdx[sid]
-		if !ok {
-			return nil, fmt.Errorf("search: vm %d on unknown server %d", v.ID, sid)
-		}
-		st.perSrv[i] = append(st.perSrv[i], v)
-		st.place[v.ID] = sid
-	}
-	for i, s := range inst.Servers {
-		st.cost[i] = energy.EvaluateServer(s, st.perSrv[i]).Total()
-		if err := checkServer(s, st.perSrv[i]); err != nil {
+		if err := ilp.CheckServer(s, perSrv[i]); err != nil {
 			return nil, fmt.Errorf("search: input placement infeasible: %w", err)
+		}
+		st.srvIdx[s.ID] = i
+		st.cost[i] = energy.EvaluateServer(s, perSrv[i]).Total()
+		for _, v := range perSrv[i] {
+			st.place[v.ID] = s.ID
 		}
 	}
 	return st, nil
@@ -149,7 +143,7 @@ func (st *state) tryRelocate(v model.VM) bool {
 			continue
 		}
 		s := st.inst.Servers[dst]
-		if !fitsWith(s, st.perSrv[dst], v) {
+		if !ilp.Fits(s, st.perSrv[dst], v) {
 			continue
 		}
 		dstNew := energy.EvaluateServer(s, append(st.perSrv[dst], v)).Total()
@@ -181,7 +175,7 @@ func (st *state) trySwap(v model.VM, rng *rand.Rand) bool {
 	srcS, dstS := st.inst.Servers[src], st.inst.Servers[dst]
 	srcSwapped := append(remove(st.perSrv[src], v.ID), other)
 	dstSwapped := append(remove(st.perSrv[dst], other.ID), v)
-	if !feasible(srcS, srcSwapped) || !feasible(dstS, dstSwapped) {
+	if ilp.CheckServer(srcS, srcSwapped) != nil || ilp.CheckServer(dstS, dstSwapped) != nil {
 		return false
 	}
 	srcNew := energy.EvaluateServer(srcS, srcSwapped).Total()
@@ -204,61 +198,4 @@ func remove(vms []model.VM, id int) []model.VM {
 		}
 	}
 	return out
-}
-
-// fitsWith reports whether v fits s alongside the placed VMs.
-func fitsWith(s model.Server, placed []model.VM, v model.VM) bool {
-	if !v.Demand.Fits(s.Capacity) {
-		return false
-	}
-	for t := v.Start; t <= v.End; t++ {
-		cpu, mem := v.Demand.CPU, v.Demand.Mem
-		for _, p := range placed {
-			if p.Start <= t && t <= p.End {
-				cpu += p.Demand.CPU
-				mem += p.Demand.Mem
-			}
-		}
-		if cpu > s.Capacity.CPU+1e-9 || mem > s.Capacity.Mem+1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// feasible reports whether the whole VM set fits the server.
-func feasible(s model.Server, vms []model.VM) bool {
-	return checkServer(s, vms) == nil
-}
-
-func checkServer(s model.Server, vms []model.VM) error {
-	if len(vms) == 0 {
-		return nil
-	}
-	maxEnd := 0
-	for _, v := range vms {
-		if v.End > maxEnd {
-			maxEnd = v.End
-		}
-	}
-	cpu := make([]float64, maxEnd+2)
-	mem := make([]float64, maxEnd+2)
-	for _, v := range vms {
-		cpu[v.Start] += v.Demand.CPU
-		cpu[v.End+1] -= v.Demand.CPU
-		mem[v.Start] += v.Demand.Mem
-		mem[v.End+1] -= v.Demand.Mem
-	}
-	var c, m float64
-	for t := 1; t <= maxEnd; t++ {
-		c += cpu[t]
-		m += mem[t]
-		if c > s.Capacity.CPU+1e-9 {
-			return fmt.Errorf("server %d CPU over capacity at t=%d", s.ID, t)
-		}
-		if m > s.Capacity.Mem+1e-9 {
-			return fmt.Errorf("server %d memory over capacity at t=%d", s.ID, t)
-		}
-	}
-	return nil
 }

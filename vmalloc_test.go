@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vmalloc"
+	"vmalloc/internal/migration"
 )
 
 // TestFacadeEndToEnd drives the whole public API surface the way the
@@ -109,5 +110,79 @@ func TestFacadeUnplaceable(t *testing.T) {
 	var ue *vmalloc.UnplaceableError
 	if !errors.As(err, &ue) || ue.VM.ID != 1 {
 		t.Errorf("err = %v, want UnplaceableError for vm 1", err)
+	}
+}
+
+// TestReadersRejectVMPastHorizon: every public reader of a placement
+// validates the instance first, so a VM that ends past the horizon is an
+// error, not an index out of range.
+func TestReadersRejectVMPastHorizon(t *testing.T) {
+	st := vmalloc.ServerTypeCatalog()[0]
+	inst := vmalloc.NewInstance(
+		[]vmalloc.VM{{ID: 1, Demand: vmalloc.Resources{CPU: 1, Mem: 1}, Start: 3, End: 9}},
+		[]vmalloc.Server{st.NewServer(1, 1)},
+	)
+	inst.Horizon = 5
+	placement := map[int]int{1: 1}
+	sched := vmalloc.MigrationSchedule{1: {{ServerID: 1, Start: 3, End: 9}}}
+	readers := []struct {
+		name string
+		read func() error
+	}{
+		{"CheckPlacement", func() error { return vmalloc.CheckPlacement(inst, placement) }},
+		{"AverageUtilization", func() error { _, err := vmalloc.AverageUtilization(inst, placement); return err }},
+		{"ActiveServersSeries", func() error { _, err := vmalloc.ActiveServersSeries(inst, placement); return err }},
+		{"EvaluateUnderCurve", func() error {
+			_, err := vmalloc.EvaluateUnderCurve(inst, placement, vmalloc.AffinePowerCurve())
+			return err
+		}},
+		{"MigrationSchedule.Validate", func() error { return sched.Validate(inst) }},
+		{"migration.Evaluate", func() error { _, _, err := migration.Evaluate(inst, sched, 1); return err }},
+	}
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			if err := r.read(); err == nil {
+				t.Error("a VM past the horizon was accepted")
+			}
+		})
+	}
+}
+
+// TestReadersSumInInstanceOrder: one placement priced 200 times gives one
+// total. The curve evaluator and the schedule evaluator used to sum their
+// servers in map order, which moved the total's last bits between calls.
+func TestReadersSumInInstanceOrder(t *testing.T) {
+	inst, err := vmalloc.Generate(
+		vmalloc.WorkloadSpec{NumVMs: 400, MeanInterArrival: 2, MeanLength: 40},
+		vmalloc.FleetSpec{NumServers: 80, TransitionTime: 1},
+		7,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := vmalloc.NewMinCost().Allocate(context.Background(), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := migration.FromPlacement(inst, res.Placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve := vmalloc.PowerCurve{IdleScale: 0.3, Exponent: 1.7}
+	curveTotals, scheduleTotals := map[uint64]bool{}, map[uint64]bool{}
+	for call := 0; call < 200; call++ {
+		b, err := vmalloc.EvaluateUnderCurve(inst, res.Placement, curve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curveTotals[math.Float64bits(b.Total())] = true
+		if b, _, err = migration.Evaluate(inst, sched, 2); err != nil {
+			t.Fatal(err)
+		}
+		scheduleTotals[math.Float64bits(b.Total())] = true
+	}
+	if len(curveTotals) != 1 || len(scheduleTotals) != 1 {
+		t.Errorf("distinct totals over 200 calls: EvaluateUnderCurve %d, migration.Evaluate %d; want 1 each",
+			len(curveTotals), len(scheduleTotals))
 	}
 }
