@@ -65,9 +65,6 @@ func (fl *Fleet) View() *FleetView { return &fl.view }
 // Now returns the fleet clock.
 func (fl *Fleet) Now() int { return fl.view.now }
 
-// IdleTimeout returns the configured idle timeout.
-func (fl *Fleet) IdleTimeout() int { return fl.idleTimeout }
-
 // Admitted returns the number of VMs committed over the fleet's lifetime.
 func (fl *Fleet) Admitted() int { return fl.admitted }
 
@@ -180,7 +177,6 @@ func (fl *Fleet) Commit(i int, v model.VM) (int, error) {
 	if i < 0 || i >= len(fl.view.units) {
 		return 0, fmt.Errorf("online: server index %d out of range", i)
 	}
-	u := &fl.view.units[i]
 	if v.Start < fl.view.now {
 		return 0, fmt.Errorf("online: vm %d starts at %d, before the fleet clock %d", v.ID, v.Start, fl.view.now)
 	}
@@ -191,26 +187,18 @@ func (fl *Fleet) Commit(i int, v model.VM) (int, error) {
 	// Guard the arithmetic horizon: a VM ending at (or overflowing past)
 	// MaxInt would wrap the departure event time end+1 negative and drag
 	// the clock backwards when it fires.
-	if end := start + v.Duration() - 1; end < start || end == math.MaxInt {
+	end := start + v.Duration() - 1
+	if end < start || end == math.MaxInt {
 		return 0, fmt.Errorf("online: vm %d end overflows the time horizon", v.ID)
 	}
-	if !fl.view.Fits(i, v, start) {
-		return 0, fmt.Errorf("online: vm %d does not fit server %d", v.ID, u.srv.ID)
+	if ok, _ := fl.view.probe(i, v.Demand.CPU, v.Demand.Mem, start, end); !ok {
+		return 0, fmt.Errorf("online: vm %d does not fit server %d", v.ID, fl.view.units[i].srv.ID)
 	}
 	delay := start - v.Start
 	fl.totalDelay += delay
-	if delay > fl.maxDelay {
-		fl.maxDelay = delay
-	}
-	end := start + v.Duration() - 1
+	fl.maxDelay = max(fl.maxDelay, delay)
 	fl.admitted++
-	fl.resident[v.ID] = PlacedVM{VM: v, Server: i, Start: start}
-	fl.energy.Run += energy.RunCost(u.srv, v)
-	if fl.view.rows[i].state == PowerSaving {
-		fl.wake(i)
-	}
-	fl.host(i, v.ID, start, end, v.Demand)
-	u.used = true
+	fl.land(i, PlacedVM{VM: v, Start: start}, start)
 	return start, nil
 }
 
@@ -225,20 +213,9 @@ func (fl *Fleet) Release(id int) (PlacedVM, error) {
 	if !ok {
 		return PlacedVM{}, fmt.Errorf("online: vm %d is not resident", id)
 	}
-	now := fl.view.now
-	dur := p.VM.Duration()
-	used := 0
-	if now >= p.Start {
-		used = now - p.Start + 1
-		if used > dur {
-			used = dur
-		}
-	}
-	fl.energy.Run -= fl.view.rows[p.Server].p1 * p.VM.Demand.CPU * float64(dur-used)
-	fl.cutShort(p.Server, id, now)
+	fl.leave(p)
 	delete(fl.resident, id)
 	fl.released++
-	fl.vacate(p.Server, now)
 	return p, nil
 }
 
@@ -264,13 +241,13 @@ func (e *MigrateError) Error() string {
 // preserved: only the hosting server changes, so a migration never delays
 // or extends the VM.
 //
-// Run cost for the remaining minutes is transferred between the two
-// servers' marginal rates (refunded at the source's P¹, charged at the
-// target's). A sleeping target is woken exactly as Commit would, but only
-// if the wake completes by the handoff minute — waking may never shift the
-// start. The source's stale departure event is neutralised by the same
-// identity guard that protects releases; a fresh departure is scheduled on
-// the target.
+// A move is leave on the source followed by land on the target, so run
+// cost for the remaining minutes is refunded at the source's P¹ and
+// charged at the target's. A sleeping target is woken exactly as Commit
+// would, but only if the wake completes by the handoff minute — waking may
+// never shift the start. The source's stale departure event is neutralised
+// by the same identity guard that protects releases; a fresh departure is
+// scheduled on the target.
 //
 // On success Migrate returns the VM's placement before the move and the
 // handoff minute. Infeasible requests return a *MigrateError and leave the
@@ -283,51 +260,28 @@ func (fl *Fleet) Migrate(id, to int) (PlacedVM, int, error) {
 	if to < 0 || to >= len(fl.view.units) {
 		return PlacedVM{}, 0, fmt.Errorf("online: server index %d out of range", to)
 	}
-	dst, dstRow := &fl.view.units[to], &fl.view.rows[to]
+	r, srvID := &fl.view.rows[to], fl.view.units[to].srv.ID
 	if to == p.Server {
-		return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID, Reason: "vm already hosted there"}
+		return PlacedVM{}, 0, &MigrateError{VM: id, Server: srvID, Reason: "vm already hosted there"}
 	}
 	now := fl.view.now
-	handoff := maxInt(p.Start, now+1)
-	end := p.End()
+	handoff, end := max(p.Start, now+1), p.End()
 	if handoff > end {
-		return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID, Reason: "no remaining minutes to move"}
+		return PlacedVM{}, 0, &MigrateError{VM: id, Server: srvID, Reason: "no remaining minutes to move"}
 	}
-	wake := false
-	switch dstRow.state {
-	case Waking:
-		if dstRow.wakeDone > handoff {
-			return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID,
-				Reason: fmt.Sprintf("target wakes at %d, after the handoff minute %d", dstRow.wakeDone, handoff)}
-		}
-	case PowerSaving:
-		if done := now + dstRow.wake; done > handoff {
-			return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID,
-				Reason: fmt.Sprintf("target cannot wake before the handoff minute %d", handoff)}
-		}
-		wake = true
+	if r.state == Waking && r.wakeDone > handoff {
+		return PlacedVM{}, 0, &MigrateError{VM: id, Server: srvID,
+			Reason: fmt.Sprintf("target wakes at %d, after the handoff minute %d", r.wakeDone, handoff)}
 	}
-	if !p.VM.Demand.Fits(dst.srv.Capacity) {
-		return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID, Reason: "vm exceeds server capacity"}
+	if r.state == PowerSaving && now+r.wake > handoff {
+		return PlacedVM{}, 0, &MigrateError{VM: id, Server: srvID,
+			Reason: fmt.Sprintf("target cannot wake before the handoff minute %d", handoff)}
 	}
-	cpu, mem := dst.res.MaxUsage(handoff, end)
-	if cpu+p.VM.Demand.CPU > dst.srv.Capacity.CPU || mem+p.VM.Demand.Mem > dst.srv.Capacity.Mem {
-		return PlacedVM{}, 0, &MigrateError{VM: id, Server: dst.srv.ID, Reason: "target lacks capacity over the remaining interval"}
+	if reason := fl.shortfall(to, p.VM.Demand, handoff, end); reason != "" {
+		return PlacedVM{}, 0, &MigrateError{VM: id, Server: srvID, Reason: reason}
 	}
-
-	remaining := float64(end - handoff + 1)
-	fl.energy.Run -= fl.view.rows[p.Server].p1 * p.VM.Demand.CPU * remaining
-	fl.energy.Run += dstRow.p1 * p.VM.Demand.CPU * remaining
-	fl.cutShort(p.Server, id, now)
-	fl.vacate(p.Server, now)
-	if wake {
-		fl.wake(to)
-	}
-	fl.host(to, id, handoff, end, p.VM.Demand)
-	dst.used = true
-	moved := p
-	moved.Server = to
-	fl.resident[id] = moved
+	fl.leave(p)
+	fl.land(to, p, handoff)
 	fl.migrated++
 	return p, handoff, nil
 }
@@ -370,49 +324,85 @@ func (fl *Fleet) Adopt(to int, v model.VM, actualStart int) (int, error) {
 	if to < 0 || to >= len(fl.view.units) {
 		return 0, fmt.Errorf("online: server index %d out of range", to)
 	}
-	dst, dstRow := &fl.view.units[to], &fl.view.rows[to]
+	r, srvID := &fl.view.rows[to], fl.view.units[to].srv.ID
 	if _, dup := fl.resident[v.ID]; dup {
-		return 0, &AdoptError{VM: v.ID, Server: dst.srv.ID, Reason: "vm already resident"}
+		return 0, &AdoptError{VM: v.ID, Server: srvID, Reason: "vm already resident"}
 	}
 	if actualStart < v.Start {
-		return 0, &AdoptError{VM: v.ID, Server: dst.srv.ID,
+		return 0, &AdoptError{VM: v.ID, Server: srvID,
 			Reason: fmt.Sprintf("actual start %d before requested start %d", actualStart, v.Start)}
 	}
 	now := fl.view.now
-	p := PlacedVM{VM: v, Server: to, Start: actualStart}
+	p := PlacedVM{VM: v, Start: actualStart}
 	end := p.End()
 	if end < actualStart || end == math.MaxInt {
-		return 0, &AdoptError{VM: v.ID, Server: dst.srv.ID, Reason: "end overflows the time horizon"}
+		return 0, &AdoptError{VM: v.ID, Server: srvID, Reason: "end overflows the time horizon"}
 	}
-	handoff := maxInt(actualStart, now+1)
-	wake := false
-	switch dstRow.state {
+	handoff := max(actualStart, now+1)
+	switch r.state {
 	case Waking:
-		handoff = maxInt(handoff, dstRow.wakeDone)
+		handoff = max(handoff, r.wakeDone)
 	case PowerSaving:
-		handoff = maxInt(handoff, now+dstRow.wake)
-		wake = true
+		handoff = max(handoff, now+r.wake)
 	}
 	if handoff > end {
-		return 0, &AdoptError{VM: v.ID, Server: dst.srv.ID, Reason: "no remaining minutes to host"}
+		return 0, &AdoptError{VM: v.ID, Server: srvID, Reason: "no remaining minutes to host"}
 	}
-	if !v.Demand.Fits(dst.srv.Capacity) {
-		return 0, &AdoptError{VM: v.ID, Server: dst.srv.ID, Reason: "vm exceeds server capacity"}
+	if reason := fl.shortfall(to, v.Demand, handoff, end); reason != "" {
+		return 0, &AdoptError{VM: v.ID, Server: srvID, Reason: reason}
 	}
-	cpu, mem := dst.res.MaxUsage(handoff, end)
-	if cpu+v.Demand.CPU > dst.srv.Capacity.CPU || mem+v.Demand.Mem > dst.srv.Capacity.Mem {
-		return 0, &AdoptError{VM: v.ID, Server: dst.srv.ID, Reason: "target lacks capacity over the remaining interval"}
-	}
-
-	if wake {
-		fl.wake(to)
-	}
-	fl.energy.Run += dstRow.p1 * v.Demand.CPU * float64(end-handoff+1)
-	fl.host(to, v.ID, handoff, end, v.Demand)
-	dst.used = true
-	fl.resident[v.ID] = p
+	fl.land(to, p, handoff)
 	fl.adopted++
 	return handoff, nil
+}
+
+// shortfall asks probe whether server i can host demand d over [handoff,
+// end] and words a "no" as Migrate's and Adopt's refusal reason; "" means
+// it fits. Demand.Fits only picks which reason.
+func (fl *Fleet) shortfall(i int, d model.Resources, handoff, end int) string {
+	if ok, _ := fl.view.probe(i, d.CPU, d.Mem, handoff, end); ok {
+		return ""
+	}
+	if !d.Fits(fl.view.units[i].srv.Capacity) {
+		return "vm exceeds server capacity"
+	}
+	return "target lacks capacity over the remaining interval"
+}
+
+// land puts p on server i from the handoff minute through its end — the
+// last step of Commit, Migrate and Adopt: a sleeping server is woken, the
+// hosted minutes' run cost is charged at its P¹, the reservation is added
+// with its departure, and p is recorded as resident there.
+func (fl *Fleet) land(i int, p PlacedVM, handoff int) {
+	r := &fl.view.rows[i]
+	if r.state == PowerSaving {
+		fl.wake(i)
+	}
+	end := p.End()
+	fl.energy.Run += r.p1 * p.VM.Demand.CPU * float64(end-handoff+1)
+	fl.host(i, p.VM.ID, handoff, end, p.VM.Demand)
+	fl.view.units[i].used = true
+	p.Server = i
+	fl.resident[p.VM.ID] = p
+}
+
+// leave takes resident p off its server at the current minute — Release,
+// and the source half of Migrate: the run cost of the minutes from
+// max(Start, now+1) through its end is refunded at the server's P¹, the
+// reservation is cut short, and the server is vacated. If the VM had
+// started, the ledger keeps a shrunk entry covering the consumed minutes
+// [Start, now]; its natural departure event will be stale
+// (identity-checked away), so an explicit cleanup is scheduled for the
+// minute the entry becomes entirely past — otherwise every
+// started-then-released VM would grow the ledger forever. The caller
+// removes or replaces p's resident record.
+func (fl *Fleet) leave(p PlacedVM) {
+	now, i := fl.view.now, p.Server
+	fl.energy.Run -= fl.view.rows[i].p1 * p.VM.Demand.CPU * float64(p.End()-max(p.Start, now+1)+1)
+	if fl.view.truncate(i, p.VM.ID, now) {
+		fl.push(event{time: now + 1, kind: evCleanup, srv: i, vmID: p.VM.ID})
+	}
+	fl.vacate(i, now)
 }
 
 // host reserves demand on server i over [start, end] under the VM's ID
@@ -436,18 +426,6 @@ func (fl *Fleet) wake(i int) {
 	fl.view.units[i].transitions++
 	fl.energy.Transition += r.alpha
 	fl.push(event{time: r.wakeDone, kind: evWakeDone, srv: i})
-}
-
-// cutShort ends the VM's reservation on server i at minute now (Release,
-// and the source half of Migrate). If the VM had started, the ledger keeps
-// a shrunk entry covering the consumed minutes [Start, now]; its natural
-// departure event will be stale (identity-checked away), so an explicit
-// cleanup is scheduled for the minute the entry becomes entirely past —
-// otherwise every started-then-released VM would grow the ledger forever.
-func (fl *Fleet) cutShort(i, id, now int) {
-	if fl.view.truncate(i, id, now) {
-		fl.push(event{time: now + 1, kind: evCleanup, srv: i, vmID: id})
-	}
 }
 
 // vacate decrements a server's VM count and, when it empties while

@@ -179,8 +179,9 @@ func (f *FleetView) Fits(i int, v model.VM, start int) bool {
 	return ok
 }
 
-// probe is the one feasibility check: does a cpu/mem demand fit server i
-// over [start, end]. The row answers when it can — byRow — and every
+// probe is the one feasibility check — behind every policy candidate and
+// every Commit, Migrate and Adopt: does a cpu/mem demand fit server i over
+// [start, end]. The row answers when it can — byRow — and every
 // shortcut returns what the exact check would (IEEE addition is monotone,
 // and a window's maximum is one of the step function's segment values):
 //   - the demand exceeds the capacity outright: no;
@@ -258,7 +259,7 @@ func (r *row) startTime(reqStart int) int {
 	case Active:
 		return reqStart
 	case Waking:
-		return maxInt(reqStart, r.wakeDone)
+		return max(reqStart, r.wakeDone)
 	default:
 		return reqStart + r.wake
 	}
@@ -392,11 +393,4 @@ func (e *Engine) Run(inst model.Instance) (*Report, error) {
 		rep.MeanStartDelay = float64(fl.StartDelayTotal()) / float64(len(inst.VMs))
 	}
 	return &rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

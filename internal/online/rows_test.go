@@ -167,7 +167,7 @@ func TestRowsMatchLedgers(t *testing.T) {
 				if _, resident := fl.Resident(v.ID); resident {
 					continue
 				}
-				v.Start = maxInt(1, v.Start-rng.Intn(6)) // may have started on its old shard
+				v.Start = max(1, v.Start-rng.Intn(6)) // may have started on its old shard
 				var ae *AdoptError
 				if _, err := fl.Adopt(rng.Intn(len(servers)), v, v.Start+rng.Intn(3)); err != nil && !errors.As(err, &ae) {
 					t.Fatalf("seed %d op %d: adopt: %v", seed, op, err)
