@@ -1,7 +1,12 @@
 package timeline
 
 import (
+	"cmp"
+	"fmt"
+	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -136,21 +141,226 @@ func TestLedgerVsProfileOracle(t *testing.T) {
 	}
 }
 
+// rebuildBySort is the ledger's original compile, kept as the oracle for
+// TestLedgerMatchesRebuild and FuzzLedgerOps: walk the reservation map,
+// emit two marks per entry, sort them in the fixed (t, end, id) order, then
+// accumulate. The ledger keeps its marks in that order across mutations
+// instead; both must sum the same floats in the same sequence.
+func (l *Ledger) rebuildBySort() {
+	l.times = l.times[:0]
+	l.cpu = l.cpu[:0]
+	l.mem = l.mem[:0]
+	l.sum = Summary{End: -1}
+	if len(l.entries) == 0 {
+		return
+	}
+	marks := l.marks[:0]
+	for id, r := range l.entries {
+		marks = append(marks,
+			mark{t: r.Interval.Start, id: id, cpu: r.CPU, mem: r.Mem},
+			mark{t: r.Interval.End + 1, id: id, end: true, cpu: -r.CPU, mem: -r.Mem},
+		)
+	}
+	// (t, end, id) is a strict total order (an ID contributes one start
+	// and one end mark), so an unstable sort yields one sequence.
+	slices.SortFunc(marks, func(a, b mark) int {
+		if a.t != b.t {
+			return cmp.Compare(a.t, b.t)
+		}
+		if a.end != b.end {
+			if a.end {
+				return 1 // starts before ends at the same minute
+			}
+			return -1
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	l.marks = marks
+	var curCPU, curMem float64
+	for i := 0; i < len(marks); {
+		t := marks[i].t
+		for i < len(marks) && marks[i].t == t {
+			curCPU += marks[i].cpu
+			curMem += marks[i].mem
+			i++
+		}
+		l.times = append(l.times, t)
+		if i < len(marks) {
+			l.cpu = append(l.cpu, curCPU)
+			l.mem = append(l.mem, curMem)
+		}
+	}
+	first := true
+	for s := range l.cpu {
+		if first || l.cpu[s] > l.sum.PeakCPU {
+			l.sum.PeakCPU = l.cpu[s]
+			l.sum.CPUPeakFrom, l.sum.CPUPeakTo = l.times[s], l.times[s+1]-1
+		}
+		if first || l.mem[s] > l.sum.PeakMem {
+			l.sum.PeakMem = l.mem[s]
+			l.sum.MemPeakFrom, l.sum.MemPeakTo = l.times[s], l.times[s+1]-1
+		}
+		if first || l.cpu[s] < l.sum.MinCPU {
+			l.sum.MinCPU = l.cpu[s]
+		}
+		if first || l.mem[s] < l.sum.MinMem {
+			l.sum.MinMem = l.mem[s]
+		}
+		first = false
+	}
+	l.sum.Start = l.times[0]
+	l.sum.End = l.times[len(l.times)-1] - 1
+}
+
+// ledgerDemands are Table I/II figures (GB and compute units). Demands past
+// the table are multiples of 0.05, so neither sum is exact in float64 and a
+// change in summation order shows in the last bit.
+var ledgerDemands = []float64{1.7, 3.75, 7.5, 6.5, 17.1, 15, 34.2, 68.4, 0.85, 2.45}
+
+func ledgerDemand(k int) float64 {
+	if k < len(ledgerDemands) {
+		return ledgerDemands[k]
+	}
+	return float64(k) * 0.05
+}
+
+// ledgerOp is one step of a differential op script.
+type ledgerOp struct {
+	kind       int // 0 Add, 1 Remove, 2 Truncate
+	id         int
+	start, end int // Add's interval; Truncate's new end is end
+	cpu, mem   float64
+}
+
+func (op ledgerOp) apply(l *Ledger) {
+	switch op.kind {
+	case 0:
+		l.Add(op.id, Reservation{Interval: Interval{Start: op.start, End: op.end}, CPU: op.cpu, Mem: op.mem})
+	case 1:
+		l.Remove(op.id)
+	default:
+		l.Truncate(op.id, op.end)
+	}
+}
+
+// summaryBits is a Summary with every float as its bit pattern.
+func summaryBits(s Summary) [10]uint64 {
+	return [10]uint64{
+		math.Float64bits(s.PeakCPU), math.Float64bits(s.PeakMem),
+		math.Float64bits(s.MinCPU), math.Float64bits(s.MinMem),
+		uint64(s.Start), uint64(s.End),
+		uint64(s.CPUPeakFrom), uint64(s.CPUPeakTo), uint64(s.MemPeakFrom), uint64(s.MemPeakTo),
+	}
+}
+
+// checkAgainstRebuild compiles a fresh ledger over l's reservations with
+// rebuildBySort and requires l's step function and summary to equal it
+// bit for bit.
+func checkAgainstRebuild(t *testing.T, l *Ledger, step int, op ledgerOp) {
+	t.Helper()
+	o := &Ledger{entries: maps.Clone(l.entries)}
+	o.rebuildBySort()
+	if !slices.Equal(l.times, o.times) {
+		t.Fatalf("step %d %+v: times %v, oracle %v", step, op, l.times, o.times)
+	}
+	if len(l.cpu) != len(o.cpu) || len(l.mem) != len(o.mem) {
+		t.Fatalf("step %d %+v: %d/%d segments, oracle %d/%d", step, op, len(l.cpu), len(l.mem), len(o.cpu), len(o.mem))
+	}
+	for s := range o.cpu {
+		if math.Float64bits(l.cpu[s]) != math.Float64bits(o.cpu[s]) || math.Float64bits(l.mem[s]) != math.Float64bits(o.mem[s]) {
+			t.Fatalf("step %d %+v: segment %d at minute %d = (%v, %v), oracle (%v, %v)",
+				step, op, s, o.times[s], l.cpu[s], l.mem[s], o.cpu[s], o.mem[s])
+		}
+	}
+	if summaryBits(l.sum) != summaryBits(o.sum) {
+		t.Fatalf("step %d %+v: summary %+v, oracle %+v", step, op, l.sum, o.sum)
+	}
+}
+
+// TestLedgerMatchesRebuild drives seeded op scripts through a ledger and
+// checks it against the original sort-based compile after every op. The
+// scripts replace live IDs, remove absent ones, truncate inside, at, past
+// the end and before the start, and use decimal demands, so an order that
+// sums marks differently, or a stale mark left by a replaced ID, fails.
+func TestLedgerMatchesRebuild(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewLedger()
+		for step := 0; step < 400; step++ {
+			// Half the ops are Adds over 14 IDs: most replace a live one,
+			// and Remove and Truncate often name an absent one.
+			op := ledgerOp{kind: [4]int{0, 0, 1, 2}[rng.Intn(4)], id: 1 + rng.Intn(14)}
+			r, live := l.Get(op.id)
+			switch {
+			case op.kind == 0:
+				op.start = 1 + rng.Intn(60)
+				op.end = op.start + rng.Intn(25)
+				op.cpu, op.mem = ledgerDemand(rng.Intn(200)), ledgerDemand(rng.Intn(200))
+			case op.kind == 2 && live:
+				switch rng.Intn(4) {
+				case 0: // inside
+					op.end = r.Interval.Start + rng.Intn(r.Interval.End-r.Interval.Start+1)
+				case 1: // at the end
+					op.end = r.Interval.End
+				case 2: // past the end
+					op.end = r.Interval.End + 1 + rng.Intn(5)
+				default: // before the start
+					op.end = r.Interval.Start - 1 - rng.Intn(5)
+				}
+			case op.kind == 2:
+				op.end = rng.Intn(90)
+			}
+			op.apply(l)
+			checkAgainstRebuild(t, l, step, op)
+		}
+	}
+}
+
+// FuzzLedgerOps decodes bytes into an op script, five bytes an op, and
+// checks the ledger against rebuildBySort after every op.
+func FuzzLedgerOps(f *testing.F) {
+	f.Add([]byte{0, 5, 10, 0, 1, 3, 5, 4, 2, 3, 6, 5, 0, 0, 0, 1, 0, 0, 0, 0})
+	f.Add([]byte{0, 1, 1, 40, 60, 3, 1, 9, 70, 80, 6, 2, 50, 0, 2, 5, 1, 30, 1, 1, 2, 1, 3, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l := NewLedger()
+		for i := 0; i+5 <= len(data); i += 5 {
+			b := data[i : i+5]
+			op := ledgerOp{kind: int(b[0]) % 3, id: 1 + int(b[0])/3%16}
+			switch op.kind {
+			case 0:
+				op.start = 1 + int(b[1])%64
+				op.end = op.start + int(b[2])%32
+				op.cpu, op.mem = ledgerDemand(int(b[3])), ledgerDemand(int(b[4]))
+			case 2:
+				op.end = int(b[1]) % 100
+			}
+			op.apply(l)
+			checkAgainstRebuild(t, l, i/5, op)
+		}
+	})
+}
+
 var ledgerSink Summary
 
 // BenchmarkLedgerAddRemove is the fleet's per-admission ledger work: one
-// Add and one Remove (each a rebuild) on a server holding eight VMs.
+// Add and one Remove on a server holding k VMs. k = 8 is a typical server;
+// k = 512 is bench/probe_timeline.go's large case, where the cost of a
+// mutation's pass over the marks shows.
 func BenchmarkLedgerAddRemove(b *testing.B) {
-	l := NewLedger()
-	for id := 1; id <= 8; id++ {
-		l.Add(id, Reservation{Interval: Interval{Start: id, End: 20 + 3*id}, CPU: 1, Mem: 2})
+	for _, k := range []int{8, 512} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			l := NewLedger()
+			for id := 1; id <= k; id++ {
+				l.Add(id, Reservation{Interval: Interval{Start: id, End: 20 + 3*id}, CPU: 1, Mem: 2})
+			}
+			r := Reservation{Interval: Interval{Start: 5, End: 30}, CPU: 2, Mem: 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				l.Add(k+100, r)
+				l.Remove(k + 100)
+			}
+			ledgerSink = l.Summary()
+		})
 	}
-	r := Reservation{Interval: Interval{Start: 5, End: 30}, CPU: 2, Mem: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		l.Add(100, r)
-		l.Remove(100)
-	}
-	ledgerSink = l.Summary()
 }
