@@ -134,7 +134,7 @@ func decodeBinaryRecord(payload []byte) (record, error) {
 // magic), returning the clean records and the byte offset up to which
 // the file is clean.
 func readBinaryRecords(b []byte) ([]record, int64, error) {
-	var recs []record
+	recs := make([]record, 0, countBinaryFrames(b))
 	off := len(binMagic)
 	clean := int64(off)
 	for off < len(b) {
@@ -168,6 +168,19 @@ func readBinaryRecords(b []byte) ([]record, int64, error) {
 		clean = int64(off)
 	}
 	return recs, clean, nil
+}
+
+// countBinaryFrames bounds the record count from the length headers alone
+// (no CRC), stopping where readBinaryRecords stops on framing.
+func countBinaryFrames(b []byte) (n int) {
+	for off := len(binMagic); len(b)-off >= 8; n++ {
+		ln := binary.LittleEndian.Uint32(b[off:])
+		if ln > maxBinRecordLen || len(b)-off-8 < int(ln) {
+			break
+		}
+		off += 8 + int(ln)
+	}
+	return n
 }
 
 func appendBinString(buf []byte, s string) []byte {

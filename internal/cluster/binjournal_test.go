@@ -58,6 +58,9 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
+	if cap(got) != len(want) {
+		t.Fatalf("records slice has capacity %d for %d records: want it sized once by the frame count", cap(got), len(want))
+	}
 }
 
 // TestBinaryReaderTornTail checks the torn-tail taxonomy byte by byte:
@@ -76,8 +79,8 @@ func TestBinaryReaderTornTail(t *testing.T) {
 		if clean != int64(len(prefix)) {
 			t.Fatalf("cut at %d: clean = %d, want %d", cut, clean, len(prefix))
 		}
-		if len(got) != len(recs)-1 {
-			t.Fatalf("cut at %d: %d records, want %d", cut, len(got), len(recs)-1)
+		if len(got) != len(recs)-1 || cap(got) != len(got) {
+			t.Fatalf("cut at %d: %d records (capacity %d), want %d", cut, len(got), cap(got), len(recs)-1)
 		}
 	}
 }

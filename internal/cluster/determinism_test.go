@@ -120,7 +120,7 @@ func runScript(t *testing.T, cfg Config, seed int64, preClose ...func()) scriptO
 
 // copyJournalDir copies a journal directory's files, preserving the
 // exact bytes of an uncompacted log.
-func copyJournalDir(t *testing.T, src, dst string) {
+func copyJournalDir(t testing.TB, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
 	if err != nil {

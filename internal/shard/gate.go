@@ -245,7 +245,13 @@ func (g *Gate) callOnce(ctx context.Context, s Shard, method, path string, body 
 		return nil, nil, g.shardDown(s, err), sent
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes+1))
+	data, err := api.ReadBody(resp.Body)
+	if errors.Is(err, api.ErrBodyTooLarge) {
+		// The shard is up, so this is a typed 502, not a transport failure.
+		fanout(err.Error())
+		return nil, nil, &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
+			Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: %s %s answer exceeds the %d-byte limit", s.Name, method, path, api.MaxBodyBytes)}}, sent
+	}
 	if err != nil {
 		fanout(err.Error())
 		g.proxyErr(s.Name).Add(1)
@@ -648,9 +654,9 @@ func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics scrapes every healthy shard's /metrics concurrently,
 // merges the expositions under an injected shard label, and appends the
-// gate's own families (vmalloc_gate_*). A down or failing shard is
-// skipped rather than failing the scrape — its absence is itself
-// visible as vmalloc_gate_shard_up 0.
+// gate's own families (vmalloc_gate_*). A down or failing shard (an answer
+// over api.MaxBodyBytes fails) is skipped rather than failing the scrape —
+// a down shard's absence is itself visible as vmalloc_gate_shard_up 0.
 func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	shards := g.topo.Load().active()
 	payloads := Scatter(shards, func(_ int, s Shard) []byte {

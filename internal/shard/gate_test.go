@@ -446,6 +446,76 @@ func TestGateFailover(t *testing.T) {
 	}
 }
 
+// TestGateShardAnswerOverCap: a shard answering one byte over
+// api.MaxBodyBytes is refused for its size. /v1/state is a typed 502
+// naming the shard and the limit; /metrics skips the shard, as it skips a
+// failed one, instead of merging a truncated exposition. Each answer is
+// well formed, so only its size can refuse it, and the shard stays up.
+func TestGateShardAnswerOverCap(t *testing.T) {
+	pad := func(body string) string { return body + strings.Repeat("\n", api.MaxBodyBytes+1-len(body)) }
+	state, metrics := pad(`{"now":1}`), pad("# TYPE vmalloc_stub_total counter\nvmalloc_stub_total 1\n")
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/state":
+			io.WriteString(w, state) //nolint:errcheck // client gone
+		case "/metrics":
+			io.WriteString(w, metrics) //nolint:errcheck // client gone
+		default:
+			io.WriteString(w, "ok\n") //nolint:errcheck // client gone
+		}
+	}))
+	defer big.Close()
+	c, err := cluster.Open(cluster.Config{
+		Servers:     []model.Server{{ID: 1, Capacity: model.Resources{CPU: 8, Mem: 16}, PIdle: 100, PPeak: 200, TransitionTime: 1}},
+		IdleTimeout: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	small := httptest.NewServer(clusterhttp.NewHandler(c))
+	defer small.Close()
+	m, err := NewMap([]Shard{{Name: "small", Addr: small.URL}, {Name: "big", Addr: big.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateSrv := httptest.NewServer(NewGate(m, Config{}).Handler())
+	defer gateSrv.Close()
+
+	resp, err := http.Get(gateSrv.URL + "/v1/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	status := resp.StatusCode
+	env := decodeEnvelope(t, resp)
+	if limit := fmt.Sprint(api.MaxBodyBytes); status != http.StatusBadGateway || env.Code != api.CodeInternal ||
+		!strings.Contains(env.Message, "shard big") || !strings.Contains(env.Message, limit) {
+		t.Errorf("state: %d %+v, want 502 %s naming shard big and the %s-byte limit", status, env, api.CodeInternal, limit)
+	}
+
+	resp, err = http.Get(gateSrv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := string(body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metrics status %d", resp.StatusCode)
+	}
+	if strings.Contains(out, "vmalloc_stub_total") {
+		t.Error("merged metrics carry the over-cap shard's exposition")
+	}
+	for _, want := range []string{`vmalloc_cluster_admissions_total{shard="small"}`, `vmalloc_gate_shard_up{shard="big"} 1`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("merged metrics missing %q", want)
+		}
+	}
+}
+
 // TestGateMetricsMerged: the merged exposition passes the shared lint
 // (one declaration per family, shard-labelled samples, cumulative
 // histograms) and carries both shards plus the gate's own families.

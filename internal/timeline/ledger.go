@@ -41,9 +41,9 @@ type Summary struct {
 }
 
 // mark is one compiled step-function boundary: the usage delta taking
-// effect at minute t. Marks sort by (t, end, id) — a fixed total order —
-// so the float accumulation below is byte-reproducible regardless of map
-// iteration order.
+// effect at minute t. Marks are kept in compareMarks order, a strict total
+// order (an ID has one start and one end mark), so the float accumulation
+// below is byte-reproducible whatever order the mutations came in.
 type mark struct {
 	t   int
 	id  int
@@ -52,18 +52,32 @@ type mark struct {
 	mem float64
 }
 
+// compareMarks orders marks by (t, start-before-end, id).
+func compareMarks(a, b mark) int {
+	if a.t != b.t {
+		return cmp.Compare(a.t, b.t)
+	}
+	if a.end != b.end {
+		if a.end {
+			return 1 // starts before ends at the same minute
+		}
+		return -1
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
 // Ledger tracks the live reservations of one server, keyed by VM ID, and
 // answers window-maximum queries from a compiled step function of total
 // usage that is rebuilt eagerly on every mutation.
 //
-// Unlike the horizon-bound SliceProfile, a Ledger has no
-// planning horizon: intervals may start and end at any positive minute,
-// which is what a long-running allocation service needs. Mutations cost
-// O(k log k) in the number of live reservations (they recompile the step
-// function); MaxUsage is a zero-allocation binary search plus a walk of
-// the overlapped segments, and Summary is O(1) — the fleet copies it into
-// the server's row after each mutation and answers most feasibility
-// questions from there, without touching the segments at all.
+// Unlike the horizon-bound SliceProfile, a Ledger has no planning
+// horizon: intervals may start and end at any positive minute, which is
+// what a long-running allocation service needs. A mutation is two binary
+// searches, a memmove and one linear pass over the kept-sorted marks: O(k)
+// in live reservations, no sort. MaxUsage is a zero-allocation binary
+// search plus a walk of the overlapped segments, and Summary is O(1) — the
+// fleet copies it into the server's row after each mutation and answers
+// most feasibility questions from there, without touching the segments.
 //
 // Concurrency: MaxUsage, Summary, Get and Len are pure reads and safe
 // for concurrent use; Add, Remove and Truncate must not run concurrently
@@ -82,7 +96,7 @@ type Ledger struct {
 	mem   []float64
 	sum   Summary
 
-	marks []mark // rebuild scratch, reused across mutations
+	marks []mark // two per entry, in compareMarks order
 }
 
 // NewLedger returns an empty ledger.
@@ -98,7 +112,11 @@ func (l *Ledger) Len() int { return len(l.entries) }
 // Add records a reservation under the given ID, replacing any existing
 // reservation with that ID.
 func (l *Ledger) Add(id int, r Reservation) {
+	if old, ok := l.entries[id]; ok {
+		l.editMarks(id, old, false)
+	}
 	l.entries[id] = r
+	l.editMarks(id, r, true)
 	l.rebuild()
 }
 
@@ -114,6 +132,7 @@ func (l *Ledger) Remove(id int) (Reservation, bool) {
 	r, ok := l.entries[id]
 	if ok {
 		delete(l.entries, id)
+		l.editMarks(id, r, false)
 		l.rebuild()
 	}
 	return r, ok
@@ -128,17 +147,30 @@ func (l *Ledger) Truncate(id, newEnd int) (Reservation, bool) {
 		return Reservation{}, false
 	}
 	if newEnd < r.Interval.Start {
-		delete(l.entries, id)
-		l.rebuild()
-		return r, true
+		return l.Remove(id)
 	}
 	if newEnd < r.Interval.End {
 		shrunk := r
 		shrunk.Interval.End = newEnd
-		l.entries[id] = shrunk
-		l.rebuild()
+		l.Add(id, shrunk)
 	}
 	return r, true
+}
+
+// editMarks inserts, or deletes, r's marks at their compareMarks positions:
+// a start mark at its first minute, an end mark the minute after its last.
+func (l *Ledger) editMarks(id int, r Reservation, insert bool) {
+	for _, m := range [2]mark{
+		{t: r.Interval.Start, id: id, cpu: r.CPU, mem: r.Mem},
+		{t: r.Interval.End + 1, id: id, end: true, cpu: -r.CPU, mem: -r.Mem},
+	} {
+		i, _ := slices.BinarySearchFunc(l.marks, m, compareMarks)
+		if insert {
+			l.marks = slices.Insert(l.marks, i, m)
+		} else {
+			l.marks = slices.Delete(l.marks, i, i+1)
+		}
+	}
 }
 
 // Summary returns the ledger's current interval summary. O(1).
@@ -175,41 +207,20 @@ func (l *Ledger) MaxUsage(start, end int) (cpu, mem float64) {
 	return cpu, mem
 }
 
-// rebuild recompiles the step function and summary from the live
-// reservations. Marks are sorted by the fixed (t, end, id) order, so the
-// running float sums — and therefore every MaxUsage answer and Summary
-// bound derived from them — are byte-reproducible for a given set of
-// reservations, independent of insertion or map iteration order.
+// rebuild recompiles the step function and summary from the marks, which
+// are already in compareMarks order: one pass accumulates the segments,
+// a second reads the summary off them. The running float sums — and so
+// every MaxUsage answer and Summary bound — depend only on the set of
+// reservations, not on the order of the mutations that built it.
 func (l *Ledger) rebuild() {
 	l.times = l.times[:0]
 	l.cpu = l.cpu[:0]
 	l.mem = l.mem[:0]
 	l.sum = Summary{End: -1}
-	if len(l.entries) == 0 {
+	if len(l.marks) == 0 {
 		return
 	}
-	marks := l.marks[:0]
-	for id, r := range l.entries {
-		marks = append(marks,
-			mark{t: r.Interval.Start, id: id, cpu: r.CPU, mem: r.Mem},
-			mark{t: r.Interval.End + 1, id: id, end: true, cpu: -r.CPU, mem: -r.Mem},
-		)
-	}
-	// (t, end, id) is a strict total order (an ID contributes one start
-	// and one end mark), so an unstable sort yields one sequence.
-	slices.SortFunc(marks, func(a, b mark) int {
-		if a.t != b.t {
-			return cmp.Compare(a.t, b.t)
-		}
-		if a.end != b.end {
-			if a.end {
-				return 1 // starts before ends at the same minute
-			}
-			return -1
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	l.marks = marks
+	marks := l.marks
 	var curCPU, curMem float64
 	for i := 0; i < len(marks); {
 		t := marks[i].t
