@@ -248,9 +248,9 @@ func (g *Gate) callOnce(ctx context.Context, s Shard, method, path string, body 
 	data, err := api.ReadBody(resp.Body)
 	if errors.Is(err, api.ErrBodyTooLarge) {
 		// The shard is up, so this is a typed 502, not a transport failure.
-		fanout(err.Error())
-		return nil, nil, &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-			Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: %s %s answer exceeds the %d-byte limit", s.Name, method, path, api.MaxBodyBytes)}}, sent
+		msg := fmt.Sprintf("shard %s: %s %s answer exceeds the %d-byte limit", s.Name, method, path, api.MaxBodyBytes)
+		fanout(msg)
+		return nil, nil, &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{Code: api.CodeInternal, Message: msg}}, sent
 	}
 	if err != nil {
 		fanout(err.Error())

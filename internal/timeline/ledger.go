@@ -209,9 +209,7 @@ func (l *Ledger) MaxUsage(start, end int) (cpu, mem float64) {
 
 // rebuild recompiles the step function and summary from the marks, which
 // are already in compareMarks order: one pass accumulates the segments,
-// a second reads the summary off them. The running float sums — and so
-// every MaxUsage answer and Summary bound — depend only on the set of
-// reservations, not on the order of the mutations that built it.
+// a second reads the summary off them.
 func (l *Ledger) rebuild() {
 	l.times = l.times[:0]
 	l.cpu = l.cpu[:0]
