@@ -44,11 +44,13 @@ loc:
 
 # LOC_MAX is the `make loc` figure of the last change that moved it. A
 # change that grows past it fails `make fence`: delete something, or raise
-# the figure here and say why. Last raised by +28, for replay without
-# re-sorting: the ledger's mark insert/delete (its order now a named
-# comparator), the journal reader's frame count, and the gate's typed 502
-# for a shard answer over the body cap.
-LOC_MAX = 19819
+# the figure here and say why. Last raised by +107, for the admit codec's
+# two gate-side directions (api.EncodeAdmitRequests, the plain answer
+# reader behind api.DecodeAdmitResponses, and the one-pass list both
+# plain readers share) and the gate's check that a shard answers each
+# request under its own VM id; offset by folding the gate's fetch into
+# gather and loadgen's three state readers into one.
+LOC_MAX = 19926
 
 # fence keeps the doubles PRs 12–17 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),
@@ -72,8 +74,12 @@ LOC_MAX = 19819
 # planDrainLocked's conservative sum of window maxima over its scratch
 # ledger), a ledger that never re-sorts (timeline.Ledger keeps its
 # marks in order across mutations, so non-test ledger.go names no Sort),
-# and a size ceiling.
+# one admit codec on every hop (the gate's shard calls and the load
+# generator write admit requests with api.EncodeAdmitRequests and read the
+# answers with api.DecodeAdmitResponses, not encoding/json), and a size
+# ceiling.
 CLUSTER_SRC = $(filter-out %_test.go,$(wildcard internal/cluster/*.go))
+ADMIT_CLIENT_SRC = $(filter-out %_test.go,$(wildcard internal/shard/*.go internal/loadgen/*.go))
 
 fence:
 	@! grep -rn '"# HELP' --include='*.go' internal cmd | grep -v _test.go | grep -v -e '^internal/obs/' -e '^internal/shard/metrics.go' \
@@ -109,4 +115,6 @@ fence:
 		|| { echo 'fence: internal/cluster compares against capacity only in planDrainLocked (its scratch sum); ask FleetView.Fits'; exit 1; }
 	@! grep -n 'Sort' internal/timeline/ledger.go \
 		|| { echo 'fence: timeline.Ledger keeps its marks in order; a mutation never re-sorts them'; exit 1; }
+	@! grep -n -e '\[\[\]api\.AdmitResponse\]' -e 'json\.Marshal(\([A-Za-z.]*\(reqs\|Requests\)\|\[\]api\.AdmitRequest\)' $(ADMIT_CLIENT_SRC) \
+		|| { echo 'fence: admit bodies to a shard or server go through api.EncodeAdmitRequests/api.DecodeAdmitResponses'; exit 1; }
 	@n=$$($(MAKE) -s loc); [ $$n -le $(LOC_MAX) ] || { echo "fence: make loc = $$n > LOC_MAX = $(LOC_MAX)"; exit 1; }

@@ -2,15 +2,17 @@ package api
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 )
 
 // The plain-form codec for the one hot body pair, the POST /v1/vms request
-// and its answer. Not a second wire format: it reads and writes a subset
-// of what encoding/json does for these two types, byte for byte, and calls
-// the rest "not plain", whereupon the caller runs encoding/json, the
-// reference (DESIGN.md, edge rule 2, says what holds the two together).
-// If they ever disagree the plain form is narrowed, never the reference.
+// and its answer, both ways (vmserve reads requests and writes answers,
+// vmgate and vmload the reverse). Not a second wire format: it reads and
+// writes a subset of what encoding/json does for these two types, byte for
+// byte, and calls the rest "not plain", whereupon the caller runs
+// encoding/json, the reference (DESIGN.md, edge rule 2, says what holds
+// the two together). If they disagree the plain form is narrowed.
 
 // plainText reports whether encoding/json reads c inside a string as
 // itself and writes it back as itself: printable ASCII but the quote, the
@@ -19,7 +21,18 @@ func plainText(c byte) bool {
 	return c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
 }
 
-// plain is a forward cursor over a request body. Its methods skip JSON's
+// plainString reports whether encoding/json writes s between its quotes
+// as s itself.
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainText(s[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// plain is a forward cursor over a body. Its methods skip JSON's
 // four whitespace bytes, then consume exactly the form they name or
 // report false (nil), and that is final: nothing is diagnosed here.
 type plain struct {
@@ -92,6 +105,16 @@ func (p *plain) float(v *float64) bool {
 	return err == nil
 }
 
+// bool consumes a true or false literal.
+func (p *plain) bool(v *bool) bool {
+	p.peek()
+	*v = bytes.HasPrefix(p.b[p.i:], []byte("true"))
+	lit := strconv.FormatBool(*v)
+	ok := bytes.HasPrefix(p.b[p.i:], []byte(lit))
+	p.i += len(lit)
+	return ok
+}
+
 // object consumes {"key":value,...}. field consumes the value of a key
 // it knows and names the key by a bit of its own; an unknown key, a key
 // met twice in this object or a value that is not plain ends the pass.
@@ -146,19 +169,85 @@ func (p *plain) request(r *AdmitRequest) bool {
 	})
 }
 
-// plainAdmitRequests is DecodeAdmitRequests' first try: one pass that
-// accepts the object or the non-empty array form and nothing after it.
-func plainAdmitRequests(data []byte) ([]AdmitRequest, bool) {
+// response consumes one AdmitResponse object: the six keys spelled
+// exactly (encoding/json also takes "Accepted"), each at most once.
+func (p *plain) response(r *AdmitResponse) bool {
+	return p.object(func(key []byte) (uint, bool) {
+		switch string(key) {
+		case "id":
+			return 1, p.int(&r.ID)
+		case "accepted":
+			return 2, p.bool(&r.Accepted)
+		case "server":
+			return 4, p.int(&r.Server)
+		case "start":
+			return 8, p.int(&r.Start)
+		case "end":
+			return 16, p.int(&r.End)
+		case "reason":
+			s := p.str()
+			r.Reason = string(s)
+			return 32, s != nil
+		}
+		return 0, false
+	})
+}
+
+// plainList is DecodeAdmitRequests' and DecodeAdmitResponses' first try:
+// one pass over a non-empty array (for requests, or one bare object) and
+// nothing after it.
+func plainList[T AdmitRequest | AdmitResponse](data []byte) ([]T, bool) {
 	p := plain{b: data}
 	array := p.eat('[')
-	reqs := make([]AdmitRequest, 0, 1+len(data)/96) // a batched request is ≈98 bytes
+	out := make([]T, 0, 1+len(data)/96) // either element is ≈98 bytes on the wire
 	for more := true; more; more = array && p.eat(',') {
-		reqs = append(reqs, AdmitRequest{})
-		if !p.request(&reqs[len(reqs)-1]) {
+		out = append(out, *new(T))
+		ok := false
+		switch e := any(&out[len(out)-1]).(type) {
+		case *AdmitRequest:
+			ok = p.request(e)
+		case *AdmitResponse:
+			ok = array && p.response(e)
+		}
+		if !ok {
 			return nil, false
 		}
 	}
-	return reqs, (!array || p.eat(']')) && p.peek() == 0 && p.i == len(data)
+	return out, (!array || p.eat(']')) && p.peek() == 0 && p.i == len(data)
+}
+
+// appendAdmitRequests appends the bytes json.Marshal writes for a
+// non-empty reqs, or reports false when a Type holds a byte it would
+// escape or a float is not plainFloat.
+func appendAdmitRequests(dst []byte, reqs []AdmitRequest) ([]byte, bool) {
+	open := "[{"
+	for i := range reqs {
+		r := &reqs[i]
+		if !plainString(r.Type) || !plainFloat(r.Demand.CPU) || !plainFloat(r.Demand.Mem) {
+			return nil, false
+		}
+		dst = append(dst, open...)
+		if r.ID != 0 {
+			dst = append(strconv.AppendInt(append(dst, `"id":`...), int64(r.ID), 10), ',')
+		}
+		if r.Type != "" {
+			dst = append(append(append(dst, `"type":"`...), r.Type...), `",`...)
+		}
+		dst = strconv.AppendFloat(append(dst, `"demand":{"cpu":`...), r.Demand.CPU, 'f', -1, 64)
+		dst = strconv.AppendFloat(append(dst, `,"mem":`...), r.Demand.Mem, 'f', -1, 64)
+		dst = appendOmitEmpty(append(dst, '}'), `,"start":`, r.Start)
+		dst = strconv.AppendInt(append(dst, `,"durationMinutes":`...), int64(r.DurationMinutes), 10)
+		dst = append(dst, '}')
+		open = ",{"
+	}
+	return append(dst, ']'), true
+}
+
+// plainFloat reports whether encoding/json writes f in AppendFloat's 'f'
+// form: 0 and 1e-6 ≤ |f| < 1e21 (any other has an exponent, or is NaN/Inf).
+func plainFloat(f float64) bool {
+	a := math.Abs(f)
+	return a == 0 || a >= 1e-6 && a < 1e21
 }
 
 // appendAdmitResponses appends the bytes json.Encoder with
@@ -174,10 +263,8 @@ func appendAdmitResponses(dst []byte, resps []AdmitResponse) ([]byte, bool) {
 		dst = appendOmitEmpty(dst, ",\n    \"start\": ", r.Start)
 		dst = appendOmitEmpty(dst, ",\n    \"end\": ", r.End)
 		if r.Reason != "" {
-			for j := 0; j < len(r.Reason); j++ {
-				if !plainText(r.Reason[j]) {
-					return nil, false
-				}
+			if !plainString(r.Reason) {
+				return nil, false
 			}
 			dst = append(append(append(dst, ",\n    \"reason\": \""...), r.Reason...), '"')
 		}

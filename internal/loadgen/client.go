@@ -134,7 +134,8 @@ func retryable(err error) bool {
 }
 
 // do issues one method+path request with the retry policy, decoding a
-// 2xx JSON body into out (unless out is nil). body is re-sent on every
+// 2xx JSON body into out (unless out is nil; an admit answer through the
+// admit codec, the rest through encoding/json). body is re-sent on every
 // attempt, and every attempt carries the same freshly minted request id.
 // The returned bool reports whether this call went beyond its first
 // attempt (callers use it for the admission idempotency fold).
@@ -166,6 +167,10 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 func (c *Client) attempt(ctx context.Context, method, path, reqID string, root obs.TraceContext, body []byte, out any) error {
 	_, data, err := c.roundTrip(ctx, method, path, reqID, root, body)
 	if err != nil || out == nil {
+		return err
+	}
+	if adms, ok := out.(*[]api.AdmitResponse); ok {
+		*adms, err = api.DecodeAdmitResponses(data)
 		return err
 	}
 	return json.Unmarshal(data, out)
@@ -214,7 +219,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path, reqID string, root
 // outcomes in request order. A retried batch whose first attempt landed
 // reports its requests as accepted via the idempotency fold (see Client).
 func (c *Client) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.AdmitResponse, error) {
-	body, err := json.Marshal(reqs)
+	body, err := api.EncodeAdmitRequests(reqs)
 	if err != nil {
 		return nil, err
 	}
@@ -319,32 +324,18 @@ func (c *Client) Policies(ctx context.Context) (*api.PoliciesResponse, error) {
 // aggregated shape — use StateSummary for code that must work against
 // both.
 func (c *Client) State(ctx context.Context) (*api.StateResponse, string, error) {
-	data, digest, err := c.rawState(ctx)
-	if err != nil {
-		return nil, "", err
-	}
-	st := new(api.StateResponse)
-	if err := json.Unmarshal(data, st); err != nil {
-		return nil, "", err
-	}
-	return st, digest, nil
+	return state[api.StateResponse](ctx, c)
 }
 
 // GateState fetches a vmgate's aggregated state: every shard's state
 // plus the combined digest.
 func (c *Client) GateState(ctx context.Context) (*api.GateStateResponse, string, error) {
-	data, digest, err := c.rawState(ctx)
-	if err != nil {
-		return nil, "", err
-	}
-	st := new(api.GateStateResponse)
-	if err := json.Unmarshal(data, st); err != nil {
-		return nil, "", err
-	}
-	return st, digest, nil
+	return state[api.GateStateResponse](ctx, c)
 }
 
-func (c *Client) rawState(ctx context.Context) ([]byte, string, error) {
+// state fetches GET /v1/state into a T, with its digest: the header, or
+// api.DigestBytes over the body when the server sent none.
+func state[T any](ctx context.Context, c *Client) (*T, string, error) {
 	hdr, data, err := c.roundTrip(ctx, http.MethodGet, "/v1/state", "", obs.TraceContext{}, nil)
 	if err != nil {
 		return nil, "", err
@@ -353,7 +344,11 @@ func (c *Client) rawState(ctx context.Context) ([]byte, string, error) {
 	if digest == "" {
 		digest = api.DigestBytes(data)
 	}
-	return data, digest, nil
+	st := new(T)
+	if err := json.Unmarshal(data, st); err != nil {
+		return nil, "", err
+	}
+	return st, digest, nil
 }
 
 // StateSummary fetches the few cross-cutting facts the runner reports
@@ -362,17 +357,13 @@ func (c *Client) rawState(ctx context.Context) ([]byte, string, error) {
 // (which carries an explicit residents field). The probe decode reads
 // only the shared field names, so it does not care which it hit.
 func (c *Client) StateSummary(ctx context.Context) (StateSummary, error) {
-	data, digest, err := c.rawState(ctx)
-	if err != nil {
-		return StateSummary{}, err
-	}
-	var probe struct {
+	probe, digest, err := state[struct {
 		Now         int               `json:"now"`
 		Residents   *int              `json:"residents"`
 		TotalEnergy float64           `json:"totalEnergyWattMinutes"`
 		VMs         []json.RawMessage `json:"vms"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
+	}](ctx, c)
+	if err != nil {
 		return StateSummary{}, err
 	}
 	residents := len(probe.VMs)

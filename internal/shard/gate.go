@@ -278,25 +278,21 @@ func (g *Gate) shardDown(s Shard, cause error) *api.Error {
 		Code: api.CodeShardDown, Message: msg}}
 }
 
-// fetch proxies one request to a shard and decodes its JSON answer.
-func fetch[T any](g *Gate, ctx context.Context, s Shard, method, path string, body []byte) (T, *api.Error) {
-	_, data, perr := g.call(ctx, s, method, path, body)
-	if perr != nil {
-		var zero T
-		return zero, perr
-	}
-	return decode[T](s, method+" "+path, data)
-}
-
 // decode parses a shard's answer; one that does not parse is a typed 502
 // naming the shard (it is up and answering, just not in our dialect).
 func decode[T any](s Shard, what string, data []byte) (T, *api.Error) {
 	var v T
-	if err := json.Unmarshal(data, &v); err != nil {
-		return v, &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
-			Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse %s response: %v", s.Name, what, err)}}
+	err := json.Unmarshal(data, &v)
+	return v, parseErr(s, what, err)
+}
+
+// parseErr is decode's 502 for a parse error err, nil for none.
+func parseErr(s Shard, what string, err error) *api.Error {
+	if err == nil {
+		return nil
 	}
-	return v, nil
+	return &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{
+		Code: api.CodeInternal, Message: fmt.Sprintf("shard %s: parse %s response: %v", s.Name, what, err)}}
 }
 
 // gather fetches one path from every listed shard concurrently and
@@ -305,8 +301,12 @@ func decode[T any](s Shard, what string, data []byte) (T, *api.Error) {
 // read with its name in the envelope.
 func gather[T any](g *Gate, ctx context.Context, shards []Shard, method, path string, body []byte) ([]T, *api.Error) {
 	vals := make([]T, len(shards))
-	errs := Scatter(shards, func(i int, s Shard) (perr *api.Error) {
-		vals[i], perr = fetch[T](g, ctx, s, method, path, body)
+	errs := Scatter(shards, func(i int, s Shard) *api.Error {
+		_, data, perr := g.call(ctx, s, method, path, body)
+		if perr != nil {
+			return perr
+		}
+		vals[i], perr = decode[T](s, method+" "+path, data)
 		return perr
 	})
 	if perr := foldErrors(errs); perr != nil {
@@ -336,14 +336,18 @@ func (g *Gate) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resps := make([][]api.AdmitResponse, len(groups))
-	errs := Scatter(groups, func(k int, grp AdmitGroup) (perr *api.Error) {
-		body, merr := json.Marshal(grp.Requests)
-		if merr != nil {
+	errs := Scatter(groups, func(k int, grp AdmitGroup) *api.Error {
+		body, err := api.EncodeAdmitRequests(grp.Requests)
+		if err != nil {
 			return &api.Error{Status: http.StatusInternalServerError, Envelope: api.ErrorEnvelope{
-				Code: api.CodeInternal, Message: merr.Error()}}
+				Code: api.CodeInternal, Message: err.Error()}}
 		}
-		resps[k], perr = fetch[[]api.AdmitResponse](g, r.Context(), grp.Shard, http.MethodPost, "/v1/vms", body)
-		return perr
+		_, data, perr := g.call(r.Context(), grp.Shard, http.MethodPost, "/v1/vms", body)
+		if perr != nil {
+			return perr
+		}
+		resps[k], err = api.DecodeAdmitResponses(data)
+		return parseErr(grp.Shard, "POST /v1/vms", err)
 	})
 	if perr := foldErrors(errs); perr != nil {
 		api.RelayError(w, r, perr)
@@ -621,7 +625,8 @@ func (g *Gate) handleTraces(w http.ResponseWriter, r *http.Request) {
 	// fan-out spans do not pollute the answer.
 	all := g.cfg.Spans.Spans(f)
 	parts := Scatter(g.topo.Load().active(), func(_ int, s Shard) api.TracesResponse {
-		tr, _ := fetch[api.TracesResponse](g, r.Context(), s, http.MethodGet, r.URL.RequestURI(), nil)
+		_, data, _ := g.call(r.Context(), s, http.MethodGet, r.URL.RequestURI(), nil)
+		tr, _ := decode[api.TracesResponse](s, "GET /v1/debug/traces", data)
 		return tr // a failed shard contributes no spans
 	})
 	api.WriteJSON(w, http.StatusOK, MergeTraces(all, parts))

@@ -516,6 +516,59 @@ func TestGateShardAnswerOverCap(t *testing.T) {
 	}
 }
 
+// TestGateAdmitBadShardAnswer: a shard that answers its sub-batch with
+// two outcomes swapped is a typed 502 naming the shard and the first bad
+// position, so the gate never relays an outcome under another request;
+// one whose answer does not parse is a typed 502 with the parse error.
+func TestGateAdmitBadShardAnswer(t *testing.T) {
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/vms" {
+			io.WriteString(w, "ok\n") //nolint:errcheck // client gone
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		reqs, err := api.DecodeAdmitRequests(body)
+		if err != nil || len(reqs) < 3 {
+			io.WriteString(w, `[{"id":1,"accepted":maybe}]`) //nolint:errcheck // client gone
+			return
+		}
+		resps := make([]api.AdmitResponse, len(reqs))
+		for i, req := range reqs {
+			resps[i] = api.AdmitResponse{ID: req.ID, Accepted: true, Server: 1, Start: 1, End: 60}
+		}
+		resps[1], resps[2] = resps[2], resps[1]
+		api.WriteJSON(w, http.StatusOK, resps)
+	}))
+	defer liar.Close()
+	m, err := NewMap([]Shard{{Name: "liar", Addr: liar.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gateSrv := httptest.NewServer(NewGate(m, Config{}).Handler())
+	defer gateSrv.Close()
+
+	for _, tc := range []struct {
+		ids  []int
+		want string
+	}{
+		{[]int{5, 6, 7}, "shard liar: answer 1 is for vm 7"},
+		{[]int{5}, "shard liar: parse POST /v1/vms response: invalid character 'm'"},
+	} {
+		resp, err := http.Post(gateSrv.URL+"/v1/vms", "application/json", strings.NewReader(admitBody(tc.ids)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadGateway {
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("vms %v: bad answer relayed: %d %s, want 502", tc.ids, resp.StatusCode, body)
+		}
+		if env := decodeEnvelope(t, resp); env.Code != api.CodeInternal || !strings.Contains(env.Message, tc.want) {
+			t.Errorf("vms %v: %+v, want %s with %q", tc.ids, env, api.CodeInternal, tc.want)
+		}
+	}
+}
+
 // TestGateMetricsMerged: the merged exposition passes the shared lint
 // (one declaration per family, shard-labelled samples, cumulative
 // histograms) and carries both shards plus the gate's own families.
@@ -803,5 +856,54 @@ func TestGatePoliciesMerged(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("merged metrics missing %q", want)
 		}
+	}
+}
+
+// BenchmarkGateAdmit: one 40-VM admission (the gate-mixed shape) per op
+// through Gate.Handler(), split over three in-process cluster shards
+// behind httptest: the gate's decode, split, both directions of the
+// gate→shard hop, the shards' own work and the join. Between ops, off
+// the clock, the fleet clock moves on two minutes, so with admitBody's
+// 60-minute VMs the fleet settles at about 30 batches resident.
+func BenchmarkGateAdmit(b *testing.B) {
+	const vms = 40
+	var shards []Shard
+	for i := range 3 {
+		servers := make([]model.Server, 32)
+		for j := range servers {
+			servers[j] = model.Server{ID: 100*(i+1) + j, Capacity: model.Resources{CPU: 16, Mem: 32}, PIdle: 100, PPeak: 200, TransitionTime: 1}
+		}
+		c, err := cluster.Open(cluster.Config{Servers: servers, IdleTimeout: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		srv := httptest.NewServer(clusterhttp.NewHandler(c))
+		b.Cleanup(srv.Close)
+		shards = append(shards, Shard{Name: fmt.Sprint("s", i), Addr: srv.URL})
+	}
+	m, err := NewMap(shards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := NewGate(m, Config{}).Handler()
+	serve := func(path, body string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	ids := make([]int, vms)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		serve("/v1/clock", fmt.Sprintf(`{"now":%d}`, 2*i+1))
+		for j := range ids {
+			ids[j] = i*vms + j + 1
+		}
+		body := admitBody(ids)
+		b.StartTimer()
+		serve("/v1/vms", body)
 	}
 }

@@ -73,7 +73,8 @@ func SplitAdmits(m *Map, reqs []api.AdmitRequest) ([]AdmitGroup, error) {
 
 // JoinAdmits reassembles per-group responses (resps[k] answers
 // groups[k]) into the batch's request order. A shard that answered with
-// the wrong number of outcomes is an error naming it.
+// the wrong number of outcomes, or at any position for another VM than
+// the one requested there (SplitAdmits saw every id), is an error naming it.
 func JoinAdmits(groups []AdmitGroup, resps [][]api.AdmitResponse) ([]api.AdmitResponse, error) {
 	n := 0
 	for k, g := range groups {
@@ -85,6 +86,9 @@ func JoinAdmits(groups []AdmitGroup, resps [][]api.AdmitResponse) ([]api.AdmitRe
 	out := make([]api.AdmitResponse, n)
 	for k, g := range groups {
 		for j, i := range g.Indices {
+			if got, want := resps[k][j].ID, g.Requests[j].ID; got != want {
+				return nil, fmt.Errorf("shard %s: answer %d is for vm %d, its request was for vm %d", g.Shard.Name, j, got, want)
+			}
 			out[i] = resps[k][j]
 		}
 	}

@@ -205,6 +205,11 @@ func TestSplitJoinAdmits(t *testing.T) {
 		}
 	}
 
+	// A shard answering out of order is named, with the first bad position.
+	resps[1][1], resps[1][2] = resps[1][2], resps[1][1]
+	if _, err := JoinAdmits(groups, resps); err == nil || !strings.Contains(err.Error(), "shard "+groups[1].Shard.Name+": answer 1 ") {
+		t.Fatalf("swapped answer: err = %v, want one naming shard %s and answer 1", err, groups[1].Shard.Name)
+	}
 	// A shard answering with the wrong number of outcomes is named.
 	resps[1] = resps[1][1:]
 	if _, err := JoinAdmits(groups, resps); err == nil || !strings.Contains(err.Error(), "shard "+groups[1].Shard.Name) {
