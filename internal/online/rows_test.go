@@ -12,9 +12,10 @@ import (
 
 // exactMinCost is the scored policies' reference scan: every server
 // priced from its model.Server through the energy package, feasibility
-// asked only of exactFits. It returns -1 when nothing fits.
-func exactMinCost(f *FleetView, v model.VM, penalty float64) int {
-	best := -1
+// asked only of exactFits. It returns -1 when nothing fits, and how many
+// feasible servers share the winning price.
+func exactMinCost(f *FleetView, v model.VM, penalty float64) (best, ties int) {
+	best = -1
 	var bestCost float64
 	for i := 0; i < f.NumServers(); i++ {
 		start := f.StartTime(i, v)
@@ -30,11 +31,14 @@ func exactMinCost(f *FleetView, v model.VM, penalty float64) int {
 			cost += s.PIdle * float64(v.Duration())
 		}
 		cost += penalty * float64(start-v.Start)
-		if best < 0 || cost < bestCost {
-			best, bestCost = i, cost
+		switch {
+		case best < 0 || cost < bestCost:
+			best, bestCost, ties = i, cost, 1
+		case cost == bestCost:
+			ties++
 		}
 	}
-	return best
+	return best, ties
 }
 
 // checkRows asserts every row equals the one recomputed from its unit,
