@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -431,6 +432,23 @@ func TestRunPolicies(t *testing.T) {
 	for _, bad := range [][]string{{"-policy", "nope"}, {"-shadow-policy", "x=nope"}} {
 		if err := run(context.Background(), bad, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown policy") {
 			t.Errorf("%v: err = %v, want unknown policy", bad, err)
+		}
+	}
+}
+
+// TestRunBadDelayPenalty: a negative or non-finite -delay-penalty is a
+// usage error for delay-aware, as champion or as challenger, and the
+// daemon never starts.
+func TestRunBadDelayPenalty(t *testing.T) {
+	for _, args := range [][]string{
+		{"-policy", "delay-aware", "-delay-penalty", "-5"},
+		{"-policy", "delay-aware", "-delay-penalty", "NaN"},
+		{"-policy", "delay-aware", "-delay-penalty", "+Inf"},
+		{"-shadow-policy", "delay-aware", "-delay-penalty", "-5"},
+	} {
+		var pe *online.DelayPenaltyError
+		if err := run(context.Background(), append(args, "-addr", "127.0.0.1:0"), io.Discard); !errors.As(err, &pe) {
+			t.Errorf("%v: error %v, want a *online.DelayPenaltyError", args, err)
 		}
 	}
 }

@@ -83,7 +83,8 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	fv := c.fleet.View()
 	scan := fv.ScanCounts()
 	obs.Counter(&buf, p+"scan_candidates_total", "Candidate (VM, server) pairs evaluated.", scan.Evaluated)
-	obs.Counter(&buf, p+"scan_infeasible_total", "Candidate pairs rejected as infeasible.", scan.Infeasible)
+	obs.Counter(&buf, p+"scan_bound_pruned_total", "Candidate pairs skipped unprobed: the server's run cost alone was no cheaper than the best price found.", scan.Bounded)
+	obs.Counter(&buf, p+"scan_infeasible_total", "Probed candidate pairs rejected as infeasible.", scan.Infeasible)
 	obs.Counter(&buf, p+"scan_index_pruned_total", "Infeasible candidate servers rejected from their row alone, without the exact window check.", scan.RowRejected)
 	var groups, grouped uint64
 	if c.jr != nil {

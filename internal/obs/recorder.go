@@ -85,8 +85,9 @@ type Decision struct {
 	Clock int `json:"clock,omitempty"`
 	// Reason explains a rejection or a failed release.
 	Reason string `json:"reason,omitempty"`
-	// Candidates and Infeasible count the (VM, server) pairs this
-	// decision's candidate scan evaluated and rejected as infeasible.
+	// Candidates counts the (VM, server) pairs this decision's candidate
+	// scan walked, Infeasible those it probed and found infeasible; a pair
+	// the MinCost pass skipped by its run-cost bound is only a candidate.
 	Candidates int64 `json:"candidates,omitempty"`
 	Infeasible int64 `json:"infeasible,omitempty"`
 	// Policy names the challenger behind an OpShadow decision.

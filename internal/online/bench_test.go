@@ -1,6 +1,7 @@
 package online
 
 import (
+	"strings"
 	"testing"
 
 	"vmalloc/internal/model"
@@ -62,21 +63,30 @@ func probeFleet(tb testing.TB) (*Fleet, []model.VM) {
 
 var placeSink int
 
-// BenchmarkPlace is one MinCostPolicy admission scan over the probe
-// fleet's 512 rows.
+// BenchmarkPlace is one admission scan over the probe fleet's 512 rows,
+// by each policy minCostPass serves. probed/op counts the rows the pass
+// probed rather than skipped by its run-cost bound.
 func BenchmarkPlace(b *testing.B) {
-	fl, rest := probeFleet(b)
-	pol := &MinCostPolicy{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		v := rest[n%len(rest)]
-		v.ID = 1_000_000
-		v.Start, v.End = fl.Now(), fl.Now()+30
-		i, err := pol.Place(fl.View(), v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		placeSink = i
+	for _, pol := range []Policy{&MinCostPolicy{}, &DelayAwareMinCostPolicy{PenaltyPerMinute: DefaultDelayPenalty}} {
+		b.Run(strings.TrimPrefix(pol.Name(), "online/"), func(b *testing.B) {
+			fl, rest := probeFleet(b)
+			fv := fl.View()
+			before := fv.ScanCounts()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				v := rest[n%len(rest)]
+				v.ID = 1_000_000
+				v.Start, v.End = fl.Now(), fl.Now()+30
+				i, err := pol.Place(fv, v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				placeSink = i
+			}
+			after := fv.ScanCounts()
+			probed := (after.Evaluated - before.Evaluated) - (after.Bounded - before.Bounded)
+			b.ReportMetric(float64(probed)/float64(b.N), "probed/op")
+		})
 	}
 }

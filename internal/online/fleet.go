@@ -1,7 +1,6 @@
 package online
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -161,8 +160,8 @@ func (fl *Fleet) Drain() {
 }
 
 func (fl *Fleet) drainUntil(t int) {
-	for fl.events.Len() > 0 && fl.events[0].time <= t {
-		ev := heap.Pop(&fl.events).(event)
+	for len(fl.events) > 0 && fl.events[0].time <= t {
+		ev := fl.events.pop()
 		fl.view.now = ev.time
 		fl.handle(ev)
 	}
@@ -444,7 +443,7 @@ func (fl *Fleet) vacate(i, now int) {
 func (fl *Fleet) push(ev event) {
 	ev.seq = fl.seq
 	fl.seq++
-	heap.Push(&fl.events, ev)
+	fl.events.push(ev)
 }
 
 func (fl *Fleet) handle(ev event) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
 )
 
@@ -40,9 +41,12 @@ func loadedFleet(t *testing.T, rng *rand.Rand, servers []model.Server, n int, ge
 
 // TestCandidatesPrunesOnlyInfeasible is the row's soundness property:
 // every answer the row gives alone — accept or reject — is the answer
-// the exact window check gives, and the pass's counters add up (every
-// server evaluated, row rejections a subset of the infeasible).
+// the exact window check gives. And the pass's counters say what it did:
+// every server evaluated, each either skipped by the run-cost bound
+// (W_ij ≥ the best exact price before it) or probed, and the probed ones'
+// infeasible and row-rejected counts are their probes' answers.
 func TestCandidatesPrunesOnlyInfeasible(t *testing.T) {
+	var bounded uint64
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		servers := make([]model.Server, 0, 10)
@@ -58,34 +62,46 @@ func TestCandidatesPrunesOnlyInfeasible(t *testing.T) {
 		for q := 0; q < 50; q++ {
 			v := vm(10_000+q, 1+rng.Intn(80), 0, float64(1+rng.Intn(6)), float64(1+rng.Intn(10)))
 			v.End = v.Start + rng.Intn(50)
-			var infeasible, rowRejected uint64
+			want := ScanCounts{Evaluated: uint64(fv.NumServers())}
+			best := -1
+			var bestCost float64
 			for i := 0; i < fv.NumServers(); i++ {
 				start := fv.StartTime(i, v)
 				ok, byRow := fv.probe(i, v.Demand.CPU, v.Demand.Mem, start, start+v.Duration()-1)
-				if want := exactFits(fv, i, v, start); ok != want {
-					t.Fatalf("seed %d: server %d probe = %t (byRow %t), exact check = %t for vm %+v", seed, i, ok, byRow, want, v)
+				if exact := exactFits(fv, i, v, start); ok != exact {
+					t.Fatalf("seed %d: server %d probe = %t (byRow %t), exact check = %t for vm %+v", seed, i, ok, byRow, exact, v)
 				}
-				if !ok {
-					infeasible++
+				switch {
+				case best >= 0 && energy.RunCost(fv.Server(i), v) >= bestCost:
+					want.Bounded++
+				case !ok:
+					want.Infeasible++
 					if byRow {
-						rowRejected++
+						want.RowRejected++
+					}
+				default:
+					if cost := exactPrice(fv, i, v, 0); best < 0 || cost < bestCost {
+						best, bestCost = i, cost
 					}
 				}
 			}
 			before := fv.ScanCounts()
 			(&MinCostPolicy{}).Place(fv, v) //nolint:errcheck // counted either way
 			after := fv.ScanCounts()
-			got := ScanCounts{after.Evaluated - before.Evaluated, after.Infeasible - before.Infeasible, after.RowRejected - before.RowRejected}
-			if want := (ScanCounts{uint64(fv.NumServers()), infeasible, rowRejected}); got != want {
+			got := ScanCounts{after.Evaluated - before.Evaluated, after.Bounded - before.Bounded, after.Infeasible - before.Infeasible, after.RowRejected - before.RowRejected}
+			if got != want {
 				t.Fatalf("seed %d: pass counted %+v, want %+v", seed, got, want)
 			}
+			bounded += got.Bounded
 		}
+	}
+	if bounded == 0 {
+		t.Fatal("no query let the run-cost bound skip a server")
 	}
 }
 
 // scoredPolicies are the policies minCostPass serves, at the delay
-// penalties the argmin fences check: none, the default, and one that
-// outweighs a Table II wake-up.
+// penalties the argmin fences check: none, the default, and a heavy one.
 var scoredPolicies = []struct {
 	p       Policy
 	penalty float64
@@ -226,6 +242,8 @@ func FuzzMinCostPass(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 5, 0, 1, 9, 1, 2, 3, 0, 20, 1, 8, 5, 30, 2, 0, 0, 1})
 	f.Add([]byte{40, 1, 6, 11, 16, 21, 0, 0, 4, 7, 9, 30, 0, 8, 6, 10, 1, 3, 4, 2, 0, 0, 12, 2, 1, 0, 5, 25, 3})
 	f.Add([]byte{21, 0, 0, 0, 0, 0, 5, 5, 0, 4, 0, 10, 2, 8, 1, 10, 2, 11, 5, 0, 0, 3, 0, 0, 0, 30, 1})
+	f.Add([]byte("2x0020008000000x0")) // a sleeping server's α must not enter the bound
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) < 1+1+int(data[0])%16+3 {
 			return

@@ -146,11 +146,12 @@ func (f *FleetView) remove(i, id int) {
 	f.rows[i].sum = l.Summary()
 }
 
-// ScanCounts totals the probes the policies' passes made over a view:
-// servers evaluated, those found infeasible, and the infeasible ones the
-// row alone rejected (see probe) without the ledger's exact window check.
+// ScanCounts totals what the policies' passes did over a view: rows
+// walked (Evaluated), rows minCostPass skipped unprobed by its run-cost
+// bound (Bounded), and of the probed rows the infeasible ones and those
+// the row alone rejected (see probe) without the exact window check.
 type ScanCounts struct {
-	Evaluated, Infeasible, RowRejected uint64
+	Evaluated, Bounded, Infeasible, RowRejected uint64
 }
 
 // ScanCounts returns the running totals since the fleet was built.
@@ -289,26 +290,46 @@ type event struct {
 	vmID int
 }
 
+// eventQueue is a typed binary min-heap (container/heap boxes every event
+// through any) in (time, kind, seq) order. The order is strict, seq being
+// unique, so the pops come out in one sequence whatever the layout.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(a, b int) bool {
-	if q[a].time != q[b].time {
-		return q[a].time < q[b].time
+func (q eventQueue) less(a, b int) bool {
+	x, y := &q[a], &q[b]
+	if x.time != y.time {
+		return x.time < y.time
 	}
-	if q[a].kind != q[b].kind {
-		return q[a].kind < q[b].kind
+	if x.kind != y.kind {
+		return x.kind < y.kind
 	}
-	return q[a].seq < q[b].seq
+	return x.seq < y.seq
 }
-func (q eventQueue) Swap(a, b int) { q[a], q[b] = q[b], q[a] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+}
+
+// pop removes and returns the first event of a non-empty queue.
+func (q *eventQueue) pop() event {
+	h := *q
+	top, n := h[0], len(h)-1
+	h[0], h = h[n], h[:n]
+	*q = h
+	for i, m := 0, 1; m < n; i, m = m, 2*m+1 {
+		if m+1 < n && h.less(m+1, m) {
+			m++
+		}
+		if !h.less(m, i) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+	}
+	return top
 }
 
 // Report is the outcome of an event-driven run.

@@ -247,6 +247,36 @@ func TestAllPoliciesRun(t *testing.T) {
 	}
 }
 
+// TestDelayPenaltyRefused: a negative or non-finite delay penalty would
+// price delays below zero or as NaN, so neither NewPolicy nor a
+// hand-built DelayAwareMinCostPolicy prices with one. Zero, the default
+// and a huge finite penalty are accepted, and only delay-aware reads it.
+func TestDelayPenaltyRefused(t *testing.T) {
+	fl := NewFleet([]model.Server{srv(1, 8, 8, 100, 200, 1)}, 2)
+	v := vm(1, 0, 9, 1, 1)
+	for _, bad := range []float64{-5, math.Copysign(1e-300, -1), math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var pe *DelayPenaltyError
+		if _, err := NewPolicy("delay-aware", bad, 1); !errors.As(err, &pe) {
+			t.Errorf("NewPolicy(delay-aware, %g) error %v, want a *DelayPenaltyError", bad, err)
+		}
+		if _, err := (&DelayAwareMinCostPolicy{PenaltyPerMinute: bad}).Place(fl.View(), v); !errors.As(err, &pe) {
+			t.Errorf("Place at penalty %g: error %v, want a *DelayPenaltyError", bad, err)
+		}
+		if _, err := NewPolicy("mincost", bad, 1); err != nil {
+			t.Errorf("NewPolicy(mincost, %g): %v, but mincost reads no penalty", bad, err)
+		}
+	}
+	for _, ok := range []float64{0, DefaultDelayPenalty, 1e300} {
+		p, err := NewPolicy("delay-aware", ok, 1)
+		if err != nil {
+			t.Fatalf("NewPolicy(delay-aware, %g): %v", ok, err)
+		}
+		if i, err := p.Place(fl.View(), v); err != nil || i != 0 {
+			t.Errorf("penalty %g: Place = %d, %v", ok, i, err)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	inst, err := workload.Generate(
 		workload.Spec{NumVMs: 40, MeanInterArrival: 1, MeanLength: 20},

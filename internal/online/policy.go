@@ -18,6 +18,14 @@ import (
 // candidates resolve to the lowest server index — the same guarantee the
 // offline engine's deterministic argmin reduction provides.
 //
+// A row's run cost W_ij is priced first, and a row whose W_ij alone is ≥
+// the best price so far is skipped unprobed (Bounded). No placement moves,
+// bit for bit: each later term is ≥ 0 (α and P_idle by Server.Validate,
+// the penalty by checkDelayPenalty, the delay by startTime), IEEE addition
+// is monotone so fl(a+b) ≥ a for b ≥ 0, so the row's price is ≥ W_ij ≥
+// bestCost and cannot win the strict <, which also keeps the lowest-index
+// tie-break.
+//
 // The pass stays on the calling goroutine: it costs a few microseconds
 // over 512 rows, less than handing any part of it to a worker.
 func minCostPass(f *FleetView, v model.VM, penalty float64) (int, error) {
@@ -26,9 +34,14 @@ func minCostPass(f *FleetView, v model.VM, penalty float64) (int, error) {
 	minutes := float64(dur)
 	best := -1
 	var bestCost float64
-	var infeasible, rowRejected uint64
+	var bounded, infeasible, rowRejected uint64
 	for i := range f.rows {
 		r := &f.rows[i]
+		cost := r.p1 * cpu * minutes // energy.RunCost, Eq. 3
+		if best >= 0 && cost >= bestCost {
+			bounded++
+			continue
+		}
 		start := r.startTime(v.Start)
 		if ok, byRow := f.probe(i, cpu, mem, start, start+dur-1); !ok {
 			infeasible++
@@ -37,7 +50,6 @@ func minCostPass(f *FleetView, v model.VM, penalty float64) (int, error) {
 			}
 			continue
 		}
-		cost := r.p1 * cpu * minutes // energy.RunCost, Eq. 3
 		if r.state == PowerSaving {
 			cost += r.alpha
 		}
@@ -51,6 +63,7 @@ func minCostPass(f *FleetView, v model.VM, penalty float64) (int, error) {
 		}
 	}
 	f.scan.Evaluated += uint64(len(f.rows))
+	f.scan.Bounded += bounded
 	f.scan.Infeasible += infeasible
 	f.scan.RowRejected += rowRejected
 	if best < 0 {
@@ -92,9 +105,30 @@ var _ Policy = (*DelayAwareMinCostPolicy)(nil)
 // Name implements Policy.
 func (*DelayAwareMinCostPolicy) Name() string { return "online/delay-aware" }
 
-// Place implements Policy.
+// Place implements Policy. It refuses a penalty checkDelayPenalty refuses.
 func (p *DelayAwareMinCostPolicy) Place(f *FleetView, v model.VM) (int, error) {
+	if err := checkDelayPenalty(p.PenaltyPerMinute); err != nil {
+		return 0, err
+	}
 	return minCostPass(f, v, p.PenaltyPerMinute)
+}
+
+// DelayPenaltyError reports a delay penalty that is negative, NaN or
+// infinite: it would price a delay below zero or as NaN, which breaks
+// minCostPass's run-cost bound.
+type DelayPenaltyError struct {
+	Penalty float64
+}
+
+func (e *DelayPenaltyError) Error() string {
+	return fmt.Sprintf("online: delay penalty %g watt-minutes per minute is not a finite number ≥ 0", e.Penalty)
+}
+
+func checkDelayPenalty(p float64) error {
+	if !(p >= 0) || math.IsInf(p, 1) {
+		return &DelayPenaltyError{Penalty: p}
+	}
+	return nil
 }
 
 // FirstFitPolicy is the online counterpart of FFPS: servers are searched
@@ -187,12 +221,15 @@ func PolicyNames() []string {
 }
 
 // NewPolicy returns the policy registered under name. Only delay-aware
-// reads delayPenalty and only ffps reads seed.
+// reads delayPenalty (finite and ≥ 0) and only ffps reads seed.
 func NewPolicy(name string, delayPenalty float64, seed int64) (Policy, error) {
 	switch name {
 	case "mincost":
 		return &MinCostPolicy{}, nil
 	case "delay-aware":
+		if err := checkDelayPenalty(delayPenalty); err != nil {
+			return nil, err
+		}
 		return &DelayAwareMinCostPolicy{PenaltyPerMinute: delayPenalty}, nil
 	case "prefer-active":
 		return &PreferActivePolicy{}, nil

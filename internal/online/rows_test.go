@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"vmalloc/internal/energy"
@@ -18,19 +19,10 @@ func exactMinCost(f *FleetView, v model.VM, penalty float64) (best, ties int) {
 	best = -1
 	var bestCost float64
 	for i := 0; i < f.NumServers(); i++ {
-		start := f.StartTime(i, v)
-		if !exactFits(f, i, v, start) {
+		if !exactFits(f, i, v, f.StartTime(i, v)) {
 			continue
 		}
-		s := f.Server(i)
-		cost := energy.RunCost(s, v)
-		if f.StateOf(i) == PowerSaving {
-			cost += s.TransitionCost()
-		}
-		if f.Running(i) == 0 {
-			cost += s.PIdle * float64(v.Duration())
-		}
-		cost += penalty * float64(start-v.Start)
+		cost := exactPrice(f, i, v, penalty)
 		switch {
 		case best < 0 || cost < bestCost:
 			best, bestCost, ties = i, cost, 1
@@ -39,6 +31,21 @@ func exactMinCost(f *FleetView, v model.VM, penalty float64) (best, ties int) {
 		}
 	}
 	return best, ties
+}
+
+// exactPrice is server i's price for v in the scored policies' terms:
+// energy.RunCost, plus α when it sleeps, plus the idle power v alone would
+// keep it on for, plus penalty per minute of start delay.
+func exactPrice(f *FleetView, i int, v model.VM, penalty float64) float64 {
+	s := f.Server(i)
+	cost := energy.RunCost(s, v)
+	if f.StateOf(i) == PowerSaving {
+		cost += s.TransitionCost()
+	}
+	if f.Running(i) == 0 {
+		cost += s.PIdle * float64(v.Duration())
+	}
+	return cost + penalty*float64(f.StartTime(i, v)-v.Start)
 }
 
 // checkRows asserts every row equals the one recomputed from its unit,
@@ -197,6 +204,44 @@ func TestRowsMatchLedgers(t *testing.T) {
 		}
 		fl.Drain()
 		checkRows(t, fl, "drained")
+	}
+}
+
+// TestEventQueue: the typed heap pops seeded random events in sorted
+// (time, kind, seq) order, and once its backing array has grown a push
+// and a pop allocate nothing.
+func TestEventQueue(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q eventQueue
+	var want []event
+	for seq := 0; seq < 500; seq++ {
+		ev := event{time: rng.Intn(40), kind: 1 + rng.Intn(4), seq: seq, srv: rng.Intn(8)}
+		q.push(ev)
+		want = append(want, ev)
+		if rng.Intn(3) == 0 { // interleave pops with pushes, as the fleet does
+			sort.Slice(want, eventQueue(want).less)
+			if got := q.pop(); got != want[0] {
+				t.Fatalf("pop %d = %+v, want %+v", seq, got, want[0])
+			}
+			want = want[1:]
+		}
+	}
+	sort.Slice(want, eventQueue(want).less)
+	for k, w := range want {
+		if got := q.pop(); got != w {
+			t.Fatalf("drain pop %d = %+v, want %+v", k, got, w)
+		}
+	}
+	if len(q) != 0 {
+		t.Fatalf("%d events left after draining", len(q))
+	}
+	seq := 1000
+	if allocs := testing.AllocsPerRun(100, func() {
+		q.push(event{time: seq % 7, kind: evDeparture, seq: seq})
+		seq++
+		q.pop()
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per push and pop, want 0", allocs)
 	}
 }
 
