@@ -248,6 +248,7 @@ func TestMetricsLint(t *testing.T) {
 		`vmalloc_http_requests_total{route="POST /v1/vms",status="200"} 5`,
 		`vmalloc_http_requests_total{route="POST /v1/vms",status="400"} 1`,
 		`vmalloc_http_requests_total{route="unmatched",status="404"} 1`,
+		`vmalloc_http_request_seconds_bucket{route="POST /v1/vms",`,
 		`vmalloc_http_request_seconds_count{route="GET /healthz"} 1`,
 		`vmalloc_build_info{`,
 		`vmalloc_go_goroutines `,

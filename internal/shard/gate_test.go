@@ -598,6 +598,8 @@ func TestGateMetricsMerged(t *testing.T) {
 	for _, want := range []string{
 		`vmalloc_cluster_admissions_total{shard="s0"}`,
 		`vmalloc_cluster_admissions_total{shard="s1"}`,
+		`vmalloc_cluster_migrations_total{shard="s0"}`,
+		`vmalloc_cluster_migrations_total{shard="s1"}`,
 		`vmalloc_go_goroutines{shard="s0"}`,
 		`vmalloc_gate_shard_up{shard="s0"} 1`,
 		`vmalloc_gate_proxy_errors_total{shard="s1"} 0`,
