@@ -295,15 +295,7 @@ func (c *Client) Consolidate(ctx context.Context, req api.ConsolidateRequest) (*
 // is a raw query string such as "vm=7&limit=10", or "" for the full
 // retained history.
 func (c *Client) Migrations(ctx context.Context, query string) (*api.MigrationsResponse, error) {
-	path := "/v1/migrations"
-	if query != "" {
-		path += "?" + query
-	}
-	resp := new(api.MigrationsResponse)
-	if _, err := c.do(ctx, http.MethodGet, path, nil, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return get[api.MigrationsResponse](ctx, c, "/v1/migrations", query)
 }
 
 // Policies fetches the shadow-policy arena readout (GET /v1/policies):
@@ -311,11 +303,7 @@ func (c *Client) Migrations(ctx context.Context, query string) (*api.MigrationsR
 // figures. Works against a vmserve and a vmgate alike — the gate serves
 // the merged, shard-stamped shape on the same path.
 func (c *Client) Policies(ctx context.Context) (*api.PoliciesResponse, error) {
-	resp := new(api.PoliciesResponse)
-	if _, err := c.do(ctx, http.MethodGet, "/v1/policies", nil, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return get[api.PoliciesResponse](ctx, c, "/v1/policies", "")
 }
 
 // State fetches the consistent cluster state and its digest (the
@@ -351,6 +339,18 @@ func state[T any](ctx context.Context, c *Client) (*T, string, error) {
 	return st, digest, nil
 }
 
+// get fetches GET path?query, or path alone for an empty query, into a T.
+func get[T any](ctx context.Context, c *Client, path, query string) (*T, error) {
+	if query != "" {
+		path += "?" + query
+	}
+	resp := new(T)
+	if _, err := c.do(ctx, http.MethodGet, path, nil, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
 // StateSummary fetches the few cross-cutting facts the runner reports
 // on, from either topology: a vmserve's api.StateResponse (residents
 // counted from its vms array) or a vmgate's api.GateStateResponse
@@ -382,12 +382,8 @@ func (c *Client) StateSummary(ctx context.Context) (StateSummary, error) {
 // (GET /v1/debug/decisions). query is a raw query string such as
 // "vm=7&limit=10", or "" for everything the recorder holds.
 func (c *Client) DebugDecisions(ctx context.Context, query string) ([]obs.Decision, error) {
-	path := "/v1/debug/decisions"
-	if query != "" {
-		path += "?" + query
-	}
-	var resp api.DecisionsResponse
-	if _, err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
+	resp, err := get[api.DecisionsResponse](ctx, c, "/v1/debug/decisions", query)
+	if err != nil {
 		return nil, err
 	}
 	return resp.Decisions, nil
@@ -397,30 +393,14 @@ func (c *Client) DebugDecisions(ctx context.Context, query string) ([]obs.Decisi
 // grouped into one tree per trace id. query is a raw query string such
 // as "name=fsync&limit=100", or "" for everything buffered.
 func (c *Client) DebugTraces(ctx context.Context, query string) (*api.TracesResponse, error) {
-	path := "/v1/debug/traces"
-	if query != "" {
-		path += "?" + query
-	}
-	var resp api.TracesResponse
-	if _, err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return get[api.TracesResponse](ctx, c, "/v1/debug/traces", query)
 }
 
 // DebugEnergy fetches the server's sampled energy/utilization series
 // (GET /v1/debug/energy). query is a raw query string such as
 // "since=120&limit=50", or "" for the whole window.
 func (c *Client) DebugEnergy(ctx context.Context, query string) (*api.EnergyResponse, error) {
-	path := "/v1/debug/energy"
-	if query != "" {
-		path += "?" + query
-	}
-	var resp api.EnergyResponse
-	if _, err := c.do(ctx, http.MethodGet, path, nil, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return get[api.EnergyResponse](ctx, c, "/v1/debug/energy", query)
 }
 
 // Metrics scrapes and parses /metrics. A gate's merged exposition is
