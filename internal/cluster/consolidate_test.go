@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -103,6 +104,35 @@ func TestClusterMigrateDirect(t *testing.T) {
 	if n, hist := migrationsOf(t, again); n != 1 || len(hist) != 1 || hist[0] != rec {
 		t.Fatalf("post-compaction history = %d %+v, want the original record", n, hist)
 	}
+}
+
+// TestOpenRefusesBadRates: a negative or non-finite migration cost or
+// donor utilisation is a typed refusal from Open, before any journal
+// directory is touched; 0 still means free moves and the default donor
+// threshold.
+func TestOpenRefusesBadRates(t *testing.T) {
+	for _, bad := range []float64{-5, math.Inf(-1), math.Inf(1), math.NaN()} {
+		for _, field := range []string{"MigrationCostPerGB", "DonorUtilization"} {
+			dir := t.TempDir()
+			cfg := Config{Servers: testServers(2), Dir: dir}
+			if field == "MigrationCostPerGB" {
+				cfg.MigrationCostPerGB = bad
+			} else {
+				cfg.DonorUtilization = bad
+			}
+			var ce *ConfigValueError
+			if c, err := Open(cfg); !errors.As(err, &ce) || ce.Field != field {
+				if err == nil {
+					c.Close()
+				}
+				t.Errorf("%s %g: Open error %v, want a *ConfigValueError for %s", field, bad, err, field)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+				t.Errorf("%s %g: refused Open left %d files in the journal directory", field, bad, len(ents))
+			}
+		}
+	}
+	mustOpen(t, Config{Servers: testServers(2)}).Close()
 }
 
 // TestConsolidatePinned pins one fully hand-computed consolidation pass:
