@@ -46,6 +46,7 @@ import (
 	"vmalloc/internal/obs"
 	"vmalloc/internal/shard"
 	"vmalloc/internal/trace"
+	"vmalloc/internal/workload"
 )
 
 func main() {
@@ -132,21 +133,25 @@ func run(ctx context.Context, args []string, w, errW io.Writer) error {
 		}
 		profName = "trace:" + filepath.Base(*traceFile)
 	} else {
-		var prof loadgen.Profile
+		arrivals := workload.DiurnalSpec{
+			NumVMs:           *vms,
+			MeanInterArrival: *meanIA,
+			MeanLength:       *meanLen,
+			PeakToTrough:     *peak,
+			Period:           *period,
+		}
 		switch *profile {
 		case "poisson":
-			prof = loadgen.PoissonProfile{MeanInterArrival: *meanIA}
+			// Peak-to-trough 1 is the flat process for any period, so
+			// -peak-trough and -period are ignored.
+			arrivals.PeakToTrough, arrivals.Period = 1, 1
 		case "diurnal":
-			prof = loadgen.DiurnalProfile{MeanInterArrival: *meanIA, PeakToTrough: *peak, Period: *period}
 		default:
 			return fmt.Errorf("unknown profile %q (want poisson or diurnal)", *profile)
 		}
-		profName = prof.Name()
 		var err error
 		sched, err = loadgen.BuildSchedule(loadgen.ScheduleSpec{
-			Profile:         prof,
-			NumVMs:          *vms,
-			MeanLength:      *meanLen,
+			Arrivals:        arrivals,
 			ReleaseFraction: *relFrac,
 			Seed:            *seed,
 		})

@@ -25,6 +25,7 @@ import (
 	"vmalloc/internal/loadgen"
 	"vmalloc/internal/model"
 	"vmalloc/internal/online"
+	"vmalloc/internal/workload"
 )
 
 func testConfig(dir string) cluster.Config {
@@ -471,9 +472,9 @@ func TestDaemonSignalsAndRestart(t *testing.T) {
 	client := loadgen.NewClient(d.base)
 
 	sched, err := loadgen.BuildSchedule(loadgen.ScheduleSpec{
-		Profile:         loadgen.DiurnalProfile{MeanInterArrival: 0.3, PeakToTrough: 3, Period: 240},
-		NumVMs:          400,
-		MeanLength:      30,
+		Arrivals: workload.DiurnalSpec{
+			NumVMs: 400, MeanInterArrival: 0.3, MeanLength: 30, PeakToTrough: 3, Period: 240,
+		},
 		ReleaseFraction: 0.3,
 		Seed:            7,
 	})

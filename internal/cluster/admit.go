@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -381,10 +382,13 @@ func (c *Cluster) normalize(req api.AdmitRequest, now int) (model.VM, api.AdmitR
 	id := req.ID
 	if id == 0 {
 		id = c.nextID
-		c.nextID++
-	} else if id >= c.nextID {
-		c.nextID = id + 1
 	}
+	if id == math.MaxInt {
+		// nextID would wrap to math.MinInt and hand out negative ids.
+		adm.Reason = fmt.Sprintf("vm id %d is reserved: no id follows it", id)
+		return model.VM{}, adm, false
+	}
+	c.nextID = max(c.nextID, id+1)
 	adm.ID = id
 	start := req.Start
 	if start < now {

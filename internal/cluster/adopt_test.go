@@ -3,6 +3,8 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"vmalloc/internal/api"
@@ -70,6 +72,42 @@ func TestAdoptPlacesAndJournals(t *testing.T) {
 	adms := mustAdmit(t, r, api.AdmitRequest{Demand: model.Resources{CPU: 1, Mem: 1}, Start: 4, DurationMinutes: 5})
 	if adms[0].ID <= 42 {
 		t.Fatalf("auto-assigned id %d ≤ adopted id 42", adms[0].ID)
+	}
+}
+
+// TestMaxIntIDRefused: no id follows math.MaxInt, so an admission or an
+// adoption under it is refused and nextID never wraps to a negative id;
+// the auto-ID admission that follows replays from the journal.
+func TestMaxIntIDRefused(t *testing.T) {
+	cfg := Config{Servers: testServers(2), IdleTimeout: 5, Dir: t.TempDir(), DisableFsync: true}
+	c := mustOpen(t, cfg)
+	demand := model.Resources{CPU: 1, Mem: 1}
+	adms, err := c.Admit(context.Background(), []api.AdmitRequest{{ID: math.MaxInt, Demand: demand, Start: 1, DurationMinutes: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adms[0].Accepted || !strings.Contains(adms[0].Reason, "reserved") {
+		t.Fatalf("admission under math.MaxInt = %+v, want a reserved-id rejection", adms[0])
+	}
+	var aie *AdoptInfeasibleError
+	if _, _, err := c.Adopt(context.Background(), adoptVM(math.MaxInt, 1, 20), 1); !errors.As(err, &aie) {
+		t.Fatalf("adoption under math.MaxInt: %v, want *AdoptInfeasibleError", err)
+	}
+	if adms := mustAdmit(t, c, api.AdmitRequest{Demand: demand, Start: 1, DurationMinutes: 5}); adms[0].ID != 1 {
+		t.Fatalf("auto-assigned id %d, want 1", adms[0].ID)
+	}
+	want, err := c.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.crash()
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer r.Close()
+	if got, _ := r.StateDigest(); got != want {
+		t.Fatalf("reopened digest %s, want %s", got, want)
 	}
 }
 

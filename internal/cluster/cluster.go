@@ -372,9 +372,7 @@ func (c *Cluster) apply(r record) error {
 				return fmt.Errorf("cluster: journal seq %d: replayed handoff %d, recorded %d", r.Seq, handoff, r.Handoff)
 			}
 		}
-		if r.VM.ID >= c.nextID {
-			c.nextID = r.VM.ID + 1
-		}
+		c.nextID = max(c.nextID, r.VM.ID+1)
 	case opRelease:
 		c.fleet.AdvanceTo(r.T)
 		if _, err := c.fleet.Release(r.ID); err != nil {

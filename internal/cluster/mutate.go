@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"vmalloc/internal/api"
@@ -139,8 +140,8 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 		Clock:     c.fleet.Now(),
 		Stages:    obs.StageTimings{Decode: obs.DecodeSpan(ctx)},
 	}
-	if vm.ID < 1 {
-		return online.PlacedVM{}, 0, c.refuseLocked(&d, &AdoptInfeasibleError{VM: vm.ID, Reason: "vm id must be ≥ 1"})
+	if vm.ID < 1 || vm.ID == math.MaxInt {
+		return online.PlacedVM{}, 0, c.refuseLocked(&d, &AdoptInfeasibleError{VM: vm.ID, Reason: "vm id must be ≥ 1 and below math.MaxInt"})
 	}
 	if p, ok := c.fleet.Resident(vm.ID); ok {
 		if p.VM == vm && p.Start == actualStart {
@@ -189,9 +190,7 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 	}
 	p, _ := c.fleet.Resident(vm.ID)
 	c.met.adoptions++
-	if vm.ID >= c.nextID {
-		c.nextID = vm.ID + 1
-	}
+	c.nextID = max(c.nextID, vm.ID+1)
 	d.Server = c.fleet.View().Server(to).ID
 	d.Start, d.End = p.Start, p.End()
 	ad, done := c.openSpan(tc, obs.Span{Name: obs.SpanAdopt, Op: obs.OpAdopt, VM: vm.ID, Start: opT0})

@@ -10,6 +10,7 @@ import (
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/online"
+	"vmalloc/internal/workload"
 )
 
 // TestArenaNeutrality is the shadow-arena acceptance harness: the same
@@ -25,14 +26,14 @@ import (
 // exercise the reader paths.
 func TestArenaNeutrality(t *testing.T) {
 	spec := ScheduleSpec{
-		Profile:         DiurnalProfile{MeanInterArrival: 0.3, PeakToTrough: 3, Period: 360},
-		NumVMs:          500,
-		MeanLength:      30,
+		Arrivals: workload.DiurnalSpec{
+			NumVMs: 500, MeanInterArrival: 0.3, MeanLength: 30, PeakToTrough: 3, Period: 360,
+		},
 		ReleaseFraction: 0.3,
 		Seed:            20260807,
 	}
 	if testing.Short() {
-		spec.NumVMs = 150
+		spec.Arrivals.NumVMs = 150
 	}
 	sched, err := BuildSchedule(spec)
 	if err != nil {

@@ -216,7 +216,9 @@ func (c *Client) roundTrip(ctx context.Context, method, path, reqID string, root
 }
 
 // Admit submits a batch of admission requests and returns the per-request
-// outcomes in request order. A retried batch whose first attempt landed
+// outcomes in request order. An answer at a position whose request named
+// an explicit id must carry that id; one for another VM is an error
+// naming the position. A retried batch whose first attempt landed
 // reports its requests as accepted via the idempotency fold (see Client).
 func (c *Client) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.AdmitResponse, error) {
 	body, err := api.EncodeAdmitRequests(reqs)
@@ -231,15 +233,15 @@ func (c *Client) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Admi
 	if len(adms) != len(reqs) {
 		return nil, fmt.Errorf("loadgen: %d admissions for %d requests", len(adms), len(reqs))
 	}
-	if retried {
-		// At least one attempt was retried: an "already resident"
-		// rejection here means the earlier attempt admitted the VM and
-		// only the response was lost.
-		for i := range adms {
-			if !adms[i].Accepted && strings.Contains(adms[i].Reason, "already resident") {
-				adms[i].Accepted = true
-				adms[i].Reason = "admitted by an earlier attempt (idempotent retry)"
-			}
+	for i := range adms {
+		if want := reqs[i].ID; want != 0 && adms[i].ID != want {
+			return nil, fmt.Errorf("loadgen: answer %d is for vm %d, its request was for vm %d", i, adms[i].ID, want)
+		}
+		// After a retry, an "already resident" rejection means an earlier
+		// attempt admitted the VM and only its response was lost.
+		if retried && !adms[i].Accepted && strings.Contains(adms[i].Reason, "already resident") {
+			adms[i].Accepted = true
+			adms[i].Reason = "admitted by an earlier attempt (idempotent retry)"
 		}
 	}
 	return adms, nil

@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"context"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,6 +14,7 @@ import (
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/model"
+	"vmalloc/internal/workload"
 )
 
 func testServers(n int) []model.Server {
@@ -31,54 +31,11 @@ func testServers(n int) []model.Server {
 	return out
 }
 
-func TestPoissonProfile(t *testing.T) {
-	p := PoissonProfile{MeanInterArrival: 2}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Rate(0); got != 0.5 {
-		t.Fatalf("Rate(0) = %g, want 0.5", got)
-	}
-	if p.Rate(123.4) != p.Rate(0) || p.PeakRate() != p.Rate(0) {
-		t.Fatal("poisson rate should be constant and equal to its peak")
-	}
-	if err := (PoissonProfile{}).Validate(); err == nil {
-		t.Fatal("zero MeanInterArrival should not validate")
-	}
-}
-
-func TestDiurnalProfile(t *testing.T) {
-	p := DiurnalProfile{MeanInterArrival: 2, PeakToTrough: 3, Period: 1440}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	peak := p.Rate(p.Period / 4)       // sin = +1
-	trough := p.Rate(3 * p.Period / 4) // sin = -1
-	if ratio := peak / trough; math.Abs(ratio-3) > 1e-9 {
-		t.Fatalf("peak/trough ratio = %g, want 3", ratio)
-	}
-	if math.Abs(p.PeakRate()-peak) > 1e-12 {
-		t.Fatalf("PeakRate() = %g, want rate at peak %g", p.PeakRate(), peak)
-	}
-	// The mean over a full period is the homogeneous rate.
-	const n = 10000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += p.Rate(p.Period * float64(i) / n)
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 1e-3 {
-		t.Fatalf("mean rate over a period = %g, want 0.5", mean)
-	}
-	if err := (DiurnalProfile{MeanInterArrival: 2, PeakToTrough: 0.5, Period: 10}).Validate(); err == nil {
-		t.Fatal("PeakToTrough < 1 should not validate")
-	}
-}
-
 func testSpec(seed int64) ScheduleSpec {
 	return ScheduleSpec{
-		Profile:         DiurnalProfile{MeanInterArrival: 1.5, PeakToTrough: 4, Period: 240},
-		NumVMs:          200,
-		MeanLength:      40,
+		Arrivals: workload.DiurnalSpec{
+			NumVMs: 200, MeanInterArrival: 1.5, MeanLength: 40, PeakToTrough: 4, Period: 240,
+		},
 		ReleaseFraction: 0.3,
 		Seed:            seed,
 	}
@@ -147,10 +104,10 @@ func TestBuildScheduleInvariants(t *testing.T) {
 			releases++
 		}
 	}
-	if len(seen) != spec.NumVMs {
-		t.Fatalf("generated %d VMs, want %d", len(seen), spec.NumVMs)
+	if len(seen) != spec.Arrivals.NumVMs {
+		t.Fatalf("generated %d VMs, want %d", len(seen), spec.Arrivals.NumVMs)
 	}
-	for id := 1; id <= spec.NumVMs; id++ {
+	for id := 1; id <= spec.Arrivals.NumVMs; id++ {
 		if _, ok := seen[id]; !ok {
 			t.Fatalf("vm id %d missing: ids must cover 1..N", id)
 		}
@@ -164,7 +121,7 @@ func TestBuildScheduleInvariants(t *testing.T) {
 	if releases == 0 {
 		t.Fatal("spec with ReleaseFraction 0.3 over 200 VMs should schedule releases")
 	}
-	if want := spec.NumVMs + releases + len(sched.Steps) + 1; sched.Ops() != want {
+	if want := spec.Arrivals.NumVMs + releases + len(sched.Steps) + 1; sched.Ops() != want {
 		t.Fatalf("Ops() = %d, want %d", sched.Ops(), want)
 	}
 }
@@ -276,6 +233,25 @@ func TestClientRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestClientAdmitChecksAnswerIDs: a server that answers a batch with two
+// outcomes swapped would have the runner record each under the other
+// VM; the client refuses the answer, naming the first bad position.
+func TestClientAdmitChecksAnswerIDs(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`[{"id":1,"accepted":true},{"id":3,"accepted":false,"reason":"full"},{"id":2,"accepted":true}]`))
+	}))
+	defer srv.Close()
+	reqs := make([]api.AdmitRequest, 3)
+	for i := range reqs {
+		reqs[i] = api.AdmitRequest{ID: i + 1, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5}
+	}
+	_, err := NewClient(srv.URL).Admit(context.Background(), reqs)
+	if err == nil || !strings.Contains(err.Error(), "answer 1 is for vm 3, its request was for vm 2") {
+		t.Fatalf("swapped answers: err = %v, want answer 1 named", err)
+	}
+}
+
 // newTestServer boots a real volatile cluster behind the real HTTP
 // handler — the full vmserve surface, in process.
 func newTestServer(t *testing.T, n int) (*httptest.Server, *cluster.Cluster) {
@@ -296,9 +272,9 @@ func newTestServer(t *testing.T, n int) (*httptest.Server, *cluster.Cluster) {
 // sequence — plus agreement between the report and the server state.
 func TestRunnerEndToEnd(t *testing.T) {
 	spec := ScheduleSpec{
-		Profile:         PoissonProfile{MeanInterArrival: 0.4},
-		NumVMs:          120,
-		MeanLength:      25,
+		Arrivals: workload.DiurnalSpec{
+			NumVMs: 120, MeanInterArrival: 0.4, MeanLength: 25, PeakToTrough: 1, Period: 1,
+		},
 		ReleaseFraction: 0.25,
 		Seed:            99,
 	}
@@ -317,7 +293,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 		if rep.Errors != 0 {
 			t.Fatalf("run reported %d errors", rep.Errors)
 		}
-		if rep.Sent != spec.NumVMs || rep.Accepted+rep.Rejected != rep.Sent {
+		if rep.Sent != spec.Arrivals.NumVMs || rep.Accepted+rep.Rejected != rep.Sent {
 			t.Fatalf("sent %d accepted %d rejected %d", rep.Sent, rep.Accepted, rep.Rejected)
 		}
 		if rep.Rejected == 0 {

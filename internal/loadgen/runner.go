@@ -162,9 +162,8 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	}
 
 	co := &collector{}
-	// Trace-derived schedules can carry sparse IDs above NumVMs; size the
-	// accepted table by the largest one.
-	accepted := make([]bool, max(sched.NumVMs, sched.MaxID)+1)
+	// A set, not a table indexed by id: trace ids can be sparse and huge.
+	accepted := make(map[int]bool, sched.NumVMs)
 	outcomes := sha256.New()
 	start := time.Now()
 
@@ -274,9 +273,9 @@ func (r *Runner) tick(ctx context.Context, rep *Report, co *collector, minute in
 
 // admitStep issues the minute's admissions (chunked over the pool when
 // Opts.Chunk > 0) and folds the outcomes into the report, the accepted
-// table and the outcome digest — the digest walk is in schedule order,
+// set and the outcome digest — the digest walk is in schedule order,
 // independent of call-completion order.
-func (r *Runner) admitStep(ctx context.Context, rep *Report, co *collector, step *Step, accepted []bool, outcomes hash.Hash) {
+func (r *Runner) admitStep(ctx context.Context, rep *Report, co *collector, step *Step, accepted map[int]bool, outcomes hash.Hash) {
 	if len(step.Admits) == 0 {
 		return
 	}
@@ -333,7 +332,7 @@ func (r *Runner) admitStep(ctx context.Context, rep *Report, co *collector, step
 
 // releaseStep issues the minute's releases concurrently, skipping VMs
 // whose admission was rejected (releasing them would only 404).
-func (r *Runner) releaseStep(ctx context.Context, rep *Report, co *collector, step *Step, accepted []bool, outcomes hash.Hash) {
+func (r *Runner) releaseStep(ctx context.Context, rep *Report, co *collector, step *Step, accepted map[int]bool, outcomes hash.Hash) {
 	if len(step.Releases) == 0 {
 		return
 	}

@@ -1,52 +1,41 @@
+// Package loadgen is the load-generation harness for the vmserve
+// allocation daemon: deterministic open-loop arrival schedules (the
+// paper's §IV-B request process as workload.DiurnalSpec draws it; flat
+// Poisson is its peak-to-trough 1), a typed retrying HTTP client for the
+// cluster API, a worker-pool runner that replays a schedule against a
+// live server, and a reporter that folds outcomes, latency quantiles and
+// /metrics deltas into one result.
+//
+// Everything upstream of the network is deterministic: a (ScheduleSpec,
+// seed) pair fully determines the operation sequence, and the runner's
+// default minute-step execution keeps the admission/rejection outcome
+// sequence identical across runs against fresh servers — which turns the
+// generator into a repeatable correctness instrument (see the soak
+// tests), not just a throughput toy.
 package loadgen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
 	"vmalloc/internal/api"
 	"vmalloc/internal/model"
+	"vmalloc/internal/workload"
 )
 
 // ScheduleSpec describes one deterministic load run.
 type ScheduleSpec struct {
-	// Profile shapes the arrival rate; required.
-	Profile Profile
-	// NumVMs is how many admission requests to generate.
-	NumVMs int
-	// MeanLength is the exponential mean VM length in minutes (paper
-	// §IV-B).
-	MeanLength float64
+	// Arrivals is the request process: NumVMs requests with sinusoidal
+	// Poisson arrivals, exponential lengths and Table I demands.
+	// PeakToTrough 1 is the flat Poisson process, whatever the Period.
+	Arrivals workload.DiurnalSpec
 	// ReleaseFraction of admitted VMs are released early, at a seeded
 	// minute strictly inside their lifetime. 0 disables releases.
 	ReleaseFraction float64
-	// Classes restricts the Table I VM-type catalog; empty means all
-	// classes.
-	Classes []model.VMClass
 	// Seed drives every random draw; a (spec, seed) pair fully
 	// determines the schedule.
 	Seed int64
-}
-
-// Validate reports whether the spec is well formed.
-func (s ScheduleSpec) Validate() error {
-	if s.Profile == nil {
-		return fmt.Errorf("loadgen: spec has no profile")
-	}
-	if err := s.Profile.Validate(); err != nil {
-		return err
-	}
-	switch {
-	case s.NumVMs < 1:
-		return fmt.Errorf("loadgen: NumVMs %d, want >= 1", s.NumVMs)
-	case !(s.MeanLength > 0):
-		return fmt.Errorf("loadgen: MeanLength %g, want > 0", s.MeanLength)
-	case s.ReleaseFraction < 0 || s.ReleaseFraction > 1:
-		return fmt.Errorf("loadgen: ReleaseFraction %g, want in [0, 1]", s.ReleaseFraction)
-	}
-	return nil
 }
 
 // Step is every operation the runner issues at one fleet minute: advance
@@ -64,10 +53,6 @@ type Schedule struct {
 	Steps []Step
 	// NumVMs is the number of admission requests across all steps.
 	NumVMs int
-	// MaxID is the largest VM ID any admission carries. Generated
-	// schedules use dense IDs (MaxID == NumVMs); trace-derived ones can
-	// be sparse, with MaxID well above NumVMs.
-	MaxID int
 	// NumReleases is the number of scheduled early releases.
 	NumReleases int
 	// Horizon is the last minute any generated VM would run to — the
@@ -81,23 +66,34 @@ func (s *Schedule) Ops() int {
 	return s.NumVMs + s.NumReleases + len(s.Steps) + 1
 }
 
-// BuildSchedule generates the deterministic operation timeline: VM
-// arrivals are drawn from the profile's inhomogeneous Poisson process by
-// thinning at the peak rate (exactly the workload package's §IV-B
-// construction), lengths are exponential, demands come from the Table I
-// catalog, and a seeded ReleaseFraction of VMs get an early release at a
-// uniform minute strictly inside their lifetime.
+// BuildSchedule generates the deterministic operation timeline: the
+// spec's Arrivals drawn from Seed and, right after each VM's draw and
+// from the same rng, a ReleaseFraction coin that gives it an early
+// release at a uniform minute in (start, end] — so the VM is resident
+// when the release lands, whatever wake-up delay its admission absorbed.
 func BuildSchedule(spec ScheduleSpec) (*Schedule, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	types := model.VMTypesByClass(spec.Classes...)
-	if len(types) == 0 {
-		return nil, fmt.Errorf("loadgen: classes %v match no VM types", spec.Classes)
+	if spec.ReleaseFraction < 0 || spec.ReleaseFraction > 1 {
+		return nil, fmt.Errorf("loadgen: ReleaseFraction %g, want in [0, 1]", spec.ReleaseFraction)
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	peak := spec.Profile.PeakRate()
+	var vms []model.VM
+	release := make(map[int]int)
+	err := spec.Arrivals.Draw(rng, func(v model.VM) {
+		vms = append(vms, v)
+		if length := v.Duration(); length >= 2 && rng.Float64() < spec.ReleaseFraction {
+			release[v.ID] = v.Start + 1 + rng.Intn(length-1)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newSchedule(vms, release), nil
+}
 
+// newSchedule lays VMs onto the runner's timeline: one admission per VM
+// at its start minute, in ID order within a minute, and the horizon at
+// the last end. release maps a VM ID to its early-release minute.
+func newSchedule(vms []model.VM, release map[int]int) *Schedule {
 	steps := make(map[int]*Step)
 	stepAt := func(minute int) *Step {
 		st := steps[minute]
@@ -107,44 +103,22 @@ func BuildSchedule(spec ScheduleSpec) (*Schedule, error) {
 		}
 		return st
 	}
-
-	sched := &Schedule{NumVMs: spec.NumVMs, MaxID: spec.NumVMs}
-	now := 0.0
-	for id := 1; id <= spec.NumVMs; {
-		now += rng.ExpFloat64() / peak
-		if rng.Float64()*peak > spec.Profile.Rate(now) {
-			continue // thinned
-		}
-		start := int(math.Round(now))
-		if start < 1 {
-			start = 1
-		}
-		length := int(math.Round(rng.ExpFloat64() * spec.MeanLength))
-		if length < 1 {
-			length = 1
-		}
-		vt := types[rng.Intn(len(types))]
-		stepAt(start).Admits = append(stepAt(start).Admits, api.AdmitRequest{
-			ID:              id,
-			Type:            vt.Name,
-			Demand:          vt.Resources(),
-			Start:           start,
-			DurationMinutes: length,
+	sched := &Schedule{NumVMs: len(vms), NumReleases: len(release)}
+	for _, v := range vms {
+		st := stepAt(v.Start)
+		st.Admits = append(st.Admits, api.AdmitRequest{
+			ID:              v.ID,
+			Type:            v.Type,
+			Demand:          v.Demand,
+			Start:           v.Start,
+			DurationMinutes: v.Duration(),
 		})
-		if end := start + length - 1; end > sched.Horizon {
-			sched.Horizon = end
-		}
-		// Early release: a seeded coin per VM, at a uniform minute in
-		// (start, end] — so the VM is resident when the release lands,
-		// whatever wake-up delay its admission absorbed.
-		if length >= 2 && rng.Float64() < spec.ReleaseFraction {
-			rel := start + 1 + rng.Intn(length-1)
-			stepAt(rel).Releases = append(stepAt(rel).Releases, id)
-			sched.NumReleases++
-		}
-		id++
+		sched.Horizon = max(sched.Horizon, v.End)
 	}
-
+	for id, minute := range release {
+		st := stepAt(minute)
+		st.Releases = append(st.Releases, id)
+	}
 	minutes := make([]int, 0, len(steps))
 	for m := range steps {
 		minutes = append(minutes, m)
@@ -153,8 +127,9 @@ func BuildSchedule(spec ScheduleSpec) (*Schedule, error) {
 	sched.Steps = make([]Step, len(minutes))
 	for i, m := range minutes {
 		st := steps[m]
+		sort.Slice(st.Admits, func(a, b int) bool { return st.Admits[a].ID < st.Admits[b].ID })
 		sort.Ints(st.Releases)
 		sched.Steps[i] = *st
 	}
-	return sched, nil
+	return sched
 }

@@ -13,6 +13,7 @@ import (
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/obs"
 	"vmalloc/internal/shard"
+	"vmalloc/internal/workload"
 )
 
 // shardedDeployment is two real vmserve shards behind one real vmgate,
@@ -82,14 +83,14 @@ func (d *shardedDeployment) verifyResidency(t *testing.T) (int, map[string]strin
 
 func shardedSoakSpec() ScheduleSpec {
 	spec := ScheduleSpec{
-		Profile:         DiurnalProfile{MeanInterArrival: 0.4, PeakToTrough: 3, Period: 300},
-		NumVMs:          800,
-		MeanLength:      30,
+		Arrivals: workload.DiurnalSpec{
+			NumVMs: 800, MeanInterArrival: 0.4, MeanLength: 30, PeakToTrough: 3, Period: 300,
+		},
 		ReleaseFraction: 0.4,
 		Seed:            20260805,
 	}
 	if testing.Short() {
-		spec.NumVMs = 200
+		spec.Arrivals.NumVMs = 200
 	}
 	return spec
 }

@@ -12,6 +12,7 @@ import (
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/obs"
+	"vmalloc/internal/workload"
 )
 
 // copyDir copies the flat journal directory (journal.jsonl, and
@@ -53,14 +54,14 @@ func copyDir(t *testing.T, src, dst string) {
 // (verified by -race).
 func TestSoakJournalReplay(t *testing.T) {
 	spec := ScheduleSpec{
-		Profile:         DiurnalProfile{MeanInterArrival: 0.3, PeakToTrough: 3, Period: 360},
-		NumVMs:          1300,
-		MeanLength:      30,
+		Arrivals: workload.DiurnalSpec{
+			NumVMs: 1300, MeanInterArrival: 0.3, MeanLength: 30, PeakToTrough: 3, Period: 360,
+		},
 		ReleaseFraction: 0.5,
 		Seed:            20260805,
 	}
 	if testing.Short() {
-		spec.NumVMs = 300
+		spec.Arrivals.NumVMs = 300
 	}
 	sched, err := BuildSchedule(spec)
 	if err != nil {
@@ -127,8 +128,8 @@ func TestSoakJournalReplay(t *testing.T) {
 	if rep.Errors != 0 {
 		t.Fatalf("soak run reported %d errors", rep.Errors)
 	}
-	if rep.Sent != spec.NumVMs {
-		t.Fatalf("sent %d admissions, want %d", rep.Sent, spec.NumVMs)
+	if rep.Sent != spec.Arrivals.NumVMs {
+		t.Fatalf("sent %d admissions, want %d", rep.Sent, spec.Arrivals.NumVMs)
 	}
 	t.Logf("soak: %d ops, %d accepted, %d rejected, %d released in %s",
 		sched.Ops(), rep.Accepted, rep.Rejected, rep.Releases, rep.Wall.Round(time.Millisecond))

@@ -10,6 +10,7 @@ import (
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/obs"
+	"vmalloc/internal/workload"
 )
 
 // TestTelemetryNeutrality is the tracing/energy acceptance harness: the
@@ -22,14 +23,14 @@ import (
 // integrates back to the reported total.
 func TestTelemetryNeutrality(t *testing.T) {
 	spec := ScheduleSpec{
-		Profile:         DiurnalProfile{MeanInterArrival: 0.3, PeakToTrough: 3, Period: 360},
-		NumVMs:          400,
-		MeanLength:      30,
+		Arrivals: workload.DiurnalSpec{
+			NumVMs: 400, MeanInterArrival: 0.3, MeanLength: 30, PeakToTrough: 3, Period: 360,
+		},
 		ReleaseFraction: 0.3,
 		Seed:            20260808,
 	}
 	if testing.Short() {
-		spec.NumVMs = 120
+		spec.Arrivals.NumVMs = 120
 	}
 	sched, err := BuildSchedule(spec)
 	if err != nil {

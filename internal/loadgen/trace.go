@@ -2,9 +2,7 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 
-	"vmalloc/internal/api"
 	"vmalloc/internal/model"
 )
 
@@ -15,23 +13,14 @@ import (
 // VM at its start minute, no early releases (a trace's End is the
 // natural departure the server's clock processes), the horizon at the
 // last end. IDs must be unique and >= 1 — they are the idempotency and
-// routing keys — but may be sparse; the runner sizes its tables by
-// Schedule.MaxID.
+// routing keys — but may be sparse. Within a minute admissions go in ID
+// order, so the replayed request stream (and the outcome digest) is a
+// pure function of the trace's contents, not of its row order.
 func TraceSchedule(vms []model.VM) (*Schedule, error) {
 	if len(vms) == 0 {
 		return nil, fmt.Errorf("loadgen: empty trace")
 	}
 	seen := make(map[int]bool, len(vms))
-	steps := make(map[int]*Step)
-	stepAt := func(minute int) *Step {
-		st := steps[minute]
-		if st == nil {
-			st = &Step{Minute: minute}
-			steps[minute] = st
-		}
-		return st
-	}
-	sched := &Schedule{NumVMs: len(vms)}
 	for i, v := range vms {
 		if err := v.Validate(); err != nil {
 			return nil, fmt.Errorf("loadgen: trace vm %d: %w", i, err)
@@ -43,33 +32,6 @@ func TraceSchedule(vms []model.VM) (*Schedule, error) {
 			return nil, fmt.Errorf("loadgen: trace vm id %d appears twice", v.ID)
 		}
 		seen[v.ID] = true
-		stepAt(v.Start).Admits = append(stepAt(v.Start).Admits, api.AdmitRequest{
-			ID:              v.ID,
-			Type:            v.Type,
-			Demand:          v.Demand,
-			Start:           v.Start,
-			DurationMinutes: v.Duration(),
-		})
-		if v.ID > sched.MaxID {
-			sched.MaxID = v.ID
-		}
-		if v.End > sched.Horizon {
-			sched.Horizon = v.End
-		}
 	}
-	minutes := make([]int, 0, len(steps))
-	for m := range steps {
-		minutes = append(minutes, m)
-	}
-	sort.Ints(minutes)
-	sched.Steps = make([]Step, len(minutes))
-	for i, m := range minutes {
-		st := steps[m]
-		// Trace file order within a minute is arbitrary; ID order makes
-		// the replayed request stream (and the outcome digest) a pure
-		// function of the trace's contents.
-		sort.Slice(st.Admits, func(a, b int) bool { return st.Admits[a].ID < st.Admits[b].ID })
-		sched.Steps[i] = *st
-	}
-	return sched, nil
+	return newSchedule(vms, nil), nil
 }

@@ -19,6 +19,7 @@ import (
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
 	"vmalloc/internal/promlint"
+	"vmalloc/internal/workload"
 )
 
 // newShardServer stands up one shard with zero-transition servers, so
@@ -309,11 +310,11 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 // must equal a never-resized 3-shard control's under the same burst.
 func TestLiveResizeMidBurst(t *testing.T) {
 	sched, err := loadgen.BuildSchedule(loadgen.ScheduleSpec{
-		Profile:    loadgen.DiurnalProfile{MeanInterArrival: 0.5, PeakToTrough: 3, Period: 240},
-		NumVMs:     200,
-		MeanLength: 5,
-		Classes:    []model.VMClass{model.ClassStandard},
-		Seed:       19,
+		Arrivals: workload.DiurnalSpec{
+			NumVMs: 200, MeanInterArrival: 0.5, MeanLength: 5, PeakToTrough: 3, Period: 240,
+			Classes: []model.VMClass{model.ClassStandard},
+		},
+		Seed: 19,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,62 +35,58 @@ type DiurnalSpec struct {
 
 // Validate reports whether the spec is well formed.
 func (s DiurnalSpec) Validate() error {
+	// Negated compares, so a NaN field is refused too.
 	switch {
 	case s.NumVMs < 1:
 		return fmt.Errorf("workload: NumVMs %d < 1", s.NumVMs)
-	case s.MeanInterArrival <= 0:
-		return fmt.Errorf("workload: MeanInterArrival %g <= 0", s.MeanInterArrival)
-	case s.MeanLength <= 0:
-		return fmt.Errorf("workload: MeanLength %g <= 0", s.MeanLength)
-	case s.PeakToTrough < 1:
-		return fmt.Errorf("workload: PeakToTrough %g < 1", s.PeakToTrough)
-	case s.Period <= 0:
-		return fmt.Errorf("workload: Period %g <= 0", s.Period)
+	case !(s.MeanInterArrival > 0):
+		return fmt.Errorf("workload: MeanInterArrival %g, want > 0", s.MeanInterArrival)
+	case !(s.MeanLength > 0):
+		return fmt.Errorf("workload: MeanLength %g, want > 0", s.MeanLength)
+	case !(s.PeakToTrough >= 1):
+		return fmt.Errorf("workload: PeakToTrough %g, want >= 1", s.PeakToTrough)
+	case !(s.Period > 0):
+		return fmt.Errorf("workload: Period %g, want > 0", s.Period)
 	}
 	return nil
 }
 
-// VMs generates the requests by thinning a homogeneous Poisson process at
-// the peak rate.
-func (s DiurnalSpec) VMs(rng *rand.Rand) ([]model.VM, error) {
+// Draw draws the requests by thinning a homogeneous Poisson process at
+// the peak rate and hands each to visit, in ID order, before drawing the
+// next. visit may draw from rng itself: its draws interleave with the
+// arrival process's, so a seed still fixes every draw. With PeakToTrough
+// 1 (a = 0) the rate is exactly λ̄ at every t, whatever the Period, no
+// candidate is thinned, and the arrivals are the flat Poisson process.
+func (s DiurnalSpec) Draw(rng *rand.Rand, visit func(model.VM)) error {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	types := model.VMTypesByClass(s.Classes...)
-	if len(types) == 0 {
-		return nil, fmt.Errorf("workload: classes %v match no VM types", s.Classes)
+	types, err := requestTypes(s.Classes)
+	if err != nil {
+		return err
 	}
 	var (
 		lambdaBar = 1 / s.MeanInterArrival
 		a         = (s.PeakToTrough - 1) / (s.PeakToTrough + 1)
 		lambdaMax = lambdaBar * (1 + a)
 	)
-	rate := func(t float64) float64 {
-		return lambdaBar * (1 + a*math.Sin(2*math.Pi*t/s.Period))
-	}
-	vms := make([]model.VM, 0, s.NumVMs)
 	now := 0.0
-	for len(vms) < s.NumVMs {
+	for id := 1; id <= s.NumVMs; {
 		now += rng.ExpFloat64() / lambdaMax
-		if rng.Float64()*lambdaMax > rate(now) {
+		if rng.Float64()*lambdaMax > lambdaBar*(1+a*math.Sin(2*math.Pi*now/s.Period)) {
 			continue // thinned
 		}
-		start := int(math.Round(now))
-		if start < 1 {
-			start = 1
-		}
-		length := int(math.Round(rng.ExpFloat64() * s.MeanLength))
-		if length < 1 {
-			length = 1
-		}
-		vt := types[rng.Intn(len(types))]
-		vms = append(vms, model.VM{
-			ID:     len(vms) + 1,
-			Type:   vt.Name,
-			Demand: vt.Resources(),
-			Start:  start,
-			End:    start + length - 1,
-		})
+		visit(request(rng, types, id, now, s.MeanLength))
+		id++
+	}
+	return nil
+}
+
+// VMs generates the requests: Draw, collected in ID order.
+func (s DiurnalSpec) VMs(rng *rand.Rand) ([]model.VM, error) {
+	vms := make([]model.VM, 0, max(s.NumVMs, 0))
+	if err := s.Draw(rng, func(v model.VM) { vms = append(vms, v) }); err != nil {
+		return nil, err
 	}
 	return vms, nil
 }

@@ -19,6 +19,9 @@ func TestDiurnalSpecValidate(t *testing.T) {
 		{NumVMs: 10, MeanInterArrival: 2, MeanLength: 0, PeakToTrough: 3, Period: 1440},
 		{NumVMs: 10, MeanInterArrival: 2, MeanLength: 30, PeakToTrough: 0.5, Period: 1440},
 		{NumVMs: 10, MeanInterArrival: 2, MeanLength: 30, PeakToTrough: 3, Period: 0},
+		{NumVMs: 10, MeanInterArrival: math.NaN(), MeanLength: 30, PeakToTrough: 3, Period: 1440},
+		{NumVMs: 10, MeanInterArrival: 2, MeanLength: 30, PeakToTrough: math.NaN(), Period: 1440},
+		{NumVMs: 10, MeanInterArrival: 2, MeanLength: 30, PeakToTrough: 3, Period: math.NaN()},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -42,38 +42,50 @@ func (s Spec) Validate() error {
 }
 
 // VMs generates the VM requests. Arrival times accumulate exponential
-// inter-arrival gaps; start and finish times are rounded to integer
-// minutes (the paper's time unit), with every VM at least one minute long.
+// inter-arrival gaps; the rest of each request is request's draw.
 func (s Spec) VMs(rng *rand.Rand) ([]model.VM, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	types := model.VMTypesByClass(s.Classes...)
-	if len(types) == 0 {
-		return nil, fmt.Errorf("workload: classes %v match no VM types", s.Classes)
+	types, err := requestTypes(s.Classes)
+	if err != nil {
+		return nil, err
 	}
 	vms := make([]model.VM, s.NumVMs)
 	arrival := 0.0
 	for i := range vms {
 		arrival += rng.ExpFloat64() * s.MeanInterArrival
-		start := int(math.Round(arrival))
-		if start < 1 {
-			start = 1
-		}
-		length := int(math.Round(rng.ExpFloat64() * s.MeanLength))
-		if length < 1 {
-			length = 1
-		}
-		vt := types[rng.Intn(len(types))]
-		vms[i] = model.VM{
-			ID:     i + 1,
-			Type:   vt.Name,
-			Demand: vt.Resources(),
-			Start:  start,
-			End:    start + length - 1,
-		}
+		vms[i] = request(rng, types, i+1, arrival, s.MeanLength)
 	}
 	return vms, nil
+}
+
+// requestTypes is the Table I catalog restricted to classes (all of it
+// when classes is empty).
+func requestTypes(classes []model.VMClass) ([]model.VMType, error) {
+	types := model.VMTypesByClass(classes...)
+	if len(types) == 0 {
+		return nil, fmt.Errorf("workload: classes %v match no VM types", classes)
+	}
+	return types, nil
+}
+
+// request draws VM id's request for an arrival at minute arrival, in the
+// §IV-B order both generators share: the start is the arrival rounded to
+// an integer minute (the paper's time unit, at least 1), the length an
+// exponential draw of mean meanLength (at least one minute), and the type
+// a uniform pick from types.
+func request(rng *rand.Rand, types []model.VMType, id int, arrival, meanLength float64) model.VM {
+	start := max(int(math.Round(arrival)), 1)
+	length := max(int(math.Round(rng.ExpFloat64()*meanLength)), 1)
+	vt := types[rng.Intn(len(types))]
+	return model.VM{
+		ID:     id,
+		Type:   vt.Name,
+		Demand: vt.Resources(),
+		Start:  start,
+		End:    start + length - 1,
+	}
 }
 
 // FleetSpec describes a server fleet to generate.
