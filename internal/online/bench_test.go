@@ -1,7 +1,7 @@
 package online
 
 import (
-	"strings"
+	"math"
 	"testing"
 
 	"vmalloc/internal/model"
@@ -28,9 +28,11 @@ func BenchmarkEngineRun(b *testing.B) {
 }
 
 // probeFleet builds the fleet bench/probe_online.go times Place on: 512
-// Table II servers loaded to about half their CPU, every wake-up done. It
-// also returns the VMs left over, to place against it.
-func probeFleet(tb testing.TB) (*Fleet, []model.VM) {
+// Table II servers loaded to about half their CPU, every wake-up done.
+// With distinctP1, server i's PPeak is first raised by i ulps, so every
+// server is a price class of its own. It also returns the VMs left over,
+// to place against it.
+func probeFleet(tb testing.TB, distinctP1 bool) (*Fleet, []model.VM) {
 	tb.Helper()
 	inst, err := workload.Generate(
 		workload.Spec{NumVMs: 4000, MeanInterArrival: 0.01, MeanLength: 400},
@@ -39,6 +41,12 @@ func probeFleet(tb testing.TB) (*Fleet, []model.VM) {
 	)
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if distinctP1 {
+		for i := range inst.Servers {
+			s := &inst.Servers[i]
+			s.PPeak = math.Float64frombits(math.Float64bits(s.PPeak) + uint64(i))
+		}
 	}
 	pol := &MinCostPolicy{}
 	fl := NewFleet(inst.Servers, 2)
@@ -58,18 +66,30 @@ func probeFleet(tb testing.TB) (*Fleet, []model.VM) {
 		}
 	}
 	fl.AdvanceTo(5)
+	if distinctP1 && len(fl.view.classes) != len(inst.Servers) {
+		tb.Fatalf("%d price classes over %d servers, want one each", len(fl.view.classes), len(inst.Servers))
+	}
 	return fl, inst.VMs[next:]
 }
 
 var placeSink int
 
 // BenchmarkPlace is one admission scan over the probe fleet's 512 rows,
-// by each policy minCostPass serves. probed/op counts the rows the pass
-// probed rather than skipped by its run-cost bound.
+// by each policy minCostPass serves, and by MinCost on the distinct-P¹
+// fleet, where the class walk is a walk in P¹ order. probed/op counts the
+// rows the pass probed rather than skipped by its run-cost bound.
 func BenchmarkPlace(b *testing.B) {
-	for _, pol := range []Policy{&MinCostPolicy{}, &DelayAwareMinCostPolicy{PenaltyPerMinute: DefaultDelayPenalty}} {
-		b.Run(strings.TrimPrefix(pol.Name(), "online/"), func(b *testing.B) {
-			fl, rest := probeFleet(b)
+	for _, bc := range []struct {
+		name       string
+		pol        Policy
+		distinctP1 bool
+	}{
+		{"mincost", &MinCostPolicy{}, false},
+		{"delay-aware", &DelayAwareMinCostPolicy{PenaltyPerMinute: DefaultDelayPenalty}, false},
+		{"distinct-p1", &MinCostPolicy{}, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			fl, rest := probeFleet(b, bc.distinctP1)
 			fv := fl.View()
 			before := fv.ScanCounts()
 			b.ReportAllocs()
@@ -78,7 +98,7 @@ func BenchmarkPlace(b *testing.B) {
 				v := rest[n%len(rest)]
 				v.ID = 1_000_000
 				v.Start, v.End = fl.Now(), fl.Now()+30
-				i, err := pol.Place(fv, v)
+				i, err := bc.pol.Place(fv, v)
 				if err != nil {
 					b.Fatal(err)
 				}
