@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,8 +11,67 @@ import (
 
 	"vmalloc/internal/api"
 	"vmalloc/internal/model"
+	"vmalloc/internal/online"
 	"vmalloc/internal/workload"
 )
+
+// openEditedSnapshot snapshots a fleet with two residents, checks that
+// the snapshot reopens as written, applies edit to its fleet state in
+// snapshot.json and returns what Open makes of that.
+func openEditedSnapshot(t *testing.T, edit func(*online.FleetSnapshot)) error {
+	t.Helper()
+	cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: t.TempDir(), SnapshotEvery: -1, DisableFsync: true}
+	c := mustOpen(t, cfg)
+	mustAdmit(t, c,
+		api.AdmitRequest{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, Start: 1, DurationMinutes: 30},
+		api.AdmitRequest{ID: 2, Demand: model.Resources{CPU: 1, Mem: 2}, Start: 1, DurationMinutes: 30})
+	if err := c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	c.crash()
+	path := filepath.Join(cfg.Dir, snapshotName)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshotFile
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	mustOpen(t, cfg).crash()
+	edit(snap.Fleet)
+	if b, err = json.Marshal(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err = Open(cfg)
+	if err == nil {
+		c.Close()
+	}
+	return err
+}
+
+// TestSnapshotDuplicateResidentRefused: snapshot.json has no checksum, and
+// a resident listed twice would count two VMs on its server for one, so
+// the server would never empty or sleep. Open refuses it.
+func TestSnapshotDuplicateResidentRefused(t *testing.T) {
+	err := openEditedSnapshot(t, func(s *online.FleetSnapshot) { s.Residents = append(s.Residents, s.Residents[0]) })
+	if !errors.Is(err, ErrCorruptJournal) {
+		t.Fatalf("Open = %v, want ErrCorruptJournal", err)
+	}
+}
+
+// TestSnapshotUnknownStateRefused: a unit state outside power-saving,
+// waking and active would be served as is and never woken. Open refuses
+// it.
+func TestSnapshotUnknownStateRefused(t *testing.T) {
+	err := openEditedSnapshot(t, func(s *online.FleetSnapshot) { s.Units[0].State = 9 })
+	if !errors.Is(err, ErrCorruptJournal) {
+		t.Fatalf("Open = %v, want ErrCorruptJournal", err)
+	}
+}
 
 // BenchmarkRestore times Open of an operator-restart-shaped journal, the
 // restart a crashed shard waits on: 30,000 standard-class VMs at ≈100 a

@@ -552,7 +552,8 @@ func (fl *Fleet) Snapshot() *FleetSnapshot {
 }
 
 // RestoreFleet rebuilds a fleet from a snapshot taken on an identical
-// server list with the same idle timeout.
+// server list with the same idle timeout. It refuses a snapshot no fleet
+// could have taken: a unit in no power state, or a resident listed twice.
 func RestoreFleet(servers []model.Server, idleTimeout int, snap *FleetSnapshot) (*Fleet, error) {
 	if len(snap.Units) != len(servers) {
 		return nil, fmt.Errorf("online: snapshot has %d units for %d servers", len(snap.Units), len(servers))
@@ -567,6 +568,9 @@ func RestoreFleet(servers []model.Server, idleTimeout int, snap *FleetSnapshot) 
 	fl.migrated = snap.Migrated
 	fl.adopted = snap.Adopted
 	for i, us := range snap.Units {
+		if us.State != PowerSaving && us.State != Waking && us.State != Active {
+			return nil, fmt.Errorf("online: server index %d in unknown power state %d", i, int(us.State))
+		}
 		u, r := &fl.view.units[i], &fl.view.rows[i]
 		r.state = us.State
 		r.wakeDone = us.WakeDone
@@ -586,6 +590,9 @@ func RestoreFleet(servers []model.Server, idleTimeout int, snap *FleetSnapshot) 
 		end := p.End()
 		if end < p.Start || end == math.MaxInt {
 			return nil, fmt.Errorf("online: resident vm %d end overflows the time horizon", p.VM.ID)
+		}
+		if _, dup := fl.resident[p.VM.ID]; dup {
+			return nil, fmt.Errorf("online: resident vm %d listed twice", p.VM.ID)
 		}
 		fl.host(p.Server, p.VM.ID, p.Start, end, p.VM.Demand)
 		fl.resident[p.VM.ID] = p
