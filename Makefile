@@ -59,10 +59,10 @@ loc:
 
 # LOC_MAX is the `make loc` figure of the last change that moved it. A
 # change that grows past it fails `make fence`: delete something, or raise
-# the figure here and say why. Last lowered by 159: loadgen's schedules
-# come from workload.DiurnalSpec.Draw (its Profile types and arrival loop
-# are gone) and BuildSchedule and TraceSchedule share one step builder.
-LOC_MAX = 19825
+# the figure here and say why. Last raised by 47 (ROADMAP item 12): the
+# admission scan's price classes and their walk, and RestoreFleet's refusal
+# of a duplicate resident or an unknown power state.
+LOC_MAX = 19872
 
 # fence keeps the doubles PRs 12–17 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),
