@@ -63,9 +63,11 @@ var ErrClosed = errors.New("cluster: closed")
 // ErrCorruptJournal is wrapped by Open when the journal directory holds
 // durable state that cannot be restored: a snapshot that does not parse, a
 // journal record that is malformed before the tail (a torn *final* record
-// is an interrupted write and is dropped instead), or a record sequence
-// that does not replay cleanly against the fleet. The directory is left
-// untouched so the operator can inspect or repair it.
+// is an interrupted write and is dropped instead), a replayed record whose
+// seq does not follow the one before it, or a record sequence that does
+// not replay cleanly against the fleet. The first such problem in log
+// order is reported, and the directory is left untouched so the operator
+// can inspect or repair it.
 var ErrCorruptJournal = errors.New("cluster: corrupt journal")
 
 // ErrJournalBroken is wrapped by every mutating call after a journal write
@@ -304,10 +306,12 @@ func Open(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// restore loads snapshot + journal from cfg.Dir and replays. Durable
-// state that does not restore cleanly is reported as ErrCorruptJournal.
+// restore loads the snapshot from cfg.Dir, builds the fleet from it, and
+// replays the journal onto it record by record as the log streams in.
+// Durable state that does not restore cleanly is reported as
+// ErrCorruptJournal, at its first problem in log order.
 func (c *Cluster) restore() error {
-	jr, snap, recs, err := openJournal(c.cfg.Dir, c.cfg.DisableFsync)
+	snap, err := readSnapshot(c.cfg.Dir)
 	if err != nil {
 		return err
 	}
@@ -315,7 +319,6 @@ func (c *Cluster) restore() error {
 	if snap != nil {
 		c.fleet, err = online.RestoreFleet(c.cfg.Servers, c.cfg.IdleTimeout, snap.Fleet)
 		if err != nil {
-			jr.close()
 			return fmt.Errorf("%w: snapshot: %v", ErrCorruptJournal, err)
 		}
 		c.nextID = snap.NextID
@@ -325,15 +328,24 @@ func (c *Cluster) restore() error {
 	} else {
 		c.fleet = online.NewFleet(c.cfg.Servers, c.cfg.IdleTimeout)
 	}
-	for _, r := range recs {
-		if r.Seq <= lastSeq {
-			continue // covered by the snapshot (compaction was interrupted)
+	applied := false
+	jr, err := openJournal(c.cfg.Dir, c.cfg.DisableFsync, func(r *record) error {
+		if !applied && r.Seq <= lastSeq {
+			return nil // covered by the snapshot (compaction was interrupted)
+		}
+		// A gap or a step back is a lost or rewritten mutation, not a log
+		// this cluster wrote.
+		if r.Seq != lastSeq+1 {
+			return fmt.Errorf("%w: journal seq %d follows seq %d", ErrCorruptJournal, r.Seq, lastSeq)
 		}
 		if err := c.apply(r); err != nil {
-			jr.close()
 			return fmt.Errorf("%w: %v", ErrCorruptJournal, err)
 		}
-		lastSeq = r.Seq
+		lastSeq, applied = r.Seq, true
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	jr.seq = lastSeq
 	c.jr = jr
@@ -341,7 +353,7 @@ func (c *Cluster) restore() error {
 }
 
 // apply replays one journal record against the fleet.
-func (c *Cluster) apply(r record) error {
+func (c *Cluster) apply(r *record) error {
 	switch r.Op {
 	case opAdmit, opAdopt:
 		// A journaled VM passed normalize (or the adopt checks) before it

@@ -83,23 +83,25 @@ func framePayloads(run []byte) []byte {
 	return log
 }
 
-// historyRun re-encodes a genuine journal as a payload run.
-func historyRun(tb testing.TB, log []byte) []byte {
+// historyRun re-encodes a genuine journal as a payload run, and returns
+// the seq a record appended to it carries.
+func historyRun(tb testing.TB, log []byte) ([]byte, int64) {
 	tb.Helper()
-	recs, clean, err := parseJournal(log)
+	recs, clean, err := readLog(log)
 	if err != nil || clean != int64(len(log)) || len(recs) == 0 {
 		tb.Fatalf("history is not a clean non-empty journal: %d records, clean %d of %d, err %v", len(recs), clean, len(log), err)
 	}
-	return payloadRun(tb, recs...)
+	return payloadRun(tb, recs...), recs[len(recs)-1].Seq + 1
 }
 
 // FuzzJournalReplay fuzzes replay on the real format: its input is a run
 // of record payloads, each framed with a correct CRC, so mutations reach
 // decodeBinaryRecord and apply's cross-checks instead of failing at the
-// checksum.
+// checksum. A record appended to a history carries the next seq, so it
+// reaches apply rather than the seq check.
 func FuzzJournalReplay(f *testing.F) {
-	history := historyRun(f, realBinaryJournal(f))
-	migHistory := historyRun(f, realBinaryMigrationJournal(f))
+	history, next := historyRun(f, realBinaryJournal(f))
+	migHistory, migNext := historyRun(f, realBinaryMigrationJournal(f))
 	then := func(run []byte, recs ...record) []byte {
 		return append(append([]byte{}, run...), payloadRun(f, recs...)...)
 	}
@@ -112,7 +114,7 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})
 	// A second release of a VM the log already released: replay must
 	// refuse rather than corrupt the ledgers.
-	f.Add(then(history, record{Seq: 99, Op: opRelease, T: 9, ID: 1}))
+	f.Add(then(history, record{Seq: next, Op: opRelease, T: 9, ID: 1}))
 	// An admit whose interval fails validation (end before start).
 	f.Add(payloadRun(f, record{Seq: 1, Op: opAdmit, T: 2, VM: vm(5, 3), Start: 5}))
 	// An admit whose departure event time (end+1) would overflow MaxInt.
@@ -121,14 +123,15 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(payloadRun(f, record{Seq: 1, Op: opMigrate, T: 3}, record{Seq: 2, Op: opTick, T: 4}))
 	// A second migrate whose recorded handoff cannot reproduce: replay
 	// must refuse the cross-check, never half-apply.
-	f.Add(then(migHistory, record{Seq: 99, Op: opMigrate, T: 6, ID: 1, Server: 2, Handoff: 3}))
+	f.Add(then(migHistory, record{Seq: migNext, Op: opMigrate, T: 6, ID: 1, Server: 2, Handoff: 3}))
 	// A migrate onto an out-of-range server index.
-	f.Add(then(migHistory, record{Seq: 99, Op: opMigrate, T: 6, ID: 1, Server: 40, Handoff: 7}))
+	f.Add(then(migHistory, record{Seq: migNext, Op: opMigrate, T: 6, ID: 1, Server: 40, Handoff: 7}))
 	// An adoption after the history.
-	f.Add(then(history, record{Seq: 99, Op: opAdopt, T: 9, VM: vm(8, 20), Start: 8, Handoff: 10}))
-	// An unknown op code, and a tick with a byte after its last field.
-	f.Add(append(append([]byte{}, history...), 3, 99, 6, 18))
-	f.Add(append(append([]byte{}, history...), 4, 99, byte(opTick), 18, 0))
+	f.Add(then(history, record{Seq: next, Op: opAdopt, T: 9, VM: vm(8, 20), Start: 8, Handoff: 10}))
+	// An unknown op code, and a tick with a byte after its last field (the
+	// seq is one uvarint byte).
+	f.Add(append(append([]byte{}, history...), 3, byte(next), 6, 18))
+	f.Add(append(append([]byte{}, history...), 4, byte(next), byte(opTick), 18, 0))
 
 	f.Fuzz(func(t *testing.T, run []byte) {
 		fuzzReopen(t, framePayloads(run))

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,9 +23,11 @@ import (
 //	                 behind the "\x00vmjl1" magic (see binjournal.go). A
 //	                 zero-byte file is a valid empty log: the magic is
 //	                 written together with the first frame. Records with
-//	                 seq ≤ LastSeq are stale survivors of a crash between
-//	                 snapshot rename and journal truncation and are
-//	                 skipped on replay.
+//	                 seq ≤ LastSeq at the head of the log are stale
+//	                 survivors of a crash between snapshot rename and
+//	                 journal truncation and are skipped on replay; every
+//	                 record replayed must carry the seq after the one
+//	                 before it.
 //
 // The log keeps the name journal.jsonl, which no longer describes its
 // format, because bench/restart.go reads that path.
@@ -35,10 +36,10 @@ import (
 // file; durability against power loss or a kernel crash additionally
 // requires the fsync the cluster issues (via commit) for every
 // acknowledged mutation. A torn tail — a truncated final frame — is
-// dropped on open and the file is truncated back to the last clean
-// record. Corruption anywhere before the tail is an error — it means
-// lost history, not an interrupted write — and open refuses the
-// directory.
+// dropped on open: once every record before it has replayed, the file is
+// truncated back to the last clean record. Corruption anywhere before the
+// tail is an error — it means lost history, not an interrupted write —
+// and open refuses the directory without writing to it.
 const (
 	journalName  = "journal.jsonl"
 	snapshotName = "snapshot.json"
@@ -118,44 +119,52 @@ type journal struct {
 	grouped atomic.Uint64 // commits acknowledged by those groups
 }
 
-// openJournal loads the durable state under dir: the snapshot (if any),
-// every clean journal record, and an append handle positioned after the
-// last clean record (a torn tail is truncated away first).
-func openJournal(dir string, nosync bool) (*journal, *snapshotFile, []record, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, nil, fmt.Errorf("cluster: journal dir: %w", err)
-	}
-	var snap *snapshotFile
+// readSnapshot loads dir's snapshot.json, or nil when there is none.
+func readSnapshot(dir string) (*snapshotFile, error) {
 	b, err := os.ReadFile(filepath.Join(dir, snapshotName))
-	switch {
-	case err == nil:
-		snap = new(snapshotFile)
-		if err := json.Unmarshal(b, snap); err != nil {
-			return nil, nil, nil, fmt.Errorf("%w: snapshot does not parse: %v", ErrCorruptJournal, err)
-		}
-		if snap.Fleet == nil {
-			return nil, nil, nil, fmt.Errorf("%w: snapshot has no fleet state", ErrCorruptJournal)
-		}
-	case !errors.Is(err, fs.ErrNotExist):
-		return nil, nil, nil, err
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
 	}
-	path := filepath.Join(dir, journalName)
-	jb, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, nil, err
-	}
-	recs, clean, err := parseJournal(jb)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if int64(len(jb)) > clean {
-		if err := os.Truncate(path, clean); err != nil {
-			return nil, nil, nil, fmt.Errorf("cluster: dropping torn journal tail: %w", err)
+	snap := new(snapshotFile)
+	if err := json.Unmarshal(b, snap); err != nil {
+		return nil, fmt.Errorf("%w: snapshot does not parse: %v", ErrCorruptJournal, err)
+	}
+	if snap.Fleet == nil {
+		return nil, fmt.Errorf("%w: snapshot has no fleet state", ErrCorruptJournal)
+	}
+	return snap, nil
+}
+
+// openJournal streams every clean record of the log under dir into visit,
+// in log order, and only then truncates a torn tail and hands back the
+// journal, appending after the last clean record. The one handle reads
+// the log and then appends to it; a refusal, the reader's or visit's,
+// closes it before anything under dir is written (an absent log is
+// created empty, and an empty log refuses nothing).
+func openJournal(dir string, nosync bool, visit func(*record) error) (*journal, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("cluster: journal dir: %w", err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	var clean int64
+	if err == nil {
+		clean, err = readBinaryRecords(f, fi.Size(), visit)
+	}
+	if err == nil && fi.Size() > clean {
+		if err = f.Truncate(clean); err != nil {
+			err = fmt.Errorf("cluster: dropping torn journal tail: %w", err)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, nil, err
+		f.Close()
+		return nil, err
 	}
 	j := &journal{
 		dir:    dir,
@@ -167,20 +176,7 @@ func openJournal(dir string, nosync bool) (*journal, *snapshotFile, []record, er
 		done:   make(chan struct{}),
 	}
 	go j.committer()
-	return j, snap, recs, nil
-}
-
-// parseJournal checks the magic and reads the frames behind it. An empty
-// log, or a torn prefix of the magic (an interrupted first write), is an
-// empty log; any other header is not a journal this build wrote.
-func parseJournal(b []byte) ([]record, int64, error) {
-	if len(b) < len(binMagic) && bytes.HasPrefix(binMagic, b) {
-		return nil, 0, nil
-	}
-	if !bytes.HasPrefix(b, binMagic) {
-		return nil, 0, fmt.Errorf("%w: unrecognised journal header %q", ErrCorruptJournal, b[:min(len(b), len(binMagic))])
-	}
-	return readBinaryRecords(b)
+	return j, nil
 }
 
 // append journals one mutation, assigning it the next sequence number.

@@ -28,7 +28,15 @@ func readRecords(path string) ([]record, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return parseJournal(b)
+	return readLog(b)
+}
+
+// collect is a replay visitor that keeps a copy of every record.
+func collect(recs *[]record) func(*record) error {
+	return func(r *record) error {
+		*recs = append(*recs, *r)
+		return nil
+	}
 }
 
 func tickRecords(ts ...int) []record {
@@ -44,14 +52,12 @@ func TestJournalTornTailDropped(t *testing.T) {
 	clean := encodeBinLog(tickRecords(5, 9))
 	torn := encodeBinLog(tickRecords(5, 9, 12))
 	path := writeJournal(t, dir, torn[:len(torn)-3]) // torn mid-frame
-	j, snap, recs, err := openJournal(dir, false)
+	var recs []record
+	j, err := openJournal(dir, false, collect(&recs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j.close()
-	if snap != nil {
-		t.Error("snapshot appeared from nowhere")
-	}
 	if len(recs) != 2 || recs[1].Seq != 2 {
 		t.Fatalf("recs = %+v, want the two clean records", recs)
 	}
@@ -83,7 +89,8 @@ func TestJournalMagicRidesFirstFrame(t *testing.T) {
 			if initial != nil {
 				writeJournal(t, dir, initial)
 			}
-			j, _, recs, err := openJournal(dir, true)
+			var recs []record
+			j, err := openJournal(dir, true, collect(&recs))
 			if err != nil {
 				t.Fatal(err)
 			}
