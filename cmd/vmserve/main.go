@@ -11,7 +11,9 @@
 // background cadence in addition to the on-demand endpoint.
 // -shadow-policy (repeatable) registers challenger policies in the
 // shadow arena: each scores the live admission stream on its own
-// counterfactual fleet replica, readable via GET /v1/policies and the
+// counterfactual fleet replica, stepped with the live fleet inside each
+// admission, release and clock call (so an admit's latency includes its
+// challengers' scans), readable via GET /v1/policies and the
 // vmalloc_arena_* metrics, without ever touching a live placement.
 //
 // Observability: logs are structured (log/slog; -log-format text|json),
@@ -144,30 +146,21 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	// Shadow arena: each -shadow-policy challenger gets a counterfactual
-	// replica of the same fleet. Replicas start empty even when the
-	// journal restores live state — the arena scores the traffic of this
-	// process's lifetime, which is the only stream it observes.
-	var ar *arena.Arena
-	if len(shadows) > 0 {
-		ar = arena.New(arena.Config{
-			Servers:     fleet,
-			IdleTimeout: *idle,
-			Recorder:    recorder,
-			Logger:      logger.With("component", "arena"),
-		})
-		for _, spec := range shadows {
-			name, polName := spec, spec
-			if i := strings.IndexByte(spec, '='); i >= 0 {
-				name, polName = spec[:i], spec[i+1:]
-			}
-			sp, err := online.NewPolicy(polName, *penalty, *seed)
-			if err != nil {
-				return fmt.Errorf("-shadow-policy %q: %w", spec, err)
-			}
-			if err := ar.Register(name, sp); err != nil {
-				return fmt.Errorf("-shadow-policy %q: %w", spec, err)
-			}
+	// replica of the same fleet. Replicas start empty, at the restored
+	// clock, even when the journal restores live state — the arena scores
+	// the traffic of this process's lifetime, which is the only stream it
+	// observes.
+	var challengers []arena.Challenger
+	for _, spec := range shadows {
+		name, polName := spec, spec
+		if i := strings.IndexByte(spec, '='); i >= 0 {
+			name, polName = spec[:i], spec[i+1:]
 		}
+		sp, err := online.NewPolicy(polName, *penalty, *seed)
+		if err != nil {
+			return fmt.Errorf("-shadow-policy %q: %w", spec, err)
+		}
+		challengers = append(challengers, arena.Challenger{Name: name, Policy: sp})
 	}
 
 	c, err := cluster.Open(cluster.Config{
@@ -182,18 +175,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		DonorUtilization:   *donorUtil,
 		Recorder:           recorder,
 		Logger:             logger.With("component", "cluster"),
-		Arena:              ar,
+		Shadows:            challengers,
 		Spans:              spans,
 		Energy:             energy,
 	})
 	if err != nil {
 		return err
-	}
-	if ar != nil {
-		ar.Start()
-		// Deferred: runs after the shutdown path's c.Close(), when no more
-		// offers can arrive; Close drains whatever is still queued.
-		defer ar.Close()
 	}
 
 	// Background consolidation: a pay-for-itself drain pass on a wall-

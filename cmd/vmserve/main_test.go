@@ -568,8 +568,8 @@ func TestRunPolicies(t *testing.T) {
 		}
 		stop()
 	}
-	// The daemon wires the arena to its recorder and /metrics: after one
-	// admission both challengers have judged it (asynchronously, so poll).
+	// The daemon wires the arena to its recorder and /metrics: once one
+	// admission is answered, both challengers have judged it.
 	base, stop := bootDaemon(t, "-shadow-policy", "delay-aware", "-shadow-policy", "trial=ffps")
 	resp, err := http.Post(base+"/v1/vms", "application/json",
 		strings.NewReader(`{"demand":{"cpu":1,"mem":1},"durationMinutes":5}`))
@@ -578,14 +578,8 @@ func TestRunPolicies(t *testing.T) {
 	}
 	resp.Body.Close()
 	pr := policies(base)
-	for deadline := time.Now().Add(5 * time.Second); ; pr = policies(base) {
-		if pr.Count == 2 && pr.Policies[0].Decisions == 1 && pr.Policies[1].Decisions == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("challengers never judged the admission: %+v", pr)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if pr.Count != 2 || pr.Policies[0].Decisions != 1 || pr.Policies[1].Decisions != 1 {
+		t.Fatalf("challengers have not judged the answered admission: %+v", pr)
 	}
 	if got := bytes.Count(get(base, "/v1/debug/decisions?op=shadow"), []byte(`"op": "shadow"`)); got != 2 {
 		t.Errorf("%d shadow decisions in the flight recorder, want 2", got)

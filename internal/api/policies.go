@@ -31,7 +31,8 @@ type PolicyReport struct {
 	EnergyDeltaWattMinutes float64 `json:"energyDeltaWattMinutes"`
 	// Residents is the replica fleet's current resident-VM count.
 	Residents int `json:"residents"`
-	// Clock is the replica fleet's clock, in fleet minutes.
+	// Clock is the replica fleet's clock, in fleet minutes: on a vmserve,
+	// always the response's Now.
 	Clock int `json:"clock"`
 	// Shard names the shard this report came from in a vmgate's merged
 	// response; empty on a single vmserve.
@@ -50,14 +51,11 @@ type PoliciesResponse struct {
 	// ChampionEnergyWattMinutes is the live fleet's energy integral at
 	// Now (summed across shards on a vmgate).
 	ChampionEnergyWattMinutes float64 `json:"championEnergyWattMinutes"`
-	// Now is the live fleet clock (the slowest shard's on a vmgate).
-	// Challenger clocks can trail it by whatever is still queued in the
-	// arena.
+	// Now is the live fleet clock (the slowest shard's on a vmgate),
+	// read in the same instant as every challenger's figures.
 	Now int `json:"now"`
-	// EvaluatedBatches counts admission batches applied to the replicas;
-	// DroppedEvents counts arena events discarded on queue overflow.
+	// EvaluatedBatches counts admission batches applied to the replicas.
 	EvaluatedBatches uint64 `json:"evaluatedBatches"`
-	DroppedEvents    uint64 `json:"droppedEvents"`
 	// Count is len(Policies).
 	Count    int            `json:"count"`
 	Policies []PolicyReport `json:"policies"`

@@ -6,22 +6,21 @@
 // produced had it been the champion — rather than single-decision
 // scores.
 //
-// Replica semantics: every registered challenger owns a private
-// online.Fleet built from the same server catalog and idle timeout as
-// the live cluster. The cluster forwards each processed micro-batch
+// Replica semantics: every challenger owns a private online.Fleet built
+// from the same server catalog and idle timeout as the live cluster. The
+// cluster steps every replica with each processed micro-batch
 // (post-normalization, in commit order), each successful release, and
-// each clock advance; the arena replays them on every replica, except
-// that placement decisions are the challenger's own — a challenger may
-// accept a VM the champion rejected, place it elsewhere, or reject one
-// the champion accepted, and from that point its replica's occupancy,
-// transitions and energy integral evolve independently.
+// each clock advance, under the lock it already holds for the live
+// mutation — except that placement decisions are the challenger's own: a
+// challenger may accept a VM the champion rejected, place it elsewhere,
+// or reject one the champion accepted, and from that point its replica's
+// occupancy, transitions and energy integral evolve independently.
 //
-// The live path is strictly placement- and digest-neutral: the cluster
-// hands events to the arena through non-blocking offers into a bounded
-// queue consumed by a single goroutine. When the queue is full the
-// event is dropped and counted (Stats.Dropped, the
-// vmalloc_arena_dropped_events_total metric) — the live admission path
-// never waits on the arena, and the arena never touches live state.
+// The arena has no lock, queue or goroutine of its own: its caller
+// serialises every call. No event is dropped, and a replica's clock is
+// the live clock whenever the caller's lock is free. The arena reads
+// nothing of the live fleet and writes nothing to it, so a live placement
+// and the state digest are the same with or without it.
 //
 // Divergence: a challenger's decision for an admission diverges when
 // its chosen server ID differs from the champion's (0 means rejected,
@@ -35,38 +34,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
 	"vmalloc/internal/online"
 )
 
-// DefaultQueueSize is the event-queue capacity when Config.QueueSize is
-// 0: deep enough that a live burst does not drop events while the apply
-// goroutine replays a batch, small enough to bound memory.
-const DefaultQueueSize = 256
-
-// Config configures an Arena. Servers and IdleTimeout must match the
-// live cluster's, or the counterfactuals answer a different question.
-type Config struct {
-	// Servers is the server catalog every challenger replica is built
-	// from (same order as the live fleet: a placement index i means the
-	// same machine on both sides).
-	Servers []model.Server
-	// IdleTimeout is the live fleet's idle shutdown timeout, in fleet
-	// minutes.
-	IdleTimeout int
-	// QueueSize bounds the event queue; 0 means DefaultQueueSize.
-	QueueSize int
-	// Recorder, when set, receives one OpShadow decision per challenger
-	// per admission, alongside the champion's own decision.
-	Recorder *obs.FlightRecorder
-	// Logger, when set, logs lifecycle events.
-	Logger *slog.Logger
+// Challenger is one shadow policy: Name labels its reports, metrics and
+// decisions (unique within an arena), Policy places VMs on its replica.
+type Challenger struct {
+	Name   string
+	Policy online.Policy
 }
 
 // AdmitOutcome is the champion's verdict on one admission, as forwarded
@@ -86,7 +65,7 @@ type AdmitOutcome struct {
 
 // Report is one challenger's cumulative counterfactual scoreboard.
 type Report struct {
-	// Name is the challenger's registration name.
+	// Name is the challenger's name (Challenger.Name).
 	Name string
 	// Policy is the underlying policy's self-reported name.
 	Policy string
@@ -109,33 +88,6 @@ type Report struct {
 	Clock int
 }
 
-// Stats is the arena-wide event accounting.
-type Stats struct {
-	// Batches counts admission batches applied to the replicas.
-	Batches uint64
-	// Events counts events accepted into the queue (batches, releases,
-	// ticks).
-	Events uint64
-	// Dropped counts events discarded because the queue was full.
-	Dropped uint64
-	// QueueDepth is the current number of queued, unapplied events.
-	QueueDepth int
-}
-
-const (
-	evBatch = iota
-	evRelease
-	evTick
-)
-
-type event struct {
-	kind  int
-	t     int // release/tick: fleet minute
-	id    int // release: VM id
-	batch uint64
-	items []AdmitOutcome
-}
-
 type challenger struct {
 	name        string
 	policy      online.Policy
@@ -145,231 +97,104 @@ type challenger struct {
 	rejections  uint64
 }
 
-// Arena owns the challenger replicas and the event queue feeding them.
-// Offers are safe from any goroutine; replicas are mutated only by the
-// single apply goroutine started by Start.
+// Arena owns the challenger replicas. It is not safe for concurrent use:
+// the cluster calls it only under its own lock. A nil *Arena is a valid
+// no-op target for every method.
 type Arena struct {
-	cfg     Config
-	ch      chan event
-	stop    chan struct{}
-	done    chan struct{}
-	started bool
-	events  atomic.Uint64
-	dropped atomic.Uint64
-
-	mu                 sync.Mutex
+	servers            []model.Server
+	rec                *obs.FlightRecorder
 	challengers        []*challenger
 	batches            uint64
 	championRejections uint64
 }
 
-// New returns an arena with no challengers; Register challengers, then
-// Start it. A nil *Arena is a valid no-op target for every Offer.
-func New(cfg Config) *Arena {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = DefaultQueueSize
-	}
-	return &Arena{
-		cfg:  cfg,
-		ch:   make(chan event, cfg.QueueSize),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-}
-
-// Register adds a challenger under a unique name, with a fresh replica
-// fleet. It must be called before Start.
-func (a *Arena) Register(name string, p online.Policy) error {
-	if name == "" {
-		return errors.New("arena: challenger name must not be empty")
-	}
-	if p == nil {
-		return errors.New("arena: challenger policy must not be nil")
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.started {
-		return errors.New("arena: cannot register challengers after Start")
-	}
-	for _, c := range a.challengers {
-		if c.name == name {
-			return fmt.Errorf("arena: challenger %q already registered", name)
+// New returns an arena with one fresh replica of servers per challenger.
+// rec, when non-nil, receives one OpShadow decision per challenger per
+// admission. A challenger with an empty or repeated name, or a nil
+// policy, is refused.
+func New(servers []model.Server, idleTimeout int, rec *obs.FlightRecorder, challengers []Challenger) (*Arena, error) {
+	a := &Arena{servers: servers, rec: rec}
+	seen := map[string]bool{}
+	for _, c := range challengers {
+		switch {
+		case c.Name == "":
+			return nil, errors.New("arena: challenger name must not be empty")
+		case c.Policy == nil:
+			return nil, fmt.Errorf("arena: challenger %q has no policy", c.Name)
+		case seen[c.Name]:
+			return nil, fmt.Errorf("arena: challenger %q named twice", c.Name)
 		}
+		seen[c.Name] = true
+		a.challengers = append(a.challengers, &challenger{
+			name:   c.Name,
+			policy: c.Policy,
+			fleet:  online.NewFleet(servers, idleTimeout),
+		})
 	}
-	a.challengers = append(a.challengers, &challenger{
-		name:   name,
-		policy: p,
-		fleet:  online.NewFleet(a.cfg.Servers, a.cfg.IdleTimeout),
-	})
-	return nil
+	return a, nil
 }
 
-// Challengers returns the registered challenger names, in registration
-// order.
-func (a *Arena) Challengers() []string {
-	if a == nil {
-		return nil
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	names := make([]string, len(a.challengers))
-	for i, c := range a.challengers {
-		names[i] = c.name
-	}
-	return names
-}
-
-// Start launches the apply goroutine. Calling Start twice panics.
-func (a *Arena) Start() {
-	a.mu.Lock()
-	if a.started {
-		a.mu.Unlock()
-		panic("arena: Start called twice")
-	}
-	a.started = true
-	n := len(a.challengers)
-	a.mu.Unlock()
-	if a.cfg.Logger != nil {
-		a.cfg.Logger.Info("arena started", "challengers", n, "queue", cap(a.ch))
-	}
-	go a.loop()
-}
-
-// Close stops the apply goroutine after draining every event already
-// queued, so Reports read after Close reflect all accepted events.
-// Offers after Close are dropped and counted. Close is idempotent.
-func (a *Arena) Close() {
-	a.mu.Lock()
-	if !a.started {
-		// Never started: nothing to drain, but mark the arena closed so
-		// late offers drop instead of filling the queue forever.
-		a.started = true
-		close(a.stop)
-		close(a.done)
-		a.mu.Unlock()
-		return
-	}
-	a.mu.Unlock()
-	select {
-	case <-a.stop:
-	default:
-		close(a.stop)
-	}
-	<-a.done
-}
-
-func (a *Arena) loop() {
-	defer close(a.done)
-	for {
-		select {
-		case ev := <-a.ch:
-			a.apply(ev)
-		case <-a.stop:
-			for {
-				select {
-				case ev := <-a.ch:
-					a.apply(ev)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// offer enqueues without ever blocking: a full queue (or a closed
-// arena) drops the event and bumps the dropped counter.
-func (a *Arena) offer(ev event) {
-	select {
-	case <-a.stop:
-		a.dropped.Add(1)
-		return
-	default:
-	}
-	select {
-	case a.ch <- ev:
-		a.events.Add(1)
-	default:
-		a.dropped.Add(1)
-	}
-}
-
-// OfferBatch forwards one processed admission batch: the champion's
-// outcomes in commit order, post-normalization. Safe on a nil arena.
-func (a *Arena) OfferBatch(batch uint64, items []AdmitOutcome) {
+// Batch replays one processed admission batch on every replica: the
+// champion's outcomes in commit order, post-normalization.
+func (a *Arena) Batch(batch uint64, items []AdmitOutcome) {
 	if a == nil || len(items) == 0 {
 		return
 	}
-	a.offer(event{kind: evBatch, batch: batch, items: items})
+	a.batches++
+	for i := range items {
+		it := &items[i]
+		if !it.Accepted {
+			a.championRejections++
+		}
+		for _, c := range a.challengers {
+			a.admit(c, it, batch)
+		}
+	}
 }
 
-// OfferRelease forwards one successful early release at fleet minute t.
-// Safe on a nil arena.
-func (a *Arena) OfferRelease(t, id int) {
+// Release replays one successful early release at fleet minute t.
+func (a *Arena) Release(t, id int) {
 	if a == nil {
 		return
 	}
-	a.offer(event{kind: evRelease, t: t, id: id})
+	for _, c := range a.challengers {
+		c.advance(t)
+		if _, ok := c.fleet.Resident(id); ok {
+			c.fleet.Release(id) //nolint:errcheck // resident: cannot fail
+		}
+	}
 }
 
-// OfferTick forwards a clock advance to fleet minute t. Safe on a nil
-// arena.
-func (a *Arena) OfferTick(t int) {
+// Tick replays a clock advance to fleet minute t.
+func (a *Arena) Tick(t int) {
 	if a == nil {
 		return
 	}
-	a.offer(event{kind: evTick, t: t})
-}
-
-func (a *Arena) apply(ev event) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	switch ev.kind {
-	case evBatch:
-		a.batches++
-		for i := range ev.items {
-			it := &ev.items[i]
-			if !it.Accepted {
-				a.championRejections++
-			}
-			for _, c := range a.challengers {
-				a.applyAdmit(c, it, ev.batch)
-			}
-		}
-	case evRelease:
-		for _, c := range a.challengers {
-			if ev.t > c.fleet.Now() {
-				c.fleet.AdvanceTo(ev.t)
-			}
-			if _, ok := c.fleet.Resident(ev.id); ok {
-				c.fleet.Release(ev.id) //nolint:errcheck // resident: cannot fail
-			}
-		}
-	case evTick:
-		for _, c := range a.challengers {
-			if ev.t > c.fleet.Now() {
-				c.fleet.AdvanceTo(ev.t)
-			}
-		}
+	for _, c := range a.challengers {
+		c.advance(t)
 	}
 }
 
-// applyAdmit replays one admission on one challenger: advance the
-// replica clock to the VM's (already normalized) start, ask the
-// challenger's policy for a placement, commit to the replica on
-// success, and score the verdict against the champion's.
-func (a *Arena) applyAdmit(c *challenger, it *AdmitOutcome, batch uint64) {
+func (c *challenger) advance(t int) {
+	if t > c.fleet.Now() {
+		c.fleet.AdvanceTo(t)
+	}
+}
+
+// admit replays one admission on one challenger: advance the replica
+// clock to the VM's (already normalized) start, ask the challenger's
+// policy for a placement, commit to the replica on success, and score
+// the verdict against the champion's.
+func (a *Arena) admit(c *challenger, it *AdmitOutcome, batch uint64) {
 	fl := c.fleet
-	if it.VM.Start > fl.Now() {
-		fl.AdvanceTo(it.VM.Start)
-	}
+	c.advance(it.VM.Start)
 	c.decisions++
 	serverID, start, reason := 0, it.VM.Start, ""
 	idx, err := c.policy.Place(fl.View(), it.VM)
 	if err == nil {
 		var s int
 		if s, err = fl.Commit(idx, it.VM); err == nil {
-			serverID = a.cfg.Servers[idx].ID
+			serverID = a.servers[idx].ID
 			start = s
 		}
 	}
@@ -381,15 +206,15 @@ func (a *Arena) applyAdmit(c *challenger, it *AdmitOutcome, batch uint64) {
 	if divergent {
 		c.divergences++
 	}
-	if a.cfg.Recorder != nil {
-		a.cfg.Recorder.Record(obs.Decision{
+	if a.rec != nil {
+		a.rec.Record(obs.Decision{
 			RequestID: it.RequestID,
 			Batch:     batch,
 			Op:        obs.OpShadow,
 			VM:        it.VM.ID,
 			Server:    serverID,
 			Start:     start,
-			End:       it.VM.End,
+			End:       start + it.VM.Duration() - 1,
 			Clock:     fl.Now(),
 			Reason:    reason,
 			Policy:    c.name,
@@ -399,16 +224,21 @@ func (a *Arena) applyAdmit(c *challenger, it *AdmitOutcome, batch uint64) {
 	}
 }
 
-// Reports returns every challenger's scoreboard (sorted by name) and
-// the arena-wide stats. The counterfactual energy is read directly from
-// each replica fleet at its own clock — the number is the replica's,
-// not a re-derivation.
-func (a *Arena) Reports() ([]Report, Stats) {
+// Batches counts the admission batches replayed on the replicas.
+func (a *Arena) Batches() uint64 {
 	if a == nil {
-		return nil, Stats{}
+		return 0
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	return a.batches
+}
+
+// Reports returns every challenger's scoreboard, sorted by name. The
+// counterfactual energy is read directly from each replica fleet at its
+// own clock — the number is the replica's, not a re-derivation.
+func (a *Arena) Reports() []Report {
+	if a == nil {
+		return nil
+	}
 	reports := make([]Report, 0, len(a.challengers))
 	for _, c := range a.challengers {
 		fl := c.fleet
@@ -425,27 +255,19 @@ func (a *Arena) Reports() ([]Report, Stats) {
 		})
 	}
 	sort.Slice(reports, func(i, j int) bool { return reports[i].Name < reports[j].Name })
-	return reports, Stats{
-		Batches:    a.batches,
-		Events:     a.events.Load(),
-		Dropped:    a.dropped.Load(),
-		QueueDepth: len(a.ch),
-	}
+	return reports
 }
 
 // WriteMetrics appends the vmalloc_arena_* Prometheus text families to
-// w: arena-wide event counters plus per-challenger labeled series. Safe
-// on a nil arena (writes nothing).
+// w: arena-wide counters plus per-challenger labeled series. Safe on a
+// nil arena (writes nothing).
 func (a *Arena) WriteMetrics(w io.Writer) {
 	if a == nil {
 		return
 	}
-	reports, stats := a.Reports()
-	obs.Counter(w, "vmalloc_arena_batches_total", "Admission batches applied to the challenger replicas.", stats.Batches)
-	obs.Counter(w, "vmalloc_arena_events_total", "Events accepted into the arena queue.", stats.Events)
-	obs.Counter(w, "vmalloc_arena_dropped_events_total", "Events dropped because the arena queue was full.", stats.Dropped)
-	obs.Gauge(w, "vmalloc_arena_queue_depth", "Queued, unapplied arena events.", stats.QueueDepth)
-	obs.Counter(w, "vmalloc_arena_champion_rejections_total", "Admissions the champion rejected among arena-scored decisions.", a.championRejectionsSnapshot())
+	obs.Counter(w, "vmalloc_arena_batches_total", "Admission batches applied to the challenger replicas.", a.batches)
+	obs.Counter(w, "vmalloc_arena_champion_rejections_total", "Admissions the champion rejected among arena-scored decisions.", a.championRejections)
+	reports := a.Reports()
 	if len(reports) == 0 {
 		return
 	}
@@ -464,16 +286,10 @@ func (a *Arena) WriteMetrics(w io.Writer) {
 }
 
 // perPolicy writes one family with a sample per challenger, labelled by
-// its registration name.
+// its name.
 func perPolicy[N obs.Number](w io.Writer, reports []Report, name, help, typ string, value func(*Report) N) {
 	obs.Declare(w, name, help, typ)
 	for i := range reports {
 		obs.Sample(w, name, value(&reports[i]), "policy", reports[i].Name)
 	}
-}
-
-func (a *Arena) championRejectionsSnapshot() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.championRejections
 }

@@ -260,7 +260,7 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 				d.Op, d.Reason = obs.OpReject, adm.Reason
 				pend = append(pend, pendDecision{d: d, trace: it.call.trace, clk: clk})
 			}
-			if c.cfg.Arena != nil {
+			if c.arena != nil {
 				shadow = append(shadow, arena.AdmitOutcome{RequestID: it.call.reqID, VM: it.vm})
 			}
 			continue
@@ -286,19 +286,19 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 			d.Start, d.End = adm.Start, adm.End
 			pend = append(pend, pendDecision{d: d, journaled: c.jr != nil && jerr == nil, trace: it.call.trace, clk: clk})
 		}
-		if c.cfg.Arena != nil {
+		if c.arena != nil {
 			shadow = append(shadow, arena.AdmitOutcome{
 				RequestID: it.call.reqID, VM: it.vm, Server: adm.Server, Accepted: true,
 			})
 		}
 	}
-	if c.cfg.Arena != nil && len(shadow) > 0 {
+	if len(shadow) > 0 {
 		arenaT0 := time.Now()
-		c.cfg.Arena.OfferBatch(batchID, shadow)
+		c.arena.Batch(batchID, shadow)
 		if tc := firstTrace(batch); tc.Valid() {
 			c.cfg.Spans.Record(obs.Span{
 				TraceID: tc.TraceID, SpanID: obs.NewSpanID(), Parent: tc.SpanID,
-				Name: obs.SpanShadowEnqueue, Op: obs.OpShadow, Batch: batchID,
+				Name: obs.SpanShadowReplay, Op: obs.OpShadow, Batch: batchID,
 				Start: arenaT0, Duration: time.Since(arenaT0),
 			})
 		}

@@ -188,15 +188,16 @@ type Config struct {
 	// Logger receives the cluster's structured service log (journal
 	// failures, snapshots, batch traces at debug level). Nil discards.
 	Logger *slog.Logger
-	// Arena, when non-nil, receives the cluster's admission batches,
-	// releases and clock advances for counterfactual shadow evaluation
-	// of challenger policies. Forwarding is strictly off the hot path:
-	// non-blocking offers into the arena's bounded queue, never a wait,
-	// never a change to a live placement or to the state digest.
-	Arena *arena.Arena
+	// Shadows are challenger policies scored against the live traffic:
+	// Open gives each a counterfactual replica of Servers (empty, with
+	// IdleTimeout, recording into Recorder), and every admission batch,
+	// release and clock advance steps the replicas under the lock that
+	// applies it to the live fleet. A replica never changes a live
+	// placement or the state digest.
+	Shadows []arena.Challenger
 	// Spans, when non-nil, receives one typed trace span per pipeline
 	// stage (decode, queue wait, scan, commit, journal append, fsync,
-	// migrate, consolidate pass, shadow-arena enqueue) for requests that
+	// migrate, consolidate pass, shadow replay) for requests that
 	// carried a trace context in. Like the flight recorder, recording is
 	// passive and never changes a placement or the state digest.
 	Spans *obs.SpanStore
@@ -223,6 +224,9 @@ type Cluster struct {
 	sinceSnapshot int
 	closed        bool
 	met           metrics
+	// arena holds the Shadows' replicas (nil without any); it is stepped
+	// and read only under mu.
+	arena *arena.Arena
 	// migHistory is the retained migration history (bounded, oldest
 	// evicted), rebuilt on restart from the snapshot plus journal replay;
 	// migSaved sums the planner's net-saving estimates over the cluster's
@@ -297,11 +301,19 @@ func Open(cfg Config) (*Cluster, error) {
 	if cfg.Energy != nil {
 		c.indexClasses()
 	}
+	if len(cfg.Shadows) > 0 {
+		var err error
+		if c.arena, err = arena.New(cfg.Servers, cfg.IdleTimeout, cfg.Recorder, cfg.Shadows); err != nil {
+			return nil, fmt.Errorf("cluster: %w", err)
+		}
+	}
 	if cfg.Dir == "" {
 		c.fleet = online.NewFleet(cfg.Servers, cfg.IdleTimeout)
 	} else if err := c.restore(); err != nil {
 		return nil, err
 	}
+	// Replicas start empty, at the live clock a restore left behind.
+	c.arena.Tick(c.fleet.Now())
 	go c.dispatch()
 	return c, nil
 }

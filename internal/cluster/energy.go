@@ -140,7 +140,7 @@ func (c *Cluster) openSpan(tc obs.TraceContext, sp obs.Span) (obs.TraceContext, 
 }
 
 // firstTrace returns the first valid trace context among a batch's calls
-// — the trace batch-level spans (the shadow-arena enqueue) attach to.
+// — the trace batch-level spans (the shadow replay) attach to.
 func firstTrace(batch []*admitCall) obs.TraceContext {
 	for _, call := range batch {
 		if call.trace.Valid() {

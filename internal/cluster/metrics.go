@@ -129,12 +129,9 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	for _, st := range []online.State{online.PowerSaving, online.Waking, online.Active} {
 		obs.Sample(&buf, full, perState[st], "state", st.String())
 	}
+	// The arena's families carry their own prefix (vmalloc_arena_*).
+	c.arena.WriteMetrics(&buf)
 	c.mu.Unlock()
-
-	// Arena families (vmalloc_arena_*) carry their own prefix; the arena
-	// has its own lock and its apply goroutine never takes c.mu, so this
-	// runs outside the cluster lock.
-	c.cfg.Arena.WriteMetrics(&buf)
 
 	_, err := w.Write(buf.Bytes())
 	return err

@@ -41,7 +41,7 @@ func (c *Cluster) Release(ctx context.Context, id int) (online.PlacedVM, error) 
 	c.met.releases++
 	// The release took effect in memory (a journal failure below doesn't
 	// undo it), so the challenger replicas must see it too.
-	c.cfg.Arena.OfferRelease(c.fleet.Now(), id)
+	c.arena.Release(c.fleet.Now(), id)
 	d.Server = c.fleet.View().Server(p.Server).ID
 	d.Start, d.End = p.Start, p.End()
 	jerr := c.commitLocked(record{Op: opRelease, T: c.fleet.Now(), ID: id}, &d, tc, stageClock{})
@@ -292,7 +292,7 @@ func (c *Cluster) AdvanceTo(t int) error {
 		return nil
 	}
 	c.fleet.AdvanceTo(t)
-	c.cfg.Arena.OfferTick(t)
+	c.arena.Tick(t)
 	// A tick has no flight-recorder decision and arrives without a trace.
 	err := c.commitLocked(record{Op: opTick, T: t}, nil, obs.TraceContext{}, stageClock{})
 	c.finishLocked()

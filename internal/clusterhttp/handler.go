@@ -311,23 +311,18 @@ func classify(err error) (int, string) {
 }
 
 // toAPIPolicies assembles the GET /v1/policies body: the champion's
-// identity and energy from the live cluster, each challenger's
-// counterfactual figures straight from its arena replica. The two reads
-// are not atomic with each other — a batch can land between them — so
-// deltas are against the champion's figures as of this response, which
-// is the only consistency a shadow readout can promise.
+// identity and energy beside each challenger's counterfactual figures
+// straight from its replica, all read at one instant.
 func toAPIPolicies(c *cluster.Cluster) *api.PoliciesResponse {
-	st := c.State()
+	p := c.Policies()
 	out := &api.PoliciesResponse{
-		Champion:                  st.Policy,
-		ChampionEnergyWattMinutes: st.TotalEnergy,
-		Now:                       st.Now,
+		Champion:                  p.Champion,
+		ChampionEnergyWattMinutes: p.EnergyWattMinutes,
+		Now:                       p.Now,
+		EvaluatedBatches:          p.Batches,
 		Policies:                  []api.PolicyReport{},
 	}
-	reports, stats := c.PolicyArena().Reports()
-	out.EvaluatedBatches = stats.Batches
-	out.DroppedEvents = stats.Dropped
-	for _, r := range reports {
+	for _, r := range p.Challengers {
 		pct := 0.0
 		if r.Decisions > 0 {
 			pct = 100 * float64(r.Divergences) / float64(r.Decisions)
@@ -342,7 +337,7 @@ func toAPIPolicies(c *cluster.Cluster) *api.PoliciesResponse {
 			ChampionRejections:     r.ChampionRejections,
 			RejectionDelta:         int64(r.Rejections) - int64(r.ChampionRejections),
 			EnergyWattMinutes:      r.EnergyWattMinutes,
-			EnergyDeltaWattMinutes: r.EnergyWattMinutes - st.TotalEnergy,
+			EnergyDeltaWattMinutes: r.EnergyWattMinutes - p.EnergyWattMinutes,
 			Residents:              r.Residents,
 			Clock:                  r.Clock,
 		})

@@ -22,8 +22,8 @@ import (
 // scores every admission, and the "control" challenger — the same
 // policy as the live champion — must reproduce the champion's decisions
 // exactly, down to the float energy accumulation of its replica fleet.
-// Run under -race; /v1/policies is polled concurrently with the load to
-// exercise the reader paths.
+// Run under -race; /v1/policies is polled concurrently with the load,
+// and every poll must already agree with the live fleet.
 func TestArenaNeutrality(t *testing.T) {
 	spec := ScheduleSpec{
 		Arrivals: workload.DiurnalSpec{
@@ -41,31 +41,14 @@ func TestArenaNeutrality(t *testing.T) {
 	}
 
 	// Arena-on run.
-	ar := arena.New(arena.Config{
-		Servers:     testServers(16),
-		IdleTimeout: 5,
-		// Large enough that nothing drops: the control-exactness check
-		// below needs the full event stream.
-		QueueSize: 1 << 15,
+	repOn, on := runArenaLoad(t, sched, []arena.Challenger{
+		{Name: "control", Policy: &online.MinCostPolicy{}}, // same policy as the live champion
+		{Name: "delay-aware", Policy: &online.DelayAwareMinCostPolicy{PenaltyPerMinute: 50}},
+		{Name: "ffps", Policy: online.NewFirstFitPolicy(7)},
 	})
-	for _, c := range []struct {
-		name   string
-		policy online.Policy
-	}{
-		{"control", &online.MinCostPolicy{}}, // same policy as the live champion
-		{"delay-aware", &online.DelayAwareMinCostPolicy{PenaltyPerMinute: 50}},
-		{"ffps", online.NewFirstFitPolicy(7)},
-	} {
-		if err := ar.Register(c.name, c.policy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ar.Start()
-	repOn, liveEnergy, liveNow := runArenaLoad(t, sched, ar)
-	ar.Close() // drain every queued event before reading reports
 
 	// Arena-off control run.
-	repOff, _, _ := runArenaLoad(t, sched, nil)
+	repOff, _ := runArenaLoad(t, sched, nil)
 
 	// Neutrality: digests byte-identical with and without the arena.
 	if repOn.OutcomeDigest != repOff.OutcomeDigest {
@@ -88,12 +71,9 @@ func TestArenaNeutrality(t *testing.T) {
 		t.Fatalf("report carries %d policy rows, want 3", len(repOn.Policies))
 	}
 
-	reports, stats := ar.Reports()
-	if stats.Dropped != 0 {
-		t.Fatalf("arena dropped %d events; size the queue up", stats.Dropped)
-	}
-	if stats.Batches == 0 || len(reports) != 3 {
-		t.Fatalf("arena stats = %+v with %d reports", stats, len(reports))
+	reports := on.Challengers
+	if on.Batches == 0 || len(reports) != 3 {
+		t.Fatalf("arena replayed %d batches with %d reports", on.Batches, len(reports))
 	}
 	var divergences uint64
 	for _, r := range reports {
@@ -103,8 +83,8 @@ func TestArenaNeutrality(t *testing.T) {
 		if int(r.Decisions) != repOn.Sent {
 			t.Fatalf("challenger %s judged %d admissions, runner sent %d", r.Name, r.Decisions, repOn.Sent)
 		}
-		if r.Clock != liveNow {
-			t.Fatalf("challenger %s replica clock %d, live clock %d", r.Name, r.Clock, liveNow)
+		if r.Clock != on.Now {
+			t.Fatalf("challenger %s replica clock %d, live clock %d", r.Name, r.Clock, on.Now)
 		}
 		divergences += r.Divergences
 	}
@@ -131,24 +111,25 @@ func TestArenaNeutrality(t *testing.T) {
 		t.Fatalf("control saw %d champion rejections, made %d itself",
 			control.ChampionRejections, control.Rejections)
 	}
-	if control.EnergyWattMinutes != liveEnergy {
+	if control.EnergyWattMinutes != on.EnergyWattMinutes {
 		t.Fatalf("control counterfactual energy %g != live energy %g (want exact equality)",
-			control.EnergyWattMinutes, liveEnergy)
+			control.EnergyWattMinutes, on.EnergyWattMinutes)
 	}
 	t.Logf("arena: %d batches, control energy %.2f Wmin == live; divergences: delay-aware %d, ffps %d",
-		stats.Batches, control.EnergyWattMinutes, reports[1].Divergences, reports[2].Divergences)
+		on.Batches, control.EnergyWattMinutes, reports[1].Divergences, reports[2].Divergences)
 }
 
-// runArenaLoad runs the schedule against a fresh volatile cluster (with
-// ar attached when non-nil) and returns the report plus the live
-// cluster's final energy and clock. /v1/policies is polled concurrently
-// with the load for -race coverage of the arena's reader paths.
-func runArenaLoad(t *testing.T, sched *Schedule, ar *arena.Arena) (*Report, float64, int) {
+// runArenaLoad runs the schedule against a fresh volatile cluster
+// scoring shadows (none when nil) and returns the report plus the
+// cluster's final policies readout. /v1/policies is polled concurrently
+// with the load, and every poll must show each replica at the live clock
+// and the control challenger at exactly the live energy.
+func runArenaLoad(t *testing.T, sched *Schedule, shadows []arena.Challenger) (*Report, cluster.Policies) {
 	t.Helper()
 	cl, err := cluster.Open(cluster.Config{
 		Servers:     testServers(16),
 		IdleTimeout: 5,
-		Arena:       ar,
+		Shadows:     shadows,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,13 +140,26 @@ func runArenaLoad(t *testing.T, sched *Schedule, ar *arena.Arena) (*Report, floa
 
 	readCtx, stopReads := context.WithCancel(context.Background())
 	readsDone := make(chan struct{})
+	polls := 0
 	go func() {
 		defer close(readsDone)
 		reader := NewClient(srv.URL)
 		for readCtx.Err() == nil {
-			if _, err := reader.Policies(readCtx); err != nil && readCtx.Err() == nil {
-				t.Errorf("concurrent policies read: %v", err)
+			pr, err := reader.Policies(readCtx)
+			if err != nil {
+				if readCtx.Err() == nil {
+					t.Errorf("concurrent policies read: %v", err)
+				}
 				return
+			}
+			polls++
+			for _, p := range pr.Policies {
+				if p.Clock != pr.Now {
+					t.Errorf("poll %d: challenger %s at minute %d, live clock %d", polls, p.Name, p.Clock, pr.Now)
+				}
+				if p.Name == "control" && p.EnergyDeltaWattMinutes != 0 {
+					t.Errorf("poll %d: control energy delta %g, want 0", polls, p.EnergyDeltaWattMinutes)
+				}
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -176,7 +170,7 @@ func runArenaLoad(t *testing.T, sched *Schedule, ar *arena.Arena) (*Report, floa
 		Client:   client,
 		Schedule: sched,
 		// No consolidation: migrations are live-only repairs the arena
-		// does not forward, so the exact-energy control check requires a
+		// does not replay, so the exact-energy control check requires a
 		// migration-free run.
 		Opts: Options{Workers: 4, Chunk: 0},
 	}
@@ -189,6 +183,8 @@ func runArenaLoad(t *testing.T, sched *Schedule, ar *arena.Arena) (*Report, floa
 	if rep.Errors != 0 {
 		t.Fatalf("run reported %d errors", rep.Errors)
 	}
-	st := cl.State()
-	return rep, st.TotalEnergy, st.Now
+	if polls == 0 {
+		t.Error("no /v1/policies poll completed during the run")
+	}
+	return rep, cl.Policies()
 }

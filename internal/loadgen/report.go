@@ -120,12 +120,11 @@ type Report struct {
 	FinalEnergy    float64 `json:"finalEnergyWattMinutes"`
 	StateDigest    string  `json:"stateDigest"`
 
-	// Champion, ArenaBatches, ArenaDropped and Policies summarise
-	// GET /v1/policies after the run: the shadow arena's per-challenger
-	// counterfactual scoreboard. All empty when the server runs no arena.
+	// Champion, ArenaBatches and Policies summarise GET /v1/policies
+	// after the run: the shadow arena's per-challenger counterfactual
+	// scoreboard. All empty when the server runs no arena.
 	Champion     string             `json:"champion,omitempty"`
 	ArenaBatches uint64             `json:"arenaEvaluatedBatches,omitempty"`
-	ArenaDropped uint64             `json:"arenaDroppedEvents,omitempty"`
 	Policies     []api.PolicyReport `json:"policies,omitempty"`
 }
 
@@ -215,8 +214,7 @@ func (r *Report) String() string {
 		}
 	}
 	if len(r.Policies) > 0 {
-		fmt.Fprintf(&b, "shadow arena: champion %s, %d batches evaluated, %d events dropped\n",
-			r.Champion, r.ArenaBatches, r.ArenaDropped)
+		fmt.Fprintf(&b, "shadow arena: champion %s, %d batches evaluated\n", r.Champion, r.ArenaBatches)
 		for _, p := range r.Policies {
 			name := p.Name
 			if p.Shard != "" {

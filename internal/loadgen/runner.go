@@ -214,7 +214,6 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	if pr, err := r.Client.Policies(ctx); err == nil {
 		rep.Champion = pr.Champion
 		rep.ArenaBatches = pr.EvaluatedBatches
-		rep.ArenaDropped = pr.DroppedEvents
 		rep.Policies = pr.Policies
 	}
 	// Likewise best-effort: per-stage span latencies (queue wait, scan,

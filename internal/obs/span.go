@@ -30,9 +30,9 @@ const (
 	// fsync stages; SpanConsolidate covers a whole consolidation pass.
 	SpanMigrate     = "migrate"
 	SpanConsolidate = "consolidate"
-	// SpanShadowEnqueue is the hot-path cost of offering a batch to the
-	// shadow policy arena.
-	SpanShadowEnqueue = "shadow-enqueue"
+	// SpanShadowReplay times the replay of one admission batch on every
+	// shadow challenger's replica, inside the batch's lock hold.
+	SpanShadowReplay = "shadow-replay"
 
 	// SpanAdopt is the umbrella over one adoption's commit/journal/fsync
 	// stages on the receiving shard. SpanRebalance covers a whole

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"vmalloc/internal/api"
 	"vmalloc/internal/arena"
@@ -48,13 +47,10 @@ func newDeployment(t *testing.T) *testDeployment {
 		rec := obs.NewFlightRecorder(64)
 		// Every shard runs one shadow challenger, so the gate tests also
 		// cover the merged /v1/policies and vmalloc_arena_* surfaces.
-		ar := arena.New(arena.Config{Servers: servers, IdleTimeout: 2})
-		if err := ar.Register("ffps", online.NewFirstFitPolicy(int64(i+1))); err != nil {
-			t.Fatal(err)
-		}
-		ar.Start()
-		t.Cleanup(ar.Close)
-		c, err := cluster.Open(cluster.Config{Servers: servers, IdleTimeout: 2, Recorder: rec, Arena: ar})
+		c, err := cluster.Open(cluster.Config{
+			Servers: servers, IdleTimeout: 2, Recorder: rec,
+			Shadows: []arena.Challenger{{Name: "ffps", Policy: online.NewFirstFitPolicy(int64(i + 1))}},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -635,8 +631,9 @@ func TestGateRequestIDPropagation(t *testing.T) {
 		t.Errorf("gate echoed id %q, want gate-prop-1", got)
 	}
 
-	// The shard's decision trace must carry the same id.
-	resp, err = http.Get(d.shardSrv["s0"].URL + "/v1/debug/decisions?vm=" + fmt.Sprint(id))
+	// The shard's admit decision must carry the same id (its shadow
+	// challenger records its own verdict beside it).
+	resp, err = http.Get(d.shardSrv["s0"].URL + "/v1/debug/decisions?op=admit&vm=" + fmt.Sprint(id))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -793,32 +790,23 @@ func TestGatePoliciesMerged(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// Challengers score batches asynchronously, off the admission path,
-	// so poll the merged view until both shards' verdicts have landed.
+	// Each shard steps its challenger inside the admission, so both
+	// shards' verdicts have landed once the admit is answered.
+	resp, err = http.Get(d.gateSrv.URL + "/v1/policies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("policies status %d: %s", resp.StatusCode, body)
+	}
 	var pr api.PoliciesResponse
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(d.gateSrv.URL + "/v1/policies")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			body, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			t.Fatalf("policies status %d: %s", resp.StatusCode, body)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&pr)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pr.Count == 2 && pr.Policies[0].Decisions == 6 && pr.Policies[1].Decisions == 6 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("merged policies never converged: %+v", pr)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.Count != 2 || pr.Policies[0].Decisions != 6 || pr.Policies[1].Decisions != 6 {
+		t.Fatalf("merged policies have not scored both shards' admissions: %+v", pr)
 	}
 
 	if pr.Champion != "online/mincost" {

@@ -174,7 +174,6 @@ func MergePolicies(shards []Shard, parts []api.PoliciesResponse) api.PoliciesRes
 		out.Now = min(out.Now, p.Now)
 		out.ChampionEnergyWattMinutes += p.ChampionEnergyWattMinutes
 		out.EvaluatedBatches += p.EvaluatedBatches
-		out.DroppedEvents += p.DroppedEvents
 		for _, r := range p.Policies {
 			r.Shard = shards[i].Name
 			out.Policies = append(out.Policies, r)

@@ -124,17 +124,17 @@ func TestMergePolicies(t *testing.T) {
 		t.Fatalf("empty merge = %+v", empty)
 	}
 	got := MergePolicies(named("b", "a", "c"), []api.PoliciesResponse{
-		{Champion: "online/mincost", ChampionEnergyWattMinutes: 10, Now: 50, EvaluatedBatches: 3, DroppedEvents: 1,
+		{Champion: "online/mincost", ChampionEnergyWattMinutes: 10, Now: 50, EvaluatedBatches: 3,
 			Policies: []api.PolicyReport{{Name: "ffps", Decisions: 5}, {Name: "delay", Decisions: 6}}},
 		{Champion: "online/mincost", ChampionEnergyWattMinutes: 5, Now: 40, EvaluatedBatches: 2,
 			Policies: []api.PolicyReport{{Name: "ffps", Decisions: 7}}},
-		{Champion: "online/ffps", ChampionEnergyWattMinutes: 1, Now: 45, EvaluatedBatches: 1, DroppedEvents: 2},
+		{Champion: "online/ffps", ChampionEnergyWattMinutes: 1, Now: 45, EvaluatedBatches: 1},
 	})
 	// Champion names de-duplicate in first-seen order.
 	if got.Champion != "online/mincost, online/ffps" {
 		t.Fatalf("champion %q", got.Champion)
 	}
-	if got.Now != 40 || got.ChampionEnergyWattMinutes != 16 || got.EvaluatedBatches != 6 || got.DroppedEvents != 3 {
+	if got.Now != 40 || got.ChampionEnergyWattMinutes != 16 || got.EvaluatedBatches != 6 {
 		t.Fatalf("folded = %+v", got)
 	}
 	var rows []string
