@@ -56,6 +56,6 @@ func scaling(ctx context.Context, opts Options) (*Result, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"MinCost is O(m·n) row reads for feasibility plus, per feasible server, a price that walks its busy segments; the reduction ratio stays roughly flat with size (the paper's scalability claim)")
+		"MinCost reads one row per server class plus the used rows in CPU order up to the first that cannot fit, and prices each feasible server by walking its busy segments; the reduction ratio stays roughly flat with size (the paper's scalability claim)")
 	return &Result{Tables: []Table{t}}, nil
 }
