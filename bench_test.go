@@ -77,7 +77,8 @@ func BenchmarkMinCostAllocate(b *testing.B) {
 // BenchmarkOfflineMinCost is the `offline-mincost` workload of bench/ in
 // process: one MinCost Allocate through the facade on the benchmark's own
 // shape (5,000 VMs, 500 servers, inter-arrival 0.1, mean length 60).
-// ns/candidate is the whole call over the (VM, server) pairs it examined.
+// ns/candidate is the whole call over the (VM, server) pairs considered,
+// 500 per VM, though the pass reads only the rows that can host the VM.
 func BenchmarkOfflineMinCost(b *testing.B) {
 	inst, err := vmalloc.Generate(
 		vmalloc.WorkloadSpec{NumVMs: 5000, MeanInterArrival: 0.1, MeanLength: 60},
