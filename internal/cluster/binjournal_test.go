@@ -472,17 +472,22 @@ func releaseHistory(t *testing.T) ([]record, int) {
 	return recs, i
 }
 
-// checkSeqRefused opens recs as the only log: replay must refuse the
-// record with seq, which follows seq prev, with ErrCorruptJournal, naming
-// both seqs.
+// checkSeqRefused opens recs as the only log, and replays it under every
+// registry policy: both must refuse the record with seq, which follows seq
+// prev, with ErrCorruptJournal, naming both seqs.
 func checkSeqRefused(t *testing.T, recs []record, seq, prev int64) {
 	t.Helper()
 	_, _, err := openLog(t, encodeBinLog(recs))
-	if !errors.Is(err, ErrCorruptJournal) {
-		t.Fatalf("Open = %v, want ErrCorruptJournal", err)
-	}
-	if want := fmt.Sprintf("seq %d follows seq %d", seq, prev); !strings.Contains(err.Error(), want) {
-		t.Fatalf("Open = %v, want it to say %q", err, want)
+	dir := t.TempDir()
+	writeJournal(t, dir, encodeBinLog(recs))
+	_, rerr := Replay(dir, testServers(4), 2, registryPolicies(t, 1))
+	for name, err := range map[string]error{"Open": err, "Replay": rerr} {
+		if !errors.Is(err, ErrCorruptJournal) {
+			t.Fatalf("%s = %v, want ErrCorruptJournal", name, err)
+		}
+		if want := fmt.Sprintf("seq %d follows seq %d", seq, prev); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s = %v, want it to say %q", name, err, want)
+		}
 	}
 }
 

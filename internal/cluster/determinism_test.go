@@ -33,13 +33,17 @@ type scriptOutcome struct {
 
 // runScript drives cfg through a deterministic op stream derived from
 // seed: mostly admits, with releases, clock advances and consolidation
-// passes mixed in. The caller owns cfg.Dir (empty for volatile runs).
-// Any preClose hooks run after the script but before Close — the moment
-// a journaled directory still holds its record log, since Close
+// passes mixed in (without consolidate, a pass's draw runs nothing, so
+// the other ops are the same). The caller owns cfg.Dir (empty for
+// volatile runs) and may size the fleet (eight servers when cfg.Servers
+// is nil). Any preClose hooks run after the script but before Close — the
+// moment a journaled directory still holds its record log, since Close
 // compacts it into a snapshot.
-func runScript(t *testing.T, cfg Config, seed int64, preClose ...func()) scriptOutcome {
+func runScript(t *testing.T, cfg Config, seed int64, consolidate bool, preClose ...func(*Cluster)) scriptOutcome {
 	t.Helper()
-	cfg.Servers = testServers(8)
+	if cfg.Servers == nil {
+		cfg.Servers = testServers(8)
+	}
 	cfg.IdleTimeout = 3
 	cfg.MigrationCostPerGB = 0.5
 	c := mustOpenTB(t, cfg)
@@ -92,7 +96,7 @@ func runScript(t *testing.T, cfg Config, seed int64, preClose ...func()) scriptO
 			}
 			fmt.Fprintf(&sb, "advance to=%d\n", to)
 			live = residentIDs(c)
-		default: // consolidation pass
+		case consolidate: // consolidation pass
 			res, err := c.Consolidate(ctx, api.ConsolidateRequest{})
 			if err != nil {
 				t.Fatalf("seed %d op %d: consolidate: %v", seed, op, err)
@@ -113,7 +117,7 @@ func runScript(t *testing.T, cfg Config, seed int64, preClose ...func()) scriptO
 		t.Fatalf("seed %d: digest: %v", seed, err)
 	}
 	for _, hook := range preClose {
-		hook()
+		hook(c)
 	}
 	return scriptOutcome{transcript: sb.String(), digest: digest}
 }
@@ -260,14 +264,14 @@ func TestDeterminismIndexAndParallelism(t *testing.T) {
 	var got strings.Builder
 	for _, policy := range online.PolicyNames() {
 		for seed := int64(1); seed <= 20; seed++ {
-			rows := runScript(t, Config{Policy: scriptPolicy(t, policy, seed)}, seed)
+			rows := runScript(t, Config{Policy: scriptPolicy(t, policy, seed)}, seed, true)
 			if !strings.Contains(rows.transcript, "executed=") {
 				t.Fatalf("%s seed %d: script ran no consolidation pass", policy, seed)
 			}
 			got.WriteString(goldenLine(policy, seed, rows))
 			exact := runScript(t, Config{Policy: &exactPolicy{
 				Policy: scriptPolicy(t, policy, seed), kind: policy, rng: rand.New(rand.NewSource(seed)),
-			}}, seed)
+			}}, seed, true)
 			if exact.transcript != rows.transcript {
 				t.Fatalf("%s seed %d: the row pass diverged from the exact reference:\n%s",
 					policy, seed, firstDiff(exact.transcript, rows.transcript))
@@ -299,10 +303,10 @@ func TestDeterminismIndexAndParallelism(t *testing.T) {
 // and the pre-close copy whose full binary record log rebuilds the state.
 func TestDeterminismJournalReplay(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		base := runScript(t, Config{}, seed)
+		base := runScript(t, Config{}, seed, true)
 		dir, replayDir := t.TempDir(), t.TempDir()
 		cfg := Config{Dir: dir, SnapshotEvery: -1, DisableFsync: true}
-		got := runScript(t, cfg, seed, func() { copyJournalDir(t, dir, replayDir) })
+		got := runScript(t, cfg, seed, true, func(*Cluster) { copyJournalDir(t, dir, replayDir) })
 		if got.transcript != base.transcript {
 			t.Fatalf("seed %d: journaled transcript diverged from volatile run:\n%s",
 				seed, firstDiff(base.transcript, got.transcript))
