@@ -5,16 +5,17 @@
 //
 // The HTTP API is internal/clusterhttp (POST/DELETE /v1/vms, POST
 // /v1/clock, POST/GET /v1/migrations, POST /v1/consolidate, GET
-// /v1/policies, GET /v1/state, GET /v1/debug/decisions, /healthz,
-// /metrics); cmd/vmload is the matching load generator.
-// -consolidate-interval runs the pay-for-itself consolidation pass on a
-// background cadence in addition to the on-demand endpoint.
-// -shadow-policy (repeatable) registers challenger policies in the
-// shadow arena: each scores the live admission stream on its own
-// counterfactual fleet replica, stepped with the live fleet inside each
-// admission, release and clock call (so an admit's latency includes its
-// challengers' scans), readable via GET /v1/policies and the
-// vmalloc_arena_* metrics, without ever touching a live placement.
+// /v1/state, GET /v1/debug/decisions, /healthz, /metrics); cmd/vmload is
+// the matching load generator. -consolidate-interval runs the
+// pay-for-itself consolidation pass on a background cadence in addition
+// to the on-demand endpoint.
+//
+// -replay does not serve: it replays the -journal directory under every
+// placement policy, on the fleet the other flags build, and prints one
+// row per policy — what each would have done with the same admissions,
+// releases and clock advances (cluster.Replay). Its window is the records
+// since the directory's last snapshot, so replay a copy taken before
+// shutdown of a daemon run with -snapshot-every -1.
 //
 // Observability: logs are structured (log/slog; -log-format text|json),
 // every request gets/propagates an X-Request-Id, the last -decisions
@@ -27,6 +28,7 @@
 //	vmserve -servers 50 -transition 2 -journal /var/lib/vmserve
 //	vmserve -fleet fleet.json -policy delay-aware
 //	vmserve -log-format json -debug-addr 127.0.0.1:6060
+//	vmserve -servers 50 -transition 2 -journal copy-of-journal -replay
 package main
 
 import (
@@ -41,12 +43,12 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"vmalloc/internal/api"
-	"vmalloc/internal/arena"
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/config"
@@ -73,20 +75,8 @@ const (
 	sigquitDumpEnergy = 16
 )
 
-// stringList is a repeatable string flag (-shadow-policy a -shadow-policy b).
-type stringList []string
-
-func (l *stringList) String() string { return fmt.Sprint([]string(*l)) }
-
-func (l *stringList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
-
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("vmserve", flag.ContinueOnError)
-	var shadows stringList
-	fs.Var(&shadows, "shadow-policy", "run this policy as a shadow challenger on a counterfactual fleet replica, as policy or name=policy (repeatable; see GET /v1/policies)")
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		fleetFile  = fs.String("fleet", "", "fleet JSON file: an instance or a bare server array (overrides -servers)")
@@ -109,6 +99,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		traceSpans = fs.Int("trace-spans", obs.DefaultSpanStoreSize, "trace span buffer capacity: how many stage/route spans /v1/debug/traces keeps (0 = tracing off)")
 		energyWin  = fs.Int("energy-window", obs.DefaultEnergyWindow, "energy telemetry window: how many fleet energy/utilization samples /v1/debug/energy keeps (0 = off)")
 		debugAddr  = fs.String("debug-addr", "", "serve net/http/pprof on this extra listener (empty = off)")
+		replay     = fs.Bool("replay", false, "replay the -journal directory under every placement policy on this fleet, print one row each and exit")
 		version    = fs.Bool("version", false, "print the build version and exit")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -131,6 +122,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *replay {
+		return printReplay(w, *journalDir, fleet, *idle, *penalty, *seed, pol.Name())
+	}
 	if *consPolicy != "" && *consPolicy != api.PolicyMinMigrationTime && *consPolicy != api.PolicyMinUtilization {
 		return fmt.Errorf("unknown consolidate policy %q (want %s or %s)",
 			*consPolicy, api.PolicyMinMigrationTime, api.PolicyMinUtilization)
@@ -145,24 +139,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		energy = obs.NewEnergyRecorder(*energyWin)
 	}
 
-	// Shadow arena: each -shadow-policy challenger gets a counterfactual
-	// replica of the same fleet. Replicas start empty, at the restored
-	// clock, even when the journal restores live state — the arena scores
-	// the traffic of this process's lifetime, which is the only stream it
-	// observes.
-	var challengers []arena.Challenger
-	for _, spec := range shadows {
-		name, polName := spec, spec
-		if i := strings.IndexByte(spec, '='); i >= 0 {
-			name, polName = spec[:i], spec[i+1:]
-		}
-		sp, err := online.NewPolicy(polName, *penalty, *seed)
-		if err != nil {
-			return fmt.Errorf("-shadow-policy %q: %w", spec, err)
-		}
-		challengers = append(challengers, arena.Challenger{Name: name, Policy: sp})
-	}
-
 	c, err := cluster.Open(cluster.Config{
 		Servers:            fleet,
 		Policy:             pol,
@@ -175,7 +151,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		DonorUtilization:   *donorUtil,
 		Recorder:           recorder,
 		Logger:             logger.With("component", "cluster"),
-		Shadows:            challengers,
 		Spans:              spans,
 		Energy:             energy,
 	})
@@ -303,6 +278,46 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	logger.Info("state persisted, bye")
 	return shutErr
+}
+
+// printReplay replays dir under every online.NewPolicy name and prints
+// one row per policy: its decisions, divergences from the journaled
+// placements and rejections, and its fleet's energy at the last record's
+// clock, also as the paper's reduction against ffps, (E_ffps − E)/E_ffps.
+// The champion's row, which should diverge nowhere, is starred.
+func printReplay(w io.Writer, dir string, fleet []model.Server, idle int, penalty float64, seed int64, champion string) error {
+	if dir == "" {
+		return errors.New("-replay needs -journal")
+	}
+	var policies []online.Policy
+	for _, name := range online.PolicyNames() {
+		p, err := online.NewPolicy(name, penalty, seed)
+		if err != nil {
+			return err
+		}
+		policies = append(policies, p)
+	}
+	rows, err := cluster.Replay(dir, fleet, idle, policies)
+	if err != nil {
+		return err
+	}
+	var ffps float64
+	for _, r := range rows {
+		if r.Policy == "online/ffps" {
+			ffps = r.EnergyWattMinutes
+		}
+	}
+	fmt.Fprintf(w, "  %-22s %9s %11s %10s %22s %10s %9s %6s\n",
+		"policy", "decisions", "divergences", "rejections", "energy_watt_minutes", "vs_ffps_%", "residents", "clock")
+	for _, r := range rows {
+		mark := " "
+		if r.Policy == champion {
+			mark = "*"
+		}
+		fmt.Fprintf(w, "%s %-22s %9d %11d %10d %22s %10.2f %9d %6d\n", mark, r.Policy, r.Decisions, r.Divergences,
+			r.Rejections, strconv.FormatFloat(r.EnergyWattMinutes, 'g', -1, 64), 100*(ffps-r.EnergyWattMinutes)/ffps, r.Residents, r.Clock)
+	}
+	return nil
 }
 
 // loadFleet reads the server list from a JSON file — either a full

@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -538,80 +539,96 @@ func TestDaemonSignalsAndRestart(t *testing.T) {
 }
 
 // TestRunPolicies: every name of the online policy lookup boots as
-// -policy and is the champion GET /v1/policies reports; -shadow-policy
-// takes the same names, bare or as name=policy, and both forms read back.
+// -policy and is the champion GET /v1/state names; an unknown name is a
+// usage error.
 func TestRunPolicies(t *testing.T) {
-	get := func(base, path string) []byte {
-		t.Helper()
-		resp, err := http.Get(base + path)
+	ctx := context.Background()
+	for _, name := range online.PolicyNames() {
+		base, stop := bootDaemon(t, "-policy", name)
+		st, _, err := loadgen.NewClient(base).State(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d, %v", path, resp.StatusCode, err)
-		}
-		return body
-	}
-	policies := func(base string) (pr api.PoliciesResponse) {
-		t.Helper()
-		if err := json.Unmarshal(get(base, "/v1/policies"), &pr); err != nil {
-			t.Fatal(err)
-		}
-		return pr
-	}
-	for _, name := range online.PolicyNames() {
-		base, stop := bootDaemon(t, "-policy", name)
-		if got := policies(base).Champion; got != "online/"+name {
-			t.Errorf("-policy %s: champion %q", name, got)
+		if st.Policy != "online/"+name {
+			t.Errorf("-policy %s: state names %q", name, st.Policy)
 		}
 		stop()
 	}
-	// The daemon wires the arena to its recorder and /metrics: once one
-	// admission is answered, both challengers have judged it.
-	base, stop := bootDaemon(t, "-shadow-policy", "delay-aware", "-shadow-policy", "trial=ffps")
-	resp, err := http.Post(base+"/v1/vms", "application/json",
-		strings.NewReader(`{"demand":{"cpu":1,"mem":1},"durationMinutes":5}`))
+	if err := run(ctx, []string{"-policy", "nope"}, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+		t.Errorf("-policy nope: err = %v, want unknown policy", err)
+	}
+}
+
+// TestRunReplay: -replay over a copy of a running daemon's journal, taken
+// before shutdown compacts it, prints one row per policy without serving,
+// and the champion's row diverges nowhere and ends at the live fleet's
+// energy, bit for bit.
+func TestRunReplay(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	base, stop := bootDaemon(t, "-journal", dir, "-snapshot-every", "-1", "-policy", "delay-aware")
+	client := loadgen.NewClient(base)
+	var reqs []api.AdmitRequest
+	for id := 1; id <= 12; id++ {
+		reqs = append(reqs, api.AdmitRequest{ID: id, Demand: model.Resources{CPU: float64(1 + id%4), Mem: 2}, Start: id / 3, DurationMinutes: 5 + 3*id})
+	}
+	if _, err := client.Admit(ctx, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Release(ctx, 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.AdvanceClock(ctx, 20); err != nil {
+		t.Fatal(err)
+	}
+	st, _, err := client.State(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	pr := policies(base)
-	if pr.Count != 2 || pr.Policies[0].Decisions != 1 || pr.Policies[1].Decisions != 1 {
-		t.Fatalf("challengers have not judged the answered admission: %+v", pr)
-	}
-	if got := bytes.Count(get(base, "/v1/debug/decisions?op=shadow"), []byte(`"op": "shadow"`)); got != 2 {
-		t.Errorf("%d shadow decisions in the flight recorder, want 2", got)
-	}
-	if !bytes.Contains(get(base, "/metrics"), []byte(`vmalloc_arena_decisions_total{policy="trial"} 1`)) {
-		t.Error("/metrics carries no arena decisions for the renamed challenger")
+	copyDir := t.TempDir()
+	for _, name := range []string{"journal.jsonl", "snapshot.json"} {
+		if b, err := os.ReadFile(filepath.Join(dir, name)); err == nil {
+			if err := os.WriteFile(filepath.Join(copyDir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	stop()
-	for i, want := range []api.PolicyReport{
-		{Name: "delay-aware", Policy: "online/delay-aware"},
-		{Name: "trial", Policy: "online/ffps"},
-	} {
-		if got := pr.Policies[i]; got.Name != want.Name || got.Policy != want.Policy {
-			t.Errorf("challenger %d = %s (%s), want %s (%s)", i, got.Name, got.Policy, want.Name, want.Policy)
+
+	var out bytes.Buffer
+	if err := run(ctx, []string{"-servers", "4", "-policy", "delay-aware", "-journal", copyDir, "-replay", "-addr", "127.0.0.1:0"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 1+len(online.PolicyNames()) {
+		t.Fatalf("-replay printed:\n%s\nwant a header and one row per policy", out.String())
+	}
+	var champion []string
+	for _, l := range lines[1:] {
+		if f := strings.Fields(l); f[0] == "*" {
+			champion = f
 		}
 	}
-	for _, bad := range [][]string{{"-policy", "nope"}, {"-shadow-policy", "x=nope"}} {
-		if err := run(context.Background(), bad, io.Discard); err == nil || !strings.Contains(err.Error(), "unknown policy") {
-			t.Errorf("%v: err = %v, want unknown policy", bad, err)
-		}
+	if len(champion) != 9 || champion[1] != "online/delay-aware" || champion[2] != "12" || champion[3] != "0" {
+		t.Fatalf("champion row %q, want online/delay-aware with 12 decisions and 0 divergences:\n%s", champion, out.String())
+	}
+	if e, err := strconv.ParseFloat(champion[5], 64); err != nil || e != st.TotalEnergy {
+		t.Errorf("champion energy %s, live %v", champion[5], st.TotalEnergy)
+	}
+	if err := run(ctx, []string{"-replay"}, io.Discard); err == nil || !strings.Contains(err.Error(), "-journal") {
+		t.Errorf("-replay without -journal: err = %v", err)
 	}
 }
 
 // TestRunBadDelayPenalty: a negative or non-finite -delay-penalty is a
-// usage error for delay-aware, as champion or as challenger, and the
+// usage error for delay-aware, as champion or in -replay's table, and the
 // daemon never starts.
 func TestRunBadDelayPenalty(t *testing.T) {
 	for _, args := range [][]string{
 		{"-policy", "delay-aware", "-delay-penalty", "-5"},
 		{"-policy", "delay-aware", "-delay-penalty", "NaN"},
 		{"-policy", "delay-aware", "-delay-penalty", "+Inf"},
-		{"-shadow-policy", "delay-aware", "-delay-penalty", "-5"},
+		{"-replay", "-journal", t.TempDir(), "-delay-penalty", "-5"},
 	} {
 		var pe *online.DelayPenaltyError
 		if err := run(context.Background(), append(args, "-addr", "127.0.0.1:0"), io.Discard); !errors.As(err, &pe) {
@@ -654,11 +671,12 @@ func TestRunVersion(t *testing.T) {
 	}
 }
 
-// TestRunRemovedFlag: the dispatcher is self-clocked and the admission
-// scan is one sequential pass, so the flags that set the batch timer and
-// the scan's worker pool are usage errors, not silent no-ops.
+// TestRunRemovedFlag: the dispatcher is self-clocked, the admission scan
+// is one sequential pass and counterfactuals are replayed from the
+// journal, so the flags that set the batch timer, the scan's worker pool
+// and the in-process shadow policies are usage errors, not silent no-ops.
 func TestRunRemovedFlag(t *testing.T) {
-	for _, args := range [][]string{{"-batch-window", "1ms"}, {"-parallel", "2"}} {
+	for _, args := range [][]string{{"-batch-window", "1ms"}, {"-parallel", "2"}, {"-shadow-policy", "ffps"}} {
 		var out bytes.Buffer
 		err := run(context.Background(), args, &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

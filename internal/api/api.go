@@ -22,7 +22,6 @@
 //	                           the caller); migration_infeasible
 //	POST   /v1/consolidate     ConsolidateRequest (empty body valid) → ConsolidateResponse;
 //	                           G fans out and merges; consolidation_busy
-//	GET    /v1/policies        → PoliciesResponse; G merges, stamps shard
 //	GET    /v1/state           → StateResponse (G: GateStateResponse), StateDigestHeader set
 //	GET    /v1/debug/decisions ?vm= ?server= ?op= ?limit= → DecisionsResponse; S only
 //	GET    /v1/debug/traces    ?trace= ?name= ?op= ?min= ?limit= → TracesResponse; G stitches

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vmalloc/internal/api"
-	"vmalloc/internal/arena"
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
 )
@@ -202,12 +201,6 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 	// observe gates the per-item decision bookkeeping: both sinks are
 	// passive, so when neither is wired the loop skips the copies.
 	observe := c.rec != nil || c.cfg.Spans != nil
-	// shadow collects the champion's verdicts for the policy arena: every
-	// item that reached the candidate scan, in batch order, with the
-	// normalized VM exactly as the fleet saw it. Journal-broken skips are
-	// excluded — the champion never judged those, so challengers must not
-	// score them either.
-	var shadow []arena.AdmitOutcome
 	var jerr error
 	appended := false
 	placed := 0
@@ -260,9 +253,6 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 				d.Op, d.Reason = obs.OpReject, adm.Reason
 				pend = append(pend, pendDecision{d: d, trace: it.call.trace, clk: clk})
 			}
-			if c.arena != nil {
-				shadow = append(shadow, arena.AdmitOutcome{RequestID: it.call.reqID, VM: it.vm})
-			}
 			continue
 		}
 		if c.jr != nil {
@@ -285,22 +275,6 @@ func (c *Cluster) processBatch(batch []*admitCall) {
 			d.Server = adm.Server
 			d.Start, d.End = adm.Start, adm.End
 			pend = append(pend, pendDecision{d: d, journaled: c.jr != nil && jerr == nil, trace: it.call.trace, clk: clk})
-		}
-		if c.arena != nil {
-			shadow = append(shadow, arena.AdmitOutcome{
-				RequestID: it.call.reqID, VM: it.vm, Server: adm.Server, Accepted: true,
-			})
-		}
-	}
-	if len(shadow) > 0 {
-		arenaT0 := time.Now()
-		c.arena.Batch(batchID, shadow)
-		if tc := firstTrace(batch); tc.Valid() {
-			c.cfg.Spans.Record(obs.Span{
-				TraceID: tc.TraceID, SpanID: obs.NewSpanID(), Parent: tc.SpanID,
-				Name: obs.SpanShadowReplay, Op: obs.OpShadow, Batch: batchID,
-				Start: arenaT0, Duration: time.Since(arenaT0),
-			})
 		}
 	}
 	if jerr != nil {

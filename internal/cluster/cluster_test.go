@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"vmalloc/internal/api"
-	"vmalloc/internal/arena"
 	"vmalloc/internal/model"
 	"vmalloc/internal/online"
 	"vmalloc/internal/workload"
@@ -290,29 +289,6 @@ func TestClusterCrashRecovery(t *testing.T) {
 	defer again.Close()
 	if got := stateJSON(t, again); !bytes.Equal(got, want) {
 		t.Errorf("second recovery diverged:\n--- restored\n%s\n--- want\n%s", got, want)
-	}
-}
-
-// TestShadowsStartAtRestoredClock: a restored cluster's challenger
-// replicas start empty at the live clock the journal restored, and step
-// with it from the first admission on.
-func TestShadowsStartAtRestoredClock(t *testing.T) {
-	cfg := Config{Servers: testServers(6), IdleTimeout: 2, Dir: t.TempDir(), SnapshotEvery: -1}
-	c := mustOpen(t, cfg)
-	applyOps(t, c, durabilityOps())
-	c.crash()
-
-	cfg.Shadows = []arena.Challenger{{Name: "ffps", Policy: online.NewFirstFitPolicy(1)}}
-	restored := mustOpen(t, cfg)
-	defer restored.Close()
-	p := restored.Policies()
-	if r := p.Challengers[0]; p.Now != 25 || r.Clock != p.Now || r.Residents != 0 || r.Decisions != 0 {
-		t.Fatalf("restored at minute %d, challenger %+v; want it empty at that minute", p.Now, r)
-	}
-	mustAdmit(t, restored, api.AdmitRequest{ID: 7, Demand: model.Resources{CPU: 1, Mem: 1}, Start: 30, DurationMinutes: 5})
-	p = restored.Policies()
-	if r := p.Challengers[0]; r.Clock != p.Now || r.Residents != 1 || r.Decisions != 1 || p.Batches != 1 {
-		t.Fatalf("after one admission at minute %d: challenger %+v, %d batches", p.Now, r, p.Batches)
 	}
 }
 

@@ -138,14 +138,3 @@ func (c *Cluster) openSpan(tc obs.TraceContext, sp obs.Span) (obs.TraceContext, 
 		c.cfg.Spans.Record(sp)
 	}
 }
-
-// firstTrace returns the first valid trace context among a batch's calls
-// — the trace batch-level spans (the shadow replay) attach to.
-func firstTrace(batch []*admitCall) obs.TraceContext {
-	for _, call := range batch {
-		if call.trace.Valid() {
-			return call.trace
-		}
-	}
-	return obs.TraceContext{}
-}

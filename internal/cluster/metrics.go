@@ -129,8 +129,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	for _, st := range []online.State{online.PowerSaving, online.Waking, online.Active} {
 		obs.Sample(&buf, full, perState[st], "state", st.String())
 	}
-	// The arena's families carry their own prefix (vmalloc_arena_*).
-	c.arena.WriteMetrics(&buf)
 	c.mu.Unlock()
 
 	_, err := w.Write(buf.Bytes())

@@ -39,9 +39,6 @@ func (c *Cluster) Release(ctx context.Context, id int) (online.PlacedVM, error) 
 		return p, c.refuseLocked(&d, err)
 	}
 	c.met.releases++
-	// The release took effect in memory (a journal failure below doesn't
-	// undo it), so the challenger replicas must see it too.
-	c.arena.Release(c.fleet.Now(), id)
 	d.Server = c.fleet.View().Server(p.Server).ID
 	d.Start, d.End = p.Start, p.End()
 	jerr := c.commitLocked(record{Op: opRelease, T: c.fleet.Now(), ID: id}, &d, tc, stageClock{})
@@ -121,8 +118,7 @@ func (c *Cluster) Migrate(ctx context.Context, vmID, serverID int) (api.Migratio
 // execution.
 //
 // Adoptions are journaled (op "adopt") and replay with a handoff
-// cross-check like migrations. They are not offered to the shadow
-// policy arena: challengers score admission placement choices, and an
+// cross-check like migrations. Replay offers them to no policy: an
 // adoption's placement was made by another shard's scheduler.
 func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (online.PlacedVM, int, error) {
 	c.mu.Lock()
@@ -292,7 +288,6 @@ func (c *Cluster) AdvanceTo(t int) error {
 		return nil
 	}
 	c.fleet.AdvanceTo(t)
-	c.arena.Tick(t)
 	// A tick has no flight-recorder decision and arrives without a trace.
 	err := c.commitLocked(record{Op: opTick, T: t}, nil, obs.TraceContext{}, stageClock{})
 	c.finishLocked()

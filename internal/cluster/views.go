@@ -1,46 +1,12 @@
 package cluster
 
-import (
-	"vmalloc/internal/api"
-	"vmalloc/internal/arena"
-)
+import "vmalloc/internal/api"
 
 // Now returns the current fleet clock, in minutes.
 func (c *Cluster) Now() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fleet.Now()
-}
-
-// Policies is the champion's figures beside every shadow challenger's
-// scoreboard, read in one lock hold, so each challenger's Clock is Now.
-type Policies struct {
-	Champion          string
-	EnergyWattMinutes float64
-	Now               int
-	// Batches counts the admission batches replayed on the replicas.
-	Batches     uint64
-	Challengers []arena.Report
-}
-
-// Policies reads the champion's name, energy and clock and every
-// challenger's report (none without Config.Shadows) at one instant.
-func (c *Cluster) Policies() Policies {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.fleet.Now()
-	return Policies{
-		Champion:          c.policy.Name(),
-		EnergyWattMinutes: c.fleet.EnergyAt(now).Total(),
-		Now:               now,
-		Batches:           c.arena.Batches(),
-		Challengers:       c.arena.Reports(),
-	}
-}
-
-// PolicyName returns the champion placement policy's name.
-func (c *Cluster) PolicyName() string {
-	return c.policy.Name()
 }
 
 // Adopted returns the number of VMs adopted from other shards over the

@@ -156,9 +156,6 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 		res, err := c.Consolidate(ctx, req)
 		reply(w, r, res, err)
 	})
-	mux.HandleFunc("GET /v1/policies", func(w http.ResponseWriter, r *http.Request) {
-		api.WriteJSON(w, http.StatusOK, toAPIPolicies(c))
-	})
 	mux.HandleFunc("GET /v1/state", func(w http.ResponseWriter, r *http.Request) {
 		b, err := c.StateJSON()
 		if err != nil {
@@ -310,42 +307,6 @@ func classify(err error) (int, string) {
 	}
 }
 
-// toAPIPolicies assembles the GET /v1/policies body: the champion's
-// identity and energy beside each challenger's counterfactual figures
-// straight from its replica, all read at one instant.
-func toAPIPolicies(c *cluster.Cluster) *api.PoliciesResponse {
-	p := c.Policies()
-	out := &api.PoliciesResponse{
-		Champion:                  p.Champion,
-		ChampionEnergyWattMinutes: p.EnergyWattMinutes,
-		Now:                       p.Now,
-		EvaluatedBatches:          p.Batches,
-		Policies:                  []api.PolicyReport{},
-	}
-	for _, r := range p.Challengers {
-		pct := 0.0
-		if r.Decisions > 0 {
-			pct = 100 * float64(r.Divergences) / float64(r.Decisions)
-		}
-		out.Policies = append(out.Policies, api.PolicyReport{
-			Name:                   r.Name,
-			Policy:                 r.Policy,
-			Decisions:              r.Decisions,
-			Divergences:            r.Divergences,
-			DivergencePct:          pct,
-			Rejections:             r.Rejections,
-			ChampionRejections:     r.ChampionRejections,
-			RejectionDelta:         int64(r.Rejections) - int64(r.ChampionRejections),
-			EnergyWattMinutes:      r.EnergyWattMinutes,
-			EnergyDeltaWattMinutes: r.EnergyWattMinutes - p.EnergyWattMinutes,
-			Residents:              r.Residents,
-			Clock:                  r.Clock,
-		})
-	}
-	out.Count = len(out.Policies)
-	return out
-}
-
 // parseDecisionFilter maps the debug endpoint's query parameters onto an
 // obs.Filter.
 func parseDecisionFilter(r *http.Request) (obs.Filter, error) {
@@ -359,10 +320,10 @@ func parseDecisionFilter(r *http.Request) (obs.Filter, error) {
 		return f, err
 	}
 	switch op := q.Get("op"); op {
-	case "", obs.OpAdmit, obs.OpReject, obs.OpRelease, obs.OpMigrate, obs.OpShadow, obs.OpAdopt:
+	case "", obs.OpAdmit, obs.OpReject, obs.OpRelease, obs.OpMigrate, obs.OpAdopt:
 		f.Op = op
 	default:
-		return f, fmt.Errorf("bad op %q (want admit, reject, release, migrate, adopt or shadow)", op)
+		return f, fmt.Errorf("bad op %q (want admit, reject, release, migrate or adopt)", op)
 	}
 	return f, nil
 }

@@ -300,14 +300,6 @@ func (c *Client) Migrations(ctx context.Context, query string) (*api.MigrationsR
 	return get[api.MigrationsResponse](ctx, c, "/v1/migrations", query)
 }
 
-// Policies fetches the shadow-policy arena readout (GET /v1/policies):
-// per-challenger counterfactual divergence, rejection and energy
-// figures. Works against a vmserve and a vmgate alike — the gate serves
-// the merged, shard-stamped shape on the same path.
-func (c *Client) Policies(ctx context.Context) (*api.PoliciesResponse, error) {
-	return get[api.PoliciesResponse](ctx, c, "/v1/policies", "")
-}
-
 // State fetches the consistent cluster state and its digest (the
 // X-Vmalloc-State-Digest header, equal to api.DigestBytes over the
 // body). Only meaningful against a single vmserve; a vmgate serves an

@@ -119,13 +119,6 @@ type Report struct {
 	FinalResidents int     `json:"finalResidents"`
 	FinalEnergy    float64 `json:"finalEnergyWattMinutes"`
 	StateDigest    string  `json:"stateDigest"`
-
-	// Champion, ArenaBatches and Policies summarise GET /v1/policies
-	// after the run: the shadow arena's per-challenger counterfactual
-	// scoreboard. All empty when the server runs no arena.
-	Champion     string             `json:"champion,omitempty"`
-	ArenaBatches uint64             `json:"arenaEvaluatedBatches,omitempty"`
-	Policies     []api.PolicyReport `json:"policies,omitempty"`
 }
 
 // metricsDeltaKeys are the counter series the human-readable report
@@ -211,18 +204,6 @@ func (r *Report) String() string {
 			if v, ok := r.MetricsDelta[k]; ok {
 				fmt.Fprintf(&b, "  %-42s %+g\n", k, v)
 			}
-		}
-	}
-	if len(r.Policies) > 0 {
-		fmt.Fprintf(&b, "shadow arena: champion %s, %d batches evaluated\n", r.Champion, r.ArenaBatches)
-		for _, p := range r.Policies {
-			name := p.Name
-			if p.Shard != "" {
-				name += "@" + p.Shard
-			}
-			fmt.Fprintf(&b, "  %-24s %-22s div %5.1f%% (%d/%d)  rej %+d  energy %+.1f Wmin\n",
-				name, p.Policy, p.DivergencePct, p.Divergences, p.Decisions,
-				p.RejectionDelta, p.EnergyDeltaWattMinutes)
 		}
 	}
 	fmt.Fprintf(&b, "final state: now=%d residents=%d energy=%.1f Wmin\n", r.FinalNow, r.FinalResidents, r.FinalEnergy)

@@ -209,14 +209,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	rep.FinalResidents = sum.Residents
 	rep.FinalEnergy = sum.TotalEnergy
 	rep.StateDigest = sum.Digest
-	// The arena readout is best-effort: an older server without
-	// GET /v1/policies just leaves the report's arena section empty.
-	if pr, err := r.Client.Policies(ctx); err == nil {
-		rep.Champion = pr.Champion
-		rep.ArenaBatches = pr.EvaluatedBatches
-		rep.Policies = pr.Policies
-	}
-	// Likewise best-effort: per-stage span latencies (queue wait, scan,
+	// Best-effort: per-stage span latencies (queue wait, scan,
 	// fsync, ...) from the server's trace buffer, absent when the server
 	// runs without a span store.
 	if tr, err := r.Client.DebugTraces(ctx, ""); err == nil {

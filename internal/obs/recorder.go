@@ -21,12 +21,6 @@ const (
 	// target, From the source; Reason is set when the migration was
 	// refused as infeasible.
 	OpMigrate = "migrate"
-	// OpShadow is a challenger policy's counterfactual verdict on an
-	// admission, recorded by the shadow arena alongside the champion's
-	// decision: Policy names the challenger, Server its chosen server
-	// (0 = rejected), Champion the live fleet's choice, and Divergent
-	// whether they disagreed.
-	OpShadow = "shadow"
 	// OpAdopt is a VM taken over from another shard during a topology
 	// rebalance, keeping the (start, end) identity its original owner
 	// granted. Server is where it landed; Reason is set when the
@@ -90,14 +84,6 @@ type Decision struct {
 	// the MinCost pass skipped by its run-cost bound is only a candidate.
 	Candidates int64 `json:"candidates,omitempty"`
 	Infeasible int64 `json:"infeasible,omitempty"`
-	// Policy names the challenger behind an OpShadow decision.
-	Policy string `json:"policy,omitempty"`
-	// Champion is the live fleet's server ID for the same admission in
-	// an OpShadow decision (0 = the champion rejected it).
-	Champion int `json:"champion,omitempty"`
-	// Divergent reports whether an OpShadow verdict disagreed with the
-	// champion's.
-	Divergent bool `json:"divergent,omitempty"`
 	// Stages is the per-stage duration breakdown.
 	Stages StageTimings `json:"stages"`
 }
@@ -206,8 +192,6 @@ func (r *FlightRecorder) Dump(log *slog.Logger) int {
 			"from", d.From,
 			"clock", d.Clock,
 			"reason", d.Reason,
-			"policy", d.Policy,
-			"divergent", d.Divergent,
 			"candidates", d.Candidates,
 			"infeasible", d.Infeasible,
 			"queueWait", d.Stages.QueueWait,

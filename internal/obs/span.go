@@ -30,9 +30,6 @@ const (
 	// fsync stages; SpanConsolidate covers a whole consolidation pass.
 	SpanMigrate     = "migrate"
 	SpanConsolidate = "consolidate"
-	// SpanShadowReplay times the replay of one admission batch on every
-	// shadow challenger's replica, inside the batch's lock hold.
-	SpanShadowReplay = "shadow-replay"
 
 	// SpanAdopt is the umbrella over one adoption's commit/journal/fsync
 	// stages on the receiving shard. SpanRebalance covers a whole
@@ -54,7 +51,7 @@ type Span struct {
 	SpanID  string `json:"spanId"`
 	Parent  string `json:"parent,omitempty"`
 	Name    string `json:"name"`
-	// Op is the decision op (admit/reject/release/migrate/shadow) for
+	// Op is the decision op (admit/reject/release/migrate/adopt) for
 	// stage spans, empty for edge/transport spans.
 	Op string `json:"op,omitempty"`
 	// VM and Batch link stage spans back to flight-recorder decisions.
@@ -78,8 +75,7 @@ const DefaultSpanStoreSize = 4096
 
 // SpanStore is a bounded, concurrency-safe ring of recorded spans,
 // newest-wins. A nil *SpanStore is valid and records nothing, so call
-// sites stay unconditional (mirroring arena.Arena and FlightRecorder
-// idioms). Recording is passive: it never influences placements.
+// sites stay unconditional (mirroring the FlightRecorder idiom). Recording is passive: it never influences placements.
 type SpanStore struct {
 	mu  sync.Mutex
 	buf ring[Span]

@@ -230,7 +230,8 @@ func (e *NoCapacityError) Error() string {
 const DefaultDelayPenalty = 50
 
 // PolicyNames lists the names NewPolicy resolves: the accepted values of
-// `vmserve -policy`/`-shadow-policy` and of `vmalloc -online -algo`.
+// `vmserve -policy`, the rows of `vmserve -replay` and the values of
+// `vmalloc -online -algo`.
 func PolicyNames() []string {
 	return []string{"mincost", "delay-aware", "prefer-active", "ffps"}
 }

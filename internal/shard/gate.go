@@ -144,7 +144,6 @@ func (g *Gate) Handler() http.Handler {
 			limit, _ := api.QueryInt(q, "limit", 0) // validated by the check; absent ⇒ 0 ⇒ keep all
 			return MergeMigrations(shards, parts, limit)
 		}))
-	mux.HandleFunc("GET /v1/policies", gatherRoute(g, checkInts(), ignoreQuery(MergePolicies)))
 	mux.HandleFunc("GET /v1/debug/energy", gatherRoute(g, checkInts("since", "limit"), ignoreQuery(MergeEnergy)))
 	mux.HandleFunc("GET /v1/state", g.handleState)
 	mux.HandleFunc("GET /v1/shards", g.handleShards)
@@ -473,7 +472,7 @@ func (g *Gate) handleMigrate(w http.ResponseWriter, r *http.Request) {
 }
 
 // gatherRoute is the one all-or-nothing aggregate route, behind clock,
-// consolidate, migrations, policies and energy: snapshot the topology,
+// consolidate, migrations and energy: snapshot the topology,
 // validate what the gate itself relies on (check sees the body it will
 // forward verbatim — nil on a GET — and the query), gather a T from every
 // active shard with the request forwarded as it came, and answer with

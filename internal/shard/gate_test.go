@@ -11,12 +11,10 @@ import (
 	"testing"
 
 	"vmalloc/internal/api"
-	"vmalloc/internal/arena"
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/model"
 	"vmalloc/internal/obs"
-	"vmalloc/internal/online"
 	"vmalloc/internal/promlint"
 )
 
@@ -45,12 +43,7 @@ func newDeployment(t *testing.T) *testDeployment {
 			}
 		}
 		rec := obs.NewFlightRecorder(64)
-		// Every shard runs one shadow challenger, so the gate tests also
-		// cover the merged /v1/policies and vmalloc_arena_* surfaces.
-		c, err := cluster.Open(cluster.Config{
-			Servers: servers, IdleTimeout: 2, Recorder: rec,
-			Shadows: []arena.Challenger{{Name: "ffps", Policy: online.NewFirstFitPolicy(int64(i + 1))}},
-		})
+		c, err := cluster.Open(cluster.Config{Servers: servers, IdleTimeout: 2, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -631,8 +624,7 @@ func TestGateRequestIDPropagation(t *testing.T) {
 		t.Errorf("gate echoed id %q, want gate-prop-1", got)
 	}
 
-	// The shard's admit decision must carry the same id (its shadow
-	// challenger records its own verdict beside it).
+	// The shard's admit decision must carry the same id.
 	resp, err = http.Get(d.shardSrv["s0"].URL + "/v1/debug/decisions?op=admit&vm=" + fmt.Sprint(id))
 	if err != nil {
 		t.Fatal(err)
@@ -774,78 +766,6 @@ func TestGateMigrationSurface(t *testing.T) {
 	}
 	if gs.Migrations != 2 || gs.MigrationSaved != cres.EnergySavedWattMinutes {
 		t.Errorf("gate state migrations=%d saved=%g, want 2 and %g", gs.Migrations, gs.MigrationSaved, cres.EnergySavedWattMinutes)
-	}
-}
-
-// TestGatePoliciesMerged: the gate unions the shadow-arena scoreboards
-// across shards — every challenger row stamped with its owning shard,
-// rows ordered by (name, shard), batch counts summed — and the shards'
-// common champion reported once.
-func TestGatePoliciesMerged(t *testing.T) {
-	d := newDeployment(t)
-	ids := append(d.idsFor("s0", 6), d.idsFor("s1", 6)...)
-	resp, err := http.Post(d.gateSrv.URL+"/v1/vms", "application/json", strings.NewReader(admitBody(ids)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	// Each shard steps its challenger inside the admission, so both
-	// shards' verdicts have landed once the admit is answered.
-	resp, err = http.Get(d.gateSrv.URL + "/v1/policies")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("policies status %d: %s", resp.StatusCode, body)
-	}
-	var pr api.PoliciesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Count != 2 || pr.Policies[0].Decisions != 6 || pr.Policies[1].Decisions != 6 {
-		t.Fatalf("merged policies have not scored both shards' admissions: %+v", pr)
-	}
-
-	if pr.Champion != "online/mincost" {
-		t.Errorf("merged champion %q, want the shards' common online/mincost", pr.Champion)
-	}
-	if pr.EvaluatedBatches < 2 {
-		t.Errorf("summed evaluated batches %d, want >= 2 (one per shard)", pr.EvaluatedBatches)
-	}
-	for i, want := range []string{"s0", "s1"} {
-		p := pr.Policies[i]
-		if p.Name != "ffps" || p.Shard != want {
-			t.Errorf("row %d = %s@%s, want ffps@%s (ordered by name then shard)", i, p.Name, p.Shard, want)
-		}
-		if p.Policy == "" {
-			t.Errorf("row %d carries no policy implementation name", i)
-		}
-	}
-
-	// The per-shard arena families survive the metrics merge with shard
-	// labels attached.
-	resp, err = http.Get(d.gateSrv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(body)
-	promlint.Lint(t, out)
-	for _, want := range []string{
-		`vmalloc_arena_decisions_total{shard="s0",policy="ffps"} 6`,
-		`vmalloc_arena_decisions_total{shard="s1",policy="ffps"} 6`,
-		`vmalloc_arena_batches_total{shard="s0"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("merged metrics missing %q", want)
-		}
 	}
 }
 

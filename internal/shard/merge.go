@@ -9,9 +9,7 @@ package shard
 
 import (
 	"fmt"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 
 	"vmalloc/internal/api"
@@ -154,39 +152,6 @@ func MergeEnergy(shards []Shard, parts []api.EnergyResponse) api.GateEnergyRespo
 		out.TotalWattMinutes += er.TotalWattMinutes
 		out.Shards = append(out.Shards, api.ShardEnergy{Shard: shards[i].Name, Energy: er})
 	}
-	return out
-}
-
-// MergePolicies folds per-shard arena readouts into one scoreboard:
-// challenger reports stamped with their shard and ordered by (name,
-// shard), champion energy and arena event counters summed, the slowest
-// shard's clock, and the distinct champion names joined with ", ".
-func MergePolicies(shards []Shard, parts []api.PoliciesResponse) api.PoliciesResponse {
-	out := api.PoliciesResponse{Policies: []api.PolicyReport{}}
-	var champions []string
-	for i, p := range parts {
-		if !slices.Contains(champions, p.Champion) {
-			champions = append(champions, p.Champion)
-		}
-		if i == 0 {
-			out.Now = p.Now
-		}
-		out.Now = min(out.Now, p.Now)
-		out.ChampionEnergyWattMinutes += p.ChampionEnergyWattMinutes
-		out.EvaluatedBatches += p.EvaluatedBatches
-		for _, r := range p.Policies {
-			r.Shard = shards[i].Name
-			out.Policies = append(out.Policies, r)
-		}
-	}
-	out.Champion = strings.Join(champions, ", ")
-	sort.Slice(out.Policies, func(a, b int) bool {
-		if out.Policies[a].Name != out.Policies[b].Name {
-			return out.Policies[a].Name < out.Policies[b].Name
-		}
-		return out.Policies[a].Shard < out.Policies[b].Shard
-	})
-	out.Count = len(out.Policies)
 	return out
 }
 

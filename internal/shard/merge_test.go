@@ -118,34 +118,6 @@ func TestMergeConsolidate(t *testing.T) {
 	}
 }
 
-func TestMergePolicies(t *testing.T) {
-	empty := MergePolicies(nil, nil)
-	if empty.Policies == nil || empty.Count != 0 || empty.Champion != "" {
-		t.Fatalf("empty merge = %+v", empty)
-	}
-	got := MergePolicies(named("b", "a", "c"), []api.PoliciesResponse{
-		{Champion: "online/mincost", ChampionEnergyWattMinutes: 10, Now: 50, EvaluatedBatches: 3,
-			Policies: []api.PolicyReport{{Name: "ffps", Decisions: 5}, {Name: "delay", Decisions: 6}}},
-		{Champion: "online/mincost", ChampionEnergyWattMinutes: 5, Now: 40, EvaluatedBatches: 2,
-			Policies: []api.PolicyReport{{Name: "ffps", Decisions: 7}}},
-		{Champion: "online/ffps", ChampionEnergyWattMinutes: 1, Now: 45, EvaluatedBatches: 1},
-	})
-	// Champion names de-duplicate in first-seen order.
-	if got.Champion != "online/mincost, online/ffps" {
-		t.Fatalf("champion %q", got.Champion)
-	}
-	if got.Now != 40 || got.ChampionEnergyWattMinutes != 16 || got.EvaluatedBatches != 6 {
-		t.Fatalf("folded = %+v", got)
-	}
-	var rows []string
-	for _, p := range got.Policies {
-		rows = append(rows, p.Name+"@"+p.Shard)
-	}
-	if strings.Join(rows, " ") != "delay@b ffps@a ffps@b" || got.Count != 3 {
-		t.Fatalf("rows %v count %d, want (name, shard) order", rows, got.Count)
-	}
-}
-
 func TestMergeTraces(t *testing.T) {
 	if got := MergeTraces(nil, nil); got.Traces == nil || got.Count != 0 || got.Spans != 0 {
 		t.Fatalf("empty merge = %+v", got)
