@@ -3,7 +3,6 @@ package timeline
 import (
 	"cmp"
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -142,20 +141,17 @@ func TestLedgerVsProfileOracle(t *testing.T) {
 }
 
 // rebuildBySort is the ledger's original compile, kept as the oracle for
-// TestLedgerMatchesRebuild and FuzzLedgerOps: walk the reservation map,
+// TestLedgerMatchesRebuild and FuzzLedgerOps: walk the live reservations,
 // emit two marks per entry, sort them in the fixed (t, end, id) order, then
 // accumulate. The ledger keeps its marks in that order across mutations
 // instead; both must sum the same floats in the same sequence.
-func (l *Ledger) rebuildBySort() {
-	l.times = l.times[:0]
-	l.cpu = l.cpu[:0]
-	l.mem = l.mem[:0]
-	l.sum = Summary{End: -1}
-	if len(l.entries) == 0 {
-		return
+func rebuildBySort(live map[int]Reservation) *Ledger {
+	l := &Ledger{sum: Summary{End: -1}}
+	if len(live) == 0 {
+		return l
 	}
-	marks := l.marks[:0]
-	for id, r := range l.entries {
+	var marks []mark
+	for id, r := range live {
 		marks = append(marks,
 			mark{t: r.Interval.Start, id: id, cpu: r.CPU, mem: r.Mem},
 			mark{t: r.Interval.End + 1, id: id, end: true, cpu: -r.CPU, mem: -r.Mem},
@@ -175,7 +171,6 @@ func (l *Ledger) rebuildBySort() {
 		}
 		return cmp.Compare(a.id, b.id)
 	})
-	l.marks = marks
 	var curCPU, curMem float64
 	for i := 0; i < len(marks); {
 		t := marks[i].t
@@ -210,6 +205,7 @@ func (l *Ledger) rebuildBySort() {
 	}
 	l.sum.Start = l.times[0]
 	l.sum.End = l.times[len(l.times)-1] - 1
+	return l
 }
 
 // ledgerDemands are Table I/II figures (GB and compute units). Demands past
@@ -232,14 +228,28 @@ type ledgerOp struct {
 	cpu, mem   float64
 }
 
-func (op ledgerOp) apply(l *Ledger) {
+// apply runs op on l and on live, the test's own map of the reservations
+// l should hold.
+func (op ledgerOp) apply(l *Ledger, live map[int]Reservation) {
 	switch op.kind {
 	case 0:
-		l.Add(op.id, Reservation{Interval: Interval{Start: op.start, End: op.end}, CPU: op.cpu, Mem: op.mem})
+		r := Reservation{Interval: Interval{Start: op.start, End: op.end}, CPU: op.cpu, Mem: op.mem}
+		l.Add(op.id, r)
+		live[op.id] = r
 	case 1:
 		l.Remove(op.id)
+		delete(live, op.id)
 	default:
 		l.Truncate(op.id, op.end)
+		r, ok := live[op.id]
+		switch {
+		case !ok:
+		case op.end < r.Interval.Start:
+			delete(live, op.id)
+		case op.end < r.Interval.End:
+			r.Interval.End = op.end
+			live[op.id] = r
+		}
 	}
 }
 
@@ -253,13 +263,24 @@ func summaryBits(s Summary) [10]uint64 {
 	}
 }
 
-// checkAgainstRebuild compiles a fresh ledger over l's reservations with
+// checkAgainstRebuild compiles a fresh ledger over live with
 // rebuildBySort and requires l's step function and summary to equal it
-// bit for bit.
-func checkAgainstRebuild(t *testing.T, l *Ledger, step int, op ledgerOp) {
+// bit for bit, and Len and Get of every ID up to maxID to answer as live
+// does.
+func checkAgainstRebuild(t *testing.T, l *Ledger, live map[int]Reservation, maxID, step int, op ledgerOp) {
 	t.Helper()
-	o := &Ledger{entries: maps.Clone(l.entries)}
-	o.rebuildBySort()
+	if l.Len() != len(live) {
+		t.Fatalf("step %d %+v: Len %d, want %d", step, op, l.Len(), len(live))
+	}
+	for id := 1; id <= maxID; id++ {
+		got, ok := l.Get(id)
+		want, wantOK := live[id]
+		if ok != wantOK || got.Interval != want.Interval ||
+			math.Float64bits(got.CPU) != math.Float64bits(want.CPU) || math.Float64bits(got.Mem) != math.Float64bits(want.Mem) {
+			t.Fatalf("step %d %+v: Get(%d) = %+v, %v; want %+v, %v", step, op, id, got, ok, want, wantOK)
+		}
+	}
+	o := rebuildBySort(live)
 	if !slices.Equal(l.times, o.times) {
 		t.Fatalf("step %d %+v: times %v, oracle %v", step, op, l.times, o.times)
 	}
@@ -285,18 +306,18 @@ func checkAgainstRebuild(t *testing.T, l *Ledger, step int, op ledgerOp) {
 func TestLedgerMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		l := NewLedger()
+		l, live := NewLedger(), map[int]Reservation{}
 		for step := 0; step < 400; step++ {
 			// Half the ops are Adds over 14 IDs: most replace a live one,
 			// and Remove and Truncate often name an absent one.
 			op := ledgerOp{kind: [4]int{0, 0, 1, 2}[rng.Intn(4)], id: 1 + rng.Intn(14)}
-			r, live := l.Get(op.id)
+			r, held := live[op.id]
 			switch {
 			case op.kind == 0:
 				op.start = 1 + rng.Intn(60)
 				op.end = op.start + rng.Intn(25)
 				op.cpu, op.mem = ledgerDemand(rng.Intn(200)), ledgerDemand(rng.Intn(200))
-			case op.kind == 2 && live:
+			case op.kind == 2 && held:
 				switch rng.Intn(4) {
 				case 0: // inside
 					op.end = r.Interval.Start + rng.Intn(r.Interval.End-r.Interval.Start+1)
@@ -310,8 +331,8 @@ func TestLedgerMatchesRebuild(t *testing.T) {
 			case op.kind == 2:
 				op.end = rng.Intn(90)
 			}
-			op.apply(l)
-			checkAgainstRebuild(t, l, step, op)
+			op.apply(l, live)
+			checkAgainstRebuild(t, l, live, 14, step, op)
 		}
 	}
 }
@@ -322,7 +343,7 @@ func FuzzLedgerOps(f *testing.F) {
 	f.Add([]byte{0, 5, 10, 0, 1, 3, 5, 4, 2, 3, 6, 5, 0, 0, 0, 1, 0, 0, 0, 0})
 	f.Add([]byte{0, 1, 1, 40, 60, 3, 1, 9, 70, 80, 6, 2, 50, 0, 2, 5, 1, 30, 1, 1, 2, 1, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		l := NewLedger()
+		l, live := NewLedger(), map[int]Reservation{}
 		for i := 0; i+5 <= len(data); i += 5 {
 			b := data[i : i+5]
 			op := ledgerOp{kind: int(b[0]) % 3, id: 1 + int(b[0])/3%16}
@@ -334,8 +355,8 @@ func FuzzLedgerOps(f *testing.F) {
 			case 2:
 				op.end = int(b[1]) % 100
 			}
-			op.apply(l)
-			checkAgainstRebuild(t, l, i/5, op)
+			op.apply(l, live)
+			checkAgainstRebuild(t, l, live, 16, i/5, op)
 		}
 	})
 }
