@@ -158,10 +158,9 @@ func (f *FleetView) add(i, id int, r timeline.Reservation) {
 // started), which the caller must schedule for cleanup.
 func (f *FleetView) truncate(i, id, newEnd int) (kept bool) {
 	l := f.units[i].res
-	l.Truncate(id, newEnd)
+	r, ok := l.Truncate(id, newEnd)
 	f.rows[i].sum = l.Summary()
-	_, kept = l.Get(id)
-	return kept
+	return ok && newEnd >= r.Interval.Start
 }
 
 func (f *FleetView) remove(i, id int) {
