@@ -92,11 +92,11 @@ func encodeBinaryRecord(buf []byte, r record) []byte {
 }
 
 // decodeBinaryRecord parses one CRC-verified payload into *r, overwriting
-// every field. Trailing bytes after the record's last field are
-// corruption, not padding: the CRC matched, so the writer really framed
-// those bytes, and this decoder does not know them.
-func decodeBinaryRecord(payload []byte, r *record) error {
-	d := binDecoder{b: payload}
+// every field, its strings interned in names. Trailing bytes after the
+// record's last field are corruption, not padding: the CRC matched, so the
+// writer really framed those bytes, and this decoder does not know them.
+func decodeBinaryRecord(payload []byte, r *record, names *internTable) error {
+	d := binDecoder{b: payload, names: names}
 	*r = record{}
 	r.Seq = int64(d.uvarint())
 	r.Op = op(d.byte())
@@ -144,7 +144,9 @@ func decodeBinaryRecord(payload []byte, r *record) error {
 // prefix of the magic (an interrupted first write), is an empty log; any
 // other header is not a journal this build wrote. Then each frame's CRC
 // is checked, its payload decoded into one reused record, and that record
-// handed to visit, in log order; the first fault — in the log, or visit's
+// handed to visit, in log order (its strings interned for this read, so
+// the few VM type and policy names a log repeats cost one allocation each,
+// not one per record); the first fault — in the log, or visit's
 // refusal — ends the stream and is returned. Otherwise it returns the byte
 // offset up to which the file is clean: a frame that does not end by
 // size, or a final frame that fails its CRC, is a torn tail past it.
@@ -159,7 +161,10 @@ func readBinaryRecords(r io.Reader, size int64, visit func(*record) error) (int6
 	case !bytes.HasPrefix(head, binMagic):
 		return 0, fmt.Errorf("%w: unrecognised journal header %q", ErrCorruptJournal, head)
 	}
-	var rec record
+	var (
+		rec   record
+		names internTable
+	)
 	// peeked counts the buffered bytes already used, discarded only when
 	// the next frame is read.
 	off, peeked := int64(len(binMagic)), len(binMagic)
@@ -194,7 +199,7 @@ func readBinaryRecords(r io.Reader, size int64, visit func(*record) error) (int6
 			}
 			return 0, fmt.Errorf("%w: binary record at byte %d fails its checksum", ErrCorruptJournal, off)
 		}
-		if err := decodeBinaryRecord(frame[8:], &rec); err != nil {
+		if err := decodeBinaryRecord(frame[8:], &rec, &names); err != nil {
 			// The CRC matched, so this is not an interrupted write — the
 			// log holds a frame this reader cannot understand.
 			return 0, fmt.Errorf("%w: binary record at byte %d: %v", ErrCorruptJournal, off, err)
@@ -216,11 +221,39 @@ func appendBinFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
+// internTable hands out one string per distinct short name a read
+// decodes. Its size is fixed: once full, or for a longer string, a decode
+// allocates as if there were no table, so a log of ever-new names cannot
+// grow it.
+type internTable struct {
+	names [16]string
+	n     int
+}
+
+// maxInternLen bounds the strings an internTable keeps; Table I's longest
+// type name is 18 bytes.
+const maxInternLen = 32
+
+func (t *internTable) intern(b []byte) string {
+	for _, s := range t.names[:t.n] {
+		if s == string(b) {
+			return s
+		}
+	}
+	s := string(b)
+	if t.n < len(t.names) && len(b) <= maxInternLen {
+		t.names[t.n] = s
+		t.n++
+	}
+	return s
+}
+
 // binDecoder reads the varint-packed payload fields, latching the first
-// error so call sites stay linear.
+// error so call sites stay linear. Strings come from names.
 type binDecoder struct {
-	b   []byte
-	err error
+	b     []byte
+	err   error
+	names *internTable
 }
 
 func (d *binDecoder) fail() {
@@ -271,9 +304,9 @@ func (d *binDecoder) string() string {
 		d.fail()
 		return ""
 	}
-	s := string(d.b[:n])
+	b := d.b[:n]
 	d.b = d.b[n:]
-	return s
+	return d.names.intern(b)
 }
 
 func (d *binDecoder) float() float64 {

@@ -166,7 +166,7 @@ func goldenLine(policy string, seed int64, o scriptOutcome) string {
 
 // scriptPolicy builds the named online policy for one script run; ffps
 // draws its probe orders from the script's seed.
-func scriptPolicy(t *testing.T, name string, seed int64) online.Policy {
+func scriptPolicy(t testing.TB, name string, seed int64) online.Policy {
 	t.Helper()
 	p, err := online.NewPolicy(name, online.DefaultDelayPenalty, seed)
 	if err != nil {

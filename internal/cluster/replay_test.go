@@ -28,7 +28,7 @@ const replayGoldenPath = "testdata/replay.golden"
 
 // registryPolicies builds every online.NewPolicy name, ffps drawing from
 // seed, in online.PolicyNames order.
-func registryPolicies(t *testing.T, seed int64) []online.Policy {
+func registryPolicies(t testing.TB, seed int64) []online.Policy {
 	t.Helper()
 	var out []online.Policy
 	for _, name := range online.PolicyNames() {

@@ -28,6 +28,7 @@ LEDGER=(
 	'gate      internal/shard       GateAdmit                    1,2,4'
 	'commit    internal/cluster     AdmitDurable/callers=(1|32)$ 1,2,4'
 	'restart   internal/cluster     Restore'
+	'restart   internal/cluster     Replay'
 	'telemetry internal/cluster     SampleEnergy'
 	'telemetry internal/obs         NewSpanID'
 )
