@@ -119,7 +119,7 @@ func Replay(dir string, servers []model.Server, idleTimeout int, policies []onli
 	for i, fl := range fleets {
 		rows[i].Policy = policies[i].Name()
 		rows[i].EnergyWattMinutes = fl.EnergyAt(fl.Now()).Total()
-		rows[i].Residents = len(fl.Residents())
+		rows[i].Residents = fl.NumResidents()
 		rows[i].Clock = fl.Now()
 	}
 	return rows, nil
