@@ -99,7 +99,7 @@ func curveEvaluateServer(s model.Server, vms []model.VM, c Curve) Breakdown {
 	scaled := s
 	scaled.PIdle = s.PIdle * (1 - c.IdleScale)
 	active := ActiveIntervals(scaled, &busy)
-	use := model.Usage(vms)
+	use := model.Usage(nil, vms)
 	var b Breakdown
 	for _, iv := range active {
 		for t := iv.Start; t <= iv.End; t++ {

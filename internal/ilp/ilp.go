@@ -35,8 +35,10 @@ func CheckPlacement(inst model.Instance, placement map[int]int) error {
 	if err != nil {
 		return fmt.Errorf("ilp: %w (Eq. 11)", err)
 	}
+	var use []model.Resources // one horizon of sums, reused server after server
 	for i, vms := range byServer {
-		if err := CheckServer(inst.Servers[i], vms); err != nil {
+		use = model.Usage(use, vms)
+		if err := checkUsage(inst.Servers[i], use); err != nil {
 			return err
 		}
 	}
@@ -49,7 +51,12 @@ const tol = 1e-9
 // CheckServer checks Eq. 9–10 for server s hosting the (valid) VMs vms: at
 // every minute their summed CPU and memory demand stays within capacity.
 func CheckServer(s model.Server, vms []model.VM) error {
-	for t, u := range model.Usage(vms) {
+	return checkUsage(s, model.Usage(nil, vms))
+}
+
+// checkUsage checks Eq. 9–10 for server s against its per-minute usage.
+func checkUsage(s model.Server, use []model.Resources) error {
+	for t, u := range use {
 		if u.CPU > s.Capacity.CPU+tol {
 			return fmt.Errorf("ilp: server %d CPU over capacity at t=%d: %.3f > %.3f (Eq. 9)",
 				s.ID, t, u.CPU, s.Capacity.CPU)

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"vmalloc/internal/core"
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
+	"vmalloc/internal/workload"
 )
 
 func srv(id int, cpu, mem, pIdle, pPeak, trans float64) model.Server {
@@ -50,6 +52,38 @@ func TestCheckPlacementAcceptsValid(t *testing.T) {
 	}
 	if err := CheckPlacement(inst, res.Placement); err != nil {
 		t.Errorf("valid placement rejected: %v", err)
+	}
+}
+
+// TestCheckPlacementBytes bounds what CheckPlacement allocates on the
+// offline-mincost shape (5,000 VMs on 500 servers, a 936-minute horizon)
+// to 256 B a VM plus one horizon of sums: every server is summed into one
+// reused buffer, and what is left is the ID sets and the per-server
+// groups. With one horizon array per used server the call took 4.49 MB;
+// now it takes ≈1.0 MB.
+func TestCheckPlacementBytes(t *testing.T) {
+	inst, err := workload.Generate(workload.Spec{NumVMs: 5000, MeanInterArrival: 0.1, MeanLength: 60},
+		workload.FleetSpec{NumServers: 500, TransitionTime: 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.NewMinCost().Allocate(context.Background(), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 { // the least of three, against other goroutines' allocations
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := CheckPlacement(inst, res.Placement)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if bound := uint64(256*len(inst.VMs) + 16*(inst.Horizon+1)); least > bound {
+		t.Errorf("CheckPlacement allocates %d B, want at most %d", least, bound)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Resources is a CPU/memory pair, used both for VM demands and server
@@ -75,16 +76,19 @@ func (v VM) Validate() error {
 }
 
 // Usage returns the summed demand of vms at every minute, indexed by minute
-// up to the latest End: Usage(vms)[t] is the direct sum, in slice order, of
-// the demands of the VMs running at t. A minute with nothing running is
-// exactly zero (no running total leaves residue there). The VMs must be
+// up to the latest End: Usage(buf, vms)[t] is the direct sum, in slice
+// order, of the demands of the VMs running at t. A minute with nothing
+// running is exactly zero (no running total leaves residue there). The
+// answer reuses buf's storage when it is large enough, so a caller that
+// sums server after server passes the last answer back in. The VMs must be
 // valid (VM.Validate).
-func Usage(vms []VM) []Resources {
+func Usage(buf []Resources, vms []VM) []Resources {
 	last := 0
 	for _, v := range vms {
 		last = max(last, v.End)
 	}
-	use := make([]Resources, last+1)
+	use := slices.Grow(buf[:0], last+1)[:last+1]
+	clear(use)
 	for _, v := range vms {
 		for t := v.Start; t <= v.End; t++ {
 			use[t] = use[t].Add(v.Demand)

@@ -57,25 +57,32 @@ func TestResourcesAddSubRoundTrip(t *testing.T) {
 }
 
 // TestUsage: each minute is the direct sum of the demands running then, so
-// the minutes after the last VM ends are exactly zero.
+// the minutes after the last VM ends are exactly zero, also when the sums
+// reuse a longer buffer that holds another server's.
 func TestUsage(t *testing.T) {
 	a, b, c := Resources{CPU: 0.1, Mem: 0.7}, Resources{CPU: 0.2, Mem: 1.7}, Resources{CPU: 3.75, Mem: 7.5}
-	use := Usage([]VM{
+	vms := []VM{
 		{ID: 1, Demand: a, Start: 2, End: 3},
 		{ID: 2, Demand: b, Start: 3, End: 5},
 		{ID: 3, Demand: c, Start: 7, End: 7},
-	})
-	want := []Resources{{}, {}, a, a.Add(b), b, b, {}, c}
-	if len(use) != len(want) {
-		t.Fatalf("Usage has %d minutes, want %d", len(use), len(want))
 	}
-	for m := range want {
-		if use[m] != want[m] {
-			t.Errorf("minute %d: %v, want %v", m, use[m], want[m])
+	want := []Resources{{}, {}, a, a.Add(b), b, b, {}, c}
+	dirty := Usage(nil, []VM{{ID: 4, Demand: c, Start: 1, End: 12}})
+	for name, use := range map[string][]Resources{"fresh": Usage(nil, vms), "reused": Usage(dirty, vms)} {
+		if len(use) != len(want) {
+			t.Fatalf("%s: Usage has %d minutes, want %d", name, len(use), len(want))
+		}
+		for m := range want {
+			if use[m] != want[m] {
+				t.Errorf("%s: minute %d: %v, want %v", name, m, use[m], want[m])
+			}
 		}
 	}
-	if len(Usage(nil)) != 1 {
-		t.Error("Usage(nil) is not the single minute 0")
+	if &dirty[0] != &Usage(dirty, vms)[0] {
+		t.Error("Usage did not reuse a buffer long enough")
+	}
+	if len(Usage(nil, nil)) != 1 {
+		t.Error("Usage(nil, nil) is not the single minute 0")
 	}
 }
 
