@@ -80,10 +80,10 @@ loc:
 # (find, insertMarks, deleteMarks and an inlined search replace the
 # reservation map and the generic binary search), the journal reader
 # interns the names it decodes in a fixed table, and model.Usage sums
-# into a buffer its caller passes back. Last lowered by 425: counterfactuals are replayed offline from the
-# journal directory (cluster.Replay, vmserve -replay), so the in-process
-# shadow arena, GET /v1/policies and the -shadow-policy flag are gone.
-LOC_MAX = 19447
+# into a buffer its caller passes back. Last lowered by 128: Admit places
+# on its caller's goroutine under c.mu like every other mutation, so the
+# admission dispatcher, its channels and the cross-call batch are gone.
+LOC_MAX = 19319
 
 # fence keeps the doubles PRs 12–17 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),
@@ -116,7 +116,10 @@ LOC_MAX = 19447
 # queue in the live fleet that boxes nothing (online.eventQueue is a typed
 # heap; non-test internal/online imports no container/heap), one §IV-B
 # request draw (workload.DiurnalSpec.Draw; non-test internal/loadgen names
-# no ExpFloat64 or math.Sin), short CHANGES.md lines
+# no ExpFloat64 or math.Sin), one way to mutate the cluster (Admit, like
+# every other mutation, runs on its caller's goroutine under c.mu: non-test
+# internal/cluster/admit.go starts no goroutine and names no chan), short
+# CHANGES.md lines
 # (ROADMAP item 16 (c): none over 2 kB after the marker; a line cites
 # BENCH_TRAJECTORY.json rows instead of inlining runs), and a size ceiling.
 CLUSTER_SRC = $(filter-out %_test.go,$(wildcard internal/cluster/*.go))
@@ -166,6 +169,8 @@ fence:
 		|| { echo 'fence: the fleet event queue is the typed online.eventQueue; container/heap boxes every event'; exit 1; }
 	@! grep -n -e 'ExpFloat64' -e 'math\.Sin' $(LOADGEN_SRC) \
 		|| { echo 'fence: loadgen draws its requests through workload.DiurnalSpec.Draw, not an arrival loop of its own'; exit 1; }
+	@! grep -nE '^\s*go |\bchan\b' internal/cluster/admit.go \
+		|| { echo 'fence: Admit places on its caller'"'"'s goroutine under c.mu; admit.go starts no goroutine and has no channel'; exit 1; }
 	@LC_ALL=C awk 'marked && length($$0) > 2048 { print "CHANGES.md:" NR ": " length($$0) " bytes"; long = 1 } /^<!-- short lines below/ { marked = 1 } \
 		END { exit long || !marked }' CHANGES.md \
 		|| { echo 'fence: CHANGES.md lines after the short-lines marker are at most 2 kB; cite BENCH_TRAJECTORY.json rows'; exit 1; }

@@ -671,7 +671,7 @@ func TestRunVersion(t *testing.T) {
 	}
 }
 
-// TestRunRemovedFlag: the dispatcher is self-clocked, the admission scan
+// TestRunRemovedFlag: admission waits on no timer, the admission scan
 // is one sequential pass and counterfactuals are replayed from the
 // journal, so the flags that set the batch timer, the scan's worker pool
 // and the in-process shadow policies are usage errors, not silent no-ops.

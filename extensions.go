@@ -44,9 +44,9 @@ func NewOnlineFirstFit(opts ...Option) OnlinePolicy {
 func OnlineArrivalOrder(vms []VM) []VM { return online.ArrivalOrder(vms) }
 
 // Long-running allocation service — see internal/cluster. A Cluster wraps
-// a live fleet and an online policy behind a concurrency-safe API with
-// micro-batched admission, a journal + snapshot durability layer, and
-// Prometheus metrics; cmd/vmserve serves it over HTTP.
+// a live fleet and an online policy behind a concurrency-safe API (every
+// call places on its caller's goroutine under one lock), a journal +
+// snapshot durability layer with group commit, and Prometheus metrics; cmd/vmserve serves it over HTTP.
 type (
 	// Cluster is the long-running allocation service.
 	Cluster = cluster.Cluster

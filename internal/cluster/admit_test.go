@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,5 +187,54 @@ func TestConcurrentAdmitsAreSerial(t *testing.T) {
 	}
 	if len(recs) != len(got) {
 		t.Errorf("%d admissions journaled, %d answered", len(recs), len(got))
+	}
+}
+
+// BenchmarkAdmitDurable is the admission path end to end in process:
+// single-VM admits from concurrent callers into a journaled cluster with
+// fsync on. The clock moves a minute every 200 admissions so the 64-server
+// fleet never fills.
+func BenchmarkAdmitDurable(b *testing.B) {
+	for _, callers := range []int{1, 2, 8, 32} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			c, err := Open(Config{Servers: testServers(64), IdleTimeout: 2, Dir: b.TempDir()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			var next, accepted atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for w := 0; w < callers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						k := next.Add(1)
+						if k > int64(b.N) {
+							return
+						}
+						if k%200 == 0 {
+							if err := c.AdvanceTo(int(k / 200)); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+						adms, err := c.Admit(context.Background(), []api.AdmitRequest{
+							{ID: int(k), Demand: model.Resources{CPU: 1, Mem: 1.7}, DurationMinutes: 1},
+						})
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						if adms[0].Accepted {
+							accepted.Add(1)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.ReportMetric(float64(accepted.Load())/b.Elapsed().Seconds(), "vms/s")
+		})
 	}
 }

@@ -619,10 +619,11 @@ func TestZeroByteJournalIsAnEmptyLog(t *testing.T) {
 }
 
 // TestGroupCommitCounters drives sequential admits through a real
-// fsync-on journal and checks the group-commit accounting: every batch
-// commit is acknowledged by a flush, and the flush count never exceeds
-// the commit count. (Concurrent admits micro-batch into fewer commits,
-// so the sequential stream is the deterministic way to count; actual
+// fsync-on journal and checks the group-commit accounting: every Admit
+// call's commit is acknowledged by a flush, and the flush count never
+// exceeds the commit count. (How many flushes concurrent admits share
+// depends on timing, so the sequential stream is the deterministic way
+// to count; actual
 // fsync sharing under concurrency is pinned by
 // TestGroupCommitCrashImage and the benchmark's
 // cluster.group_commit_vms_per_s_c32 probe.)

@@ -4,19 +4,18 @@
 // requests (singly or in batches), release them early, advance the fleet
 // clock, and read a consistent state snapshot at any moment.
 //
-// Admissions are micro-batched: the Admit calls that queued while the
-// dispatcher was busy with the previous batch are taken together, ordered
-// deterministically by (start, ID), and placed one VM at a time by the
-// policy's own sequential pass over the fleet's row table, so a batch's
-// placements are byte-identical to admitting its requests sequentially in
-// that order.
+// Every mutation, Admit included, runs on the caller's goroutine under
+// one lock, so the journal order is the serial order. An Admit call
+// orders its own requests by (start, ID) and places them one VM at a time
+// by the policy's own sequential pass over the fleet's row table, each
+// against the fleet its predecessors left.
 //
 // Durability is an append-only journal of CRC-framed binary records plus
 // periodic snapshots (see journal.go). Appended records are made
-// durable by group commit: a batch's fsync wait happens off the
-// dispatcher goroutine, so the next batch's candidate scan overlaps it
-// and concurrent batches share one disk flush; an admission is
-// acknowledged only after the flush covering it completes. Reopening a
+// durable by group commit: an Admit call waits for its fsync off the
+// lock, so the next caller's candidate scan overlaps it and concurrent
+// calls share one disk flush; an admission is acknowledged only after
+// the flush covering it completes. Reopening a
 // journal directory replays the log on top of the snapshot and
 // reconstructs the exact pre-crash state, tolerating a torn final
 // record. A journal write failure is sticky (ErrJournalBroken): the
@@ -72,12 +71,12 @@ var ErrCorruptJournal = errors.New("cluster: corrupt journal")
 // ErrJournalBroken is wrapped by every mutating call after a journal write
 // fails. The failure is sticky: the cluster refuses further mutations, so
 // the log never grows past the hole and a restart always recovers the
-// journaled prefix exactly. An append failure stops its batch on the spot;
-// a group-commit fsync failure turns sticky when the flush outcome is
-// observed, so a batch pipelined behind the failing flush may still have
-// appended — its records extend the journaled prefix in order (replay
-// stays consistent), and its clients see this error unless a flush
-// covering their records completed. A subsequent successful Snapshot
+// journaled prefix exactly. An append failure stops its Admit call on the
+// spot; a group-commit fsync failure turns sticky when the flush outcome
+// is observed, so a call that took the lock behind the failing flush may
+// still have appended — its records extend the journaled prefix in order
+// (replay stays consistent), and its clients see this error unless a
+// flush covering their records completed. A subsequent successful Snapshot
 // (which captures the full in-memory state and compacts the log) heals the
 // cluster and re-enables mutation.
 var ErrJournalBroken = errors.New("cluster: journal broken")
@@ -146,10 +145,10 @@ type Config struct {
 	// IdleTimeout follows online.Engine.IdleTimeout: minutes an empty
 	// active server waits before sleeping; negative never, 0 immediately.
 	IdleTimeout int
-	// BatchWindow is inert: the dispatcher is self-clocked and never waits
-	// on a timer. The field survives only because bench/probe_cluster.go
-	// names it in a struct literal and a PR that claims a gain may not edit
-	// bench/; the next benchmark PR drops that line, then this field goes.
+	// BatchWindow is inert: Admit places on the caller's goroutine and
+	// never waits on a timer. The field survives only because
+	// bench/probe_cluster.go names it in a struct literal; the next change
+	// to the benchmark drops that line, then this field goes.
 	BatchWindow time.Duration
 	// Dir is the journal directory. Empty means volatile: no journal, no
 	// snapshots, state dies with the process.
@@ -236,12 +235,8 @@ type Cluster struct {
 	classNames []string
 	classUse   []obs.ClassUsage
 
-	admitCh chan *admitCall
-	stopCh  chan struct{}
-	doneCh  chan struct{}
-	// inflight counts batches whose group-commit wait still runs after
-	// processBatch returned; Close waits for them before closing the
-	// journal.
+	// inflight counts Admit calls waiting for their group commit off the
+	// lock; Close waits for them before closing the journal.
 	inflight  sync.WaitGroup
 	closeOnce sync.Once
 	closeErr  error
@@ -274,15 +269,12 @@ func Open(cfg Config) (*Cluster, error) {
 		cfg.SnapshotEvery = DefaultSnapshotEvery
 	}
 	c := &Cluster{
-		cfg:     cfg,
-		policy:  cfg.Policy,
-		rec:     cfg.Recorder,
-		log:     cfg.Logger,
-		nextID:  1,
-		admitCh: make(chan *admitCall),
-		stopCh:  make(chan struct{}),
-		doneCh:  make(chan struct{}),
-		met:     newMetrics(),
+		cfg:    cfg,
+		policy: cfg.Policy,
+		rec:    cfg.Recorder,
+		log:    cfg.Logger,
+		nextID: 1,
+		met:    newMetrics(),
 	}
 	if c.log == nil {
 		c.log = obs.NopLogger()
@@ -295,7 +287,6 @@ func Open(cfg Config) (*Cluster, error) {
 	} else if err := c.restore(); err != nil {
 		return nil, err
 	}
-	go c.dispatch()
 	return c, nil
 }
 
@@ -432,19 +423,19 @@ func (c *Cluster) maybeSnapshotLocked() {
 	c.snapshotLocked() //nolint:errcheck // counted in snapshotErrors
 }
 
-// Close stops the dispatcher, takes a final snapshot, and closes the
-// journal. It is idempotent; concurrent Admit calls receive ErrClosed.
+// Close refuses further mutations, takes a final snapshot, and closes the
+// journal. It is idempotent; later mutating calls receive ErrClosed.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
-		close(c.stopCh)
-		<-c.doneCh
-		// The dispatcher has exited, so no new batches start; wait for
-		// in-flight group commits so every batch is acknowledged and the
-		// journal is quiescent before it closes.
+		c.mu.Lock()
+		c.closed = true
+		c.mu.Unlock()
+		// No Admit call starts a commit now; wait for those in flight so
+		// every admission is acknowledged and the journal is quiescent
+		// before it closes.
 		c.inflight.Wait()
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		c.closed = true
 		var errs []error
 		if c.jr != nil {
 			if err := c.snapshotLocked(); err != nil {

@@ -23,8 +23,6 @@ import (
 // simulating a process kill mid-flight.
 func (c *Cluster) crash() {
 	c.closeOnce.Do(func() {
-		close(c.stopCh)
-		<-c.doneCh
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.closed = true

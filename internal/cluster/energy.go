@@ -80,8 +80,8 @@ func (c *Cluster) indexClasses() {
 
 // stageClock carries the start instant of each timed pipeline stage of
 // one decision, zero when the stage did not run. entered is when the call
-// entered the cluster: decode ended there and, for an admission, the
-// micro-batch queue wait started.
+// entered the cluster: decode ended there and, for an admission, the wait
+// for the cluster lock started.
 type stageClock struct {
 	entered, scan, commit, journal, sync time.Time
 }

@@ -82,7 +82,7 @@ func (m *fleetMirror) release(id int) (online.PlacedVM, bool) {
 // TestClusterMatchesFleetMetamorphic drives seeded random
 // admit/release/advance sequences through a volatile Cluster and the
 // bare-fleet mirror, and demands identical behaviour op by op and in the
-// final accounting — the cluster's service layer (batching, dispatch,
+// final accounting — the cluster's service layer (the lock, per-call ordering,
 // journaling hooks) must be semantically invisible.
 func TestClusterMatchesFleetMetamorphic(t *testing.T) {
 	types := model.VMTypeCatalog()

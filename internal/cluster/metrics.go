@@ -32,11 +32,12 @@ type metrics struct {
 	// consolidateSeconds observes each consolidation pass's wall time
 	// (planning and execution, under the cluster lock).
 	consolidateSeconds *obs.Histogram
-	// queueWaitSeconds observes, per Admit call, how long the call sat in
-	// the micro-batch queue before its batch started; fsyncSeconds
-	// observes every wait for a covering journal flush — each batch's
-	// group commit (the flush already in flight plus the one covering the
-	// batch) and each synchronous mutation's own (commitLocked). Both are
+	// queueWaitSeconds observes, per Admit call, how long the call waited
+	// for the cluster lock before placement started; fsyncSeconds
+	// observes every wait for a covering journal flush — each Admit
+	// call's group commit (the flush already in flight plus the one
+	// covering the call) and each synchronous mutation's own
+	// (commitLocked). Both are
 	// the cumulative /metrics view of the per-decision stage timings the
 	// flight recorder keeps.
 	queueWaitSeconds *obs.Histogram
@@ -71,7 +72,7 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	obs.Counter(&buf, p+"consolidations_total", "Consolidation passes run.", c.met.consolidations)
 	obs.Counter(&buf, p+"migration_energy_saved_watt_minutes",
 		"Net energy saved by executed migrations (planner's Eq. 17 estimate), in watt-minutes.", c.met.migrationSaved)
-	obs.Counter(&buf, p+"batches_total", "Admission batches processed.", c.met.batches)
+	obs.Counter(&buf, p+"batches_total", "Admit calls processed (one batch each).", c.met.batches)
 	obs.Counter(&buf, p+"snapshots_total", "Snapshots written.", c.met.snapshots)
 	obs.Counter(&buf, p+"snapshot_errors_total", "Snapshot attempts that failed.", c.met.snapshotErrors)
 	obs.Counter(&buf, p+"journal_errors_total", "Journal writes that failed (each breaks the journal until a snapshot heals it).", c.met.journalErrors)
@@ -94,11 +95,11 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	obs.Counter(&buf, p+"fsync_groups_total", "Journal group-commit fsyncs executed.", groups)
 	obs.Counter(&buf, p+"fsync_group_commits_total", "Journal commits acknowledged by group-commit fsyncs.", grouped)
 
-	c.met.batchSize.Write(&buf, p+"batch_size", "VM requests per admission batch.")
-	c.met.scanSeconds.Write(&buf, p+"scan_seconds", "Candidate-scan wall time per batch, in seconds.")
+	c.met.batchSize.Write(&buf, p+"batch_size", "VM requests per Admit call.")
+	c.met.scanSeconds.Write(&buf, p+"scan_seconds", "Candidate-scan wall time per Admit call, in seconds.")
 	c.met.consolidateSeconds.Write(&buf, p+"consolidate_seconds", "Consolidation pass wall time (plan and execute), in seconds.")
-	c.met.queueWaitSeconds.Write(&buf, p+"queue_wait_seconds", "Per-call wait in the micro-batch queue before batch processing started, in seconds.")
-	c.met.fsyncSeconds.Write(&buf, p+"fsync_seconds", "Wait for the group-commit flush covering a batch or a synchronous mutation, in seconds.")
+	c.met.queueWaitSeconds.Write(&buf, p+"queue_wait_seconds", "Per-call wait for the cluster lock before placement started, in seconds.")
+	c.met.fsyncSeconds.Write(&buf, p+"fsync_seconds", "Wait for the group-commit flush covering an Admit call or a synchronous mutation, in seconds.")
 
 	now := c.fleet.Now()
 	obs.Gauge(&buf, p+"clock_minutes", "The fleet clock, in minutes.", now)

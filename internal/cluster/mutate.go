@@ -321,9 +321,9 @@ func (c *Cluster) refuseLocked(d *obs.Decision, err error) error {
 // decision d with its journal/fsync timings and emit its stage spans
 // under tc. clk carries the stage instants the caller already took; d is
 // nil for mutations without a flight-recorder story. A volatile cluster
-// skips the journal steps. Admission batches share append and
-// journalFailedLocked but not this tail: processBatch must not hold the
-// lock across its fsync, so it pipelines the commit instead.
+// skips the journal steps. Admit shares append and journalFailedLocked
+// but not this tail: it waits for its fsync off the lock, so the next
+// caller's scan overlaps the flush.
 func (c *Cluster) commitLocked(rec record, d *obs.Decision, tc obs.TraceContext, clk stageClock) error {
 	c.sinceSnapshot++
 	var journal, sync time.Duration

@@ -25,7 +25,7 @@ type Options struct {
 	MinuteInterval time.Duration
 	// Chunk splits a step's admissions into concurrent HTTP calls of at
 	// most this many requests — the concurrency stressor for the
-	// server's micro-batcher. 0 sends each step as one call, which also
+	// server's lock and group commit. 0 sends each step as one call, which also
 	// makes the admission/rejection sequence deterministic for a given
 	// (spec, seed) even under capacity pressure; chunked runs may
 	// reorder placement between racing calls when capacity is tight.

@@ -30,8 +30,8 @@ const (
 
 // StageTimings are the per-stage wall durations of one decision, the
 // span breakdown of an admission's path through the service: HTTP body
-// decode, wait in the micro-batch queue, candidate scan, fleet commit,
-// journal append, and this batch's fsync. Zero means the stage did not
+// decode, wait for the cluster lock, candidate scan, fleet commit,
+// journal append, and the fsync covering the call. Zero means the stage did not
 // run (a rejected VM has no commit; a volatile cluster never syncs).
 type StageTimings struct {
 	Decode    time.Duration `json:"decodeNanos,omitempty"`
