@@ -80,10 +80,10 @@ loc:
 # (find, insertMarks, deleteMarks and an inlined search replace the
 # reservation map and the generic binary search), the journal reader
 # interns the names it decodes in a fixed table, and model.Usage sums
-# into a buffer its caller passes back. Last lowered by 128: Admit places
+# into a buffer its caller passes back. Last lowered by 132: Admit places
 # on its caller's goroutine under c.mu like every other mutation, so the
 # admission dispatcher, its channels and the cross-call batch are gone.
-LOC_MAX = 19319
+LOC_MAX = 19315
 
 # fence keeps the doubles PRs 12–17 removed from growing back: one
 # exposition writer (internal/obs; internal/shard/metrics.go only parses),

@@ -97,7 +97,6 @@ func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Adm
 	scanBefore := fv.ScanCounts()
 	var scanWall time.Duration
 	var jerr error
-	appended := false
 	placed := 0
 	for _, it := range items {
 		adm := &adms[it.pos]
@@ -146,9 +145,6 @@ func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Adm
 			clk.journal = time.Now()
 			jerr = c.jr.append(record{Op: opAdmit, T: c.fleet.Now(), VM: it.vm, Server: i, Start: start})
 			d.Stages.Journal = time.Since(clk.journal)
-			if jerr == nil {
-				appended = true
-			}
 		}
 		adm.Accepted = true
 		adm.Server = fv.Server(i).ID
@@ -174,7 +170,7 @@ func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Adm
 	c.finishLocked()
 	var syncT0 time.Time
 	var syncDur time.Duration
-	if !appended || jerr != nil {
+	if c.jr == nil || placed == 0 || jerr != nil {
 		c.mu.Unlock()
 	} else {
 		// Group commit: wait for the flush covering this call's records
