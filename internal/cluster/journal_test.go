@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -111,5 +112,86 @@ func TestJournalMagicRidesFirstFrame(t *testing.T) {
 				t.Fatalf("log = %q, want magic once then two frames %q", b, want)
 			}
 		})
+	}
+}
+
+// TestCommitAfterFailedFlush: a failed flush stays failed in the journal.
+// After a failed fsync the kernel may drop the dirty pages it held, so a
+// later successful fsync does not cover the records before it: every
+// commit returns the flush's error until a snapshot, which captures the
+// state those records described, succeeds and clears it.
+func TestCommitAfterFailedFlush(t *testing.T) {
+	j, err := openJournal(t.TempDir(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	good := j.f
+	broken, err := os.Open(good.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Close() // Sync on a closed file fails
+
+	if err := j.append(record{Op: opTick, T: 1}); err != nil {
+		t.Fatal(err)
+	}
+	j.f = broken
+	if err := j.commit(); err == nil {
+		t.Fatal("commit through a failing fsync returned nil")
+	}
+	j.f = good
+	if err := j.append(record{Op: opTick, T: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.commit(); err == nil {
+		t.Fatal("commit after a failed flush returned nil: the record behind the failed flush was acknowledged")
+	}
+	if err := j.snapshot(&snapshotFile{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.append(record{Op: opTick, T: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.commit(); err != nil {
+		t.Fatalf("commit after a snapshot: %v, want nil", err)
+	}
+}
+
+// TestCommitConcurrentGroups: callers that append under one mutex (as
+// under the cluster's) and commit outside it are each acknowledged by one
+// flush, and the flushes never outnumber the commits.
+func TestCommitConcurrentGroups(t *testing.T) {
+	j, err := openJournal(t.TempDir(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.close()
+	const callers = 32
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			mu.Lock()
+			err := j.append(record{Op: opTick, T: i})
+			mu.Unlock()
+			if err == nil {
+				err = j.commit()
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	groups, grouped := j.groups.Load(), j.grouped.Load()
+	if grouped != callers || groups == 0 || groups > grouped {
+		t.Fatalf("%d fsync groups, %d grouped commits: want 0 < groups <= grouped = %d", groups, grouped, callers)
 	}
 }
