@@ -175,8 +175,9 @@ func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Adm
 	} else {
 		// Group commit: wait for the flush covering this call's records
 		// off the lock, so the next caller's scan overlaps the fsync and
-		// concurrent calls share the journal committer's next flush. Close
-		// waits for inflight before it closes the journal.
+		// concurrent calls share one flush, issued by whichever of them
+		// finds none running. Close waits for inflight before it closes
+		// the journal.
 		jr := c.jr
 		c.inflight.Add(1)
 		c.mu.Unlock()

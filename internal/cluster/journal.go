@@ -94,9 +94,19 @@ type snapshotFile struct {
 }
 
 // journal is the append side of the log. append and snapshot are called
-// under the cluster mutex; commit may be called with or without it — the
-// committer goroutine turns concurrent commit calls into shared fsyncs
-// (group commit).
+// under the cluster mutex; commit may be called with or without it.
+//
+// Group commit runs on the committing callers' goroutines. Under gmu, the
+// first commit that finds no flush running issues one fsync, which covers
+// every record appended so far; commits that arrive meanwhile wait on
+// flushed for the first flush that starts after their call, and one of
+// them issues it. So one fsync runs at a time, and it acknowledges every
+// caller that waited for it.
+//
+// A failed flush is sticky: after a failed fsync the kernel may drop the
+// dirty pages, so a later fsync does not cover the records before it. The
+// failed flush's waiters and every later commit return its error until a
+// snapshot, which captures the state those records described, succeeds.
 type journal struct {
 	dir    string
 	f      *os.File
@@ -106,15 +116,11 @@ type journal struct {
 	empty bool   // the log holds no bytes: the next append leads with binMagic
 	enc   []byte // reusable append encode buffer
 
-	// Group commit. commit registers a waiter and wakes the committer
-	// goroutine; the committer snapshots the waiter list, issues one
-	// fsync, and completes every waiter with its outcome — so commits
-	// that arrive while a flush is in progress share the next one.
 	gmu     sync.Mutex
-	waiters []chan error
-	kick    chan struct{}
-	quit    chan struct{}
-	done    chan struct{}
+	flushed sync.Cond     // on gmu; broadcast when a flush ends
+	started uint64        // flushes begun; one runs while started > done
+	done    uint64        // flushes ended
+	err     error         // the sticky failed flush, until a snapshot succeeds
 	groups  atomic.Uint64 // fsync groups executed
 	grouped atomic.Uint64 // commits acknowledged by those groups
 }
@@ -166,16 +172,8 @@ func openJournal(dir string, nosync bool, visit func(*record) error) (*journal, 
 		f.Close()
 		return nil, err
 	}
-	j := &journal{
-		dir:    dir,
-		f:      f,
-		nosync: nosync,
-		empty:  clean == 0,
-		kick:   make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go j.committer()
+	j := &journal{dir: dir, f: f, nosync: nosync, empty: clean == 0}
+	j.flushed.L = &j.gmu
 	return j, nil
 }
 
@@ -197,57 +195,39 @@ func (j *journal) append(r record) error {
 	return nil
 }
 
-// commit makes every previously appended record durable: it registers
-// with the committer goroutine and returns once an fsync issued at or
-// after registration completes. Concurrent commits share one fsync
-// (group commit); with DisableFsync it returns immediately.
+// commit makes every previously appended record durable: it returns
+// once an fsync that began after the call completes, issuing that fsync
+// itself when none is running. Concurrent commits share one fsync (group
+// commit); with DisableFsync it returns immediately.
 func (j *journal) commit() error {
 	if j.nosync {
 		return nil
 	}
-	ch := make(chan error, 1)
 	j.gmu.Lock()
-	j.waiters = append(j.waiters, ch)
-	j.gmu.Unlock()
-	select {
-	case j.kick <- struct{}{}:
-	default: // a wake-up is already pending; it will cover this waiter
-	}
-	return <-ch
-}
-
-// committer is the group-commit loop: one goroutine per journal, woken
-// by commit, flushing all registered waiters with a single fsync.
-func (j *journal) committer() {
-	defer close(j.done)
-	for {
-		select {
-		case <-j.kick:
-			j.flushGroup()
-		case <-j.quit:
-			j.flushGroup() // serve any last-moment registrations
-			return
+	defer j.gmu.Unlock()
+	// A running flush may have begun before this call's records were
+	// appended: only the next one to start covers them.
+	want := j.started + 1
+	for j.err == nil && j.done < want {
+		if j.started > j.done {
+			j.flushed.Wait()
+			continue
 		}
+		j.started++
+		j.gmu.Unlock()
+		err := j.f.Sync()
+		j.gmu.Lock()
+		j.done++
+		j.groups.Add(1)
+		if err != nil {
+			j.err = fmt.Errorf("cluster: journal sync: %w", err)
+		}
+		j.flushed.Broadcast()
 	}
-}
-
-func (j *journal) flushGroup() {
-	j.gmu.Lock()
-	ws := j.waiters
-	j.waiters = nil
-	j.gmu.Unlock()
-	if len(ws) == 0 {
-		return
+	if j.done >= want {
+		j.grouped.Add(1)
 	}
-	var err error
-	if serr := j.f.Sync(); serr != nil {
-		err = fmt.Errorf("cluster: journal sync: %w", serr)
-	}
-	j.groups.Add(1)
-	j.grouped.Add(uint64(len(ws)))
-	for _, ch := range ws {
-		ch <- err
-	}
+	return j.err
 }
 
 // snapshot atomically replaces snapshot.json (write to a temp file, sync,
@@ -287,12 +267,14 @@ func (j *journal) snapshot(s *snapshotFile) error {
 		return fmt.Errorf("cluster: journal compaction: %w", err)
 	}
 	j.empty = true
+	j.gmu.Lock()
+	j.err = nil // the snapshot covers every record a failed flush left behind
+	j.gmu.Unlock()
 	return nil
 }
 
+// close syncs and closes the log. Its callers have no commit running.
 func (j *journal) close() error {
-	close(j.quit)
-	<-j.done
 	if !j.nosync {
 		if err := j.f.Sync(); err != nil {
 			j.f.Close()
