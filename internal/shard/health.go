@@ -125,15 +125,7 @@ func (p *Prober) Run(ctx context.Context) {
 // CheckNow probes every shard once, ignoring backoff schedules. Used at
 // startup and by tests that want a deterministic verdict.
 func (p *Prober) CheckNow(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, s := range p.snapshotShards() {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.probe(ctx, s)
-		}()
-	}
-	wg.Wait()
+	p.probeAll(ctx, p.snapshotShards())
 }
 
 // checkDue probes the shards whose backoff window has elapsed.
@@ -146,15 +138,15 @@ func (p *Prober) checkDue(ctx context.Context, now time.Time) {
 		}
 	}
 	p.mu.Unlock()
-	var wg sync.WaitGroup
-	for _, s := range due {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.probe(ctx, s)
-		}()
-	}
-	wg.Wait()
+	p.probeAll(ctx, due)
+}
+
+// probeAll probes shards concurrently and returns once every probe has.
+func (p *Prober) probeAll(ctx context.Context, shards []Shard) {
+	Scatter(shards, func(_ int, s Shard) struct{} {
+		p.probe(ctx, s)
+		return struct{}{}
+	})
 }
 
 func (p *Prober) probe(ctx context.Context, s Shard) {
