@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -149,7 +150,8 @@ func checkDelayPenalty(p float64) error {
 // FirstFitPolicy is the online counterpart of FFPS: servers are searched
 // in a fresh random order per request and the first fitting one wins.
 type FirstFitPolicy struct {
-	rng *rand.Rand
+	rng   *rand.Rand
+	order []int // the search order, redrawn in place per request
 }
 
 var _ Policy = (*FirstFitPolicy)(nil)
@@ -165,8 +167,15 @@ func (*FirstFitPolicy) Name() string { return "online/ffps" }
 
 // Place implements Policy.
 func (p *FirstFitPolicy) Place(f *FleetView, v model.VM) (int, error) {
-	order := p.rng.Perm(f.NumServers())
-	for _, i := range order {
+	// rand.Perm's inside-out shuffle, drawing the same numbers into a
+	// buffer the policy keeps instead of a fresh slice per request.
+	p.order = slices.Grow(p.order[:0], f.NumServers())[:f.NumServers()]
+	for i := range p.order {
+		j := p.rng.Intn(i + 1)
+		p.order[i] = p.order[j]
+		p.order[j] = i
+	}
+	for _, i := range p.order {
 		if f.candidate(i, &v) {
 			return i, nil
 		}
