@@ -18,7 +18,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"time"
 
 	"vmalloc/internal/config"
 	"vmalloc/internal/experiments"
@@ -76,7 +75,6 @@ func run(args []string) error {
 	}
 	opts := experiments.Options{Quick: *quick, Seeds: *seeds}
 	for _, e := range selected {
-		start := time.Now()
 		res, err := e.Run(ctx, opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
@@ -84,7 +82,6 @@ func run(args []string) error {
 		if _, err := res.WriteTo(os.Stdout); err != nil {
 			return err
 		}
-		fmt.Printf("(%s completed in %v)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 		if *ascii {
 			for i := range res.Charts {
 				fmt.Println(res.Charts[i].ASCII(72, 16))

@@ -4,28 +4,11 @@ import (
 	"context"
 	"flag"
 	"os"
-	"slices"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick.golden from the current output")
-
-// maskWallTimes blanks the only cells of any experiment that are not a
-// function of the seeds: the three wall-time columns of the Scaling table.
-func maskWallTimes(res *Result) {
-	for _, tab := range res.Tables {
-		if tab.Name != "Scaling" {
-			continue
-		}
-		for _, col := range []string{"MinCost time", "MinCost VMs/s", "FFPS time"} {
-			k := slices.Index(tab.Header, col)
-			for _, row := range tab.Rows {
-				row[k] = "~"
-			}
-		}
-	}
-}
 
 func TestRegistry(t *testing.T) {
 	all := All()
@@ -124,7 +107,6 @@ func TestAllExperimentsQuick(t *testing.T) {
 					}
 				}
 			}
-			maskWallTimes(res)
 			if _, err := res.WriteTo(&rendered); err != nil {
 				t.Fatal(err)
 			}

@@ -3,15 +3,17 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"vmalloc/internal/baseline"
 	"vmalloc/internal/core"
 )
 
 // scaling is an extension experiment (not in the paper, beyond its
-// remark that "our algorithm is scalable"): it measures allocator
-// throughput as the instance grows, servers fixed at half the VMs.
+// remark that "our algorithm is scalable"): it tracks MinCost's reduction
+// against FFPS as the instance grows, servers fixed at half the VMs. The
+// allocators' speed is the layer ledger's (BenchmarkOfflineMinCost and
+// BenchmarkMinCostAllocate in BENCH_TRAJECTORY.json), not a wall time
+// printed here.
 func scaling(ctx context.Context, opts Options) (*Result, error) {
 	sizes := []int{100, 250, 500, 1000, 2000}
 	if opts.Quick {
@@ -19,11 +21,8 @@ func scaling(ctx context.Context, opts Options) (*Result, error) {
 	}
 	t := Table{
 		Name:    "Scaling",
-		Caption: "single-run allocation wall time (inter-arrival 2 min, mean length 50 min)",
-		Header: []string{
-			"VMs", "servers", "horizon (min)",
-			"MinCost time", "MinCost VMs/s", "FFPS time", "reduction",
-		},
+		Caption: "single-run allocation (inter-arrival 2 min, mean length 50 min)",
+		Header:  []string{"VMs", "servers", "horizon (min)", "reduction"},
 	}
 	for _, m := range sizes {
 		if err := ctx.Err(); err != nil {
@@ -33,25 +32,16 @@ func scaling(ctx context.Context, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
 		ours, err := core.NewMinCost().Allocate(ctx, inst)
 		if err != nil {
 			return nil, fmt.Errorf("scaling m=%d: %w", m, err)
 		}
-		oursTime := time.Since(start)
-
-		start = time.Now()
 		ffps, err := baseline.NewFFPS(core.WithSeed(1)).Allocate(ctx, inst)
 		if err != nil {
 			return nil, fmt.Errorf("scaling m=%d ffps: %w", m, err)
 		}
-		ffpsTime := time.Since(start)
-
 		t.Rows = append(t.Rows, []string{
 			itoa(m), itoa(m / 2), itoa(inst.Horizon),
-			oursTime.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.0f", float64(m)/oursTime.Seconds()),
-			ffpsTime.Round(time.Millisecond).String(),
 			pct(baseline.ReductionRatio(ours.Energy, ffps.Energy)),
 		})
 	}
