@@ -177,9 +177,8 @@ func (c *Client) attempt(ctx context.Context, method, path, reqID string, root o
 }
 
 // roundTrip issues one request under the per-attempt timeout and returns
-// a 2xx answer's headers and body; any other status comes back as the
-// *api.Error decoded from its envelope. reqID, root and body are
-// optional.
+// a 2xx answer's headers and body (api.Call, up to 64 MiB). reqID, root
+// and body are optional.
 func (c *Client) roundTrip(ctx context.Context, method, path, reqID string, root obs.TraceContext, body []byte) (http.Header, []byte, error) {
 	actx, cancel := context.WithTimeout(ctx, c.timeout())
 	defer cancel()
@@ -200,19 +199,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path, reqID string, root
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, nil, err
-	}
-	if resp.StatusCode/100 != 2 {
-		return nil, nil, api.DecodeError(resp.StatusCode, data)
-	}
-	return resp.Header, data, nil
+	return api.Call(c.httpClient(), req, 64<<20)
 }
 
 // Admit submits a batch of admission requests and returns the per-request
@@ -413,7 +400,7 @@ func (c *Client) Metrics(ctx context.Context) (Metrics, error) {
 	return m, nil
 }
 
-// WaitReady polls /healthz until the server answers 200, the context
+// WaitReady polls /healthz until the server answers 2xx, the context
 // ends, or the deadline d passes.
 func (c *Client) WaitReady(ctx context.Context, d time.Duration) error {
 	deadline := time.Now().Add(d)
@@ -425,15 +412,10 @@ func (c *Client) WaitReady(ctx context.Context, d time.Duration) error {
 			cancel()
 			return err
 		}
-		resp, err := c.httpClient().Do(req)
+		_, _, err = api.Call(c.httpClient(), req, 64<<20)
 		cancel()
 		if err == nil {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-			err = api.DecodeError(resp.StatusCode, nil)
+			return nil
 		}
 		lastErr = err
 		if time.Now().After(deadline) {

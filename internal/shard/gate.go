@@ -10,10 +10,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,13 +66,6 @@ type Gate struct {
 	hc     *http.Client
 	prober *Prober
 
-	// proxyErrs counts transport-level proxy failures per shard. The
-	// shard set changes across topology epochs, so the map is guarded
-	// (new shards get counters lazily) while each counter stays a
-	// lock-free atomic for the data path.
-	peMu      sync.Mutex
-	proxyErrs map[string]*atomic.Uint64
-
 	// reb tracks the state of the current (and last) topology drain.
 	reb rebalancer
 }
@@ -98,30 +89,13 @@ func NewGate(m *Map, cfg Config) *Gate {
 			Client:   hc,
 			Logger:   cfg.Logger,
 		}),
-		proxyErrs: make(map[string]*atomic.Uint64, m.Len()),
 	}
 	g.topo.Store(&topoState{cur: m})
-	for _, s := range m.Shards() {
-		g.proxyErrs[s.Name] = new(atomic.Uint64)
-	}
 	return g
 }
 
 // Map returns the gate's current shard map (the newest topology epoch).
 func (g *Gate) Map() *Map { return g.topo.Load().cur }
-
-// proxyErr returns the transport-failure counter for a shard, creating
-// it on first use (shards join at topology swaps, after construction).
-func (g *Gate) proxyErr(name string) *atomic.Uint64 {
-	g.peMu.Lock()
-	defer g.peMu.Unlock()
-	c := g.proxyErrs[name]
-	if c == nil {
-		c = new(atomic.Uint64)
-		g.proxyErrs[name] = c
-	}
-	return c
-}
 
 // Prober exposes the gate's health prober (the daemon runs it; tests
 // force verdicts through it).
@@ -226,46 +200,32 @@ func (g *Gate) callOnce(ctx context.Context, s Shard, method, path string, body 
 		req.Header.Set(obs.TraceParentHeader, fan.Header())
 	}
 	t0 := time.Now()
-	fanout := func(errMsg string) {
-		if !fan.Valid() {
-			return
-		}
+	hdr, data, err := api.Call(g.hc, req, api.MaxBodyBytes)
+	var perr *api.Error
+	var msg string // the fan-out span's error; none when the shard answered
+	switch {
+	case err == nil:
+	case errors.As(err, &perr):
+		// The shard answered: it is up, just refusing. Relay its
+		// envelope with the shard named in the message.
+		perr.Envelope.Message = fmt.Sprintf("shard %s: %s", s.Name, perr.Envelope.Message)
+	case errors.Is(err, api.ErrBodyTooLarge):
+		// The shard is up, so this is a typed 502, not a transport failure.
+		msg = fmt.Sprintf("shard %s: %s %s answer exceeds the %d-byte limit", s.Name, method, path, api.MaxBodyBytes)
+		perr = &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{Code: api.CodeInternal, Message: msg}}
+	default:
+		msg = err.Error()
+		g.prober.proxyFailed(s.Name, err)
+		perr = g.shardDown(s, err)
+	}
+	if fan.Valid() {
 		g.cfg.Spans.Record(obs.Span{
 			TraceID: fan.TraceID, SpanID: fan.SpanID, Parent: tc.SpanID,
-			Name: obs.SpanFanout, Detail: s.Name, Err: errMsg,
+			Name: obs.SpanFanout, Detail: s.Name, Err: msg,
 			Start: t0, Duration: time.Since(t0),
 		})
 	}
-	resp, err := g.hc.Do(req)
-	if err != nil {
-		fanout(err.Error())
-		g.proxyErr(s.Name).Add(1)
-		g.prober.MarkDown(s.Name, err)
-		return nil, nil, g.shardDown(s, err), sent
-	}
-	defer resp.Body.Close()
-	data, err := api.ReadBody(resp.Body)
-	if errors.Is(err, api.ErrBodyTooLarge) {
-		// The shard is up, so this is a typed 502, not a transport failure.
-		msg := fmt.Sprintf("shard %s: %s %s answer exceeds the %d-byte limit", s.Name, method, path, api.MaxBodyBytes)
-		fanout(msg)
-		return nil, nil, &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{Code: api.CodeInternal, Message: msg}}, sent
-	}
-	if err != nil {
-		fanout(err.Error())
-		g.proxyErr(s.Name).Add(1)
-		g.prober.MarkDown(s.Name, err)
-		return nil, nil, g.shardDown(s, err), sent
-	}
-	fanout("")
-	if resp.StatusCode >= 400 {
-		// The shard answered: it is up, just refusing. Relay its
-		// envelope with the shard named in the message.
-		perr := api.DecodeError(resp.StatusCode, data)
-		perr.Envelope.Message = fmt.Sprintf("shard %s: %s", s.Name, perr.Envelope.Message)
-		return resp.Header, nil, perr, sent
-	}
-	return resp.Header, data, nil, sent
+	return hdr, data, perr, sent
 }
 
 func (g *Gate) shardDown(s Shard, cause error) *api.Error {
@@ -689,31 +649,7 @@ func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // families merged above (which include vmalloc_http_* and vmalloc_go_*
 // from each shard).
 func (g *Gate) writeOwnMetrics(w io.Writer) {
-	name := "vmalloc_gate_shard_up"
-	obs.Declare(w, name, "1 while the prober considers the shard healthy.", "gauge")
-	for _, h := range g.prober.Snapshot() {
-		up := 0
-		if h.Healthy {
-			up = 1
-		}
-		obs.Sample(w, name, up, "shard", h.Name)
-	}
-	name = "vmalloc_gate_proxy_errors_total"
-	obs.Declare(w, name, "Transport-level proxy failures per shard.", "counter")
-	g.peMu.Lock()
-	names := make([]string, 0, len(g.proxyErrs))
-	for n := range g.proxyErrs {
-		names = append(names, n)
-	}
-	counts := make(map[string]uint64, len(names))
-	for _, n := range names {
-		counts[n] = g.proxyErrs[n].Load()
-	}
-	g.peMu.Unlock()
-	sort.Strings(names)
-	for _, n := range names {
-		obs.Sample(w, name, counts[n], "shard", n)
-	}
+	g.prober.writeMetrics(w)
 	g.writeRebalanceMetrics(w)
 	if g.cfg.Metrics != nil {
 		g.cfg.Metrics.Write(w, "vmalloc_gate_http")

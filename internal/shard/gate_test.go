@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -413,6 +415,25 @@ func TestGateFailover(t *testing.T) {
 		t.Errorf("shard health %+v", shs.Shards)
 	}
 
+	// A proxied call that reaches the dead shard is a proxy error and marks
+	// it down again; a live shard's refusal is no proxy error.
+	d.gate.Prober().MarkUp("s1")
+	resp, err = http.Get(d.gateSrv.URL + "/v1/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env := decodeEnvelope(t, resp); resp.StatusCode != http.StatusServiceUnavailable || env.Code != api.CodeShardDown {
+		t.Fatalf("state through a dead shard believed up: %d %+v", resp.StatusCode, env)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, d.gateSrv.URL+"/v1/vms/"+strconv.Itoa(d.idsFor("s0", 3)[2]), nil)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env := decodeEnvelope(t, resp); resp.StatusCode != http.StatusNotFound || env.Code != api.CodeNotResident {
+		t.Fatalf("release of an unknown vm: %d %+v", resp.StatusCode, env)
+	}
+
 	// Metrics still serve, with the dead shard visible as shard_up 0.
 	resp, err = http.Get(d.gateSrv.URL + "/metrics")
 	if err != nil {
@@ -427,11 +448,15 @@ func TestGateFailover(t *testing.T) {
 	for _, want := range []string{
 		`vmalloc_gate_shard_up{shard="s0"} 1`,
 		`vmalloc_gate_shard_up{shard="s1"} 0`,
+		`vmalloc_gate_proxy_errors_total{shard="s0"} 0`,
 		`vmalloc_cluster_admissions_total{shard="s0"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+	if m := regexp.MustCompile(`vmalloc_gate_proxy_errors_total\{shard="s1"\} ([0-9]+)`).FindStringSubmatch(out); m == nil || m[1] == "0" {
+		t.Errorf("proxy errors of the dead shard: %v, want at least 1", m)
 	}
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"vmalloc/internal/api"
+	"vmalloc/internal/obs"
 )
 
 // DefaultProbeInterval is the per-shard health-check cadence when
@@ -35,10 +35,10 @@ type ProberConfig struct {
 	Logger *slog.Logger
 }
 
-// Prober tracks each shard's health by polling its /healthz and by
-// accepting verdicts from the gate's own proxy attempts (a failed proxy
-// marks the shard down immediately — the data path is the freshest
-// probe there is). Safe for concurrent use.
+// Prober is the gate's one per-shard record. It tracks each shard's
+// health by polling its /healthz and by counting the gate's failed proxy
+// attempts, each of which marks the shard down at once (the data path is
+// the freshest probe there is). Safe for concurrent use.
 type Prober struct {
 	cfg    ProberConfig
 	shards []Shard
@@ -48,10 +48,11 @@ type Prober struct {
 }
 
 type shardHealth struct {
-	healthy bool
-	lastErr string
-	fails   int       // consecutive probe failures, drives backoff
-	next    time.Time // earliest next probe
+	healthy   bool
+	lastErr   string
+	fails     int       // consecutive probe failures, drives backoff
+	next      time.Time // earliest next probe
+	proxyErrs uint64    // transport failures of proxied requests
 }
 
 // NewProber builds a prober over the map's shards. All shards start
@@ -165,16 +166,19 @@ func (p *Prober) probeOnce(ctx context.Context, s Shard) error {
 	if err != nil {
 		return err
 	}
-	resp, err := p.cfg.Client.Do(req)
-	if err != nil {
-		return err
+	_, _, err = api.Call(p.cfg.Client, req, 4<<10)
+	return err
+}
+
+// proxyFailed records a proxied request's transport failure: it is
+// counted against the shard, which is marked down.
+func (p *Prober) proxyFailed(name string, cause error) {
+	p.mu.Lock()
+	if st, ok := p.state[name]; ok {
+		st.proxyErrs++
 	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck // drain for keep-alive
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz returned %d", resp.StatusCode)
-	}
-	return nil
+	p.mu.Unlock()
+	p.MarkDown(name, cause)
 }
 
 // MarkDown records a failed probe or proxy attempt: the shard is
@@ -236,6 +240,28 @@ func (p *Prober) LastError(name string) string {
 		return st.lastErr
 	}
 	return ""
+}
+
+// writeMetrics emits vmalloc_gate_shard_up and
+// vmalloc_gate_proxy_errors_total for the probed shards in configuration
+// order.
+func (p *Prober) writeMetrics(w io.Writer) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	name := "vmalloc_gate_shard_up"
+	obs.Declare(w, name, "1 while the prober considers the shard healthy.", "gauge")
+	for _, s := range p.shards {
+		up := 0
+		if p.state[s.Name].healthy {
+			up = 1
+		}
+		obs.Sample(w, name, up, "shard", s.Name)
+	}
+	name = "vmalloc_gate_proxy_errors_total"
+	obs.Declare(w, name, "Transport-level proxy failures per shard.", "counter")
+	for _, s := range p.shards {
+		obs.Sample(w, name, p.state[s.Name].proxyErrs, "shard", s.Name)
+	}
 }
 
 // Snapshot returns every shard's health in configuration order.

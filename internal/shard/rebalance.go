@@ -123,14 +123,11 @@ func (g *Gate) handleTopologyPost(w http.ResponseWriter, r *http.Request) {
 	g.reb.status = status
 	g.reb.mu.Unlock()
 
-	// Open the transition window. Order matters: the prober and error
-	// counters must know the joined shards before the first request can
-	// route to them (an unknown shard reads as unhealthy).
+	// Open the transition window. Order matters: the prober must know the
+	// joined shards before the first request can route to them (an
+	// unknown shard reads as unhealthy).
 	ts := &topoState{cur: next, prev: old}
 	g.prober.SetShards(ts.active())
-	for _, s := range ts.active() {
-		g.proxyErr(s.Name)
-	}
 	g.topo.Store(ts)
 
 	if g.cfg.Logger != nil {
