@@ -1,9 +1,8 @@
 package loadgen
 
 import (
-	"bytes"
-	"io"
 	"net/http"
+	"net/http/httptest"
 )
 
 // NewHandlerClient returns a Client whose requests are served by h in
@@ -22,7 +21,7 @@ func NewHandlerClient(h http.Handler) *Client {
 type handlerTransport struct{ h http.Handler }
 
 func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := &responseBuffer{header: make(http.Header), status: http.StatusOK}
+	rec := httptest.NewRecorder()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -33,26 +32,7 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case <-req.Context().Done():
 		return nil, req.Context().Err()
 	}
-	return &http.Response{
-		StatusCode:    rec.status,
-		Status:        http.StatusText(rec.status),
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        rec.header,
-		Body:          io.NopCloser(&rec.body),
-		ContentLength: int64(rec.body.Len()),
-		Request:       req,
-	}, nil
+	resp := rec.Result()
+	resp.Request = req
+	return resp, nil
 }
-
-// responseBuffer is the http.ResponseWriter the handler writes into.
-type responseBuffer struct {
-	header http.Header
-	status int
-	body   bytes.Buffer
-}
-
-func (r *responseBuffer) Header() http.Header         { return r.header }
-func (r *responseBuffer) WriteHeader(status int)      { r.status = status }
-func (r *responseBuffer) Write(b []byte) (int, error) { return r.body.Write(b) }
