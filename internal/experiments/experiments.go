@@ -181,7 +181,7 @@ var registry = []Experiment{
 	{"online", "Extension — event-driven allocation without clairvoyant transitions", onlineStudy},
 	{"consolidation", "Extension — migration-based consolidation vs allocation-only", consolidation},
 	{"sensitivity", "Extension — sensitivity to fleet composition and VM mix", sensitivity},
-	{"scaling", "Extension — allocator throughput vs instance size", scaling},
+	{"scaling", "Extension — energy reduction against FFPS vs instance size", scaling},
 	{"proportionality", "Extension — savings vs server energy-proportionality", proportionality},
 	{"diurnal", "Extension — day/night arrival cycles vs flat Poisson arrivals", diurnal},
 	{"localsearch", "Extension — local search on top of each allocator", localSearch},
