@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		Timeout:       *timeout,
 		ProbeInterval: *probe,
 		Logger:        logger,
-		Metrics:       obs.NewHTTPMetrics(),
 		Spans:         spans,
 	})
 

@@ -41,7 +41,7 @@ func newShard(t *testing.T, firstServerID int) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv := httptest.NewServer(clusterhttp.NewHandler(c))
+	srv := httptest.NewServer(clusterhttp.New(c, nil))
 	t.Cleanup(srv.Close)
 	return srv.URL
 }

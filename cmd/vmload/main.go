@@ -93,7 +93,7 @@ func run(ctx context.Context, args []string, w, errW io.Writer) error {
 		backoff   = fs.Duration("backoff", 50*time.Millisecond, "first retry backoff, doubling per retry")
 		noClock   = fs.Bool("no-clock", false, "do not drive /v1/clock (the server's clock is advanced elsewhere)")
 		consEvery = fs.Int("consolidate-every", 0, "POST /v1/consolidate after the tick of every fleet minute that is a multiple of this (0 = never)")
-		consPol   = fs.String("consolidate-policy", "", "victim-selection policy for those passes: min-migration-time or min-utilization (empty = server default)")
+		consPol   = fs.String("consolidate-policy", "", "victim-selection policy for those passes: min-migration-time or min-utilization (empty = min-migration-time)")
 		wait      = fs.Duration("wait", 10*time.Second, "how long to poll /healthz for readiness before the run (0 = don't)")
 		jsonOut   = fs.String("out", "", "write the full JSON report to this file (\"-\" = stdout)")
 		digestly  = fs.Bool("digest", false, "print only the outcome digest (for shell comparisons)")

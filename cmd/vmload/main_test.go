@@ -35,7 +35,7 @@ func newServer(t *testing.T) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv := httptest.NewServer(clusterhttp.NewHandler(c))
+	srv := httptest.NewServer(clusterhttp.New(c, nil))
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -6,9 +6,10 @@
 // The HTTP API is internal/clusterhttp (POST/DELETE /v1/vms, POST
 // /v1/clock, POST/GET /v1/migrations, POST /v1/consolidate, GET
 // /v1/state, GET /v1/debug/decisions, /healthz, /metrics); cmd/vmload is
-// the matching load generator. -consolidate-interval runs the
-// pay-for-itself consolidation pass on a background cadence in addition
-// to the on-demand endpoint.
+// the matching load generator. A consolidation pass runs only on POST
+// /v1/consolidate: the fleet's clock is the discrete minute that POST
+// /v1/clock advances, so the caller that moves the clock also paces the
+// passes (vmload -consolidate-every).
 //
 // -replay does not serve: it replays the -journal directory under every
 // placement policy, on the fleet the other flags build, and prints one
@@ -48,7 +49,6 @@ import (
 	"syscall"
 	"time"
 
-	"vmalloc/internal/api"
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/config"
@@ -89,10 +89,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		journalDir = fs.String("journal", "", "journal + snapshot directory (empty = volatile state)")
 		snapEvery  = fs.Int("snapshot-every", 0, "journaled mutations between snapshots (0 = default, <0 = only on shutdown)")
 		noFsync    = fs.Bool("unsafe-no-fsync", false, "UNSAFE: skip journal fsyncs; acknowledged state survives a crash but NOT power loss (soak/load tests only)")
-		consEvery  = fs.Duration("consolidate-interval", 0, "run a background consolidation pass this often (0 = only on POST /v1/consolidate)")
-		consPolicy = fs.String("consolidate-policy", "", "default victim-selection policy for consolidation: min-migration-time or min-utilization")
 		migCost    = fs.Float64("migration-cost-per-gb", 0, "Eq. 17 migration overhead in watt-minutes per GB of VM memory (0 = migrations are free)")
-		donorUtil  = fs.Float64("donor-utilization", 0, "CPU-utilisation fraction below which an active server is a drain candidate (0 = default 0.5)")
 		logFormat  = fs.String("log-format", "text", "log output format: text or json")
 		logLevel   = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		decisions  = fs.Int("decisions", obs.DefaultRecorderSize, "flight-recorder capacity: how many admission/rejection/release decisions /v1/debug/decisions keeps")
@@ -125,10 +122,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *replay {
 		return printReplay(w, *journalDir, fleet, *idle, *penalty, *seed, pol.Name())
 	}
-	if *consPolicy != "" && *consPolicy != api.PolicyMinMigrationTime && *consPolicy != api.PolicyMinUtilization {
-		return fmt.Errorf("unknown consolidate policy %q (want %s or %s)",
-			*consPolicy, api.PolicyMinMigrationTime, api.PolicyMinUtilization)
-	}
 	recorder := obs.NewFlightRecorder(*decisions)
 	var spans *obs.SpanStore
 	if *traceSpans > 0 {
@@ -147,8 +140,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		SnapshotEvery:      *snapEvery,
 		DisableFsync:       *noFsync,
 		MigrationCostPerGB: *migCost,
-		ConsolidatePolicy:  *consPolicy,
-		DonorUtilization:   *donorUtil,
 		Recorder:           recorder,
 		Logger:             logger.With("component", "cluster"),
 		Spans:              spans,
@@ -156,36 +147,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	})
 	if err != nil {
 		return err
-	}
-
-	// Background consolidation: a pay-for-itself drain pass on a wall-
-	// clock cadence. Already-running passes (a concurrent POST
-	// /v1/consolidate) are skipped, not queued — the next tick retries.
-	if *consEvery > 0 {
-		go func() {
-			tick := time.NewTicker(*consEvery)
-			defer tick.Stop()
-			clog := logger.With("component", "consolidator")
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-				}
-				res, err := c.Consolidate(ctx, api.ConsolidateRequest{})
-				switch {
-				case errors.Is(err, cluster.ErrConsolidationBusy):
-					clog.Debug("consolidation pass skipped: another is running")
-				case errors.Is(err, cluster.ErrClosed) || ctx.Err() != nil:
-					return
-				case err != nil:
-					clog.Warn("consolidation pass failed", "err", err)
-				case res.Executed > 0:
-					clog.Info("background consolidation",
-						"executed", res.Executed, "savedWattMinutes", res.EnergySavedWattMinutes)
-				}
-			}
-		}()
 	}
 
 	// SIGQUIT is the black-box readout: dump the flight recorder to the
@@ -212,12 +173,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	srv := &http.Server{
-		Handler: clusterhttp.New(c, clusterhttp.Config{
-			Logger:   logger,
-			Recorder: recorder,
-			Spans:    spans,
-			Energy:   energy,
-		}),
+		Handler:           clusterhttp.New(c, logger),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 

@@ -75,7 +75,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(clusterhttp.NewHandler(c))
+	srv := httptest.NewServer(clusterhttp.New(c, nil))
 
 	// Health first.
 	if code, body := do(t, srv, "GET", "/healthz", ""); code != 200 || string(body) != "ok\n" {
@@ -167,7 +167,7 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	srv2 := httptest.NewServer(clusterhttp.NewHandler(c2))
+	srv2 := httptest.NewServer(clusterhttp.New(c2, nil))
 	defer srv2.Close()
 	code, after := do(t, srv2, "GET", "/v1/state", "")
 	if code != 200 {
@@ -202,7 +202,7 @@ func TestServeClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	srv := httptest.NewServer(clusterhttp.NewHandler(c))
+	srv := httptest.NewServer(clusterhttp.New(c, nil))
 	defer srv.Close()
 
 	code, body := do(t, srv, "POST", "/v1/vms", `{"demand":{"cpu":2,"mem":4},"durationMinutes":10}`)
@@ -638,15 +638,12 @@ func TestRunBadDelayPenalty(t *testing.T) {
 }
 
 // TestRunBadMigrationRates: a negative or non-finite -migration-cost-per-gb
-// or -donor-utilization is refused before the daemon starts, and the
-// process exits 1.
+// is refused before the daemon starts, and the process exits 1.
 func TestRunBadMigrationRates(t *testing.T) {
 	for _, args := range [][]string{
 		{"-migration-cost-per-gb", "NaN"},
 		{"-migration-cost-per-gb", "+Inf"},
 		{"-migration-cost-per-gb", "-5"},
-		{"-donor-utilization", "NaN"},
-		{"-donor-utilization", "-0.5"},
 	} {
 		var ce *cluster.ConfigValueError
 		if err := run(context.Background(), append(args, "-addr", "127.0.0.1:0"), io.Discard); !errors.As(err, &ce) {
@@ -672,11 +669,17 @@ func TestRunVersion(t *testing.T) {
 }
 
 // TestRunRemovedFlag: admission waits on no timer, the admission scan
-// is one sequential pass and counterfactuals are replayed from the
-// journal, so the flags that set the batch timer, the scan's worker pool
-// and the in-process shadow policies are usage errors, not silent no-ops.
+// is one sequential pass, counterfactuals are replayed from the journal,
+// consolidation runs only on POST /v1/consolidate with its policy in the
+// request, and the donor threshold is fixed, so the flags that set the
+// batch timer, the scan's worker pool, the in-process shadow policies,
+// the background pass, its default policy and the threshold are usage
+// errors, not silent no-ops.
 func TestRunRemovedFlag(t *testing.T) {
-	for _, args := range [][]string{{"-batch-window", "1ms"}, {"-parallel", "2"}, {"-shadow-policy", "ffps"}} {
+	for _, args := range [][]string{
+		{"-batch-window", "1ms"}, {"-parallel", "2"}, {"-shadow-policy", "ffps"},
+		{"-consolidate-interval", "30s"}, {"-consolidate-policy", "min-utilization"}, {"-donor-utilization", "0.5"},
+	} {
 		var out bytes.Buffer
 		err := run(context.Background(), args, &out)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {

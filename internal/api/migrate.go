@@ -68,10 +68,11 @@ type MigrateRequest struct {
 }
 
 // ConsolidateRequest is the body of POST /v1/consolidate. An empty body
-// is valid: every field has a server-side default.
+// is valid: every field has a default.
 type ConsolidateRequest struct {
-	// Policy overrides the configured victim-selection policy for this
-	// pass (PolicyMinMigrationTime or PolicyMinUtilization).
+	// Policy is the victim-selection policy for this pass
+	// (PolicyMinMigrationTime or PolicyMinUtilization); empty means
+	// PolicyMinMigrationTime.
 	Policy string `json:"policy,omitempty"`
 	// MaxMoves caps the number of migrations this pass may execute; 0
 	// means unlimited.

@@ -46,10 +46,10 @@ import (
 // automatic snapshots when Config.SnapshotEvery is 0.
 const DefaultSnapshotEvery = 256
 
-// DefaultDonorUtilization is the donor CPU-utilisation threshold when
-// Config.DonorUtilization is 0: active servers below half capacity are
-// drain candidates.
-const DefaultDonorUtilization = 0.5
+// donorUtilization is the donor CPU-utilisation threshold: active servers
+// below half capacity are drain candidates. The pay-for-itself rule still
+// decides whether any candidate actually drains.
+const donorUtilization = 0.5
 
 // migrationHistoryLimit bounds the retained migration history (the GET
 // /v1/migrations backing store); the oldest records are evicted first.
@@ -125,7 +125,7 @@ func (e *AdoptInfeasibleError) Error() string {
 }
 
 // ConfigValueError reports a negative, NaN or infinite Config rate, which
-// would price a move below zero or as NaN, or make no server a donor.
+// would price a move below zero or as NaN.
 type ConfigValueError struct {
 	Field string
 	Value float64
@@ -170,15 +170,6 @@ type Config struct {
 	// against every planned move, so a higher cost makes consolidation
 	// more conservative. 0 treats migrations as free; Open refuses < 0, NaN and +Inf.
 	MigrationCostPerGB float64
-	// ConsolidatePolicy is the default victim-selection policy for
-	// consolidation passes: api.PolicyMinMigrationTime (the default when
-	// empty) or api.PolicyMinUtilization.
-	ConsolidatePolicy string
-	// DonorUtilization is the CPU-utilisation fraction below which an
-	// active server is considered a drain candidate; 0 means
-	// DefaultDonorUtilization. The pay-for-itself rule still decides
-	// whether any candidate actually drains.
-	DonorUtilization float64
 	// Recorder, when non-nil, receives one obs.Decision per admission,
 	// rejection, release and migration — the flight recorder behind the
 	// service's debug surface. Recording is passive: it never changes a
@@ -256,12 +247,8 @@ func Open(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
 	}
-	for _, f := range []ConfigValueError{
-		{"MigrationCostPerGB", cfg.MigrationCostPerGB}, {"DonorUtilization", cfg.DonorUtilization},
-	} {
-		if !(f.Value >= 0) || math.IsInf(f.Value, 1) {
-			return nil, &f
-		}
+	if v := cfg.MigrationCostPerGB; !(v >= 0) || math.IsInf(v, 1) {
+		return nil, &ConfigValueError{"MigrationCostPerGB", v}
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = &online.MinCostPolicy{}

@@ -22,8 +22,7 @@ const minNetSaving = 1e-9
 // plannedMove is one victim→target assignment within a donor drain plan.
 type plannedMove struct {
 	vm       online.PlacedVM
-	to       int // target server index
-	handoff  int
+	to       int     // target server index
 	runDelta float64 // (target − source) marginal run cost of the remaining minutes
 	extraIdl float64 // idle energy the target accrues by staying active longer
 	cost     float64 // migration overhead: cost-per-GB × memory
@@ -45,7 +44,7 @@ type plannedMove struct {
 // migrations never change a VM's (start, end); both guarantees are pinned
 // by the metamorphic tests.
 //
-// Zero request fields fall back to the Config defaults. The response's
+// An empty request policy means min-migration-time. The response's
 // EnergySavedWattMinutes charges the migration overhead in the planner's
 // books, but the fleet's Eq. 8 energy never consumes it — so the realised
 // drop in total energy exceeds the reported saving by exactly the charged
@@ -61,17 +60,10 @@ func (c *Cluster) Consolidate(ctx context.Context, req api.ConsolidateRequest) (
 
 	policy := req.Policy
 	if policy == "" {
-		policy = c.cfg.ConsolidatePolicy
-	}
-	if policy == "" {
 		policy = api.PolicyMinMigrationTime
 	}
 	if policy != api.PolicyMinMigrationTime && policy != api.PolicyMinUtilization {
 		return nil, fmt.Errorf("cluster: unknown consolidation policy %q", policy)
-	}
-	utilLimit := c.cfg.DonorUtilization
-	if utilLimit == 0 {
-		utilLimit = DefaultDonorUtilization
 	}
 
 	c.mu.Lock()
@@ -110,7 +102,7 @@ func (c *Cluster) Consolidate(ctx context.Context, req api.ConsolidateRequest) (
 	}
 	var donors []int
 	for i := 0; i < fv.NumServers(); i++ {
-		if fv.StateOf(i) == online.Active && len(byServer[i]) > 0 && util(i) < utilLimit {
+		if fv.StateOf(i) == online.Active && len(byServer[i]) > 0 && util(i) < donorUtilization {
 			donors = append(donors, i)
 		}
 	}
@@ -174,9 +166,6 @@ func (c *Cluster) Consolidate(ctx context.Context, req api.ConsolidateRequest) (
 				// ledgers, so this is a planner bug, not an operational
 				// state; stop the pass rather than guess.
 				return res, fmt.Errorf("cluster: consolidation executed an infeasible plan: %w", c.refuseLocked(&d, err))
-			}
-			if handoff != m.handoff {
-				return res, fmt.Errorf("cluster: consolidation handoff drifted: planned %d, executed %d", m.handoff, handoff)
 			}
 			rec, jerr := c.journalMigrationLocked(&d, from, m.to, handoff, policy, perMove, m.cost, passTC, clk)
 			res.Moves = append(res.Moves, rec)
@@ -337,7 +326,6 @@ func (c *Cluster) planDrainLocked(policy string, donor int, byServer [][]online.
 		move := plannedMove{
 			vm:       v,
 			to:       best,
-			handoff:  handoff,
 			runDelta: (fv.Server(best).UnitCPUPower() - dsrv.UnitCPUPower()) * v.VM.Demand.CPU * remaining,
 			cost:     c.cfg.MigrationCostPerGB * v.VM.Demand.Mem,
 		}

@@ -106,30 +106,21 @@ func TestClusterMigrateDirect(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesBadRates: a negative or non-finite migration cost or
-// donor utilisation is a typed refusal from Open, before any journal
-// directory is touched; 0 still means free moves and the default donor
-// threshold.
+// TestOpenRefusesBadRates: a negative or non-finite migration cost is a
+// typed refusal from Open, before any journal directory is touched; 0
+// still means free moves.
 func TestOpenRefusesBadRates(t *testing.T) {
 	for _, bad := range []float64{-5, math.Inf(-1), math.Inf(1), math.NaN()} {
-		for _, field := range []string{"MigrationCostPerGB", "DonorUtilization"} {
-			dir := t.TempDir()
-			cfg := Config{Servers: testServers(2), Dir: dir}
-			if field == "MigrationCostPerGB" {
-				cfg.MigrationCostPerGB = bad
-			} else {
-				cfg.DonorUtilization = bad
+		dir := t.TempDir()
+		var ce *ConfigValueError
+		if c, err := Open(Config{Servers: testServers(2), Dir: dir, MigrationCostPerGB: bad}); !errors.As(err, &ce) || ce.Field != "MigrationCostPerGB" {
+			if err == nil {
+				c.Close()
 			}
-			var ce *ConfigValueError
-			if c, err := Open(cfg); !errors.As(err, &ce) || ce.Field != field {
-				if err == nil {
-					c.Close()
-				}
-				t.Errorf("%s %g: Open error %v, want a *ConfigValueError for %s", field, bad, err, field)
-			}
-			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-				t.Errorf("%s %g: refused Open left %d files in the journal directory", field, bad, len(ents))
-			}
+			t.Errorf("MigrationCostPerGB %g: Open error %v, want a *ConfigValueError for MigrationCostPerGB", bad, err)
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Errorf("MigrationCostPerGB %g: refused Open left %d files in the journal directory", bad, len(ents))
 		}
 	}
 	mustOpen(t, Config{Servers: testServers(2)}).Close()

@@ -1,12 +1,22 @@
 package cluster
 
-import "vmalloc/internal/api"
+import (
+	"vmalloc/internal/api"
+	"vmalloc/internal/obs"
+)
 
 // Now returns the current fleet clock, in minutes.
 func (c *Cluster) Now() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.fleet.Now()
+}
+
+// Telemetry returns the sinks the cluster was opened with (Config.Recorder,
+// Config.Spans, Config.Energy); each is nil when unset. The HTTP edge
+// serves its debug routes and /metrics families from them.
+func (c *Cluster) Telemetry() (*obs.FlightRecorder, *obs.SpanStore, *obs.EnergyRecorder) {
+	return c.rec, c.cfg.Spans, c.cfg.Energy
 }
 
 // Adopted returns the number of VMs adopted from other shards over the

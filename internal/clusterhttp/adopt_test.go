@@ -34,7 +34,7 @@ func postAdopt(t *testing.T, url string, body string) (*http.Response, []byte) {
 // rebalancer can treat them as skips.
 func TestAdoptionsEndpoint(t *testing.T) {
 	c := testCluster(t)
-	srv := httptest.NewServer(NewHandler(c))
+	srv := httptest.NewServer(New(c, nil))
 	defer srv.Close()
 
 	if err := c.AdvanceTo(4); err != nil {
@@ -85,7 +85,7 @@ func TestAdoptionsEndpoint(t *testing.T) {
 // envelope; unstamped requests always pass, and garbage stamps are 400s.
 func TestEpochFence(t *testing.T) {
 	c := testCluster(t)
-	srv := httptest.NewServer(NewHandler(c))
+	srv := httptest.NewServer(New(c, nil))
 	defer srv.Close()
 
 	get := func(epoch string) (*http.Response, []byte) {
@@ -149,7 +149,7 @@ func TestAdoptDecisionFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv := httptest.NewServer(New(c, Config{Recorder: rec}))
+	srv := httptest.NewServer(New(c, nil))
 	defer srv.Close()
 
 	if _, raw := postAdopt(t, srv.URL, `{"vm":{"id":9,"demand":{"cpu":1,"mem":1},"start":1,"end":30},"start":1}`); len(raw) == 0 {

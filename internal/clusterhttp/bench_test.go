@@ -36,7 +36,7 @@ func BenchmarkAdmitHTTP(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	srv := httptest.NewServer(New(c, Config{Recorder: rec, Spans: spans}))
+	srv := httptest.NewServer(New(c, nil))
 	defer srv.Close()
 	post := func(path string, body []byte) []byte {
 		resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(body))

@@ -42,7 +42,7 @@ func tracedCluster(t *testing.T) (*httptest.Server, *obs.SpanStore, *obs.EnergyR
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv := httptest.NewServer(New(c, Config{Spans: spans, Energy: energy}))
+	srv := httptest.NewServer(New(c, nil))
 	t.Cleanup(srv.Close)
 	return srv, spans, energy
 }

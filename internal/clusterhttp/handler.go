@@ -39,42 +39,14 @@ import (
 	"vmalloc/internal/obs"
 )
 
-// Config wires the observability surface into the handler. The zero
-// value is a working configuration: no logging, a private metrics
-// collector, no flight recorder (the debug endpoint serves an empty
-// list).
-type Config struct {
-	// Logger receives the access log and handler errors; nil discards.
-	Logger *slog.Logger
-	// Recorder backs GET /v1/debug/decisions. To make decisions flow, the
-	// same recorder must be set on the cluster's Config.Recorder.
-	Recorder *obs.FlightRecorder
-	// Metrics collects per-route request counts and latency histograms
-	// for /metrics; nil creates a fresh collector.
-	Metrics *obs.HTTPMetrics
-	// Spans backs GET /v1/debug/traces and records the HTTP edge's route
-	// spans. To see pipeline stage spans too, the same store must be set
-	// on the cluster's Config.Spans.
-	Spans *obs.SpanStore
-	// Energy backs GET /v1/debug/energy and the vmalloc_energy_* gauge
-	// families on /metrics. Samples flow when the same recorder is set on
-	// the cluster's Config.Energy.
-	Energy *obs.EnergyRecorder
-}
-
-// NewHandler builds the service's HTTP API around a cluster with the
-// zero-value Config (no logging, no flight recorder).
-func NewHandler(c *cluster.Cluster) http.Handler {
-	return New(c, Config{})
-}
-
-// New builds the service's HTTP API around a cluster, instrumented per
-// cfg: the whole mux is wrapped in obs.Middleware, so every route is
-// traced, counted and timed.
-func New(c *cluster.Cluster, cfg Config) http.Handler {
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewHTTPMetrics()
-	}
+// New builds the service's HTTP API around a cluster. The whole mux is
+// wrapped in obs.Middleware, so every route is traced, counted and timed;
+// log receives the access log and handler errors (nil discards). The
+// debug routes, the route spans and the /metrics families come from the
+// sinks the cluster was opened with (Cluster.Telemetry).
+func New(c *cluster.Cluster, log *slog.Logger) http.Handler {
+	recorder, spans, energy := c.Telemetry()
+	metrics := obs.NewHTTPMetrics()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/vms", func(w http.ResponseWriter, r *http.Request) {
 		// The decode span rides the context into the batch, so the
@@ -173,8 +145,8 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 			return
 		}
 		var ds []obs.Decision
-		if cfg.Recorder != nil {
-			ds = cfg.Recorder.Decisions(f)
+		if recorder != nil {
+			ds = recorder.Decisions(f)
 		}
 		if ds == nil {
 			ds = []obs.Decision{} // an empty recorder is [], not null
@@ -187,7 +159,7 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 			api.WriteBadRequest(w, r, err)
 			return
 		}
-		api.WriteJSON(w, http.StatusOK, api.NewTracesResponse(cfg.Spans.Spans(f)))
+		api.WriteJSON(w, http.StatusOK, api.NewTracesResponse(spans.Spans(f)))
 	})
 	mux.HandleFunc("GET /v1/debug/energy", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -197,12 +169,12 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 			api.WriteBadRequest(w, r, err)
 			return
 		}
-		resp := api.EnergyResponse{Samples: cfg.Energy.Samples(since, limit)}
+		resp := api.EnergyResponse{Samples: energy.Samples(since, limit)}
 		if resp.Samples == nil {
 			resp.Samples = []obs.EnergySample{}
 		}
 		resp.Count = len(resp.Samples)
-		if last, ok := cfg.Energy.Last(); ok {
+		if last, ok := energy.Last(); ok {
 			resp.Now = last.Clock
 			resp.TotalWattMinutes = last.TotalWattMinutes
 		}
@@ -219,13 +191,13 @@ func New(c *cluster.Cluster, cfg Config) http.Handler {
 			// connection error path.
 			return
 		}
-		cfg.Metrics.Write(w, "vmalloc_http")
-		cfg.Spans.WriteMetrics(w, "vmalloc_trace")
-		cfg.Energy.WriteMetrics(w)
+		metrics.Write(w, "vmalloc_http")
+		spans.WriteMetrics(w, "vmalloc_trace")
+		energy.WriteMetrics(w)
 		obs.WriteRuntimeMetrics(w)
 		obs.WriteBuildInfo(w, "vmalloc_build_info", "Build identity of the running binary (constant 1).")
 	})
-	return obs.Middleware(epochFence(mux), cfg.Logger, cfg.Metrics, cfg.Spans)
+	return obs.Middleware(epochFence(mux), log, metrics, spans)
 }
 
 // decode reads and parses a request body through the shared edge,

@@ -40,7 +40,7 @@ func testCluster(t *testing.T) *cluster.Cluster {
 // states across restarts without shipping the whole body.
 func TestStateDigestHeader(t *testing.T) {
 	c := testCluster(t)
-	srv := httptest.NewServer(NewHandler(c))
+	srv := httptest.NewServer(New(c, nil))
 	defer srv.Close()
 
 	if _, err := http.Post(srv.URL+"/v1/vms", "application/json",
@@ -79,7 +79,7 @@ func TestStateDigestHeader(t *testing.T) {
 // consolidation pass with typed request and response bodies.
 func TestMigrationRoutes(t *testing.T) {
 	c := testCluster(t)
-	srv := httptest.NewServer(NewHandler(c))
+	srv := httptest.NewServer(New(c, nil))
 	defer srv.Close()
 
 	if _, err := http.Post(srv.URL+"/v1/vms", "application/json",
@@ -194,7 +194,7 @@ func TestClassifyConsolidation(t *testing.T) {
 // id the caller sent.
 func TestErrorEnvelopes(t *testing.T) {
 	c := testCluster(t)
-	srv := httptest.NewServer(NewHandler(c))
+	srv := httptest.NewServer(New(c, nil))
 	defer srv.Close()
 
 	do := func(method, path, body string) (int, api.ErrorEnvelope) {

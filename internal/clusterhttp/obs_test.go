@@ -15,9 +15,9 @@ import (
 	"vmalloc/internal/promlint"
 )
 
-// obsCluster builds a cluster wired to a flight recorder and the handler
-// around both, so decisions flow end to end.
-func obsCluster(t *testing.T, cfg Config) (*cluster.Cluster, *httptest.Server) {
+// obsCluster builds a cluster wired to a flight recorder (nil for none)
+// and the handler around it, so decisions flow end to end.
+func obsCluster(t *testing.T, rec *obs.FlightRecorder) (*cluster.Cluster, *httptest.Server) {
 	t.Helper()
 	servers := make([]model.Server, 4)
 	for i := range servers {
@@ -32,13 +32,13 @@ func obsCluster(t *testing.T, cfg Config) (*cluster.Cluster, *httptest.Server) {
 	c, err := cluster.Open(cluster.Config{
 		Servers:     servers,
 		IdleTimeout: 2,
-		Recorder:    cfg.Recorder,
+		Recorder:    rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv := httptest.NewServer(New(c, cfg))
+	srv := httptest.NewServer(New(c, nil))
 	t.Cleanup(srv.Close)
 	return c, srv
 }
@@ -48,7 +48,7 @@ func obsCluster(t *testing.T, cfg Config) (*cluster.Cluster, *httptest.Server) {
 // batch id and per-stage durations, and the query filters work.
 func TestDebugDecisions(t *testing.T) {
 	rec := obs.NewFlightRecorder(64)
-	_, srv := obsCluster(t, Config{Recorder: rec})
+	_, srv := obsCluster(t, rec)
 
 	post := func(id string, body string) *http.Response {
 		t.Helper()
@@ -157,7 +157,7 @@ func TestDebugDecisions(t *testing.T) {
 // TestDebugDecisionsNoRecorder: without a recorder the endpoint serves an
 // empty list, not null and not an error.
 func TestDebugDecisionsNoRecorder(t *testing.T) {
-	_, srv := obsCluster(t, Config{})
+	_, srv := obsCluster(t, nil)
 	resp, err := http.Get(srv.URL + "/v1/debug/decisions")
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestDebugDecisionsNoRecorder(t *testing.T) {
 // TestRequestIDEcho: the handler echoes a valid client id and mints one
 // otherwise, on every route.
 func TestRequestIDEcho(t *testing.T) {
-	_, srv := obsCluster(t, Config{})
+	_, srv := obsCluster(t, nil)
 	req, err := http.NewRequest(http.MethodGet, srv.URL+"/healthz", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestRequestIDEcho(t *testing.T) {
 // tentpole families present with the expected labels.
 func TestMetricsLint(t *testing.T) {
 	rec := obs.NewFlightRecorder(64)
-	_, srv := obsCluster(t, Config{Recorder: rec})
+	_, srv := obsCluster(t, rec)
 
 	for i := 1; i <= 5; i++ {
 		body := fmt.Sprintf(`{"id":%d,"demand":{"cpu":1,"mem":1},"durationMinutes":30}`, i)

@@ -261,7 +261,7 @@ func newTestServer(t *testing.T, n int) (*httptest.Server, *cluster.Cluster) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv := httptest.NewServer(clusterhttp.NewHandler(c))
+	srv := httptest.NewServer(clusterhttp.New(c, nil))
 	t.Cleanup(srv.Close)
 	return srv, c
 }

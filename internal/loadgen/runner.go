@@ -38,7 +38,7 @@ type Options struct {
 	// minute is a multiple of this value; 0 never consolidates.
 	ConsolidateEvery int
 	// ConsolidatePolicy is the victim-selection policy for those passes;
-	// "" lets the server pick its configured default.
+	// "" means api.PolicyMinMigrationTime.
 	ConsolidatePolicy string
 }
 

@@ -11,7 +11,6 @@ import (
 	"vmalloc/internal/api"
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
-	"vmalloc/internal/obs"
 	"vmalloc/internal/shard"
 	"vmalloc/internal/workload"
 )
@@ -42,7 +41,7 @@ func newShardedDeployment(t *testing.T, serversPerShard int) *shardedDeployment 
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { cl.Close() })
-		srv := httptest.NewServer(clusterhttp.New(cl, clusterhttp.Config{Metrics: obs.NewHTTPMetrics()}))
+		srv := httptest.NewServer(clusterhttp.New(cl, nil))
 		t.Cleanup(srv.Close)
 		d.shardSrv[name] = srv
 		shards = append(shards, shard.Shard{Name: name, Addr: srv.URL})
@@ -52,7 +51,7 @@ func newShardedDeployment(t *testing.T, serversPerShard int) *shardedDeployment 
 		t.Fatal(err)
 	}
 	d.m = m
-	d.gate = shard.NewGate(m, shard.Config{Metrics: obs.NewHTTPMetrics()})
+	d.gate = shard.NewGate(m, shard.Config{})
 	d.gateSrv = httptest.NewServer(d.gate.Handler())
 	t.Cleanup(d.gateSrv.Close)
 	return d

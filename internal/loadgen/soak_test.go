@@ -88,7 +88,7 @@ func TestSoakJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	srv := httptest.NewServer(clusterhttp.New(cl, clusterhttp.Config{Recorder: recorder}))
+	srv := httptest.NewServer(clusterhttp.New(cl, nil))
 	defer srv.Close()
 
 	client := NewClient(srv.URL)

@@ -106,19 +106,16 @@ func runTelemetryLoad(t *testing.T, sched *Schedule, telemetry bool) (*Report, *
 		Servers:     testServers(16),
 		IdleTimeout: 5,
 	}
-	hcfg := clusterhttp.Config{}
 	if telemetry {
 		ccfg.Spans = obs.NewSpanStore(1 << 16)
 		ccfg.Energy = obs.NewEnergyRecorder(1 << 12)
-		hcfg.Spans = ccfg.Spans
-		hcfg.Energy = ccfg.Energy
 	}
 	cl, err := cluster.Open(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	srv := httptest.NewServer(clusterhttp.New(cl, hcfg))
+	srv := httptest.NewServer(clusterhttp.New(cl, nil))
 	t.Cleanup(srv.Close)
 
 	client := NewClient(srv.URL)

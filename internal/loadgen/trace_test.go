@@ -87,7 +87,7 @@ func TestTraceReplayEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	srv := httptest.NewServer(clusterhttp.New(cl, clusterhttp.Config{}))
+	srv := httptest.NewServer(clusterhttp.New(cl, nil))
 	defer srv.Close()
 
 	r := &Runner{Client: NewClient(srv.URL), Schedule: sched, Opts: Options{Workers: 2}}
@@ -122,7 +122,7 @@ func TestTraceReplayHugeID(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	r := &Runner{Client: NewHandlerClient(clusterhttp.New(cl, clusterhttp.Config{})), Schedule: sched}
+	r := &Runner{Client: NewHandlerClient(clusterhttp.New(cl, nil)), Schedule: sched}
 	rep, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 //   - every request gets a request id — the client's X-Request-Id when
 //     valid, a fresh one otherwise — carried via the context through the
 //     whole admission pipeline and echoed on the response;
-//   - met (when non-nil) gains a per-route/status count and a per-route
+//   - met gains a per-route/status count and a per-route
 //     latency observation, labelled with the ServeMux pattern that
 //     served the request ("unmatched" when none did);
 //   - log (when non-nil) gets one structured access-log line per
@@ -81,9 +81,7 @@ func Middleware(next http.Handler, log *slog.Logger, met *HTTPMetrics, spans *Sp
 		if route == "" {
 			route = "unmatched"
 		}
-		if met != nil {
-			met.Observe(route, status, d)
-		}
+		met.Observe(route, status, d)
 		spans.Record(Span{
 			TraceID:  self.TraceID,
 			SpanID:   self.SpanID,

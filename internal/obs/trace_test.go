@@ -125,7 +125,7 @@ func TestMiddlewareTraceHeaders(t *testing.T) {
 				seen = TraceContextFrom(r.Context())
 			})
 			log := slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))
-			srv := httptest.NewServer(Middleware(mux, log, nil, spans))
+			srv := httptest.NewServer(Middleware(mux, log, NewHTTPMetrics(), spans))
 			defer srv.Close()
 
 			req, _ := http.NewRequest("GET", srv.URL+"/ping", nil)

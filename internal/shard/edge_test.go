@@ -34,7 +34,7 @@ func TestEdgeParity(t *testing.T) {
 	}
 	defer c.Close()
 	var shardHits atomic.Int32
-	serve := clusterhttp.NewHandler(c)
+	serve := clusterhttp.New(c, nil)
 	shardSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		shardHits.Add(1)
 		serve.ServeHTTP(w, r)

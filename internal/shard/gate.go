@@ -37,9 +37,6 @@ type Config struct {
 	// Logger gets the access log and shard health transitions; nil
 	// discards.
 	Logger *slog.Logger
-	// Metrics collects the gate's own per-route counts and latencies,
-	// exported under vmalloc_gate_http_*; nil disables them.
-	Metrics *obs.HTTPMetrics
 	// Spans, when non-nil, records the gate's side of each distributed
 	// trace — the edge route span, one fan-out span per downstream shard
 	// call, and the scatter-gather merge — and backs the gate's
@@ -65,6 +62,9 @@ type Gate struct {
 	cfg    Config
 	hc     *http.Client
 	prober *Prober
+	// metrics counts the gate's own routes, exported under
+	// vmalloc_gate_http_*.
+	metrics *obs.HTTPMetrics
 
 	// reb tracks the state of the current (and last) topology drain.
 	reb rebalancer
@@ -81,8 +81,9 @@ func NewGate(m *Map, cfg Config) *Gate {
 		hc = &http.Client{}
 	}
 	g := &Gate{
-		cfg: cfg,
-		hc:  hc,
+		cfg:     cfg,
+		hc:      hc,
+		metrics: obs.NewHTTPMetrics(),
 		prober: NewProber(m, ProberConfig{
 			Interval: cfg.ProbeInterval,
 			Timeout:  cfg.Timeout,
@@ -126,7 +127,7 @@ func (g *Gate) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/debug/traces", g.handleTraces)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
-	return obs.Middleware(mux, g.cfg.Logger, g.cfg.Metrics, g.cfg.Spans)
+	return obs.Middleware(mux, g.cfg.Logger, g.metrics, g.cfg.Spans)
 }
 
 // call proxies one request to a shard and returns the response body, or
@@ -651,9 +652,7 @@ func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (g *Gate) writeOwnMetrics(w io.Writer) {
 	g.prober.writeMetrics(w)
 	g.writeRebalanceMetrics(w)
-	if g.cfg.Metrics != nil {
-		g.cfg.Metrics.Write(w, "vmalloc_gate_http")
-	}
+	g.metrics.Write(w, "vmalloc_gate_http")
 	// The gate_ prefix keeps these from colliding with the shards'
 	// vmalloc_trace_* families in the merged exposition above.
 	g.cfg.Spans.WriteMetrics(w, "vmalloc_gate_trace")

@@ -50,7 +50,7 @@ func newDeployment(t *testing.T) *testDeployment {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		srv := httptest.NewServer(clusterhttp.New(c, clusterhttp.Config{Metrics: obs.NewHTTPMetrics(), Recorder: rec}))
+		srv := httptest.NewServer(clusterhttp.New(c, nil))
 		t.Cleanup(srv.Close)
 		shardSrv[name] = srv
 		shards = append(shards, Shard{Name: name, Addr: srv.URL})
@@ -59,7 +59,7 @@ func newDeployment(t *testing.T) *testDeployment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGate(m, Config{Metrics: obs.NewHTTPMetrics()})
+	g := NewGate(m, Config{})
 	gateSrv := httptest.NewServer(g.Handler())
 	t.Cleanup(gateSrv.Close)
 	return &testDeployment{gate: g, gateSrv: gateSrv, m: m, shardSrv: shardSrv}
@@ -487,7 +487,7 @@ func TestGateShardAnswerOverCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	small := httptest.NewServer(clusterhttp.NewHandler(c))
+	small := httptest.NewServer(clusterhttp.New(c, nil))
 	defer small.Close()
 	m, err := NewMap([]Shard{{Name: "small", Addr: small.URL}, {Name: "big", Addr: big.URL}})
 	if err != nil {
@@ -626,6 +626,31 @@ func TestGateMetricsMerged(t *testing.T) {
 	}
 	if n := strings.Count(out, "# TYPE vmalloc_cluster_admissions_total counter"); n != 1 {
 		t.Errorf("vmalloc_cluster_admissions_total declared %d times, want 1", n)
+	}
+}
+
+// TestGateCountsOwnRoutes: a gate built from the zero Config counts its
+// own routes, so its /metrics carries vmalloc_gate_http_* after one
+// proxied request.
+func TestGateCountsOwnRoutes(t *testing.T) {
+	d := newDeployment(t)
+	srv := httptest.NewServer(NewGate(d.m, Config{}).Handler())
+	t.Cleanup(srv.Close)
+	for _, path := range []string{"/v1/state", "/metrics"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, err)
+		}
+		if path == "/metrics" {
+			if want := `vmalloc_gate_http_requests_total{route="GET /v1/state",status="200"} 1`; !strings.Contains(string(body), want) {
+				t.Errorf("gate metrics missing %q", want)
+			}
+		}
 	}
 }
 
@@ -813,7 +838,7 @@ func BenchmarkGateAdmit(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { c.Close() })
-		srv := httptest.NewServer(clusterhttp.NewHandler(c))
+		srv := httptest.NewServer(clusterhttp.New(c, nil))
 		b.Cleanup(srv.Close)
 		shards = append(shards, Shard{Name: fmt.Sprint("s", i), Addr: srv.URL})
 	}

@@ -42,7 +42,7 @@ func newShardServer(t *testing.T, base int) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv := httptest.NewServer(clusterhttp.New(c, clusterhttp.Config{Metrics: obs.NewHTTPMetrics()}))
+	srv := httptest.NewServer(clusterhttp.New(c, nil))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -62,7 +62,7 @@ func newElasticDeployment(t *testing.T, initial []Shard, epoch int64, all map[st
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGate(m.WithEpoch(epoch), Config{Metrics: obs.NewHTTPMetrics(), Spans: obs.NewSpanStore(0)})
+	g := NewGate(m.WithEpoch(epoch), Config{Spans: obs.NewSpanStore(0)})
 	gateSrv := httptest.NewServer(g.Handler())
 	t.Cleanup(gateSrv.Close)
 	return &elasticDeployment{gate: g, gateSrv: gateSrv, byName: all}

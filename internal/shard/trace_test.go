@@ -48,9 +48,7 @@ func newTracedDeployment(t *testing.T) *tracedDeployment {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		srv := httptest.NewServer(clusterhttp.New(c, clusterhttp.Config{
-			Metrics: obs.NewHTTPMetrics(), Spans: spans, Energy: energy,
-		}))
+		srv := httptest.NewServer(clusterhttp.New(c, nil))
 		t.Cleanup(srv.Close)
 		shards = append(shards, Shard{Name: name, Addr: srv.URL})
 	}
@@ -59,7 +57,7 @@ func newTracedDeployment(t *testing.T) *tracedDeployment {
 		t.Fatal(err)
 	}
 	gateSpans := obs.NewSpanStore(512)
-	g := NewGate(m, Config{Metrics: obs.NewHTTPMetrics(), Spans: gateSpans})
+	g := NewGate(m, Config{Spans: gateSpans})
 	gateSrv := httptest.NewServer(g.Handler())
 	t.Cleanup(gateSrv.Close)
 	return &tracedDeployment{gateSrv: gateSrv, m: m, gateSpans: gateSpans}
