@@ -73,12 +73,12 @@ loc:
 # (find, insertMarks, deleteMarks and an inlined search replace the
 # reservation map and the generic binary search), the journal reader
 # interns the names it decodes in a fixed table, and model.Usage sums
-# into a buffer its caller passes back. Last lowered by 58: every
-# outbound request is sent and its answer read by api.Call (the gate's
-# shard calls, its prober, the load generator), the prober is the gate's
-# one per-shard record (it counts proxy failures and writes the per-shard
-# gauges), and the in-process transport serves into an httptest recorder.
-LOC_MAX = 19229
+# into a buffer its caller passes back. Last lowered by 90: the HTTP edge
+# reads its telemetry sinks from the cluster (clusterhttp.Config and
+# NewHandler are gone), the gate builds its own route metrics, and
+# vmserve's background consolidation ticker, default victim policy and
+# donor threshold are gone (the threshold is a constant).
+LOC_MAX = 19139
 
 # DOC_MAX is DESIGN.md's line budget (ROADMAP item 16 (b)), kept like
 # LOC_MAX: DESIGN says what is and why; per-change history belongs in
@@ -123,8 +123,11 @@ DOC_MAX = 894
 # internal/cluster starts no goroutine and names no chan), one client
 # edge (api.Call sends every outbound request and bounds and classifies
 # its answer: non-test internal and cmd call .Do(req) only in
-# internal/api/edge.go, and no http.Get/Head/Post/PostForm), short
-# CHANGES.md lines
+# internal/api/edge.go, and no http.Get/Head/Post/PostForm), one owner
+# per HTTP edge's route metrics (clusterhttp.New and shard.NewGate build
+# their own collector: non-test Go outside internal/obs,
+# internal/clusterhttp and internal/shard names no obs.NewHTTPMetrics(),
+# short CHANGES.md lines
 # (ROADMAP item 16 (c): none over 2 kB after the marker; a line cites
 # BENCH_TRAJECTORY.json rows instead of inlining runs), and two size
 # ceilings (LOC_MAX for non-test Go, DOC_MAX for DESIGN.md).
@@ -179,6 +182,8 @@ fence:
 		|| { echo 'fence: internal/cluster runs on its callers'"'"' goroutines (mutations under c.mu, group commit under the journal'"'"'s gmu); it starts no goroutine and has no channel'; exit 1; }
 	@! grep -rn -e '\.Do(req' -e 'http\.\(Get\|Head\|Post\|PostForm\)(' --include='*.go' internal cmd | grep -v -e _test.go -e '^internal/api/edge.go:' \
 		|| { echo 'fence: a request is sent and its answer read by api.Call (internal/api/edge.go)'; exit 1; }
+	@! grep -rn 'obs\.NewHTTPMetrics(' --include='*.go' --exclude='*_test.go' internal cmd examples *.go | grep -v -e '^internal/clusterhttp/' -e '^internal/shard/' \
+		|| { echo 'fence: clusterhttp.New and shard.NewGate build their own route metrics; a caller passes none'; exit 1; }
 	@LC_ALL=C awk 'marked && length($$0) > 2048 { print "CHANGES.md:" NR ": " length($$0) " bytes"; long = 1 } /^<!-- short lines below/ { marked = 1 } \
 		END { exit long || !marked }' CHANGES.md \
 		|| { echo 'fence: CHANGES.md lines after the short-lines marker are at most 2 kB; cite BENCH_TRAJECTORY.json rows'; exit 1; }
