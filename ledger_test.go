@@ -350,6 +350,40 @@ func TestBenchLedger(t *testing.T) {
 	}
 }
 
+// TestAppendSessionRotated: the rounds of a session start at different
+// commits, and every run still lands in the row of the `ledger: commit`
+// line above it; the commits keep the order they first appear in.
+func TestAppendSessionRotated(t *testing.T) {
+	var raw string
+	round := func(commits ...string) {
+		for _, c := range commits {
+			allocs := map[string]string{"aaa": "1", "bbb": "2"}[c]
+			raw += "ledger: commit " + c + " subject\n" +
+				"BenchmarkLedgerReference 10 100 ns/op 0 B/op 0 allocs/op\n" +
+				"ledger: bench BenchmarkScan scan\n" +
+				"BenchmarkScan 10 100 ns/op 1 B/op " + allocs + " allocs/op\n"
+		}
+	}
+	raw = "ledger: session s benchtime 500ms rounds 3\n"
+	round("aaa", "bbb")
+	round("bbb", "aaa")
+	round("aaa", "bbb")
+	var l ledger
+	appendSession(t, &l, []byte(raw))
+	if len(l.Commits) != 2 || l.Commits[0].Commit != "aaa" || l.Commits[1].Commit != "bbb" {
+		t.Fatalf("commits %+v, want aaa then bbb", l.Commits)
+	}
+	for _, r := range l.Layers {
+		want := map[string]float64{"aaa": 1, "bbb": 2}[r.Commit]
+		if r.Runs != 3 || r.AllocsOp.Min != want || r.AllocsOp.Max != want {
+			t.Errorf("%s row: %d runs, allocs/op %+v, want 3 runs of %g", r.Commit, r.Runs, r.AllocsOp, want)
+		}
+	}
+	if len(l.Layers) != 2 {
+		t.Errorf("%d rows, want 2", len(l.Layers))
+	}
+}
+
 // TestLedgerGate runs the gate on a two-commit ledger: the newest commit's
 // rows must all be in the run, and a benchmark's allocs/op may exceed its
 // last row's median by the widest spread of any of its rows, not more.

@@ -4,8 +4,10 @@
 #
 #   benchledger.sh ledger REF...  builds every REF and HEAD in a git
 #       worktree, runs each commit's ledger benchmarks five times, the
-#       commits taking turns within each round, and appends the rows to
-#       BENCH_TRAJECTORY.json (make benchledger REF=...)
+#       commits taking turns within each round and round r starting at
+#       the r-th commit (mod their number), so drift within a round falls
+#       on every side, and appends the rows to BENCH_TRAJECTORY.json
+#       (make benchledger REF=...)
 #   benchledger.sh gate           runs the working tree's ledger benchmarks
 #       three times at -cpu 1 and fails if the median of one's allocs/op
 #       exceeds what its last row allows (make benchgate)
@@ -99,8 +101,10 @@ ledger)
 	head=${shas[${#shas[@]}-1]}
 	raw=$tmp/raw.txt
 	echo "ledger: session $(date -u +%Y-%m-%dT%H:%MZ) benchtime $benchtime rounds $rounds" > "$raw"
+	n=${#shas[@]}
 	for round in $(seq "$rounds"); do
-		for sha in "${shas[@]}"; do
+		for i in $(seq 0 $((n - 1))); do
+			sha=${shas[(round - 1 + i) % n]}
 			echo "round $round: $sha" >&2
 			echo "ledger: commit $sha $(git log -1 --format=%s "$sha")" >> "$raw"
 			# The machine-speed reference is HEAD's, whatever the commit.
