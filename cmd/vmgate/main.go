@@ -8,7 +8,7 @@
 // serves the combined view with a combined digest; GET /metrics merges
 // the shards' Prometheus expositions under a shard label. Writes
 // route: admissions and releases go to the shard owning the VM ID;
-// POST /v1/clock fans out to all shards. A background prober watches
+// POST /v1/clock fans out to all shards. Background health probes watch
 // shard /healthz endpoints — a down shard degrades only its own key
 // range, answered with typed shard_down 503 envelopes, while the rest
 // of the deployment keeps serving (GET /v1/shards shows the health
@@ -61,8 +61,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	var (
 		addr       = fs.String("addr", ":8081", "listen address")
 		topoPath   = fs.String("topology", "", "versioned topology file (JSON: epoch, shards with name/url/weight)")
-		probe      = fs.Duration("probe-interval", shard.DefaultProbeInterval, "shard health-probe interval")
-		timeout    = fs.Duration("timeout", shard.DefaultProxyTimeout, "per-shard proxy request timeout")
 		logFormat  = fs.String("log-format", "text", "log output format: text or json")
 		logLevel   = fs.String("log-level", "info", "log level: debug, info, warn, error")
 		traceSpans = fs.Int("trace-spans", obs.DefaultSpanStoreSize, "trace span buffer capacity: how many gate route/fan-out/merge spans the stitched /v1/debug/traces keeps (0 = gate-side tracing off)")
@@ -90,12 +88,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if *traceSpans > 0 {
 		spans = obs.NewSpanStore(*traceSpans)
 	}
-	gate := shard.NewGate(m, shard.Config{
-		Timeout:       *timeout,
-		ProbeInterval: *probe,
-		Logger:        logger,
-		Spans:         spans,
-	})
+	gate := shard.NewGate(m, shard.Config{Logger: logger, Spans: spans})
 
 	probeCtx, stopProbe := context.WithCancel(context.Background())
 	defer stopProbe()

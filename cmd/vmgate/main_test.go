@@ -252,4 +252,11 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-shard", "a=http://x"}, io.Discard); err == nil {
 		t.Error("the retired -shard flag should be rejected")
 	}
+	// The probe cadence and the proxy timeout are constants.
+	for _, args := range [][]string{{"-probe-interval", "2s"}, {"-timeout", "5s"}} {
+		err := run(context.Background(), append(args, "-topology", writeTopology(t, "a=http://x")), io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%v: error %v, want an undefined flag", args, err)
+		}
+	}
 }

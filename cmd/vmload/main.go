@@ -88,9 +88,6 @@ func run(ctx context.Context, args []string, w, errW io.Writer) error {
 		minute    = fs.Duration("minute", 20*time.Millisecond, "wall-clock time per fleet minute (0 = flat out)")
 		workers   = fs.Int("workers", 8, "concurrent request workers")
 		chunk     = fs.Int("chunk", 0, "admissions per HTTP call (0 = one call per minute-step, deterministic)")
-		timeout   = fs.Duration("timeout", 10*time.Second, "per-attempt request timeout")
-		retries   = fs.Int("retries", 2, "retries per failed request (-1 = none)")
-		backoff   = fs.Duration("backoff", 50*time.Millisecond, "first retry backoff, doubling per retry")
 		noClock   = fs.Bool("no-clock", false, "do not drive /v1/clock (the server's clock is advanced elsewhere)")
 		consEvery = fs.Int("consolidate-every", 0, "POST /v1/consolidate after the tick of every fleet minute that is a multiple of this (0 = never)")
 		consPol   = fs.String("consolidate-policy", "", "victim-selection policy for those passes: min-migration-time or min-utilization (empty = min-migration-time)")
@@ -182,16 +179,13 @@ func run(ctx context.Context, args []string, w, errW io.Writer) error {
 	} else {
 		// Several targets: front them with the gate itself, called in
 		// process — a vmgate's routing and merges without its network
-		// hop. The prober runs for the life of the run.
-		gate := shard.NewGate(m, shard.Config{Timeout: *timeout})
+		// hop. Its health probes run for the life of the run.
+		gate := shard.NewGate(m, shard.Config{})
 		gctx, stopGate := context.WithCancel(ctx)
 		defer stopGate()
 		go gate.Run(gctx)
 		client = loadgen.NewHandlerClient(gate.Handler())
 	}
-	client.Timeout = *timeout
-	client.Retries = *retries
-	client.Backoff = *backoff
 
 	runner := &loadgen.Runner{
 		Client:   client,

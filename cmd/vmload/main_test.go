@@ -60,6 +60,11 @@ func TestRunBadFlags(t *testing.T) {
 		// Removed with the client-side router (one -addr at the gate
 		// follows its resizes): a usage error, not a silent no-op.
 		{[]string{"-topology-source", "http://127.0.0.1:1"}, "flag provided but not defined"},
+		// The client's retry policy is fixed: 2 retries, 50 ms doubling,
+		// 10 s per attempt.
+		{[]string{"-timeout", "5s"}, "flag provided but not defined"},
+		{[]string{"-retries", "3"}, "flag provided but not defined"},
+		{[]string{"-backoff", "10ms"}, "flag provided but not defined"},
 	} {
 		err := run(context.Background(), c.args, io.Discard, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), c.want) {

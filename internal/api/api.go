@@ -194,7 +194,7 @@ type ShardHealth struct {
 	Name string `json:"name"`
 	// Addr is the shard's base URL.
 	Addr string `json:"addr"`
-	// Healthy reports the prober's current verdict.
+	// Healthy reports the gate's current verdict on the shard.
 	Healthy bool `json:"healthy"`
 	// Weight is the shard's rendezvous weight (1 when unweighted).
 	Weight float64 `json:"weight,omitempty"`

@@ -17,6 +17,14 @@ import (
 	"vmalloc/internal/obs"
 )
 
+// The client's retry policy: a failed attempt is retried twice, after
+// 50 then 100 ms, and each attempt is bounded by attemptTimeout.
+const (
+	attemptTimeout = 10 * time.Second
+	retries        = 2
+	backoff        = 50 * time.Millisecond
+)
+
 // Client is a typed HTTP client for the vmserve API
 // (internal/clusterhttp): POST/DELETE /v1/vms, POST /v1/clock,
 // GET /v1/state, /healthz and /metrics, with a per-attempt timeout and
@@ -38,14 +46,6 @@ type Client struct {
 	Base string
 	// HTTP is the underlying client; nil means http.DefaultClient.
 	HTTP *http.Client
-	// Timeout bounds each attempt; 0 means 10s.
-	Timeout time.Duration
-	// Retries is how many times a failed attempt is retried; 0 means 2.
-	// Negative disables retries.
-	Retries int
-	// Backoff is the first retry delay, doubling per retry; 0 means
-	// 50ms.
-	Backoff time.Duration
 	// RecordRequestIDs makes the client remember every request id it
 	// issues (IssuedRequestIDs), so harnesses can cross-check the
 	// server's flight recorder against what was actually sent. Off by
@@ -60,8 +60,7 @@ type Client struct {
 	issued []string
 }
 
-// NewClient returns a client for the server rooted at base with the
-// default timeout/retry/backoff policy.
+// NewClient returns a client for the server rooted at base.
 func NewClient(base string) *Client {
 	return &Client{Base: strings.TrimRight(base, "/")}
 }
@@ -71,30 +70,6 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-func (c *Client) timeout() time.Duration {
-	if c.Timeout > 0 {
-		return c.Timeout
-	}
-	return 10 * time.Second
-}
-
-func (c *Client) retries() int {
-	switch {
-	case c.Retries < 0:
-		return 0
-	case c.Retries == 0:
-		return 2
-	}
-	return c.Retries
-}
-
-func (c *Client) backoff() time.Duration {
-	if c.Backoff > 0 {
-		return c.Backoff
-	}
-	return 50 * time.Millisecond
 }
 
 // Retried returns how many retry attempts the client has issued.
@@ -145,8 +120,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	// retried admission's attempts stitch into one tree server-side.
 	root := obs.NewTraceContext()
 	var lastErr error
-	delay := c.backoff()
-	for attempt := 0; attempt <= c.retries(); attempt++ {
+	delay := backoff
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			c.retried.Add(1)
 			select {
@@ -180,7 +155,7 @@ func (c *Client) attempt(ctx context.Context, method, path, reqID string, root o
 // a 2xx answer's headers and body (api.Call, up to 64 MiB). reqID, root
 // and body are optional.
 func (c *Client) roundTrip(ctx context.Context, method, path, reqID string, root obs.TraceContext, body []byte) (http.Header, []byte, error) {
-	actx, cancel := context.WithTimeout(ctx, c.timeout())
+	actx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {

@@ -66,7 +66,6 @@ func TestHandlerClientContextCancel(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	c := NewHandlerClient(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
-	c.Retries = -1
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	done := make(chan error, 1)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"vmalloc/internal/api"
 	"vmalloc/internal/cluster"
@@ -185,7 +184,6 @@ func TestClientRetryIdempotency(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.URL)
-	c.Backoff = time.Millisecond
 	adms, err := c.Admit(context.Background(), []api.AdmitRequest{{ID: 7, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 5}})
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +221,6 @@ func TestClientRetriesExhausted(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := NewClient(srv.URL)
-	c.Backoff = time.Millisecond
-	c.Retries = 2
 	if _, err := c.AdvanceClock(context.Background(), 5); err == nil {
 		t.Fatal("want error after retries exhausted")
 	}

@@ -236,7 +236,7 @@ func TestShardedSoakInProcessGate(t *testing.T) {
 func TestShardedFailoverScopedErrors(t *testing.T) {
 	d := newShardedDeployment(t, 4)
 	d.shardSrv["s1"].Close()
-	d.gate.Prober().CheckNow(context.Background())
+	d.gate.CheckNow(context.Background())
 
 	idFor := func(name string) int {
 		for id := 1; ; id++ {
@@ -246,7 +246,6 @@ func TestShardedFailoverScopedErrors(t *testing.T) {
 		}
 	}
 	client := NewClient(d.gateSrv.URL)
-	client.Retries = -1 // a dead shard stays dead; retrying only slows the test
 
 	req := func(id int) []api.AdmitRequest {
 		return []api.AdmitRequest{{ID: id, Demand: testServers(1)[0].Capacity, DurationMinutes: 10}}

@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,17 +20,11 @@ import (
 	"vmalloc/internal/obs"
 )
 
-// DefaultProxyTimeout bounds one proxied request when Config.Timeout is
-// 0.
-const DefaultProxyTimeout = 10 * time.Second
+// proxyTimeout bounds one proxied request and one health probe.
+const proxyTimeout = 10 * time.Second
 
 // Config configures a Gate. The zero value works.
 type Config struct {
-	// Timeout bounds each proxied request; 0 means DefaultProxyTimeout.
-	Timeout time.Duration
-	// ProbeInterval is the health-check cadence; 0 means
-	// DefaultProbeInterval.
-	ProbeInterval time.Duration
 	// Client issues proxied requests and probes; nil means a dedicated
 	// client (important: tests fronting httptest servers pass
 	// ts.Client()).
@@ -56,12 +51,14 @@ type Config struct {
 type Gate struct {
 	// topo is the gate's routing state: the current shard map plus,
 	// during a topology transition window, the superseded one (see
-	// rebalance.go). Handlers load it once per request so one request
-	// never sees two different topologies.
-	topo   atomic.Pointer[topoState]
-	cfg    Config
-	hc     *http.Client
-	prober *Prober
+	// rebalance.go), and each active shard's health record. Handlers load
+	// it once per request so one request never sees two different
+	// topologies.
+	topo atomic.Pointer[topoState]
+	// mu guards the fields of every shardHealth record (health.go).
+	mu  sync.Mutex
+	cfg Config
+	hc  *http.Client
 	// metrics counts the gate's own routes, exported under
 	// vmalloc_gate_http_*.
 	metrics *obs.HTTPMetrics
@@ -73,9 +70,6 @@ type Gate struct {
 // NewGate builds a gate over the shard map. Call Run to start health
 // probing and Handler for the HTTP surface.
 func NewGate(m *Map, cfg Config) *Gate {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultProxyTimeout
-	}
 	hc := cfg.Client
 	if hc == nil {
 		hc = &http.Client{}
@@ -84,26 +78,10 @@ func NewGate(m *Map, cfg Config) *Gate {
 		cfg:     cfg,
 		hc:      hc,
 		metrics: obs.NewHTTPMetrics(),
-		prober: NewProber(m, ProberConfig{
-			Interval: cfg.ProbeInterval,
-			Timeout:  cfg.Timeout,
-			Client:   hc,
-			Logger:   cfg.Logger,
-		}),
 	}
-	g.topo.Store(&topoState{cur: m})
+	g.topo.Store(newTopo(m, nil, nil))
 	return g
 }
-
-// Map returns the gate's current shard map (the newest topology epoch).
-func (g *Gate) Map() *Map { return g.topo.Load().cur }
-
-// Prober exposes the gate's health prober (the daemon runs it; tests
-// force verdicts through it).
-func (g *Gate) Prober() *Prober { return g.prober }
-
-// Run probes shard health until ctx is cancelled.
-func (g *Gate) Run(ctx context.Context) { g.prober.Run(ctx) }
 
 // Handler returns the gate's HTTP surface, wrapped in the same
 // request-id/access-log/metrics middleware the shards use.
@@ -162,10 +140,10 @@ func (g *Gate) call(ctx context.Context, s Shard, method, path string, body []by
 // callOnce issues one proxied request; sent is the topology epoch it was
 // stamped with (0 = unversioned).
 func (g *Gate) callOnce(ctx context.Context, s Shard, method, path string, body []byte) (http.Header, []byte, *api.Error, int64) {
-	if !g.prober.Healthy(s.Name) {
-		return nil, nil, g.shardDown(s, errors.New(g.prober.LastError(s.Name))), 0
+	if healthy, lastErr := g.health(s.Name); !healthy {
+		return nil, nil, g.shardDown(s, errors.New(lastErr)), 0
 	}
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, proxyTimeout)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
@@ -216,7 +194,7 @@ func (g *Gate) callOnce(ctx context.Context, s Shard, method, path string, body 
 		perr = &api.Error{Status: http.StatusBadGateway, Envelope: api.ErrorEnvelope{Code: api.CodeInternal, Message: msg}}
 	default:
 		msg = err.Error()
-		g.prober.proxyFailed(s.Name, err)
+		g.proxyFailed(s.Name, err)
 		perr = g.shardDown(s, err)
 	}
 	if fan.Valid() {
@@ -593,9 +571,10 @@ func (g *Gate) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gate) handleShards(w http.ResponseWriter, r *http.Request) {
-	hs := g.prober.Snapshot()
+	ts := g.topo.Load()
+	hs := g.healthSnapshot(ts)
 	api.WriteJSON(w, http.StatusOK, api.ShardsResponse{
-		Epoch: g.topo.Load().cur.Epoch(), Count: len(hs), Shards: hs,
+		Epoch: ts.cur.Epoch(), Count: len(hs), Shards: hs,
 	})
 }
 
@@ -603,7 +582,7 @@ func (g *Gate) handleShards(w http.ResponseWriter, r *http.Request) {
 // gate says which shards are down so orchestration can route around it.
 func (g *Gate) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	var down []string
-	for _, h := range g.prober.Snapshot() {
+	for _, h := range g.healthSnapshot(g.topo.Load()) {
 		if !h.Healthy {
 			down = append(down, h.Name)
 		}
@@ -650,7 +629,7 @@ func (g *Gate) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // families merged above (which include vmalloc_http_* and vmalloc_go_*
 // from each shard).
 func (g *Gate) writeOwnMetrics(w io.Writer) {
-	g.prober.writeMetrics(w)
+	g.writeHealthMetrics(w)
 	g.writeRebalanceMetrics(w)
 	g.metrics.Write(w, "vmalloc_gate_http")
 	// The gate_ prefix keeps these from colliding with the shards'

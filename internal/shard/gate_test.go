@@ -331,7 +331,7 @@ func TestGateRelease(t *testing.T) {
 func TestGateFailover(t *testing.T) {
 	d := newDeployment(t)
 	d.shardSrv["s1"].Close()
-	d.gate.Prober().CheckNow(context.Background())
+	d.gate.CheckNow(context.Background())
 
 	deadID := d.idsFor("s1", 1)[0]
 	liveID := d.idsFor("s0", 1)[0]
@@ -417,7 +417,7 @@ func TestGateFailover(t *testing.T) {
 
 	// A proxied call that reaches the dead shard is a proxy error and marks
 	// it down again; a live shard's refusal is no proxy error.
-	d.gate.Prober().MarkUp("s1")
+	d.gate.markUp("s1")
 	resp, err = http.Get(d.gateSrv.URL + "/v1/state")
 	if err != nil {
 		t.Fatal(err)

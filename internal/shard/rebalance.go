@@ -15,19 +15,41 @@ import (
 )
 
 // topoState is one immutable generation of the gate's routing state:
-// the current shard map and, while a topology drain is in flight, the
-// map it superseded. Handlers load the pointer once per request, so a
-// swap mid-request can never mix two topologies inside one fan-out.
+// the current shard map, while a topology drain is in flight the map it
+// superseded, and one health record per active shard. Handlers load the
+// pointer once per request, so a swap mid-request can never mix two
+// topologies inside one fan-out, and a swap changes routing and health in
+// one store.
 //
 // The transition window (prev != nil) is what makes a live resize
 // invisible to clients: admissions route strictly by cur (a new VM is
 // born on its final owner), while reads, releases and migrations cover
 // the union of cur and prev — a remapped VM answers from wherever it
 // currently lives until the drain moves it. The window closes (prev
-// dropped) only after the rebalancer has drained every remapped VM.
+// dropped) when the drain ends: after a pass that found nothing left to
+// move, or after maxDrainPasses passes whatever failed. A VM whose move
+// failed then stays on its old owner, which the gate no longer routes its
+// ID to (ROADMAP item 23).
 type topoState struct {
-	cur  *Map
-	prev *Map
+	cur    *Map
+	prev   *Map
+	health map[string]*shardHealth
+}
+
+// newTopo builds a generation over cur and prev. Each active shard keeps
+// its record from old (nil for the first generation); a joining shard
+// starts healthy-until-proven-otherwise, so a gate serves immediately and
+// the first probe pass replaces optimism with verdicts.
+func newTopo(cur, prev *Map, old *topoState) *topoState {
+	ts := &topoState{cur: cur, prev: prev, health: make(map[string]*shardHealth)}
+	for _, s := range ts.active() {
+		h := &shardHealth{healthy: true}
+		if old != nil && old.health[s.Name] != nil {
+			h = old.health[s.Name]
+		}
+		ts.health[s.Name] = h
+	}
+	return ts
 }
 
 // active returns the shards a fan-out must cover: the current map's
@@ -112,7 +134,8 @@ func (g *Gate) handleTopologyPost(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("rebalance %d→%d is still draining; poll GET /v1/topology until rebalance.active is false", st.FromEpoch, st.ToEpoch))
 		return
 	}
-	old := g.topo.Load().cur
+	ts := g.topo.Load()
+	old := ts.cur
 	if t.Epoch <= old.Epoch() {
 		g.reb.mu.Unlock()
 		api.WriteError(w, r, http.StatusConflict, api.CodeStaleEpoch,
@@ -123,12 +146,9 @@ func (g *Gate) handleTopologyPost(w http.ResponseWriter, r *http.Request) {
 	g.reb.status = status
 	g.reb.mu.Unlock()
 
-	// Open the transition window. Order matters: the prober must know the
-	// joined shards before the first request can route to them (an
-	// unknown shard reads as unhealthy).
-	ts := &topoState{cur: next, prev: old}
-	g.prober.SetShards(ts.active())
-	g.topo.Store(ts)
+	// Open the transition window; the joined shards get their health
+	// records in the same store.
+	g.topo.Store(newTopo(next, old, ts))
 
 	if g.cfg.Logger != nil {
 		g.cfg.Logger.Info("topology accepted",
@@ -246,10 +266,9 @@ func (g *Gate) rebalance(old, next *Map) {
 		}
 	}
 
-	// Close the window: routing collapses to the new map alone and the
-	// prober drops shards that left the topology.
-	g.topo.Store(&topoState{cur: next})
-	g.prober.SetShards(next.Shards())
+	// Close the window: routing collapses to the new map alone, and the
+	// shards that left the topology lose their health records.
+	g.topo.Store(newTopo(next, nil, g.topo.Load()))
 	g.reb.mu.Lock()
 	g.reb.status = api.RebalanceStatus{
 		FromEpoch: old.Epoch(), ToEpoch: next.Epoch(),

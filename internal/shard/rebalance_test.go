@@ -3,11 +3,13 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,6 +30,13 @@ import (
 // never-resized control's.
 func newShardServer(t *testing.T, base int) *httptest.Server {
 	t.Helper()
+	return newWrappedShardServer(t, base, func(h http.Handler) http.Handler { return h })
+}
+
+// newWrappedShardServer is newShardServer with the shard's handler
+// wrapped, so a test can refuse or hold chosen calls.
+func newWrappedShardServer(t *testing.T, base int, wrap func(http.Handler) http.Handler) *httptest.Server {
+	t.Helper()
 	servers := make([]model.Server, 8)
 	for j := range servers {
 		servers[j] = model.Server{
@@ -42,7 +51,7 @@ func newShardServer(t *testing.T, base int) *httptest.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv := httptest.NewServer(clusterhttp.New(c, nil))
+	srv := httptest.NewServer(wrap(clusterhttp.New(c, nil)))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -350,6 +359,9 @@ func TestLiveResizeMidBurst(t *testing.T) {
 	clean("control", rep, err)
 
 	resized, grown := deploy(1, "a", "b")
+	probeCtx, stopProbes := context.WithCancel(context.Background())
+	defer stopProbes()
+	go resized.gate.Run(probeCtx) // health probes race the burst and both swaps
 	half := int32(sched.NumVMs / 2)
 	var admits atomic.Int32
 	reached, resumed := make(chan struct{}), make(chan struct{})
@@ -470,6 +482,129 @@ func TestLiveShrinkZeroFailures(t *testing.T) {
 	if sh.Epoch != 2 || sh.Count != 2 {
 		t.Fatalf("shards = epoch %d count %d, want epoch 2 count 2", sh.Epoch, sh.Count)
 	}
+}
+
+// TestDrainThatGivesUp: a drain whose moves keep failing stops after
+// maxDrainPasses passes and closes the transition window anyway (that is
+// what lets an operator evict a dead shard). It settles inactive at the
+// new epoch and says what failed: the failed count, the refusing shard in
+// lastError, and the failed-moves counter. The VMs it did not move stay
+// on their old owners, which the gate no longer routes their IDs to
+// (ROADMAP item 23).
+func TestDrainThatGivesUp(t *testing.T) {
+	srvs := map[string]*httptest.Server{
+		"a": newShardServer(t, 100),
+		"b": newShardServer(t, 200),
+		"c": newWrappedShardServer(t, 300, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.Method == http.MethodPost && r.URL.Path == "/v1/adoptions" {
+					api.WriteError(w, r, http.StatusInternalServerError, api.CodeInternal, errors.New("adoptions refused"))
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		}),
+	}
+	d := newElasticDeployment(t, []Shard{{Name: "a", Addr: srvs["a"].URL}, {Name: "b", Addr: srvs["b"].URL}}, 1, srvs)
+	d.mustDo(t, http.MethodPost, "/v1/vms", admitBatch(seq(1, 24), 1, 40))
+	d.mustDo(t, http.MethodPost, "/v1/topology", fmt.Sprintf(`{"epoch":2,"shards":[{"name":"a","url":%q},{"name":"b","url":%q},{"name":"c","url":%q}]}`,
+		srvs["a"].URL, srvs["b"].URL, srvs["c"].URL))
+
+	status := awaitDrain(t, d)
+	if status.ToEpoch != 2 || status.Failed == 0 || status.Failed != status.Planned || status.Moved != 0 ||
+		!strings.Contains(status.LastError, " on c: shard c: adoptions refused") {
+		t.Fatalf("drain = %+v, want every planned move failed at epoch 2, lastError naming shard c", status)
+	}
+	raw := string(d.mustDo(t, http.MethodGet, "/metrics", ""))
+	for _, want := range []string{
+		"vmalloc_gate_topology_epoch 2",
+		"vmalloc_gate_rebalance_active 0",
+		fmt.Sprintf("vmalloc_gate_rebalance_failed_total %d", status.Failed),
+	} {
+		if !strings.Contains(raw, want+"\n") {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestHealthCarriedAcrossSwaps: a topology change hands each surviving
+// shard's health record through both swaps, the window's opening and its
+// closing, while a joining shard starts healthy and a leaving shard's
+// record goes with the closing swap.
+func TestHealthCarriedAcrossSwaps(t *testing.T) {
+	hold := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(hold) }) }
+	srvs := map[string]*httptest.Server{
+		"a": newShardServer(t, 100),
+		"b": newShardServer(t, 200),
+		// The leaver holds the drain's state read, so the transition
+		// window stays open until the test releases it.
+		"c": newWrappedShardServer(t, 300, func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/state" {
+					<-hold
+				}
+				h.ServeHTTP(w, r)
+			})
+		}),
+		"d": newShardServer(t, 400),
+	}
+	t.Cleanup(release) // before the servers close, which waits for held calls
+	d := newElasticDeployment(t, []Shard{
+		{Name: "a", Addr: srvs["a"].URL}, {Name: "b", Addr: srvs["b"].URL}, {Name: "c", Addr: srvs["c"].URL},
+	}, 1, srvs)
+	d.gate.proxyFailed("a", errors.New("connection reset"))
+	d.gate.markUp("a")
+	d.mustDo(t, http.MethodPost, "/v1/topology", fmt.Sprintf(`{"epoch":2,"shards":[{"name":"a","url":%q},{"name":"b","url":%q},{"name":"d","url":%q}]}`,
+		srvs["a"].URL, srvs["b"].URL, srvs["d"].URL))
+
+	check := func(phase string, names string, active bool) {
+		t.Helper()
+		var tr api.TopologyResponse
+		if err := json.Unmarshal(d.mustDo(t, http.MethodGet, "/v1/topology", ""), &tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Rebalance.Active != active {
+			t.Fatalf("%s: rebalance active %v, want %v", phase, tr.Rebalance.Active, active)
+		}
+		raw := string(d.mustDo(t, http.MethodGet, "/metrics", ""))
+		for _, want := range []string{
+			`vmalloc_gate_proxy_errors_total{shard="a"} 1`,
+			`vmalloc_gate_shard_up{shard="a"} 1`,
+			`vmalloc_gate_shard_up{shard="d"} 1`,
+		} {
+			if !strings.Contains(raw, want+"\n") {
+				t.Errorf("%s: metrics missing %q", phase, want)
+			}
+		}
+		leaverActive := strings.Contains(names, "c")
+		for _, series := range []string{`vmalloc_gate_shard_up{shard="c"}`, `vmalloc_gate_proxy_errors_total{shard="c"}`} {
+			if strings.Contains(raw, series) != leaverActive {
+				t.Errorf("%s: series %s present = %v, want %v", phase, series, !leaverActive, leaverActive)
+			}
+		}
+		var sh api.ShardsResponse
+		if err := json.Unmarshal(d.mustDo(t, http.MethodGet, "/v1/shards", ""), &sh); err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		for _, h := range sh.Shards {
+			got += h.Name
+			if !h.Healthy {
+				t.Errorf("%s: shard %s unhealthy: %s", phase, h.Name, h.Error)
+			}
+		}
+		if sh.Epoch != 2 || got != names {
+			t.Errorf("%s: /v1/shards epoch %d rows %q, want epoch 2 rows %q", phase, sh.Epoch, got, names)
+		}
+	}
+	check("open window", "abdc", true)
+	release()
+	if status := awaitDrain(t, d); status.Failed != 0 {
+		t.Fatalf("drain = %+v, want no failures", status)
+	}
+	check("after the close", "abd", false)
 }
 
 // TestTopologyEndpointValidation covers the typed refusals of the

@@ -1,5 +1,5 @@
 // Package shard implements the vmgate routing layer: a deterministic
-// VM-ID→shard map (rendezvous hashing), a health prober with per-shard
+// VM-ID→shard map (rendezvous hashing), per-shard health probing with
 // backoff, and a stateless HTTP gate that fronts several vmserve shards
 // while speaking the same internal/api wire contract on both sides.
 //
