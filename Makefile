@@ -73,12 +73,13 @@ loc:
 # (find, insertMarks, deleteMarks and an inlined search replace the
 # reservation map and the generic binary search), the journal reader
 # interns the names it decodes in a fixed table, and model.Usage sums
-# into a buffer its caller passes back. Last lowered by 90: the HTTP edge
-# reads its telemetry sinks from the cluster (clusterhttp.Config and
-# NewHandler are gone), the gate builds its own route metrics, and
-# vmserve's background consolidation ticker, default victim policy and
-# donor threshold are gone (the threshold is a constant).
-LOC_MAX = 19139
+# into a buffer its caller passes back. Last lowered by 132: the gate keeps
+# each shard's health record on its routing generation (shard.Prober, its
+# shard list and SetShards are gone, and the gate's dead Map() with them),
+# and the gate's proxy timeout and probe cadence and loadgen.Client's
+# timeout, retries and backoff are constants (vmgate -timeout and
+# -probe-interval, vmload -timeout, -retries and -backoff are gone).
+LOC_MAX = 19007
 
 # DOC_MAX is DESIGN.md's line budget (ROADMAP item 16 (b)), kept like
 # LOC_MAX: DESIGN says what is and why; per-change history belongs in
@@ -127,7 +128,10 @@ DOC_MAX = 894
 # per HTTP edge's route metrics (clusterhttp.New and shard.NewGate build
 # their own collector: non-test Go outside internal/obs,
 # internal/clusterhttp and internal/shard names no obs.NewHTTPMetrics(),
-# short CHANGES.md lines
+# one record per shard in the gate (each shard's health rides the routing
+# generation, topoState.health: non-test internal/shard names no SetShards
+# or type Prober, and every topo.Store( stores a newTopo(, which hands the
+# records on), short CHANGES.md lines
 # (ROADMAP item 16 (c): none over 2 kB after the marker; a line cites
 # BENCH_TRAJECTORY.json rows instead of inlining runs), and two size
 # ceilings (LOC_MAX for non-test Go, DOC_MAX for DESIGN.md).
@@ -135,6 +139,7 @@ CLUSTER_SRC = $(filter-out %_test.go,$(wildcard internal/cluster/*.go))
 ADMIT_CLIENT_SRC = $(filter-out %_test.go,$(wildcard internal/shard/*.go internal/loadgen/*.go))
 ONLINE_SRC = $(filter-out %_test.go,$(wildcard internal/online/*.go))
 LOADGEN_SRC = $(filter-out %_test.go,$(wildcard internal/loadgen/*.go))
+SHARD_SRC = $(filter-out %_test.go,$(wildcard internal/shard/*.go))
 
 fence:
 	@! grep -rn '"# HELP' --include='*.go' internal cmd | grep -v _test.go | grep -v -e '^internal/obs/' -e '^internal/shard/metrics.go' \
@@ -184,6 +189,8 @@ fence:
 		|| { echo 'fence: a request is sent and its answer read by api.Call (internal/api/edge.go)'; exit 1; }
 	@! grep -rn 'obs\.NewHTTPMetrics(' --include='*.go' --exclude='*_test.go' internal cmd examples *.go | grep -v -e '^internal/clusterhttp/' -e '^internal/shard/' \
 		|| { echo 'fence: clusterhttp.New and shard.NewGate build their own route metrics; a caller passes none'; exit 1; }
+	@! { grep -n -e 'SetShards' -e 'type Prober' $(SHARD_SRC); grep -n 'topo\.Store(' $(SHARD_SRC) | grep -v 'topo\.Store(newTopo('; } \
+		|| { echo 'fence: the gate keeps one record per shard, on its routing generation; store a generation built by newTopo'; exit 1; }
 	@LC_ALL=C awk 'marked && length($$0) > 2048 { print "CHANGES.md:" NR ": " length($$0) " bytes"; long = 1 } /^<!-- short lines below/ { marked = 1 } \
 		END { exit long || !marked }' CHANGES.md \
 		|| { echo 'fence: CHANGES.md lines after the short-lines marker are at most 2 kB; cite BENCH_TRAJECTORY.json rows'; exit 1; }
