@@ -97,8 +97,16 @@ func fillFields(t *testing.T, v reflect.Value, n *int) {
 		v.SetString(fmt.Sprint("field ", *n))
 	case reflect.Bool:
 		v.SetBool(true)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := 0; i < v.Len(); i++ {
+			fillFields(t, v.Index(i), n)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillFields(t, v.Elem(), n)
 	default:
-		t.Fatalf("a %s field: teach fillFields and admit_codec.go its kind", v.Kind())
+		t.Fatalf("a %s field: teach fillFields and the codec its kind", v.Kind())
 	}
 }
 
