@@ -22,10 +22,11 @@ bench:
 
 # benchledger appends rows to BENCH_TRAJECTORY.json, the layer ledger
 # (ROADMAP item 14): the ledger benchmarks scripts/benchledger.sh lists, of
-# every commit in REF and of HEAD, each built in a git worktree and run five
-# times at 500ms, the commits taking turns within each round. A benchmark a
-# commit lacks is skipped by name. benchgate runs the working tree's ledger
-# benchmarks three times at -cpu 1 and fails when a package does not build,
+# every commit in REF and of HEAD, each built in a git worktree and run
+# ROUNDS times (default five) at 500ms, the commits taking turns within each
+# round. A benchmark a commit lacks is skipped by name. benchgate runs the
+# working tree's ledger benchmarks three times at -cpu 1 and fails when a
+# package does not build,
 # a benchmark of the ledger's newest commit is missing, or the median
 # allocs/op of one exceeds its last row's median by more than the widest
 # max − min of its rows (CI runs it; ns/op is reported, never gated).
@@ -42,7 +43,8 @@ benchgate:
 # `make fuzz FUZZTIME=5s`.
 FUZZ = internal/cluster:FuzzJournalReplay internal/cluster:FuzzBinaryJournal \
 	internal/clusterhttp:FuzzHTTPDecode internal/timeline:FuzzLedgerOps \
-	internal/online:FuzzMinCostPass internal/core:FuzzFleetOracle
+	internal/online:FuzzMinCostPass internal/core:FuzzFleetOracle \
+	internal/api:FuzzStateCodec
 FUZZTIME = 20s
 
 fuzz:
@@ -68,18 +70,19 @@ loc:
 
 # LOC_MAX is the `make loc` figure of the last change that moved it. A
 # change that grows past it fails `make fence`: delete something, or raise
-# the figure here and say why. Last raised by 69: journal replay costs
-# less per record, so timeline.Ledger keeps its marks as its only store
-# (find, insertMarks, deleteMarks and an inlined search replace the
-# reservation map and the generic binary search), the journal reader
-# interns the names it decodes in a fixed table, and model.Usage sums
-# into a buffer its caller passes back. Last lowered by 132: the gate keeps
+# the figure here and say why. Last raised by 398: GET /v1/state has a
+# plain-form codec beside the admit pair's (internal/api/state_codec.go):
+# an appender that writes json.MarshalIndent's bytes for vmserve's and the
+# gate's state bodies, and a one-pass StateResponse.UnmarshalJSON that every
+# json.Unmarshal of a state takes, with encoding/json kept as reference and
+# fallback; the journal reader's name table moved beside it (api.Interner).
+# Last lowered by 132: the gate keeps
 # each shard's health record on its routing generation (shard.Prober, its
 # shard list and SetShards are gone, and the gate's dead Map() with them),
 # and the gate's proxy timeout and probe cadence and loadgen.Client's
 # timeout, retries and backoff are constants (vmgate -timeout and
 # -probe-interval, vmload -timeout, -retries and -backoff are gone).
-LOC_MAX = 19007
+LOC_MAX = 19405
 
 # DOC_MAX is DESIGN.md's line budget (ROADMAP item 16 (b)), kept like
 # LOC_MAX: DESIGN says what is and why; per-change history belongs in
@@ -114,7 +117,10 @@ DOC_MAX = 894
 # marks in order across mutations, so non-test ledger.go names no Sort),
 # one admit codec on every hop (the gate's shard calls and the load
 # generator write admit requests with api.EncodeAdmitRequests and read the
-# answers with api.DecodeAdmitResponses, not encoding/json), one event
+# answers with api.DecodeAdmitResponses, not encoding/json), one state
+# encoder (GET /v1/state bodies are written by api.EncodeState, whose
+# appender and fallback are the one layout: non-test internal/clusterhttp
+# and internal/shard call no json.MarshalIndent), one event
 # queue in the live fleet that boxes nothing (online.eventQueue is a typed
 # heap; non-test internal/online imports no container/heap), one §IV-B
 # request draw (workload.DiurnalSpec.Draw; non-test internal/loadgen names
@@ -179,6 +185,8 @@ fence:
 		|| { echo 'fence: timeline.Ledger keeps its marks in order; a mutation never re-sorts them'; exit 1; }
 	@! grep -n -e '\[\[\]api\.AdmitResponse\]' -e 'json\.Marshal(\([A-Za-z.]*\(reqs\|Requests\)\|\[\]api\.AdmitRequest\)' $(ADMIT_CLIENT_SRC) \
 		|| { echo 'fence: admit bodies to a shard or server go through api.EncodeAdmitRequests/api.DecodeAdmitResponses'; exit 1; }
+	@! grep -n 'json\.MarshalIndent(' $(filter-out %_test.go,$(wildcard internal/clusterhttp/*.go)) $(SHARD_SRC) \
+		|| { echo 'fence: state bodies are encoded by api.EncodeState (its plain appender or its MarshalIndent fallback)'; exit 1; }
 	@! grep -n '"container/heap"' $(ONLINE_SRC) \
 		|| { echo 'fence: the fleet event queue is the typed online.eventQueue; container/heap boxes every event'; exit 1; }
 	@! grep -n -e 'ExpFloat64' -e 'math\.Sin' $(LOADGEN_SRC) \

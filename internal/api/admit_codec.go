@@ -2,6 +2,7 @@ package api
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strconv"
 )
@@ -17,9 +18,14 @@ import (
 // plainText reports whether encoding/json reads c inside a string as
 // itself and writes it back as itself: printable ASCII but the quote, the
 // backslash and the three bytes its HTML escaping rewrites.
-func plainText(c byte) bool {
-	return c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
-}
+func plainText(c byte) bool { return textBytes[c] }
+
+var textBytes = func() (t [256]bool) {
+	for c := byte(0x20); c <= 0x7e; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
 
 // plainString reports whether encoding/json writes s between its quotes
 // as s itself.
@@ -42,12 +48,21 @@ type plain struct {
 
 // peek skips whitespace and returns the next byte, 0 at the end.
 func (p *plain) peek() byte {
-	for ; p.i < len(p.b); p.i++ {
-		if c := p.b[p.i]; c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return c
-		}
+	b, i := p.b, p.i
+	if i < len(b) && b[i] > ' ' {
+		return b[i]
 	}
-	return 0
+	for i+8 <= len(b) && binary.LittleEndian.Uint64(b[i:]) == 0x2020202020202020 {
+		i += 8 // an indented body's deeper lines
+	}
+	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+		i++
+	}
+	p.i = i
+	if i == len(b) {
+		return 0
+	}
+	return b[i]
 }
 
 func (p *plain) eat(c byte) bool {
@@ -63,15 +78,15 @@ func (p *plain) str() []byte {
 	if !p.eat('"') {
 		return nil
 	}
-	start := p.i
-	for p.i < len(p.b) && plainText(p.b[p.i]) {
-		p.i++
+	b, start, i := p.b, p.i, p.i
+	for i < len(b) && plainText(b[i]) {
+		i++
 	}
-	if p.i == len(p.b) || p.b[p.i] != '"' {
+	if i == len(b) || b[i] != '"' {
 		return nil
 	}
-	p.i++
-	return p.b[start : p.i-1]
+	p.i = i + 1
+	return b[start:i]
 }
 
 // num consumes the run of bytes a JSON number without an exponent is made
@@ -117,12 +132,14 @@ func (p *plain) bool(v *bool) bool {
 
 // object consumes {"key":value,...}. field consumes the value of a key
 // it knows and names the key by a bit of its own; an unknown key, a key
-// met twice in this object or a value that is not plain ends the pass.
-func (p *plain) object(field func(key []byte) (bit uint, ok bool)) bool {
+// met twice in this object, a value that is not plain or, at the end, a
+// bit of want not met ends the pass.
+func (p *plain) object(want uint, field func(key []byte) (bit uint, ok bool)) bool {
 	if !p.eat('{') {
 		return false
 	}
-	for seen := uint(0); !p.eat('}'); {
+	seen := uint(0)
+	for !p.eat('}') {
 		if seen != 0 && !p.eat(',') {
 			return false
 		}
@@ -136,13 +153,13 @@ func (p *plain) object(field func(key []byte) (bit uint, ok bool)) bool {
 		}
 		seen |= bit
 	}
-	return true
+	return seen&want == want
 }
 
 // request consumes one AdmitRequest object: the five pinned keys spelled
 // exactly (encoding/json also takes "ID"), each at most once, no null.
 func (p *plain) request(r *AdmitRequest) bool {
-	return p.object(func(key []byte) (uint, bool) {
+	return p.object(0, func(key []byte) (uint, bool) {
 		switch string(key) {
 		case "id":
 			return 1, p.int(&r.ID)
@@ -151,7 +168,7 @@ func (p *plain) request(r *AdmitRequest) bool {
 			r.Type = string(s)
 			return 2, s != nil
 		case "demand":
-			return 4, p.object(func(key []byte) (uint, bool) {
+			return 4, p.object(0, func(key []byte) (uint, bool) {
 				switch string(key) {
 				case "cpu":
 					return 1, p.float(&r.Demand.CPU)
@@ -172,7 +189,7 @@ func (p *plain) request(r *AdmitRequest) bool {
 // response consumes one AdmitResponse object: the six keys spelled
 // exactly (encoding/json also takes "Accepted"), each at most once.
 func (p *plain) response(r *AdmitResponse) bool {
-	return p.object(func(key []byte) (uint, bool) {
+	return p.object(0, func(key []byte) (uint, bool) {
 		switch string(key) {
 		case "id":
 			return 1, p.int(&r.ID)

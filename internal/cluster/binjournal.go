@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+
+	"vmalloc/internal/api"
 )
 
 // Binary journal format, version 1.
@@ -95,7 +97,7 @@ func encodeBinaryRecord(buf []byte, r record) []byte {
 // every field, its strings interned in names. Trailing bytes after the
 // record's last field are corruption, not padding: the CRC matched, so the
 // writer really framed those bytes, and this decoder does not know them.
-func decodeBinaryRecord(payload []byte, r *record, names *internTable) error {
+func decodeBinaryRecord(payload []byte, r *record, names *api.Interner) error {
 	d := binDecoder{b: payload, names: names}
 	*r = record{}
 	r.Seq = int64(d.uvarint())
@@ -163,7 +165,7 @@ func readBinaryRecords(r io.Reader, size int64, visit func(*record) error) (int6
 	}
 	var (
 		rec   record
-		names internTable
+		names api.Interner
 	)
 	// peeked counts the buffered bytes already used, discarded only when
 	// the next frame is read.
@@ -221,39 +223,12 @@ func appendBinFloat(buf []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }
 
-// internTable hands out one string per distinct short name a read
-// decodes. Its size is fixed: once full, or for a longer string, a decode
-// allocates as if there were no table, so a log of ever-new names cannot
-// grow it.
-type internTable struct {
-	names [16]string
-	n     int
-}
-
-// maxInternLen bounds the strings an internTable keeps; Table I's longest
-// type name is 18 bytes.
-const maxInternLen = 32
-
-func (t *internTable) intern(b []byte) string {
-	for _, s := range t.names[:t.n] {
-		if s == string(b) {
-			return s
-		}
-	}
-	s := string(b)
-	if t.n < len(t.names) && len(b) <= maxInternLen {
-		t.names[t.n] = s
-		t.n++
-	}
-	return s
-}
-
 // binDecoder reads the varint-packed payload fields, latching the first
 // error so call sites stay linear. Strings come from names.
 type binDecoder struct {
 	b     []byte
 	err   error
-	names *internTable
+	names *api.Interner
 }
 
 func (d *binDecoder) fail() {
@@ -306,7 +281,7 @@ func (d *binDecoder) string() string {
 	}
 	b := d.b[:n]
 	d.b = d.b[n:]
-	return d.names.intern(b)
+	return d.names.Intern(b)
 }
 
 func (d *binDecoder) float() float64 {

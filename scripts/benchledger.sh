@@ -3,7 +3,7 @@
 # ROADMAP item 14). ledger_test.go turns what it prints into rows.
 #
 #   benchledger.sh ledger REF...  builds every REF and HEAD in a git
-#       worktree, runs each commit's ledger benchmarks five times, the
+#       worktree, runs each commit's ledger benchmarks ROUNDS times (5), the
 #       commits taking turns within each round and round r starting at
 #       the r-th commit (mod their number), so drift within a round falls
 #       on every side, and appends the rows to BENCH_TRAJECTORY.json
@@ -12,9 +12,10 @@
 #       three times at -cpu 1 and fails if the median of one's allocs/op
 #       exceeds what its last row allows (make benchgate)
 #
-# Every run is one `-test.count 1` at 500ms, -benchmem on. In ledger mode a
-# benchmark a commit lacks is skipped by name; in gate mode a package that
-# does not build or a benchmark that is missing fails.
+# Every run is one `-test.count 1` at 500ms, -benchmem on; ROUNDS in the
+# environment (make benchledger ROUNDS=10) sets a ledger session's rounds.
+# In ledger mode a benchmark a commit lacks is skipped by name; in gate
+# mode a package that does not build or a benchmark that is missing fails.
 set -euo pipefail
 
 # LEDGER is the one list of the ledger's benchmarks, a line each:
@@ -26,6 +27,7 @@ LEDGER=(
 	'scan      internal/online      Place'
 	'ledger    internal/timeline    LedgerAddRemove'
 	'edge      internal/api         AdmitCodec//plain/vms=49$'
+	'edge      internal/api         StateCodec'
 	'edge      internal/clusterhttp AdmitHTTP'
 	'gate      internal/shard       GateAdmit                    1,2,4'
 	'commit    internal/cluster     AdmitDurable/callers=(1|32)$ 1,2,4'
@@ -34,7 +36,7 @@ LEDGER=(
 	'telemetry internal/cluster     SampleEnergy'
 	'telemetry internal/obs         NewSpanID'
 )
-rounds=5
+rounds=${ROUNDS:-5}
 benchtime=500ms
 
 root=$(git rev-parse --show-toplevel)
