@@ -87,7 +87,7 @@ func TestHandlerClientContextCancel(t *testing.T) {
 // unlabelled series names with the sum across shards, other labels
 // kept, labelled series kept, shard-free series untouched.
 func TestMetricsFoldShards(t *testing.T) {
-	m, err := ParseMetrics(strings.NewReader(`# TYPE vmalloc_cluster_admissions_total counter
+	m, err := ParseMetrics([]byte(`# TYPE vmalloc_cluster_admissions_total counter
 vmalloc_cluster_admissions_total{shard="a"} 3
 vmalloc_cluster_admissions_total{shard="b"} 5
 vmalloc_cluster_fsync_seconds_bucket{shard="a",le="0.1"} 2
@@ -98,7 +98,6 @@ vmalloc_go_goroutines 11
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.foldShards()
 	for k, want := range map[string]float64{
 		`vmalloc_cluster_admissions_total`:                                     8,
 		`vmalloc_cluster_admissions_total{shard="a"}`:                          3,
@@ -111,6 +110,6 @@ vmalloc_go_goroutines 11
 		}
 	}
 	if len(m) != 8 {
-		t.Errorf("%d series after the fold, want 8: %v", len(m), m.Keys())
+		t.Errorf("%d series after the fold, want 8: %v", len(m), m)
 	}
 }

@@ -133,7 +133,7 @@ vmalloc_cluster_energy_watt_minutes 1234.5
 vmalloc_server_state{server="1"} 2
 
 `
-	m, err := ParseMetrics(strings.NewReader(text))
+	m, err := ParseMetrics([]byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ vmalloc_server_state{server="1"} 2
 	if d["vmalloc_cluster_admissions_total"] != 1 || d["vmalloc_cluster_energy_watt_minutes"] != 1234.5 {
 		t.Fatalf("delta = %v", d)
 	}
-	if _, err := ParseMetrics(strings.NewReader("garbage-without-value\n")); err == nil {
+	if _, err := ParseMetrics([]byte("garbage-without-value\n")); err == nil {
 		t.Fatal("malformed line should error")
 	}
 }
