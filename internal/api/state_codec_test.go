@@ -228,6 +228,47 @@ func TestStateErrorText(t *testing.T) {
 	}
 }
 
+// TestUnmarshalDirect: Unmarshal, which hands a *StateResponse the body
+// without encoding/json's two scans ahead of UnmarshalJSON, reads what
+// json.Unmarshal reads, value and error text, over a zero and a full
+// receiver: every body state.golden holds, and planted ones, with
+// surrounding whitespace, trailing garbage, null, an empty body, an empty
+// string, a truncated body and type errors. A *GateStateResponse, which
+// has no method, goes to json.Unmarshal itself.
+func TestUnmarshalDirect(t *testing.T) {
+	golden, err := os.ReadFile("testdata/state.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bodies []string
+	for dec := json.NewDecoder(bytes.NewReader(golden)); dec.More(); {
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, string(raw)+"\n")
+	}
+	if len(bodies) != len(goldenStates()) {
+		t.Fatalf("state.golden holds %d bodies, want %d", len(bodies), len(goldenStates()))
+	}
+	first := bodies[0]
+	bodies = append(bodies, " \t\n"+first+" \n", first+"x", first+"{}", "null", " null ", "", `""`,
+		first[:len(first)/2], `{"now":"x"}`, `{"servers":[{"id":1,"state":7}]}`, `[1]`)
+	for _, body := range bodies {
+		for i, base := range []*StateResponse{{}, goldenStates()[0]} {
+			got, want := cloneState(base), cloneState(base)
+			err, werr := Unmarshal([]byte(body), got), json.Unmarshal([]byte(body), want)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%.40q over receiver %d: err %v, want %v\n got: %+v\nwant: %+v", body, i, err, werr, got, want)
+			}
+		}
+	}
+	var gs GateStateResponse
+	if err := Unmarshal([]byte(`{"digest":"d","shards":[{"shard":"a","state":`+first+`}]}`), &gs); err != nil || gs.Shards[0].State.Now != goldenStates()[0].Now {
+		t.Errorf("gate body: err %v, %+v", err, gs)
+	}
+}
+
 // TestStateDecodeOverReceiver: over a receiver that is not zero, the plain
 // pass reads what json.Unmarshal into the alias reads, an element without
 // a type keeping the type the receiver's slice holds at its index, within
@@ -390,9 +431,9 @@ func benchState() *StateResponse {
 // encode/reference is what EncodeState was (json.MarshalIndent and a
 // newline), encode/plain what it is; decode/reference is json.Unmarshal
 // as it was (into the alias), decode/plain a direct UnmarshalJSON (the one
-// pass alone), and unmarshal/plain json.Unmarshal through the method, as
-// the gate, vmload and the benchmark's client decode, with encoding/json's
-// validity scan in front of the pass.
+// pass alone, as Unmarshal runs it for the gate and vmload), and
+// unmarshal/plain json.Unmarshal through the method, as the benchmark's
+// client decodes, with encoding/json's validity scan in front of the pass.
 func BenchmarkStateCodec(b *testing.B) {
 	st := benchState()
 	body, err := EncodeState(st)
