@@ -17,8 +17,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -236,13 +237,8 @@ func mix64(x uint64) uint64 {
 //
 // matches CombineDigests(map[string]string{"a": da, "b": db}).
 func CombineDigests(digests map[string]string) string {
-	names := make([]string, 0, len(digests))
-	for n := range digests {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	h := sha256.New()
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(digests)) {
 		fmt.Fprintf(h, "%s %s\n", n, digests[n])
 	}
 	return hex.EncodeToString(h.Sum(nil))
