@@ -44,7 +44,8 @@ benchgate:
 FUZZ = internal/cluster:FuzzJournalReplay internal/cluster:FuzzBinaryJournal \
 	internal/clusterhttp:FuzzHTTPDecode internal/timeline:FuzzLedgerOps \
 	internal/online:FuzzMinCostPass internal/core:FuzzFleetOracle \
-	internal/api:FuzzStateCodec internal/obs:FuzzExposition
+	internal/api:FuzzStateCodec internal/obs:FuzzExposition \
+	internal/timeline:FuzzSegmentSetInsert internal/trace:FuzzReadCSV
 FUZZTIME = 20s
 
 fuzz:
@@ -70,18 +71,16 @@ loc:
 
 # LOC_MAX is the `make loc` figure of the last change that moved it. A
 # change that grows past it fails `make fence`: delete something, or raise
-# the figure here and say why. Last raised by 398: GET /v1/state has a
-# plain-form codec beside the admit pair's (internal/api/state_codec.go):
-# an appender that writes json.MarshalIndent's bytes for vmserve's and the
-# gate's state bodies, and a one-pass StateResponse.UnmarshalJSON that every
-# json.Unmarshal of a state takes, with encoding/json kept as reference and
-# fallback; the journal reader's name table moved beside it (api.Interner).
-# Last lowered by 43: the Prometheus text grammar has one reader,
-# obs.ReadExposition, beside its writer; the gate's merge, vmload's scrape
-# (its shard fold now inside ParseMetrics, the test-only Metrics.Keys
-# gone) and promlint read through it, and the gate hands the merge its
-# scattered payloads as they come.
-LOC_MAX = 19362
+# the figure here and say why. Last raised by 106: fleet state is derived
+# on read. A ledger compiles at its first read after a mutation, the row
+# table lists its stale rows for the next scan, and the energy recorder
+# builds one sample per fleet minute, at the clock move or the read that
+# needs it (obs.EnergyRecorder.RecordN and SetSource). Last lowered by 43:
+# the Prometheus text grammar has one reader, obs.ReadExposition, beside
+# its writer; the gate's merge, vmload's scrape (its shard fold now inside
+# ParseMetrics, the test-only Metrics.Keys gone) and promlint read through
+# it, and the gate hands the merge its scattered payloads as they come.
+LOC_MAX = 19468
 
 # DOC_MAX is DESIGN.md's line budget (ROADMAP item 16 (b)), kept like
 # LOC_MAX: DESIGN says what is and why; per-change history belongs in
@@ -137,7 +136,9 @@ DOC_MAX = 894
 # one record per shard in the gate (each shard's health rides the routing
 # generation, topoState.health: non-test internal/shard names no SetShards
 # or type Prober, and every topo.Store( stores a newTopo(, which hands the
-# records on), short CHANGES.md lines
+# records on), one fuzz list (every func Fuzz of a test file outside
+# bench/ is a package:target pair in FUZZ, so `make fuzz` runs it), short
+# CHANGES.md lines
 # (ROADMAP item 16 (c): none over 2 kB after the marker; a line cites
 # BENCH_TRAJECTORY.json rows instead of inlining runs), and two size
 # ceilings (LOC_MAX for non-test Go, DOC_MAX for DESIGN.md).
@@ -199,6 +200,9 @@ fence:
 		|| { echo 'fence: clusterhttp.New and shard.NewGate build their own route metrics; a caller passes none'; exit 1; }
 	@! { grep -n -e 'SetShards' -e 'type Prober' $(SHARD_SRC); grep -n 'topo\.Store(' $(SHARD_SRC) | grep -v 'topo\.Store(newTopo('; } \
 		|| { echo 'fence: the gate keeps one record per shard, on its routing generation; store a generation built by newTopo'; exit 1; }
+	@missing=$$(grep -rHo --include='*_test.go' --exclude-dir=bench --exclude-dir=.git '^func Fuzz[A-Za-z0-9_]*' . | sed 's|^\./||; s|/[^/]*:func |:|' | \
+		while read -r pt; do case " $(FUZZ) " in *" $$pt "*) ;; *) echo "$$pt";; esac; done); \
+		[ -z "$$missing" ] || { echo "fence: fuzz targets missing from the Makefile's FUZZ:" $$missing; exit 1; }
 	@LC_ALL=C awk 'marked && length($$0) > 2048 { print "CHANGES.md:" NR ": " length($$0) " bytes"; long = 1 } /^<!-- short lines below/ { marked = 1 } \
 		END { exit long || !marked }' CHANGES.md \
 		|| { echo 'fence: CHANGES.md lines after the short-lines marker are at most 2 kB; cite BENCH_TRAJECTORY.json rows'; exit 1; }

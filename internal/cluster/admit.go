@@ -93,6 +93,9 @@ func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Adm
 		}
 		return items[a].vm.ID < items[b].vm.ID
 	})
+	if len(items) > 0 && items[len(items)-1].vm.Start > c.fleet.Now() {
+		c.sampleEnergyLocked() // the batch moves the clock
+	}
 	fv := c.fleet.View()
 	scanBefore := fv.ScanCounts()
 	var scanWall time.Duration

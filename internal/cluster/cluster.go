@@ -187,7 +187,9 @@ type Config struct {
 	// Energy, when non-nil, receives one fleet energy sample per batch,
 	// release, migration, consolidation pass and clock advance — the
 	// energy-over-time curve behind GET /v1/debug/energy and the
-	// vmalloc_energy_* gauges. Sampling is read-only on the fleet.
+	// vmalloc_energy_* gauges. A minute's samples are built once, when
+	// the clock leaves it or the recorder is read (Open makes the cluster
+	// its source). Sampling is read-only on the fleet.
 	Energy *obs.EnergyRecorder
 }
 
@@ -222,10 +224,14 @@ type Cluster struct {
 
 	// The energy sample's per-class breakdown (set by indexClasses when a
 	// recorder is wired): server index → class slot, the slots' names, and
-	// the accumulator every sample reuses under mu.
+	// the accumulator every sample reuses under mu. energyDue counts the
+	// mutations since the last sample was recorded, energyWall stamps the
+	// newest of them.
 	classOf    []int
 	classNames []string
 	classUse   []obs.ClassUsage
+	energyDue  int64
+	energyWall time.Time
 
 	// inflight counts Admit calls waiting for their group commit off the
 	// lock; Close waits for them before closing the journal.
@@ -269,6 +275,7 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Energy != nil {
 		c.indexClasses()
+		cfg.Energy.SetSource(c.flushEnergy)
 	}
 	if cfg.Dir == "" {
 		c.fleet = online.NewFleet(cfg.Servers, cfg.IdleTimeout)

@@ -7,20 +7,21 @@ import (
 	"vmalloc/internal/online"
 )
 
-// sampleEnergyLocked records one point of the fleet's energy-over-time
-// curve into the configured obs.EnergyRecorder. Callers hold c.mu; every
-// mutation path (batch, release, migration, consolidation pass, clock
-// advance) samples after it changed the fleet, so the newest sample's
-// cumulative total always equals State.TotalEnergy at the same clock.
-// Sampling is read-only on the fleet — placements and digests are
-// untouched whether the recorder is wired or not.
+// sampleEnergyLocked records the fleet's energy-over-time point for the
+// c.energyDue mutations finishLocked counted since the last one, if any.
+// Callers hold c.mu, before the clock moves (AdvanceTo, an Admit whose
+// batch moves it) or the recorder is read (flushEnergy, its source), so
+// every reader sees the series, seq and rates one sample per mutation
+// would leave — the newest total equals State.TotalEnergy — and only Wall
+// differs: the minute's last mutation. Sampling is read-only on the fleet.
 func (c *Cluster) sampleEnergyLocked() {
-	if c.cfg.Energy == nil {
+	if c.energyDue == 0 {
 		return
 	}
 	now := c.fleet.Now()
 	b := c.fleet.EnergyAt(now)
 	s := obs.EnergySample{
+		Wall:                  c.energyWall,
 		Clock:                 now,
 		RunWattMinutes:        b.Run,
 		IdleWattMinutes:       b.Idle,
@@ -53,7 +54,16 @@ func (c *Cluster) sampleEnergyLocked() {
 		}
 		s.Classes[c.classNames[k]] = cu
 	}
-	c.cfg.Energy.Record(s)
+	c.cfg.Energy.RecordN(s, c.energyDue)
+	c.energyDue = 0
+}
+
+// flushEnergy is the recorder's source: it records the due sample, so a
+// read sees the fleet as the last mutation left it.
+func (c *Cluster) flushEnergy() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sampleEnergyLocked()
 }
 
 // indexClasses resolves every server's class — its Type, "default" when

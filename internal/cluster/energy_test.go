@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vmalloc/internal/api"
@@ -121,15 +123,102 @@ func TestEnergySampleMatchesReference(t *testing.T) {
 	}
 }
 
+// TestEnergyMetricsUntorn interleaves clock advances with scrapes of the
+// vmalloc_energy_* families. Each tick is the one mutation of its minute,
+// so every sample recorded has seq equal to its clock, and a scrape that
+// read the count and the sample in one critical section prints
+// vmalloc_energy_samples_total equal to vmalloc_energy_clock_minutes.
+func TestEnergyMetricsUntorn(t *testing.T) {
+	rec := obs.NewEnergyRecorder(8)
+	c := mustOpen(t, Config{Servers: testServers(4), IdleTimeout: 2, Energy: rec})
+	defer c.Close()
+	const ticks = 3000
+	done := make(chan error, 1)
+	go func() {
+		for k := 1; k <= ticks; k++ {
+			if err := c.AdvanceTo(k); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	scrapes := 0
+	for running := true; running; scrapes++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		var buf bytes.Buffer
+		rec.WriteMetrics(&buf)
+		var seq, clock string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "vmalloc_energy_samples_total "); ok {
+				seq = v
+			}
+			if v, ok := strings.CutPrefix(line, "vmalloc_energy_clock_minutes "); ok {
+				clock = v
+			}
+		}
+		if clock == "" && seq == "0" {
+			continue // no tick yet
+		}
+		if seq != clock {
+			t.Fatalf("scrape %d: vmalloc_energy_samples_total %s beside vmalloc_energy_clock_minutes %s", scrapes, seq, clock)
+		}
+	}
+	if last, _ := rec.Last(); last.Clock != ticks || last.Seq != ticks {
+		t.Fatalf("newest sample %+v, want clock and seq %d", last, ticks)
+	}
+}
+
 // BenchmarkSampleEnergy is one energy sample of a 512-server fleet with
-// about half its servers active — what every release, tick and batch pays
-// under the cluster lock when the recorder is wired.
+// about half its servers active — what a fleet minute pays under the
+// cluster lock, once, when its clock moves or the recorder is read.
 func BenchmarkSampleEnergy(b *testing.B) {
+	c := sampledFleet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		c.mu.Lock()
+		c.energyDue = 1
+		c.sampleEnergyLocked()
+		c.mu.Unlock()
+	}
+}
+
+// BenchmarkReleaseSampled is one release and one re-admission of a VM at
+// one clock on BenchmarkSampleEnergy's fleet with the recorder wired: the
+// per-mutation cost under the cluster lock, which counts the due sample
+// and builds none.
+func BenchmarkReleaseSampled(b *testing.B) {
+	c := sampledFleet(b)
+	ctx := context.Background()
+	req := []api.AdmitRequest{{ID: 1, Demand: model.Resources{CPU: 2, Mem: 3}, DurationMinutes: 500}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := c.Release(ctx, 1); err != nil {
+			b.Fatal(err)
+		}
+		if adm, err := c.Admit(ctx, req); err != nil || !adm[0].Accepted {
+			b.Fatal(adm, err)
+		}
+	}
+}
+
+// sampledFleet is a volatile cluster on energyFleet(512) with a recorder
+// wired, about half its servers active at clock 10.
+func sampledFleet(b *testing.B) *Cluster {
 	c, err := Open(Config{Servers: energyFleet(b, 512), IdleTimeout: 2, Energy: obs.NewEnergyRecorder(64)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer c.Close()
+	b.Cleanup(func() { c.Close() })
 	reqs := make([]api.AdmitRequest, 1200)
 	for i := range reqs {
 		reqs[i] = api.AdmitRequest{Demand: model.Resources{CPU: 2, Mem: 3}, DurationMinutes: 500}
@@ -140,11 +229,5 @@ func BenchmarkSampleEnergy(b *testing.B) {
 	if err := c.AdvanceTo(10); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		c.mu.Lock()
-		c.sampleEnergyLocked()
-		c.mu.Unlock()
-	}
+	return c
 }

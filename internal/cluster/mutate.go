@@ -287,6 +287,7 @@ func (c *Cluster) AdvanceTo(t int) error {
 	if t <= c.fleet.Now() {
 		return nil
 	}
+	c.sampleEnergyLocked()
 	c.fleet.AdvanceTo(t)
 	// A tick has no flight-recorder decision and arrives without a trace.
 	err := c.commitLocked(record{Op: opTick, T: t}, nil, obs.TraceContext{}, stageClock{})
@@ -353,10 +354,14 @@ func (c *Cluster) commitLocked(rec record, d *obs.Decision, tc obs.TraceContext,
 }
 
 // finishLocked closes a mutating call: the periodic snapshot policy, then
-// one energy sample of the fleet as the mutation left it.
+// the count and instant of the energy sample the mutation is due (built
+// by sampleEnergyLocked).
 func (c *Cluster) finishLocked() {
 	c.maybeSnapshotLocked()
-	c.sampleEnergyLocked()
+	if c.cfg.Energy != nil {
+		c.energyDue++
+		c.energyWall = time.Now()
+	}
 }
 
 // journalFailedLocked records a journal write failure. The failure is

@@ -59,16 +59,19 @@ type EnergySample struct {
 // overrides it.
 const DefaultEnergyWindow = 1024
 
-// EnergyRecorder is a bounded ring of fleet energy samples, driven from
-// clock advances and from each commit/release/migration/consolidation.
-// Samples at the same fleet clock replace the newest entry (the latest
-// state of that minute wins), so the retained series is strictly
-// monotone in Clock — the shape /v1/debug/energy promises. A nil
+// EnergyRecorder is a bounded ring of fleet energy samples, one per
+// commit/release/migration/consolidation and clock advance. Samples at
+// the same fleet clock replace the newest entry (the latest state of that
+// minute wins), so the retained series is strictly monotone in Clock —
+// the shape /v1/debug/energy promises. A feeder may stand one sample for
+// a run of same-clock mutations (RecordN) and build it only when it is
+// read: every read first calls the source set by SetSource. A nil
 // *EnergyRecorder is valid and records nothing.
 type EnergyRecorder struct {
-	mu  sync.Mutex
-	buf ring[EnergySample]
-	seq int64
+	mu     sync.Mutex
+	source func() // called before every read, outside mu
+	buf    ring[EnergySample]
+	seq    int64
 	// prevClock/prevTotal remember the last *distinct-clock* sample so a
 	// same-clock replacement recomputes its rate against the same
 	// baseline the replaced sample used.
@@ -86,11 +89,37 @@ func NewEnergyRecorder(n int) *EnergyRecorder {
 	return &EnergyRecorder{buf: newRing[EnergySample](n)}
 }
 
+// SetSource makes every read of the recorder call f first, without the
+// recorder's lock held, so f may take its own lock and Record: a feeder
+// that builds samples lazily brings the recorder up to date there.
+func (r *EnergyRecorder) SetSource(f func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.source = f
+}
+
+func (r *EnergyRecorder) pull() {
+	r.mu.Lock()
+	f := r.source
+	r.mu.Unlock()
+	if f != nil {
+		f()
+	}
+}
+
 // Record stores s, computing its RateWatts from the previous
 // distinct-clock sample. A sample at the newest entry's clock replaces
 // it; an older clock is ignored (samples arrive under the cluster lock,
 // so this only guards misuse).
-func (r *EnergyRecorder) Record(s EnergySample) {
+func (r *EnergyRecorder) Record(s EnergySample) { r.RecordN(s, 1) }
+
+// RecordN records s as the last of n samples of one clock: the series,
+// seq and rate end as n Record calls would leave them when the first n−1
+// samples are replaced by the last.
+func (r *EnergyRecorder) RecordN(s EnergySample, n int64) {
 	if r == nil {
 		return
 	}
@@ -100,7 +129,7 @@ func (r *EnergyRecorder) Record(s EnergySample) {
 	if newest != nil && s.Clock < newest.Clock {
 		return
 	}
-	r.seq++
+	r.seq += n
 	s.Seq = r.seq
 	if s.Wall.IsZero() {
 		s.Wall = time.Now()
@@ -128,21 +157,12 @@ func (r *EnergyRecorder) Record(s EnergySample) {
 	r.buf.push(&s)
 }
 
-// Len returns the number of buffered samples.
-func (r *EnergyRecorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.buf.len()
-}
-
 // Last returns the newest sample, if any.
 func (r *EnergyRecorder) Last() (EnergySample, bool) {
 	if r == nil {
 		return EnergySample{}, false
 	}
+	r.pull()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if newest := r.buf.newest(); newest != nil {
@@ -158,6 +178,7 @@ func (r *EnergyRecorder) Samples(sinceClock, limit int) []EnergySample {
 	if r == nil {
 		return nil
 	}
+	r.pull()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.buf.filter(limit, func(s *EnergySample) bool { return s.Clock > sinceClock })
@@ -193,10 +214,18 @@ func (r *EnergyRecorder) WriteMetrics(w io.Writer) {
 	if r == nil {
 		return
 	}
+	r.pull()
+	// One critical section: the count printed is the one that includes
+	// the sample printed beside it.
 	r.mu.Lock()
 	seq := r.seq
+	var last EnergySample
+	newest := r.buf.newest()
+	ok := newest != nil
+	if ok {
+		last = *newest
+	}
 	r.mu.Unlock()
-	last, ok := r.Last()
 
 	const prefix = "vmalloc_energy"
 	Counter(w, prefix+"_samples_total", "Energy samples recorded over the process lifetime.", seq)

@@ -190,6 +190,7 @@ func (fl *Fleet) Commit(i int, v model.VM) (int, error) {
 	if end < start || end == math.MaxInt {
 		return 0, fmt.Errorf("online: vm %d end overflows the time horizon", v.ID)
 	}
+	fl.view.compileRow(i)
 	if ok, _ := fl.view.probe(i, v.Demand.CPU, v.Demand.Mem, start, end); !ok {
 		return 0, fmt.Errorf("online: vm %d does not fit server %d", v.ID, fl.view.units[i].srv.ID)
 	}
@@ -359,6 +360,7 @@ func (fl *Fleet) Adopt(to int, v model.VM, actualStart int) (int, error) {
 // end] and words a "no" as Migrate's and Adopt's refusal reason; "" means
 // it fits. Demand.Fits only picks which reason.
 func (fl *Fleet) shortfall(i int, d model.Resources, handoff, end int) string {
+	fl.view.compileRow(i)
 	if ok, _ := fl.view.probe(i, d.CPU, d.Mem, handoff, end); ok {
 		return ""
 	}

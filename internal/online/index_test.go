@@ -74,6 +74,7 @@ func TestCandidatesPrunesOnlyInfeasible(t *testing.T) {
 			want := ScanCounts{Evaluated: uint64(fv.NumServers())}
 			best := -1
 			var bestCost float64
+			fv.compile() // what the pass runs at its entry, before its first probe
 			for _, i := range order {
 				start := fv.StartTime(i, v)
 				ok, byRow := fv.probe(i, v.Demand.CPU, v.Demand.Mem, start, start+v.Duration()-1)

@@ -72,15 +72,19 @@ type Policy interface {
 // policy's scan is a sequential walk of the table that follows a
 // server's *Ledger pointer only when its row cannot decide.
 //
-// The query methods are pure reads. Place is not: a policy counts its
-// probes into the view (ScanCounts), so one view serves one placement at
-// a time.
+// The query methods are reads of the fleet, but not pure: a policy counts
+// its probes into the view (ScanCounts), and a scan first brings the rows
+// of mutated ledgers up to date (compile), so one view serves one
+// placement at a time.
 type FleetView struct {
 	rows    []row
 	units   []unit
 	classes []priceClass
 	now     int
 	scan    ScanCounts
+	// dirty lists, each once (unit.dirty), the rows whose sum may lag
+	// their ledger; the scan's hot rows carry no flag.
+	dirty []int
 }
 
 // priceClass is one P¹ shared by a run of rows. classes ascend in P¹, and
@@ -92,12 +96,12 @@ type priceClass struct {
 }
 
 // row is the hot part of one server's state (152 bytes). The static
-// fields are written once by NewFleet; sum is refreshed by the three
-// ledger mutators below; wakeDone, state and vms are written where the
-// fleet changes them, and live nowhere else.
+// fields are written once by NewFleet; sum is refreshed from the ledger
+// by compile and compileRow, before a probe reads it; wakeDone, state and
+// vms are written where the fleet changes them, and live nowhere else.
 type row struct {
 	capCPU, capMem   float64
-	sum              timeline.Summary // the ledger's summary, as of its last mutation
+	sum              timeline.Summary // the ledger's summary, as of the row's last compile
 	p1, alpha, pIdle float64          // UnitCPUPower (Eq. 2), TransitionCost, PIdle
 	wake             int              // ceil(TransitionTime): minutes a wake-up takes
 	wakeDone         int              // valid when state == Waking
@@ -107,8 +111,9 @@ type row struct {
 
 // unit is the cold part: what mutations and reports read, scans never.
 type unit struct {
-	srv model.Server
-	res *timeline.Ledger
+	srv   model.Server
+	res   *timeline.Ledger
+	dirty bool // listed in FleetView.dirty
 
 	activeSince int // valid when the row's state is Active or Waking (wake start)
 	idleSince   int // last time vms dropped to 0 while Active
@@ -118,7 +123,7 @@ type unit struct {
 }
 
 func newFleetView(servers []model.Server) FleetView {
-	f := FleetView{rows: make([]row, len(servers)), units: make([]unit, len(servers))}
+	f := FleetView{rows: make([]row, len(servers)), units: make([]unit, len(servers)), dirty: make([]int, 0, len(servers))}
 	for i, s := range servers {
 		l := timeline.NewLedger()
 		f.units[i] = unit{srv: s, res: l}
@@ -147,26 +152,48 @@ func newFleetView(servers []model.Server) FleetView {
 }
 
 // add, truncate and remove are the fleet's only ledger mutations: each
-// leaves the row's summary equal to the ledger's.
+// lists the row as dirty, and the ledger compiles at the next read.
 func (f *FleetView) add(i, id int, r timeline.Reservation) {
-	l := f.units[i].res
-	l.Add(id, r)
-	f.rows[i].sum = l.Summary()
+	f.units[i].res.Add(id, r)
+	f.touch(i)
 }
 
 // truncate also reports whether a shrunk entry was kept (the VM had
 // started), which the caller must schedule for cleanup.
 func (f *FleetView) truncate(i, id, newEnd int) (kept bool) {
-	l := f.units[i].res
-	r, ok := l.Truncate(id, newEnd)
-	f.rows[i].sum = l.Summary()
+	r, ok := f.units[i].res.Truncate(id, newEnd)
+	f.touch(i)
 	return ok && newEnd >= r.Interval.Start
 }
 
 func (f *FleetView) remove(i, id int) {
-	l := f.units[i].res
-	l.Remove(id)
-	f.rows[i].sum = l.Summary()
+	f.units[i].res.Remove(id)
+	f.touch(i)
+}
+
+func (f *FleetView) touch(i int) {
+	if u := &f.units[i]; !u.dirty {
+		u.dirty = true
+		f.dirty = append(f.dirty, i)
+	}
+}
+
+// compile refreshes every dirty row's sum from its ledger: what a policy
+// scan runs at its entry, so its loop has no staleness test.
+func (f *FleetView) compile() {
+	for _, i := range f.dirty {
+		f.rows[i].sum = f.units[i].res.Summary()
+		f.units[i].dirty = false
+	}
+	f.dirty = f.dirty[:0]
+}
+
+// compileRow refreshes row i alone, for the probe Commit, Migrate and
+// Adopt run on their own server. The row stays listed.
+func (f *FleetView) compileRow(i int) {
+	if f.units[i].dirty {
+		f.rows[i].sum = f.units[i].res.Summary()
+	}
 }
 
 // ScanCounts totals what the policies' passes did over a view: rows
@@ -200,6 +227,7 @@ func (f *FleetView) Now() int { return f.now }
 // Fits reports whether v fits on server i throughout [start, start+dur),
 // accounting for every already-committed VM (their end times are known).
 func (f *FleetView) Fits(i int, v model.VM, start int) bool {
+	f.compile()
 	ok, _ := f.probe(i, v.Demand.CPU, v.Demand.Mem, start, start+v.Duration()-1)
 	return ok
 }
@@ -220,7 +248,8 @@ func (f *FleetView) Fits(i int, v model.VM, start int) bool {
 //     whose VMs start about now this is nearly every full server — usage
 //     only falls from here on, so the peak sits at the window's start.
 //
-// Otherwise the ledger's window maximum decides.
+// Otherwise the ledger's window maximum decides. Row i must be current:
+// its caller ran compile or compileRow(i) since the last mutation.
 func (f *FleetView) probe(i int, cpu, mem float64, start, end int) (ok, byRow bool) {
 	r := &f.rows[i]
 	if !(cpu <= r.capCPU && mem <= r.capMem) {
@@ -244,6 +273,7 @@ func (f *FleetView) probe(i int, cpu, mem float64, start, end int) (ok, byRow bo
 // candidate is a policy's probe of server i for v at the earliest start it
 // could have there, counted.
 func (f *FleetView) candidate(i int, v *model.VM) bool {
+	f.compile()
 	start := f.rows[i].startTime(v.Start)
 	ok, byRow := f.probe(i, v.Demand.CPU, v.Demand.Mem, start, start+v.Duration()-1)
 	f.scan.Evaluated++

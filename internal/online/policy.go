@@ -40,6 +40,7 @@ func minCostPass(f *FleetView, v model.VM, penalty float64) (int, error) {
 	best := -1
 	var bestCost float64
 	var probed, infeasible, rowRejected uint64
+	f.compile()
 	for _, c := range f.classes {
 		w := c.p1 * cpu * minutes // energy.RunCost, Eq. 3
 		if best >= 0 && w > bestCost {

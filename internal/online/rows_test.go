@@ -51,11 +51,26 @@ func exactPrice(f *FleetView, i int, v model.VM, penalty float64) float64 {
 	return cost + penalty*float64(f.StartTime(i, v)-v.Start)
 }
 
-// checkRows asserts every row equals the one recomputed from its unit,
-// its ledger and the resident set, and that the fields only the row
-// holds (state, wakeDone) are consistent with the clock and the queue.
+// checkRows asserts that the dirty list names each flagged unit once,
+// then that every row a scan reads — after the compile at its entry —
+// equals the one recomputed from its unit, its ledger and the resident
+// set, and that the fields only the row holds (state, wakeDone) are
+// consistent with the clock and the queue.
 func checkRows(t *testing.T, fl *Fleet, when string) {
 	t.Helper()
+	listed := map[int]bool{}
+	for _, i := range fl.view.dirty {
+		if listed[i] || !fl.view.units[i].dirty {
+			t.Fatalf("%s: dirty list %v names server %d twice or unflagged", when, fl.view.dirty, i)
+		}
+		listed[i] = true
+	}
+	for i := range fl.view.units {
+		if fl.view.units[i].dirty != listed[i] {
+			t.Fatalf("%s: server %d flagged dirty %t, listed %t", when, i, fl.view.units[i].dirty, listed[i])
+		}
+	}
+	fl.view.compile()
 	vms := make([]int, len(fl.view.rows))
 	for _, p := range fl.resident {
 		vms[p.Server]++

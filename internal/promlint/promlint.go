@@ -27,6 +27,7 @@ func Lint(t testing.TB, payload string) {
 	}
 	seen := map[string]bool{}          // full series (name + labels)
 	declared := map[string]bool{}      // family name with HELP or TYPE seen
+	kinds := map[string]bool{}         // "HELP name" and "TYPE name" seen
 	sampled := map[string]bool{}       // family name with samples seen
 	lastBucket := map[string]float64{} // histogram series → its last cumulative bucket
 	counts := map[string]float64{}     // histogram series → its _count
@@ -37,6 +38,10 @@ func Lint(t testing.TB, payload string) {
 			if sampled[l.Name] {
 				t.Errorf("%s: %s declared after its samples", l.Kind, l.Name)
 			}
+			if kinds[l.Kind+" "+l.Name] {
+				t.Errorf("%s: %s declared twice", l.Kind, l.Name)
+			}
+			kinds[l.Kind+" "+l.Name] = true
 			if l.Kind == "TYPE" && strings.HasSuffix(l.Name, "_total") && l.Text != "counter" {
 				t.Errorf("%s is named _total but typed %s: a monotone total is a counter", l.Name, l.Text)
 			}

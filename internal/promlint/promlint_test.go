@@ -61,6 +61,7 @@ func TestLintFaults(t *testing.T) {
 		{"bad value", counter, "vm_admissions_total three\n", "bad value"},
 		{"duplicate series", counter, counter + counter, "duplicate series"},
 		{"_total not a counter", "vm_admissions_total counter", "vm_admissions_total gauge", "named _total"},
+		{"declared twice", "# TYPE vm_admissions_total counter\n", "# TYPE vm_admissions_total counter\n# TYPE vm_admissions_total counter\n", "declared twice"},
 		{"declared after samples", count, count + "# TYPE vm_resident gauge\n", "after its samples"},
 		{"sample before declaration", counter, counter + "vm_orphan 1\n", "before any HELP/TYPE"},
 		{"bucket without le", bucket, `vm_lat_seconds_bucket{route="GET /v1/state"} 2` + "\n", "no le label"},

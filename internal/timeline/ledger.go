@@ -63,24 +63,26 @@ func before(a, b mark) bool {
 
 // Ledger tracks the live reservations of one server, keyed by VM ID, and
 // answers window-maximum queries from a compiled step function of total
-// usage that is rebuilt eagerly on every mutation.
+// usage, compiled on the first read after a mutation.
 //
 // Unlike the horizon-bound SliceProfile, a Ledger has no planning
 // horizon: intervals may start and end at any positive minute, which is
 // what a long-running allocation service needs. Its one store is the
 // sorted marks, a start and an end mark per reservation: Get, Remove and
 // a replacing Add find an ID's pair by a scan. A mutation is that scan,
-// two binary searches, one memmove and one pass over the marks that
-// compiles the segments and the summary together: O(k) in live
-// reservations, no sort, no allocation once the slices have grown.
-// MaxUsage is a zero-allocation binary search plus a walk of the
-// overlapped segments, and Summary is O(1) — the fleet copies it into the
-// server's row after each mutation and answers most feasibility questions
-// from there, without touching the segments.
+// two binary searches and one memmove, and marks the step function
+// stale; the next Summary or MaxUsage compiles the segments and the
+// summary together in one pass over the marks: O(k) in live reservations,
+// no sort, no allocation once the slices have grown. A run of mutations
+// with no read between them pays for one compile. MaxUsage is then a
+// zero-allocation binary search plus a walk of the overlapped segments,
+// and Summary is O(1) — the fleet copies it into the server's row and
+// answers most feasibility questions from there, without touching the
+// segments.
 //
-// Concurrency: MaxUsage, Summary, Get and Len are pure reads and safe
-// for concurrent use; Add, Remove and Truncate must not run concurrently
-// with them.
+// Concurrency: Get and Len are pure reads. Summary and MaxUsage compile
+// when a mutation preceded them, so no call may run concurrently with
+// any other.
 //
 // The zero value is not ready for use; call NewLedger.
 type Ledger struct {
@@ -94,6 +96,7 @@ type Ledger struct {
 	cpu   []float64
 	mem   []float64
 	sum   Summary
+	stale bool // a mutation since the last compile
 }
 
 // NewLedger returns an empty ledger.
@@ -109,7 +112,7 @@ func (l *Ledger) Add(id int, r Reservation) {
 		l.deleteMarks(s, e)
 	}
 	l.insertMarks(id, r)
-	l.rebuild()
+	l.stale = true
 }
 
 // Get returns the reservation with the given ID.
@@ -130,7 +133,7 @@ func (l *Ledger) Remove(id int) (Reservation, bool) {
 	}
 	r := l.reservation(s, e)
 	l.deleteMarks(s, e)
-	l.rebuild()
+	l.stale = true
 	return r, true
 }
 
@@ -204,15 +207,25 @@ func (l *Ledger) search(m mark) int {
 	return lo
 }
 
-// Summary returns the ledger's current interval summary. O(1).
-func (l *Ledger) Summary() Summary { return l.sum }
+// Summary returns the ledger's current interval summary: O(1), after
+// the compile a preceding mutation left due.
+func (l *Ledger) Summary() Summary {
+	if l.stale {
+		l.rebuild()
+	}
+	return l.sum
+}
 
 // MaxUsage returns the maximum total CPU and memory reserved at any single
 // minute of the closed window [start, end]. The two maxima are computed
 // independently (they may occur at different minutes), matching the
 // per-resource feasibility constraints (Eq. 9–10). It allocates
-// nothing: the answer is read off the compiled step function.
+// nothing: the answer is read off the compiled step function, compiled
+// first if a mutation preceded the call.
 func (l *Ledger) MaxUsage(start, end int) (cpu, mem float64) {
+	if l.stale {
+		l.rebuild()
+	}
 	m := len(l.cpu)
 	if m == 0 || end < l.times[0] || start >= l.times[m] {
 		return 0, 0
@@ -242,6 +255,7 @@ func (l *Ledger) MaxUsage(start, end int) (cpu, mem float64) {
 // are already in mark order, in one pass: each segment is summed, then
 // read into the summary as soon as the next minute with a mark closes it.
 func (l *Ledger) rebuild() {
+	l.stale = false
 	l.times = l.times[:0]
 	l.cpu = l.cpu[:0]
 	l.mem = l.mem[:0]

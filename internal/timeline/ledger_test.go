@@ -264,11 +264,32 @@ func summaryBits(s Summary) [10]uint64 {
 }
 
 // checkAgainstRebuild compiles a fresh ledger over live with
-// rebuildBySort and requires l's step function and summary to equal it
-// bit for bit, and Len and Get of every ID up to maxID to answer as live
-// does.
+// rebuildBySort and requires what a reader of l sees to equal it bit for
+// bit: Summary, MaxUsage over a window around every step of the oracle's
+// function, and the step function those reads compiled. The first read
+// after the op is MaxUsage on odd steps and Summary on even ones, so each
+// compiles a stale ledger. Len and Get of every ID up to maxID must answer
+// as live does.
 func checkAgainstRebuild(t *testing.T, l *Ledger, live map[int]Reservation, maxID, step int, op ledgerOp) {
 	t.Helper()
+	o := rebuildBySort(live)
+	window := func(start, end int) {
+		t.Helper()
+		c, m := l.MaxUsage(start, end)
+		wc, wm := o.MaxUsage(start, end)
+		if math.Float64bits(c) != math.Float64bits(wc) || math.Float64bits(m) != math.Float64bits(wm) {
+			t.Fatalf("step %d %+v: MaxUsage(%d, %d) = (%v, %v), oracle (%v, %v)", step, op, start, end, c, m, wc, wm)
+		}
+	}
+	if step%2 == 1 {
+		window(step%70, step%70+step%9)
+	}
+	if got := l.Summary(); summaryBits(got) != summaryBits(o.sum) {
+		t.Fatalf("step %d %+v: summary %+v, oracle %+v", step, op, got, o.sum)
+	}
+	for _, m := range o.times {
+		window(m-1, m+2)
+	}
 	if l.Len() != len(live) {
 		t.Fatalf("step %d %+v: Len %d, want %d", step, op, l.Len(), len(live))
 	}
@@ -280,7 +301,6 @@ func checkAgainstRebuild(t *testing.T, l *Ledger, live map[int]Reservation, maxI
 			t.Fatalf("step %d %+v: Get(%d) = %+v, %v; want %+v, %v", step, op, id, got, ok, want, wantOK)
 		}
 	}
-	o := rebuildBySort(live)
 	if !slices.Equal(l.times, o.times) {
 		t.Fatalf("step %d %+v: times %v, oracle %v", step, op, l.times, o.times)
 	}
@@ -292,9 +312,6 @@ func checkAgainstRebuild(t *testing.T, l *Ledger, live map[int]Reservation, maxI
 			t.Fatalf("step %d %+v: segment %d at minute %d = (%v, %v), oracle (%v, %v)",
 				step, op, s, o.times[s], l.cpu[s], l.mem[s], o.cpu[s], o.mem[s])
 		}
-	}
-	if summaryBits(l.sum) != summaryBits(o.sum) {
-		t.Fatalf("step %d %+v: summary %+v, oracle %+v", step, op, l.sum, o.sum)
 	}
 }
 
@@ -364,9 +381,10 @@ func FuzzLedgerOps(f *testing.F) {
 var ledgerSink Summary
 
 // BenchmarkLedgerAddRemove is the fleet's per-admission ledger work: one
-// Add and one Remove on a server holding k VMs. k = 8 is a typical server;
-// k = 512 is bench/probe_timeline.go's large case, where the cost of a
-// mutation's pass over the marks shows.
+// Add and one Remove on a server holding k VMs, each followed by the
+// Summary read that compiles it. k = 8 is a typical server; k = 512 is
+// bench/probe_timeline.go's large case, where the cost of the compile's
+// pass over the marks shows.
 func BenchmarkLedgerAddRemove(b *testing.B) {
 	for _, k := range []int{8, 512} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
@@ -379,9 +397,10 @@ func BenchmarkLedgerAddRemove(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				l.Add(k+100, r)
+				ledgerSink = l.Summary()
 				l.Remove(k + 100)
+				ledgerSink = l.Summary()
 			}
-			ledgerSink = l.Summary()
 		})
 	}
 }

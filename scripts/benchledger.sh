@@ -34,6 +34,7 @@ LEDGER=(
 	'restart   internal/cluster     Restore'
 	'restart   internal/cluster     Replay'
 	'telemetry internal/cluster     SampleEnergy'
+	'telemetry internal/cluster     ReleaseSampled'
 	'telemetry internal/obs         NewSpanID'
 )
 rounds=${ROUNDS:-5}
