@@ -75,12 +75,12 @@ loc:
 # on read. A ledger compiles at its first read after a mutation, the row
 # table lists its stale rows for the next scan, and the energy recorder
 # builds one sample per fleet minute, at the clock move or the read that
-# needs it (obs.EnergyRecorder.RecordN and SetSource). Last lowered by 43:
-# the Prometheus text grammar has one reader, obs.ReadExposition, beside
-# its writer; the gate's merge, vmload's scrape (its shard fold now inside
-# ParseMetrics, the test-only Metrics.Keys gone) and promlint read through
-# it, and the gate hands the merge its scattered payloads as they come.
-LOC_MAX = 19468
+# needs it (obs.EnergyRecorder.RecordN and SetSource). Last lowered by 267:
+# every function has a non-test caller (TestEveryFunctionHasACaller).
+# The 30 that only tests reached are gone, timeline.SliceProfile among
+# them, with the three only they called; obs.EnergyRecorder.Samples
+# returns the newest sample beside the list, so Last is gone too.
+LOC_MAX = 19201
 
 # DOC_MAX is DESIGN.md's line budget (ROADMAP item 16 (b)), kept like
 # LOC_MAX: DESIGN says what is and why; per-change history belongs in
@@ -136,7 +136,9 @@ DOC_MAX = 894
 # one record per shard in the gate (each shard's health rides the routing
 # generation, topoState.health: non-test internal/shard names no SetShards
 # or type Prober, and every topo.Store( stores a newTopo(, which hands the
-# records on), one fuzz list (every func Fuzz of a test file outside
+# records on), a caller for every function (TestEveryFunctionHasACaller in
+# callers_test.go, run by `go test`, type-checks that non-test code, bench/
+# and examples/ included, uses each one), one fuzz list (every func Fuzz of a test file outside
 # bench/ is a package:target pair in FUZZ, so `make fuzz` runs it), short
 # CHANGES.md lines
 # (ROADMAP item 16 (c): none over 2 kB after the marker; a line cites
@@ -181,7 +183,7 @@ fence:
 	@! grep -rn --include='*.go' 'MaxUsage(' internal/online | grep -v -e _test.go -e '^internal/online/online.go:' \
 		|| { echo 'fence: a live capacity question is FleetView.probe (online.go); Commit, Migrate and Adopt ask it'; exit 1; }
 	@! awk '/^func / { fn = $$0 } /[<>]=? *[A-Za-z_.()]*Capacity\.(CPU|Mem)|\.Fits\(/ && fn !~ /planDrainLocked\(/ { print FILENAME ":" FNR ": " $$0 }' $(CLUSTER_SRC) | grep . \
-		|| { echo 'fence: internal/cluster compares against capacity only in planDrainLocked (its scratch sum); ask FleetView.Fits'; exit 1; }
+		|| { echo 'fence: internal/cluster compares against capacity only in planDrainLocked (its scratch sum); ask FleetView.probe'; exit 1; }
 	@! grep -n 'Sort' internal/timeline/ledger.go \
 		|| { echo 'fence: timeline.Ledger keeps its marks in order; a mutation never re-sorts them'; exit 1; }
 	@! grep -n -e '\[\[\]api\.AdmitResponse\]' -e 'json\.Marshal(\([A-Za-z.]*\(reqs\|Requests\)\|\[\]api\.AdmitRequest\)' $(ADMIT_CLIENT_SRC) \

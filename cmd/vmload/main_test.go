@@ -146,11 +146,11 @@ func TestRunMultiTarget(t *testing.T) {
 	}
 	digests := make(map[string]string, 2)
 	for name, srv := range map[string]*httptest.Server{"a": srvA, "b": srvB} {
-		_, digest, err := loadgen.NewClient(srv.URL).State(context.Background())
+		sum, err := loadgen.NewClient(srv.URL).StateSummary(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		digests[name] = digest
+		digests[name] = sum.Digest
 	}
 	if want := shard.CombineDigests(digests); rep.StateDigest != want {
 		t.Fatalf("report digest %s != combined per-shard digests %s", rep.StateDigest, want)

@@ -64,8 +64,8 @@ func TestExtensionsFacade(t *testing.T) {
 	if err := vmalloc.CheckPlacement(inst, place); err != nil {
 		t.Fatalf("improved placement infeasible: %v", err)
 	}
-	if stats.Improved() < 0 {
-		t.Errorf("Improved() = %g", stats.Improved())
+	if stats.Final > stats.Start {
+		t.Errorf("improver stats: final %g above start %g", stats.Final, stats.Start)
 	}
 
 	// Lookahead allocates validly and is named distinctly.

@@ -50,8 +50,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if migrated.Saved() < 0 {
-		t.Errorf("migration lost energy: %g", migrated.Saved())
+	if saved := migrated.Base.Total() - migrated.Final.Total() - migrated.MigrationEnergy; saved < 0 {
+		t.Errorf("migration lost energy: %g", saved)
 	}
 	finalFFPS := migrated.Final.Total() + migrated.MigrationEnergy
 	if finalFFPS > ffps.Energy.Total()+1e-9 {

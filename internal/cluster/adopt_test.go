@@ -53,7 +53,7 @@ func TestAdoptPlacesAndJournals(t *testing.T) {
 		t.Fatalf("conflicting adopt: %v, want *AdoptInfeasibleError", err)
 	}
 
-	if got := c.Adopted(); got != 1 {
+	if got := c.fleet.Snapshot().Adopted; got != 1 {
 		t.Fatalf("adopted count = %d, want 1", got)
 	}
 
@@ -64,7 +64,7 @@ func TestAdoptPlacesAndJournals(t *testing.T) {
 	if !ok || rp.Start != 2 || rp.End() != 21 || rp.Server != p.Server {
 		t.Fatalf("replayed placement = %+v (ok=%v), want %+v", rp, ok, p)
 	}
-	if got := r.Adopted(); got != 1 {
+	if got := r.fleet.Snapshot().Adopted; got != 1 {
 		t.Fatalf("replayed adopted count = %d, want 1", got)
 	}
 	// nextID replays past the adopted ID: an auto-ID admission must
@@ -96,7 +96,7 @@ func TestMaxIntIDRefused(t *testing.T) {
 	if adms := mustAdmit(t, c, api.AdmitRequest{Demand: demand, Start: 1, DurationMinutes: 5}); adms[0].ID != 1 {
 		t.Fatalf("auto-assigned id %d, want 1", adms[0].ID)
 	}
-	want, err := c.StateDigest()
+	want, err := stateDigest(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestMaxIntIDRefused(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer r.Close()
-	if got, _ := r.StateDigest(); got != want {
+	if got, _ := stateDigest(r); got != want {
 		t.Fatalf("reopened digest %s, want %s", got, want)
 	}
 }
@@ -157,7 +157,7 @@ func TestAdoptInfeasible(t *testing.T) {
 	if aie.Reason != "no remaining minutes to host" {
 		t.Fatalf("reason = %q", aie.Reason)
 	}
-	if got := c.Adopted(); got != 0 {
+	if got := c.fleet.Snapshot().Adopted; got != 0 {
 		t.Fatalf("adopted count = %d after refusal, want 0", got)
 	}
 }

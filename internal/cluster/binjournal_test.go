@@ -101,7 +101,7 @@ func openLog(t *testing.T, log []byte) (string, []byte, error) {
 		MigrationCostPerGB: 0.5, DisableFsync: true})
 	var digest string
 	if err == nil {
-		if digest, err = c.StateDigest(); err != nil {
+		if digest, err = stateDigest(c); err != nil {
 			t.Fatal(err)
 		}
 		c.crash()
@@ -346,7 +346,7 @@ func replayFixtures(t *testing.T, cfg Config) map[string]replayFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	midDigest, err := c.StateDigest()
+	midDigest, err := stateDigest(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func replayFixtures(t *testing.T, cfg Config) map[string]replayFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest, err := c.StateDigest()
+	digest, err := stateDigest(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestReopenSkipsCoveredRecords(t *testing.T) {
 			cfg.Dir = fx.materialize(t)
 			for round := 0; round < 3; round++ {
 				c := mustOpen(t, cfg)
-				got, err := c.StateDigest()
+				got, err := stateDigest(c)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -599,7 +599,7 @@ func TestZeroByteJournalIsAnEmptyLog(t *testing.T) {
 
 	c = mustOpen(t, cfg)
 	mustAdmit(t, c, api.AdmitRequest{ID: 2, Demand: model.Resources{CPU: 1, Mem: 2}, Start: 2, DurationMinutes: 30})
-	want, err := c.StateDigest()
+	want, err := stateDigest(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +610,7 @@ func TestZeroByteJournalIsAnEmptyLog(t *testing.T) {
 
 	c = mustOpen(t, cfg)
 	defer c.Close()
-	if got, _ := c.StateDigest(); got != want {
+	if got, _ := stateDigest(c); got != want {
 		t.Fatalf("reopened digest %s, want %s", got, want)
 	}
 	if n := len(c.State().VMs); n != 2 {

@@ -78,8 +78,13 @@ var ErrCorruptJournal = errors.New("cluster: corrupt journal")
 // still have appended — its records extend the journaled prefix in order
 // (replay stays consistent), and its clients see this error: no later
 // flush acknowledges a record behind a failed one. A subsequent
-// successful Snapshot (which captures the full in-memory state and
-// compacts the log) heals the cluster and re-enables mutation.
+// successful snapshot (which captures the full in-memory state and
+// compacts the log) heals the cluster and re-enables mutation. Only
+// Snapshot and Close take one once the journal is broken: the periodic
+// snapshot runs inside a mutation that got past this error, so at most in
+// the call that broke the journal. No production path calls Snapshot
+// (ROADMAP item 28), so a daemon answers with this error until it
+// restarts.
 var ErrJournalBroken = errors.New("cluster: journal broken")
 
 // NotResidentError reports a release of a VM that is not currently
@@ -375,6 +380,7 @@ func (c *Cluster) apply(r *record) error {
 // a volatile cluster. A successful snapshot also heals a broken journal
 // (see ErrJournalBroken): the snapshot captures the complete in-memory
 // state, so nothing depends on the records the journal failed to take.
+// Only tests call it so far; ROADMAP item 28 is the production heal.
 func (c *Cluster) Snapshot() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

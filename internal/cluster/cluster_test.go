@@ -55,6 +55,14 @@ func mustOpen(t *testing.T, cfg Config) *Cluster {
 	return c
 }
 
+// stateDigest is api.DigestBytes over StateJSON: the digest GET /v1/state
+// serves, which two clusters share exactly when their states are
+// byte-identical.
+func stateDigest(c *Cluster) (string, error) {
+	b, err := c.StateJSON()
+	return api.DigestBytes(b), err
+}
+
 func mustAdmit(t *testing.T, c *Cluster, reqs ...api.AdmitRequest) []api.AdmitResponse {
 	t.Helper()
 	adms, err := c.Admit(context.Background(), reqs)

@@ -112,7 +112,7 @@ func runScript(t *testing.T, cfg Config, seed int64, consolidate bool, preClose 
 			}
 		}
 	}
-	digest, err := c.StateDigest()
+	digest, err := stateDigest(c)
 	if err != nil {
 		t.Fatalf("seed %d: digest: %v", seed, err)
 	}
@@ -325,7 +325,7 @@ func TestDeterminismJournalReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: reopen %s: %v", seed, name, err)
 			}
-			replayed, err := c.StateDigest()
+			replayed, err := stateDigest(c)
 			if err != nil {
 				t.Fatal(err)
 			}

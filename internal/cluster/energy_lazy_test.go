@@ -97,7 +97,8 @@ func TestEnergyReadsMatchEagerSampling(t *testing.T) {
 		}
 		checkDebugEnergy(t, srv.URL, eager, seed, -1)
 		checkEnergyFamilies(t, srv.URL, eager, seed, -1)
-		if n, st := len(eager.Samples(-1, 0)), c.State(); n < 8 || reads < 50 || st.Migrations <= consolidated || consolidated == 0 {
+		kept, _, _ := eager.Samples(-1, 0)
+		if n, st := len(kept), c.State(); n < 8 || reads < 50 || st.Migrations <= consolidated || consolidated == 0 {
 			t.Fatalf("seed %d: script too plain: %d samples kept, %d reads, %d migrations, %d by consolidation",
 				seed, n, reads, st.Migrations, consolidated)
 		}
@@ -114,14 +115,11 @@ func checkDebugEnergy(t *testing.T, url string, eager *obs.EnergyRecorder, seed 
 	if err := json.Unmarshal(get(t, url+"/v1/debug/energy"), &got); err != nil {
 		t.Fatal(err)
 	}
-	want := api.EnergyResponse{Samples: eager.Samples(-1, 0)}
-	if want.Samples == nil {
-		want.Samples = []obs.EnergySample{}
+	samples, last, _ := eager.Samples(-1, 0)
+	if samples == nil {
+		samples = []obs.EnergySample{}
 	}
-	want.Count = len(want.Samples)
-	if last, ok := eager.Last(); ok {
-		want.Now, want.TotalWattMinutes = last.Clock, last.TotalWattMinutes
-	}
+	want := api.EnergyResponse{Count: len(samples), Samples: samples, Now: last.Clock, TotalWattMinutes: last.TotalWattMinutes}
 	for k := range got.Samples {
 		if k < len(want.Samples) {
 			got.Samples[k].Wall = want.Samples[k].Wall

@@ -106,7 +106,7 @@ func TestEnergySampleMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, ok := rec.Last()
+		_, got, ok := rec.Samples(-1, 1)
 		if !ok {
 			t.Fatalf("op %d: no sample recorded", op)
 		}
@@ -118,7 +118,7 @@ func TestEnergySampleMatchesReference(t *testing.T) {
 			t.Fatalf("op %d: sample\n got %+v\nwant %+v", op, got, want)
 		}
 	}
-	if last, _ := rec.Last(); len(last.Classes) < 3 || last.Classes["default"].Servers != 1 {
+	if _, last, _ := rec.Samples(-1, 1); len(last.Classes) < 3 || last.Classes["default"].Servers != 1 {
 		t.Fatalf("fixture is too plain to prove anything: classes %+v", last.Classes)
 	}
 }
@@ -171,7 +171,7 @@ func TestEnergyMetricsUntorn(t *testing.T) {
 			t.Fatalf("scrape %d: vmalloc_energy_samples_total %s beside vmalloc_energy_clock_minutes %s", scrapes, seq, clock)
 		}
 	}
-	if last, _ := rec.Last(); last.Clock != ticks || last.Seq != ticks {
+	if _, last, _ := rec.Samples(-1, 1); last.Clock != ticks || last.Seq != ticks {
 		t.Fatalf("newest sample %+v, want clock and seq %d", last, ticks)
 	}
 }

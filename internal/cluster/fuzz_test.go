@@ -32,7 +32,7 @@ func fuzzReopen(t *testing.T, log []byte) {
 		}
 		return
 	}
-	want, err := c.StateDigest()
+	want, err := stateDigest(c)
 	if err != nil {
 		t.Fatalf("restored cluster cannot serve state: %v", err)
 	}
@@ -43,7 +43,7 @@ func fuzzReopen(t *testing.T, log []byte) {
 	if err != nil {
 		t.Fatalf("reopening after clean close: %v", err)
 	}
-	got, err := c2.StateDigest()
+	got, err := stateDigest(c2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func TestGroupCommitCrashImage(t *testing.T) {
 			t.Fatalf("VM %d was acknowledged before the crash image was taken but is missing after replay", id)
 		}
 	}
-	want, err := r.StateDigest()
+	want, err := stateDigest(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestGroupCommitCrashImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r2.StateDigest()
+	got, err := stateDigest(r2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,6 @@ func (c *Cluster) Telemetry() (*obs.FlightRecorder, *obs.SpanStore, *obs.EnergyR
 	return c.rec, c.cfg.Spans, c.cfg.Energy
 }
 
-// Adopted returns the number of VMs adopted from other shards over the
-// cluster's lifetime (journaled, so it replays).
-func (c *Cluster) Adopted() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fleet.Adopted()
-}
-
 // Migrations returns the cluster-lifetime migration count and a copy of
 // the retained history (bounded, oldest first).
 func (c *Cluster) Migrations() (int, []api.MigrationRecord) {
@@ -82,17 +74,4 @@ func (c *Cluster) stateLocked() *api.StateResponse {
 // (api.EncodeState): the exact bytes GET /v1/state serves.
 func (c *Cluster) StateJSON() ([]byte, error) {
 	return api.EncodeState(c.State())
-}
-
-// StateDigest returns the SHA-256 of StateJSON as a hex string — a
-// compact, deterministic fingerprint of the durable state. Two clusters
-// serve the same digest exactly when their states are byte-identical,
-// which is what the load harness and the journal-replay tests compare
-// across crashes and restarts.
-func (c *Cluster) StateDigest() (string, error) {
-	b, err := c.StateJSON()
-	if err != nil {
-		return "", err
-	}
-	return api.DigestBytes(b), nil
 }

@@ -59,8 +59,9 @@ func TestAdoptionsEndpoint(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || json.Unmarshal(raw2, &ar2) != nil || ar2 != ar {
 		t.Fatalf("retried adopt status %d body %s, want the original %+v", resp2.StatusCode, raw2, ar)
 	}
-	if got := c.Adopted(); got != 1 {
-		t.Fatalf("adopted count = %d, want 1", got)
+	var met bytes.Buffer
+	if err := c.WriteMetrics(&met); err != nil || !strings.Contains(met.String(), "\nvmalloc_cluster_adoptions_total 1\n") {
+		t.Fatalf("adoptions counter (err %v), want 1:\n%s", err, met.String())
 	}
 
 	// A VM whose interval has fully elapsed is a typed 409.

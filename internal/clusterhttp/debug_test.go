@@ -192,6 +192,58 @@ func TestDebugEnergy(t *testing.T) {
 	}
 }
 
+// TestDebugEnergyUntorn interleaves clock advances with reads of
+// GET /v1/debug/energy. Each read must report as now and total the newest
+// sample of the list it serves: a tick landing between reading the list
+// and reading the newest sample would report a minute no listed sample has.
+func TestDebugEnergyUntorn(t *testing.T) {
+	energy := obs.NewEnergyRecorder(8)
+	c, err := cluster.Open(cluster.Config{
+		Servers:     []model.Server{{ID: 1, Capacity: model.Resources{CPU: 10, Mem: 16}, PIdle: 100, PPeak: 200, TransitionTime: 1}},
+		IdleTimeout: 2,
+		Energy:      energy,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	h := New(c, nil)
+	const ticks = 20000
+	done := make(chan error, 1)
+	go func() {
+		for k := 1; k <= ticks; k++ {
+			if err := c.AdvanceTo(k); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for running, reads := true, 0; running; reads++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/debug/energy", nil))
+		var er api.EnergyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Fatal(err)
+		}
+		if len(er.Samples) == 0 {
+			continue // no tick yet
+		}
+		if last := er.Samples[len(er.Samples)-1]; er.Now != last.Clock || er.TotalWattMinutes != last.TotalWattMinutes {
+			t.Fatalf("read %d: now %d, total %g beside a newest listed sample at minute %d, total %g",
+				reads, er.Now, er.TotalWattMinutes, last.Clock, last.TotalWattMinutes)
+		}
+	}
+}
+
 // TestMetricsLintWithTelemetry: the exposition with the span store and
 // energy recorder wired stays lint-clean and carries the new
 // vmalloc_trace_* / vmalloc_energy_* families.

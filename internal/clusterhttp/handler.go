@@ -169,14 +169,10 @@ func New(c *cluster.Cluster, log *slog.Logger) http.Handler {
 			api.WriteBadRequest(w, r, err)
 			return
 		}
-		resp := api.EnergyResponse{Samples: energy.Samples(since, limit)}
+		samples, last, _ := energy.Samples(since, limit)
+		resp := api.EnergyResponse{Samples: samples, Count: len(samples), Now: last.Clock, TotalWattMinutes: last.TotalWattMinutes}
 		if resp.Samples == nil {
 			resp.Samples = []obs.EnergySample{}
-		}
-		resp.Count = len(resp.Samples)
-		if last, ok := energy.Last(); ok {
-			resp.Now = last.Clock
-			resp.TotalWattMinutes = last.TotalWattMinutes
 		}
 		api.WriteJSON(w, http.StatusOK, resp)
 	})

@@ -36,7 +36,7 @@ func testCluster(t *testing.T) *cluster.Cluster {
 }
 
 // TestStateDigestHeader: /v1/state carries a digest header that matches
-// both the served body and Cluster.StateDigest, so clients can compare
+// both the served body and the digest of Cluster.StateJSON, so clients compare
 // states across restarts without shipping the whole body.
 func TestStateDigestHeader(t *testing.T) {
 	c := testCluster(t)
@@ -62,12 +62,12 @@ func TestStateDigestHeader(t *testing.T) {
 		t.Errorf("state shows %d admitted, want 1", body.Admitted)
 	}
 	got := resp.Header.Get(api.StateDigestHeader)
-	want, err := c.StateDigest()
+	state, err := c.StateJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Errorf("digest header %q, StateDigest %q", got, want)
+	if want := api.DigestBytes(state); got != want {
+		t.Errorf("digest header %q, digest of StateJSON %q", got, want)
 	}
 	if len(got) != 64 {
 		t.Errorf("digest %q is not hex SHA-256", got)

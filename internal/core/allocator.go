@@ -305,13 +305,6 @@ func (f *Fleet) Fits(i int, v model.VM) bool {
 	return cpu+v.Demand.CPU <= f.rows[i].capCPU && mem+v.Demand.Mem <= f.rows[i].capMem
 }
 
-// FitsCPUOnly is Fits with the memory constraint ignored (used by the
-// ablation variant).
-func (f *Fleet) FitsCPUOnly(i int, v model.VM) bool {
-	cpu, _ := f.usage(i, v.Start)
-	return cpu+v.Demand.CPU <= f.rows[i].capCPU
-}
-
 // State returns server index i's energy state.
 func (f *Fleet) State(i int) *energy.ServerState { return &f.state[i] }
 

@@ -273,9 +273,6 @@ func TestFleetFitsAndSpare(t *testing.T) {
 	if f.Fits(0, vm(5, 1, 2, 20, 1)) {
 		t.Error("VM larger than total capacity accepted")
 	}
-	if !f.FitsCPUOnly(0, vm(6, 5, 6, 1, 99)) {
-		t.Error("FitsCPUOnly rejected a CPU-feasible VM")
-	}
 	if f.ServersUsed() != 1 {
 		t.Errorf("ServersUsed = %d, want 1", f.ServersUsed())
 	}
@@ -342,11 +339,10 @@ func TestFleetPanicsBeforeFrontier(t *testing.T) {
 	f.Commit(0, vm(2, 5, 6, 1, 1)) // an equal start is in order
 	early := vm(3, 4, 9, 1, 1)
 	for what, fn := range map[string]func(){
-		"Commit":      func() { f.Commit(0, early) },
-		"Fits":        func() { f.Fits(0, early) },
-		"FitsCPUOnly": func() { f.FitsCPUOnly(0, early) },
-		"SpareCPU":    func() { f.SpareCPU(0, 4) },
-		"SpareMem":    func() { f.SpareMem(0, 4) },
+		"Commit":   func() { f.Commit(0, early) },
+		"Fits":     func() { f.Fits(0, early) },
+		"SpareCPU": func() { f.SpareCPU(0, 4) },
+		"SpareMem": func() { f.SpareMem(0, 4) },
 	} {
 		func() {
 			defer func() {

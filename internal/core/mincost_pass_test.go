@@ -14,7 +14,7 @@ import (
 )
 
 // refMinCostRule is MinCost's rule as it stood before the hoisted pass:
-// Fits (or FitsCPUOnly) and IncrementalCost (or RunCost) per candidate,
+// Fits (or its CPU half) and IncrementalCost (or RunCost) per candidate,
 // reduced by Scan.ArgMin. It is the reference the pass is held to, and
 // also returns the winner's cost, the float64 ties break on.
 func refMinCostRule(s *Scan, v model.VM, cfg Config) (int, float64, error) {
@@ -24,7 +24,7 @@ func refMinCostRule(s *Scan, v model.VM, cfg Config) (int, float64, error) {
 			if !fleet.Fits(i, v) {
 				return 0, false
 			}
-		} else if !fleet.FitsCPUOnly(i, v) {
+		} else if cpu, _ := fleet.usage(i, v.Start); cpu+v.Demand.CPU > fleet.rows[i].capCPU {
 			return 0, false
 		}
 		if cfg.TransitionAware {

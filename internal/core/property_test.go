@@ -9,7 +9,6 @@ import (
 
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
-	"vmalloc/internal/timeline"
 )
 
 // quickInstance draws a modest feasible-ish instance from a seed.
@@ -167,24 +166,23 @@ func TestEnergyHomogeneity(t *testing.T) {
 	}
 }
 
-// fleetOracle holds a Fleet next to per-minute usage arrays, the
-// straightforward answer to Eq. 9–10. Demands are dyadic (multiples of
-// 0.25), so every sum is exact whatever its order and the comparison can
-// be ==.
+// fleetOracle holds a Fleet next to each server's committed VMs, whose
+// per-minute sums (model.Usage) are the straightforward answer to Eq. 9–10.
+// Demands are dyadic (multiples of 0.25), so every sum is exact whatever
+// its order and the comparison can be ==.
 type fleetOracle struct {
-	fleet    *Fleet
-	cpu, mem []*timeline.SliceProfile
+	fleet *Fleet
+	vms   [][]model.VM
+	use   []model.Resources
 }
 
 var oracleServers = []model.Server{srv(1, 16, 32, 80, 160, 1), srv(2, 24, 24, 90, 200, 1), srv(3, 8, 64, 60, 120, 1)}
 
 func newFleetOracle(horizon int) *fleetOracle {
-	o := &fleetOracle{fleet: NewFleet(model.Instance{Servers: oracleServers, Horizon: horizon})}
-	for range oracleServers {
-		o.cpu = append(o.cpu, timeline.NewSliceProfile(horizon))
-		o.mem = append(o.mem, timeline.NewSliceProfile(horizon))
+	return &fleetOracle{
+		fleet: NewFleet(model.Instance{Servers: oracleServers, Horizon: horizon}),
+		vms:   make([][]model.VM, len(oracleServers)),
 	}
-	return o
 }
 
 // commit places v on server index i if the fleet says it fits. With advance
@@ -196,23 +194,23 @@ func (o *fleetOracle) commit(i int, v model.VM, advance bool) {
 	}
 	if o.fleet.Fits(i, v) {
 		o.fleet.Commit(i, v)
-		o.cpu[i].Add(v.Start, v.End, v.Demand.CPU)
-		o.mem[i].Add(v.Start, v.End, v.Demand.Mem)
+		o.vms[i] = append(o.vms[i], v)
 	}
 }
 
-// probe checks the fleet's four answers for p's window, on every server,
-// against the arrays' window maxima.
+// probe checks the fleet's three answers for p's window, on every server,
+// against the window maxima of the committed VMs' per-minute usage.
 func (o *fleetOracle) probe(t *testing.T, p model.VM) {
 	t.Helper()
 	for i, s := range oracleServers {
-		maxCPU, maxMem := o.cpu[i].Max(p.Start, p.End), o.mem[i].Max(p.Start, p.End)
-		cpuOK := maxCPU+p.Demand.CPU <= s.Capacity.CPU
-		if got, want := o.fleet.Fits(i, p), cpuOK && maxMem+p.Demand.Mem <= s.Capacity.Mem; got != want {
-			t.Fatalf("Fits(%d, %+v) = %v, oracle %v", i, p, got, want)
+		o.use = model.Usage(o.use, o.vms[i])
+		var maxCPU, maxMem float64
+		for m := p.Start; m <= min(p.End, len(o.use)-1); m++ {
+			maxCPU, maxMem = max(maxCPU, o.use[m].CPU), max(maxMem, o.use[m].Mem)
 		}
-		if got := o.fleet.FitsCPUOnly(i, p); got != cpuOK {
-			t.Fatalf("FitsCPUOnly(%d, %+v) = %v, oracle %v", i, p, got, cpuOK)
+		want := maxCPU+p.Demand.CPU <= s.Capacity.CPU && maxMem+p.Demand.Mem <= s.Capacity.Mem
+		if got := o.fleet.Fits(i, p); got != want {
+			t.Fatalf("Fits(%d, %+v) = %v, oracle %v", i, p, got, want)
 		}
 		if got, want := o.fleet.SpareCPU(i, p.Start), s.Capacity.CPU-maxCPU; got != want {
 			t.Fatalf("SpareCPU(%d, %d) = %g, oracle %g over [%d,%d]", i, p.Start, got, want, p.Start, p.End)

@@ -100,14 +100,8 @@ func NewServerState(s model.Server) *ServerState {
 	return &ServerState{server: s}
 }
 
-// Server returns the underlying server.
-func (st *ServerState) Server() model.Server { return st.server }
-
 // VMs returns the number of VMs placed on the server.
 func (st *ServerState) VMs() int { return st.vms }
-
-// Busy returns a copy of the server's busy segments.
-func (st *ServerState) Busy() []timeline.Interval { return st.busy.Segments() }
 
 // Cost returns the server's total energy cost (Eq. 17): run costs plus
 // SegmentCost of its busy set.

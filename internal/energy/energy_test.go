@@ -150,13 +150,13 @@ func TestCostWithMatchesCloneSpelling(t *testing.T) {
 			preview.Insert(timeline.Interval{Start: v.Start, End: v.End})
 			want := st.runCost + RunCost(s, v) + cloneSpellingCost(s, preview)
 			if got := st.CostWith(v); got != want {
-				t.Fatalf("trial %d: CostWith(%+v) on %v = %v, clone spelling %v", trial, v, st.Busy(), got, want)
+				t.Fatalf("trial %d: CostWith(%+v) on %v = %v, clone spelling %v", trial, v, st.busy.View(), got, want)
 			}
 			if got, want := st.segCost, cloneSpellingCost(s, &st.busy); got != want {
-				t.Fatalf("trial %d: cached segment cost of %v = %v, clone spelling %v", trial, st.Busy(), got, want)
+				t.Fatalf("trial %d: cached segment cost of %v = %v, clone spelling %v", trial, st.busy.View(), got, want)
 			}
 			if got, want := st.BusyGrowth(v), preview.Total()-st.busy.Total(); got != want {
-				t.Fatalf("trial %d: BusyGrowth(%+v) on %v = %d, clone spelling %d", trial, v, st.Busy(), got, want)
+				t.Fatalf("trial %d: BusyGrowth(%+v) on %v = %d, clone spelling %d", trial, v, st.busy.View(), got, want)
 			}
 			merges[st.busy.Len()+1-preview.Len()]++
 		}
@@ -177,16 +177,17 @@ func TestCostWithMatchesCloneSpelling(t *testing.T) {
 }
 
 // cloneSpellingCost is the reference for SegmentCost and CostWith, which
-// share one merged walk: the same formula over a materialised set and its
-// Gaps.
+// share one merged walk: the same formula over a materialised set and the
+// idle gaps between its segments.
 func cloneSpellingCost(s model.Server, busy *timeline.SegmentSet) float64 {
 	if busy.Len() == 0 {
 		return 0
 	}
 	alpha := s.TransitionCost()
 	cost := alpha + s.PIdle*float64(busy.Total())
-	for _, gap := range busy.Gaps() {
-		gapCost := s.PIdle * float64(gap.Len())
+	segs := busy.View()
+	for k := 1; k < len(segs); k++ {
+		gapCost := s.PIdle * float64(segs[k].Start-segs[k-1].End-1)
 		if alpha < gapCost {
 			gapCost = alpha
 		}

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,18 +45,10 @@ type Client struct {
 	Base string
 	// HTTP is the underlying client; nil means http.DefaultClient.
 	HTTP *http.Client
-	// RecordRequestIDs makes the client remember every request id it
-	// issues (IssuedRequestIDs), so harnesses can cross-check the
-	// server's flight recorder against what was actually sent. Off by
-	// default to keep long soaks from accumulating memory.
-	RecordRequestIDs bool
 
 	// retried counts attempts beyond the first; read via Retried. Atomic:
 	// the runner's worker pool shares one client.
 	retried atomic.Int64
-
-	idMu   sync.Mutex
-	issued []string
 }
 
 // NewClient returns a client for the server rooted at base.
@@ -74,28 +65,6 @@ func (c *Client) httpClient() *http.Client {
 
 // Retried returns how many retry attempts the client has issued.
 func (c *Client) Retried() int { return int(c.retried.Load()) }
-
-// newRequestID mints the id for one logical call (shared by its
-// retries) and remembers it when RecordRequestIDs is set.
-func (c *Client) newRequestID() string {
-	id := obs.NewRequestID()
-	if c.RecordRequestIDs {
-		c.idMu.Lock()
-		c.issued = append(c.issued, id)
-		c.idMu.Unlock()
-	}
-	return id
-}
-
-// IssuedRequestIDs returns a copy of every request id issued so far
-// (empty unless RecordRequestIDs is set).
-func (c *Client) IssuedRequestIDs() []string {
-	c.idMu.Lock()
-	defer c.idMu.Unlock()
-	out := make([]string, len(c.issued))
-	copy(out, c.issued)
-	return out
-}
 
 // retryable reports whether another attempt could change the outcome:
 // transport errors (connection refused/reset, timeouts) and 5xx
@@ -115,7 +84,7 @@ func retryable(err error) bool {
 // The returned bool reports whether this call went beyond its first
 // attempt (callers use it for the admission idempotency fold).
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) (bool, error) {
-	reqID := c.newRequestID()
+	reqID := obs.NewRequestID()
 	// One root trace per logical call: retries share the trace id, so a
 	// retried admission's attempts stitch into one tree server-side.
 	root := obs.NewTraceContext()
@@ -255,28 +224,6 @@ func (c *Client) Consolidate(ctx context.Context, req api.ConsolidateRequest) (*
 	return resp, nil
 }
 
-// Migrations fetches the migration history (GET /v1/migrations). query
-// is a raw query string such as "vm=7&limit=10", or "" for the full
-// retained history.
-func (c *Client) Migrations(ctx context.Context, query string) (*api.MigrationsResponse, error) {
-	return get[api.MigrationsResponse](ctx, c, "/v1/migrations", query)
-}
-
-// State fetches the consistent cluster state and its digest (the
-// X-Vmalloc-State-Digest header, equal to api.DigestBytes over the
-// body). Only meaningful against a single vmserve; a vmgate serves an
-// aggregated shape — use StateSummary for code that must work against
-// both.
-func (c *Client) State(ctx context.Context) (*api.StateResponse, string, error) {
-	return state[api.StateResponse](ctx, c)
-}
-
-// GateState fetches a vmgate's aggregated state: every shard's state
-// plus the combined digest.
-func (c *Client) GateState(ctx context.Context) (*api.GateStateResponse, string, error) {
-	return state[api.GateStateResponse](ctx, c)
-}
-
 // state fetches GET /v1/state into a T, with its digest: the header, or
 // api.DigestBytes over the body when the server sent none.
 func state[T any](ctx context.Context, c *Client) (*T, string, error) {
@@ -334,29 +281,11 @@ func (c *Client) StateSummary(ctx context.Context) (StateSummary, error) {
 	}, nil
 }
 
-// DebugDecisions fetches the server's flight recorder
-// (GET /v1/debug/decisions). query is a raw query string such as
-// "vm=7&limit=10", or "" for everything the recorder holds.
-func (c *Client) DebugDecisions(ctx context.Context, query string) ([]obs.Decision, error) {
-	resp, err := get[api.DecisionsResponse](ctx, c, "/v1/debug/decisions", query)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Decisions, nil
-}
-
 // DebugTraces fetches the server's span store (GET /v1/debug/traces),
 // grouped into one tree per trace id. query is a raw query string such
 // as "name=fsync&limit=100", or "" for everything buffered.
 func (c *Client) DebugTraces(ctx context.Context, query string) (*api.TracesResponse, error) {
 	return get[api.TracesResponse](ctx, c, "/v1/debug/traces", query)
-}
-
-// DebugEnergy fetches the server's sampled energy/utilization series
-// (GET /v1/debug/energy). query is a raw query string such as
-// "since=120&limit=50", or "" for the whole window.
-func (c *Client) DebugEnergy(ctx context.Context, query string) (*api.EnergyResponse, error) {
-	return get[api.EnergyResponse](ctx, c, "/v1/debug/energy", query)
 }
 
 // Metrics scrapes /metrics and reads it with ParseMetrics, which folds

@@ -65,7 +65,7 @@ func (d *shardedDeployment) verifyResidency(t *testing.T) (int, map[string]strin
 	total := 0
 	digests := make(map[string]string, len(d.shardSrv))
 	for name, srv := range d.shardSrv {
-		st, digest, err := NewClient(srv.URL).State(context.Background())
+		st, digest, err := state[api.StateResponse](context.Background(), NewClient(srv.URL))
 		if err != nil {
 			t.Fatalf("state of shard %s: %v", name, err)
 		}
@@ -131,7 +131,7 @@ func TestShardedSoakThroughGate(t *testing.T) {
 
 	// The gate's merged migration history reconciles with the runner's
 	// count, every record stamped with a shard that really owns its VM.
-	hist, err := client.Migrations(context.Background(), "")
+	hist, err := get[api.MigrationsResponse](context.Background(), client, "/v1/migrations", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestShardedSoakThroughGate(t *testing.T) {
 	}
 
 	// The gate's full aggregated state agrees with the per-shard truth.
-	gs, hdrDigest, err := client.GateState(context.Background())
+	gs, hdrDigest, err := state[api.GateStateResponse](context.Background(), client)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestShardedSoakInProcessGate(t *testing.T) {
 		t.Errorf("in-process gate digest %s != combined per-shard digests %s", rep.StateDigest, want)
 	}
 	// A network gate over the same live deployment serves the same digest.
-	_, gateDigest, err := NewClient(d.gateSrv.URL).GateState(ctx)
+	_, gateDigest, err := state[api.GateStateResponse](ctx, NewClient(d.gateSrv.URL))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vmalloc/internal/api"
 	"vmalloc/internal/cluster"
 	"vmalloc/internal/clusterhttp"
 	"vmalloc/internal/obs"
@@ -73,7 +74,7 @@ func TestTelemetryNeutrality(t *testing.T) {
 
 	// Energy series: monotone, and integrating rate·Δclock reproduces
 	// the ledger delta, which itself matches the report's final energy.
-	er, err := client.DebugEnergy(context.Background(), "")
+	er, err := get[api.EnergyResponse](context.Background(), client, "/v1/debug/energy", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,14 +68,11 @@ type Result struct {
 	Schedule Schedule `json:"schedule"`
 	Moves    []Move   `json:"moves"`
 	// Base is the energy of the input placement; Final the energy of the
-	// migratory schedule including MigrationEnergy.
+	// migratory schedule, and MigrationEnergy what its moves cost on top.
 	Base            energy.Breakdown `json:"base"`
 	Final           energy.Breakdown `json:"final"`
 	MigrationEnergy float64          `json:"migrationEnergyWattMinutes"`
 }
-
-// Saved returns the net energy saved by migrating.
-func (r *Result) Saved() float64 { return r.Base.Total() - r.Final.Total() - r.MigrationEnergy }
 
 // FromPlacement lifts a plain placement into a schedule (one piece per
 // VM).
@@ -93,15 +90,9 @@ func FromPlacement(inst model.Instance, placement map[int]int) (Schedule, error)
 	return s, nil
 }
 
-// Validate checks that the instance is valid, and that the schedule tiles
+// checked checks that the instance is valid, and that the schedule tiles
 // every VM's interval exactly and respects every server's CPU and memory
-// capacity at every time unit.
-func (s Schedule) Validate(inst model.Instance) error {
-	_, err := s.checked(inst)
-	return err
-}
-
-// checked is Validate returning the per-server pieces it checked.
+// capacity at every time unit. It returns the per-server pieces it checked.
 func (s Schedule) checked(inst model.Instance) ([][]model.VM, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err

@@ -47,8 +47,8 @@ func TestFromPlacementAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(inst); err != nil {
-		t.Errorf("Validate: %v", err)
+	if _, err := s.checked(inst); err != nil {
+		t.Errorf("checked: %v", err)
 	}
 	if _, err := FromPlacement(inst, map[int]int{1: 1}); err == nil {
 		t.Error("unplaced VM accepted")
@@ -88,7 +88,7 @@ func TestScheduleValidateRejects(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := tt.s.Validate(inst); err == nil {
+			if _, err := tt.s.checked(inst); err == nil {
 				t.Error("invalid schedule accepted")
 			}
 		})
@@ -168,18 +168,19 @@ func TestConsolidatorImprovesFFPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Schedule.Validate(inst); err != nil {
+	if _, err := res.Schedule.checked(inst); err != nil {
 		t.Fatalf("consolidated schedule invalid: %v", err)
 	}
-	if res.Saved() < 0 {
+	saved := res.Base.Total() - res.Final.Total() - res.MigrationEnergy
+	if saved < 0 {
 		t.Errorf("consolidation lost energy: saved %.1f (base %.1f, final %.1f, mig %.1f, %d moves)",
-			res.Saved(), res.Base.Total(), res.Final.Total(), res.MigrationEnergy, len(res.Moves))
+			saved, res.Base.Total(), res.Final.Total(), res.MigrationEnergy, len(res.Moves))
 	}
 	if len(res.Moves) == 0 {
 		t.Error("no moves on a wasteful FFPS placement")
 	}
 	t.Logf("saved %.0f Wmin (%.1f%%) with %d moves",
-		res.Saved(), 100*res.Saved()/res.Base.Total(), len(res.Moves))
+		saved, 100*saved/res.Base.Total(), len(res.Moves))
 }
 
 // TestConsolidatorLittleToGainOnMinCost: a MinCost placement is already
@@ -201,8 +202,8 @@ func TestConsolidatorOnMinCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Saved() < 0 {
-		t.Errorf("consolidation worsened a MinCost placement by %.1f", -res.Saved())
+	if saved := res.Base.Total() - res.Final.Total() - res.MigrationEnergy; saved < 0 {
+		t.Errorf("consolidation worsened a MinCost placement by %.1f", -saved)
 	}
 }
 

@@ -35,11 +35,6 @@ func (r Resources) Add(o Resources) Resources {
 	return Resources{CPU: r.CPU + o.CPU, Mem: r.Mem + o.Mem}
 }
 
-// Sub returns the component-wise difference of r and o.
-func (r Resources) Sub(o Resources) Resources {
-	return Resources{CPU: r.CPU - o.CPU, Mem: r.Mem - o.Mem}
-}
-
 // IsZero reports whether both components are zero.
 func (r Resources) IsZero() bool { return r.CPU == 0 && r.Mem == 0 }
 

@@ -157,31 +157,23 @@ func (r *EnergyRecorder) RecordN(s EnergySample, n int64) {
 	r.buf.push(&s)
 }
 
-// Last returns the newest sample, if any.
-func (r *EnergyRecorder) Last() (EnergySample, bool) {
-	if r == nil {
-		return EnergySample{}, false
-	}
-	r.pull()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if newest := r.buf.newest(); newest != nil {
-		return *newest, true
-	}
-	return EnergySample{}, false
-}
-
 // Samples returns buffered samples with Clock > sinceClock, oldest
 // first; pass sinceClock < 0 for everything. Limit keeps the newest
 // limit samples (0 = all), so pollers can resume from their last clock.
-func (r *EnergyRecorder) Samples(sinceClock, limit int) []EnergySample {
+// It also returns the newest sample (ok is false when there is none), read
+// in the same critical section: a reader that reports the newest beside
+// the list never reports one the list could not end with.
+func (r *EnergyRecorder) Samples(sinceClock, limit int) (samples []EnergySample, newest EnergySample, ok bool) {
 	if r == nil {
-		return nil
+		return nil, EnergySample{}, false
 	}
 	r.pull()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.buf.filter(limit, func(s *EnergySample) bool { return s.Clock > sinceClock })
+	if n := r.buf.newest(); n != nil {
+		newest, ok = *n, true
+	}
+	return r.buf.filter(limit, func(s *EnergySample) bool { return s.Clock > sinceClock }), newest, ok
 }
 
 // Dump logs the newest n samples (n<=0 dumps everything buffered) and
@@ -191,7 +183,7 @@ func (r *EnergyRecorder) Dump(log *slog.Logger, n int) int {
 	if r == nil || log == nil {
 		return 0
 	}
-	samples := r.Samples(-1, n)
+	samples, _, _ := r.Samples(-1, n)
 	for _, s := range samples {
 		log.Info("energy sample",
 			"seq", s.Seq,

@@ -13,7 +13,7 @@ func TestEnergyRecorderMonotoneAndRate(t *testing.T) {
 	r.Record(EnergySample{Clock: 10, TotalWattMinutes: 100})
 	r.Record(EnergySample{Clock: 30, TotalWattMinutes: 400})
 
-	got := r.Samples(-1, 0)
+	got, _, _ := r.Samples(-1, 0)
 	if len(got) != 3 {
 		t.Fatalf("got %d samples", len(got))
 	}
@@ -46,10 +46,10 @@ func TestEnergyRecorderSameClockReplaces(t *testing.T) {
 	r.Record(EnergySample{Clock: 10, TotalWattMinutes: 80})
 	r.Record(EnergySample{Clock: 10, TotalWattMinutes: 90})
 	r.Record(EnergySample{Clock: 10, TotalWattMinutes: 100})
-	if n := len(r.Samples(-1, 0)); n != 2 {
-		t.Fatalf("len %d, want 2 (same-clock samples replace)", n)
+	all, last, ok := r.Samples(-1, 0)
+	if len(all) != 2 {
+		t.Fatalf("len %d, want 2 (same-clock samples replace)", len(all))
 	}
-	last, ok := r.Last()
 	if !ok || last.Clock != 10 || last.TotalWattMinutes != 100 {
 		t.Fatalf("last %+v", last)
 	}
@@ -58,11 +58,11 @@ func TestEnergyRecorderSameClockReplaces(t *testing.T) {
 	}
 	// An out-of-order older clock is dropped.
 	r.Record(EnergySample{Clock: 7, TotalWattMinutes: 999})
-	if last, _ := r.Last(); last.Clock != 10 || last.TotalWattMinutes != 100 {
+	if _, last, _ := r.Samples(-1, 0); last.Clock != 10 || last.TotalWattMinutes != 100 {
 		t.Fatalf("stale sample accepted: %+v", last)
 	}
 	// The series stays strictly monotone in Clock.
-	got := r.Samples(-1, 0)
+	got, _, _ := r.Samples(-1, 0)
 	for i := 1; i < len(got); i++ {
 		if got[i].Clock <= got[i-1].Clock {
 			t.Fatalf("non-monotone series: %+v", got)
@@ -75,15 +75,19 @@ func TestEnergyRecorderWindowAndSince(t *testing.T) {
 	for c := 1; c <= 6; c++ {
 		r.Record(EnergySample{Clock: c * 10, TotalWattMinutes: float64(c)})
 	}
-	got := r.Samples(-1, 0)
+	got, _, _ := r.Samples(-1, 0)
 	if len(got) != 4 || got[0].Clock != 30 || got[3].Clock != 60 {
 		t.Fatalf("window contents %+v", got)
 	}
-	since := r.Samples(40, 0)
+	since, _, _ := r.Samples(40, 0)
 	if len(since) != 2 || since[0].Clock != 50 {
 		t.Fatalf("since=40 returned %+v", since)
 	}
-	limited := r.Samples(-1, 1)
+	// The newest sample comes back whatever the filter keeps.
+	if past, n, ok := r.Samples(60, 0); len(past) != 0 || !ok || n.Clock != 60 || n.Seq != 6 {
+		t.Fatalf("since=60 returned %+v and newest %+v (ok %v), want none and clock 60", past, n, ok)
+	}
+	limited, _, _ := r.Samples(-1, 1)
 	if len(limited) != 1 || limited[0].Clock != 60 {
 		t.Fatalf("limit=1 returned %+v", limited)
 	}
@@ -92,11 +96,8 @@ func TestEnergyRecorderWindowAndSince(t *testing.T) {
 func TestEnergyRecorderNilSafe(t *testing.T) {
 	var r *EnergyRecorder
 	r.Record(EnergySample{Clock: 1})
-	if r.Samples(-1, 0) != nil {
+	if samples, _, ok := r.Samples(-1, 0); samples != nil || ok {
 		t.Fatal("nil recorder not inert")
-	}
-	if _, ok := r.Last(); ok {
-		t.Fatal("nil recorder has a last sample")
 	}
 	if n := r.Dump(slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil)), 5); n != 0 {
 		t.Fatalf("nil dump wrote %d", n)

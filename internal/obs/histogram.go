@@ -26,15 +26,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for _, c := range h.counts {
-		n += c
-	}
-	return n
-}
-
 // Write emits the full metric family — HELP, TYPE and an unlabelled
 // series — in Prometheus text exposition format.
 func (h *Histogram) Write(w io.Writer, name, help string) {

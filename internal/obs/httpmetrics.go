@@ -52,13 +52,6 @@ func (m *HTTPMetrics) Observe(route string, status int, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// Requests returns the request count for one route/status pair.
-func (m *HTTPMetrics) Requests(route string, status int) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requests[routeStatus{route, status}]
-}
-
 // Write emits the collected series in Prometheus text exposition
 // format, deterministically ordered, as the families
 // <prefix>_requests_total and <prefix>_request_seconds. vmserve's prefix

@@ -62,9 +62,6 @@ func TestFlightRecorderRing(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", r.Len())
 	}
-	if r.Seq() != 10 {
-		t.Fatalf("Seq = %d, want 10", r.Seq())
-	}
 	ds := r.Decisions(Filter{})
 	if len(ds) != 4 {
 		t.Fatalf("got %d decisions, want 4", len(ds))
@@ -135,8 +132,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		r.Decisions(Filter{})
 	}
 	<-done
-	if r.Seq() != 500 {
-		t.Fatalf("Seq = %d", r.Seq())
+	if ds := r.Decisions(Filter{}); ds[len(ds)-1].Seq != 500 {
+		t.Fatalf("newest Seq = %d, want 500", ds[len(ds)-1].Seq)
 	}
 }
 
@@ -144,9 +141,6 @@ func TestHistogramWrite(t *testing.T) {
 	h := NewHistogram(1, 10, 100)
 	for _, v := range []float64{0.5, 5, 50, 500, 5, 1} {
 		h.Observe(v)
-	}
-	if h.Count() != 6 {
-		t.Fatalf("Count = %d", h.Count())
 	}
 	var buf bytes.Buffer
 	h.Write(&buf, "x_seconds", "help text")
@@ -183,9 +177,6 @@ func TestHTTPMetricsWrite(t *testing.T) {
 	m.Observe("POST /v1/vms", 200, 3*time.Millisecond)
 	m.Observe("POST /v1/vms", 400, time.Millisecond)
 	m.Observe("GET /v1/state", 200, time.Millisecond)
-	if got := m.Requests("POST /v1/vms", 200); got != 2 {
-		t.Fatalf("Requests = %d", got)
-	}
 	var buf bytes.Buffer
 	m.Write(&buf, "vmalloc_http")
 	out := buf.String()
@@ -267,11 +258,12 @@ func TestMiddleware(t *testing.T) {
 
 	// Metrics: the matched route is labelled by its pattern, the missing
 	// one as unmatched.
-	if got := met.Requests("GET /ping/{x}", http.StatusTeapot); got != 2 {
-		t.Errorf("route count = %d, want 2", got)
-	}
-	if got := met.Requests("unmatched", http.StatusNotFound); got != 1 {
-		t.Errorf("unmatched count = %d, want 1", got)
+	var exp bytes.Buffer
+	met.Write(&exp, "x")
+	for _, want := range []string{`x_requests_total{route="GET /ping/{x}",status="418"} 2`, `x_requests_total{route="unmatched",status="404"} 1`} {
+		if !strings.Contains(exp.String(), want) {
+			t.Errorf("route counts lack %s:\n%s", want, exp.String())
+		}
 	}
 
 	// Access log lines carry the id and the route.

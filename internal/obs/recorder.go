@@ -132,13 +132,6 @@ func (r *FlightRecorder) Len() int {
 	return r.buf.len()
 }
 
-// Seq returns the total number of decisions ever recorded.
-func (r *FlightRecorder) Seq() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
 // Filter selects decisions from the recorder. Zero values match
 // everything (VM and server ids are always >= 1).
 type Filter struct {

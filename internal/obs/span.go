@@ -117,16 +117,6 @@ func (s *SpanStore) Len() int {
 	return s.buf.len()
 }
 
-// Seq returns the total number of spans ever recorded.
-func (s *SpanStore) Seq() int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // SpanFilter selects spans; zero-valued fields match everything.
 type SpanFilter struct {
 	TraceID string

@@ -42,8 +42,8 @@ func TestFleetAdoptCrossShard(t *testing.T) {
 	if !ok || got.Start != 0 || got.End() != 9 || got.Server != 0 {
 		t.Fatalf("adopted resident = %+v (ok=%v), want (0, 9) identity", got, ok)
 	}
-	if dst.Adopted() != 1 {
-		t.Fatalf("Adopted() = %d, want 1", dst.Adopted())
+	if dst.adopted != 1 {
+		t.Fatalf("Adopted() = %d, want 1", dst.adopted)
 	}
 	// Adoption is not an admission and grants no new start delay.
 	if dst.Admitted() != 0 || dst.StartDelayTotal() != 0 {
@@ -159,8 +159,8 @@ func TestFleetAdoptInfeasible(t *testing.T) {
 	if _, err := fl.Adopt(0, vm(5, 20, 29, 2, 2), 20); !errors.As(err, &ae) || ae.Reason != "target lacks capacity over the remaining interval" {
 		t.Fatalf("over-capacity adopt: %v", err)
 	}
-	if fl.Adopted() != 2 {
-		t.Fatalf("Adopted() = %d, want 2 (failed adoptions must not count)", fl.Adopted())
+	if fl.adopted != 2 {
+		t.Fatalf("Adopted() = %d, want 2 (failed adoptions must not count)", fl.adopted)
 	}
 }
 
@@ -176,8 +176,8 @@ func TestFleetAdoptSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Adopted() != 1 {
-		t.Fatalf("restored Adopted() = %d, want 1", got.Adopted())
+	if got.adopted != 1 {
+		t.Fatalf("restored Adopted() = %d, want 1", got.adopted)
 	}
 	p, ok := got.Resident(11)
 	if !ok || p.Start != 0 || p.End() != 9 {

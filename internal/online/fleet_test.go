@@ -7,6 +7,14 @@ import (
 	"vmalloc/internal/workload"
 )
 
+// fits asks the probe Commit runs whether v fits server i from start on,
+// after the compile a policy scan runs at its entry.
+func fits(f *FleetView, i int, v model.VM, start int) bool {
+	f.compile()
+	ok, _ := f.probe(i, v.Demand.CPU, v.Demand.Mem, start, start+v.Duration()-1)
+	return ok
+}
+
 // TestScoredPolicyTieBreak pins the documented guarantee: equal-cost
 // candidates resolve to the lowest server index, for both scored
 // policies, matching the offline engine's deterministic argmin.
@@ -94,7 +102,7 @@ func TestFleetReleaseRefund(t *testing.T) {
 		t.Error("vm still resident after release")
 	}
 	// The capacity is free for the rest of the horizon.
-	if !fl.View().Fits(0, vm(2, 11, 20, 10, 16), 11) {
+	if !fits(fl.View(), 0, vm(2, 11, 20, 10, 16), 11) {
 		t.Error("full-capacity VM does not fit after release")
 	}
 	// Idle timeout 0: the server sleeps at t=10; at t=30 it is sleeping
@@ -180,7 +188,7 @@ func TestFleetDepartureIDReuse(t *testing.T) {
 		t.Errorf("server 0 holds %d vms, want 0", got)
 	}
 	// Server 1 must still hold the new VM's reservation through minute 61.
-	if fl.View().Fits(1, vm(99, 30, 60, 9, 2), 30) {
+	if fits(fl.View(), 1, vm(99, 30, 60, 9, 2), 30) {
 		t.Error("server 1 lost vm 7's reservation to the stale departure")
 	}
 	// The real departure still fires at the new end.

@@ -31,7 +31,7 @@ func loadedFleet(t *testing.T, rng *rand.Rand, servers []model.Server, n int, ge
 	for k := 0; k < n; k++ {
 		v := gen(id)
 		i := rng.Intn(len(servers))
-		if fl.View().Fits(i, v, fl.View().StartTime(i, v)) {
+		if fits(fl.View(), i, v, fl.View().StartTime(i, v)) {
 			if _, err := fl.Commit(i, v); err != nil {
 				t.Fatalf("commit: %v", err)
 			}
@@ -180,7 +180,7 @@ func scriptOp(tb testing.TB, fl *Fleet, op []byte, id int) {
 	case 0, 1:
 		i := int(op[0]/4) % fl.View().NumServers()
 		v := scriptVM(op[1:], fl.Now(), id)
-		if fl.View().Fits(i, v, fl.View().StartTime(i, v)) {
+		if fits(fl.View(), i, v, fl.View().StartTime(i, v)) {
 			if _, err := fl.Commit(i, v); err != nil {
 				tb.Fatalf("commit vm %d to server %d: %v", id, i, err)
 			}
@@ -208,7 +208,7 @@ func checkArgmin(tb testing.TB, fv *FleetView, v model.VM) (best, ties int, cros
 			got = -1
 		}
 		if got != best {
-			tb.Fatalf("policy %s (penalty %g) vm %+v at clock %d: exact scan picks %d, the row pass picks %d", pc.p.Name(), pc.penalty, v, fv.Now(), best, got)
+			tb.Fatalf("policy %s (penalty %g) vm %+v at clock %d: exact scan picks %d, the row pass picks %d", pc.p.Name(), pc.penalty, v, fv.now, best, got)
 		}
 	}
 	return best, ties, crossTie

@@ -54,7 +54,7 @@ func TestFleetMigrateAccounting(t *testing.T) {
 	// The consumed stub [0, 5] on the source is reclaimed at minute 6; the
 	// source must then fit a full-capacity VM again.
 	fl.AdvanceTo(6)
-	if !fl.View().Fits(0, vm(99, 6, 10, 10, 16), 6) {
+	if !fits(fl.View(), 0, vm(99, 6, 10, 10, 16), 6) {
 		t.Fatal("source capacity not reclaimed after migration handoff")
 	}
 
@@ -105,7 +105,7 @@ func TestFleetMigrateBeforeStart(t *testing.T) {
 		t.Fatalf("run = %g, want 400", got)
 	}
 	// No stub: the source fits a full-capacity VM over the old interval.
-	if !fl.View().Fits(0, vm(99, 5, 14, 10, 16), 5) {
+	if !fits(fl.View(), 0, vm(99, 5, 14, 10, 16), 5) {
 		t.Fatal("source kept a reservation for the not-yet-started migrant")
 	}
 	p, _ := fl.Resident(2)
@@ -215,7 +215,7 @@ func TestFleetMigrateReadmissionAlias(t *testing.T) {
 	// t=4: the migration's cleanup on A fires. It must not remove the new
 	// incarnation's reservation (same ledger key).
 	fl.AdvanceTo(4)
-	if fl.View().Fits(0, vm(99, 4, 10, 10, 16), 4) {
+	if fits(fl.View(), 0, vm(99, 4, 10, 10, 16), 4) {
 		t.Fatal("migration cleanup removed the re-admitted vm's reservation")
 	}
 

@@ -221,17 +221,6 @@ func (f *FleetView) StateOf(i int) State { return f.rows[i].state }
 // (running or queued behind its wake-up).
 func (f *FleetView) Running(i int) int { return f.rows[i].vms }
 
-// Now returns the simulation clock.
-func (f *FleetView) Now() int { return f.now }
-
-// Fits reports whether v fits on server i throughout [start, start+dur),
-// accounting for every already-committed VM (their end times are known).
-func (f *FleetView) Fits(i int, v model.VM, start int) bool {
-	f.compile()
-	ok, _ := f.probe(i, v.Demand.CPU, v.Demand.Mem, start, start+v.Duration()-1)
-	return ok
-}
-
 // probe is the one feasibility check — behind every policy candidate and
 // every Commit, Migrate and Adopt: does a cpu/mem demand fit server i over
 // [start, end]. The row answers when it can — byRow — and every

@@ -39,14 +39,6 @@ type Stats struct {
 	Final       float64 `json:"finalEnergyWattMinutes"`
 }
 
-// Improved returns the fraction of the starting energy shaved off.
-func (s Stats) Improved() float64 {
-	if s.Start == 0 {
-		return 0
-	}
-	return (s.Start - s.Final) / s.Start
-}
-
 type state struct {
 	inst   model.Instance
 	srvIdx map[int]int // server ID -> index

@@ -53,8 +53,8 @@ func TestImproveNeverWorsensAndStaysFeasible(t *testing.T) {
 		if math.Abs(stats.Start-base.Energy.Total()) > 1e-6 {
 			t.Errorf("seed %d: stats.Start %g != base %g", seed, stats.Start, base.Energy.Total())
 		}
-		if stats.Improved() < 0 || stats.Improved() > 1 {
-			t.Errorf("seed %d: Improved() = %g", seed, stats.Improved())
+		if improved := (stats.Start - stats.Final) / stats.Start; improved < 0 || improved > 1 {
+			t.Errorf("seed %d: improved %g of the start energy", seed, improved)
 		}
 	}
 }

@@ -10,9 +10,6 @@ type CI struct {
 	Level float64 `json:"level"`
 }
 
-// Contains reports whether v lies inside the interval.
-func (ci CI) Contains(v float64) bool { return ci.Low <= v && v <= ci.High }
-
 // t95 holds two-sided 95% Student-t critical values by degrees of freedom
 // (1-based); beyond the table the normal value 1.96 is used.
 var t95 = []float64{

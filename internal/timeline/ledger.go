@@ -65,7 +65,7 @@ func before(a, b mark) bool {
 // answers window-maximum queries from a compiled step function of total
 // usage, compiled on the first read after a mutation.
 //
-// Unlike the horizon-bound SliceProfile, a Ledger has no planning
+// Unlike an offline instance, a Ledger has no planning
 // horizon: intervals may start and end at any positive minute, which is
 // what a long-running allocation service needs. Its one store is the
 // sorted marks, a start and an end mark per reservation: Get, Remove and

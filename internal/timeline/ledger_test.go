@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"vmalloc/internal/model"
 )
 
 func TestLedgerBasics(t *testing.T) {
@@ -80,14 +82,16 @@ func TestLedgerTruncate(t *testing.T) {
 }
 
 // TestLedgerVsProfileOracle cross-checks window maxima against the
-// SliceProfile oracle under random insert/remove/truncate traffic.
+// per-minute usage model.Usage sums from the live reservations, under
+// random insert/remove/truncate traffic. Demands are integers, so every sum
+// is exact and the comparison can be ==.
 func TestLedgerVsProfileOracle(t *testing.T) {
 	const horizon = 200
 	rng := rand.New(rand.NewSource(11))
 	l := NewLedger()
-	cpu := NewSliceProfile(horizon)
-	mem := NewSliceProfile(horizon)
 	live := map[int]Reservation{}
+	var vms []model.VM
+	var use []model.Resources
 	nextID := 1
 	for step := 0; step < 500; step++ {
 		switch op := rng.Intn(4); {
@@ -100,14 +104,10 @@ func TestLedgerVsProfileOracle(t *testing.T) {
 			}
 			l.Add(nextID, r)
 			live[nextID] = r
-			cpu.Add(r.Interval.Start, r.Interval.End, r.CPU)
-			mem.Add(r.Interval.Start, r.Interval.End, r.Mem)
 			nextID++
 		case op == 2: // remove a random live entry
-			for id, r := range live {
+			for id := range live {
 				l.Remove(id)
-				cpu.Add(r.Interval.Start, r.Interval.End, -r.CPU)
-				mem.Add(r.Interval.Start, r.Interval.End, -r.Mem)
 				delete(live, id)
 				break
 			}
@@ -116,26 +116,27 @@ func TestLedgerVsProfileOracle(t *testing.T) {
 				newEnd := r.Interval.Start + rng.Intn(r.Interval.Len()+2) - 1
 				l.Truncate(id, newEnd)
 				if newEnd < r.Interval.Start {
-					cpu.Add(r.Interval.Start, r.Interval.End, -r.CPU)
-					mem.Add(r.Interval.Start, r.Interval.End, -r.Mem)
 					delete(live, id)
 				} else if newEnd < r.Interval.End {
-					cpu.Add(newEnd+1, r.Interval.End, -r.CPU)
-					mem.Add(newEnd+1, r.Interval.End, -r.Mem)
 					r.Interval.End = newEnd
 					live[id] = r
 				}
 				break
 			}
 		}
+		vms = vms[:0]
+		for _, r := range live {
+			vms = append(vms, model.VM{Start: r.Interval.Start, End: r.Interval.End, Demand: model.Resources{CPU: r.CPU, Mem: r.Mem}})
+		}
+		use = model.Usage(use, vms)
 		qs := 1 + rng.Intn(horizon-1)
 		qe := qs + rng.Intn(horizon-qs)
-		gotCPU, gotMem := l.MaxUsage(qs, qe)
-		if wantCPU := cpu.Max(qs, qe); gotCPU != wantCPU {
-			t.Fatalf("step %d: MaxUsage cpu over [%d,%d] = %g, oracle %g", step, qs, qe, gotCPU, wantCPU)
+		var want model.Resources
+		for m := qs; m <= min(qe, len(use)-1); m++ {
+			want.CPU, want.Mem = max(want.CPU, use[m].CPU), max(want.Mem, use[m].Mem)
 		}
-		if wantMem := mem.Max(qs, qe); gotMem != wantMem {
-			t.Fatalf("step %d: MaxUsage mem over [%d,%d] = %g, oracle %g", step, qs, qe, gotMem, wantMem)
+		if gotCPU, gotMem := l.MaxUsage(qs, qe); gotCPU != want.CPU || gotMem != want.Mem {
+			t.Fatalf("step %d: MaxUsage over [%d,%d] = (%g, %g), oracle %v", step, qs, qe, gotCPU, gotMem, want)
 		}
 	}
 }

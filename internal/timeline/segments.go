@@ -1,3 +1,10 @@
+// Package timeline provides the discrete-time substrate used by the
+// allocators: sets of disjoint busy segments, and the service's per-server
+// reservation Ledger. The per-minute usage both the Ledger and core.Fleet
+// are tested against is model.Usage.
+//
+// Time follows the module-wide convention: integer minutes, closed
+// intervals.
 package timeline
 
 import (
@@ -13,14 +20,6 @@ type Interval struct {
 
 // Len returns the number of time units covered (End−Start+1).
 func (iv Interval) Len() int { return iv.End - iv.Start + 1 }
-
-// Contains reports whether t lies in the interval.
-func (iv Interval) Contains(t int) bool { return iv.Start <= t && t <= iv.End }
-
-// Overlaps reports whether the two closed intervals share a time unit.
-func (iv Interval) Overlaps(o Interval) bool {
-	return iv.Start <= o.End && o.Start <= iv.End
-}
 
 func (iv Interval) String() string { return fmt.Sprintf("[%d,%d]", iv.Start, iv.End) }
 
@@ -97,12 +96,6 @@ func (s *SegmentSet) Total() int {
 	return total
 }
 
-// Covers reports whether time t is covered by some segment.
-func (s *SegmentSet) Covers(t int) bool {
-	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].End >= t })
-	return i < len(s.segs) && s.segs[i].Contains(t)
-}
-
 // Segments returns the segments in increasing order. The returned slice is
 // a copy.
 func (s *SegmentSet) Segments() []Interval {
@@ -115,21 +108,6 @@ func (s *SegmentSet) Segments() []Interval {
 // set's own slice, valid until the next Insert and not to be written. It is
 // what lets a candidate interval be priced with a plain loop.
 func (s *SegmentSet) View() []Interval { return s.segs }
-
-// Gaps returns the interior idle gaps: the maximal uncovered intervals
-// strictly between the first and last segment. Time before the first
-// segment and after the last is not a gap (the paper's servers sleep for
-// free outside their busy span).
-func (s *SegmentSet) Gaps() []Interval {
-	if len(s.segs) < 2 {
-		return nil
-	}
-	gaps := make([]Interval, 0, len(s.segs)-1)
-	for i := 1; i < len(s.segs); i++ {
-		gaps = append(gaps, Interval{Start: s.segs[i-1].End + 1, End: s.segs[i].Start - 1})
-	}
-	return gaps
-}
 
 // Clone returns an independent copy of the set.
 func (s *SegmentSet) Clone() *SegmentSet {

@@ -136,7 +136,6 @@ func TestReadersRejectVMPastHorizon(t *testing.T) {
 			_, err := vmalloc.EvaluateUnderCurve(inst, placement, vmalloc.AffinePowerCurve())
 			return err
 		}},
-		{"MigrationSchedule.Validate", func() error { return sched.Validate(inst) }},
 		{"migration.Evaluate", func() error { _, _, err := migration.Evaluate(inst, sched, 1); return err }},
 	}
 	for _, r := range readers {
