@@ -36,6 +36,7 @@ LEDGER=(
 	'telemetry internal/cluster     SampleEnergy'
 	'telemetry internal/cluster     ReleaseSampled'
 	'telemetry internal/obs         NewSpanID'
+	'telemetry internal/obs         Record'
 )
 rounds=${ROUNDS:-5}
 benchtime=500ms
