@@ -33,7 +33,11 @@ var callerExemptions = map[string]string{
 // that no non-test code uses: code that only tests reach is a second
 // answer kept alive by its own tests. Not counted as unused:
 //   - a method whose name and signature match a method of an interface the
-//     module declares or imports (Error, String, ServeHTTP, slog.Handler's);
+//     module declares (a constraint's among them), or of error;
+//   - a method of a type that implements, as T or *T, a whole interface
+//     the module imports and that interface has the method (String,
+//     ServeHTTP, slog.Handler's): matching one method of it is not enough,
+//     or sort.Interface would keep every Len alive;
 //   - anything in the root package (its callers are the library's users),
 //     in internal/promlint (the linter the tests share) or in bench/ (a
 //     caller only);
@@ -66,6 +70,19 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 	declared := map[string]*types.Func{} // position → function or method that must have a caller
 	used := map[string]bool{}            // position of every function or method non-test code uses
 	ifaceMethods := map[string]bool{sigKey(types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0)): true}
+	imported := map[string]map[*types.Interface]bool{} // method key → the imported interfaces with that method
+	implements := func(fn *types.Func) bool {
+		t := fn.Type().(*types.Signature).Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		for it := range imported[sigKey(fn)] {
+			if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+				return true
+			}
+		}
+		return false
+	}
 
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -97,11 +114,19 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 			return fmt.Errorf("%s: %w", rel, err)
 		}
 		for _, imp := range pkg.Imports() {
+			module := imp.Path() == "vmalloc" || strings.HasPrefix(imp.Path(), "vmalloc/")
 			for _, name := range imp.Scope().Names() {
 				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok {
 					if it, ok := tn.Type().Underlying().(*types.Interface); ok {
 						for i := 0; i < it.NumMethods(); i++ {
-							ifaceMethods[sigKey(it.Method(i))] = true
+							key := sigKey(it.Method(i))
+							if module {
+								ifaceMethods[key] = true
+							} else if imported[key] == nil {
+								imported[key] = map[*types.Interface]bool{it: true}
+							} else {
+								imported[key][it] = true
+							}
 						}
 					}
 				}
@@ -138,7 +163,7 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 		if used[p] {
 			continue
 		}
-		if fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[sigKey(fn)] {
+		if fn.Type().(*types.Signature).Recv() != nil && (ifaceMethods[sigKey(fn)] || implements(fn)) {
 			continue
 		}
 		flagged[exemptionKey(fn)] = p

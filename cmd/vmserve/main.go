@@ -157,9 +157,10 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	defer signal.Stop(quitCh)
 	go func() {
 		for range quitCh {
-			n := recorder.Dump(logger.With("component", "flight-recorder"))
-			ns := spans.Dump(logger.With("component", "trace"), sigquitDumpSpans)
-			ne := energy.Dump(logger.With("component", "energy"), sigquitDumpEnergy)
+			n := obs.Dump(logger.With("component", "flight-recorder"), "decision", recorder.Select(0, nil))
+			ns := obs.Dump(logger.With("component", "trace"), "span", spans.Select(sigquitDumpSpans, nil))
+			samples, _, _ := energy.Samples(-1, sigquitDumpEnergy)
+			ne := obs.Dump(logger.With("component", "energy"), "energy sample", samples)
 			logger.Info("flight recorder dumped", "decisions", n, "spans", ns, "energySamples", ne)
 		}
 	}()

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -283,7 +284,7 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-var servingAddr = regexp.MustCompile(`msg=serving .*addr=(\S+)`)
+var servingAddr = regexp.MustCompile(`msg=serving .*addr=(\S+)|"msg":"serving".*"addr":"([^"]+)"`)
 
 // waitServing polls the daemon's log for the bound address (the daemon
 // resolves :0 ports before announcing) and then polls /healthz until the
@@ -294,7 +295,7 @@ func waitServing(t *testing.T, out *syncBuffer) string {
 	var addr string
 	for addr == "" {
 		if m := servingAddr.FindStringSubmatch(out.String()); m != nil {
-			addr = m[1]
+			addr = m[1] + m[2] // text or JSON log format
 			break
 		}
 		if time.Now().After(deadline) {
@@ -536,6 +537,90 @@ func TestDaemonSignalsAndRestart(t *testing.T) {
 		t.Errorf("state digest %s after restart, %s before", after.Digest, before.Digest)
 	}
 	restarted.terminate(t)
+}
+
+// TestSigquitDumpIsTheDebugJSON runs vmserve with -log-format json:
+// every line the SIGQUIT dump writes nests, under "entry", the object the
+// matching /v1/debug route serves for that entry, and the dump holds
+// every decision, the newest spans and the newest energy samples.
+func TestSigquitDumpIsTheDebugJSON(t *testing.T) {
+	d := startDaemon(t, "-servers", "4", "-log-format", "json")
+	post := func(path, body string, header ...string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, d.base+path, strings.NewReader(body))
+		if len(header) == 2 {
+			req.Header.Set(header[0], header[1])
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	post("/v1/vms", `[{"id":1,"demand":{"cpu":1,"mem":1},"durationMinutes":30},{"id":2,"demand":{"cpu":99,"mem":1},"durationMinutes":5}]`,
+		"traceparent", "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	post("/v1/clock", `{"now":10}`)
+	post("/v1/migrations", `{"vm":1,"server":4}`)
+
+	if err := d.cmd.Process.Signal(syscall.SIGQUIT); err != nil {
+		t.Fatal(err)
+	}
+	d.waitLog(t, `"msg":"flight recorder dumped"`)
+	get := func(path string, out any) {
+		t.Helper()
+		resp, err := http.Get(d.base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var decisions api.DecisionsResponse
+	get("/v1/debug/decisions", &decisions)
+	var traces api.TracesResponse
+	get("/v1/debug/traces", &traces)
+	var energy api.EnergyResponse
+	get("/v1/debug/energy", &energy)
+	served := map[string]map[int64]any{"decision": {}, "span": {}, "energy sample": {}}
+	for _, dec := range decisions.Decisions {
+		served["decision"][dec.Seq] = dec
+	}
+	for _, tr := range traces.Traces {
+		for _, sp := range tr.Spans {
+			served["span"][sp.Seq] = sp
+		}
+	}
+	for _, s := range energy.Samples {
+		served["energy sample"][s.Seq] = s
+	}
+
+	dumped := map[string]int{}
+	for _, l := range strings.Split(d.out.String(), "\n") {
+		var line struct {
+			Msg   string          `json:"msg"`
+			Entry json.RawMessage `json:"entry"`
+		}
+		if json.Unmarshal([]byte(l), &line) != nil || served[line.Msg] == nil {
+			continue
+		}
+		dumped[line.Msg]++
+		var seq struct{ Seq int64 }
+		json.Unmarshal(line.Entry, &seq) //nolint:errcheck // a missing seq matches nothing
+		want, ok := served[line.Msg][seq.Seq]
+		if !ok {
+			t.Errorf("dumped %s %s: no entry with seq %d served", line.Msg, line.Entry, seq.Seq)
+			continue
+		}
+		got := reflect.New(reflect.TypeOf(want))
+		if err := json.Unmarshal(line.Entry, got.Interface()); err != nil || !reflect.DeepEqual(got.Elem().Interface(), want) {
+			t.Errorf("dumped %s %s (err %v), served %+v", line.Msg, line.Entry, err, want)
+		}
+	}
+	if dumped["decision"] != len(decisions.Decisions) || dumped["decision"] < 3 || dumped["span"] == 0 || dumped["energy sample"] == 0 {
+		t.Errorf("dump lines %v, want all %d decisions and some spans and energy samples", dumped, len(decisions.Decisions))
+	}
 }
 
 // TestRunPolicies: every name of the online policy lookup boots as

@@ -54,7 +54,7 @@ func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Adm
 	c.met.queueWaitSeconds.Observe(queueWait.Seconds())
 	// observe gates the per-request decision bookkeeping: both sinks are
 	// passive, so when neither is wired the call skips the copies.
-	observe := c.rec != nil || c.cfg.Spans != nil
+	observe := c.cfg.Recorder != nil || c.cfg.Spans != nil
 	base := obs.Decision{
 		RequestID: reqID,
 		TraceID:   tc.TraceID,
@@ -153,7 +153,6 @@ func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Adm
 		adm.Server = fv.Server(i).ID
 		adm.Start = start
 		adm.End = start + it.vm.Duration() - 1
-		c.met.admissions++
 		c.sinceSnapshot++
 		placed++
 		if observe {
@@ -202,9 +201,7 @@ func (c *Cluster) Admit(ctx context.Context, reqs []api.AdmitRequest) ([]api.Adm
 		if p.d.Op == obs.OpAdmit {
 			p.d.Stages.Sync = syncDur
 		}
-		if c.rec != nil {
-			c.rec.Record(p.d)
-		}
+		c.cfg.Recorder.Record(p.d)
 		p.clk.sync = syncT0
 		c.emitStageSpans(tc, &p.d, p.clk)
 	}

@@ -189,12 +189,14 @@ type Config struct {
 	// context in. Like the flight recorder, recording is passive and
 	// never changes a placement or the state digest.
 	Spans *obs.SpanStore
-	// Energy, when non-nil, receives one fleet energy sample per batch,
-	// release, migration, consolidation pass and clock advance — the
-	// energy-over-time curve behind GET /v1/debug/energy and the
-	// vmalloc_energy_* gauges. A minute's samples are built once, when
-	// the clock leaves it or the recorder is read (Open makes the cluster
-	// its source). Sampling is read-only on the fleet.
+	// Energy, when non-nil, receives one fleet energy sample per fleet
+	// minute that saw a batch, release, migration, adoption,
+	// consolidation pass or clock advance — the energy-over-time curve
+	// behind GET /v1/debug/energy and the vmalloc_energy_* gauges. The
+	// sample is built once, when the clock leaves the minute or the
+	// recorder is read (Open makes the cluster its source), and counts
+	// the minute's mutations in the recorder's sequence. Sampling is
+	// read-only on the fleet.
 	Energy *obs.EnergyRecorder
 }
 
@@ -203,8 +205,7 @@ type Config struct {
 type Cluster struct {
 	cfg    Config
 	policy online.Policy
-	rec    *obs.FlightRecorder // nil when no recorder is configured
-	log    *slog.Logger        // never nil (NopLogger by default)
+	log    *slog.Logger // never nil (NopLogger by default)
 
 	mu            sync.Mutex
 	fleet         *online.Fleet
@@ -270,7 +271,6 @@ func Open(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		policy: cfg.Policy,
-		rec:    cfg.Recorder,
 		log:    cfg.Logger,
 		nextID: 1,
 		met:    newMetrics(),

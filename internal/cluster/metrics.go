@@ -14,15 +14,12 @@ const metricsPrefix = "vmalloc_cluster"
 
 // metrics is the cluster's runtime-only instrumentation: counters and
 // histograms that are deliberately not journaled (a restart starts them
-// from zero; durable facts live in State).
+// from zero). The counts a restart replays — admissions, releases,
+// migrations, adoptions and the migrations' saved estimate — are not kept
+// here: WriteMetrics reads them from the fleet and the cluster.
 type metrics struct {
-	admissions     uint64
 	rejections     uint64
-	releases       uint64
-	migrations     uint64
-	adoptions      uint64
 	consolidations uint64
-	migrationSaved float64 // summed planner net-saving estimates, watt-minutes
 	batches        uint64
 	snapshots      uint64
 	snapshotErrors uint64
@@ -64,18 +61,19 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	c.mu.Lock()
 	var buf bytes.Buffer
 	const p = metricsPrefix + "_"
-	obs.Counter(&buf, p+"admissions_total", "VMs admitted over the cluster's lifetime.", c.met.admissions)
+	const kept = " Journaled: a restart continues the count."
+	obs.Counter(&buf, p+"admissions_total", "VMs admitted over the cluster's lifetime."+kept, c.fleet.Admitted())
 	obs.Counter(&buf, p+"rejections_total", "Admission requests rejected (no capacity or invalid).", c.met.rejections)
-	obs.Counter(&buf, p+"releases_total", "VMs released before their scheduled end.", c.met.releases)
-	obs.Counter(&buf, p+"migrations_total", "Live migrations executed (consolidation passes and direct requests).", c.met.migrations)
-	obs.Counter(&buf, p+"adoptions_total", "VMs adopted from another shard during a topology rebalance.", c.met.adoptions)
+	obs.Counter(&buf, p+"releases_total", "VMs released before their scheduled end."+kept, c.fleet.Released())
+	obs.Counter(&buf, p+"migrations_total", "Live migrations executed (consolidation passes and direct requests)."+kept, c.fleet.Migrated())
+	obs.Counter(&buf, p+"adoptions_total", "VMs adopted from another shard during a topology rebalance."+kept, c.fleet.Adopted())
 	obs.Counter(&buf, p+"consolidations_total", "Consolidation passes run.", c.met.consolidations)
 	obs.Counter(&buf, p+"migration_energy_saved_watt_minutes",
-		"Net energy saved by executed migrations (planner's Eq. 17 estimate), in watt-minutes.", c.met.migrationSaved)
+		"Net energy saved by executed migrations (planner's Eq. 17 estimate), in watt-minutes."+kept, c.migSaved)
 	obs.Counter(&buf, p+"batches_total", "Admit calls processed (one batch each).", c.met.batches)
 	obs.Counter(&buf, p+"snapshots_total", "Snapshots written.", c.met.snapshots)
 	obs.Counter(&buf, p+"snapshot_errors_total", "Snapshot attempts that failed.", c.met.snapshotErrors)
-	obs.Counter(&buf, p+"journal_errors_total", "Journal writes that failed (each breaks the journal until a snapshot heals it).", c.met.journalErrors)
+	obs.Counter(&buf, p+"journal_errors_total", "Journal writes that failed (each breaks the journal: mutations are refused until the daemon restarts).", c.met.journalErrors)
 	broken := 0
 	if c.jfail != nil {
 		broken = 1

@@ -38,7 +38,6 @@ func (c *Cluster) Release(ctx context.Context, id int) (online.PlacedVM, error) 
 	if err != nil {
 		return p, c.refuseLocked(&d, err)
 	}
-	c.met.releases++
 	d.Server = c.fleet.View().Server(p.Server).ID
 	d.Start, d.End = p.Start, p.End()
 	jerr := c.commitLocked(record{Op: opRelease, T: c.fleet.Now(), ID: id}, &d, tc, stageClock{})
@@ -145,9 +144,7 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 			// re-acknowledge the existing placement.
 			d.Server = c.fleet.View().Server(p.Server).ID
 			d.Start, d.End = p.Start, p.End()
-			if c.rec != nil {
-				c.rec.Record(d)
-			}
+			c.cfg.Recorder.Record(d)
 			return p, max(p.Start, c.fleet.Now()+1), nil
 		}
 		return online.PlacedVM{}, 0, c.refuseLocked(&d, &AdoptInfeasibleError{VM: vm.ID, Reason: "a different vm with this id is already resident"})
@@ -185,7 +182,6 @@ func (c *Cluster) Adopt(ctx context.Context, vm model.VM, actualStart int) (onli
 		return online.PlacedVM{}, 0, c.refuseLocked(&d, &AdoptInfeasibleError{VM: vm.ID, Reason: reason})
 	}
 	p, _ := c.fleet.Resident(vm.ID)
-	c.met.adoptions++
 	c.nextID = max(c.nextID, vm.ID+1)
 	d.Server = c.fleet.View().Server(to).ID
 	d.Start, d.End = p.Start, p.End()
@@ -226,8 +222,6 @@ func (c *Cluster) journalMigrationLocked(d *obs.Decision, from online.PlacedVM, 
 	moved := from
 	moved.Server = to
 	rec := c.recordMigrationLocked(seq, moved, from.Server, now, handoff, policy, saved, cost)
-	c.met.migrations++
-	c.met.migrationSaved += saved
 	d.Server = rec.To
 	d.From = rec.From
 	d.Start, d.End = rec.Start, rec.End
@@ -307,9 +301,9 @@ func (c *Cluster) guardLocked() error {
 // refuseLocked records d as a mutation that did not happen, with err as
 // its reason, and hands err back for the caller to return.
 func (c *Cluster) refuseLocked(d *obs.Decision, err error) error {
-	if c.rec != nil {
+	if c.cfg.Recorder != nil { // without a recorder, skip err.Error()
 		d.Reason = err.Error()
-		c.rec.Record(*d)
+		c.cfg.Recorder.Record(*d)
 	}
 	return err
 }
@@ -345,9 +339,7 @@ func (c *Cluster) commitLocked(rec record, d *obs.Decision, tc obs.TraceContext,
 	}
 	if d != nil {
 		d.Stages.Journal, d.Stages.Sync = journal, sync
-		if c.rec != nil {
-			c.rec.Record(*d)
-		}
+		c.cfg.Recorder.Record(*d)
 		c.emitStageSpans(tc, d, clk)
 	}
 	return jerr

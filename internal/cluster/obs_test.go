@@ -39,7 +39,7 @@ func TestFlightRecorderDecisions(t *testing.T) {
 		t.Fatal("release of unknown VM succeeded")
 	}
 
-	ds := rec.Decisions(obs.Filter{})
+	ds := rec.Select(0, nil)
 	if len(ds) != 5 {
 		t.Fatalf("got %d decisions, want 5: %+v", len(ds), ds)
 	}
@@ -49,7 +49,7 @@ func TestFlightRecorderDecisions(t *testing.T) {
 		}
 	}
 
-	admit := rec.Decisions(obs.Filter{Op: obs.OpAdmit})
+	admit := rec.Select(0, obs.Filter{Op: obs.OpAdmit}.Match)
 	if len(admit) != 1 || admit[0].VM != 1 {
 		t.Fatalf("admit decisions %+v", admit)
 	}
@@ -67,7 +67,7 @@ func TestFlightRecorderDecisions(t *testing.T) {
 		t.Errorf("admit stages %+v", a.Stages)
 	}
 
-	rejects := rec.Decisions(obs.Filter{Op: obs.OpReject})
+	rejects := rec.Select(0, obs.Filter{Op: obs.OpReject}.Match)
 	if len(rejects) != 2 {
 		t.Fatalf("reject decisions %+v", rejects)
 	}
@@ -90,7 +90,7 @@ func TestFlightRecorderDecisions(t *testing.T) {
 		t.Errorf("normalize reject has a scan span: %+v", d)
 	}
 
-	rels := rec.Decisions(obs.Filter{Op: obs.OpRelease})
+	rels := rec.Select(0, obs.Filter{Op: obs.OpRelease}.Match)
 	if len(rels) != 2 {
 		t.Fatalf("release decisions %+v", rels)
 	}

@@ -36,7 +36,7 @@ func TestStageSpanEmission(t *testing.T) {
 		t.Fatalf("admissions %+v", adms)
 	}
 
-	all := spans.Spans(obs.SpanFilter{TraceID: tc.TraceID})
+	all := spans.Select(0, obs.SpanFilter{TraceID: tc.TraceID}.Match)
 	if len(all) == 0 {
 		t.Fatal("no spans recorded for the trace")
 	}
@@ -68,20 +68,20 @@ func TestStageSpanEmission(t *testing.T) {
 
 	// The flight-recorder decisions carry the same trace id, linking
 	// /v1/debug/decisions to /v1/debug/traces.
-	for _, d := range rec.Decisions(obs.Filter{}) {
+	for _, d := range rec.Select(0, nil) {
 		if d.TraceID != tc.TraceID {
 			t.Errorf("decision for vm %d trace id %q, want %q", d.VM, d.TraceID, tc.TraceID)
 		}
 	}
 
 	// An untraced admission must not grow the store.
-	before := spans.Spans(obs.SpanFilter{})
+	before := spans.Select(0, nil)
 	if _, err := c.Admit(context.Background(), []api.AdmitRequest{
 		{ID: 3, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if after := spans.Spans(obs.SpanFilter{}); after[len(after)-1].Seq != before[len(before)-1].Seq {
+	if after := spans.Select(0, nil); after[len(after)-1].Seq != before[len(before)-1].Seq {
 		t.Fatalf("untraced admission recorded %d spans", after[len(after)-1].Seq-before[len(before)-1].Seq)
 	}
 }

@@ -16,7 +16,7 @@ func (c *Cluster) Now() int {
 // Config.Spans, Config.Energy); each is nil when unset. The HTTP edge
 // serves its debug routes and /metrics families from them.
 func (c *Cluster) Telemetry() (*obs.FlightRecorder, *obs.SpanStore, *obs.EnergyRecorder) {
-	return c.rec, c.cfg.Spans, c.cfg.Energy
+	return c.cfg.Recorder, c.cfg.Spans, c.cfg.Energy
 }
 
 // Migrations returns the cluster-lifetime migration count and a copy of

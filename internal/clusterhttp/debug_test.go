@@ -278,8 +278,6 @@ func TestMetricsLintWithTelemetry(t *testing.T) {
 		"vmalloc_trace_span_capacity 512",
 		"vmalloc_energy_samples_total ",
 		"vmalloc_energy_clock_minutes 10",
-		`vmalloc_energy_cumulative_watt_minutes{component="total"}`,
-		`vmalloc_energy_servers{state="active"}`,
 		`vmalloc_energy_class_utilization{class="default"}`,
 	} {
 		if !strings.Contains(out, want) {

@@ -144,10 +144,7 @@ func New(c *cluster.Cluster, log *slog.Logger) http.Handler {
 			api.WriteBadRequest(w, r, err)
 			return
 		}
-		var ds []obs.Decision
-		if recorder != nil {
-			ds = recorder.Decisions(f)
-		}
+		ds := recorder.Select(f.Limit, f.Match)
 		if ds == nil {
 			ds = []obs.Decision{} // an empty recorder is [], not null
 		}
@@ -159,7 +156,7 @@ func New(c *cluster.Cluster, log *slog.Logger) http.Handler {
 			api.WriteBadRequest(w, r, err)
 			return
 		}
-		api.WriteJSON(w, http.StatusOK, api.NewTracesResponse(spans.Spans(f)))
+		api.WriteJSON(w, http.StatusOK, api.NewTracesResponse(spans.Select(f.Limit, f.Match)))
 	})
 	mux.HandleFunc("GET /v1/debug/energy", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -188,7 +185,7 @@ func New(c *cluster.Cluster, log *slog.Logger) http.Handler {
 			return
 		}
 		metrics.Write(w, "vmalloc_http")
-		spans.WriteMetrics(w, "vmalloc_trace")
+		obs.WriteSpanMetrics(w, spans, "vmalloc_trace")
 		energy.WriteMetrics(w)
 		obs.WriteRuntimeMetrics(w)
 		obs.WriteBuildInfo(w, "vmalloc_build_info", "Build identity of the running binary (constant 1).")

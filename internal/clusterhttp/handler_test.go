@@ -237,3 +237,94 @@ func TestErrorEnvelopes(t *testing.T) {
 		t.Error("closed admit envelope has no message")
 	}
 }
+
+// TestLifetimeCountersSurviveRestart: the /metrics counters of what the
+// journal records read the replayed counts, not a process-lifetime copy.
+// A journaled cluster admits, releases, migrates, consolidates and adopts,
+// closes, and reopens on its directory: /metrics then equals /v1/state
+// for admitted, released, migrations and the saved estimate, and counts
+// the adoption.
+func TestLifetimeCountersSurviveRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*cluster.Cluster, *httptest.Server) {
+		servers := make([]model.Server, 4)
+		for i := range servers {
+			servers[i] = model.Server{ID: i + 1, Capacity: model.Resources{CPU: 10, Mem: 16},
+				PIdle: 100, PPeak: 200, TransitionTime: 1}
+		}
+		c, err := cluster.Open(cluster.Config{Servers: servers, IdleTimeout: 2, Dir: dir, DisableFsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, httptest.NewServer(New(c, nil))
+	}
+	c, srv := open()
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: %d %s", path, resp.StatusCode, b)
+		}
+	}
+	post("/v1/vms", `[{"id":1,"demand":{"cpu":2,"mem":2},"start":1,"durationMinutes":50},`+
+		`{"id":2,"demand":{"cpu":2,"mem":2},"start":1,"durationMinutes":60},`+
+		`{"id":3,"demand":{"cpu":1,"mem":1},"start":1,"durationMinutes":40}]`)
+	req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/vms/3", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("release: %v %v", resp, err)
+	}
+	resp.Body.Close()
+	st := c.State()
+	from := st.Servers[st.VMs[0].Server].ID
+	post("/v1/migrations", `{"vm":2,"server":`+strconv.Itoa(from%4+1)+`}`)
+	post("/v1/clock", `{"now":5}`)
+	post("/v1/consolidate", "")
+	post("/v1/adoptions", `{"vm":{"id":42,"demand":{"cpu":1,"mem":1},"start":1,"end":30},"start":2}`)
+	srv.Close()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c, srv = open()
+	defer c.Close()
+	defer srv.Close()
+	var state api.StateResponse
+	getJSON(t, srv.URL+"/v1/state", &state)
+	if state.Admitted != 3 || state.Released != 1 || state.Migrations != 2 || state.MigrationSaved <= 0 {
+		t.Fatalf("state after reopen: admitted %d released %d migrations %d saved %g, want 3, 1, 2 and a saving",
+			state.Admitted, state.Released, state.Migrations, state.MigrationSaved)
+	}
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	lines, err := obs.ReadExposition(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, l := range lines {
+		if l.Kind == "" {
+			got[l.Series()] = l.Value
+		}
+	}
+	for name, want := range map[string]float64{
+		"vmalloc_cluster_admissions_total":                    float64(state.Admitted),
+		"vmalloc_cluster_releases_total":                      float64(state.Released),
+		"vmalloc_cluster_migrations_total":                    float64(state.Migrations),
+		"vmalloc_cluster_migration_energy_saved_watt_minutes": state.MigrationSaved,
+		"vmalloc_cluster_adoptions_total":                     1,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %g after reopen, want %g", name, got[name], want)
+		}
+	}
+}

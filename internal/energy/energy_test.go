@@ -158,7 +158,7 @@ func TestCostWithMatchesCloneSpelling(t *testing.T) {
 			if got, want := st.BusyGrowth(v), preview.Total()-st.busy.Total(); got != want {
 				t.Fatalf("trial %d: BusyGrowth(%+v) on %v = %d, clone spelling %d", trial, v, st.busy.View(), got, want)
 			}
-			merges[st.busy.Len()+1-preview.Len()]++
+			merges[len(st.busy.View())+1-len(preview.View())]++
 		}
 	}
 	for _, merged := range []int{0, 1, 2, 3} {
@@ -180,7 +180,7 @@ func TestCostWithMatchesCloneSpelling(t *testing.T) {
 // share one merged walk: the same formula over a materialised set and the
 // idle gaps between its segments.
 func cloneSpellingCost(s model.Server, busy *timeline.SegmentSet) float64 {
-	if busy.Len() == 0 {
+	if len(busy.View()) == 0 {
 		return 0
 	}
 	alpha := s.TransitionCost()

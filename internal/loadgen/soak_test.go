@@ -129,7 +129,7 @@ func TestSoakJournalReplay(t *testing.T) {
 		defer close(readsDone)
 		reader := NewClient(srv.URL)
 		for readCtx.Err() == nil {
-			recorder.Decisions(obs.Filter{Limit: 16})
+			recorder.Select(16, nil)
 			if _, err := get[api.DecisionsResponse](readCtx, reader, "/v1/debug/decisions", "limit=16"); err != nil && readCtx.Err() == nil {
 				t.Errorf("concurrent decisions read: %v", err)
 				return
@@ -216,7 +216,7 @@ func TestSoakJournalReplay(t *testing.T) {
 // batch ids and stage timings.
 func verifyDecisionTrace(t *testing.T, issued map[string]bool, rec *obs.FlightRecorder, rep *Report) {
 	t.Helper()
-	ds := rec.Decisions(obs.Filter{})
+	ds := rec.Select(0, nil)
 	if len(ds) == 0 {
 		t.Fatal("flight recorder is empty after the soak")
 	}

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"io"
-	"log/slog"
 	"maps"
 	"slices"
 	"sync"
@@ -59,13 +58,13 @@ type EnergySample struct {
 // overrides it.
 const DefaultEnergyWindow = 1024
 
-// EnergyRecorder is a bounded ring of fleet energy samples, one per
-// commit/release/migration/consolidation and clock advance. Samples at
-// the same fleet clock replace the newest entry (the latest state of that
-// minute wins), so the retained series is strictly monotone in Clock —
-// the shape /v1/debug/energy promises. A feeder may stand one sample for
-// a run of same-clock mutations (RecordN) and build it only when it is
-// read: every read first calls the source set by SetSource. A nil
+// EnergyRecorder is a bounded ring of fleet energy samples, one per fleet
+// minute: a sample at the newest entry's clock replaces it (the latest
+// state of that minute wins), so the retained series is strictly monotone
+// in Clock — the shape /v1/debug/energy promises. Seq counts every sample
+// recorded, replaced ones too. A feeder may stand one sample for a run of
+// n same-clock mutations (RecordN) and build it only when it is read:
+// every read first calls the source set by SetSource. A nil
 // *EnergyRecorder is valid and records nothing.
 type EnergyRecorder struct {
 	mu     sync.Mutex
@@ -176,29 +175,6 @@ func (r *EnergyRecorder) Samples(sinceClock, limit int) (samples []EnergySample,
 	return r.buf.filter(limit, func(s *EnergySample) bool { return s.Clock > sinceClock }), newest, ok
 }
 
-// Dump logs the newest n samples (n<=0 dumps everything buffered) and
-// returns how many it wrote. Wired to SIGQUIT alongside the flight
-// recorder.
-func (r *EnergyRecorder) Dump(log *slog.Logger, n int) int {
-	if r == nil || log == nil {
-		return 0
-	}
-	samples, _, _ := r.Samples(-1, n)
-	for _, s := range samples {
-		log.Info("energy sample",
-			"seq", s.Seq,
-			"clock", s.Clock,
-			"totalWattMinutes", s.TotalWattMinutes,
-			"rateWatts", s.RateWatts,
-			"active", s.Active,
-			"waking", s.Waking,
-			"sleeping", s.Sleeping,
-			"residents", s.Residents,
-		)
-	}
-	return len(samples)
-}
-
 // WriteMetrics writes the newest sample as vmalloc_energy_* gauges in
 // Prometheus text format. A nil recorder writes nothing, so the families
 // only appear when the recorder is enabled.
@@ -220,24 +196,12 @@ func (r *EnergyRecorder) WriteMetrics(w io.Writer) {
 	r.mu.Unlock()
 
 	const prefix = "vmalloc_energy"
-	Counter(w, prefix+"_samples_total", "Energy samples recorded over the process lifetime.", seq)
+	Counter(w, prefix+"_samples_total", "Energy samples recorded over the process lifetime, one per fleet mutation or clock advance; a fleet minute keeps only its last.", seq)
 	if !ok {
 		return
 	}
 	Gauge(w, prefix+"_clock_minutes", "Fleet clock at the newest energy sample, in minutes.", last.Clock)
-	full := prefix + "_cumulative_watt_minutes"
-	Declare(w, full, "Cumulative fleet energy by component at the newest sample, in watt-minutes.", "gauge")
-	Sample(w, full, last.RunWattMinutes, "component", "run")
-	Sample(w, full, last.IdleWattMinutes, "component", "idle")
-	Sample(w, full, last.TransitionWattMinutes, "component", "transition")
-	Sample(w, full, last.TotalWattMinutes, "component", "total")
 	Gauge(w, prefix+"_rate_watts", "Mean fleet power draw between the two newest samples, in watts.", last.RateWatts)
-	full = prefix + "_servers"
-	Declare(w, full, "Servers by power state at the newest energy sample.", "gauge")
-	Sample(w, full, last.Active, "state", "active")
-	Sample(w, full, last.Waking, "state", "waking")
-	Sample(w, full, last.Sleeping, "state", "power-saving")
-	Gauge(w, prefix+"_resident_vms", "VMs placed at the newest energy sample.", last.Residents)
 
 	classes := slices.Sorted(maps.Keys(last.Classes))
 	if len(classes) > 0 {

@@ -59,10 +59,7 @@ func TestFlightRecorderRing(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		r.Record(Decision{Op: OpAdmit, VM: i})
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	ds := r.Decisions(Filter{})
+	ds := r.Select(0, nil)
 	if len(ds) != 4 {
 		t.Fatalf("got %d decisions, want 4", len(ds))
 	}
@@ -85,19 +82,19 @@ func TestFlightRecorderFilter(t *testing.T) {
 	r.Record(Decision{Op: OpAdmit, VM: 3, Server: 5})
 	r.Record(Decision{Op: OpRelease, VM: 1, Server: 3})
 
-	if got := r.Decisions(Filter{VM: 1}); len(got) != 2 {
+	if got := r.Select(0, Filter{VM: 1}.Match); len(got) != 2 {
 		t.Errorf("VM filter got %d, want 2", len(got))
 	}
-	if got := r.Decisions(Filter{Server: 3}); len(got) != 2 {
+	if got := r.Select(0, Filter{Server: 3}.Match); len(got) != 2 {
 		t.Errorf("server filter got %d, want 2", len(got))
 	}
-	if got := r.Decisions(Filter{Op: OpReject}); len(got) != 1 || got[0].VM != 2 {
+	if got := r.Select(0, Filter{Op: OpReject}.Match); len(got) != 1 || got[0].VM != 2 {
 		t.Errorf("op filter got %+v", got)
 	}
-	if got := r.Decisions(Filter{Limit: 2}); len(got) != 2 || got[1].Op != OpRelease {
+	if got := r.Select(2, nil); len(got) != 2 || got[1].Op != OpRelease {
 		t.Errorf("limit filter got %+v, want newest two", got)
 	}
-	if got := r.Decisions(Filter{VM: 1, Op: OpAdmit}); len(got) != 1 {
+	if got := r.Select(0, Filter{VM: 1, Op: OpAdmit}.Match); len(got) != 1 {
 		t.Errorf("combined filter got %d, want 1", len(got))
 	}
 }
@@ -108,11 +105,11 @@ func TestFlightRecorderDump(t *testing.T) {
 	r.Record(Decision{Op: OpReject, VM: 2, Reason: "no capacity"})
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, nil))
-	if n := r.Dump(log); n != 2 {
+	if n := Dump(log, "decision", r.Select(0, nil)); n != 2 {
 		t.Fatalf("Dump wrote %d decisions, want 2", n)
 	}
 	out := buf.String()
-	for _, want := range []string{"op=admit", "op=reject", "requestId=req-1", `reason="no capacity"`} {
+	for _, want := range []string{`\"op\":\"admit\"`, `\"op\":\"reject\"`, `\"requestId\":\"req-1\"`, `\"reason\":\"no capacity\"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
@@ -129,10 +126,10 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		r.Decisions(Filter{})
+		r.Select(0, nil)
 	}
 	<-done
-	if ds := r.Decisions(Filter{}); ds[len(ds)-1].Seq != 500 {
+	if ds := r.Select(0, nil); ds[len(ds)-1].Seq != 500 {
 		t.Fatalf("newest Seq = %d, want 500", ds[len(ds)-1].Seq)
 	}
 }

@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"log/slog"
-	"sync"
-	"time"
-)
+import "time"
 
 // Decision Op values.
 const (
@@ -92,44 +88,25 @@ type Decision struct {
 // configured size is 0.
 const DefaultRecorderSize = 512
 
-// FlightRecorder is a bounded, concurrency-safe ring buffer of the last
-// N decisions — always on, cheap enough to leave running in production,
-// and the data source behind GET /v1/debug/decisions and the SIGQUIT
-// dump. When the buffer is full the oldest decision is evicted.
-type FlightRecorder struct {
-	mu  sync.Mutex
-	buf ring[Decision]
-	seq int64
-}
+// FlightRecorder is the bounded store of the last N decisions — always
+// on, cheap enough to leave running in production, and the data source
+// behind GET /v1/debug/decisions and the SIGQUIT dump. When the buffer is
+// full the oldest decision is evicted.
+type FlightRecorder = Store[Decision, *Decision]
 
 // NewFlightRecorder returns a recorder keeping the last n decisions;
 // n <= 0 means DefaultRecorderSize.
 func NewFlightRecorder(n int) *FlightRecorder {
-	if n <= 0 {
-		n = DefaultRecorderSize
-	}
-	return &FlightRecorder{buf: newRing[Decision](n)}
+	return newStore[Decision](n, DefaultRecorderSize)
 }
 
-// Record stamps d with the next sequence number (and the current wall
-// time, unless the caller already set one) and appends it, evicting the
-// oldest entry when full.
-func (r *FlightRecorder) Record(d Decision) {
-	r.mu.Lock()
-	r.seq++
-	d.Seq = r.seq
+// stamp gives d its sequence number and, unless the caller set one, the
+// current wall time.
+func (d *Decision) stamp(seq int64) {
+	d.Seq = seq
 	if d.Wall.IsZero() {
 		d.Wall = time.Now()
 	}
-	r.buf.push(&d)
-	r.mu.Unlock()
-}
-
-// Len returns how many decisions the buffer currently holds.
-func (r *FlightRecorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.buf.len()
 }
 
 // Filter selects decisions from the recorder. Zero values match
@@ -145,7 +122,9 @@ type Filter struct {
 	Limit int
 }
 
-func (f Filter) match(d *Decision) bool {
+// Match reports whether d passes every set field of f but Limit, which
+// is Select's.
+func (f Filter) Match(d *Decision) bool {
 	if f.VM > 0 && d.VM != f.VM {
 		return false
 	}
@@ -156,43 +135,4 @@ func (f Filter) match(d *Decision) bool {
 		return false
 	}
 	return true
-}
-
-// Decisions returns the matching decisions, oldest first. The slice is
-// a copy: callers may hold it while the recorder keeps recording.
-func (r *FlightRecorder) Decisions(f Filter) []Decision {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.buf.filter(f.Limit, f.match)
-}
-
-// Dump logs every buffered decision (oldest first) through log at INFO
-// level — the SIGQUIT handler's "black box readout" — and returns how
-// many were written.
-func (r *FlightRecorder) Dump(log *slog.Logger) int {
-	ds := r.Decisions(Filter{})
-	for i := range ds {
-		d := &ds[i]
-		log.Info("decision",
-			"seq", d.Seq,
-			"wall", d.Wall,
-			"requestId", d.RequestID,
-			"traceId", d.TraceID,
-			"batch", d.Batch,
-			"op", d.Op,
-			"vm", d.VM,
-			"server", d.Server,
-			"from", d.From,
-			"clock", d.Clock,
-			"reason", d.Reason,
-			"candidates", d.Candidates,
-			"infeasible", d.Infeasible,
-			"queueWait", d.Stages.QueueWait,
-			"scan", d.Stages.Scan,
-			"commit", d.Stages.Commit,
-			"journal", d.Stages.Journal,
-			"sync", d.Stages.Sync,
-		)
-	}
-	return len(ds)
 }

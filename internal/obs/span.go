@@ -2,8 +2,6 @@ package obs
 
 import (
 	"io"
-	"log/slog"
-	"sync"
 	"time"
 )
 
@@ -73,48 +71,23 @@ type Span struct {
 // flight recorder's.
 const DefaultSpanStoreSize = 4096
 
-// SpanStore is a bounded, concurrency-safe ring of recorded spans,
-// newest-wins. A nil *SpanStore is valid and records nothing, so call
-// sites stay unconditional (mirroring the FlightRecorder idiom). Recording is passive: it never influences placements.
-type SpanStore struct {
-	mu  sync.Mutex
-	buf ring[Span]
-	seq int64
-}
+// SpanStore is the bounded store of recorded spans, newest-wins. A nil
+// *SpanStore is valid and records nothing.
+type SpanStore = Store[Span, *Span]
 
 // NewSpanStore returns a store keeping the newest n spans (n<=0 uses
 // DefaultSpanStoreSize).
 func NewSpanStore(n int) *SpanStore {
-	if n <= 0 {
-		n = DefaultSpanStoreSize
-	}
-	return &SpanStore{buf: newRing[Span](n)}
+	return newStore[Span](n, DefaultSpanStoreSize)
 }
 
-// Record stores sp, stamping its sequence number and — when unset — its
-// start time. The oldest span is evicted once the ring is full.
-func (s *SpanStore) Record(sp Span) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seq++
-	sp.Seq = s.seq
+// stamp gives sp its sequence number and, unless the caller set one, the
+// current time as its start.
+func (sp *Span) stamp(seq int64) {
+	sp.Seq = seq
 	if sp.Start.IsZero() {
 		sp.Start = time.Now()
 	}
-	s.buf.push(&sp)
-}
-
-// Len returns the number of buffered spans.
-func (s *SpanStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buf.len()
 }
 
 // SpanFilter selects spans; zero-valued fields match everything.
@@ -128,7 +101,9 @@ type SpanFilter struct {
 	Limit int
 }
 
-func (f SpanFilter) match(sp *Span) bool {
+// Match reports whether sp passes every set field of f but Limit, which
+// is Select's.
+func (f SpanFilter) Match(sp *Span) bool {
 	if f.TraceID != "" && sp.TraceID != f.TraceID {
 		return false
 	}
@@ -144,48 +119,11 @@ func (f SpanFilter) match(sp *Span) bool {
 	return true
 }
 
-// Spans returns buffered spans matching f, oldest first.
-func (s *SpanStore) Spans(f SpanFilter) []Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.buf.filter(f.Limit, f.match)
-}
-
-// Dump logs the newest n spans (n<=0 dumps everything buffered) and
-// returns how many it wrote. Wired to SIGQUIT alongside the flight
-// recorder.
-func (s *SpanStore) Dump(log *slog.Logger, n int) int {
-	if s == nil || log == nil {
-		return 0
-	}
-	spans := s.Spans(SpanFilter{Limit: n})
-	for _, sp := range spans {
-		log.Info("span",
-			"seq", sp.Seq,
-			"traceId", sp.TraceID,
-			"spanId", sp.SpanID,
-			"parent", sp.Parent,
-			"name", sp.Name,
-			"op", sp.Op,
-			"vm", sp.VM,
-			"batch", sp.Batch,
-			"detail", sp.Detail,
-			"err", sp.Err,
-			"start", sp.Start,
-			"duration", sp.Duration,
-		)
-	}
-	return len(spans)
-}
-
-// WriteMetrics writes the store's counters in Prometheus text format
-// under the given family prefix (e.g. "vmalloc_trace" on shards,
+// WriteSpanMetrics writes s's counters in Prometheus text format under
+// the given family prefix (e.g. "vmalloc_trace" on shards,
 // "vmalloc_gate_trace" on the gate so merged shard families keep their
 // own name). A nil store writes nothing.
-func (s *SpanStore) WriteMetrics(w io.Writer, prefix string) {
+func WriteSpanMetrics(w io.Writer, s *SpanStore, prefix string) {
 	if s == nil {
 		return
 	}

@@ -13,11 +13,8 @@ func TestSpanStoreRingAndFilter(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		s.Record(Span{TraceID: "t1", Name: SpanScan, VM: i, Duration: time.Duration(i) * time.Millisecond})
 	}
-	if s.Len() != 4 {
-		t.Fatalf("len %d, want 4", s.Len())
-	}
 	// Oldest-first, the two oldest evicted.
-	all := s.Spans(SpanFilter{})
+	all := s.Select(0, nil)
 	if len(all) != 4 || all[0].VM != 3 || all[3].VM != 6 {
 		t.Fatalf("ring contents %+v", all)
 	}
@@ -27,14 +24,14 @@ func TestSpanStoreRingAndFilter(t *testing.T) {
 		}
 	}
 	// MinDuration and Limit compose: newest matches win.
-	got := s.Spans(SpanFilter{MinDuration: 4 * time.Millisecond, Limit: 2})
+	got := s.Select(2, SpanFilter{MinDuration: 4 * time.Millisecond}.Match)
 	if len(got) != 2 || got[0].VM != 5 || got[1].VM != 6 {
 		t.Fatalf("filtered %+v", got)
 	}
-	if got := s.Spans(SpanFilter{TraceID: "other"}); len(got) != 0 {
+	if got := s.Select(0, SpanFilter{TraceID: "other"}.Match); len(got) != 0 {
 		t.Fatalf("trace filter leaked %+v", got)
 	}
-	if got := s.Spans(SpanFilter{Name: SpanCommit}); len(got) != 0 {
+	if got := s.Select(0, SpanFilter{Name: SpanCommit}.Match); len(got) != 0 {
 		t.Fatalf("name filter leaked %+v", got)
 	}
 }
@@ -42,14 +39,16 @@ func TestSpanStoreRingAndFilter(t *testing.T) {
 func TestSpanStoreNilSafe(t *testing.T) {
 	var s *SpanStore
 	s.Record(Span{Name: SpanScan})
-	if s.Len() != 0 || s.Spans(SpanFilter{}) != nil {
+	if s.Select(0, nil) != nil {
 		t.Fatal("nil store not inert")
 	}
-	if n := s.Dump(slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil)), 10); n != 0 {
-		t.Fatalf("nil dump wrote %d", n)
+	var r *FlightRecorder
+	r.Record(Decision{Op: OpAdmit})
+	if r.Select(0, nil) != nil {
+		t.Fatal("nil recorder not inert")
 	}
 	var buf bytes.Buffer
-	s.WriteMetrics(&buf, "vmalloc_trace")
+	WriteSpanMetrics(&buf, s, "vmalloc_trace")
 	if buf.Len() != 0 {
 		t.Fatalf("nil store wrote metrics: %s", buf.String())
 	}
@@ -62,15 +61,15 @@ func TestSpanStoreDumpAndMetrics(t *testing.T) {
 
 	var logBuf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&logBuf, nil))
-	if n := s.Dump(log, 1); n != 1 {
+	if n := Dump(log, "span", s.Select(1, nil)); n != 1 {
 		t.Fatalf("dump wrote %d spans, want 1 (newest)", n)
 	}
-	if out := logBuf.String(); !strings.Contains(out, "name=fsync") {
+	if out := logBuf.String(); !strings.Contains(out, `\"name\":\"fsync\"`) {
 		t.Fatalf("dump output %q", out)
 	}
 
 	var buf bytes.Buffer
-	s.WriteMetrics(&buf, "vmalloc_trace")
+	WriteSpanMetrics(&buf, s, "vmalloc_trace")
 	out := buf.String()
 	for _, want := range []string{
 		"vmalloc_trace_spans_total 2",

@@ -168,7 +168,7 @@ func TestMiddlewareTraceHeaders(t *testing.T) {
 
 			// The middleware recorded exactly one route span under the
 			// effective trace id, parented on the inbound span when valid.
-			routes := spans.Spans(SpanFilter{Name: SpanRoute})
+			routes := spans.Select(0, SpanFilter{Name: SpanRoute}.Match)
 			if len(routes) != 1 {
 				t.Fatalf("got %d route spans, want 1", len(routes))
 			}

@@ -73,6 +73,10 @@ func (fl *Fleet) Released() int { return fl.released }
 // Migrated returns the number of live migrations performed via Migrate.
 func (fl *Fleet) Migrated() int { return fl.migrated }
 
+// Adopted returns the number of VMs taken over from another shard via
+// Adopt.
+func (fl *Fleet) Adopted() int { return fl.adopted }
+
 // StartDelayTotal returns the summed minutes admitted VMs waited for a
 // wake-up beyond their requested start.
 func (fl *Fleet) StartDelayTotal() int { return fl.totalDelay }

@@ -560,7 +560,7 @@ func (g *Gate) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	// Gate spans are read before the fan-out so this request's own
 	// fan-out spans do not pollute the answer.
-	all := g.cfg.Spans.Spans(f)
+	all := g.cfg.Spans.Select(f.Limit, f.Match)
 	parts := Scatter(g.topo.Load().active(), func(_ int, s Shard) api.TracesResponse {
 		_, data, _ := g.call(r.Context(), s, http.MethodGet, r.URL.RequestURI(), nil)
 		tr, _ := decode[api.TracesResponse](s, "GET /v1/debug/traces", data)
@@ -627,6 +627,6 @@ func (g *Gate) writeOwnMetrics(w io.Writer) {
 	g.metrics.Write(w, "vmalloc_gate_http")
 	// The gate_ prefix keeps these from colliding with the shards'
 	// vmalloc_trace_* families in the merged exposition above.
-	g.cfg.Spans.WriteMetrics(w, "vmalloc_gate_trace")
+	obs.WriteSpanMetrics(w, g.cfg.Spans, "vmalloc_gate_trace")
 	obs.WriteBuildInfo(w, "vmalloc_gate_build_info", "Build identity of the running vmgate binary (constant 1).")
 }

@@ -102,9 +102,6 @@ type Ledger struct {
 // NewLedger returns an empty ledger.
 func NewLedger() *Ledger { return &Ledger{sum: Summary{End: -1}} }
 
-// Len returns the number of live reservations.
-func (l *Ledger) Len() int { return len(l.marks) / 2 }
-
 // Add records a reservation under the given ID, replacing any existing
 // reservation with that ID. r.Interval must hold at least one minute.
 func (l *Ledger) Add(id int, r Reservation) {

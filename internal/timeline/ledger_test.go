@@ -13,16 +13,16 @@ import (
 
 func TestLedgerBasics(t *testing.T) {
 	l := NewLedger()
-	if l.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", l.Len())
+	if len(l.marks)/2 != 0 {
+		t.Fatalf("reservations = %d, want 0", len(l.marks)/2)
 	}
 	if cpu, mem := l.MaxUsage(1, 100); cpu != 0 || mem != 0 {
 		t.Fatalf("empty MaxUsage = (%g, %g)", cpu, mem)
 	}
 	l.Add(1, Reservation{Interval: Interval{Start: 5, End: 10}, CPU: 2, Mem: 4})
 	l.Add(2, Reservation{Interval: Interval{Start: 8, End: 20}, CPU: 3, Mem: 1})
-	if l.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", l.Len())
+	if len(l.marks)/2 != 2 {
+		t.Fatalf("reservations = %d, want 2", len(l.marks)/2)
 	}
 	// Overlap on [8,10]: cpu 5, mem 5.
 	if cpu, mem := l.MaxUsage(1, 30); cpu != 5 || mem != 5 {
@@ -67,8 +67,8 @@ func TestLedgerTruncate(t *testing.T) {
 	if _, ok := l.Truncate(7, 5); !ok {
 		t.Fatal("second Truncate missed entry")
 	}
-	if l.Len() != 0 {
-		t.Errorf("Len = %d after truncate-to-nothing, want 0", l.Len())
+	if len(l.marks)/2 != 0 {
+		t.Errorf("reservations = %d after truncate-to-nothing, want 0", len(l.marks)/2)
 	}
 	if _, ok := l.Truncate(7, 5); ok {
 		t.Error("Truncate of absent id reported ok")
@@ -269,8 +269,8 @@ func summaryBits(s Summary) [10]uint64 {
 // bit: Summary, MaxUsage over a window around every step of the oracle's
 // function, and the step function those reads compiled. The first read
 // after the op is MaxUsage on odd steps and Summary on even ones, so each
-// compiles a stale ledger. Len and Get of every ID up to maxID must answer
-// as live does.
+// compiles a stale ledger. The reservation count and Get of every ID up
+// to maxID must answer as live does.
 func checkAgainstRebuild(t *testing.T, l *Ledger, live map[int]Reservation, maxID, step int, op ledgerOp) {
 	t.Helper()
 	o := rebuildBySort(live)
@@ -291,8 +291,8 @@ func checkAgainstRebuild(t *testing.T, l *Ledger, live map[int]Reservation, maxI
 	for _, m := range o.times {
 		window(m-1, m+2)
 	}
-	if l.Len() != len(live) {
-		t.Fatalf("step %d %+v: Len %d, want %d", step, op, l.Len(), len(live))
+	if len(l.marks)/2 != len(live) {
+		t.Fatalf("step %d %+v: %d reservations, want %d", step, op, len(l.marks)/2, len(live))
 	}
 	for id := 1; id <= maxID; id++ {
 		got, ok := l.Get(id)

@@ -84,9 +84,6 @@ func (s *SegmentSet) VisitWith(iv Interval, visit func(Interval)) {
 	}
 }
 
-// Len returns the number of disjoint segments.
-func (s *SegmentSet) Len() int { return len(s.segs) }
-
 // Total returns the total number of covered time units.
 func (s *SegmentSet) Total() int {
 	var total int
