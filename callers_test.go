@@ -70,13 +70,13 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 	declared := map[string]*types.Func{} // position → function or method that must have a caller
 	used := map[string]bool{}            // position of every function or method non-test code uses
 	ifaceMethods := map[string]bool{sigKey(types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0)): true}
-	imported := map[string]map[*types.Interface]bool{} // method key → the imported interfaces with that method
+	imported := map[string][]*types.Interface{} // method key → the imported interfaces with that method
 	implements := func(fn *types.Func) bool {
 		t := fn.Type().(*types.Signature).Recv().Type()
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
 		}
-		for it := range imported[sigKey(fn)] {
+		for _, it := range imported[sigKey(fn)] {
 			if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
 				return true
 			}
@@ -122,10 +122,8 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 							key := sigKey(it.Method(i))
 							if module {
 								ifaceMethods[key] = true
-							} else if imported[key] == nil {
-								imported[key] = map[*types.Interface]bool{it: true}
 							} else {
-								imported[key][it] = true
+								imported[key] = append(imported[key], it)
 							}
 						}
 					}

@@ -176,9 +176,9 @@ type Config struct {
 	// more conservative. 0 treats migrations as free; Open refuses < 0, NaN and +Inf.
 	MigrationCostPerGB float64
 	// Recorder, when non-nil, receives one obs.Decision per admission,
-	// rejection, release and migration — the flight recorder behind the
-	// service's debug surface. Recording is passive: it never changes a
-	// placement.
+	// rejection, release, migration and adoption — the flight recorder
+	// behind the service's debug surface. Recording is passive: it never
+	// changes a placement.
 	Recorder *obs.FlightRecorder
 	// Logger receives the cluster's structured service log (journal
 	// failures, snapshots, batch traces at debug level). Nil discards.

@@ -56,7 +56,7 @@ type Decision struct {
 	// Batch numbers the admission batch that processed the operation
 	// (releases are not batched and leave it 0).
 	Batch uint64 `json:"batch,omitempty"`
-	// Op is OpAdmit, OpReject, OpRelease or OpMigrate.
+	// Op is OpAdmit, OpReject, OpRelease, OpMigrate or OpAdopt.
 	Op string `json:"op"`
 	// VM is the VM id the decision is about.
 	VM int `json:"vm,omitempty"`
