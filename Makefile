@@ -80,8 +80,11 @@ loc:
 # flight recorder and the span store, obs.Dump is the one SIGQUIT
 # encoding, /metrics reads the journaled counts from the fleet, three
 # vmalloc_energy_* copies of vmalloc_cluster_* gauges are gone, and so are
-# the Len methods only tests called.
-LOC_MAX = 19101
+# the Len methods only tests called. Last raised by 32: cluster.Open times
+# its snapshot and replay phases and counts the records it replays
+# (Cluster.Restored), exported as vmalloc_cluster_restore_seconds{phase}
+# and vmalloc_cluster_restore_records and named in vmserve's serving line.
+LOC_MAX = 19133
 
 # DOC_MAX is DESIGN.md's line budget (ROADMAP item 16 (b)), kept like
 # LOC_MAX: DESIGN says what is and why; per-change history belongs in

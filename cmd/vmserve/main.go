@@ -202,12 +202,16 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 
 	errCh := make(chan error, 1)
+	restored := c.Restored()
 	go func() {
 		logger.Info("serving",
 			"servers", len(fleet),
 			"policy", pol.Name(),
 			"addr", ln.Addr().String(),
 			"version", config.Build().Version,
+			"restoreSnapshot", restored.Snapshot,
+			"restoreReplay", restored.Replay,
+			"restoreRecords", restored.Records,
 		)
 		if *noFsync {
 			logger.Warn("journal fsync DISABLED (-unsafe-no-fsync): state will not survive power loss")

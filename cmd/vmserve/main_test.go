@@ -539,6 +539,44 @@ func TestDaemonSignalsAndRestart(t *testing.T) {
 	restarted.terminate(t)
 }
 
+// TestCrashRestartReportsRestore kills vmserve -9 on a journal that was
+// never snapshotted, so the restarted process replays every record: its
+// serving line and /metrics name the record count, one per admission, and
+// a replay phase that took time.
+func TestCrashRestartReportsRestore(t *testing.T) {
+	args := []string{"-servers", "4", "-journal", t.TempDir(), "-snapshot-every", "-1", "-unsafe-no-fsync"}
+	d := startDaemon(t, args...)
+	ctx := context.Background()
+	const admits = 12
+	for id := 1; id <= admits; id++ {
+		adms, err := loadgen.NewClient(d.base).Admit(ctx, []api.AdmitRequest{{ID: id, Demand: model.Resources{CPU: 1, Mem: 1}, DurationMinutes: 30}})
+		if err != nil || !adms[0].Accepted {
+			t.Fatalf("admit %d: %v %+v", id, err, adms)
+		}
+	}
+	if err := d.cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-d.exited
+
+	restarted := startDaemon(t, args...)
+	restarted.waitLog(t, "restoreRecords="+strconv.Itoa(admits))
+	met, err := loadgen.NewClient(restarted.base).Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := met["vmalloc_cluster_restore_records"]; got != admits {
+		t.Errorf("vmalloc_cluster_restore_records = %g, want %d", got, admits)
+	}
+	if got := met[`vmalloc_cluster_restore_seconds{phase="replay"}`]; !(got > 0) {
+		t.Errorf(`vmalloc_cluster_restore_seconds{phase="replay"} = %g, want > 0`, got)
+	}
+	if _, ok := met[`vmalloc_cluster_restore_seconds{phase="snapshot"}`]; !ok {
+		t.Error(`no vmalloc_cluster_restore_seconds{phase="snapshot"} sample`)
+	}
+	restarted.terminate(t)
+}
+
 // TestSigquitDumpIsTheDebugJSON runs vmserve with -log-format json:
 // every line the SIGQUIT dump writes nests, under "entry", the object the
 // matching /v1/debug route serves for that entry, and the dump holds

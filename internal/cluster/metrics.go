@@ -99,6 +99,12 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	c.met.queueWaitSeconds.Write(&buf, p+"queue_wait_seconds", "Per-call wait for the cluster lock before placement started, in seconds.")
 	c.met.fsyncSeconds.Write(&buf, p+"fsync_seconds", "Wait for the group-commit flush covering an Admit call or a synchronous mutation, in seconds.")
 
+	full := p + "restore_seconds"
+	obs.Declare(&buf, full, "Wall time Open spent restoring durable state, by phase: snapshot (read it, rebuild the fleet) and replay (stream the journal onto it), in seconds. Set once per process.", "gauge")
+	obs.Sample(&buf, full, c.restored.Snapshot.Seconds(), "phase", "snapshot")
+	obs.Sample(&buf, full, c.restored.Replay.Seconds(), "phase", "replay")
+	obs.Gauge(&buf, p+"restore_records", "Journal records Open replayed on top of the snapshot. Set once per process.", c.restored.Records)
+
 	now := c.fleet.Now()
 	obs.Gauge(&buf, p+"clock_minutes", "The fleet clock, in minutes.", now)
 	obs.Gauge(&buf, p+"resident_vms", "VMs currently admitted.", c.fleet.NumResidents())
@@ -108,7 +114,7 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	obs.Gauge(&buf, p+"start_delay_minutes_max", "Worst single VM start delay, in minutes.", c.fleet.MaxStartDelay())
 
 	b := c.fleet.EnergyAt(now)
-	full := p + "energy_watt_minutes"
+	full = p + "energy_watt_minutes"
 	obs.Declare(&buf, full, "Cumulative energy by component, in watt-minutes.", "gauge")
 	obs.Sample(&buf, full, b.Run, "component", "run")
 	obs.Sample(&buf, full, b.Idle, "component", "idle")

@@ -232,6 +232,71 @@ func restartJournal(b *testing.B) (Config, int) {
 	return cfg, records
 }
 
+// TestRestoreBoundedBySnapshotInterval: with SnapshotEvery = N and every
+// snapshot succeeding, a crash between acknowledged mutations replays at
+// most N−1 journal records, whatever the uptime — the mutation that makes
+// the Nth record also snapshots and truncates the log. Each crash is a
+// copy of the live directory, opened as a restart would open it; the
+// bound is reached exactly, and the restart serves the live state.
+func TestRestoreBoundedBySnapshotInterval(t *testing.T) {
+	const every = 7
+	cfg := Config{Servers: testServers(4), IdleTimeout: 2, Dir: t.TempDir(), SnapshotEvery: every, DisableFsync: true}
+	c := mustOpen(t, cfg)
+	defer c.Close()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(1))
+	var ids []int
+	most := 0
+	for op, now := 0, 0; op < 120; op++ {
+		switch rng.Intn(3) {
+		case 0:
+			now += 1 + rng.Intn(3)
+			if err := c.AdvanceTo(now); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			reqs := make([]api.AdmitRequest, 1+rng.Intn(3))
+			for k := range reqs {
+				reqs[k] = api.AdmitRequest{ID: 1 + op*4 + k, Demand: model.Resources{CPU: float64(1 + rng.Intn(3)), Mem: 1}, DurationMinutes: 5 + rng.Intn(15)}
+				ids = append(ids, reqs[k].ID)
+			}
+			if _, err := c.Admit(ctx, reqs); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if len(ids) > 0 {
+				var nr *NotResidentError
+				if _, err := c.Release(ctx, ids[rng.Intn(len(ids))]); err != nil && !errors.As(err, &nr) {
+					t.Fatal(err)
+				}
+			}
+		}
+		crash := cfg
+		crash.Dir = t.TempDir()
+		copyJournalDir(t, cfg.Dir, crash.Dir)
+		r := mustOpen(t, crash)
+		n := r.Restored().Records
+		live, err := stateDigest(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := stateDigest(r); err != nil || got != live {
+			t.Fatalf("op %d: restart digest %s (%v), live %s", op, got, err, live)
+		}
+		r.crash()
+		if n > every-1 {
+			t.Fatalf("op %d: restart replayed %d records, SnapshotEvery %d bounds it to %d", op, n, every, every-1)
+		}
+		most = max(most, n)
+	}
+	if c.met.snapshots == 0 || c.met.snapshotErrors != 0 {
+		t.Fatalf("%d snapshots, %d failed: the bound assumes snapshots that succeed", c.met.snapshots, c.met.snapshotErrors)
+	}
+	if most != every-1 {
+		t.Fatalf("most records replayed = %d, want the bound %d reached", most, every-1)
+	}
+}
+
 // BenchmarkRestore times Open of restartJournal's operator-restart-shaped
 // journal, the restart a crashed shard waits on; each iteration opens a
 // fresh copy of it. Its 32,791 records replay in ≈1.5 MB/op and ≈4.0k
@@ -240,6 +305,7 @@ func restartJournal(b *testing.B) (Config, int) {
 func BenchmarkRestore(b *testing.B) {
 	cfg, records := restartJournal(b)
 	frozen := cfg.Dir
+	var phases Restore
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -251,6 +317,9 @@ func BenchmarkRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		r := c.Restored()
+		phases.Snapshot += r.Snapshot
+		phases.Replay += r.Replay
 		if err := c.Close(); err != nil {
 			b.Fatal(err)
 		}
@@ -259,6 +328,8 @@ func BenchmarkRestore(b *testing.B) {
 	}
 	b.ReportMetric(float64(records), "records")
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(phases.Snapshot.Nanoseconds())/float64(b.N), "snapshot-ns/op")
+	b.ReportMetric(float64(phases.Replay.Nanoseconds())/float64(b.N), "replay-ns/op")
 }
 
 // BenchmarkReplay times Replay of restartJournal's journal under every
