@@ -84,7 +84,9 @@ loc:
 # its snapshot and replay phases and counts the records it replays
 # (Cluster.Restored), exported as vmalloc_cluster_restore_seconds{phase}
 # and vmalloc_cluster_restore_records and named in vmserve's serving line.
-LOC_MAX = 19133
+# Raised by 15 more: vmtrace checks its subcommand and parses its flags
+# before it reads stdin, so -h prints the usage.
+LOC_MAX = 19148
 
 # DOC_MAX is DESIGN.md's line budget (ROADMAP item 16 (b)), kept like
 # LOC_MAX: DESIGN says what is and why; per-change history belongs in

@@ -11,6 +11,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -30,20 +31,39 @@ func main() {
 	}
 }
 
+const usage = "vmtrace <stats|convert|fit> [flags], or vmtrace -version"
+
+// run checks the subcommand and parses its flags before it reads any
+// input, so -h, --help and an unknown subcommand never wait on stdin.
 func run(args []string, w io.Writer) error {
-	if len(args) == 0 {
-		return fmt.Errorf("usage: vmtrace <stats|convert|fit> [flags], or vmtrace -version")
-	}
-	if args[0] == "-version" || args[0] == "--version" {
+	if len(args) > 0 && (args[0] == "-version" || args[0] == "--version") {
 		fmt.Fprintln(w, config.Version())
 		return nil
 	}
-	cmd, rest := args[0], args[1:]
-	fs := flag.NewFlagSet("vmtrace "+cmd, flag.ContinueOnError)
+	cmd := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		cmd, args = args[0], args[1:]
+	}
+	switch cmd {
+	case "", "stats", "convert", "fit":
+	default:
+		return fmt.Errorf("unknown subcommand %q (want stats, convert or fit)", cmd)
+	}
+	fs := flag.NewFlagSet("vmtrace", flag.ContinueOnError)
+	fs.Usage = func() {
+		fmt.Fprintln(fs.Output(), "Usage of vmtrace: "+usage)
+		fs.PrintDefaults()
+	}
 	in := fs.String("in", "", "input file: .csv trace or .json instance (default stdin, csv)")
 	out := fs.String("o", "", "output file (convert only; extension selects the format)")
-	if err := fs.Parse(rest); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case cmd == "":
+		return errors.New("usage: " + usage)
+	case cmd == "convert" && *out == "":
+		return fmt.Errorf("convert needs -o")
 	}
 	vms, err := load(*in)
 	if err != nil {
@@ -57,13 +77,8 @@ func run(args []string, w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(spec)
-	case "convert":
-		if *out == "" {
-			return fmt.Errorf("convert needs -o")
-		}
-		return save(*out, vms)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want stats, convert or fit)", cmd)
+		return save(*out, vms)
 	}
 }
 

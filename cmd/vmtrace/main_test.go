@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,5 +96,30 @@ func TestErrors(t *testing.T) {
 	jsonPath, _ := writeFiles(t)
 	if err := run([]string{"convert", "-in", jsonPath}, os.Stderr); err == nil {
 		t.Error("convert without -o accepted")
+	}
+}
+
+// TestArgumentsBeforeInput: -h and --help answer with the usage, and an
+// unknown subcommand or a convert without -o is refused, all without
+// reading stdin, which here is a closed file any read would fail on.
+func TestArgumentsBeforeInput(t *testing.T) {
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	w.Close()
+	stdin := os.Stdin
+	os.Stdin = r
+	t.Cleanup(func() { os.Stdin = stdin })
+	for _, args := range [][]string{{"-h"}, {"--help"}, {"stats", "-h"}} {
+		if err := run(args, os.Stderr); !errors.Is(err, flag.ErrHelp) {
+			t.Errorf("vmtrace %s: err = %v, want the usage", strings.Join(args, " "), err)
+		}
+	}
+	for args, want := range map[string]string{"bogus": "unknown subcommand", "convert": "convert needs -o", "": "usage: vmtrace"} {
+		if err := run(strings.Fields(args), os.Stderr); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("vmtrace %s: err = %v, want %q", args, err, want)
+		}
 	}
 }

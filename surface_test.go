@@ -76,8 +76,7 @@ func TestSurfaceGolden(t *testing.T) {
 }
 
 // surfaceFlags builds every command and records its -h output, one line
-// per flag: its name and type, then its usage and default (vmtrace's
-// flags are its subcommands').
+// per flag: its name and type, then its usage and default.
 func surfaceFlags(t *testing.T, b *strings.Builder) {
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin+string(filepath.Separator), "./cmd/...").CombinedOutput(); err != nil {
@@ -88,12 +87,8 @@ func surfaceFlags(t *testing.T, b *strings.Builder) {
 		t.Fatal(err)
 	}
 	for _, c := range cmds {
-		args := []string{"-h"}
-		if c.Name() == "vmtrace" {
-			args = []string{"stats", "-h"}
-		}
 		var out bytes.Buffer
-		cmd := exec.Command(filepath.Join(bin, c.Name()), args...)
+		cmd := exec.Command(filepath.Join(bin, c.Name()), "-h")
 		cmd.Stdout, cmd.Stderr = &out, &out
 		cmd.Run() //nolint:errcheck // -h exits non-zero after printing the usage
 		flagLine := ""
