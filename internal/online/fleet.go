@@ -1,9 +1,10 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"vmalloc/internal/energy"
 	"vmalloc/internal/model"
@@ -54,6 +55,7 @@ func NewFleet(servers []model.Server, idleTimeout int) *Fleet {
 	return &Fleet{
 		view:        newFleetView(servers),
 		idleTimeout: idleTimeout,
+		events:      newEventQueue(),
 		resident:    make(map[int]PlacedVM),
 	}
 }
@@ -122,7 +124,7 @@ func (fl *Fleet) Residents() []PlacedVM {
 	for _, p := range fl.resident {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].VM.ID < out[b].VM.ID })
+	slices.SortFunc(out, func(a, b PlacedVM) int { return cmp.Compare(a.VM.ID, b.VM.ID) })
 	return out
 }
 
@@ -160,8 +162,11 @@ func (fl *Fleet) Drain() {
 }
 
 func (fl *Fleet) drainUntil(t int) {
-	for len(fl.events) > 0 && fl.events[0].time <= t {
-		ev := fl.events.pop()
+	for {
+		ev, ok := fl.events.pop(t)
+		if !ok {
+			return
+		}
 		fl.view.now = ev.time
 		fl.handle(ev)
 	}

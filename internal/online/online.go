@@ -333,46 +333,131 @@ type event struct {
 	vmID int
 }
 
-// eventQueue is a typed binary min-heap (container/heap boxes every event
-// through any) in (time, kind, seq) order. The order is strict, seq being
-// unique, so the pops come out in one sequence whatever the layout.
-type eventQueue []event
+// eventQueue holds the pending events in per-minute buckets: each pending
+// minute maps to a bucket of one FIFO per event kind, the FIFOs are linked
+// through one slab of event slots whose freed slots are reused, and a
+// binary min-heap orders the distinct pending minutes. Event times are
+// integer minutes and seq grows in push order, so appending keeps every
+// FIFO in seq order and the pops come out in exactly (time, kind, seq)
+// order. A push is a map lookup and an append, a pop reads the first
+// bucket's head, and the minute heap moves once per distinct minute.
+type eventQueue struct {
+	slab     []slot
+	free     int32           // first free slab slot, chained through next; -1 when none
+	buckets  []bucket        // indexed by bucketOf's values
+	spare    []int32         // buckets no minute holds
+	bucketOf map[int]int32   // pending minute → its bucket
+	minutes  []pendingMinute // min-heap on time; one entry per bucketOf key
+}
 
-func (q eventQueue) less(a, b int) bool {
-	x, y := &q[a], &q[b]
-	if x.time != y.time {
-		return x.time < y.time
-	}
-	if x.kind != y.kind {
-		return x.kind < y.kind
-	}
-	return x.seq < y.seq
+// slot is one slab entry: a pending event and the next slot of its FIFO
+// (or of the free list); -1 ends either.
+type slot struct {
+	ev   event
+	next int32
+}
+
+// fifo is one kind's pending events of one minute, oldest first; head is
+// -1 when it is empty.
+type fifo struct{ head, tail int32 }
+
+type bucket [evCleanup]fifo
+
+type pendingMinute struct {
+	time   int
+	bucket int32
+}
+
+func newEventQueue() eventQueue {
+	return eventQueue{free: -1, bucketOf: make(map[int]int32)}
 }
 
 func (q *eventQueue) push(ev event) {
-	*q = append(*q, ev)
-	h := *q
-	for i := len(h) - 1; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
-		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	s := q.free
+	if s < 0 {
+		s = int32(len(q.slab))
+		q.slab = append(q.slab, slot{})
+	} else {
+		q.free = q.slab[s].next
 	}
+	q.slab[s] = slot{ev: ev, next: -1}
+	b, ok := q.bucketOf[ev.time]
+	if !ok {
+		b = q.newBucket()
+		q.bucketOf[ev.time] = b
+		q.pushMinute(pendingMinute{ev.time, b})
+	}
+	f := &q.buckets[b][ev.kind-1]
+	if f.head < 0 {
+		f.head = s
+	} else {
+		q.slab[f.tail].next = s
+	}
+	f.tail = s
 }
 
-// pop removes and returns the first event of a non-empty queue.
-func (q *eventQueue) pop() event {
-	h := *q
-	top, n := h[0], len(h)-1
+// pop removes and returns the first event if its time is at most until.
+func (q *eventQueue) pop(until int) (event, bool) {
+	if len(q.minutes) == 0 || q.minutes[0].time > until {
+		return event{}, false
+	}
+	m := q.minutes[0]
+	bk := &q.buckets[m.bucket]
+	k := 0
+	for bk[k].head < 0 { // a pending minute's bucket holds an event
+		k++
+	}
+	s := bk[k].head
+	ev := q.slab[s].ev
+	bk[k].head = q.slab[s].next
+	q.slab[s].next, q.free = q.free, s
+	for ; k < len(bk); k++ { // the kinds before k are empty
+		if bk[k].head >= 0 {
+			return ev, true
+		}
+	}
+	delete(q.bucketOf, m.time)
+	q.spare = append(q.spare, m.bucket)
+	q.popMinute()
+	return ev, true
+}
+
+func (q *eventQueue) newBucket() int32 {
+	var b int32
+	if n := len(q.spare); n > 0 {
+		b, q.spare = q.spare[n-1], q.spare[:n-1]
+	} else {
+		b = int32(len(q.buckets))
+		q.buckets = append(q.buckets, bucket{})
+	}
+	for k := range q.buckets[b] {
+		q.buckets[b][k].head = -1
+	}
+	return b
+}
+
+func (q *eventQueue) pushMinute(m pendingMinute) {
+	h := append(q.minutes, m)
+	for i := len(h) - 1; i > 0 && h[i].time < h[(i-1)/2].time; i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+	q.minutes = h
+}
+
+func (q *eventQueue) popMinute() {
+	h := q.minutes
+	n := len(h) - 1
 	h[0], h = h[n], h[:n]
-	*q = h
+	q.minutes = h
 	for i, m := 0, 1; m < n; i, m = m, 2*m+1 {
-		if m+1 < n && h.less(m+1, m) {
+		if m+1 < n && h[m+1].time < h[m].time {
 			m++
 		}
-		if !h.less(m, i) {
+		if h[i].time <= h[m].time {
 			break
 		}
 		h[i], h[m] = h[m], h[i]
 	}
-	return top
 }
 
 // Report is the outcome of an event-driven run.

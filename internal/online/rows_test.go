@@ -1,10 +1,11 @@
 package online
 
 import (
+	"cmp"
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"vmalloc/internal/energy"
@@ -76,7 +77,7 @@ func checkRows(t *testing.T, fl *Fleet, when string) {
 		vms[p.Server]++
 	}
 	wakes := map[int]int{} // server → pending wake-up completion
-	for _, ev := range fl.events {
+	for _, ev := range fl.events.pending() {
 		if ev.kind == evWakeDone && fl.view.rows[ev.srv].state == Waking && fl.view.rows[ev.srv].wakeDone == ev.time {
 			wakes[ev.srv] = ev.time
 		}
@@ -225,42 +226,139 @@ func TestRowsMatchLedgers(t *testing.T) {
 	}
 }
 
-// TestEventQueue: the typed heap pops seeded random events in sorted
-// (time, kind, seq) order, and once its backing array has grown a push
-// and a pop allocate nothing.
-func TestEventQueue(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var q eventQueue
-	var want []event
-	for seq := 0; seq < 500; seq++ {
-		ev := event{time: rng.Intn(40), kind: 1 + rng.Intn(4), seq: seq, srv: rng.Intn(8)}
-		q.push(ev)
-		want = append(want, ev)
-		if rng.Intn(3) == 0 { // interleave pops with pushes, as the fleet does
-			sort.Slice(want, eventQueue(want).less)
-			if got := q.pop(); got != want[0] {
-				t.Fatalf("pop %d = %+v, want %+v", seq, got, want[0])
+// eventOracle is the queue's specification: the pending events, sorted
+// by (time, kind, seq) at every pop.
+type eventOracle []event
+
+func (o *eventOracle) pop(until int) (event, bool) {
+	slices.SortFunc(*o, func(x, y event) int {
+		return cmp.Or(cmp.Compare(x.time, y.time), cmp.Compare(x.kind, y.kind), cmp.Compare(x.seq, y.seq))
+	})
+	if len(*o) == 0 || (*o)[0].time > until {
+		return event{}, false
+	}
+	ev := (*o)[0]
+	*o = (*o)[1:]
+	return ev, true
+}
+
+// pending lists the queue's events, minute by minute in heap order and
+// kind by kind within a minute.
+func (q *eventQueue) pending() []event {
+	var out []event
+	for _, m := range q.minutes {
+		for _, f := range q.buckets[m.bucket] {
+			for s := f.head; s >= 0; s = q.slab[s].next {
+				out = append(out, q.slab[s].ev)
 			}
-			want = want[1:]
 		}
 	}
-	sort.Slice(want, eventQueue(want).less)
-	for k, w := range want {
-		if got := q.pop(); got != w {
-			t.Fatalf("drain pop %d = %+v, want %+v", k, got, w)
-		}
+	return out
+}
+
+// popBoth pops the queue and the oracle up to minute until, fails unless
+// they agree, and reports whether an event came out.
+func popBoth(tb testing.TB, q *eventQueue, o *eventOracle, until int) bool {
+	tb.Helper()
+	got, ok := q.pop(until)
+	want, wantOK := o.pop(until)
+	if got != want || ok != wantOK {
+		tb.Fatalf("pop until %d = %+v %t, want %+v %t", until, got, ok, want, wantOK)
 	}
-	if len(q) != 0 {
-		t.Fatalf("%d events left after draining", len(q))
+	return ok
+}
+
+// drainBoth pops both to the end and checks that the queue let go of
+// every minute it held.
+func drainBoth(tb testing.TB, q *eventQueue, o *eventOracle) {
+	tb.Helper()
+	for popBoth(tb, q, o, math.MaxInt) {
 	}
-	seq := 1000
-	if allocs := testing.AllocsPerRun(100, func() {
-		q.push(event{time: seq % 7, kind: evDeparture, seq: seq})
+	if len(q.minutes) != 0 || len(q.bucketOf) != 0 {
+		tb.Fatalf("drained queue holds minutes %v, buckets %v", q.minutes, q.bucketOf)
+	}
+}
+
+// TestEventQueue: the bucket queue pops in the oracle's (time, kind, seq)
+// order — seeded random pushes interleaved with pops that stop at a
+// minute, pushes before the first pending minute, and a same-minute push
+// of a lower kind while a higher kind drains — and once its slab, buckets
+// and map have grown a push and a pop allocate nothing.
+func TestEventQueue(t *testing.T) {
+	q := newEventQueue()
+	var o eventOracle
+	seq := 0
+	push := func(time, kind int) {
+		ev := event{time: time, kind: kind, seq: seq, srv: seq % 8, vmID: seq}
 		seq++
-		q.pop()
-	}); allocs != 0 {
-		t.Fatalf("%.1f allocations per push and pop, want 0", allocs)
+		q.push(ev)
+		o = append(o, ev)
 	}
+
+	rng := rand.New(rand.NewSource(1))
+	for now := 0; seq < 2000; {
+		push(now+rng.Intn(40)-rng.Intn(2)*rng.Intn(10), 1+rng.Intn(evCleanup))
+		if rng.Intn(3) == 0 { // interleave pops with pushes, as the fleet does
+			now += rng.Intn(3)
+			for popBoth(t, &q, &o, now) && rng.Intn(4) != 0 {
+			}
+		}
+	}
+	drainBoth(t, &q, &o)
+
+	// Earlier than the first pending minute: a new first bucket.
+	push(20, evDeparture)
+	push(10, evIdleCheck)
+	if popBoth(t, &q, &o, 5) {
+		t.Fatal("popped an event before its minute")
+	}
+	push(3, evCleanup)
+	push(10, evWakeDone)
+	popBoth(t, &q, &o, 10)
+	// A lower kind pushed into minute 10 while its idle checks drain
+	// comes out before the rest of them, as the fleet's handlers push.
+	push(10, evIdleCheck)
+	popBoth(t, &q, &o, 10)
+	push(10, evDeparture)
+	push(10, evCleanup)
+	push(10, evDeparture)
+	drainBoth(t, &q, &o)
+	if got := q.pending(); len(got) != 0 {
+		t.Fatalf("%d events pending after draining", len(got))
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		push(seq%7, evDeparture)
+		push(seq%5, evIdleCheck)
+		q.pop(math.MaxInt)
+		q.pop(math.MaxInt)
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per two pushes and pops, want 0", allocs)
+	}
+}
+
+// FuzzEventQueue drives the queue with pushes and pops from bytes against
+// the sort oracle: each byte pair is an op and a minute in [-128, 127], a
+// pop up to that minute when the op's low bits are 0, else a push there
+// of the kind its high bits name.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{1, 20, 2, 10, 0, 5, 3, 3, 0, 10, 5, 10, 0, 10, 9, 10})
+	f.Add([]byte{13, 200, 1, 0, 2, 255, 0, 127, 7, 7, 11, 7, 0, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q := newEventQueue()
+		var o eventOracle
+		for i := 0; i+1 < len(data); i += 2 {
+			op, minute := data[i], int(int8(data[i+1]))
+			if op&3 == 0 {
+				popBoth(t, &q, &o, minute)
+				continue
+			}
+			ev := event{time: minute, kind: 1 + int(op>>2)%evCleanup, seq: i, srv: int(op >> 4)}
+			q.push(ev)
+			o = append(o, ev)
+		}
+		drainBoth(t, &q, &o)
+	})
 }
 
 // TestPlaceAllocFree pins the pass's zero-allocation contract on the
