@@ -97,7 +97,7 @@ type priceClass struct {
 
 // row is the hot part of one server's state (152 bytes). The static
 // fields are written once by NewFleet; sum is refreshed from the ledger
-// by compile and compileRow, before a probe reads it; wakeDone, state and
+// by compile before a scan's probes read it; wakeDone, state and
 // vms are written where the fleet changes them, and live nowhere else.
 type row struct {
 	capCPU, capMem   float64
@@ -188,14 +188,6 @@ func (f *FleetView) compile() {
 	f.dirty = f.dirty[:0]
 }
 
-// compileRow refreshes row i alone, for the probe Commit, Migrate and
-// Adopt run on their own server. The row stays listed.
-func (f *FleetView) compileRow(i int) {
-	if f.units[i].dirty {
-		f.rows[i].sum = f.units[i].res.Summary()
-	}
-}
-
 // ScanCounts totals what the policies' passes did over a view: rows
 // evaluated (Evaluated; minCostPass counts every row of the view), rows
 // minCostPass left unprobed because their run cost could not win
@@ -237,12 +229,18 @@ func (f *FleetView) Running(i int) int { return f.rows[i].vms }
 //     whose VMs start about now this is nearly every full server — usage
 //     only falls from here on, so the peak sits at the window's start.
 //
-// Otherwise the ledger's window maximum decides. Row i must be current:
-// its caller ran compile or compileRow(i) since the last mutation.
+// Otherwise the ledger's window maximum decides. A dirty row's sum lags
+// its ledger, so the ledger decides at once: that is Commit, Migrate and
+// Adopt outside a scan (a journal replay), whose one question would not
+// pay for the compile; a scan's candidates ran compile first.
 func (f *FleetView) probe(i int, cpu, mem float64, start, end int) (ok, byRow bool) {
 	r := &f.rows[i]
 	if !(cpu <= r.capCPU && mem <= r.capMem) {
 		return false, true
+	}
+	if u := &f.units[i]; u.dirty {
+		c, m := u.res.WindowMax(start, end)
+		return c+cpu <= r.capCPU && m+mem <= r.capMem, false
 	}
 	s := &r.sum
 	cpuOver, memOver := s.PeakCPU+cpu > r.capCPU, s.PeakMem+mem > r.capMem

@@ -248,6 +248,36 @@ func (l *Ledger) MaxUsage(start, end int) (cpu, mem float64) {
 	return cpu, mem
 }
 
+// WindowMax returns what MaxUsage(start, end) would, bit for bit, without
+// compiling: a ledger mutated since its last read sums its marks in mark
+// order, as rebuild does, up to the window's end. It is for a one-off
+// question, where a compile would build segments and a summary nobody
+// reads before the next mutation.
+func (l *Ledger) WindowMax(start, end int) (cpu, mem float64) {
+	if !l.stale {
+		return l.MaxUsage(start, end)
+	}
+	marks := l.marks
+	var c, m float64
+	for i := 0; i < len(marks) && marks[i].t <= end; {
+		for t := marks[i].t; i < len(marks) && marks[i].t == t; i++ {
+			c += marks[i].cpu
+			m += marks[i].mem
+		}
+		// The segment the marks at t open ends the minute before the
+		// next mark; past the last mark usage is zero.
+		if i < len(marks) && marks[i].t > start {
+			if c > cpu {
+				cpu = c
+			}
+			if m > mem {
+				mem = m
+			}
+		}
+	}
+	return cpu, mem
+}
+
 // rebuild recompiles the step function and summary from the marks, which
 // are already in mark order, in one pass: each segment is summed, then
 // read into the summary as soon as the next minute with a mark closes it.

@@ -274,13 +274,25 @@ func summaryBits(s Summary) [10]uint64 {
 func checkAgainstRebuild(t *testing.T, l *Ledger, live map[int]Reservation, maxID, step int, op ledgerOp) {
 	t.Helper()
 	o := rebuildBySort(live)
-	window := func(start, end int) {
+	check := func(name string, read func(start, end int) (float64, float64), start, end int) {
 		t.Helper()
-		c, m := l.MaxUsage(start, end)
+		c, m := read(start, end)
 		wc, wm := o.MaxUsage(start, end)
 		if math.Float64bits(c) != math.Float64bits(wc) || math.Float64bits(m) != math.Float64bits(wm) {
-			t.Fatalf("step %d %+v: MaxUsage(%d, %d) = (%v, %v), oracle (%v, %v)", step, op, start, end, c, m, wc, wm)
+			t.Fatalf("step %d %+v: %s(%d, %d) = (%v, %v), oracle (%v, %v)", step, op, name, start, end, c, m, wc, wm)
 		}
+	}
+	window := func(start, end int) { t.Helper(); check("MaxUsage", l.MaxUsage, start, end) }
+	// WindowMax reads first, while a mutating op has left the ledger
+	// stale: it must answer from the marks and leave the compile due.
+	stale := l.stale
+	check("WindowMax", l.WindowMax, 0, 200)
+	for _, m := range o.times {
+		check("WindowMax", l.WindowMax, m-1, m+2)
+		check("WindowMax", l.WindowMax, m, m+step%9)
+	}
+	if l.stale != stale {
+		t.Fatalf("step %d %+v: WindowMax changed stale from %t", step, op, stale)
 	}
 	if step%2 == 1 {
 		window(step%70, step%70+step%9)
