@@ -301,9 +301,10 @@ func TestRestoreBoundedBySnapshotInterval(t *testing.T) {
 // journal, the restart a crashed shard waits on; each iteration opens a
 // fresh copy of it, and snapshot-ns/op and replay-ns/op split Open's time
 // into its phases (Cluster.Restored). Its 32,791 records replay in
-// ≈1.52 MB/op and ≈3.94k allocs/op on a 2-vCPU container: the marks are
-// each ledger's only store, the event queue's slab and buckets are reused
-// as events come and go, and the few VM type names are interned per read.
+// ≈1.39 MB/op and ≈1.18k allocs/op on a 2-vCPU container: the marks are
+// each ledger's only store and replay compiles none of them, the event
+// queue's slab and buckets are reused as events come and go, and the few
+// VM type names are interned per read.
 func BenchmarkRestore(b *testing.B) {
 	cfg, records := restartJournal(b)
 	frozen := cfg.Dir
